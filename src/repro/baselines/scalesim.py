@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from repro.canonical import KeepsCanonicalText
 from repro.simulator.memory import memory_model_for
 from repro.simulator.results import ActivityTrace, LayerResult, SimulationResult
 from repro.workloads.layers import ConvLayer
@@ -25,7 +26,7 @@ MIB = 1024 * 1024
 
 
 @dataclass(frozen=True)
-class CMOSNPUConfig:
+class CMOSNPUConfig(KeepsCanonicalText):
     """A conventional CMOS systolic-array NPU (the TPU core of Table I)."""
 
     name: str = "TPU"

@@ -70,16 +70,17 @@ def derived_batch(config: NPUConfig, network: Network, cap: int = BATCH_CAP) -> 
     """
     if cap < 1:
         raise ValueError("batch cap must be positive")
-    conv_layers = network.conv_layers or network.layers
+    # Each bound is capacity // per-layer demand; capacities are
+    # non-negative, so the worst layer is the one with the largest demand.
+    ifmap_bytes, in_channels, ofmap_bytes = network.batch_bounds
     best = cap
-    for layer in conv_layers:
-        if layer.ifmap_bytes:
-            best = min(best, config.ifmap_buffer_bytes // layer.ifmap_bytes)
-        channel_slots = config.pe_array_height * config.ifmap_division
-        best = min(best, channel_slots // layer.in_channels)
+    if ifmap_bytes:
+        best = min(best, config.ifmap_buffer_bytes // ifmap_bytes)
+    channel_slots = config.pe_array_height * config.ifmap_division
+    best = min(best, channel_slots // in_channels)
+    if ofmap_bytes:
         out_capacity = config.output_buffer_bytes + config.psum_buffer_bytes
-        if layer.ofmap_bytes:
-            best = min(best, out_capacity // layer.ofmap_bytes)
+        best = min(best, out_capacity // ofmap_bytes)
     return max(1, best)
 
 

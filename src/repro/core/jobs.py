@@ -24,11 +24,19 @@ module turns that fan-out into an explicit job layer:
   :class:`repro.core.resilience.SweepCheckpoint` journal so a killed
   sweep resumes instead of restarting.
 
-Results are *always* materialized from the serialized payload — whether
-they came from the simulator, a worker process, or the cache — so serial,
-parallel, warm-cache, and failure-recovered runs are bitwise-identical
-by construction (proven by ``tests/test_resilience.py`` under injected
+The payload codec runs only at a boundary.  A cache hit is decoded once;
+a pool worker ships its result as a payload, decoded once in the parent;
+a serial miss keeps the simulator's own result in memory and is encoded
+only to be written to the cache.  The codec round-trips every field
+exactly and activity materializes in sorted-unit order on every path,
+so serial, parallel, warm-cache, and failure-recovered runs are
+bitwise-identical (proven by ``tests/test_resilience.py`` under injected
 crashes, hangs, SIGKILLs, and corrupted cache entries).
+
+Keys are computed once per object, not once per use: configs, networks
+and cell libraries keep their canonical JSON text (:mod:`repro.canonical`)
+and a :class:`SimTask` keeps its key, so per-task keying cost no longer
+grows with the size of the network, library and config documents.
 
 The runner is ambient: library code calls :func:`get_runner` (a shared
 serial, cache-less default) and the CLI / API install a configured one
@@ -61,6 +69,7 @@ from typing import Any, Deque, Dict, Iterator, List, Optional, Sequence, Tuple, 
 
 from repro import obs
 from repro.baselines.scalesim import CMOSNPUConfig, simulate_cmos
+from repro.canonical import canonical_json, kept_text
 from repro.components.base import (
     DEFAULT_LINK_TECHNOLOGY,
     DEFAULT_MEMORY_TECHNOLOGY,
@@ -87,11 +96,22 @@ QUARANTINE_DIR = "quarantine"
 
 
 # -- stable content hashing ------------------------------------------------
+#
+# A key is the sha256 of one canonical (sorted-key, compact) JSON
+# document.  Its large parts -- the design config, the network and the
+# cell library -- are immutable records, so each renders its canonical
+# text once (kept on the instance, see repro.canonical) and every key that
+# contains it splices that text into the outer document.  The spliced
+# text is byte-for-byte what json.dumps(sort_keys=True) makes of the whole
+# document, so every key is unchanged.
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
 
 def _canonical_hash(document: Any) -> str:
     """sha256 (hex) of the canonical sorted-key JSON of ``document``."""
-    text = json.dumps(document, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+    return _sha256(canonical_json(document))
 
 
 #: Technology fields whose *default* values are omitted from config
@@ -135,6 +155,22 @@ def library_fingerprint(library: CellLibrary) -> Dict[str, Any]:
     }
 
 
+def config_text(config: Union[NPUConfig, CMOSNPUConfig]) -> str:
+    """Canonical JSON of :func:`config_signature`, rendered once per config."""
+    return kept_text(config, config_signature)
+
+
+def workload_text(network: Network) -> str:
+    """Canonical JSON of :func:`workload_signature`, rendered once per network."""
+    return kept_text(network, workload_signature)
+
+
+def library_text(library: Optional[CellLibrary]) -> str:
+    """Canonical JSON of :func:`library_fingerprint` (``null`` for none),
+    rendered once per library."""
+    return "null" if library is None else kept_text(library, library_fingerprint)
+
+
 # -- tasks -----------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -143,13 +179,16 @@ class SimTask:
 
     ``library`` selects the SFQ cell library (default: calibrated RSFQ)
     and is ignored for CMOS-baseline configs, whose cycle model has no
-    cell library.
+    cell library.  A task keeps its key once computed (and ships it to
+    worker processes), so lowering a plan keys each task once and the
+    runner reuses that key.
     """
 
     config: Union[NPUConfig, CMOSNPUConfig]
     network: Network
     batch: int
     library: Optional[CellLibrary] = None
+    _key: Optional[str] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.batch < 1:
@@ -167,25 +206,31 @@ class SimTask:
 
     def key(self) -> str:
         """Content-addressed cache key of this task."""
-        library = self.resolved_library()
-        return _canonical_hash({
-            "schema": CACHE_SCHEMA_VERSION,
-            "kind": "simulate_cmos" if self.is_cmos else "simulate",
-            "config": config_signature(self.config),
-            "workload": workload_signature(self.network),
-            "batch": self.batch,
-            "library": None if library is None else library_fingerprint(library),
-        })
+        if self._key is None:
+            # The sorted-key document {batch, config, kind, library,
+            # schema, workload}, spliced from the kept sub-texts.
+            kind = "simulate_cmos" if self.is_cmos else "simulate"
+            object.__setattr__(self, "_key", _sha256(
+                f'{{"batch":{canonical_json(self.batch)},'
+                f'"config":{config_text(self.config)},"kind":"{kind}",'
+                f'"library":{library_text(self.resolved_library())},'
+                f'"schema":{CACHE_SCHEMA_VERSION},'
+                f'"workload":{workload_text(self.network)}}}'))
+        return self._key
+
+
+def _task_keys(tasks: Sequence[SimTask]) -> List[str]:
+    """Each task's key: the one it already keeps (e.g. from plan lowering),
+    computed here only for tasks nobody has keyed yet."""
+    return [task._key or task.key() for task in tasks]
 
 
 def estimate_key(config: NPUConfig, library: CellLibrary) -> str:
     """Cache key of one architecture-level estimation."""
-    return _canonical_hash({
-        "schema": CACHE_SCHEMA_VERSION,
-        "kind": "estimate",
-        "config": config_signature(config),
-        "library": library_fingerprint(library),
-    })
+    # The sorted-key document {config, kind, library, schema}.
+    return _sha256(
+        f'{{"config":{config_text(config)},"kind":"estimate",'
+        f'"library":{library_text(library)},"schema":{CACHE_SCHEMA_VERSION}}}')
 
 
 # -- payload codecs --------------------------------------------------------
@@ -194,25 +239,36 @@ def estimate_key(config: NPUConfig, library: CellLibrary) -> str:
 # records exactly (Python's json preserves ints and floats bit-exactly),
 # which is what makes warm-cache runs bitwise-identical to cold ones.
 
+#: LayerResult's fields, all plain ints and strings: copying them is what
+#: dataclasses.asdict would do, without its per-value deep copy.
+_LAYER_FIELDS = tuple(f.name for f in dataclasses.fields(LayerResult))
+
+
 def result_to_dict(run: SimulationResult) -> Dict[str, Any]:
     return {
         "design": run.design,
         "network": run.network,
         "batch": run.batch,
         "frequency_ghz": run.frequency_ghz,
-        "layers": [dataclasses.asdict(layer) for layer in run.layers],
+        "layers": [{name: getattr(layer, name) for name in _LAYER_FIELDS}
+                   for layer in run.layers],
         "activity": dict(run.activity.effective_cycles),
     }
 
 
 def result_from_dict(data: Dict[str, Any]) -> SimulationResult:
+    # Activity materializes in sorted-unit order, as the simulator emits
+    # it, no matter how the payload was ordered: power sums fold floats in
+    # iteration order, so a cache hit and a fresh run must agree on it.
+    activity = data["activity"]
     return SimulationResult(
         design=data["design"],
         network=data["network"],
         batch=data["batch"],
         frequency_ghz=data["frequency_ghz"],
         layers=[LayerResult(**layer) for layer in data["layers"]],
-        activity=ActivityTrace(effective_cycles=dict(data["activity"])),
+        activity=ActivityTrace(effective_cycles={unit: activity[unit]
+                                                 for unit in sorted(activity)}),
     )
 
 
@@ -309,9 +365,6 @@ class ResultCache:
     def path_for(self, key: str) -> Path:
         """On-disk location of one entry."""
         return self.root / key[:2] / f"{key}.json"
-
-    # Backwards-compatible alias (pre-quarantine callers used `_path`).
-    _path = path_for
 
     def get(self, key: str) -> Optional[Dict[str, Any]]:
         """The stored payload, or None on miss (quarantining bad entries)."""
@@ -469,21 +522,23 @@ class ResultCache:
 
 # -- task execution (top-level so it pickles into worker processes) --------
 
-#: Per-worker-process memo of architecture estimates, so a worker handed
-#: many tasks for the same design computes its clock model once.
-_WORKER_ESTIMATES: Dict[str, NPUEstimate] = {}
+#: Per-process memo of architecture estimates, so a process handed many
+#: tasks for the same design computes its clock model once.  Keyed by the
+#: canonical texts that estimate_key hashes: the same content, without
+#: re-hashing it on every task.
+_WORKER_ESTIMATES: Dict[Tuple[str, str], NPUEstimate] = {}
 
 
 def _estimate_for(config: NPUConfig, library: CellLibrary) -> NPUEstimate:
-    key = estimate_key(config, library)
-    cached = _WORKER_ESTIMATES.get(key)
+    memo_key = (config_text(config), library_text(library))
+    cached = _WORKER_ESTIMATES.get(memo_key)
     if cached is None:
-        cached = _WORKER_ESTIMATES[key] = estimate_npu(config, library)
+        cached = _WORKER_ESTIMATES[memo_key] = estimate_npu(config, library)
     return cached
 
 
-def _execute(task: SimTask) -> Tuple[Dict[str, Any], float]:
-    """Run one task; returns (serialized result payload, wall seconds)."""
+def _execute(task: SimTask) -> Tuple[SimulationResult, float]:
+    """Run one task in this process; returns (result, wall seconds)."""
     start = time.perf_counter()
     if task.is_cmos:
         run = simulate_cmos(task.config, task.network, batch=task.batch)
@@ -493,7 +548,7 @@ def _execute(task: SimTask) -> Tuple[Dict[str, Any], float]:
             task.config, task.network, batch=task.batch,
             estimate=_estimate_for(task.config, library),
         )
-    return result_to_dict(run), time.perf_counter() - start
+    return run, time.perf_counter() - start
 
 
 @dataclass(frozen=True)
@@ -544,7 +599,7 @@ def _write_obs_sidecar(spec: WorkerObsSpec, key: str,
 
 
 def _execute_observed(task: SimTask, chaos: Optional[ChaosInjector],
-                      spec: WorkerObsSpec) -> Tuple[Dict[str, Any], float]:
+                      spec: WorkerObsSpec) -> Tuple[SimulationResult, float]:
     """Run one task under a private worker obs session + sidecar.
 
     The session is reset before and after, so the sidecar holds exactly
@@ -568,7 +623,7 @@ def _execute_observed(task: SimTask, chaos: Optional[ChaosInjector],
     try:
         if chaos is not None:
             chaos.fire(task.key())
-        payload, seconds = _execute(task)
+        run, seconds = _execute(task)
         profile = profiler.stop() if profiler is not None else None
         snapshot = obs.metrics().snapshot() if spec.metrics else {}
         spans = serialize_spans(obs.tracer()) if spec.tracing else []
@@ -578,19 +633,29 @@ def _execute_observed(task: SimTask, chaos: Optional[ChaosInjector],
         obs.disable()
         obs.reset()
     _write_obs_sidecar(spec, task.key(), snapshot.get("counters", {}), spans, profile)
-    return payload, seconds
+    return run, seconds
 
 
 def _execute_task(task: SimTask,
                   chaos: Optional[ChaosInjector] = None,
                   obs_spec: Optional[WorkerObsSpec] = None,
-                  ) -> Tuple[Dict[str, Any], float]:
-    """The unit submitted to workers: optional chaos, then the simulation."""
+                  ) -> Tuple[SimulationResult, float]:
+    """Optional chaos, then the simulation, in this process."""
     if obs_spec is not None and obs_spec.collects_anything:
         return _execute_observed(task, chaos, obs_spec)
     if chaos is not None:
         chaos.fire(task.key())
     return _execute(task)
+
+
+def _execute_remote(task: SimTask,
+                    chaos: Optional[ChaosInjector] = None,
+                    obs_spec: Optional[WorkerObsSpec] = None,
+                    ) -> Tuple[Dict[str, Any], float]:
+    """The unit submitted to pool workers: the result crosses the process
+    boundary as its serialized payload."""
+    run, seconds = _execute_task(task, chaos, obs_spec)
+    return result_to_dict(run), seconds
 
 
 # -- the runner ------------------------------------------------------------
@@ -643,8 +708,7 @@ class JobRunner:
 
     ``jobs=1`` (the default) runs everything in-process; ``jobs > 1``
     fans cache misses out over a ``ProcessPoolExecutor``.  Task order is
-    preserved, and results are materialized from serialized payloads in
-    every mode, so the output is identical regardless of ``jobs``, cache
+    preserved, and the output is identical regardless of ``jobs``, cache
     temperature, or how many failures were recovered along the way.
 
     Fault tolerance:
@@ -696,23 +760,25 @@ class JobRunner:
             self.progress.emit(kind, key=key, attempt=attempt)
 
     # -- simulations --------------------------------------------------
-    def run(self, tasks: Sequence[SimTask]) -> List[SimulationResult]:
+    def run(self, tasks: Sequence[SimTask]) -> "RunResults":
         """Run every task (cache-first), preserving task order."""
         started = time.perf_counter()
         if self.progress is not None:
             self.progress.begin(len(tasks))
-        keys = [task.key() for task in tasks]
-        payloads: List[Optional[Dict[str, Any]]] = [None] * len(tasks)
+        keys = _task_keys(tasks)
+        results: List[Optional[SimulationResult]] = [None] * len(tasks)
+        cached = [False] * len(tasks)
         pending: List[int] = []
         resumed = 0
         try:
             for index, key in enumerate(keys):
-                payload = self._cached_payload(key)
-                if payload is None:
+                result = self._cached_result(key)
+                if result is None:
                     pending.append(index)
                     self._emit("queued", key)
                     continue
-                payloads[index] = payload
+                results[index] = result
+                cached[index] = True
                 self._emit("cached", key)
                 if self.checkpoint is not None and key in self.checkpoint:
                     resumed += 1
@@ -721,9 +787,9 @@ class JobRunner:
             task_seconds = 0.0
             if pending:
                 if self.jobs > 1 and len(pending) > 1:
-                    task_seconds = self._run_parallel(tasks, keys, payloads, pending)
+                    task_seconds = self._run_parallel(tasks, keys, results, pending)
                 else:
-                    task_seconds = self._run_serial(tasks, keys, payloads, pending)
+                    task_seconds = self._run_serial(tasks, keys, results, pending)
         finally:
             # Close the live line even when the sweep raises, so the
             # error message starts on a fresh line.
@@ -732,53 +798,59 @@ class JobRunner:
 
         elapsed = time.perf_counter() - started
         self._account(len(tasks), hits, len(pending), task_seconds, elapsed, resumed)
-        return [result_from_dict(payload) for payload in payloads]
+        return RunResults(results, cached)
 
     def run_one(self, task: SimTask) -> SimulationResult:
         return self.run([task])[0]
 
     # -- cache interaction --------------------------------------------
-    def _cached_payload(self, key: str) -> Optional[Dict[str, Any]]:
-        """A materializable cached payload, or None (quarantining poison)."""
+    def _cached_result(self, key: str) -> Optional[SimulationResult]:
+        """The cached result, decoded once, or None (quarantining poison)."""
         if self.cache is None:
             return None
         payload = self.cache.get(key)
         if payload is None:
             return None
         try:
-            result_from_dict(payload)
+            return result_from_dict(payload)
         except Exception:
             # Well-formed JSON, wrong shape: poison, not a result.
             self.cache.quarantine(key, reason="poisoned-payload")
             return None
-        return payload
 
     def _finish_task(self, index: int, key: str, task: SimTask,
-                     payload: Dict[str, Any],
-                     payloads: List[Optional[Dict[str, Any]]]) -> None:
-        """Record one completed task: payload slot, cache, journal."""
-        payloads[index] = payload
+                     result: SimulationResult,
+                     results: List[Optional[SimulationResult]],
+                     payload: Optional[Dict[str, Any]] = None) -> None:
+        """Record one completed task: result slot, cache, journal.
+
+        ``payload`` is the serialized result when it already exists (a
+        pool worker shipped it); otherwise it is encoded here, and only
+        when there is a cache to write it to.
+        """
+        results[index] = result
         if self.cache is not None:
             kind = "simulate_cmos" if task.is_cmos else "simulate"
-            self.cache.put(key, payload, kind=kind)
+            self.cache.put(key, payload if payload is not None else result_to_dict(result),
+                           kind=kind)
         if self.checkpoint is not None:
             self.checkpoint.mark(key)
 
     # -- serial execution (also the degraded path) --------------------
     def _run_serial(self, tasks: Sequence[SimTask], keys: List[str],
-                    payloads: List[Optional[Dict[str, Any]]],
+                    results: List[Optional[SimulationResult]],
                     pending: Sequence[int]) -> float:
         total = 0.0
         for index in pending:
             self._emit("started", keys[index])
-            payload, seconds = self._execute_with_retry(tasks[index], keys[index])
+            result, seconds = self._execute_with_retry(tasks[index], keys[index])
             total += seconds
-            self._finish_task(index, keys[index], tasks[index], payload, payloads)
+            self._finish_task(index, keys[index], tasks[index], result, results)
             self._emit("finished", keys[index])
         return total
 
     def _execute_with_retry(self, task: SimTask, key: str,
-                            failures: int = 0) -> Tuple[Dict[str, Any], float]:
+                            failures: int = 0) -> Tuple[SimulationResult, float]:
         """In-process execution under the retry policy."""
         while True:
             try:
@@ -800,7 +872,7 @@ class JobRunner:
 
     # -- parallel execution -------------------------------------------
     def _run_parallel(self, tasks: Sequence[SimTask], keys: List[str],
-                      payloads: List[Optional[Dict[str, Any]]],
+                      results: List[Optional[SimulationResult]],
                       pending: Sequence[int]) -> float:
         total_seconds = 0.0
         workers = min(self.jobs, len(pending))
@@ -817,19 +889,27 @@ class JobRunner:
                     while queue:
                         index, failures = queue.popleft()
                         self._emit("started", keys[index], attempt=failures)
-                        payload, seconds = self._execute_with_retry(
+                        result, seconds = self._execute_with_retry(
                             tasks[index], keys[index], failures=failures)
                         total_seconds += seconds
                         self._finish_task(index, keys[index], tasks[index],
-                                          payload, payloads)
+                                          result, results)
                         self._emit("finished", keys[index])
                         remaining -= 1
                     break
 
+                broken = False
                 while queue and len(inflight) < workers:
                     index, failures = queue.popleft()
-                    future = pool.submit(_execute_task, tasks[index], self.chaos,
-                                         obs_spec)
+                    try:
+                        future = pool.submit(_execute_remote, tasks[index], self.chaos,
+                                             obs_spec)
+                    except BrokenExecutor:
+                        # The pool died after the last wait returned: this
+                        # task never started, so it is stranded, not failed.
+                        queue.appendleft((index, failures))
+                        broken = True
+                        break
                     deadline = (time.monotonic() + self.timeout_s
                                 if self.timeout_s is not None else None)
                     inflight[future] = (index, failures, deadline)
@@ -837,7 +917,6 @@ class JobRunner:
 
                 done, _ = wait(set(inflight), timeout=self._wait_timeout(inflight),
                                return_when=FIRST_COMPLETED)
-                broken = False
                 fatal: Optional[WorkerError] = None
                 for future in done:
                     index, failures, _ = inflight.pop(future)
@@ -869,7 +948,8 @@ class JobRunner:
                     else:
                         total_seconds += seconds
                         self._finish_task(index, keys[index], tasks[index],
-                                          payload, payloads)
+                                          result_from_dict(payload), results,
+                                          payload=payload)
                         self._emit("finished", keys[index])
                         remaining -= 1
 
@@ -1017,22 +1097,30 @@ class JobRunner:
     # -- estimates ----------------------------------------------------
     def estimate(self, config: NPUConfig, library: Optional[CellLibrary] = None) -> NPUEstimate:
         """Architecture-level estimate, memoized in-process and on disk."""
+        return self.lookup_estimate(config, library)[0]
+
+    def lookup_estimate(self, config: NPUConfig, library: Optional[CellLibrary] = None,
+                        ) -> Tuple[NPUEstimate, bool]:
+        """:meth:`estimate` plus whether it was served without computing
+        (from this runner's memo or the on-disk cache)."""
         library = library or library_for(Technology.RSFQ)
         key = estimate_key(config, library)
         cached = self._estimates.get(key)
         if cached is not None:
-            return cached
+            return cached, True
         payload = self.cache.get(key) if self.cache is not None else None
         if payload is not None:
             obs.counter("jobs.estimate_cache.hits").inc()
+            estimate = estimate_from_dict(payload)
         else:
             obs.counter("jobs.estimate_cache.misses").inc()
-            payload = estimate_to_dict(estimate_npu(config, library))
+            estimate = estimate_npu(config, library)
+            # Units in sorted-name order, as estimate_from_dict makes them.
+            estimate.units = {name: estimate.units[name] for name in sorted(estimate.units)}
             if self.cache is not None:
-                self.cache.put(key, payload, kind="estimate")
-        estimate = estimate_from_dict(payload)
+                self.cache.put(key, estimate_to_dict(estimate), kind="estimate")
         self._estimates[key] = estimate
-        return estimate
+        return estimate, payload is not None
 
     # -- accounting ---------------------------------------------------
     def _account(self, tasks: int, hits: int, executed: int,
@@ -1054,6 +1142,15 @@ class JobRunner:
         obs.histogram("jobs.batch_seconds").observe(elapsed)
         if executed and elapsed > 0:
             obs.gauge("jobs.parallel.speedup").set(task_seconds / elapsed)
+
+
+class RunResults(List[SimulationResult]):
+    """:meth:`JobRunner.run`'s results in task order, plus ``cached[i]``:
+    whether the cache served task ``i`` (False: it was simulated)."""
+
+    def __init__(self, results: Sequence[SimulationResult], cached: Sequence[bool]) -> None:
+        super().__init__(results)
+        self.cached = list(cached)
 
 
 # -- the ambient runner ----------------------------------------------------

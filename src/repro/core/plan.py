@@ -45,9 +45,8 @@ each figure/table grid to a ready-made plan, surfaced by the CLI as
 
 from __future__ import annotations
 
-import dataclasses
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
@@ -56,15 +55,19 @@ import numpy as np
 from repro import obs
 from repro.baselines.scalesim import CMOSNPUConfig
 from repro.core.batching import batch_for, derived_batch, paper_batch
+from repro.canonical import canonical_json
 from repro.core.jobs import (
     JobRunner,
     SimTask,
-    _canonical_hash,
+    _sha256,
     config_signature,
+    config_text,
     estimate_key,
     get_runner,
     library_fingerprint,
+    library_text,
     workload_signature,
+    workload_text,
 )
 from repro.device.cells import CellLibrary, Technology, library_for
 from repro.errors import ConfigError
@@ -163,13 +166,24 @@ class AxisSpec:
             return None if value is None else library_fingerprint(value)
         return value  # batch literals / policies, free params
 
-    def signature(self) -> Dict[str, Any]:
-        return {
-            "name": self.name,
-            "kind": self.kind,
-            "labels": list(self.labels),
-            "values": [self.value_signature(v) for v in self.values],
-        }
+    def value_text(self, value: Any) -> str:
+        """Canonical JSON of :meth:`value_signature`, spliced from the
+        configs', networks' and libraries' kept texts."""
+        if self.kind == "config":
+            cmos = canonical_json(not isinstance(value, NPUConfig))
+            return f'{{"cmos":{cmos},"fields":{config_text(value)}}}'
+        if self.kind == "workload":
+            return workload_text(value)
+        if self.kind == "library":
+            return library_text(value)
+        return canonical_json(value)
+
+    def signature_text(self) -> str:
+        """Canonical JSON of ``{kind, labels, name, values}``."""
+        values = ",".join(self.value_text(v) for v in self.values)
+        return (f'{{"kind":{canonical_json(self.kind)},'
+                f'"labels":{canonical_json(list(self.labels))},'
+                f'"name":{canonical_json(self.name)},"values":[{values}]}}')
 
 
 def config_axis(values: Sequence[ConfigLike], name: str = "config",
@@ -259,12 +273,11 @@ class Grid:
             total *= len(axis.values)
         return total
 
-    def signature(self) -> Dict[str, Any]:
-        return {
-            "name": self.name,
-            "kind": self.kind,
-            "axes": [axis.signature() for axis in self.axes],
-        }
+    def signature_text(self) -> str:
+        """Canonical JSON of ``{axes, kind, name}``."""
+        axes = ",".join(axis.signature_text() for axis in self.axes)
+        return (f'{{"axes":[{axes}],"kind":{canonical_json(self.kind)},'
+                f'"name":{canonical_json(self.name)}}}')
 
 
 # -- plans -----------------------------------------------------------------
@@ -290,17 +303,16 @@ class ExperimentPlan:
     def num_points(self) -> int:
         return sum(grid.num_points for grid in self.grids)
 
-    def signature(self) -> Dict[str, Any]:
-        """The full JSON-able content of the plan (what the hash covers)."""
-        return {
-            "schema": PLAN_SCHEMA_VERSION,
-            "plan": self.name,
-            "grids": [grid.signature() for grid in self.grids],
-        }
+    def signature_text(self) -> str:
+        """Canonical JSON of the plan's full content: ``{grids, plan,
+        schema}``, each axis value given by :meth:`AxisSpec.value_signature`."""
+        grids = ",".join(grid.signature_text() for grid in self.grids)
+        return (f'{{"grids":[{grids}],"plan":{canonical_json(self.name)},'
+                f'"schema":{PLAN_SCHEMA_VERSION}}}')
 
     def plan_hash(self) -> str:
         """sha256 (hex) of the canonical plan signature."""
-        return _canonical_hash(self.signature())
+        return _sha256(self.signature_text())
 
     def lower(self) -> "LoweredPlan":
         return lower(self)
@@ -595,50 +607,50 @@ def execute(plan: ExperimentPlan, runner: Optional[JobRunner] = None) -> ResultS
     lowered = lower(plan)
 
     unique_tasks = lowered.sim_tasks()
-    cache = runner.cache
-    cached_keys = set()
-    if cache is not None:
-        cached_keys = {key for key in unique_tasks if cache.path_for(key).exists()}
-
     with obs.trace_span(f"plan/{plan.name}", points=len(lowered.points),
                         hash=lowered.plan_hash[:12]):
+        # Whether each unique task / estimate was cached comes from the
+        # runner's own lookups, so a damaged entry that was re-simulated
+        # counts as executed.
         runs_by_key: Dict[str, SimulationResult] = {}
+        cached_by_key: Dict[str, bool] = {}
         if unique_tasks:
-            for key, run in zip(unique_tasks, runner.run(list(unique_tasks.values()))):
+            runs = runner.run(list(unique_tasks.values()))
+            for key, run, cached in zip(unique_tasks, runs, runs.cached):
                 runs_by_key[key] = run
+                cached_by_key[key] = cached
 
         results: List[PlanResult] = []
-        estimate_cached: Dict[str, bool] = {}
+        estimates: Dict[str, Tuple[NPUEstimate, bool]] = {}
         for point in lowered.points:
             if point.kind == "estimate":
-                if point.key not in estimate_cached:
-                    estimate_cached[point.key] = (
-                        cache is not None and cache.path_for(point.key).exists())
-                estimate = runner.estimate(point.config, point.library)
+                if point.key not in estimates:
+                    estimates[point.key] = runner.lookup_estimate(point.config,
+                                                                  point.library)
+                estimate, cached = estimates[point.key]
                 results.append(PlanResult(
                     plan=plan.name, plan_hash=lowered.plan_hash,
                     grid=point.grid, coords=point.coords, key=point.key,
-                    cached=estimate_cached[point.key], params=point.params,
-                    estimate=estimate,
+                    cached=cached, params=point.params, estimate=estimate,
                 ))
             else:
                 results.append(PlanResult(
                     plan=plan.name, plan_hash=lowered.plan_hash,
                     grid=point.grid, coords=point.coords, key=point.key,
-                    cached=point.key in cached_keys, batch=point.batch,
+                    cached=cached_by_key[point.key], batch=point.batch,
                     params=point.params, run=runs_by_key[point.key],
                 ))
 
-    cached = len(cached_keys) + sum(1 for flag in estimate_cached.values() if flag)
-    executed = (len(unique_tasks) - len(cached_keys)
-                + sum(1 for flag in estimate_cached.values() if not flag))
+    flags = [*cached_by_key.values(), *(cached for _, cached in estimates.values())]
+    points_cached = sum(flags)
+    points_executed = len(flags) - points_cached
     obs.counter("plan.points_total").add(len(lowered.points))
-    obs.counter("plan.points_cached").add(cached)
-    obs.counter("plan.points_executed").add(executed)
+    obs.counter("plan.points_cached").add(points_cached)
+    obs.counter("plan.points_executed").add(points_executed)
     _RECENT_PLANS.append((plan.name, lowered.plan_hash))
     del _RECENT_PLANS[:-_RECENT_LIMIT]
     return ResultSet(plan, lowered.plan_hash, results,
-                     points_cached=cached, points_executed=executed)
+                     points_cached=points_cached, points_executed=points_executed)
 
 
 # -- grid-shaped evaluation ------------------------------------------------

@@ -23,6 +23,8 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, replace
+from functools import lru_cache
+from types import MappingProxyType
 from typing import Dict, Iterable, Mapping
 
 from repro.device.process import AIST_10UM, FabricationProcess
@@ -136,7 +138,16 @@ ERSFQ_ENERGY_FACTOR = 2.0
 
 
 class CellLibrary:
-    """A complete SFQ cell library bound to a fabrication process."""
+    """A complete SFQ cell library bound to a fabrication process.
+
+    Immutable: attributes cannot be rebound and :attr:`cells` is a
+    read-only mapping, so one instance can be shared by every caller
+    (:func:`library_for`) and its content key memoized on the instance.
+    """
+
+    technology: Technology
+    process: FabricationProcess
+    cells: Mapping[str, SFQCell]
 
     def __init__(
         self,
@@ -144,28 +155,40 @@ class CellLibrary:
         process: FabricationProcess = AIST_10UM,
         cells: Mapping[str, SFQCell] | None = None,
     ) -> None:
-        self.technology = technology
-        self.process = process
         base = dict(cells) if cells is not None else dict(_RSFQ_CELLS)
         if technology is Technology.ERSFQ and cells is None:
             base = {name: _to_ersfq(cell) for name, cell in base.items()}
-        self._cells = base
+        object.__setattr__(self, "technology", technology)
+        object.__setattr__(self, "process", process)
+        object.__setattr__(self, "cells", MappingProxyType(base))
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"CellLibrary is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"CellLibrary is immutable; cannot delete {name!r}")
+
+    def __reduce__(self):
+        # Rebuilt from its cells (already technology-adjusted), so neither
+        # the read-only mapping nor the canonical-text memo
+        # (repro.canonical) rides along in a pickle or a copy.
+        return CellLibrary, (self.technology, self.process, dict(self.cells))
 
     def __getitem__(self, name: str) -> SFQCell:
         try:
-            return self._cells[name]
+            return self.cells[name]
         except KeyError:
-            raise KeyError(f"unknown SFQ cell {name!r}; known: {sorted(self._cells)}") from None
+            raise KeyError(f"unknown SFQ cell {name!r}; known: {sorted(self.cells)}") from None
 
     def __contains__(self, name: str) -> bool:
-        return name in self._cells
+        return name in self.cells
 
     def __iter__(self) -> Iterable[str]:
-        return iter(self._cells)
+        return iter(self.cells)
 
     @property
     def names(self) -> tuple:
-        return tuple(sorted(self._cells))
+        return tuple(sorted(self.cells))
 
     def cell_area_um2(self, name: str) -> float:
         return self[name].area_um2(self.process)
@@ -204,7 +227,7 @@ class CellLibrary:
         return clocked * 1e-18, wire * 1e-18
 
     def with_process(self, process: FabricationProcess) -> "CellLibrary":
-        return CellLibrary(self.technology, process, self._cells)
+        return CellLibrary(self.technology, process, self.cells)
 
 
 def _to_ersfq(cell: SFQCell) -> SFQCell:
@@ -218,15 +241,19 @@ def _to_ersfq(cell: SFQCell) -> SFQCell:
 
 def rsfq_library(process: FabricationProcess = AIST_10UM) -> CellLibrary:
     """The calibrated RSFQ library on the given process (default AIST 1.0 um)."""
-    return CellLibrary(Technology.RSFQ, process)
+    return library_for(Technology.RSFQ, process)
 
 
 def ersfq_library(process: FabricationProcess = AIST_10UM) -> CellLibrary:
     """The derived ERSFQ library: zero static power, 2x switching energy."""
-    return CellLibrary(Technology.ERSFQ, process)
+    return library_for(Technology.ERSFQ, process)
 
 
 def library_for(technology: Technology, process: FabricationProcess = AIST_10UM) -> CellLibrary:
-    if technology is Technology.RSFQ:
-        return rsfq_library(process)
-    return ersfq_library(process)
+    """The shared library of one ``(technology, process)``, built on first use."""
+    return _shared_library(technology, process)
+
+
+@lru_cache(maxsize=None)
+def _shared_library(technology: Technology, process: FabricationProcess) -> CellLibrary:
+    return CellLibrary(technology, process)

@@ -238,7 +238,9 @@ def simulate(
             batch=batch,
             frequency_ghz=estimate.frequency_ghz,
             layers=layers,
-            activity=activity,
+            # Sorted-unit order, the order a cached payload decodes in:
+            # power sums fold these floats in iteration order.
+            activity=ActivityTrace(dict(sorted(activity.effective_cycles.items()))),
         )
         obs.counter("sim.runs").inc()
         obs.counter("sim.layers_simulated").add(len(layers))

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
+from repro.canonical import KeepsCanonicalText
 from repro.errors import ConfigError
 
 KIB = 1024
@@ -17,7 +18,7 @@ MIB = 1024 * 1024
 
 
 @dataclass(frozen=True)
-class NPUConfig:
+class NPUConfig(KeepsCanonicalText):
     """Configuration of an SFQ-based weight-stationary systolic NPU.
 
     Attributes:

@@ -10,14 +10,16 @@ SCALE-SIM-style simulators.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from typing import Callable, Dict, List, Tuple
 
+from repro.canonical import KeepsCanonicalText
 from repro.errors import UnknownWorkloadError, WorkloadError
 from repro.workloads.layers import ConvLayer, depthwise_layer, fc_layer, pooled
 
 
 @dataclass(frozen=True)
-class Network:
+class Network(KeepsCanonicalText):
     """A named feed-forward network: an ordered list of MAC layers."""
 
     name: str
@@ -40,6 +42,17 @@ class Network:
     @property
     def total_weight_bytes(self) -> int:
         return sum(layer.weight_bytes for layer in self.layers)
+
+    @cached_property
+    def batch_bounds(self) -> Tuple[int, int, int]:
+        """Largest ifmap bytes, input channels and ofmap bytes per image over
+        the conv layers (all layers when there are none): the worst-layer
+        terms :func:`repro.core.batching.derived_batch` sizes batches by.
+        Computed once per (immutable) network."""
+        layers = self.conv_layers or self.layers
+        return (max(layer.ifmap_bytes for layer in layers),
+                max(layer.in_channels for layer in layers),
+                max(layer.ofmap_bytes for layer in layers))
 
     @property
     def max_layer_footprint_bytes(self) -> int:
@@ -247,15 +260,24 @@ WORKLOAD_NAMES = ("AlexNet", "FasterRCNN", "GoogLeNet", "MobileNet", "ResNet50",
 
 
 def by_name(name: str) -> Network:
-    """Look up a benchmark network case-insensitively."""
-    try:
-        return _BUILDERS[name.lower().replace("-", "").replace("_", "")]()
-    except KeyError:
+    """Look up a benchmark network case-insensitively.
+
+    Networks are immutable, so every lookup of one benchmark returns the
+    same shared instance (built on first use).
+    """
+    key = name.lower().replace("-", "").replace("_", "")
+    if key not in _BUILDERS:
         raise UnknownWorkloadError(
             f"unknown workload {name!r}; known: {sorted(_BUILDERS)}",
             hint="run `supernpu workloads` to list the paper's benchmarks",
             name=name, known=sorted(_BUILDERS),
-        ) from None
+        )
+    return _shared_network(key)
+
+
+@lru_cache(maxsize=None)
+def _shared_network(key: str) -> Network:
+    return _BUILDERS[key]()
 
 
 def all_workloads() -> List[Network]:

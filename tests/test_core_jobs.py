@@ -121,7 +121,7 @@ def test_cache_ignores_other_schema_versions(tmp_path):
     cache = ResultCache(tmp_path / "c")
     key = "cd" * 32
     cache.put(key, {"x": 1})
-    path = cache._path(key)
+    path = cache.path_for(key)
     document = json.loads(path.read_text())
     document["schema"] = CACHE_SCHEMA_VERSION + 1
     path.write_text(json.dumps(document))
@@ -132,10 +132,10 @@ def test_cache_quarantines_corrupt_entries(tmp_path):
     cache = ResultCache(tmp_path / "c")
     key = "ef" * 32
     cache.put(key, {"x": 1})
-    cache._path(key).write_text("not json{")
+    cache.path_for(key).write_text("not json{")
     assert cache.get(key) is None
     # The damaged entry is moved aside, not silently re-missed forever.
-    assert not cache._path(key).exists()
+    assert not cache.path_for(key).exists()
     stats = cache.stats()
     assert stats.entries == 0 and stats.quarantined == 1
 
@@ -157,7 +157,7 @@ def test_sweep_removes_tmp_files_of_dead_processes(tmp_path):
 
     cache = ResultCache(tmp_path / "c")
     cache.put("11" * 32, {"a": 1})
-    bucket = cache._path("11" * 32).parent
+    bucket = cache.path_for("11" * 32).parent
     # PID 1 is never us; a pid far beyond pid_max never exists.
     dead = bucket / f"{'aa' * 32}.tmp.99999999"
     dead.write_text("{torn")
@@ -177,7 +177,7 @@ def test_sweep_removes_tmp_files_of_dead_processes(tmp_path):
 def test_sweep_runs_on_startup_and_reports_in_stats(tmp_path):
     cache = ResultCache(tmp_path / "c")
     cache.put("11" * 32, {"a": 1})
-    orphan = cache._path("11" * 32).parent / f"{'cc' * 32}.tmp.99999999"
+    orphan = cache.path_for("11" * 32).parent / f"{'cc' * 32}.tmp.99999999"
     orphan.write_text("{torn")
     # A fresh handle on the same directory sweeps the orphan on init.
     reopened = ResultCache(tmp_path / "c")

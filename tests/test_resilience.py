@@ -362,3 +362,29 @@ def test_resilience_counters_are_exported(tmp_path, tasks, clean, obs_enabled):
     assert counters.get("jobs.degraded", 0) >= 1
     assert counters.get("jobs.resumed", 0) >= len(tasks)
     assert counters.get("jobs.cache.quarantined", 0) >= 1
+
+
+def test_pool_that_dies_before_a_submit_is_rebuilt(monkeypatch, tasks, clean):
+    """A worker can die after ``wait`` returns and before the next
+    ``submit``, which then raises instead of returning a future: the
+    stranded task is re-queued and the pool rebuilt, not the sweep lost."""
+    from concurrent.futures.process import BrokenProcessPool
+
+    from repro.core import jobs
+
+    pools = []
+
+    class DeadOnArrival(jobs.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            pools.append(self)
+
+        def submit(self, *args, **kwargs):
+            if self is pools[0]:
+                raise BrokenProcessPool("a worker died")
+            return super().submit(*args, **kwargs)
+
+    monkeypatch.setattr(jobs, "ProcessPoolExecutor", DeadOnArrival)
+    runner = JobRunner(jobs=2)
+    assert runner.run(tasks) == clean
+    assert runner.stats.pool_restarts == 1 and len(pools) == 2
