@@ -12,7 +12,7 @@ copies, so a worker process renders its own instead of receiving it.
 from __future__ import annotations
 
 import json
-from typing import Any, Callable, Dict
+from typing import Any, Callable, Dict, Tuple
 
 #: Instance attribute holding a record's rendered canonical text.
 _TEXT = "_canonical_text"
@@ -39,9 +39,16 @@ def kept_text(record: Any, render: Callable[[Any], Any]) -> str:
 
 class KeepsCanonicalText:
     """Mixin for records memoized by :func:`kept_text`: the memo never
-    rides along in a pickle or a copy."""
+    rides along in a pickle or a copy.
+
+    A subclass that keeps more per-instance memos names their attributes
+    in ``_memos``; they are dropped the same way.
+    """
+
+    _memos: Tuple[str, ...] = (_TEXT,)
 
     def __getstate__(self) -> Dict[str, Any]:
         state = dict(self.__dict__)
-        state.pop(_TEXT, None)
+        for name in self._memos:
+            state.pop(name, None)
         return state

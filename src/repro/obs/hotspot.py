@@ -84,13 +84,14 @@ def _short_path(path: str) -> str:
 _PHASE_BY_FILE = {
     "simulator/memory.py": "dram",
     "simulator/mapping.py": "preparation",
-    "simulator/buffers.py": "preparation",
+    "uarch/buffers.py": "preparation",
     "simulator/engine.py": "compute",
+    "simulator/kernel.py": "compute",
     "simulator/trace.py": "compute",
-    "simulator/pe.py": "compute",
-    "simulator/mac.py": "compute",
+    "uarch/pe.py": "compute",
+    "uarch/mac.py": "compute",
     "jsim/solver.py": "compute",
-    "jsim/circuit.py": "compute",
+    "jsim/netlist.py": "compute",
 }
 
 # Phases reported by repro.simulator.attribution → the three bound groups.

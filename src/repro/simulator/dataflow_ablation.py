@@ -33,7 +33,7 @@ from repro.simulator.results import ActivityTrace, LayerResult, SimulationResult
 from repro.uarch.config import NPUConfig
 from repro.uarch.mac import Dataflow
 from repro.uarch.pe import ProcessingElement
-from repro.workloads.layers import ConvLayer
+from repro.workloads.layers import ConvLayer, check_batch
 from repro.workloads.models import Network
 
 
@@ -148,8 +148,7 @@ def simulate_os(
     library: Optional[CellLibrary] = None,
 ) -> SimulationResult:
     """Cycle-level simulation of ``network`` on an OS-dataflow NPU."""
-    if batch < 1:
-        raise ValueError("batch must be positive")
+    check_batch(batch)
     if estimate is None:
         if library is None:
             from repro.device.cells import rsfq_library

@@ -21,6 +21,11 @@ For every layer the simulator enumerates the weight mappings, then charges:
 
 The same engine simulates every design point; only the
 :class:`~repro.uarch.config.NPUConfig` changes.
+
+:func:`simulate` charges a whole network in one array pass
+(:mod:`repro.simulator.kernel`).  :func:`simulate_layer` charges one layer
+by walking its mapping tiles; it is the scalar golden reference the array
+pass is tested against, bit for bit.
 """
 
 from __future__ import annotations
@@ -33,13 +38,14 @@ from repro.obs.timeline import CycleTimeline
 from repro.device.cells import CellLibrary
 from repro.estimator.arch_level import NPUEstimate, estimate_npu
 from repro.simulator.datapath import build_datapath
+from repro.simulator.kernel import charge_network
 from repro.simulator.mapping import LayerMapping, map_layer
 from repro.simulator.memory import MemoryModel, memory_model_for
 from repro.simulator.results import ActivityTrace, LayerResult, SimulationResult
 from repro.uarch.buffers import ShiftRegisterBuffer
 from repro.uarch.config import NPUConfig
 from repro.uarch.pe import ProcessingElement
-from repro.workloads.layers import ConvLayer
+from repro.workloads.layers import ConvLayer, check_batch
 from repro.workloads.models import Network
 
 
@@ -137,10 +143,15 @@ def simulate_layer(
     # Dynamic-power activity accounting (effective fully-active cycles).
     activity.add("pe_array", macs / config.num_pes)
     activity.add("network", macs / config.num_pes)
-    dau_cycles = sum(
-        tile.count * vectors * tile.regs_used * (tile.rows_used / config.pe_array_height)
-        for tile in mapping.tiles
-    )
+    # An explicit left fold in tile order: builtin sum() of floats is
+    # compensated from Python 3.12 on, which would make the total depend
+    # on the interpreter version.
+    dau_cycles = 0.0
+    for tile in mapping.tiles:
+        dau_cycles += (
+            tile.count * vectors * tile.regs_used
+            * (tile.rows_used / config.pe_array_height)
+        )
     activity.add("dau", dau_cycles)
     activity.add(
         "ifmap_buffer", (compute + ifmap_prep) / config.ifmap_division
@@ -181,8 +192,7 @@ def simulate(
     optionally receives the run's simulated-cycle event timeline (layer
     spans, on-chip phases, DRAM transfers, buffer-occupancy samples).
     """
-    if batch < 1:
-        raise ValueError("batch must be positive")
+    check_batch(batch)
     with obs.trace_span(
         "simulate", design=config.name, network=network.name, batch=batch
     ), obs.histogram("sim.simulate_seconds").time():
@@ -194,26 +204,14 @@ def simulate(
             estimate = estimate_npu(config, library)
 
         memory = memory_model_for(config, estimate.frequency_ghz)
-        datapath = build_datapath(config)
-
-        activity = ActivityTrace()
+        table = network.layer_table
+        charges, activity = charge_network(
+            table, config, batch, memory, build_datapath(config)
+        )
         layers = []
-        resident = False  # the first layer's input always arrives from DRAM
-        for index, layer in enumerate(network.layers):
-            with obs.trace_span("simulate/layer", layer=layer.name) as span:
-                result, resident = simulate_layer(
-                    layer,
-                    config,
-                    batch,
-                    memory,
-                    datapath.ifmap_buffer,
-                    datapath.output_buffer,
-                    datapath.psum_buffer,
-                    datapath.pe,
-                    activity,
-                    input_resident=resident,
-                    is_last_layer=index == len(network.layers) - 1,
-                )
+        for layer, name, row in zip(network.layers, table.names, charges):
+            with obs.trace_span("simulate/layer", layer=name) as span:
+                result = LayerResult(name, *row)
                 span.annotate(cycles=result.total_cycles, macs=result.macs)
             if timeline is not None:
                 timeline.record_layer(
@@ -240,7 +238,7 @@ def simulate(
             layers=layers,
             # Sorted-unit order, the order a cached payload decodes in:
             # power sums fold these floats in iteration order.
-            activity=ActivityTrace(dict(sorted(activity.effective_cycles.items()))),
+            activity=ActivityTrace(activity),
         )
         obs.counter("sim.runs").inc()
         obs.counter("sim.layers_simulated").add(len(layers))

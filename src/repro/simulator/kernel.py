@@ -1,0 +1,267 @@
+"""The cycle model as one array pass over a network's layers.
+
+:func:`repro.simulator.engine.simulate` charges all layers of a network at
+once.  Every charge of :func:`~repro.simulator.engine.simulate_layer` — the
+scalar golden reference, which walks the tiles of
+:func:`~repro.simulator.mapping.map_layer` — is written here as an
+elementwise int64 expression over the network's :class:`LayerTable`.
+
+A layer's mapping has at most four *tile classes*: a full (``height``-row)
+or remainder row tile, crossed with a full (``width`` x ``registers``) or
+remainder column tile.  Each class stands for a known number of identical
+mappings, and a column class's row tiles have rows summing to the
+reduction size, so a sum over tiles is one closed form per column class
+and no :class:`~repro.simulator.mapping.MappingTile` is built.  Residency is not a
+real scan either: whether a layer's output stays on chip depends on that
+layer alone, so the next layer's ``input_resident`` is the same array
+shifted down by one.
+
+Integer charges are exact int64 arithmetic, so they equal the scalar
+engine's Python ints as long as nothing reaches :data:`EXACT_LIMIT`, which
+:func:`charge_network` checks before computing.  The float steps keep the
+scalar order: DRAM and activation-transfer cycles are float64 ceilings of
+the same quotients, each activity unit is a left fold over layers in layer
+order, and each layer's ``dau`` term is the reference's fold over tiles
+(see :func:`_dau_cycles`).
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Dict, List, Sequence, Tuple
+
+import numpy as np
+
+from repro.errors import SimulationError
+from repro.simulator.datapath import Datapath
+from repro.simulator.memory import MemoryModel
+from repro.uarch.config import NPUConfig
+from repro.workloads.layers import ConvLayer
+
+#: Integers below 2**53 convert to float64 exactly.  The DRAM and
+#: activation-transfer ceilings and the activity folds match the scalar
+#: reference only below it, and it keeps int64 far from wrapping.
+EXACT_LIMIT = 2 ** 53
+
+
+def tile_charges(rows, cols, regs, vectors, pe_stages, tiles=1):
+    """``(weight load, compute plus fill)`` cycles of ``tiles`` mappings.
+
+    Loading a mapping shifts ``rows * regs`` weights down the columns plus
+    ``cols`` cycles of diagonal skew; computing streams ``vectors`` ifmap
+    vectors per register plane, then drains the row, column and PE
+    pipeline fill.  For several mappings of one column shape, ``rows`` is
+    the sum of their row counts: the row terms add up, the rest is paid
+    per mapping.  Works on ints and on numpy arrays alike.
+    """
+    return (rows * regs + tiles * cols,
+            tiles * (vectors * regs + cols + pe_stages) + rows)
+
+
+def _overflow(batch: int, bound: float) -> SimulationError:
+    return SimulationError(
+        "cycle charges could reach 2**53, where int64/float64 arithmetic "
+        "stops being exact",
+        code="simulation.charge_overflow", batch=batch, bound=bound,
+        hint="simulate a smaller batch or smaller layers",
+    )
+
+
+@dataclass(frozen=True, eq=False)
+class LayerTable:
+    """The shape terms the cycle model reads, one int64 entry per layer.
+
+    Built once per network (:attr:`repro.workloads.models.Network.layer_table`).
+    The three ``*_bound`` fields are Python-int maxima over the layers from
+    which :func:`charge_network` bounds every charge of a run.
+    """
+
+    names: Tuple[str, ...]
+    reduction: np.ndarray  # C/g * R * S, tiled over the PE-array height
+    filters: np.ndarray  # filters per group, tiled over width x registers
+    groups: np.ndarray
+    pixels: np.ndarray  # output pixels per image
+    ifmap: np.ndarray  # bytes per image
+    ofmap: np.ndarray  # bytes per image
+    weights: np.ndarray  # bytes
+    channels: np.ndarray  # input channels
+    macs: np.ndarray  # per image
+    #: max over layers of ``2 * macs + ofmap``: the per-image on-chip terms.
+    on_chip_bound: int
+    #: max over layers of ``ifmap * (filters + 1) + ofmap``: per-image traffic.
+    traffic_bound: int
+    #: max over layers of ``weights``.
+    weight_bound: int
+
+    @classmethod
+    def of(cls, layers: Sequence[ConvLayer]) -> "LayerTable":
+        rows = [
+            (layer.reduction_size, layer.filters_per_group, layer.groups,
+             layer.output_pixels, layer.ifmap_bytes, layer.ofmap_bytes,
+             layer.weight_bytes, layer.in_channels, layer.macs_per_image)
+            for layer in layers
+        ]
+        on_chip = max(2 * row[8] + row[5] for row in rows)
+        traffic = max(row[4] * (row[1] + 1) + row[5] for row in rows)
+        weights = max(row[6] for row in rows)
+        # Every column entry is at most one of these bounds.
+        if max(on_chip, traffic, weights) >= EXACT_LIMIT:
+            raise _overflow(1, max(on_chip, traffic, weights))
+        columns = np.array(list(zip(*rows)), dtype=np.int64)
+        columns.setflags(write=False)
+        return cls(tuple(layer.name for layer in layers), *columns,
+                   on_chip_bound=on_chip, traffic_bound=traffic,
+                   weight_bound=weights)
+
+
+def charge_network(
+    table: LayerTable,
+    config: NPUConfig,
+    batch: int,
+    memory: MemoryModel,
+    datapath: Datapath,
+) -> Tuple[List[List[int]], Dict[str, float]]:
+    """Every layer's charges, and the run's activity, in one array pass.
+
+    Returns one row of Python ints per layer, in
+    :class:`~repro.simulator.results.LayerResult` field order after
+    ``name`` (mappings, weight load, ifmap prep, psum move, activation
+    transfer, compute, DRAM traffic, DRAM cycles, total, MACs), and the
+    effective activity cycles per unit in sorted-unit order.  Both are
+    bitwise what a loop of :func:`~repro.simulator.engine.simulate_layer`
+    produces.
+
+    Raises:
+        SimulationError: ``simulation.charge_overflow`` when some charge
+            could reach :data:`EXACT_LIMIT`.
+    """
+    height = config.pe_array_height
+    width = config.pe_array_width
+    registers = config.registers_per_pe
+    pe_stages = datapath.pe.pipeline_stages
+    rewind = datapath.ifmap_buffer.rewind_cycles()
+    per_move = 0
+    if datapath.psum_buffer is not None:
+        per_move = (datapath.psum_buffer.chunk_length_entries
+                    + datapath.output_buffer.chunk_length_entries)
+
+    # Mappings never outnumber weights, a mapping's fill, rewind and psum
+    # charges are bounded by the config terms below, and the streamed
+    # cycles are at most twice the layer's MACs.
+    per_weight = height + 2 * width + pe_stages + 2 + rewind + per_move
+    on_chip = batch * table.on_chip_bound + table.weight_bound * per_weight
+    traffic_bytes = table.weight_bound + batch * table.traffic_bound
+    bound = max(on_chip, traffic_bytes / memory.bytes_per_cycle + 1)
+    if bound >= EXACT_LIMIT:
+        raise _overflow(batch, bound)
+
+    vectors = table.pixels * batch
+    full_rows, rem_rows = np.divmod(table.reduction, height)
+    has_rem_rows = rem_rows > 0
+    row_tiles = full_rows + has_rem_rows
+    full_cols, rem_filters = np.divmod(table.filters, width * registers)
+    has_rem_cols = rem_filters > 0
+    col_tiles = full_cols + has_rem_cols
+    # The remainder filters spread over as few register planes as needed.
+    rem_regs = np.minimum(registers, -(-rem_filters // width))
+    rem_cols = -(-rem_filters // np.maximum(rem_regs, 1))
+
+    # Each column class maps every row tile once per group and column
+    # tile; its row tiles' rows add up to the reduction size.  An absent
+    # class has count 0.
+    full_count = full_cols * table.groups
+    rem_count = has_rem_cols * table.groups
+    full_load, full_fill = tile_charges(
+        table.reduction, width, registers, vectors, pe_stages, row_tiles)
+    rem_load, rem_fill = tile_charges(
+        table.reduction, rem_cols, rem_regs, vectors, pe_stages, row_tiles)
+    weight_load = full_count * full_load + rem_count * rem_load
+    compute = full_count * full_fill + rem_count * rem_fill
+
+    mappings = table.groups * col_tiles * row_tiles
+    ifmap_prep = (mappings - 1) * rewind
+    psum_move = table.groups * col_tiles * (row_tiles - 1) * per_move
+
+    ofmap_bytes = table.ofmap * batch
+    activation = np.ceil(ofmap_bytes / height).astype(np.int64)
+    activation[-1] = 0  # the last layer's output goes to DRAM
+
+    ifmap_bytes = table.ifmap * batch
+    ifmap_fits = ((ifmap_bytes <= config.ifmap_buffer_bytes)
+                  & (table.channels * batch <= height * config.ifmap_division))
+    refetch = np.where(ifmap_fits, 1, col_tiles)
+    output_resident = ofmap_bytes <= config.output_buffer_bytes
+    output_resident[-1] = False
+    input_resident = np.zeros_like(output_resident)
+    input_resident[1:] = output_resident[:-1]
+    traffic = (table.weights
+               + np.where(input_resident, 0, ifmap_bytes)
+               + ifmap_bytes * (refetch - 1)
+               + np.where(output_resident, 0, ofmap_bytes))
+
+    on_chip_cycles = weight_load + ifmap_prep + psum_move + compute + activation
+    dram = np.ceil(traffic / memory.bytes_per_cycle).astype(np.int64)
+    total = np.maximum(on_chip_cycles, dram)
+    macs = table.macs * batch
+
+    charges = np.array(
+        (mappings, weight_load, ifmap_prep, psum_move, activation, compute,
+         traffic, dram, total, macs)
+    ).T.tolist()
+
+    array_activity = macs / config.num_pes
+    dau = _dau_cycles(full_count * vectors * registers,
+                      rem_count * vectors * rem_regs, full_rows, rem_rows, height)
+    units = {
+        "dau": dau,
+        "ifmap_buffer": (compute + ifmap_prep) / config.ifmap_division,
+        "network": array_activity,
+        "output_buffer": compute / config.output_division + psum_move,
+        "pe_array": array_activity,
+    }
+    if datapath.psum_buffer is not None:
+        units["psum_buffer"] = psum_move
+    units["weight_buffer"] = weight_load
+    # Left folds over the layers, in layer order: accumulate never
+    # reassociates, unlike the pairwise np.sum.
+    folded = np.add.accumulate(np.array(tuple(units.values()), dtype=np.float64), axis=1)
+    return charges, dict(zip(units, folded[:, -1].tolist()))
+
+
+def _dau_cycles(full_tile: np.ndarray, rem_tile: np.ndarray, full_rows: np.ndarray,
+                rem_rows: np.ndarray, height: int) -> np.ndarray:
+    """Each layer's DAU activity, equal to the reference's fold over tiles.
+
+    ``full_tile`` and ``rem_tile`` are ``count * vectors * regs`` of one
+    mapping tile of the full and of the remainder column class.  In tile
+    order the reference adds, for each column class, ``full_rows``
+    full-row terms ``per_tile`` (``rows / height`` is exactly 1.0), then
+    one remainder-row term ``per_tile * (rem_rows / height)``.
+
+    The full class's full-row terms are integers, so their prefix sums
+    are exact, and its one remainder term is rounded once, as here.  The
+    remainder class then adds the integer ``rem_tile`` ``full_rows``
+    times to that sum, ``first``.  All those partial sums share
+    ``first``'s binary fraction: with ``first = n * 2**-k`` (``n`` odd when
+    ``k > 0``) they are ``n_j * 2**-k`` for odd, increasing ``n_j``, and
+    each is representable iff ``n_j < 2**53``.  So every addition of the
+    run is exact iff its last sum is, that is iff the one closed-form
+    addition below has zero rounding error (TwoSum).  Where it has not,
+    the layer is folded tile by tile, as the reference does.
+    """
+    row_share = rem_rows / height
+    first = (full_rows * full_tile).astype(np.float64) + full_tile * row_share
+    second = (full_rows * rem_tile).astype(np.float64)
+    middle = first + second
+    # TwoSum: the exact rounding error of first + second.
+    shift = middle - first
+    error = (first - (middle - shift)) + (second - shift)
+    rem_last = rem_tile * row_share
+    dau = middle + rem_last
+    for index in np.flatnonzero(error).tolist():
+        acc = float(first[index])
+        step = float(rem_tile[index])
+        for _ in range(int(full_rows[index])):
+            acc += step
+        dau[index] = acc + float(rem_last[index])
+    return dau

@@ -13,10 +13,11 @@ from typing import List, Optional
 
 from repro.estimator.arch_level import NPUEstimate, estimate_npu
 from repro.simulator.datapath import build_datapath
+from repro.simulator.kernel import tile_charges
 from repro.simulator.mapping import map_layer
 from repro.simulator.memory import memory_model_for
 from repro.uarch.config import NPUConfig
-from repro.workloads.layers import ConvLayer
+from repro.workloads.layers import ConvLayer, check_batch
 
 #: Phase names in the order they occur within one mapping.
 PHASES = ("weight_load", "ifmap_rewind", "compute", "psum_move")
@@ -55,8 +56,7 @@ def trace_layer(
     accumulating tiles); the last event's ``end_cycle`` equals the layer's
     on-chip cycle count.
     """
-    if batch < 1:
-        raise ValueError("batch must be positive")
+    check_batch(batch)
     mapping = map_layer(layer, config)
     datapath = build_datapath(config)
     ifmap_buffer = datapath.ifmap_buffer
@@ -73,15 +73,16 @@ def trace_layer(
     cycle = 0
     index = 0
     for tile in mapping.tiles:
+        load, compute = tile_charges(
+            tile.rows_used, tile.cols_used, tile.regs_used, vectors, pe_stages
+        )
         for _ in range(tile.count):
-            load = tile.rows_used * tile.regs_used + tile.cols_used
             events.append(TraceEvent(index, "weight_load", cycle, cycle + load))
             cycle += load
             if index > 0:
                 rewind = ifmap_buffer.rewind_cycles()
                 events.append(TraceEvent(index, "ifmap_rewind", cycle, cycle + rewind))
                 cycle += rewind
-            compute = vectors * tile.regs_used + tile.rows_used + tile.cols_used + pe_stages
             events.append(TraceEvent(index, "compute", cycle, cycle + compute))
             cycle += compute
             if tile.accumulates and psum_move:

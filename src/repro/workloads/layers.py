@@ -146,9 +146,7 @@ class ConvLayer:
 
     def footprint_bytes(self, batch: int = 1) -> int:
         """On-chip residency needed to run the layer without re-fetch."""
-        if batch < 1:
-            raise WorkloadError("batch must be positive",
-                                code="workload.invalid_batch", batch=batch)
+        check_batch(batch)
         return (self.ifmap_bytes + self.ofmap_bytes) * batch
 
     def unique_ifmap_pixels(self) -> int:
@@ -166,6 +164,13 @@ class ConvLayer:
         the DAU removes (Fig. 8).
         """
         return self.groups * self.reduction_size * self.output_pixels
+
+
+def check_batch(batch: int) -> None:
+    """Reject a batch of fewer than one image."""
+    if batch < 1:
+        raise WorkloadError("batch must be positive",
+                            code="workload.invalid_batch", batch=batch)
 
 
 def fc_layer(name: str, in_features: int, out_features: int) -> ConvLayer:

@@ -11,11 +11,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Callable, Dict, List, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Tuple
 
 from repro.canonical import KeepsCanonicalText
 from repro.errors import UnknownWorkloadError, WorkloadError
 from repro.workloads.layers import ConvLayer, depthwise_layer, fc_layer, pooled
+
+if TYPE_CHECKING:
+    from repro.simulator.kernel import LayerTable
 
 
 @dataclass(frozen=True)
@@ -24,6 +27,8 @@ class Network(KeepsCanonicalText):
 
     name: str
     layers: Tuple[ConvLayer, ...]
+
+    _memos = KeepsCanonicalText._memos + ("layer_table",)
 
     def __post_init__(self) -> None:
         if not self.layers:
@@ -53,6 +58,14 @@ class Network(KeepsCanonicalText):
         return (max(layer.ifmap_bytes for layer in layers),
                 max(layer.in_channels for layer in layers),
                 max(layer.ofmap_bytes for layer in layers))
+
+    @cached_property
+    def layer_table(self) -> LayerTable:
+        """The int64 table of shape terms the cycle model reads, built once
+        per (immutable) network and left out of pickles and copies."""
+        from repro.simulator.kernel import LayerTable
+
+        return LayerTable.of(self.layers)
 
     @property
     def max_layer_footprint_bytes(self) -> int:

@@ -107,9 +107,9 @@ def test_worker_hotspot_samples_reach_parent_profiler(
         JobRunner(jobs=2).run(_tasks(supernpu_config, tiny_network, rsfq))
     finally:
         profile = profiler.stop()
-    # Deterministic worker tracing must surface the simulator's inner
-    # loop in the parent's merged profile.
-    assert any(key[0] == "simulate_layer" for key in profile.calls)
+    # Deterministic worker tracing must surface the simulator's kernel
+    # in the parent's merged profile.
+    assert any(key[0] == "charge_network" for key in profile.calls)
 
 
 def test_retried_tasks_contribute_sidecars_once(

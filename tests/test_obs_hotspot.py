@@ -16,7 +16,9 @@ from __future__ import annotations
 import json
 import re
 import time
+from pathlib import Path
 
+from repro.obs import hotspot
 from repro.obs.hotspot import (
     HotspotProfile,
     HotspotProfiler,
@@ -184,6 +186,14 @@ def test_classify_frame_maps_simulator_files():
     assert classify_frame(mapping) == ("simulator", "preparation")
     assert classify_frame(memory) == ("simulator", "dram")
     assert classify_frame(stdlib) == ("other", None)
+
+
+def test_phase_map_names_real_files():
+    root = Path(hotspot.__file__).resolve().parents[1]
+    for path in hotspot._PHASE_BY_FILE:
+        assert (root / path).is_file(), path
+    kernel = ("charge_network", str(root / "simulator/kernel.py"), 117)
+    assert classify_frame(kernel) == ("simulator", "compute")
 
 
 def test_join_with_phases_attributes_host_time():

@@ -1,0 +1,334 @@
+"""Bitwise equivalence of the array cycle model with its scalar reference.
+
+``engine.simulate`` charges a whole network in one array pass
+(``repro.simulator.kernel``).  ``engine.simulate_layer`` walks one layer's
+mapping tiles and stays in the package as the golden reference.  Every case
+here runs both and demands equal ``LayerResult`` lists, activity floats
+equal to the last bit and in the same key order, the same
+``simulate/layer`` spans and the same cycle timeline.
+"""
+
+from __future__ import annotations
+
+import copy
+import pickle
+from fractions import Fraction
+from types import SimpleNamespace
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro import api, obs
+from repro.components import component_names
+from repro.core.batching import paper_batch
+from repro.core.designs import baseline, buffer_opt, resource_opt, supernpu
+from repro.errors import SimulationError, WorkloadError
+from repro.estimator.arch_level import estimate_npu
+from repro.obs.timeline import CycleTimeline
+from repro.simulator import engine, kernel
+from repro.simulator.dataflow_ablation import simulate_os
+from repro.simulator.datapath import build_datapath
+from repro.simulator.mapping import map_layer
+from repro.simulator.memory import memory_model_for
+from repro.simulator.results import ActivityTrace
+from repro.simulator.trace import trace_layer
+from repro.uarch.config import NPUConfig
+from repro.workloads.layers import ConvLayer, depthwise_layer, fc_layer
+from repro.workloads.models import Network, all_workloads
+
+
+def reference_run(config, network, batch, frequency_ghz):
+    """The scalar model: ``simulate_layer`` layer by layer, as before."""
+    memory = memory_model_for(config, frequency_ghz)
+    datapath = build_datapath(config)
+    activity = ActivityTrace()
+    layers = []
+    resident = False
+    for index, layer in enumerate(network.layers):
+        result, resident = engine.simulate_layer(
+            layer, config, batch, memory, datapath.ifmap_buffer,
+            datapath.output_buffer, datapath.psum_buffer, datapath.pe,
+            activity, input_resident=resident,
+            is_last_layer=index == len(network.layers) - 1,
+        )
+        layers.append(result)
+    return layers, dict(sorted(activity.effective_cycles.items()))
+
+
+def reference_timeline(config, network, batch, frequency_ghz, layers):
+    """The cycle timeline the scalar engine recorded for ``layers``."""
+    timeline = CycleTimeline(frequency_ghz)
+    for layer, result in zip(network.layers, layers):
+        timeline.record_layer(result, occupancy={
+            "ifmap_buffer_bytes": min(layer.ifmap_bytes * batch, config.ifmap_buffer_bytes),
+            "output_buffer_bytes": min(layer.ofmap_bytes * batch, config.output_buffer_bytes),
+            "weight_buffer_bytes": min(layer.weight_bytes, config.weight_buffer_bytes),
+        })
+    return timeline
+
+
+def _layer_spans(tracer):
+    spans = []
+    stack = list(tracer.roots)
+    while stack:
+        span = stack.pop(0)
+        if span.name == "simulate/layer":
+            spans.append(dict(span.attrs))
+        stack[:0] = span.children
+    return spans
+
+
+def assert_equivalent(config, network, batch, frequency_ghz):
+    """``simulate()`` against the reference: results, activity bits and key
+    order, ``simulate/layer`` spans, timeline, and the overflow guard."""
+    estimate = SimpleNamespace(frequency_ghz=frequency_ghz)
+    timeline = CycleTimeline(frequency_ghz)
+    obs.enable()
+    try:
+        run = engine.simulate(config, network, batch, estimate=estimate, timeline=timeline)
+        spans = _layer_spans(obs.tracer())
+    finally:
+        obs.disable()
+        obs.reset()
+    layers, activity = reference_run(config, network, batch, frequency_ghz)
+    assert run.layers == layers
+    assert all(type(value) is int
+               for layer in run.layers for value in vars(layer).values()
+               if not isinstance(value, str))
+    cycles = run.activity.effective_cycles
+    assert list(cycles) == list(activity)
+    assert [value.hex() for value in cycles.values()] == [
+        value.hex() for value in activity.values()]
+
+    assert spans == [{"layer": layer.name, "cycles": layer.total_cycles, "macs": layer.macs}
+                     for layer in layers]
+    expected = reference_timeline(config, network, batch, frequency_ghz, layers)
+    assert timeline.events == expected.events
+    assert timeline.counters == expected.counters
+    assert timeline.cursor == expected.cursor
+
+    with pytest.raises(SimulationError) as info:
+        engine.simulate(config, network, 2 ** 53, estimate=estimate)
+    assert info.value.code == "simulation.charge_overflow"
+    return run
+
+
+# -- hypothesis: random designs, layers and batches ----------------------
+
+@st.composite
+def layers(draw, index):
+    kind = draw(st.sampled_from(["conv", "depthwise", "fc"]))
+    name = f"{kind}{index}"
+    if kind == "fc":
+        return fc_layer(name, draw(st.integers(1, 5000)), draw(st.integers(1, 1200)))
+    size = draw(st.integers(1, 28))
+    kernel_size = draw(st.integers(1, min(5, size)))
+    stride = draw(st.integers(1, 2))
+    if kind == "depthwise":
+        return depthwise_layer(name, draw(st.integers(1, 600)), size,
+                               kernel=kernel_size, stride=stride, padding=kernel_size // 2)
+    groups = draw(st.sampled_from([1, 1, 2, 4]))
+    return ConvLayer(
+        name, in_channels=groups * draw(st.integers(1, 300)), in_height=size,
+        in_width=size, out_channels=groups * draw(st.integers(1, 600)),
+        kernel_height=kernel_size, kernel_width=kernel_size, stride=stride,
+        padding=draw(st.integers(0, kernel_size // 2)), groups=groups,
+    )
+
+
+@st.composite
+def networks(draw):
+    count = draw(st.integers(1, 5))
+    return Network("hypo", tuple(draw(layers(index)) for index in range(count)))
+
+
+@st.composite
+def configs(draw):
+    integrated = draw(st.booleans())
+    return NPUConfig(
+        name="hypo",
+        pe_array_height=draw(st.integers(1, 300)),
+        pe_array_width=draw(st.integers(1, 300)),
+        registers_per_pe=draw(st.integers(1, 8)),
+        ifmap_division=draw(st.sampled_from([1, 2, 3, 8, 64])),
+        output_division=draw(st.sampled_from([1, 2, 5, 8, 64])),
+        ifmap_buffer_bytes=draw(st.sampled_from([0, 4096, 1 << 20, 8 << 20, 24 << 20])),
+        output_buffer_bytes=draw(st.sampled_from([0, 4096, 1 << 20, 8 << 20])),
+        psum_buffer_bytes=0 if integrated else draw(st.sampled_from([0, 1 << 20, 8 << 20])),
+        integrated_output_buffer=integrated,
+        memory_bandwidth_gbps=draw(st.sampled_from([300.0, 25.6, 1200.0])),
+        memory_technology=draw(st.sampled_from(component_names(kind="memory"))),
+    )
+
+
+@given(configs(), networks(), st.integers(1, 4096),
+       st.sampled_from([52.6, 31.8, 0.7, 100.0]))
+@settings(max_examples=300, deadline=None)
+def test_simulate_equals_a_loop_of_simulate_layer(config, network, batch, frequency):
+    assert_equivalent(config, network, batch, frequency)
+
+
+# -- the paper's grid: named designs x networks x Table II batches -------
+
+@pytest.mark.parametrize("design", [baseline, buffer_opt, resource_opt, supernpu])
+def test_named_designs_over_the_paper_networks(design, rsfq):
+    config = design()
+    frequency = estimate_npu(config, rsfq).frequency_ghz
+    for network in all_workloads():
+        assert_equivalent(config, network, paper_batch(config.name, network.name), frequency)
+
+
+@pytest.mark.parametrize("height", [7, 96, 100, 200])
+def test_off_grid_heights_over_the_paper_networks(height):
+    config = NPUConfig("odd", pe_array_height=height, pe_array_width=100,
+                       registers_per_pe=3, ifmap_division=4)
+    for network in all_workloads():
+        for batch in (1, 17):
+            assert_equivalent(config, network, batch, 52.6)
+
+
+# -- counters and the single path ----------------------------------------
+
+def test_sim_counters_match_the_reference(obs_enabled, supernpu_config):
+    network = all_workloads()[2]
+    run = engine.simulate(supernpu_config, network, 30,
+                          estimate=SimpleNamespace(frequency_ghz=52.6))
+    layers, _ = reference_run(supernpu_config, network, 30, 52.6)
+    counters = obs_enabled.metrics().snapshot()["counters"]
+    assert counters["sim.layers_simulated"] == len(layers)
+    assert counters["sim.dram_traffic_bytes"] == sum(
+        layer.dram_traffic_bytes for layer in layers)
+    assert counters["sim.cycles"] == run.total_cycles
+
+
+def test_simulate_never_walks_mapping_tiles(monkeypatch, tiny_network, supernpu_config):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("simulate() must not take the scalar path")
+
+    monkeypatch.setattr(engine, "simulate_layer", forbidden)
+    monkeypatch.setattr(engine, "map_layer", forbidden)
+    run = engine.simulate(supernpu_config, tiny_network, 4,
+                          estimate=SimpleNamespace(frequency_ghz=52.6))
+    assert len(run.layers) == len(tiny_network.layers)
+
+
+# -- the DAU fold ----------------------------------------------------------
+
+def _compensated_sum(terms):
+    """Neumaier summation, the algorithm of builtin sum() on floats since
+    Python 3.12."""
+    total = compensation = 0.0
+    for term in terms:
+        partial = total + term
+        if abs(total) >= abs(term):
+            compensation += (total - partial) + term
+        else:
+            compensation += (term - partial) + total
+        total = partial
+    return total + compensation
+
+
+def test_dau_is_a_left_fold_in_tile_order_at_height_100():
+    # Reduction 27 * 9 = 243 rows (two full 100-row tiles and one of 43)
+    # and 300 filters over 64 columns x 3 registers (a full and a remainder
+    # column class): six tiles of 147 vectors each.
+    layer = ConvLayer("odd", in_channels=27, in_height=7, in_width=7,
+                      out_channels=300, kernel_height=3, kernel_width=3, padding=1)
+    config = NPUConfig("h100", pe_array_height=100, pe_array_width=64,
+                       registers_per_pe=3)
+    tiles = [(3, 100), (3, 100), (3, 43), (2, 100), (2, 100), (2, 43)]
+    assert [(t.regs_used, t.rows_used, t.count)
+            for t in map_layer(layer, config).tiles] == [
+        (regs, rows, 1) for regs, rows in tiles]
+    terms = [147 * regs * (rows / 100) for regs, rows in tiles]
+    expected = 0.0
+    for term in terms:
+        expected += term
+    # A compensated sum rounds this case differently.
+    assert _compensated_sum(terms) != expected
+
+    activity = ActivityTrace()
+    datapath = build_datapath(config)
+    engine.simulate_layer(
+        layer, config, 3, memory_model_for(config, 52.6), datapath.ifmap_buffer,
+        datapath.output_buffer, datapath.psum_buffer, datapath.pe, activity,
+        input_resident=False, is_last_layer=True)
+    assert activity.effective_cycles["dau"].hex() == expected.hex()
+    run = engine.simulate(config, Network("one", (layer,)), 3,
+                          estimate=SimpleNamespace(frequency_ghz=52.6))
+    assert run.activity.effective_cycles["dau"].hex() == expected.hex()
+
+
+def test_dau_folds_tile_by_tile_where_the_closed_form_rounds():
+    # first = 2 + 1/3 carries bits down to 2**-51; adding 2 * 1000 crosses
+    # into [2048, 4096), so the closed-form addition is inexact and the
+    # layer is folded tile by tile.
+    full_tile, rem_tile = np.array([1]), np.array([1000])
+    full_rows, rem_rows, height = np.array([2]), np.array([1]), 3
+    first = 2.0 + 1 * (1 / 3)
+    assert Fraction(first) + 2000 != Fraction(first + 2000.0)
+    expected = 0.0
+    for term in (1, 1, 1 * (1 / 3), 1000, 1000, 1000 * (1 / 3)):
+        expected += term
+    dau = kernel._dau_cycles(full_tile, rem_tile, full_rows, rem_rows, height)
+    assert dau.tolist()[0].hex() == expected.hex()
+
+
+def test_rounding_layers_match_end_to_end():
+    # Width 2 x 1 register splits 3 filters into a full and a remainder
+    # column tile; 7 rows over height 3 leave a remainder row tile.
+    layer = ConvLayer("r", in_channels=7, in_height=40, in_width=25,
+                      out_channels=3, kernel_height=1, kernel_width=1)
+    config = NPUConfig("r", pe_array_height=3, pe_array_width=2)
+    for batch in (1, 3, 1000, 4096):
+        assert_equivalent(config, Network("r", (layer, layer)), batch, 52.6)
+
+
+# -- guards and errors -----------------------------------------------------
+
+def test_largest_batches_stay_inside_the_guard(supernpu_config):
+    # Batch 4096 on VGG16 is far from 2**53; 2**40 is not.
+    network = all_workloads()[5]
+    assert_equivalent(supernpu_config, network, 4096, 52.6)
+    with pytest.raises(SimulationError):
+        engine.simulate(supernpu_config, network, 2 ** 40,
+                        estimate=SimpleNamespace(frequency_ghz=52.6))
+
+
+def test_huge_layer_raises_at_table_build(supernpu_config):
+    layer = fc_layer("giant", 2 ** 27, 2 ** 27)
+    with pytest.raises(SimulationError) as info:
+        engine.simulate(supernpu_config, Network("giant", (layer,)), 1,
+                        estimate=SimpleNamespace(frequency_ghz=52.6))
+    assert info.value.code == "simulation.charge_overflow"
+
+
+def test_bad_batch_is_a_workload_error(supernpu_config, tiny_network):
+    with pytest.raises(WorkloadError) as info:
+        api.simulate("supernpu", "alexnet", batch=0,
+                     timeline=CycleTimeline(52.6))
+    assert info.value.code == "workload.invalid_batch"
+    for call in (lambda: simulate_os(supernpu_config, tiny_network, batch=0),
+                 lambda: trace_layer(tiny_network.layers[0], supernpu_config, batch=0),
+                 lambda: engine.simulate(supernpu_config, tiny_network, batch=-1)):
+        with pytest.raises(WorkloadError) as info:
+            call()
+        assert info.value.code == "workload.invalid_batch"
+        assert isinstance(info.value, ValueError)
+
+
+# -- the layer table memo ---------------------------------------------------
+
+def test_layer_table_is_kept_once_and_never_pickled(tiny_network):
+    network = Network("fresh", tiny_network.layers)
+    before = pickle.dumps(network)
+    table = network.layer_table
+    assert network.layer_table is table
+    assert table.names == tuple(layer.name for layer in network.layers)
+    assert table.macs.tolist() == [layer.macs_per_image for layer in network.layers]
+    assert not table.macs.flags.writeable
+    assert pickle.dumps(network) == before
+    assert "layer_table" not in copy.copy(network).__dict__
+    assert "layer_table" not in pickle.loads(pickle.dumps(network)).__dict__
