@@ -33,6 +33,13 @@ so serial, parallel, warm-cache, and failure-recovered runs are
 bitwise-identical (proven by ``tests/test_resilience.py`` under injected
 crashes, hangs, SIGKILLs, and corrupted cache entries).
 
+In-process runs charge the pending SFQ tasks that share a network
+together, one (designs x layers) array pass per group
+(:func:`repro.simulator.engine.charge_designs`), when the group's first task
+comes up; each task then builds its own result with one ``simulate`` call.
+Chaos, retries, events, cache writes and the checkpoint journal stay per
+task, in task order.
+
 Keys are computed once per object, not once per use: configs, networks
 and cell libraries keep their canonical JSON text (:mod:`repro.canonical`)
 and a :class:`SimTask` keeps its key, so per-task keying cost no longer
@@ -81,7 +88,7 @@ from repro.device.cells import CellLibrary, Technology, library_for
 from repro.errors import CacheError, ConfigError, ReproError, WorkerError
 from repro.estimator.arch_level import NPUEstimate, estimate_npu
 from repro.estimator.uarch_level import UnitEstimate
-from repro.simulator.engine import simulate
+from repro.simulator.engine import DesignCharges, charge_designs, simulate
 from repro.simulator.results import ActivityTrace, LayerResult, SimulationResult
 from repro.uarch.config import NPUConfig
 from repro.workloads.models import Network
@@ -537,8 +544,13 @@ def _estimate_for(config: NPUConfig, library: CellLibrary) -> NPUEstimate:
     return cached
 
 
-def _execute(task: SimTask) -> Tuple[SimulationResult, float]:
-    """Run one task in this process; returns (result, wall seconds)."""
+def _execute(task: SimTask, charges: Optional[DesignCharges] = None,
+             ) -> Tuple[SimulationResult, float]:
+    """Run one task in this process; returns (result, wall seconds).
+
+    ``charges`` is the task's part of a joint pass (:func:`_charge_group`);
+    its share of that pass counts toward the task's seconds.
+    """
     start = time.perf_counter()
     if task.is_cmos:
         run = simulate_cmos(task.config, task.network, batch=task.batch)
@@ -546,9 +558,59 @@ def _execute(task: SimTask) -> Tuple[SimulationResult, float]:
         library = task.resolved_library()
         run = simulate(
             task.config, task.network, batch=task.batch,
-            estimate=_estimate_for(task.config, library),
+            estimate=_estimate_for(task.config, library), charges=charges,
         )
-    return run, time.perf_counter() - start
+    seconds = time.perf_counter() - start
+    return run, seconds if charges is None else seconds + charges.seconds
+
+
+#: Most design points charged in one array pass.  Time per point levels
+#: off from about 16 points and grows again past 64, while the pass's
+#: temporaries keep growing (docs/PERFORMANCE.md section 7).  A serial run
+#: charges a group when its first task comes up, so this also bounds the
+#: work a killed run loses.
+GROUP_LIMIT = 64
+
+
+def _group_leaders(tasks: Sequence[SimTask], indices: Sequence[int],
+                   ) -> Dict[int, List[int]]:
+    """The SFQ tasks among ``indices`` that share a network, in groups.
+
+    Tasks group by network content, in ``indices`` order, at most
+    :data:`GROUP_LIMIT` to a group; each group of two or more is keyed by
+    its first index.  A lone task is in no group.
+    """
+    by_network: Dict[str, List[int]] = {}
+    for index in indices:
+        if not tasks[index].is_cmos:
+            by_network.setdefault(workload_text(tasks[index].network), []).append(index)
+    leaders: Dict[int, List[int]] = {}
+    for members in by_network.values():
+        for start in range(0, len(members), GROUP_LIMIT):
+            chunk = members[start:start + GROUP_LIMIT]
+            if len(chunk) > 1:
+                leaders[chunk[0]] = chunk
+    return leaders
+
+
+def _charge_group(tasks: Sequence[SimTask], group: Sequence[int],
+                  ) -> Dict[int, DesignCharges]:
+    """Charge one group's tasks in one :func:`charge_designs` pass.
+
+    Returns each task's charges by index; empty when the pass raised
+    anything, and then each task runs on its own under the retry policy
+    and raises its own error.
+    """
+    members = [tasks[index] for index in group]
+    try:
+        charges = charge_designs(
+            [task.config for task in members], members[0].network,
+            [task.batch for task in members],
+            [_estimate_for(task.config, task.resolved_library()) for task in members])
+    except Exception:
+        obs.counter("jobs.sim.group_fallbacks").inc()
+        return {}
+    return dict(zip(group, charges))
 
 
 @dataclass(frozen=True)
@@ -639,13 +701,14 @@ def _execute_observed(task: SimTask, chaos: Optional[ChaosInjector],
 def _execute_task(task: SimTask,
                   chaos: Optional[ChaosInjector] = None,
                   obs_spec: Optional[WorkerObsSpec] = None,
+                  charges: Optional[DesignCharges] = None,
                   ) -> Tuple[SimulationResult, float]:
     """Optional chaos, then the simulation, in this process."""
     if obs_spec is not None and obs_spec.collects_anything:
         return _execute_observed(task, chaos, obs_spec)
     if chaos is not None:
         chaos.fire(task.key())
-    return _execute(task)
+    return _execute(task, charges)
 
 
 def _execute_remote(task: SimTask,
@@ -789,7 +852,8 @@ class JobRunner:
                 if self.jobs > 1 and len(pending) > 1:
                     task_seconds = self._run_parallel(tasks, keys, results, pending)
                 else:
-                    task_seconds = self._run_serial(tasks, keys, results, pending)
+                    task_seconds = self._run_serial(
+                        tasks, keys, results, [(index, 0) for index in pending])
         finally:
             # Close the live line even when the sweep raises, so the
             # error message starts on a fresh line.
@@ -839,22 +903,37 @@ class JobRunner:
     # -- serial execution (also the degraded path) --------------------
     def _run_serial(self, tasks: Sequence[SimTask], keys: List[str],
                     results: List[Optional[SimulationResult]],
-                    pending: Sequence[int]) -> float:
+                    pending: Sequence[Tuple[int, int]]) -> float:
+        """Run ``(index, failures so far)`` tasks in-process, in order.
+
+        SFQ tasks that share a network are charged together
+        (:func:`_group_leaders`), when the group's first task comes up.
+        Each task then fires its own chaos under the retry policy, builds
+        its own result, emits its own events and is cached and journaled
+        on its own, as if run alone.
+        """
+        leaders = _group_leaders(tasks, [index for index, _ in pending])
+        charged: Dict[int, DesignCharges] = {}
         total = 0.0
-        for index in pending:
-            self._emit("started", keys[index])
-            result, seconds = self._execute_with_retry(tasks[index], keys[index])
+        for index, failures in pending:
+            self._emit("started", keys[index], attempt=failures)
+            if index in leaders:
+                charged.update(_charge_group(tasks, leaders[index]))
+            result, seconds = self._execute_with_retry(
+                tasks[index], keys[index], failures, charged.pop(index, None))
             total += seconds
             self._finish_task(index, keys[index], tasks[index], result, results)
             self._emit("finished", keys[index])
         return total
 
-    def _execute_with_retry(self, task: SimTask, key: str,
-                            failures: int = 0) -> Tuple[SimulationResult, float]:
-        """In-process execution under the retry policy."""
+    def _execute_with_retry(self, task: SimTask, key: str, failures: int = 0,
+                            charges: Optional[DesignCharges] = None,
+                            ) -> Tuple[SimulationResult, float]:
+        """In-process execution under the retry policy; ``charges`` is the
+        task's part of its group's joint pass, if it has one."""
         while True:
             try:
-                return _execute_task(task, self.chaos)
+                return _execute_task(task, self.chaos, charges=charges)
             except ReproError:
                 raise  # deterministic: retrying cannot change the outcome
             except Exception as error:
@@ -886,16 +965,7 @@ class JobRunner:
             while remaining:
                 if pool is None:
                     # Degraded: finish the sweep in-process, deterministically.
-                    while queue:
-                        index, failures = queue.popleft()
-                        self._emit("started", keys[index], attempt=failures)
-                        result, seconds = self._execute_with_retry(
-                            tasks[index], keys[index], failures=failures)
-                        total_seconds += seconds
-                        self._finish_task(index, keys[index], tasks[index],
-                                          result, results)
-                        self._emit("finished", keys[index])
-                        remaining -= 1
+                    total_seconds += self._run_serial(tasks, keys, results, queue)
                     break
 
                 broken = False

@@ -521,6 +521,11 @@ class PlanResult:
         return record
 
 
+#: A :class:`ResultSet` index key: ``(grid, axis, label)``, with ``None``
+#: for "any grid", and ``(grid, None, None)`` for a whole grid.
+_IndexKey = Tuple[Optional[str], Optional[str], Optional[str]]
+
+
 class ResultSet:
     """All of one plan execution's results, in point order."""
 
@@ -533,6 +538,7 @@ class ResultSet:
         self.points_total = len(self.results)
         self.points_cached = points_cached
         self.points_executed = points_executed
+        self._index: Optional[Dict[_IndexKey, List[int]]] = None
 
     def __iter__(self) -> Iterator[PlanResult]:
         return iter(self.results)
@@ -541,15 +547,33 @@ class ResultSet:
         return len(self.results)
 
     def select(self, grid: Optional[str] = None, **coords: str) -> List[PlanResult]:
-        """Results matching a grid and/or axis labels, in point order."""
-        selected = []
-        for result in self.results:
-            if grid is not None and result.grid != grid:
-                continue
-            mapping = dict(result.coords)
-            if all(mapping.get(axis) == label for axis, label in coords.items()):
-                selected.append(result)
-        return selected
+        """Results matching a grid and/or axis labels, in point order.
+
+        Answered from an index of each ``(grid, axis, label)`` to its
+        point positions, built on the first call, so callers that select
+        once per design never rescan the whole set.
+        """
+        if self._index is None:
+            self._index = self._build_index()
+        if coords:
+            keys = [(grid, axis, label) for axis, label in coords.items()]
+        elif grid is not None:
+            keys = [(grid, None, None)]
+        else:
+            return list(self.results)
+        matches = sorted((self._index.get(key, []) for key in keys), key=len)
+        others = [set(positions) for positions in matches[1:]]
+        return [self.results[position] for position in matches[0]
+                if all(position in other for other in others)]
+
+    def _build_index(self) -> Dict[_IndexKey, List[int]]:
+        index: Dict[_IndexKey, List[int]] = {}
+        for position, result in enumerate(self.results):
+            index.setdefault((result.grid, None, None), []).append(position)
+            for axis, label in dict(result.coords).items():
+                index.setdefault((result.grid, axis, label), []).append(position)
+                index.setdefault((None, axis, label), []).append(position)
+        return index
 
     def one(self, grid: Optional[str] = None, **coords: str) -> PlanResult:
         """Exactly one matching result, or a ConfigError."""

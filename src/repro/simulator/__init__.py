@@ -4,7 +4,12 @@ from repro.simulator.datapath import Datapath, build_datapath
 from repro.simulator.mapping import LayerMapping, MappingTile, map_layer, utilization
 from repro.simulator.memory import MemoryModel
 from repro.simulator.results import ActivityTrace, LayerResult, SimulationResult
-from repro.simulator.engine import simulate, simulate_layer
+from repro.simulator.engine import (
+    DesignCharges,
+    charge_designs,
+    simulate,
+    simulate_layer,
+)
 from repro.simulator.power import DATA_ACTIVITY, PowerReport, power_report
 from repro.simulator.dataflow_ablation import estimate_os_npu, simulate_os
 from repro.simulator.batch_sweep import BatchPoint, batch_sweep, knee_batch
@@ -38,6 +43,8 @@ __all__ = [
     "LayerResult",
     "SimulationResult",
     "simulate",
+    "charge_designs",
+    "DesignCharges",
     "simulate_layer",
     "DATA_ACTIVITY",
     "PowerReport",

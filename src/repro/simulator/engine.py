@@ -23,15 +23,19 @@ The same engine simulates every design point; only the
 :class:`~repro.uarch.config.NPUConfig` changes.
 
 :func:`simulate` charges a whole network in one array pass
-(:mod:`repro.simulator.kernel`).  :func:`simulate_layer` charges one layer
-by walking its mapping tiles; it is the scalar golden reference the array
-pass is tested against, bit for bit.
+(:mod:`repro.simulator.kernel`); :func:`charge_designs` charges several
+design points of one network in one pass, and :func:`simulate` then builds
+each point's result from its part.
+:func:`simulate_layer` charges one layer by walking its mapping tiles; it is
+the scalar golden reference the array pass is tested against, bit for bit.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Optional
+import time
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence
 
 from repro import obs
 from repro.obs.timeline import CycleTimeline
@@ -177,6 +181,17 @@ def simulate_layer(
     return result, output_resident
 
 
+@dataclass(frozen=True)
+class DesignCharges:
+    """One design point's part of a joint charge pass (:func:`charge_designs`):
+    its per-layer charge rows, its activity, and its share of the pass's
+    wall seconds."""
+
+    rows: List[List[int]]
+    activity: Dict[str, float]
+    seconds: float
+
+
 def simulate(
     config: NPUConfig,
     network: Network,
@@ -184,6 +199,7 @@ def simulate(
     estimate: Optional[NPUEstimate] = None,
     library: Optional[CellLibrary] = None,
     timeline: Optional[CycleTimeline] = None,
+    charges: Optional[DesignCharges] = None,
 ) -> SimulationResult:
     """Run the cycle-level simulation of ``network`` on ``config``.
 
@@ -191,11 +207,15 @@ def simulate(
     from ``library`` (default: the calibrated RSFQ library).  ``timeline``
     optionally receives the run's simulated-cycle event timeline (layer
     spans, on-chip phases, DRAM transfers, buffer-occupancy samples).
+    ``charges`` is this point's part of a :func:`charge_designs` pass over
+    the same ``config``, ``network``, ``batch`` and ``estimate``; the
+    network is then not charged again, and the result is bitwise the same.
     """
     check_batch(batch)
+    began = time.perf_counter()
     with obs.trace_span(
         "simulate", design=config.name, network=network.name, batch=batch
-    ), obs.histogram("sim.simulate_seconds").time():
+    ):
         if estimate is None:
             if library is None:
                 from repro.device.cells import rsfq_library
@@ -203,13 +223,68 @@ def simulate(
                 library = rsfq_library()
             estimate = estimate_npu(config, library)
 
-        memory = memory_model_for(config, estimate.frequency_ghz)
-        table = network.layer_table
-        charges, activity = charge_network(
-            table, config, batch, memory, build_datapath(config)
-        )
+        shared = 0.0
+        if charges is None:
+            memory = memory_model_for(config, estimate.frequency_ghz)
+            (rows,), (activity,) = charge_network(
+                network.layer_table, [(config, batch, memory, build_datapath(config))])
+        else:
+            rows, activity, shared = charges.rows, charges.activity, charges.seconds
+        run = _result(config, network, batch, estimate, rows, activity, timeline)
+    # A point charged jointly also spent its share of the joint pass.
+    obs.histogram("sim.simulate_seconds").observe(time.perf_counter() - began + shared)
+    return run
+
+
+def charge_designs(
+    configs: Sequence[NPUConfig],
+    network: Network,
+    batches: Sequence[int],
+    estimates: Sequence[NPUEstimate],
+) -> List[DesignCharges]:
+    """Charge several design points of one network in one array pass.
+
+    ``configs``, ``batches`` and ``estimates`` are parallel, one entry per
+    design point; the result list follows them.  Hand each entry to
+    :func:`simulate` as ``charges`` to build that point's result.
+
+    Raises:
+        SimulationError: ``simulation.charge_overflow`` when any point's
+            charges could reach the exact-arithmetic limit; no point is
+            charged then.
+    """
+    for batch in batches:
+        check_batch(batch)
+    if not configs:
+        return []
+    began = time.perf_counter()
+    with obs.trace_span("simulate/group", network=network.name, designs=len(configs)):
+        charges, activities = charge_network(network.layer_table, [
+            (config, batch, memory_model_for(config, estimate.frequency_ghz),
+             build_datapath(config))
+            for config, batch, estimate in zip(configs, batches, estimates)])
+    seconds = (time.perf_counter() - began) / len(configs)
+    return [DesignCharges(rows, activity, seconds)
+            for rows, activity in zip(charges, activities)]
+
+
+def _result(
+    config: NPUConfig,
+    network: Network,
+    batch: int,
+    estimate: NPUEstimate,
+    charges: List[List[int]],
+    activity: Dict[str, float],
+    timeline: Optional[CycleTimeline] = None,
+) -> SimulationResult:
+    """One run's :class:`SimulationResult` from its charge rows, with its
+    layer spans, timeline and ``sim.*`` counts when those are on."""
+    names = network.layer_table.names
+    if timeline is None and not obs.tracer().enabled:
+        layers = [LayerResult(name, *row) for name, row in zip(names, charges)]
+    else:
         layers = []
-        for layer, name, row in zip(network.layers, table.names, charges):
+        for layer, name, row in zip(network.layers, names, charges):
             with obs.trace_span("simulate/layer", layer=name) as span:
                 result = LayerResult(name, *row)
                 span.annotate(cycles=result.total_cycles, macs=result.macs)
@@ -230,16 +305,17 @@ def simulate(
                 )
             layers.append(result)
 
-        run = SimulationResult(
-            design=config.name,
-            network=network.name,
-            batch=batch,
-            frequency_ghz=estimate.frequency_ghz,
-            layers=layers,
-            # Sorted-unit order, the order a cached payload decodes in:
-            # power sums fold these floats in iteration order.
-            activity=ActivityTrace(activity),
-        )
+    run = SimulationResult(
+        design=config.name,
+        network=network.name,
+        batch=batch,
+        frequency_ghz=estimate.frequency_ghz,
+        layers=layers,
+        # Sorted-unit order, the order a cached payload decodes in:
+        # power sums fold these floats in iteration order.
+        activity=ActivityTrace(activity),
+    )
+    if obs.metrics().enabled:
         obs.counter("sim.runs").inc()
         obs.counter("sim.layers_simulated").add(len(layers))
         obs.counter("sim.cycles").add(run.total_cycles)
@@ -247,4 +323,4 @@ def simulate(
         obs.counter("sim.dram_traffic_bytes").add(
             sum(layer.dram_traffic_bytes for layer in layers)
         )
-        return run
+    return run

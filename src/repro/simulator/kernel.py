@@ -1,10 +1,13 @@
-"""The cycle model as one array pass over a network's layers.
+"""The cycle model as one array pass over design points x a network's layers.
 
 :func:`repro.simulator.engine.simulate` charges all layers of a network at
-once.  Every charge of :func:`~repro.simulator.engine.simulate_layer` — the
-scalar golden reference, which walks the tiles of
+once, and :func:`~repro.simulator.engine.charge_designs` does so for
+several design points of one network together.  Every charge of
+:func:`~repro.simulator.engine.simulate_layer` — the scalar golden
+reference, which walks the tiles of
 :func:`~repro.simulator.mapping.map_layer` — is written here as an
-elementwise int64 expression over the network's :class:`LayerTable`.
+elementwise int64 expression over ``(D, 1)`` config columns and the
+network's ``(L,)`` :class:`LayerTable` columns.
 
 A layer's mapping has at most four *tile classes*: a full (``height``-row)
 or remainder row tile, crossed with a full (``width`` x ``registers``) or
@@ -18,10 +21,10 @@ shifted down by one.
 
 Integer charges are exact int64 arithmetic, so they equal the scalar
 engine's Python ints as long as nothing reaches :data:`EXACT_LIMIT`, which
-:func:`charge_network` checks before computing.  The float steps keep the
+:func:`charge_network` checks per design before computing.  The float steps keep the
 scalar order: DRAM and activation-transfer cycles are float64 ceilings of
 the same quotients, each activity unit is a left fold over layers in layer
-order, and each layer's ``dau`` term is the reference's fold over tiles
+order, and each ``(design, layer)`` ``dau`` term is the reference's fold over tiles
 (see :func:`_dau_cycles`).
 """
 
@@ -114,46 +117,86 @@ class LayerTable:
                    weight_bound=weights)
 
 
-def charge_network(
-    table: LayerTable,
-    config: NPUConfig,
-    batch: int,
-    memory: MemoryModel,
-    datapath: Datapath,
-) -> Tuple[List[List[int]], Dict[str, float]]:
-    """Every layer's charges, and the run's activity, in one array pass.
+#: One design point of a :func:`charge_network` pass: its config, batch,
+#: memory model and datapath.
+Design = Tuple[NPUConfig, int, MemoryModel, Datapath]
 
-    Returns one row of Python ints per layer, in
+
+def _design_columns(table: LayerTable, designs: Sequence[Design]):
+    """The config terms of ``designs`` as ``(D, 1)`` columns (scalars for
+    one design).
+
+    Returns eleven int64 columns (from one ``np.array`` call), the float64
+    DRAM bytes per cycle, and whether each design has a psum buffer.
+    Checks every design against :data:`EXACT_LIMIT` first, in Python ints.
+    """
+    rows = []
+    per_cycle = []
+    has_psum = []
+    for config, batch, memory, datapath in designs:
+        height = config.pe_array_height
+        width = config.pe_array_width
+        pe_stages = datapath.pe.pipeline_stages
+        rewind = datapath.ifmap_buffer.rewind_cycles()
+        per_move = 0
+        if datapath.psum_buffer is not None:
+            per_move = (datapath.psum_buffer.chunk_length_entries
+                        + datapath.output_buffer.chunk_length_entries)
+
+        # Mappings never outnumber weights, a mapping's fill, rewind and
+        # psum charges are bounded by the config terms below, and the
+        # streamed cycles are at most twice the layer's MACs.
+        per_weight = height + 2 * width + pe_stages + 2 + rewind + per_move
+        on_chip = batch * table.on_chip_bound + table.weight_bound * per_weight
+        traffic_bytes = table.weight_bound + batch * table.traffic_bound
+        bound = max(on_chip, traffic_bytes / memory.bytes_per_cycle + 1)
+        if bound >= EXACT_LIMIT:
+            raise _overflow(batch, bound)
+
+        # Every byte count compared with a buffer size is below the limit,
+        # so capping the sizes there keeps each comparison and int64 safe.
+        rows.append((height, width, config.registers_per_pe, pe_stages, rewind,
+                     per_move, min(config.ifmap_buffer_bytes, EXACT_LIMIT),
+                     min(config.output_buffer_bytes, EXACT_LIMIT),
+                     config.ifmap_division, config.output_division, batch))
+        per_cycle.append(memory.bytes_per_cycle)
+        has_psum.append(datapath.psum_buffer is not None)
+    columns = np.array(rows, dtype=np.int64)
+    per_cycle = np.array(per_cycle)
+    if len(rows) == 1:
+        # Numpy scalars: one design's charges are plain (L,) arrays, which
+        # skips the broadcasting cost a (1, 1) column adds to every step.
+        return columns[0], per_cycle[0], has_psum
+    return columns.T[:, :, np.newaxis], per_cycle[:, np.newaxis], has_psum
+
+
+def charge_network(
+    table: LayerTable, designs: Sequence[Design],
+) -> Tuple[List[List[List[int]]], List[Dict[str, float]]]:
+    """Every layer's charges, and each run's activity, for several designs
+    of one network in one array pass.
+
+    The config terms are ``(D, 1)`` columns against the table's ``(L,)``
+    layer columns, so every charge is a ``(D, L)`` array.  The arithmetic
+    is rank-polymorphic (it indexes layers with ``[..., -1]`` and folds
+    along ``axis=-1``): a single design passes its terms as scalars and
+    runs the same code on ``(L,)`` arrays.
+
+    Returns, per design, one row of Python ints per layer, in
     :class:`~repro.simulator.results.LayerResult` field order after
     ``name`` (mappings, weight load, ifmap prep, psum move, activation
     transfer, compute, DRAM traffic, DRAM cycles, total, MACs), and the
     effective activity cycles per unit in sorted-unit order.  Both are
     bitwise what a loop of :func:`~repro.simulator.engine.simulate_layer`
-    produces.
+    produces for that design alone.
 
     Raises:
         SimulationError: ``simulation.charge_overflow`` when some charge
-            could reach :data:`EXACT_LIMIT`.
+            of some design could reach :data:`EXACT_LIMIT`.
     """
-    height = config.pe_array_height
-    width = config.pe_array_width
-    registers = config.registers_per_pe
-    pe_stages = datapath.pe.pipeline_stages
-    rewind = datapath.ifmap_buffer.rewind_cycles()
-    per_move = 0
-    if datapath.psum_buffer is not None:
-        per_move = (datapath.psum_buffer.chunk_length_entries
-                    + datapath.output_buffer.chunk_length_entries)
-
-    # Mappings never outnumber weights, a mapping's fill, rewind and psum
-    # charges are bounded by the config terms below, and the streamed
-    # cycles are at most twice the layer's MACs.
-    per_weight = height + 2 * width + pe_stages + 2 + rewind + per_move
-    on_chip = batch * table.on_chip_bound + table.weight_bound * per_weight
-    traffic_bytes = table.weight_bound + batch * table.traffic_bound
-    bound = max(on_chip, traffic_bytes / memory.bytes_per_cycle + 1)
-    if bound >= EXACT_LIMIT:
-        raise _overflow(batch, bound)
+    columns, bytes_per_cycle, has_psum = _design_columns(table, designs)
+    (height, width, registers, pe_stages, rewind, per_move, ifmap_buffer,
+     output_buffer, ifmap_division, output_division, batch) = columns
 
     vectors = table.pixels * batch
     full_rows, rem_rows = np.divmod(table.reduction, height)
@@ -184,53 +227,56 @@ def charge_network(
 
     ofmap_bytes = table.ofmap * batch
     activation = np.ceil(ofmap_bytes / height).astype(np.int64)
-    activation[-1] = 0  # the last layer's output goes to DRAM
+    activation[..., -1] = 0  # the last layer's output goes to DRAM
 
     ifmap_bytes = table.ifmap * batch
-    ifmap_fits = ((ifmap_bytes <= config.ifmap_buffer_bytes)
-                  & (table.channels * batch <= height * config.ifmap_division))
+    ifmap_fits = ((ifmap_bytes <= ifmap_buffer)
+                  & (table.channels * batch <= height * ifmap_division))
     refetch = np.where(ifmap_fits, 1, col_tiles)
-    output_resident = ofmap_bytes <= config.output_buffer_bytes
-    output_resident[-1] = False
+    output_resident = ofmap_bytes <= output_buffer
+    output_resident[..., -1] = False
     input_resident = np.zeros_like(output_resident)
-    input_resident[1:] = output_resident[:-1]
+    input_resident[..., 1:] = output_resident[..., :-1]
     traffic = (table.weights
                + np.where(input_resident, 0, ifmap_bytes)
                + ifmap_bytes * (refetch - 1)
                + np.where(output_resident, 0, ofmap_bytes))
 
     on_chip_cycles = weight_load + ifmap_prep + psum_move + compute + activation
-    dram = np.ceil(traffic / memory.bytes_per_cycle).astype(np.int64)
+    dram = np.ceil(traffic / bytes_per_cycle).astype(np.int64)
     total = np.maximum(on_chip_cycles, dram)
     macs = table.macs * batch
 
     charges = np.array(
         (mappings, weight_load, ifmap_prep, psum_move, activation, compute,
-         traffic, dram, total, macs)
-    ).T.tolist()
+         traffic, dram, total, macs))
 
-    array_activity = macs / config.num_pes
+    array_activity = macs / (height * width)
     dau = _dau_cycles(full_count * vectors * registers,
                       rem_count * vectors * rem_regs, full_rows, rem_rows, height)
-    units = {
-        "dau": dau,
-        "ifmap_buffer": (compute + ifmap_prep) / config.ifmap_division,
-        "network": array_activity,
-        "output_buffer": compute / config.output_division + psum_move,
-        "pe_array": array_activity,
-    }
-    if datapath.psum_buffer is not None:
-        units["psum_buffer"] = psum_move
-    units["weight_buffer"] = weight_load
+    units = ("dau", "ifmap_buffer", "network", "output_buffer", "pe_array",
+             "psum_buffer", "weight_buffer")
     # Left folds over the layers, in layer order: accumulate never
     # reassociates, unlike the pairwise np.sum.
-    folded = np.add.accumulate(np.array(tuple(units.values()), dtype=np.float64), axis=1)
-    return charges, dict(zip(units, folded[:, -1].tolist()))
+    folded = np.add.accumulate(np.array(
+        (dau, (compute + ifmap_prep) / ifmap_division, array_activity,
+         compute / output_division + psum_move, array_activity, psum_move,
+         weight_load), dtype=np.float64), axis=-1)[..., -1]
+    if charges.ndim == 2:  # one design, without the design axis
+        charges, folded = charges[:, np.newaxis], folded[:, np.newaxis]
+    activity = [
+        {unit: value for unit, value in zip(units, totals)
+         if psum or unit != "psum_buffer"}
+        for totals, psum in zip(folded.T.tolist(), has_psum)
+    ]
+    # (10, D, L) -> (D, L, 10): per design, one row per layer.
+    return charges.transpose(1, 2, 0).tolist(), activity
 
 
 def _dau_cycles(full_tile: np.ndarray, rem_tile: np.ndarray, full_rows: np.ndarray,
-                rem_rows: np.ndarray, height: int) -> np.ndarray:
-    """Each layer's DAU activity, equal to the reference's fold over tiles.
+                rem_rows: np.ndarray, height) -> np.ndarray:
+    """Each (design's) layer's DAU activity, equal to the reference's fold
+    over tiles.
 
     ``full_tile`` and ``rem_tile`` are ``count * vectors * regs`` of one
     mapping tile of the full and of the remainder column class.  In tile
@@ -247,7 +293,8 @@ def _dau_cycles(full_tile: np.ndarray, rem_tile: np.ndarray, full_rows: np.ndarr
     each is representable iff ``n_j < 2**53``.  So every addition of the
     run is exact iff its last sum is, that is iff the one closed-form
     addition below has zero rounding error (TwoSum).  Where it has not,
-    the layer is folded tile by tile, as the reference does.
+    that layer (of that design) is folded tile by tile, as the reference
+    does.
     """
     row_share = rem_rows / height
     first = (full_rows * full_tile).astype(np.float64) + full_tile * row_share
@@ -258,7 +305,7 @@ def _dau_cycles(full_tile: np.ndarray, rem_tile: np.ndarray, full_rows: np.ndarr
     error = (first - (middle - shift)) + (second - shift)
     rem_last = rem_tile * row_share
     dau = middle + rem_last
-    for index in np.flatnonzero(error).tolist():
+    for index in zip(*np.nonzero(error)):
         acc = float(first[index])
         step = float(rem_tile[index])
         for _ in range(int(full_rows[index])):

@@ -9,9 +9,9 @@ mapping (and exported as CSV for plotting).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
-from repro.estimator.arch_level import NPUEstimate, estimate_npu
+from repro.estimator.arch_level import estimate_npu
 from repro.simulator.datapath import build_datapath
 from repro.simulator.kernel import tile_charges
 from repro.simulator.mapping import map_layer
@@ -47,7 +47,6 @@ def trace_layer(
     layer: ConvLayer,
     config: NPUConfig,
     batch: int = 1,
-    estimate: Optional[NPUEstimate] = None,
 ) -> List[TraceEvent]:
     """The serialized phase timeline of one layer's weight mappings.
 

@@ -231,6 +231,62 @@ def test_runner_preserves_task_order(tmp_path, supernpu_config, tiny_network, rs
     assert [run.batch for run in runs] == list(batches)
 
 
+# -- grouped serial execution ---------------------------------------------
+
+def test_serial_runner_groups_sfq_tasks_by_network(monkeypatch, supernpu_config,
+                                                   baseline_config, tiny_network):
+    from repro.core import jobs
+
+    other = Network("other", tiny_network.layers[:2])
+    tasks = ([SimTask(supernpu_config, tiny_network, b) for b in (1, 2)]
+             + [SimTask(TPU_CORE, tiny_network, 1), SimTask(baseline_config, other, 3)]
+             + [SimTask(baseline_config, tiny_network, b) for b in (3, 4)])
+    expected = [JobRunner().run([task])[0] for task in tasks]
+    groups, simulated, solos = [], [], []
+    charge, simulate = jobs.charge_designs, jobs.simulate
+
+    def grouped(configs, network, batches, estimates):
+        groups.append((network.name, list(batches)))
+        return charge(configs, network, batches, estimates)
+
+    def one(config, network, **kwargs):
+        simulated.append(network.name)
+        if kwargs["charges"] is None:
+            solos.append(network.name)
+        return simulate(config, network, **kwargs)
+
+    monkeypatch.setattr(jobs, "charge_designs", grouped)
+    monkeypatch.setattr(jobs, "simulate", one)
+    assert JobRunner().run(tasks) == expected
+    # One pass charges the four tiny_network SFQ tasks; the lone task on
+    # another network runs on its own, and the CMOS baseline never
+    # reaches the SFQ simulator.  Every SFQ task is one simulate() call.
+    assert groups == [(tiny_network.name, [1, 2, 3, 4])]
+    assert simulated == [tiny_network.name] * 2 + ["other"] + [tiny_network.name] * 2
+    assert solos == ["other"]
+
+    groups.clear()
+    monkeypatch.setattr(jobs, "GROUP_LIMIT", 3)
+    assert JobRunner().run(tasks) == expected
+    assert groups == [(tiny_network.name, [1, 2, 3])]
+    assert solos == ["other", "other", tiny_network.name]
+
+
+def test_a_group_that_raises_runs_its_tasks_one_by_one(monkeypatch, supernpu_config,
+                                                      tiny_network):
+    from repro.core import jobs
+
+    def broken(*args):
+        raise MemoryError("no room for the group")
+
+    tasks = [SimTask(supernpu_config, tiny_network, b) for b in (1, 2, 3)]
+    expected = [JobRunner().run([task])[0] for task in tasks]
+    monkeypatch.setattr(jobs, "charge_designs", broken)
+    runner = JobRunner()
+    assert runner.run(tasks) == expected
+    assert runner.stats.retries == 0  # a group failure is no task's failure
+
+
 def test_runner_estimate_memoizes(tmp_path, supernpu_config, rsfq):
     cache = ResultCache(tmp_path / "c")
     runner = JobRunner(cache=cache)

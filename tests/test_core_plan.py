@@ -12,6 +12,9 @@ The three load-bearing guarantees:
 
 from __future__ import annotations
 
+import random
+from types import SimpleNamespace
+
 import pytest
 
 from repro.core.ablate import ablated_configs, ablation_plan, ablation_study
@@ -22,6 +25,8 @@ from repro.core.plan import (
     AxisSpec,
     ExperimentPlan,
     Grid,
+    PlanResult,
+    ResultSet,
     batch_axis,
     config_axis,
     execute,
@@ -154,6 +159,60 @@ def test_select_and_one(tiny_network, rsfq):
     assert resultset.one(grid="curve", batch="2").run.batch == 2
     with pytest.raises(ConfigError):
         resultset.one(grid="curve")  # two matches
+
+
+def _scan(results, grid, coords):
+    """The linear-scan reference for ResultSet.select."""
+    return [r for r in results
+            if (grid is None or r.grid == grid)
+            and all(dict(r.coords).get(axis) == label for axis, label in coords.items())]
+
+
+def _random_resultset(rng):
+    """Up to 60 synthetic results over three grids with random axes."""
+    results = []
+    axes_by_grid = {grid: rng.sample(["config", "workload", "batch", "x"], rng.randint(1, 4))
+                    for grid in ("g0", "g1", "g2")}
+    for _ in range(rng.randint(0, 60)):
+        grid = rng.choice(sorted(axes_by_grid))
+        coords = tuple((axis, rng.choice("abc")) for axis in axes_by_grid[grid])
+        run = SimpleNamespace(mac_per_s=rng.random() * 10.0 ** rng.randint(-3, 12))
+        results.append(PlanResult(plan="synthetic", plan_hash="0" * 64, grid=grid,
+                                  coords=coords, key=str(len(results)), cached=False,
+                                  run=run))
+    return ResultSet(SimpleNamespace(name="synthetic"), "0" * 64, results,
+                     points_cached=0, points_executed=len(results))
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_indexed_select_one_and_mean_match_a_linear_scan(seed):
+    rng = random.Random(seed)
+    resultset = _random_resultset(rng)
+    for _ in range(60):
+        # Unknown grids, axes and labels are part of the draw.
+        grid = rng.choice([None, "g0", "g1", "g2", "nogrid"])
+        coords = {axis: rng.choice("abcz")
+                  for axis in rng.sample(["config", "workload", "batch", "x", "zz"],
+                                         rng.randint(0, 3))}
+        expected = _scan(resultset.results, grid, coords)
+        selected = resultset.select(grid=grid, **coords)
+        assert len(selected) == len(expected)
+        assert all(a is b for a, b in zip(selected, expected))  # point order kept
+        assert resultset.runs(grid=grid, **coords) == [r.run for r in expected]
+        if len(expected) == 1:
+            assert resultset.one(grid=grid, **coords) is expected[0]
+        else:
+            with pytest.raises(ConfigError) as info:
+                resultset.one(grid=grid, **coords)
+            assert info.value.code == "plan.ambiguous_selection"
+        if expected:
+            total = sum(r.run.mac_per_s for r in expected)
+            assert resultset.mean(grid=grid, **coords) == total / len(expected)
+        else:
+            assert selected == []
+            with pytest.raises(ConfigError) as info:
+                resultset.mean(grid=grid, **coords)
+            assert info.value.code == "plan.empty_selection"
 
 
 def test_execute_emits_counters_and_recent_plans(tiny_network, rsfq, obs_enabled):

@@ -285,6 +285,129 @@ def test_session_clears_checkpoint_only_on_clean_exit(tmp_path, tasks):
     assert not journal.exists()  # cleared: the sweep completed
 
 
+# -- grouped serial runs ---------------------------------------------------
+#
+# A serial runner charges the pending SFQ tasks of one network together
+# (one array pass); each task still fires its own chaos, is retried, cached
+# and journaled on its own.  The reference is the per-task path: the same
+# tasks run one ``run()`` at a time, where there is nothing to group.
+
+@pytest.fixture(scope="module")
+def group_tasks():
+    network = api.workload("mobilenet")
+    return [SimTask(api.design(name), network, batch=batch)
+            for name, batch in (("supernpu", 1), ("baseline", 3), ("supernpu", 8),
+                                ("bufferopt", 2), ("resourceopt", 5), ("baseline", 1))]
+
+
+def _bits(runs):
+    """Everything a result holds, floats as hex."""
+    return [(run.design, run.network, run.batch, run.frequency_ghz.hex(), run.layers,
+             [(unit, value.hex()) for unit, value in run.activity.effective_cycles.items()])
+            for run in runs]
+
+
+def _chaos_sweep(tmp_path, tasks, grouped, counters):
+    """Fill the cache with two tasks, corrupt one, then run all of them
+    with a chaos exception on a third; returns results and counters."""
+    cache = ResultCache(tmp_path / "cache")
+    JobRunner(cache=cache).run([tasks[0]])
+    JobRunner(cache=cache).run([tasks[4]])
+    corrupt_cache_entry(cache, tasks[0].key(), "garbage")
+    chaos = ChaosInjector(tmp_path / "chaos",
+                          {tasks[2].key(): FaultSpec("exception", times=2)})
+    counters.reset()
+    counters.enable()
+    runner = JobRunner(cache=cache, chaos=chaos, retry=FAST_RETRY)
+    if grouped:
+        runs = runner.run(tasks)
+    else:
+        runs = [runner.run([task])[0] for task in tasks]
+    snapshot = counters.metrics().snapshot()["counters"]
+    return runs, {name: snapshot.get(name, 0) for name in (
+        "jobs.retries", "jobs.cache.quarantined", "jobs.cache.hits", "jobs.sim.executed",
+        "sim.runs", "sim.cycles")}
+
+
+def test_grouped_serial_run_matches_the_per_task_path(tmp_path, group_tasks, obs_enabled,
+                                                      monkeypatch):
+    from repro.core import jobs
+
+    clean = [JobRunner().run([task])[0] for task in group_tasks]
+    groups = []
+    charge_designs = jobs.charge_designs
+
+    def spy(configs, *args):
+        groups.append(len(configs))
+        return charge_designs(configs, *args)
+
+    monkeypatch.setattr(jobs, "charge_designs", spy)
+    per_task, per_task_counts = _chaos_sweep(tmp_path / "solo", group_tasks, False,
+                                             obs_enabled)
+    assert groups == []
+    grouped, grouped_counts = _chaos_sweep(tmp_path / "grouped", group_tasks, True,
+                                           obs_enabled)
+    assert groups == [5]  # task 4 hit the cache; the other five went together
+    assert _bits(grouped) == _bits(per_task) == _bits(clean)
+    assert grouped_counts == per_task_counts
+    assert grouped_counts["jobs.retries"] == 2
+    assert grouped_counts["jobs.cache.quarantined"] == 1
+
+
+def test_run_killed_mid_group_resumes(tmp_path, group_tasks):
+    clean = [JobRunner().run([task])[0] for task in group_tasks]
+    cache = ResultCache(tmp_path / "cache")
+    journal = tmp_path / "sweep.journal"
+    chaos = ChaosInjector(tmp_path / "chaos",
+                          {group_tasks[3].key(): FaultSpec("exception", times=10)})
+    broken = JobRunner(cache=cache, checkpoint=SweepCheckpoint(journal),
+                       chaos=chaos, retry=NO_RETRY)
+    with pytest.raises(WorkerError):
+        broken.run(group_tasks)
+    # The group was charged together, but tasks finish one by one: the
+    # three before the failing one are cached and journaled.
+    assert len(SweepCheckpoint(journal)) == 3
+
+    resumed = JobRunner(cache=cache, checkpoint=SweepCheckpoint(journal))
+    assert _bits(resumed.run(group_tasks)) == _bits(clean)
+    assert resumed.stats.executed == 3
+    assert resumed.stats.resumed == 3
+
+
+def test_run_killed_while_charging_a_group_keeps_earlier_tasks(tmp_path, group_tasks,
+                                                              monkeypatch):
+    from repro.core import jobs
+
+    other = api.workload("alexnet")
+    tasks = [group_tasks[0], group_tasks[1], SimTask(api.design("baseline"), other, 2),
+             group_tasks[2], SimTask(api.design("supernpu"), other, 4)]
+    clean = [JobRunner().run([task])[0] for task in tasks]
+    passes = []
+    charge_designs = jobs.charge_designs
+
+    def killed_on_second_pass(configs, network, *args):
+        passes.append(network.name)
+        if len(passes) == 2:
+            raise KeyboardInterrupt  # the process dies inside the joint pass
+        return charge_designs(configs, network, *args)
+
+    monkeypatch.setattr(jobs, "charge_designs", killed_on_second_pass)
+    cache = ResultCache(tmp_path / "cache")
+    journal = tmp_path / "sweep.journal"
+    with pytest.raises(KeyboardInterrupt):
+        JobRunner(cache=cache, checkpoint=SweepCheckpoint(journal)).run(tasks)
+    # A group is charged when its first task comes up, so the mobilenet
+    # tasks that came before the alexnet group finished and were journaled.
+    assert passes == [group_tasks[0].network.name, other.name]
+    assert len(SweepCheckpoint(journal)) == 2
+
+    monkeypatch.setattr(jobs, "charge_designs", charge_designs)
+    resumed = JobRunner(cache=cache, checkpoint=SweepCheckpoint(journal))
+    assert _bits(resumed.run(tasks)) == _bits(clean)
+    assert resumed.stats.resumed == 2
+    assert resumed.stats.executed == 3
+
+
 # -- corrupted caches ------------------------------------------------------
 
 @pytest.mark.parametrize("mode", ["truncate", "garbage", "wrong_schema",

@@ -1,11 +1,14 @@
 """Bitwise equivalence of the array cycle model with its scalar reference.
 
 ``engine.simulate`` charges a whole network in one array pass
-(``repro.simulator.kernel``).  ``engine.simulate_layer`` walks one layer's
-mapping tiles and stays in the package as the golden reference.  Every case
-here runs both and demands equal ``LayerResult`` lists, activity floats
-equal to the last bit and in the same key order, the same
-``simulate/layer`` spans and the same cycle timeline.
+(``repro.simulator.kernel``), and ``engine.charge_designs`` charges
+several design points of one network in one (designs x layers) pass,
+from which ``engine.simulate`` builds each point's result.
+``engine.simulate_layer`` walks one layer's mapping tiles and stays in the
+package as the golden reference.  Every case here runs them side by side
+and demands equal ``LayerResult`` lists, activity floats equal to the last
+bit and in the same key order, the same ``simulate/layer`` spans and the
+same cycle timeline.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from repro import api, obs
 from repro.components import component_names
 from repro.core.batching import paper_batch
 from repro.core.designs import baseline, buffer_opt, resource_opt, supernpu
+from repro.core.jobs import JobRunner, ResultCache, SimTask
 from repro.errors import SimulationError, WorkloadError
 from repro.estimator.arch_level import estimate_npu
 from repro.obs.timeline import CycleTimeline
@@ -168,6 +172,147 @@ def configs(draw):
 @settings(max_examples=300, deadline=None)
 def test_simulate_equals_a_loop_of_simulate_layer(config, network, batch, frequency):
     assert_equivalent(config, network, batch, frequency)
+
+
+# -- groups: several designs of one network in one pass -----------------
+
+def simulate_together(configs, network, batches, estimates):
+    """What the job runner does with a group: one joint charge pass, then
+    one ``simulate()`` per point."""
+    return [engine.simulate(config, network, batch, estimate=estimate, charges=charges)
+            for config, batch, estimate, charges in zip(
+                configs, batches, estimates,
+                engine.charge_designs(configs, network, batches, estimates))]
+
+
+def assert_group_equivalent(configs, network, batches, frequencies):
+    """A joint pass, member by member, against solo ``simulate()``
+    and the reference: results, activity bits and key order, spans, and
+    ``sim.*`` counts."""
+    estimates = [SimpleNamespace(frequency_ghz=frequency) for frequency in frequencies]
+    obs.enable()
+    try:
+        runs = simulate_together(configs, network, batches, estimates)
+        roots = obs.tracer().roots
+        counters = obs.metrics().snapshot()["counters"]
+    finally:
+        obs.disable()
+        obs.reset()
+    # One span for the joint charge pass, then one ``simulate`` span per
+    # design point, as a solo run would leave.
+    assert (roots[0].name, roots[0].attrs) == (
+        "simulate/group", {"network": network.name, "designs": len(configs)})
+    spans = roots[1:]
+    assert [(span.name, span.attrs) for span in spans] == [
+        ("simulate", {"design": config.name, "network": network.name, "batch": batch})
+        for config, batch in zip(configs, batches)]
+    assert len(runs) == len(configs)
+    for config, batch, estimate, run, span in zip(configs, batches, estimates, runs, spans):
+        solo = engine.simulate(config, network, batch, estimate=estimate)
+        layers, activity = reference_run(config, network, batch, estimate.frequency_ghz)
+        assert (run.design, run.network, run.batch, run.frequency_ghz) == (
+            solo.design, solo.network, solo.batch, solo.frequency_ghz)
+        assert run.layers == solo.layers == layers
+        for cycles in (run.activity.effective_cycles, solo.activity.effective_cycles):
+            assert list(cycles) == list(activity)
+            assert [value.hex() for value in cycles.values()] == [
+                value.hex() for value in activity.values()]
+        assert [child.attrs for child in span.children] == [
+            {"layer": layer.name, "cycles": layer.total_cycles, "macs": layer.macs}
+            for layer in layers]
+    assert counters["sim.runs"] == len(configs)
+    assert counters["sim.layers_simulated"] == len(configs) * len(network.layers)
+    assert counters["sim.cycles"] == sum(run.total_cycles for run in runs)
+    assert counters["sim.dram_traffic_bytes"] == sum(
+        layer.dram_traffic_bytes for run in runs for layer in run.layers)
+    return runs
+
+
+@given(st.lists(configs(), min_size=1, max_size=8), networks(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_a_group_equals_solo_runs_and_the_reference(group, network, data):
+    batches = [data.draw(st.integers(1, 4096)) for _ in group]
+    frequencies = [data.draw(st.sampled_from([52.6, 31.8, 0.7, 100.0])) for _ in group]
+    assert_group_equivalent(group, network, batches, frequencies)
+
+
+def test_a_member_over_the_guard_fails_its_own_task(tmp_path, supernpu_config):
+    network = all_workloads()[0]
+    estimates = [SimpleNamespace(frequency_ghz=52.6)] * 3
+    with pytest.raises(SimulationError) as info:
+        engine.charge_designs([supernpu_config] * 3, network, [1, 2 ** 53, 2], estimates)
+    assert info.value.code == "simulation.charge_overflow"
+    assert info.value.context["batch"] == 2 ** 53
+
+    # Through the runner, the members before it finish and are cached; the
+    # member itself raises its own error, and nothing after it runs.
+    cache = ResultCache(tmp_path)
+    tasks = [SimTask(supernpu_config, network, batch) for batch in (1, 2, 2 ** 53, 4)]
+    with pytest.raises(SimulationError) as info:
+        JobRunner(cache=cache).run(tasks)
+    assert info.value.code == "simulation.charge_overflow"
+    assert info.value.context["batch"] == 2 ** 53
+    assert [cache.get(task.key()) is not None for task in tasks] == [True, True, False, False]
+
+
+def test_simulate_seconds_of_a_group_include_each_points_share(monkeypatch, supernpu_config):
+    ticks = iter(range(100))  # every clock read advances one second
+    monkeypatch.setattr(engine, "time", SimpleNamespace(perf_counter=lambda: next(ticks)))
+    network = all_workloads()[0]
+    estimates = [SimpleNamespace(frequency_ghz=52.6)] * 4
+    obs.enable(metrics=True, tracing=False)
+    try:
+        simulate_together([supernpu_config] * 4, network, [1, 2, 3, 4], estimates)
+        seconds = obs.metrics().snapshot()["histograms"]["sim.simulate_seconds"]
+    finally:
+        obs.disable()
+        obs.reset()
+    # The joint pass took one tick, a quarter per point; each point's own
+    # simulate() call took one more.
+    assert (seconds["count"], seconds["sum"]) == (4, 4 * 1.25)
+
+
+def test_dau_fallback_inside_a_group(monkeypatch):
+    # Batches 1, 1000 and 4096 of this layer round the DAU closed form
+    # (see test_rounding_layers_match_end_to_end); batch 3 does not.
+    layer = ConvLayer("r", in_channels=7, in_height=40, in_width=25,
+                      out_channels=3, kernel_height=1, kernel_width=1)
+    ranks = []
+    dau_cycles = kernel._dau_cycles
+
+    def spy(full_tile, *args):
+        ranks.append(full_tile.ndim)
+        return dau_cycles(full_tile, *args)
+
+    monkeypatch.setattr(kernel, "_dau_cycles", spy)
+    group = [NPUConfig("r", pe_array_height=3, pe_array_width=2),
+             NPUConfig("r2", pe_array_height=3, pe_array_width=2, registers_per_pe=2),
+             NPUConfig("r3", pe_array_height=3, pe_array_width=2,
+                       integrated_output_buffer=False, psum_buffer_bytes=4096)]
+    for batches in ((1, 3, 1000), (4096, 1, 3)):
+        assert_group_equivalent(group, Network("r", (layer, layer)), list(batches),
+                                [52.6, 31.8, 52.6])
+    assert 2 in ranks
+
+
+def test_dau_fallback_folds_single_cells_of_a_2d_pass():
+    # Cell (0, 1) is the rounding case of
+    # test_dau_folds_tile_by_tile_where_the_closed_form_rounds; the others
+    # add exactly.  Heights are one column per design.
+    full_tile = np.array([[4, 1], [7, 2]])
+    rem_tile = np.array([[3, 1000], [5, 0]])
+    full_rows = np.array([[1, 2], [3, 0]])
+    rem_rows = np.array([[2, 1], [0, 1]])
+    height = np.array([[3], [4]])
+    dau = kernel._dau_cycles(full_tile, rem_tile, full_rows, rem_rows, height)
+    for index in np.ndindex(dau.shape):
+        f, r, n, m, h = (int(full_tile[index]), int(rem_tile[index]),
+                         int(full_rows[index]), int(rem_rows[index]),
+                         int(height[index[0], 0]))
+        expected = 0.0
+        for term in [f] * n + [f * (m / h)] + [r] * n + [r * (m / h)]:
+            expected += term
+        assert dau[index].hex() == expected.hex()
 
 
 # -- the paper's grid: named designs x networks x Table II batches -------
