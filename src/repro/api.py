@@ -11,9 +11,10 @@ points, with uniform input handling everywhere:
 * **technology** — ``"rsfq"`` / ``"ersfq"`` (or a
   :class:`~repro.device.cells.CellLibrary` for custom libraries).
 
-Every simulation goes through the ambient job runner
+Every verb gets its runner one way: from the ambient job runner
 (:mod:`repro.core.jobs`), so parallelism and result caching apply
-uniformly::
+uniformly.  The ambient runner is per thread: a :func:`session` or
+:func:`use_runner` block installs one for the calling thread only::
 
     from repro import api
 
@@ -24,23 +25,19 @@ uniformly::
     with api.session(jobs=4, cache_dir="~/.cache/supernpu"):
         suite = api.evaluate()                          # Fig. 23, fanned out
 
-Execution knobs (fan-out, cache, retries, timeouts, progress, hotspot
-profiling) are one :class:`RunOptions` value shared by every verb —
-``api.evaluate(options=RunOptions(jobs=4))`` is the one-shot spelling of
-the session block above.  Plans evaluate either point-by-point
+Execution knobs (fan-out, cache, retries, timeouts, progress) are
+:func:`session` arguments; host-time profiling wraps the block in a
+:class:`HotspotProfiler`.  Plans evaluate either point-by-point
 (:func:`run_plan`) or as dense axis-shaped grids (:func:`evaluate_grid`).
 
-The CLI commands are thin wrappers over these functions.
+The CLI commands and the ``serve`` endpoints are thin wrappers over
+these functions.
 """
 
 from __future__ import annotations
 
-import sys
-import warnings
-from contextlib import contextmanager
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence, Union
 
 from repro.baselines.scalesim import TPU_CORE, CMOSNPUConfig
 from repro.components import (
@@ -74,7 +71,6 @@ from repro.core.plan import (
     named_plans,
     plan_by_name,
 )
-from repro.core.resilience import RetryPolicy
 from repro.device.cells import CellLibrary, Technology, library_for
 from repro.errors import ConfigError, InvalidSpecError, InvalidWorkloadSpecError
 from repro.estimator.arch_level import NPUEstimate
@@ -97,7 +93,6 @@ __all__ = [
     "DesignLike",
     "WorkloadLike",
     "TechnologyLike",
-    "RunOptions",
     "design",
     "workload",
     "library",
@@ -213,113 +208,16 @@ def cross_temperature(run: SimulationResult,
     return cross_temperature_report(run, estimate_result)
 
 
-@dataclass(frozen=True)
-class RunOptions:
-    """One bundle of execution knobs, shared by every ``repro.api`` verb.
-
-    Where the verbs used to grow divergent keyword arguments, they now
-    all take ``options=RunOptions(...)``:
-
-    * ``jobs`` — parallel workers (1 = in-process serial);
-    * ``cache_dir`` — result-cache directory (``None`` = no cache);
-    * ``no_cache`` — force cache off even if ``cache_dir`` is set;
-    * ``retries`` — re-attempts for transient task failures;
-    * ``timeout_s`` — per-task wall-clock bound (parallel mode);
-    * ``progress`` — a live :class:`~repro.obs.progress.ProgressReporter`
-      (``None`` = off);
-    * ``hotspot`` / ``hotspot_mode`` / ``hotspot_out`` — profile the
-      call's host self-time (sampling or tracing); the collapsed stacks
-      go to ``hotspot_out`` when given, otherwise a one-line summary is
-      printed to stderr.
-
-    The old per-verb ``runner=`` keyword still works but warns once per
-    verb (:class:`DeprecationWarning`); new code should pass ``options=``
-    or install an ambient session (:func:`session` / :func:`use_runner`).
-    """
-
-    jobs: int = 1
-    cache_dir: Optional[Union[str, Path]] = None
-    no_cache: bool = False
-    retries: int = 2
-    timeout_s: Optional[float] = None
-    progress: Optional[ProgressReporter] = None
-    hotspot: bool = False
-    hotspot_mode: str = "sampling"
-    hotspot_out: Optional[Union[str, Path]] = None
-
-
-#: Verbs whose deprecated ``runner=`` keyword already warned this process.
-_RUNNER_DEPRECATION_WARNED: set = set()
-
-
-def _warn_runner_kwarg(verb: str) -> None:
-    if verb in _RUNNER_DEPRECATION_WARNED:
-        return
-    _RUNNER_DEPRECATION_WARNED.add(verb)
-    warnings.warn(
-        f"the runner= keyword of repro.api.{verb} is deprecated; pass "
-        "options=RunOptions(...) or install an ambient session "
-        "(api.session(...) / api.use_runner(...)) instead",
-        DeprecationWarning,
-        stacklevel=4,
-    )
-
-
-@contextmanager
-def _execution_scope(verb: str,
-                     options: Optional[RunOptions],
-                     runner: Optional[JobRunner]) -> Iterator[JobRunner]:
-    """Resolve ``options=`` / deprecated ``runner=`` to an active runner."""
-    if options is not None and runner is not None:
-        raise ConfigError(
-            f"repro.api.{verb} got both options= and the deprecated "
-            "runner=; pass only options=",
-            code="api.options_conflict", verb=verb)
-    if runner is not None:
-        _warn_runner_kwarg(verb)
-        with use_runner(runner):
-            yield runner
-        return
-    if options is None:
-        yield get_runner()
-        return
-    profiler = None
-    if options.hotspot:
-        profiler = HotspotProfiler(mode=options.hotspot_mode)
-        profiler.start()
-    try:
-        cache_dir = None if options.no_cache else options.cache_dir
-        with session(jobs=options.jobs, cache_dir=cache_dir,
-                     retry=RetryPolicy(max_retries=options.retries),
-                     timeout_s=options.timeout_s,
-                     progress=options.progress) as scoped:
-            yield scoped
-    finally:
-        if profiler is not None:
-            profile = profiler.stop()
-            if options.hotspot_out is not None:
-                with open(options.hotspot_out, "w", encoding="utf-8") as fh:
-                    fh.write(profile.collapsed())
-            else:
-                summary = profile.summary(top_n=3)
-                print(f"hotspot [{verb}]: {summary}", file=sys.stderr)
-
-
 def estimate(design_spec: DesignLike, *,
-             technology: TechnologyLike = "rsfq",
-             options: Optional[RunOptions] = None,
-             runner: Optional[JobRunner] = None) -> NPUEstimate:
+             technology: TechnologyLike = "rsfq") -> NPUEstimate:
     """Frequency / power / area estimation of one design point."""
-    with _execution_scope("estimate", options, runner) as scoped:
-        return scoped.estimate(design(design_spec), library(technology))
+    return get_runner().estimate(design(design_spec), library(technology))
 
 
 def simulate(design_spec: DesignLike, workload_spec: WorkloadLike, *,
              batch: Optional[int] = None,
              technology: TechnologyLike = "rsfq",
-             timeline: Optional[CycleTimeline] = None,
-             options: Optional[RunOptions] = None,
-             runner: Optional[JobRunner] = None) -> SimulationResult:
+             timeline: Optional[CycleTimeline] = None) -> SimulationResult:
     """Cycle-level simulation of one workload on one design.
 
     ``batch=None`` applies the paper's Table II policy (named designs)
@@ -331,64 +229,51 @@ def simulate(design_spec: DesignLike, workload_spec: WorkloadLike, *,
     network = workload(workload_spec)
     lib = library(technology)
     resolved_batch = batch if batch is not None else batch_for(config, network)
-    with _execution_scope("simulate", options, runner) as scoped:
-        if timeline is not None:
-            from repro.simulator.engine import simulate as engine_simulate
+    runner = get_runner()
+    if timeline is None:
+        return runner.run_one(SimTask(config, network, resolved_batch, lib))
+    from repro.simulator.engine import simulate as engine_simulate
 
-            est = scoped.estimate(config, lib)
-            return engine_simulate(config, network, batch=resolved_batch,
-                                   estimate=est, timeline=timeline)
-        return scoped.run_one(SimTask(config, network, resolved_batch, lib))
+    return engine_simulate(config, network, batch=resolved_batch,
+                           estimate=runner.estimate(config, lib), timeline=timeline)
 
 
 def evaluate(designs: Optional[Sequence[DesignLike]] = None,
              workloads: Optional[Sequence[WorkloadLike]] = None, *,
              technology: TechnologyLike = "rsfq",
-             tpu: CMOSNPUConfig = TPU_CORE,
-             options: Optional[RunOptions] = None,
-             runner: Optional[JobRunner] = None) -> EvaluationSuite:
+             tpu: CMOSNPUConfig = TPU_CORE) -> EvaluationSuite:
     """The Fig. 23 suite: TPU baseline + design points x workloads."""
-    with _execution_scope("evaluate", options, runner) as scoped:
-        return evaluate_suite(
-            designs=None if designs is None else [design(d) for d in designs],
-            workloads=None if workloads is None
-            else [workload(w) for w in workloads],
-            library=library(technology),
-            tpu=tpu,
-            runner=scoped,
-        )
+    return evaluate_suite(
+        designs=None if designs is None else [design(d) for d in designs],
+        workloads=None if workloads is None
+        else [workload(w) for w in workloads],
+        library=library(technology),
+        tpu=tpu,
+    )
 
 
 def compare(designs: Sequence[DesignLike],
             workloads: Optional[Sequence[WorkloadLike]] = None, *,
-            technology: TechnologyLike = "rsfq",
-            options: Optional[RunOptions] = None,
-            runner: Optional[JobRunner] = None) -> List[ComparisonColumn]:
+            technology: TechnologyLike = "rsfq") -> List[ComparisonColumn]:
     """Side-by-side scorecards for any set of design points."""
-    with _execution_scope("compare", options, runner) as scoped:
-        return _compare(
-            [design(d) for d in designs],
-            workloads=None if workloads is None
-            else [workload(w) for w in workloads],
-            library=library(technology),
-            runner=scoped,
-        )
+    return _compare(
+        [design(d) for d in designs],
+        workloads=None if workloads is None
+        else [workload(w) for w in workloads],
+        library=library(technology),
+    )
 
 
 def ablate(base: Optional[DesignLike] = None,
            workloads: Optional[Sequence[WorkloadLike]] = None, *,
-           technology: TechnologyLike = "rsfq",
-           options: Optional[RunOptions] = None,
-           runner: Optional[JobRunner] = None) -> List[AblationRow]:
+           technology: TechnologyLike = "rsfq") -> List[AblationRow]:
     """One-factor-at-a-time ablation of a design (default: SuperNPU)."""
-    with _execution_scope("ablate", options, runner) as scoped:
-        return ablation_study(
-            workloads=None if workloads is None
-            else [workload(w) for w in workloads],
-            library=library(technology),
-            base=None if base is None else design(base),
-            runner=scoped,
-        )
+    return ablation_study(
+        workloads=None if workloads is None
+        else [workload(w) for w in workloads],
+        library=library(technology),
+        base=None if base is None else design(base),
+    )
 
 
 def plans() -> List[str]:
@@ -401,9 +286,7 @@ def plan(name: str) -> ExperimentPlan:
     return plan_by_name(name)
 
 
-def run_plan(plan_or_name: Union[str, ExperimentPlan], *,
-             options: Optional[RunOptions] = None,
-             runner: Optional[JobRunner] = None) -> ResultSet:
+def run_plan(plan_or_name: Union[str, ExperimentPlan]) -> ResultSet:
     """Execute a plan (or a registered plan name) through the job engine.
 
     Inherits the ambient runner's cache, parallel fan-out, retry/timeout
@@ -412,13 +295,10 @@ def run_plan(plan_or_name: Union[str, ExperimentPlan], *,
     """
     resolved = plan_by_name(plan_or_name) if isinstance(plan_or_name, str) \
         else plan_or_name
-    with _execution_scope("run_plan", options, runner) as scoped:
-        return _execute_plan(resolved, runner=scoped)
+    return _execute_plan(resolved)
 
 
-def evaluate_grid(plan_or_name: Union[str, ExperimentPlan], *,
-                  options: Optional[RunOptions] = None,
-                  runner: Optional[JobRunner] = None) -> GridEvaluation:
+def evaluate_grid(plan_or_name: Union[str, ExperimentPlan]) -> GridEvaluation:
     """Run a plan and return dense, axis-shaped per-grid result arrays.
 
     The lowered design points still execute through the job engine as
@@ -430,8 +310,7 @@ def evaluate_grid(plan_or_name: Union[str, ExperimentPlan], *,
     """
     resolved = plan_by_name(plan_or_name) if isinstance(plan_or_name, str) \
         else plan_or_name
-    with _execution_scope("evaluate_grid", options, runner) as scoped:
-        return _evaluate_grid(resolved, runner=scoped)
+    return _evaluate_grid(resolved)
 
 
 def paper_workloads() -> List[Network]:

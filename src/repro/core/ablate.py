@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.core.designs import supernpu
-from repro.core.jobs import JobRunner
 from repro.core.plan import (
     ExperimentPlan,
     Grid,
@@ -103,13 +102,12 @@ def ablation_study(
     workloads: Optional[List[Network]] = None,
     library: Optional[CellLibrary] = None,
     base: Optional[NPUConfig] = None,
-    runner: Optional[JobRunner] = None,
 ) -> List[AblationRow]:
     """Run the one-factor ablation; rows sorted by damage, worst first."""
     workloads = workloads if workloads is not None else all_workloads()
     configs = ablated_configs(base)
     plan = ablation_plan(workloads, library, base)
-    resultset = execute(plan, runner=runner)
+    resultset = execute(plan)
 
     means: Dict[str, float] = {}
     for key, config in configs.items():

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from repro.core.jobs import JobRunner, get_runner
+from repro.core.jobs import get_runner
 from repro.core.plan import (
     ExperimentPlan,
     Grid,
@@ -81,23 +81,20 @@ def compare(
     configs: List[NPUConfig],
     workloads: Optional[List[Network]] = None,
     library: Optional[CellLibrary] = None,
-    runner: Optional[JobRunner] = None,
 ) -> List[ComparisonColumn]:
     """Score every config on every workload (Table II / derived batches).
 
     The whole config x workload grid lowers onto one plan, so comparisons
     parallelize and cache per design point.
     """
-    runner = runner or get_runner()
     library = library or library_for(Technology.RSFQ)
     workloads = workloads if workloads is not None else all_workloads()
 
-    resultset = execute(compare_plan(configs, workloads, library),
-                        runner=runner)
+    resultset = execute(compare_plan(configs, workloads, library))
 
     columns: List[ComparisonColumn] = []
     for config in configs:
-        estimate = runner.estimate(config, library)
+        estimate = get_runner().estimate(config, library)
         column = ComparisonColumn(
             config=config,
             frequency_ghz=estimate.frequency_ghz,

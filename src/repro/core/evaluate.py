@@ -15,7 +15,7 @@ from repro.baselines.scalesim import CMOSNPUConfig, TPU_CORE
 from repro.cooling.cryocooler import PAPER_COOLER, Cryocooler
 from repro.errors import UnknownDesignError
 from repro.core.designs import all_designs, design_by_name
-from repro.core.jobs import JobRunner, get_runner
+from repro.core.jobs import get_runner
 from repro.core.metrics import EfficiencyRow, efficiency_row
 from repro.core.plan import (
     ExperimentPlan,
@@ -106,15 +106,13 @@ def evaluate_design(
     config: NPUConfig,
     workloads: Optional[List[Network]] = None,
     library: Optional[CellLibrary] = None,
-    runner: Optional[JobRunner] = None,
 ) -> DesignEvaluation:
     """Simulate every workload on one design point (Table II batches)."""
-    runner = runner or get_runner()
     library = library or library_for(Technology.RSFQ)
     workloads = workloads if workloads is not None else all_workloads()
-    estimate = runner.estimate(config, library)
+    estimate = get_runner().estimate(config, library)
     evaluation = DesignEvaluation(config=config, estimate=estimate)
-    resultset = execute(design_plan(config, workloads, library), runner=runner)
+    resultset = execute(design_plan(config, workloads, library))
     for network, result in zip(workloads, resultset):
         evaluation.runs[network.name] = result.run
         evaluation.power[network.name] = power_report(result.run, estimate)
@@ -155,7 +153,6 @@ def evaluate_suite(
     workloads: Optional[List[Network]] = None,
     library: Optional[CellLibrary] = None,
     tpu: CMOSNPUConfig = TPU_CORE,
-    runner: Optional[JobRunner] = None,
 ) -> EvaluationSuite:
     """Run the whole Fig. 23 comparison.
 
@@ -163,20 +160,18 @@ def evaluate_suite(
     tasks reach the runner as a single list, so ``jobs > 1`` parallelizes
     the entire design x workload grid at once.
     """
-    runner = runner or get_runner()
     library = library or library_for(Technology.RSFQ)
     workloads = workloads if workloads is not None else all_workloads()
     configs = list(designs) if designs is not None else all_designs()
 
-    resultset = execute(evaluate_plan(configs, workloads, library, tpu),
-                        runner=runner)
+    resultset = execute(evaluate_plan(configs, workloads, library, tpu))
     tpu_runs = {
         network.name: result.run
         for network, result in zip(workloads, resultset.select(grid="tpu"))
     }
     design_evals = []
     for config in configs:
-        estimate = runner.estimate(config, library)
+        estimate = get_runner().estimate(config, library)
         evaluation = DesignEvaluation(config=config, estimate=estimate)
         for result in resultset.select(grid="designs", config=config.name):
             evaluation.runs[result.run.network] = result.run

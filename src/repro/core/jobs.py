@@ -45,9 +45,9 @@ and cell libraries keep their canonical JSON text (:mod:`repro.canonical`)
 and a :class:`SimTask` keeps its key, so per-task keying cost no longer
 grows with the size of the network, library and config documents.
 
-The runner is ambient: library code calls :func:`get_runner` (a shared
-serial, cache-less default) and the CLI / API install a configured one
-with :func:`use_runner` or :func:`session`::
+The runner is ambient and per thread: library code calls :func:`get_runner`
+(a shared serial, cache-less default) and the CLI / API / serve install
+a configured one for the calling thread with :func:`use_runner` or :func:`session`::
 
     with session(jobs=4, cache_dir="~/.cache/supernpu") as runner:
         suite = evaluate_suite()          # fans out through the runner
@@ -70,6 +70,7 @@ import time
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, BrokenExecutor, Future, ProcessPoolExecutor, wait
 from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Deque, Dict, Iterator, List, Optional, Sequence, Tuple, Union
@@ -91,6 +92,7 @@ from repro.estimator.uarch_level import UnitEstimate
 from repro.simulator.engine import DesignCharges, charge_designs, simulate
 from repro.simulator.results import ActivityTrace, LayerResult, SimulationResult
 from repro.uarch.config import NPUConfig
+from repro.workloads.layers import is_batch_count
 from repro.workloads.models import Network
 
 #: Bump whenever the simulator, the estimator, or the payload layout
@@ -198,9 +200,11 @@ class SimTask:
     _key: Optional[str] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.batch < 1:
-            raise ConfigError("batch must be positive",
+        if not is_batch_count(self.batch):
+            raise ConfigError("batch must be a positive integer",
                               code="config.invalid_batch", batch=self.batch)
+        if type(self.batch) is not int:  # a numpy integer: key it as the int it is
+            object.__setattr__(self, "batch", int(self.batch))
 
     @property
     def is_cmos(self) -> bool:
@@ -1226,22 +1230,24 @@ class RunResults(List[SimulationResult]):
 # -- the ambient runner ----------------------------------------------------
 
 _DEFAULT_RUNNER = JobRunner()
-_ACTIVE: List[JobRunner] = []
+#: Installed runners, innermost last; each thread and asyncio task has its own.
+_ACTIVE: ContextVar[Tuple[JobRunner, ...]] = ContextVar("repro_jobs_active", default=())
 
 
 def get_runner() -> JobRunner:
-    """The innermost installed runner, or the shared serial default."""
-    return _ACTIVE[-1] if _ACTIVE else _DEFAULT_RUNNER
+    """This thread's innermost installed runner, or the shared serial default."""
+    active = _ACTIVE.get()
+    return active[-1] if active else _DEFAULT_RUNNER
 
 
 @contextmanager
 def use_runner(runner: JobRunner) -> Iterator[JobRunner]:
-    """Install ``runner`` as the ambient runner for the enclosed block."""
-    _ACTIVE.append(runner)
+    """Install ``runner`` as this thread's ambient runner for the enclosed block."""
+    token = _ACTIVE.set(_ACTIVE.get() + (runner,))
     try:
         yield runner
     finally:
-        _ACTIVE.pop()
+        _ACTIVE.reset(token)
 
 
 @contextmanager

@@ -57,7 +57,6 @@ from repro.baselines.scalesim import CMOSNPUConfig
 from repro.core.batching import batch_for, derived_batch, paper_batch
 from repro.canonical import canonical_json
 from repro.core.jobs import (
-    JobRunner,
     SimTask,
     _sha256,
     config_signature,
@@ -316,9 +315,6 @@ class ExperimentPlan:
 
     def lower(self) -> "LoweredPlan":
         return lower(self)
-
-    def run(self, runner: Optional[JobRunner] = None) -> "ResultSet":
-        return execute(self, runner=runner)
 
     def describe(self) -> str:
         """A terminal-friendly summary: grids, axes, counts, hash."""
@@ -618,8 +614,8 @@ def recent_plans() -> List[Tuple[str, str]]:
     return list(_RECENT_PLANS)
 
 
-def execute(plan: ExperimentPlan, runner: Optional[JobRunner] = None) -> ResultSet:
-    """Lower and run a plan through the job engine.
+def execute(plan: ExperimentPlan) -> ResultSet:
+    """Lower and run a plan through the ambient job runner.
 
     Unique simulation tasks go to the runner as one list (so ``jobs > 1``
     fans the entire plan out at once and every point is individually
@@ -627,7 +623,7 @@ def execute(plan: ExperimentPlan, runner: Optional[JobRunner] = None) -> ResultS
     ``runner.estimate``.  Returns provenance-stamped per-point results in
     lowering order.
     """
-    runner = runner or get_runner()
+    runner = get_runner()
     lowered = lower(plan)
 
     unique_tasks = lowered.sim_tasks()
@@ -777,8 +773,7 @@ class GridEvaluation:
         return next(iter(self.grids.values()))
 
 
-def evaluate_grid(plan: ExperimentPlan,
-                  runner: Optional[JobRunner] = None) -> GridEvaluation:
+def evaluate_grid(plan: ExperimentPlan) -> GridEvaluation:
     """Execute a plan and reshape its points onto dense per-grid arrays.
 
     The whole plan still goes through :func:`execute` as one deduplicated
@@ -787,7 +782,7 @@ def evaluate_grid(plan: ExperimentPlan,
     grid-shaped result surface — ``evaluation.grid().array("mac_per_s")``
     instead of a hand-rolled loop over :meth:`ResultSet.select`.
     """
-    resultset = execute(plan, runner=runner)
+    resultset = execute(plan)
     grids: "OrderedDict[str, EvaluatedGrid]" = OrderedDict()
     cursor = 0
     for grid in plan.grids:

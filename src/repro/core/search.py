@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 from repro import obs
-from repro.core.jobs import JobRunner, get_runner
+from repro.core.jobs import get_runner
 from repro.core.optimizer import resource_config
 from repro.core.plan import (
     ExperimentPlan,
@@ -106,7 +106,6 @@ def search(
     workloads: Optional[List[Network]] = None,
     library: Optional[CellLibrary] = None,
     area_budget_mm2: float = AREA_BUDGET_MM2,
-    runner: Optional[JobRunner] = None,
 ) -> List[Candidate]:
     """Exhaustive sweep; returns in-budget candidates, best first.
 
@@ -117,7 +116,6 @@ def search(
     if area_budget_mm2 <= 0:
         raise ConfigError("area budget must be positive",
                           code="config.invalid_budget")
-    runner = runner or get_runner()
     library = library or library_for(Technology.RSFQ)
     workloads = workloads if workloads is not None else all_workloads()
 
@@ -128,8 +126,8 @@ def search(
         entries = []
         for config in configs:
             with obs.trace_span("search/candidate", design=config.name):
-                entries.append((config, runner.estimate(config, library)))
-        resultset = execute(plan, runner=runner)
+                entries.append((config, get_runner().estimate(config, library)))
+        resultset = execute(plan)
         for done, (config, estimate) in enumerate(entries):
             selected = resultset.select(grid="candidates", config=config.name)
             candidates.append(

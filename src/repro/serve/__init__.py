@@ -15,8 +15,8 @@ content-addressed :class:`~repro.core.jobs.ResultCache`):
   (503 / 429 + ``Retry-After``);
 * :mod:`repro.serve.coalesce` — single-flight coalescing of identical
   content-hashed requests (all waiters share one computation);
-* :mod:`repro.serve.engine` — endpoint implementations routed through
-  the job engine, with per-request runners over one shared cache, a
+* :mod:`repro.serve.engine` — endpoints calling the ``repro.api``
+  verbs under a per-request ambient runner over one shared cache, a
   daemon-level degrade latch, and handler-scope chaos injection;
 * :mod:`repro.serve.daemon` — the asyncio server itself: per-request
   deadlines, slow-client timeouts, SIGTERM drain, port-file handshake;

@@ -1,17 +1,19 @@
-"""Endpoint implementations over the job engine.
+"""Endpoints as thin adapters over the ``repro.api`` verbs.
 
 One :class:`ServeEngine` lives for the daemon's whole life and owns the
 shared :class:`~repro.core.jobs.ResultCache`; each request gets its own
-:class:`~repro.core.jobs.JobRunner` over that cache.  Per-request
-runners exist because the ambient-runner stack (``repro.core.jobs``'s
-``use_runner``) is a plain process-global — safe for the CLI's single
-thread, not for concurrent handler threads — while cache writes are
-atomic and therefore safe to share.
+:class:`~repro.core.jobs.JobRunner` over that cache, installed with
+``use_runner`` for the request's handler thread only (the ambient
+runner is per thread).  Cache writes are atomic and therefore safe to
+share; the runner's stats give the request's ``X-Cache-Hits`` /
+``X-Executed`` headers.
 
-Request resolution goes through the ``repro.api`` facade
-(:func:`repro.api.design` / ``workload`` / ``library``), so the daemon
-accepts exactly the design/workload/technology vocabulary the CLI does,
-and bad specs raise the same taxonomy errors.
+Each handler checks the outside input the verbs cannot see (unknown
+params, the batch type, list types) and then calls
+:func:`repro.api.estimate` / ``simulate`` / ``evaluate`` / ``run_plan``,
+so the daemon accepts exactly the design/workload/technology vocabulary
+the CLI does, bad specs raise the same taxonomy errors, and the wire
+records are the CLI's ``--json`` records.
 
 Degradation is latched daemon-wide: once any request's runner degrades
 to serial (two pool deaths), every later runner is built with
@@ -27,17 +29,15 @@ import threading
 from pathlib import Path
 from typing import Any, Dict, Optional, Tuple, Union
 
-from repro import obs
-from repro.core.batching import batch_for
+from repro import api, obs
 from repro.core.chaos import ChaosInjector
-from repro.core.evaluate import evaluate_suite
-from repro.core.jobs import JobRunner, ResultCache, SimTask
-from repro.core.plan import execute as execute_plan, plan_by_name
+from repro.core.jobs import JobRunner, ResultCache, use_runner
 from repro.core.report import estimate_record, simulation_record
 from repro.core.resilience import RetryPolicy
 from repro.errors import ConfigError
 from repro.serve.protocol import success_envelope
 from repro.simulator.power import power_report
+from repro.workloads.layers import is_batch_count
 
 #: Compute endpoints (path → handler suffix); health/stats live in the
 #: daemon because they report admission state the engine cannot see.
@@ -109,14 +109,15 @@ class ServeEngine:
             self.requests_total += 1
         runner = self._runner()
         try:
-            if endpoint == "estimate":
-                body, meta = self._estimate(runner, params)
-            elif endpoint == "simulate":
-                body, meta = self._simulate(runner, params)
-            elif endpoint == "evaluate":
-                body, meta = self._evaluate(runner, params)
-            else:
-                body, meta = self._plan_run(runner, params)
+            with use_runner(runner):
+                if endpoint == "estimate":
+                    body, meta = self._estimate(params)
+                elif endpoint == "simulate":
+                    body, meta = self._simulate(params)
+                elif endpoint == "evaluate":
+                    body, meta = self._evaluate(params)
+                else:
+                    body, meta = self._plan_run(params)
         finally:
             self._absorb_runner(runner)
         meta.setdefault("X-Cache-Hits", str(int(runner.stats.hits)))
@@ -125,7 +126,7 @@ class ServeEngine:
             meta["X-Degraded"] = "1"
         return body, meta
 
-    # -- per-endpoint handlers -----------------------------------------
+    # -- per-endpoint handlers (under the request's ambient runner) -----
     @staticmethod
     def _reject_unknown(params: Dict[str, Any], allowed: Tuple[str, ...],
                         endpoint: str) -> None:
@@ -136,39 +137,28 @@ class ServeEngine:
                 f"allowed: {sorted(allowed)}",
                 code="serve.bad_params", endpoint=endpoint)
 
-    def _estimate(self, runner: JobRunner, params: Dict[str, Any]
-                  ) -> Tuple[str, Dict[str, str]]:
-        from repro import api
-
+    def _estimate(self, params: Dict[str, Any]) -> Tuple[str, Dict[str, str]]:
         self._reject_unknown(params, ("design", "technology"), "estimate")
-        config = api.design(params.get("design", "SuperNPU"))
-        library = api.library(params.get("technology", "rsfq"))
-        estimate = runner.estimate(config, library)
+        estimate = api.estimate(params.get("design", "SuperNPU"),
+                                technology=params.get("technology", "rsfq"))
         return success_envelope("estimate", estimate_record(estimate)), {}
 
-    def _simulate(self, runner: JobRunner, params: Dict[str, Any]
-                  ) -> Tuple[str, Dict[str, str]]:
-        from repro import api
-
+    def _simulate(self, params: Dict[str, Any]) -> Tuple[str, Dict[str, str]]:
         self._reject_unknown(params, ("design", "workload", "batch",
                                       "technology"), "simulate")
         config = api.design(params.get("design", "SuperNPU"))
         network = api.workload(params.get("workload", "mobilenet"))
         library = api.library(params.get("technology", "rsfq"))
         batch = params.get("batch")
-        if batch is not None and (not isinstance(batch, int) or batch < 1):
+        if batch is not None and not is_batch_count(batch):
             raise ConfigError("batch must be a positive integer",
                               code="serve.bad_params", batch=batch)
-        resolved = batch if batch is not None else batch_for(config, network)
-        run = runner.run_one(SimTask(config, network, resolved, library))
-        estimate = runner.estimate(config, library)
+        run = api.simulate(config, network, batch=batch, technology=library)
+        estimate = api.estimate(config, technology=library)
         record = simulation_record(run, power_report(run, estimate))
         return success_envelope("simulate", record), {}
 
-    def _evaluate(self, runner: JobRunner, params: Dict[str, Any]
-                  ) -> Tuple[str, Dict[str, str]]:
-        from repro import api
-
+    def _evaluate(self, params: Dict[str, Any]) -> Tuple[str, Dict[str, str]]:
         self._reject_unknown(params, ("designs", "workloads", "technology"),
                              "evaluate")
         designs = params.get("designs")
@@ -180,13 +170,7 @@ class ServeEngine:
             raise ConfigError("workloads must be a list of workload names",
                               code="serve.bad_params")
         library = api.library(params.get("technology", "rsfq"))
-        suite = evaluate_suite(
-            designs=None if designs is None else [api.design(d) for d in designs],
-            workloads=None if workloads is None
-            else [api.workload(w) for w in workloads],
-            library=library,
-            runner=runner,
-        )
+        suite = api.evaluate(designs, workloads, technology=library)
         data = {
             "speedups": suite.speedups(),
             "designs": [d.config.name for d in suite.designs],
@@ -196,15 +180,14 @@ class ServeEngine:
         }
         return success_envelope("evaluate", data), {}
 
-    def _plan_run(self, runner: JobRunner, params: Dict[str, Any]
-                  ) -> Tuple[str, Dict[str, str]]:
+    def _plan_run(self, params: Dict[str, Any]) -> Tuple[str, Dict[str, str]]:
         self._reject_unknown(params, ("plan",), "plan/run")
         name = params.get("plan")
         if not isinstance(name, str) or not name:
             raise ConfigError("plan/run requires a plan name",
                               code="serve.bad_params",
                               hint="see 'supernpu plan list'")
-        resultset = execute_plan(plan_by_name(name), runner=runner)
+        resultset = api.run_plan(name)
         # Cache temperature (points_cached / points_executed, and the
         # per-record ``cached`` flag) is volatile across otherwise-
         # identical requests, so it rides in headers / gets stripped.

@@ -20,7 +20,6 @@ from repro.uarch.config import NPUConfig
 from repro.workloads.models import Network
 
 if TYPE_CHECKING:  # jobs imports the simulator; avoid the import cycle here
-    from repro.core.jobs import JobRunner
     from repro.core.plan import ExperimentPlan
 
 
@@ -81,11 +80,10 @@ def batch_sweep(
     batches: Sequence[int] = (1, 2, 4, 8, 16, 30),
     estimate: Optional[NPUEstimate] = None,
     library: Optional[CellLibrary] = None,
-    runner: Optional["JobRunner"] = None,
 ) -> List[BatchPoint]:
     """Simulate ``network`` at each batch size.
 
-    The sweep lowers onto a plan executed by the ambient (or given) job
+    The sweep lowers onto a plan executed by the ambient job
     runner, so the per-batch simulations parallelize and cache.  Passing
     an explicit ``estimate`` bypasses the runner: a hand-built estimate
     is not reconstructible from a cache key, so those runs are simulated
@@ -104,8 +102,7 @@ def batch_sweep(
         ]
     from repro.core.plan import execute
 
-    resultset = execute(batch_plan(config, network, batches, library),
-                        runner=runner)
+    resultset = execute(batch_plan(config, network, batches, library))
     return [_point(result.run) for result in resultset]
 
 

@@ -28,6 +28,7 @@ from typing import Optional
 
 from repro.device.cells import CellLibrary
 from repro.estimator.arch_level import NPUEstimate, build_units, estimate_npu, interface_gate_pairs
+from repro.simulator.datapath import build_datapath
 from repro.simulator.memory import MemoryModel, memory_model_for
 from repro.simulator.results import ActivityTrace, LayerResult, SimulationResult
 from repro.uarch.config import NPUConfig
@@ -157,17 +158,7 @@ def simulate_os(
         estimate = estimate_os_npu(config, library)
 
     memory = memory_model_for(config, estimate.frequency_ghz)
-    pe_stages = ProcessingElement(
-        bits=config.data_bits, psum_bits=config.psum_bits
-    ).pipeline_stages
-    from repro.uarch.buffers import ShiftRegisterBuffer
-
-    ifmap_buffer = ShiftRegisterBuffer(
-        config.ifmap_buffer_bytes,
-        io_width=config.pe_array_height,
-        entry_bits=config.data_bits,
-        division=config.ifmap_division,
-    )
+    datapath = build_datapath(config)  # the WS engine's ifmap buffer and MAC pipeline
 
     layers = []
     resident = False
@@ -177,8 +168,8 @@ def simulate_os(
             config,
             batch,
             memory,
-            pe_stages,
-            ifmap_rewind_cycles=ifmap_buffer.rewind_cycles(),
+            datapath.pe.pipeline_stages,
+            ifmap_rewind_cycles=datapath.ifmap_buffer.rewind_cycles(),
             input_resident=resident,
             is_last_layer=index == len(network.layers) - 1,
         )

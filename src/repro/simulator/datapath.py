@@ -1,9 +1,10 @@
 """Shared construction of the simulated datapath components.
 
-``simulate()`` and the execution tracer both need the same buffer / PE
-instances a config implies; building them in one place keeps the engine
-and the trace model structurally identical (which
-``trace.verify_against_engine`` then checks cycle-for-cycle).
+``simulate()``, the execution tracer and the OS ablation's ifmap rewind
+and PE depth all need the same buffer / PE instances a config implies;
+building them in one place keeps the engine and the trace model
+structurally identical (which ``trace.verify_against_engine`` then
+checks cycle-for-cycle).
 """
 
 from __future__ import annotations

@@ -11,6 +11,7 @@ array the same way the paper's workloads do.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 from repro.errors import WorkloadError
@@ -166,10 +167,16 @@ class ConvLayer:
         return self.groups * self.reduction_size * self.output_pixels
 
 
+def is_batch_count(batch: object) -> bool:
+    """A Python / numpy integer of at least one image (never a ``bool`` or float)."""
+    return (isinstance(batch, numbers.Integral) and not isinstance(batch, bool)
+            and batch >= 1)
+
+
 def check_batch(batch: int) -> None:
-    """Reject a batch of fewer than one image."""
-    if batch < 1:
-        raise WorkloadError("batch must be positive",
+    """Reject anything but a positive whole number of images."""
+    if not is_batch_count(batch):
+        raise WorkloadError("batch must be a positive integer",
                             code="workload.invalid_batch", batch=batch)
 
 

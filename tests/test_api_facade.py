@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import threading
+
 import pytest
 
 from repro import api
+from repro.core import jobs
 from repro.core.config_io import config_to_dict, save
 from repro.device.cells import Technology
 from repro.workloads.models import by_name
@@ -132,8 +135,44 @@ def test_api_verbs_use_ambient_runner(tmp_path, tiny_network):
 
 def test_api_accepts_explicit_runner(tiny_network):
     runner = api.JobRunner()
-    api.simulate("baseline", tiny_network, batch=1, runner=runner)
+    with api.use_runner(runner):
+        api.simulate("baseline", tiny_network, batch=1)
     assert runner.stats.tasks == 1
+
+
+def test_ambient_runner_is_per_thread(tiny_network):
+    runners = {3: api.JobRunner(), 5: api.JobRunner()}
+    barrier = threading.Barrier(len(runners))
+    failures = []
+
+    def work(count):
+        try:
+            with api.use_runner(runners[count]):
+                barrier.wait(timeout=60)  # both runners installed at once
+                for batch in range(1, count + 1):
+                    api.simulate("supernpu", tiny_network, batch=batch)
+                barrier.wait(timeout=60)
+        except BaseException as error:  # surfaced by the main thread
+            failures.append(error)
+
+    threads = [threading.Thread(target=work, args=(count,)) for count in runners]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    assert failures == []
+    assert {count: runner.stats.tasks for count, runner in runners.items()} \
+        == {3: 3, 5: 5}
+
+
+def test_thread_without_a_runner_gets_the_default():
+    seen = []
+    with api.session() as runner:
+        thread = threading.Thread(target=lambda: seen.append(api.get_runner()))
+        thread.start()
+        thread.join()
+        assert api.get_runner() is runner
+    assert len(seen) == 1 and seen[0] is jobs._DEFAULT_RUNNER
 
 
 def test_facade_reexports_job_layer():

@@ -1,24 +1,16 @@
-"""The redesigned execution surface of ``repro.api``.
+"""The grid-shaped plan verb of ``repro.api``.
 
-Covers the two API-unification pieces of the batched-solver redesign:
-
-* :class:`repro.api.RunOptions` — one options bundle shared by every
-  verb, replacing the per-verb ``runner=`` keyword (which still works
-  but warns exactly once per verb);
-* :func:`repro.api.evaluate_grid` — the grid-shaped plan verb, proven
-  point-for-point identical to :func:`repro.api.run_plan`.
+:func:`repro.api.evaluate_grid` is proven point-for-point identical to
+:func:`repro.api.run_plan`, and caches through the ambient session.
 """
 
 from __future__ import annotations
-
-import warnings
 
 import numpy as np
 import pytest
 
 from repro import api
 from repro.core.designs import supernpu
-from repro.core.jobs import JobRunner
 from repro.core.plan import (
     ExperimentPlan,
     Grid,
@@ -39,90 +31,6 @@ def tiny_plan(tiny_network, rsfq):
         library_axis((rsfq,)),
     ))
     return ExperimentPlan("tiny", (grid,), description="options test grid")
-
-
-# -- RunOptions -------------------------------------------------------------
-
-def test_run_options_defaults_and_frozen():
-    options = api.RunOptions()
-    assert options.jobs == 1
-    assert options.cache_dir is None
-    assert not options.no_cache
-    assert options.retries == 2
-    assert options.timeout_s is None
-    assert not options.hotspot
-    with pytest.raises(AttributeError):
-        options.jobs = 4  # frozen: one immutable bundle, safely shareable
-
-
-def test_options_and_runner_conflict(supernpu_config):
-    with pytest.raises(ConfigError) as err:
-        api.estimate(supernpu_config,
-                     options=api.RunOptions(),
-                     runner=JobRunner())
-    assert err.value.code == "api.options_conflict"
-
-
-def test_estimate_with_options_matches_plain(supernpu_config):
-    plain = api.estimate(supernpu_config)
-    scoped = api.estimate(supernpu_config, options=api.RunOptions())
-    assert scoped.frequency_ghz == plain.frequency_ghz
-    assert scoped.static_power_w == plain.static_power_w
-
-
-def test_simulate_with_options_matches_plain(supernpu_config, tiny_network):
-    plain = api.simulate(supernpu_config, tiny_network, batch=2)
-    scoped = api.simulate(supernpu_config, tiny_network, batch=2,
-                          options=api.RunOptions())
-    assert scoped.total_cycles == plain.total_cycles
-    assert scoped.mac_per_s == plain.mac_per_s
-
-
-def test_options_cache_dir_caches_results(tmp_path, supernpu_config,
-                                          tiny_network):
-    options = api.RunOptions(cache_dir=tmp_path / "cache")
-    first = api.simulate(supernpu_config, tiny_network, batch=2,
-                         options=options)
-    second = api.simulate(supernpu_config, tiny_network, batch=2,
-                          options=options)
-    assert second.total_cycles == first.total_cycles
-    assert any((tmp_path / "cache").iterdir())  # something was persisted
-
-
-def test_options_no_cache_overrides_cache_dir(tmp_path, supernpu_config,
-                                              tiny_network):
-    options = api.RunOptions(cache_dir=tmp_path / "cache", no_cache=True)
-    api.simulate(supernpu_config, tiny_network, batch=1, options=options)
-    assert not (tmp_path / "cache").exists()
-
-
-def test_options_hotspot_writes_collapsed_stacks(tmp_path, supernpu_config,
-                                                 tiny_network):
-    out = tmp_path / "hotspot.collapsed"
-    api.simulate(supernpu_config, tiny_network, batch=1,
-                 options=api.RunOptions(hotspot=True, hotspot_out=out))
-    assert out.exists()
-
-
-# -- the deprecated runner= keyword -----------------------------------------
-
-def test_runner_kwarg_warns_once_per_verb(supernpu_config):
-    api._RUNNER_DEPRECATION_WARNED.discard("estimate")
-    runner = JobRunner()
-    with pytest.warns(DeprecationWarning, match="runner= keyword"):
-        api.estimate(supernpu_config, runner=runner)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")  # a second warning would raise
-        api.estimate(supernpu_config, runner=runner)
-
-
-def test_runner_kwarg_still_executes(supernpu_config):
-    api._RUNNER_DEPRECATION_WARNED.add("estimate")  # silence, not the point
-    plain = api.estimate(supernpu_config)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        legacy = api.estimate(supernpu_config, runner=JobRunner())
-    assert legacy.frequency_ghz == plain.frequency_ghz
 
 
 # -- evaluate_grid ----------------------------------------------------------
@@ -173,8 +81,9 @@ def test_grid_evaluation_unknown_grid(tiny_plan):
 
 
 def test_evaluate_grid_with_options_and_cache(tmp_path, tiny_plan):
-    options = api.RunOptions(cache_dir=tmp_path / "cache")
-    first = api.evaluate_grid(tiny_plan, options=options)
-    second = api.evaluate_grid(tiny_plan, options=options)
+    with api.session(cache_dir=tmp_path / "cache") as runner:
+        first = api.evaluate_grid(tiny_plan)
+        second = api.evaluate_grid(tiny_plan)
+    assert runner.stats.hits == 3
     np.testing.assert_array_equal(first.grid().array("total_cycles"),
                                   second.grid().array("total_cycles"))

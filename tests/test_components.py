@@ -310,11 +310,11 @@ def test_technology_sweep_distinct_cached_reproducible(tmp_path):
     plan = memory_technology_plan(workloads=(tiny,), widths=(64,))
     assert plan.num_points == len(TECHNOLOGY_PAIRS) == 3
 
-    with jobs.session(cache_dir=tmp_path) as runner:
-        cold = execute(plan, runner=runner)
+    with jobs.session(cache_dir=tmp_path):
+        cold = execute(plan)
         assert cold.points_executed == 3 and cold.points_cached == 0
-    with jobs.session(cache_dir=tmp_path) as runner:
-        warm = execute(plan, runner=runner)
+    with jobs.session(cache_dir=tmp_path):
+        warm = execute(plan)
         assert warm.points_cached == 3 and warm.points_executed == 0
 
     assert cold.plan_hash == warm.plan_hash

@@ -20,7 +20,7 @@ import pytest
 from repro.core.ablate import ablated_configs, ablation_plan, ablation_study
 from repro.core.batching import derived_batch
 from repro.core.designs import baseline, supernpu
-from repro.core.jobs import JobRunner, ResultCache, session, use_runner
+from repro.core.jobs import session
 from repro.core.plan import (
     AxisSpec,
     ExperimentPlan,
@@ -290,9 +290,7 @@ def test_resume_executes_only_remaining_points(tiny_network, rsfq, tmp_path):
     # The retry covers the full plan; only batch 4 is new work.
     with session(cache_dir=cache_dir) as runner:
         resultset = execute(
-            batch_plan(config, tiny_network, batches=(1, 2, 4), library=rsfq),
-            runner=runner,
-        )
+            batch_plan(config, tiny_network, batches=(1, 2, 4), library=rsfq))
     assert resultset.points_total == 3
     assert resultset.points_cached == 2
     assert resultset.points_executed == 1
@@ -305,7 +303,7 @@ def test_warm_cache_reexecutes_nothing(tiny_network, rsfq, tmp_path):
     with session(cache_dir=tmp_path / "cache"):
         cold = execute(plan)
     with session(cache_dir=tmp_path / "cache") as runner:
-        warm = execute(plan, runner=runner)
+        warm = execute(plan)
     assert warm.points_cached == warm.points_total
     assert warm.points_executed == 0
     assert runner.stats.executed == 0

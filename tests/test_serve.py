@@ -14,7 +14,11 @@ import time
 
 import pytest
 
+from repro.cli import main
 from repro.core.chaos import ChaosInjector, FaultSpec
+from repro.core.designs import supernpu
+from repro.core.evaluate import evaluate_suite
+from repro.core.plan import execute, plan_by_name
 from repro.errors import (
     CacheError,
     ConfigError,
@@ -34,6 +38,7 @@ from repro.serve.protocol import (
     status_for_error,
     success_envelope,
 )
+from repro.workloads.models import mobilenet
 
 
 # -- token buckets (injected clock: no sleeping, no flakes) ---------------
@@ -178,9 +183,56 @@ def test_engine_rejects_unknown_endpoint_and_params(tmp_path):
     with pytest.raises(ConfigError) as excinfo:
         engine.handle("estimate", {"design": "SuperNPU", "librarry": "rsfq"})
     assert excinfo.value.code == "serve.bad_params"
-    with pytest.raises(ConfigError):
-        engine.handle("simulate", {"batch": -1})
+    for batch in (-1, 0, 2.5, 2.0, True, "2"):
+        with pytest.raises(ConfigError) as excinfo:
+            engine.handle("simulate", {"batch": batch})
+        assert excinfo.value.code == "serve.bad_params"
     assert "plan/run" in ENDPOINTS
+
+
+# -- the front ends agree ---------------------------------------------------
+
+def _cli_json_data(capsys, argv):
+    assert main(argv + ["--json"]) == 0
+    return json.loads(capsys.readouterr().out)["data"]
+
+
+def test_serve_bodies_match_the_cli_and_the_core_calls(capsys):
+    """One computation, one record: serve's wire ``data`` is what the CLI's
+    ``--json`` prints, and what the core functions return."""
+    engine = ServeEngine(cache_dir=None, jobs=1)
+
+    body, _ = engine.handle("estimate", {"design": "Baseline",
+                                         "technology": "ersfq"})
+    assert json.loads(body)["data"] == _cli_json_data(
+        capsys, ["estimate", "baseline", "--technology", "ersfq"])
+
+    body, _ = engine.handle("simulate", {"design": "Baseline",
+                                         "workload": "mobilenet", "batch": 2,
+                                         "technology": "ersfq"})
+    assert json.loads(body)["data"] == _cli_json_data(
+        capsys, ["simulate", "baseline", "mobilenet", "--batch", "2",
+                 "--technology", "ersfq"])
+
+    body, _ = engine.handle("evaluate", {"designs": ["SuperNPU"],
+                                         "workloads": ["mobilenet"]})
+    suite = evaluate_suite(designs=[supernpu()], workloads=[mobilenet()])
+    assert body == success_envelope("evaluate", {
+        "speedups": suite.speedups(),
+        "designs": ["SuperNPU"],
+        "workloads": ["MobileNet"],
+        "mean_mac_per_s": {"SuperNPU": suite.designs[0].mean_mac_per_s},
+    })
+
+    body, _ = engine.handle("plan/run", {"plan": "cooling_sensitivity"})
+    resultset = execute(plan_by_name("cooling_sensitivity"))
+    assert body == success_envelope("plan/run", {
+        "plan": "cooling_sensitivity",
+        "plan_hash": resultset.plan_hash,
+        "points_total": resultset.points_total,
+        "records": [{k: v for k, v in record.items() if k != "cached"}
+                    for record in resultset.records()],
+    })
 
 
 # -- the daemon, end to end -----------------------------------------------

@@ -125,9 +125,9 @@ def test_each_sub_document_renders_once_and_each_task_is_keyed_once(
         return original_key(task)
 
     monkeypatch.setattr(jobs.SimTask, "key", counted_key)
-    with jobs.session(cache_dir=tmp_path) as runner:
-        cold = plan.execute(experiment, runner=runner)
-        warm = plan.execute(experiment, runner=runner)
+    with jobs.session(cache_dir=tmp_path):
+        cold = plan.execute(experiment)
+        warm = plan.execute(experiment)
     assert renders == {"config_signature": 2, "workload_signature": 1,
                        "library_fingerprint": 1}
     # Lowering keys each of the 2 x 4 tasks; the runner reuses those keys.
@@ -182,10 +182,10 @@ def test_fresh_estimate_matches_a_decoded_one_bitwise(supernpu_config):
 def test_table3_power_is_bitwise_equal_cold_and_warm(tmp_path):
     table3 = plan.plan_by_name("table3_power")
     points = plan.lower(table3).points
+    with jobs.session(cache_dir=tmp_path):
+        cold = plan.execute(table3)
     with jobs.session(cache_dir=tmp_path) as runner:
-        cold = plan.execute(table3, runner=runner)
-    with jobs.session(cache_dir=tmp_path) as runner:
-        warm = plan.execute(table3, runner=runner)
+        warm = plan.execute(table3)
         assert runner.stats.executed == 0
     drifted, compared = [], 0
     for point, cold_result, warm_result in zip(points, cold, warm):
@@ -205,13 +205,13 @@ def test_table3_power_is_bitwise_equal_cold_and_warm(tmp_path):
 
 def test_plan_cached_flags_follow_the_runners_lookups(tmp_path):
     fig23 = plan.plan_by_name("fig23_evaluate")
-    with jobs.session(cache_dir=tmp_path) as runner:
-        plan.execute(fig23, runner=runner)
+    with jobs.session(cache_dir=tmp_path):
+        plan.execute(fig23)
     victim = plan.lower(fig23).points[10].key
     corrupt_cache_entry(jobs.ResultCache(tmp_path), victim, mode="truncate")
 
     with jobs.session(cache_dir=tmp_path) as runner:
-        rerun = plan.execute(fig23, runner=runner)
+        rerun = plan.execute(fig23)
     assert runner.stats.executed == 1
     assert rerun.points_executed == 1
     assert rerun.points_cached == rerun.points_total - 1
@@ -222,10 +222,10 @@ def test_estimate_points_report_the_runners_lookup(tmp_path, rsfq):
     grid = plan.Grid("nodes", (plan.config_axis((supernpu(),)), plan.library_axis((rsfq,))),
                      kind="estimate")
     experiment = plan.ExperimentPlan("est", (grid,))
-    with jobs.session(cache_dir=tmp_path) as runner:
-        cold = plan.execute(experiment, runner=runner)
-    with jobs.session(cache_dir=tmp_path) as runner:
-        warm = plan.execute(experiment, runner=runner)
+    with jobs.session(cache_dir=tmp_path):
+        cold = plan.execute(experiment)
+    with jobs.session(cache_dir=tmp_path):
+        warm = plan.execute(experiment)
     assert (cold.points_cached, cold.points_executed) == (0, 1)
     assert (warm.points_cached, warm.points_executed) == (1, 0)
     assert [r.cached for r in warm] == [True]
