@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List
+from typing import TYPE_CHECKING, Dict, List, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import, avoids a cycle
     from repro.components.base import ComponentEstimator
@@ -218,6 +218,30 @@ class NPUEstimate:
                 + link.action_energy_j("transfer", num_bytes))
 
 
+def chip_clock(units: Dict[str, Unit], library: CellLibrary,
+               interface_distance_mm: float = INTERFACE_DISTANCE_MM,
+               cycle_time_ps: float = 0.0, critical: str = "") -> Tuple[float, str]:
+    """The chip's cycle time (ps) and critical-path label: the slowest of
+    the units' intra-unit pairs, the interface pairs and the constraint
+    ``cycle_time_ps`` / ``critical`` the caller starts from (the OS PE's
+    for the dataflow ablation); ties keep the earlier one."""
+    for name, unit in units.items():
+        try:
+            report = unit.frequency(library)
+        except ValueError:
+            continue
+        if report.cycle_time_ps > cycle_time_ps:
+            cycle_time_ps = report.cycle_time_ps
+            pair = report.critical_pair
+            critical = f"{name}: {pair.label or f'{pair.src}->{pair.dst}'}"
+    for pair in interface_gate_pairs(interface_distance_mm):
+        constraint = pair.resolve(library)
+        if constraint.cycle_time_ps > cycle_time_ps:
+            cycle_time_ps = constraint.cycle_time_ps
+            critical = pair.label
+    return cycle_time_ps, critical
+
+
 def estimate_npu(
     config: NPUConfig,
     library: CellLibrary,
@@ -234,24 +258,7 @@ def estimate_npu(
                 estimates[name] = estimate_unit(unit, library, name)
         obs.counter("estimator.units_estimated").add(len(estimates))
 
-        # Chip clock: slowest of all intra-unit pairs and the inter-unit pairs.
-        worst_cct = 0.0
-        critical = ""
-        for name, unit in units.items():
-            try:
-                report = unit.frequency(library)
-            except ValueError:
-                continue
-            if report.cycle_time_ps > worst_cct:
-                worst_cct = report.cycle_time_ps
-                pair = report.critical_pair
-                critical = f"{name}: {pair.label or f'{pair.src}->{pair.dst}'}"
-        for pair in interface_gate_pairs(interface_distance_mm):
-            constraint = pair.resolve(library)
-            if constraint.cycle_time_ps > worst_cct:
-                worst_cct = constraint.cycle_time_ps
-                critical = pair.label
-
+        worst_cct, critical = chip_clock(units, library, interface_distance_mm)
         wiring = _interface_wiring_counts(config, interface_distance_mm)
         obs.counter("estimator.designs_estimated").inc()
         return NPUEstimate(

@@ -1,10 +1,11 @@
 """Shared construction of the simulated datapath components.
 
-``simulate()``, the execution tracer and the OS ablation's ifmap rewind
-and PE depth all need the same buffer / PE instances a config implies;
-building them in one place keeps the engine and the trace model
-structurally identical (which ``trace.verify_against_engine`` then
-checks cycle-for-cycle).
+Both dataflows' array passes (:mod:`repro.simulator.kernel`) and the
+execution tracer read the buffers, PE, ifmap rewind and psum per-move
+charge a config implies from one :class:`Datapath`, computed here once;
+only the scalar golden reference
+(:func:`~repro.simulator.engine.simulate_layer`) derives the charges from
+the buffers itself.
 """
 
 from __future__ import annotations
@@ -25,6 +26,8 @@ class Datapath:
     output_buffer: Union[ShiftRegisterBuffer, IntegratedOutputBuffer]
     psum_buffer: Optional[ShiftRegisterBuffer]
     pe: ProcessingElement
+    rewind_cycles: int  # ifmap re-alignment per mapping after the first (Fig. 16 (2))
+    per_move_cycles: int  # one psum move, ofmap <-> psum buffer (Fig. 16 (1)); 0 if integrated
 
 
 def build_datapath(config: NPUConfig) -> Datapath:
@@ -62,9 +65,15 @@ def build_datapath(config: NPUConfig) -> Datapath:
         psum_bits=config.psum_bits,
         registers=config.registers_per_pe,
     )
+    per_move = 0
+    if psum_buffer is not None:
+        per_move = (psum_buffer.chunk_length_entries
+                    + output_buffer.chunk_length_entries)
     return Datapath(
         ifmap_buffer=ifmap_buffer,
         output_buffer=output_buffer,
         psum_buffer=psum_buffer,
         pe=pe,
+        rewind_cycles=ifmap_buffer.rewind_cycles(),
+        per_move_cycles=per_move,
     )

@@ -23,9 +23,10 @@ The same engine simulates every design point; only the
 :class:`~repro.uarch.config.NPUConfig` changes.
 
 :func:`simulate` charges a whole network in one array pass
-(:mod:`repro.simulator.kernel`); :func:`charge_designs` charges several
-design points of one network in one pass, and :func:`simulate` then builds
-each point's result from its part.
+(:func:`repro.simulator.kernel.charge_network`, whose OS twin serves
+:mod:`repro.simulator.dataflow_ablation`); :func:`charge_designs` charges
+several design points of one network in one pass, and :func:`simulate`
+then builds each point's result from its part.
 :func:`simulate_layer` charges one layer by walking its mapping tiles; it is
 the scalar golden reference the array pass is tested against, bit for bit.
 """

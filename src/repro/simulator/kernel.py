@@ -1,31 +1,33 @@
 """The cycle model as one array pass over design points x a network's layers.
 
-:func:`repro.simulator.engine.simulate` charges all layers of a network at
-once, and :func:`~repro.simulator.engine.charge_designs` does so for
-several design points of one network together.  Every charge of
-:func:`~repro.simulator.engine.simulate_layer` — the scalar golden
-reference, which walks the tiles of
-:func:`~repro.simulator.mapping.map_layer` — is written here as an
-elementwise int64 expression over ``(D, 1)`` config columns and the
-network's ``(L,)`` :class:`LayerTable` columns.
+One kernel charges both dataflows over a network's :class:`LayerTable`:
+:func:`charge_network` the weight-stationary (WS) array, and
+:func:`charge_network_os` the output-stationary (OS) ablation of
+:mod:`repro.simulator.dataflow_ablation`.  Each charge is an elementwise
+int64 expression over ``(D, 1)`` config columns and the table's ``(L,)``
+layer columns; residency, the DRAM ceiling and the ``max(on_chip, dram)``
+tail are shared (:func:`_layer_rows`).
 
-A layer's mapping has at most four *tile classes*: a full (``height``-row)
-or remainder row tile, crossed with a full (``width`` x ``registers``) or
-remainder column tile.  Each class stands for a known number of identical
-mappings, and a column class's row tiles have rows summing to the
-reduction size, so a sum over tiles is one closed form per column class
-and no :class:`~repro.simulator.mapping.MappingTile` is built.  Residency is not a
-real scan either: whether a layer's output stays on chip depends on that
-layer alone, so the next layer's ``input_resident`` is the same array
-shifted down by one.
+Every WS charge of :func:`~repro.simulator.engine.simulate_layer` — the
+scalar golden reference, which walks the tiles of
+:func:`~repro.simulator.mapping.map_layer` — is written here in closed
+form.  A layer's WS mapping has at most four *tile classes*: a full
+(``height``-row) or remainder row tile, crossed with a full (``width`` x
+``registers``) or remainder column tile.  Each class stands for a known
+number of identical mappings, and a column class's row tiles have rows
+summing to the reduction size, so a sum over tiles is one closed form per
+column class and no :class:`~repro.simulator.mapping.MappingTile` is
+built.  Residency is not a real scan either: whether a layer's output
+stays on chip depends on that layer alone, so the next layer's
+``input_resident`` is the same array shifted down by one.
 
-Integer charges are exact int64 arithmetic, so they equal the scalar
-engine's Python ints as long as nothing reaches :data:`EXACT_LIMIT`, which
-:func:`charge_network` checks per design before computing.  The float steps keep the
+Integer charges are exact int64 arithmetic, so they equal Python ints as
+long as nothing reaches :data:`EXACT_LIMIT`, which each pass checks per
+design, with its own bound, before computing.  The float steps keep the
 scalar order: DRAM and activation-transfer cycles are float64 ceilings of
-the same quotients, each activity unit is a left fold over layers in layer
-order, and each ``(design, layer)`` ``dau`` term is the reference's fold over tiles
-(see :func:`_dau_cycles`).
+the same quotients, each WS activity unit is a left fold over layers in
+layer order, and each ``(design, layer)`` ``dau`` term is the reference's
+fold over tiles (see :func:`_dau_cycles`).
 """
 
 from __future__ import annotations
@@ -75,8 +77,8 @@ class LayerTable:
     """The shape terms the cycle model reads, one int64 entry per layer.
 
     Built once per network (:attr:`repro.workloads.models.Network.layer_table`).
-    The three ``*_bound`` fields are Python-int maxima over the layers from
-    which :func:`charge_network` bounds every charge of a run.
+    The four ``*_bound`` fields are Python-int maxima over the layers from
+    which each charge pass bounds every charge of a run.
     """
 
     names: Tuple[str, ...]
@@ -95,6 +97,8 @@ class LayerTable:
     traffic_bound: int
     #: max over layers of ``weights``.
     weight_bound: int
+    #: max over layers of ``ofmap``: the per-image outputs.
+    output_bound: int
 
     @classmethod
     def of(cls, layers: Sequence[ConvLayer]) -> "LayerTable":
@@ -107,6 +111,7 @@ class LayerTable:
         on_chip = max(2 * row[8] + row[5] for row in rows)
         traffic = max(row[4] * (row[1] + 1) + row[5] for row in rows)
         weights = max(row[6] for row in rows)
+        outputs = max(row[5] for row in rows)
         # Every column entry is at most one of these bounds.
         if max(on_chip, traffic, weights) >= EXACT_LIMIT:
             raise _overflow(1, max(on_chip, traffic, weights))
@@ -114,49 +119,72 @@ class LayerTable:
         columns.setflags(write=False)
         return cls(tuple(layer.name for layer in layers), *columns,
                    on_chip_bound=on_chip, traffic_bound=traffic,
-                   weight_bound=weights)
+                   weight_bound=weights, output_bound=outputs)
 
 
-#: One design point of a :func:`charge_network` pass: its config, batch,
-#: memory model and datapath.
+#: One design point of a charge pass: its config, batch, memory model and
+#: datapath.
 Design = Tuple[NPUConfig, int, MemoryModel, Datapath]
 
 
-def _design_columns(table: LayerTable, designs: Sequence[Design]):
+def _ws_bounds(table: LayerTable, batch: int, config: NPUConfig,
+               datapath: Datapath) -> Tuple[int, int]:
+    """Upper bounds on any layer's WS on-chip cycles and DRAM bytes.
+
+    Mappings never outnumber weights, a mapping's fill, rewind and psum
+    charges are bounded by the config terms below, and the streamed
+    cycles are at most twice the layer's MACs.
+    """
+    per_weight = (config.pe_array_height + 2 * config.pe_array_width
+                  + datapath.pe.pipeline_stages + 2 + datapath.rewind_cycles
+                  + datapath.per_move_cycles)
+    return (batch * table.on_chip_bound + table.weight_bound * per_weight,
+            table.weight_bound + batch * table.traffic_bound)
+
+
+def _os_bounds(table: LayerTable, batch: int, config: NPUConfig,
+               datapath: Datapath) -> Tuple[int, int]:
+    """Upper bounds on any layer's OS on-chip cycles and DRAM bytes.
+
+    A layer has ``ceil(E*F*B / height) * ceil(K / width) * groups`` output
+    tiles, at most ``B * ofmap / height + K * groups``, so at most
+    ``tiles`` below.  ``reduction`` times that count is at most
+    ``B * macs / height + weights``, so at most ``streamed``: a bound on
+    the streamed reduction cycles, and on half the weight bytes streamed
+    over all tiles.  Fill, drain, weight load and rewind are per tile.
+    """
+    height = config.pe_array_height
+    tiles = -(-batch * table.output_bound // height) + table.output_bound
+    streamed = -(-batch * table.on_chip_bound // height) + table.weight_bound
+    per_tile = datapath.pe.pipeline_stages + 2 * height + datapath.rewind_cycles
+    return (streamed + tiles * per_tile,
+            2 * streamed + batch * table.traffic_bound)
+
+
+def _design_columns(table: LayerTable, designs: Sequence[Design], bounds):
     """The config terms of ``designs`` as ``(D, 1)`` columns (scalars for
     one design).
 
     Returns eleven int64 columns (from one ``np.array`` call), the float64
     DRAM bytes per cycle, and whether each design has a psum buffer.
-    Checks every design against :data:`EXACT_LIMIT` first, in Python ints.
+    Checks every design against :data:`EXACT_LIMIT` first, in Python ints,
+    with the pass's ``bounds`` (:func:`_ws_bounds` or :func:`_os_bounds`).
     """
     rows = []
     per_cycle = []
     has_psum = []
     for config, batch, memory, datapath in designs:
-        height = config.pe_array_height
-        width = config.pe_array_width
-        pe_stages = datapath.pe.pipeline_stages
-        rewind = datapath.ifmap_buffer.rewind_cycles()
-        per_move = 0
-        if datapath.psum_buffer is not None:
-            per_move = (datapath.psum_buffer.chunk_length_entries
-                        + datapath.output_buffer.chunk_length_entries)
-
-        # Mappings never outnumber weights, a mapping's fill, rewind and
-        # psum charges are bounded by the config terms below, and the
-        # streamed cycles are at most twice the layer's MACs.
-        per_weight = height + 2 * width + pe_stages + 2 + rewind + per_move
-        on_chip = batch * table.on_chip_bound + table.weight_bound * per_weight
-        traffic_bytes = table.weight_bound + batch * table.traffic_bound
+        on_chip, traffic_bytes = bounds(table, batch, config, datapath)
         bound = max(on_chip, traffic_bytes / memory.bytes_per_cycle + 1)
         if bound >= EXACT_LIMIT:
             raise _overflow(batch, bound)
 
         # Every byte count compared with a buffer size is below the limit,
         # so capping the sizes there keeps each comparison and int64 safe.
-        rows.append((height, width, config.registers_per_pe, pe_stages, rewind,
-                     per_move, min(config.ifmap_buffer_bytes, EXACT_LIMIT),
+        rows.append((config.pe_array_height, config.pe_array_width,
+                     config.registers_per_pe, datapath.pe.pipeline_stages,
+                     datapath.rewind_cycles, datapath.per_move_cycles,
+                     min(config.ifmap_buffer_bytes, EXACT_LIMIT),
                      min(config.output_buffer_bytes, EXACT_LIMIT),
                      config.ifmap_division, config.output_division, batch))
         per_cycle.append(memory.bytes_per_cycle)
@@ -170,11 +198,38 @@ def _design_columns(table: LayerTable, designs: Sequence[Design]):
     return columns.T[:, :, np.newaxis], per_cycle[:, np.newaxis], has_psum
 
 
+def _layer_rows(phases, traffic, ifmap_bytes, ofmap_bytes, output_buffer,
+                bytes_per_cycle, macs) -> List[List[List[int]]]:
+    """Per design, one row of Python ints per layer, in
+    :class:`~repro.simulator.results.LayerResult` field order after ``name``.
+
+    ``phases`` are the on-chip charges (mappings, weight load, ifmap prep,
+    psum move, activation transfer, compute) and ``traffic`` the DRAM
+    bytes besides the activations, which move only when not resident.  A
+    layer takes ``max(on_chip, dram)`` cycles (double-buffered DMA).
+    """
+    output_resident = ofmap_bytes <= output_buffer
+    output_resident[..., -1] = False  # the last layer's output goes to DRAM
+    input_resident = np.zeros_like(output_resident)
+    input_resident[..., 1:] = output_resident[..., :-1]
+    traffic = (traffic + np.where(input_resident, 0, ifmap_bytes)
+               + np.where(output_resident, 0, ofmap_bytes))
+
+    _, weight_load, ifmap_prep, psum_move, activation, compute = phases
+    on_chip = weight_load + ifmap_prep + psum_move + compute + activation
+    dram = np.ceil(traffic / bytes_per_cycle).astype(np.int64)
+    charges = np.array((*phases, traffic, dram, np.maximum(on_chip, dram), macs))
+    if charges.ndim == 2:  # one design, without the design axis
+        charges = charges[:, np.newaxis]
+    # (10, D, L) -> (D, L, 10): per design, one row per layer.
+    return charges.transpose(1, 2, 0).tolist()
+
+
 def charge_network(
     table: LayerTable, designs: Sequence[Design],
 ) -> Tuple[List[List[List[int]]], List[Dict[str, float]]]:
-    """Every layer's charges, and each run's activity, for several designs
-    of one network in one array pass.
+    """Every layer's weight-stationary charges, and each run's activity,
+    for several designs of one network in one array pass.
 
     The config terms are ``(D, 1)`` columns against the table's ``(L,)``
     layer columns, so every charge is a ``(D, L)`` array.  The arithmetic
@@ -182,19 +237,18 @@ def charge_network(
     along ``axis=-1``): a single design passes its terms as scalars and
     runs the same code on ``(L,)`` arrays.
 
-    Returns, per design, one row of Python ints per layer, in
-    :class:`~repro.simulator.results.LayerResult` field order after
-    ``name`` (mappings, weight load, ifmap prep, psum move, activation
-    transfer, compute, DRAM traffic, DRAM cycles, total, MACs), and the
-    effective activity cycles per unit in sorted-unit order.  Both are
-    bitwise what a loop of :func:`~repro.simulator.engine.simulate_layer`
-    produces for that design alone.
+    Returns, per design, the :func:`_layer_rows` (mappings, weight load,
+    ifmap prep, psum move, activation transfer, compute, DRAM traffic,
+    DRAM cycles, total, MACs), and the effective activity cycles per unit
+    in sorted-unit order.  Both are bitwise what a loop of
+    :func:`~repro.simulator.engine.simulate_layer` produces for that
+    design alone.
 
     Raises:
         SimulationError: ``simulation.charge_overflow`` when some charge
             of some design could reach :data:`EXACT_LIMIT`.
     """
-    columns, bytes_per_cycle, has_psum = _design_columns(table, designs)
+    columns, bytes_per_cycle, has_psum = _design_columns(table, designs, _ws_bounds)
     (height, width, registers, pe_stages, rewind, per_move, ifmap_buffer,
      output_buffer, ifmap_division, output_division, batch) = columns
 
@@ -233,23 +287,11 @@ def charge_network(
     ifmap_fits = ((ifmap_bytes <= ifmap_buffer)
                   & (table.channels * batch <= height * ifmap_division))
     refetch = np.where(ifmap_fits, 1, col_tiles)
-    output_resident = ofmap_bytes <= output_buffer
-    output_resident[..., -1] = False
-    input_resident = np.zeros_like(output_resident)
-    input_resident[..., 1:] = output_resident[..., :-1]
-    traffic = (table.weights
-               + np.where(input_resident, 0, ifmap_bytes)
-               + ifmap_bytes * (refetch - 1)
-               + np.where(output_resident, 0, ofmap_bytes))
-
-    on_chip_cycles = weight_load + ifmap_prep + psum_move + compute + activation
-    dram = np.ceil(traffic / bytes_per_cycle).astype(np.int64)
-    total = np.maximum(on_chip_cycles, dram)
     macs = table.macs * batch
-
-    charges = np.array(
-        (mappings, weight_load, ifmap_prep, psum_move, activation, compute,
-         traffic, dram, total, macs))
+    rows = _layer_rows(
+        (mappings, weight_load, ifmap_prep, psum_move, activation, compute),
+        table.weights + ifmap_bytes * (refetch - 1), ifmap_bytes, ofmap_bytes,
+        output_buffer, bytes_per_cycle, macs)
 
     array_activity = macs / (height * width)
     dau = _dau_cycles(full_count * vectors * registers,
@@ -262,15 +304,45 @@ def charge_network(
         (dau, (compute + ifmap_prep) / ifmap_division, array_activity,
          compute / output_division + psum_move, array_activity, psum_move,
          weight_load), dtype=np.float64), axis=-1)[..., -1]
-    if charges.ndim == 2:  # one design, without the design axis
-        charges, folded = charges[:, np.newaxis], folded[:, np.newaxis]
+    if folded.ndim == 1:  # one design, without the design axis
+        folded = folded[:, np.newaxis]
     activity = [
         {unit: value for unit, value in zip(units, totals)
          if psum or unit != "psum_buffer"}
         for totals, psum in zip(folded.T.tolist(), has_psum)
     ]
-    # (10, D, L) -> (D, L, 10): per design, one row per layer.
-    return charges.transpose(1, 2, 0).tolist(), activity
+    return rows, activity
+
+
+def charge_network_os(
+    table: LayerTable, designs: Sequence[Design],
+) -> List[List[List[int]]]:
+    """Every layer's output-stationary charges, per design the
+    :func:`_layer_rows`, for several designs of one network in one pass.
+
+    A tile of ``height x width`` outputs stays in the PEs while the whole
+    reduction streams through: ``ceil(E*F*B / height) * ceil(K / width) *
+    groups`` tiles, each charged ``reduction + pe_stages`` compute cycles,
+    a ``height``-cycle drain (as activation transfer, the last layer's
+    too), an ifmap rewind (but the first) and ``min(reduction, height) *
+    min(K, width)`` weight bytes, re-streamed per tile and loaded one per
+    column per cycle.  Accumulation is in place: no psum movement, and no
+    WS ifmap refetch.
+
+    Raises:
+        SimulationError: ``simulation.charge_overflow`` when some charge
+            of some design could reach :data:`EXACT_LIMIT`.
+    """
+    columns, bytes_per_cycle, _ = _design_columns(table, designs, _os_bounds)
+    height, width, _, pe_stages, rewind, _, _, output_buffer, _, _, batch = columns
+
+    tiles = (-(-table.pixels * batch // height)) * (-(-table.filters // width)) * table.groups
+    weight_tile = np.minimum(table.reduction, height) * np.minimum(table.filters, width)
+    phases = (tiles, tiles * -(-weight_tile // width), (tiles - 1) * rewind,
+              np.zeros_like(tiles), tiles * height, tiles * (table.reduction + pe_stages))
+    return _layer_rows(phases, tiles * weight_tile, table.ifmap * batch,
+                       table.ofmap * batch, output_buffer, bytes_per_cycle,
+                       table.macs * batch)
 
 
 def _dau_cycles(full_tile: np.ndarray, rem_tile: np.ndarray, full_rows: np.ndarray,

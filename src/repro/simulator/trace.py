@@ -11,11 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List
 
-from repro.estimator.arch_level import estimate_npu
 from repro.simulator.datapath import build_datapath
 from repro.simulator.kernel import tile_charges
 from repro.simulator.mapping import map_layer
-from repro.simulator.memory import memory_model_for
 from repro.uarch.config import NPUConfig
 from repro.workloads.layers import ConvLayer, check_batch
 
@@ -50,21 +48,19 @@ def trace_layer(
 ) -> List[TraceEvent]:
     """The serialized phase timeline of one layer's weight mappings.
 
-    Mirrors the engine's cycle charges exactly (weight fill, rewind before
+    Serializes the engine's cycle charges (weight fill, rewind before
     every mapping after the first, compute, psum movement after
-    accumulating tiles); the last event's ``end_cycle`` equals the layer's
-    on-chip cycle count.
+    accumulating tiles), each read from the same
+    :func:`~repro.simulator.kernel.tile_charges` and
+    :class:`~repro.simulator.datapath.Datapath` the array kernel charges
+    from; the last event's ``end_cycle`` is the sum of the layer's
+    weight-load, ifmap-prep, compute and psum-move cycles.
     """
     check_batch(batch)
     mapping = map_layer(layer, config)
     datapath = build_datapath(config)
-    ifmap_buffer = datapath.ifmap_buffer
-    psum_move = 0
-    if datapath.psum_buffer is not None:
-        psum_move = (
-            datapath.psum_buffer.chunk_length_entries
-            + datapath.output_buffer.chunk_length_entries
-        )
+    rewind = datapath.rewind_cycles
+    psum_move = datapath.per_move_cycles
     pe_stages = datapath.pe.pipeline_stages
 
     vectors = layer.output_pixels * batch
@@ -79,7 +75,6 @@ def trace_layer(
             events.append(TraceEvent(index, "weight_load", cycle, cycle + load))
             cycle += load
             if index > 0:
-                rewind = ifmap_buffer.rewind_cycles()
                 events.append(TraceEvent(index, "ifmap_rewind", cycle, cycle + rewind))
                 cycle += rewind
             events.append(TraceEvent(index, "compute", cycle, cycle + compute))
@@ -109,35 +104,3 @@ def trace_to_csv(events: List[TraceEvent]) -> str:
             f"{event.start_cycle},{event.end_cycle},{event.duration}"
         )
     return "\n".join(lines) + "\n"
-
-
-def verify_against_engine(
-    layer: ConvLayer,
-    config: NPUConfig,
-    batch: int = 1,
-) -> bool:
-    """The trace's phase totals must equal the engine's cycle charges."""
-    from repro.simulator.engine import simulate_layer
-    from repro.simulator.results import ActivityTrace
-
-    estimate = estimate_npu(config, _default_library())
-    memory = memory_model_for(config, estimate.frequency_ghz)
-    datapath = build_datapath(config)
-    result, _ = simulate_layer(
-        layer, config, batch, memory, datapath.ifmap_buffer,
-        datapath.output_buffer, datapath.psum_buffer, datapath.pe,
-        ActivityTrace(), input_resident=True, is_last_layer=True,
-    )
-    summary = trace_summary(trace_layer(layer, config, batch))
-    return (
-        summary["weight_load"] == result.weight_load_cycles
-        and summary["ifmap_rewind"] == result.ifmap_prep_cycles
-        and summary["compute"] == result.compute_cycles
-        and summary["psum_move"] == result.psum_move_cycles
-    )
-
-
-def _default_library():
-    from repro.device.cells import rsfq_library
-
-    return rsfq_library()

@@ -11,7 +11,7 @@ a weight write-back:
   standard dilated-gradient approximation for strided layers);
 * **weight-gradient** (dW = X * dY) — the same MAC volume as the forward
   pass with the same tiling, re-streaming activations per filter tile:
-  modeled as a second forward-shaped pass;
+  modeled as a second forward-shaped pass, charged as the forward pass;
 * **weight update** — every weight streams DRAM -> array-edge adder ->
   DRAM once.
 
@@ -21,7 +21,8 @@ The result reports per-phase cycles so the training/inference cost ratio
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import copy
+from dataclasses import dataclass, replace
 from typing import Dict, Optional
 
 from repro.device.cells import CellLibrary
@@ -30,7 +31,7 @@ from repro.simulator.engine import simulate
 from repro.simulator.memory import memory_model_for
 from repro.simulator.results import SimulationResult
 from repro.uarch.config import NPUConfig
-from repro.workloads.layers import ConvLayer
+from repro.workloads.layers import ConvLayer, check_batch
 from repro.workloads.models import Network
 
 
@@ -127,8 +128,7 @@ def simulate_training_step(
     library: Optional[CellLibrary] = None,
 ) -> TrainingResult:
     """Cycle-model one SGD step of ``network`` on ``config``."""
-    if batch < 1:
-        raise ValueError("batch must be positive")
+    check_batch(batch)
     if estimate is None:
         if library is None:
             from repro.device.cells import rsfq_library
@@ -141,16 +141,9 @@ def simulate_training_step(
         config, gradient_network(network), batch=batch, estimate=estimate
     )
     # Weight gradient: same MAC volume and tiling as the forward pass;
-    # modeled as a forward-shaped pass (activations re-stream per tile).
-    weight_gradient = simulate(config, network, batch=batch, estimate=estimate)
-    weight_gradient = SimulationResult(
-        design=weight_gradient.design,
-        network=f"{network.name}-wgrad",
-        batch=batch,
-        frequency_ghz=weight_gradient.frequency_ghz,
-        layers=weight_gradient.layers,
-        activity=weight_gradient.activity,
-    )
+    # modeled as a forward-shaped pass (activations re-stream per tile),
+    # so its charges are the forward pass's.
+    weight_gradient = replace(copy.deepcopy(forward), network=f"{network.name}-wgrad")
 
     # Weight update: read + write every weight once through the array edge.
     memory = memory_model_for(config, estimate.frequency_ghz)

@@ -36,7 +36,7 @@ from repro.simulator.dataflow_ablation import simulate_os
 from repro.simulator.datapath import build_datapath
 from repro.simulator.mapping import map_layer
 from repro.simulator.memory import memory_model_for
-from repro.simulator.results import ActivityTrace
+from repro.simulator.results import ActivityTrace, LayerResult
 from repro.simulator.trace import trace_layer
 from repro.uarch.config import NPUConfig
 from repro.workloads.layers import ConvLayer, depthwise_layer, fc_layer
@@ -429,6 +429,68 @@ def test_rounding_layers_match_end_to_end():
     config = NPUConfig("r", pe_array_height=3, pe_array_width=2)
     for batch in (1, 3, 1000, 4096):
         assert_equivalent(config, Network("r", (layer, layer)), batch, 52.6)
+
+
+# -- the output-stationary pass --------------------------------------------
+
+def os_closed_forms(config, network, batch, frequency_ghz):
+    """The OS charges of ``kernel.charge_network_os``'s docstring, layer by
+    layer in Python ints."""
+    memory = memory_model_for(config, frequency_ghz)
+    datapath = build_datapath(config)
+    height, width = config.pe_array_height, config.pe_array_width
+    layers = []
+    resident = False
+    for index, layer in enumerate(network.layers):
+        tiles = (-(-layer.output_pixels * batch // height)
+                 * -(-layer.filters_per_group // width) * layer.groups)
+        compute = tiles * (layer.reduction_size + datapath.pe.pipeline_stages)
+        weight_tile = min(layer.reduction_size, height) * min(layer.filters_per_group, width)
+        weight_load = tiles * -(-weight_tile // width)
+        ifmap_prep = (tiles - 1) * datapath.rewind_cycles
+        output_resident = (index < len(network.layers) - 1
+                           and layer.ofmap_bytes * batch <= config.output_buffer_bytes)
+        traffic = (tiles * weight_tile + (0 if resident else layer.ifmap_bytes * batch)
+                   + (0 if output_resident else layer.ofmap_bytes * batch))
+        dram = memory.transfer_cycles(traffic)
+        on_chip = compute + tiles * height + weight_load + ifmap_prep
+        layers.append(LayerResult(
+            layer.name, tiles, weight_load, ifmap_prep, 0, tiles * height, compute,
+            traffic, dram, max(on_chip, dram), layer.macs_per_image * batch))
+        resident = output_resident
+    return layers
+
+
+@given(st.lists(configs(), min_size=1, max_size=4), networks(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_os_pass_equals_its_closed_forms_alone_and_in_a_group(group, network, data):
+    batches = [data.draw(st.integers(1, 4096)) for _ in group]
+    frequencies = [data.draw(st.sampled_from([52.6, 31.8, 0.7, 100.0])) for _ in group]
+    designs = [(config, batch, memory_model_for(config, frequency), build_datapath(config))
+               for config, batch, frequency in zip(group, batches, frequencies)]
+    joint = kernel.charge_network_os(network.layer_table, designs)
+    for design, config, batch, frequency, rows in zip(
+            designs, group, batches, frequencies, joint):
+        run = simulate_os(config, network, batch,
+                          estimate=SimpleNamespace(frequency_ghz=frequency))
+        expected = os_closed_forms(config, network, batch, frequency)
+        assert run.layers == expected
+        assert [LayerResult(name, *row) for name, row in zip(
+            network.layer_table.names, rows)] == expected
+        assert all(type(value) is int
+                   for layer in run.layers for value in vars(layer).values()
+                   if not isinstance(value, str))
+        assert run.activity.effective_cycles == {}
+        on_chip, traffic = kernel._os_bounds(network.layer_table, batch, config, design[3])
+        for layer in run.layers:
+            assert (layer.weight_load_cycles + layer.ifmap_prep_cycles + layer.compute_cycles
+                    + layer.activation_transfer_cycles) <= on_chip
+            assert layer.dram_traffic_bytes <= traffic
+
+    with pytest.raises(SimulationError) as info:
+        simulate_os(group[0], network, 2 ** 53,
+                    estimate=SimpleNamespace(frequency_ghz=frequencies[0]))
+    assert info.value.code == "simulation.charge_overflow"
 
 
 # -- guards and errors -----------------------------------------------------

@@ -27,11 +27,30 @@ def test_dimensions_follow_config(supernpu_config):
 
 
 def test_engine_and_trace_share_the_builder():
-    """Both call sites import the one helper (no hand-built duplicates)."""
+    """Every call site imports the one helper (no hand-built duplicates),
+    and only `build_datapath` and the scalar reference derive the rewind and
+    per-move charges from the buffers."""
     import inspect
 
-    from repro.simulator import engine, trace
+    from repro.simulator import dataflow_ablation, engine, kernel, trace
 
     assert "build_datapath" in inspect.getsource(engine.simulate)
     assert "build_datapath" in inspect.getsource(trace.trace_layer)
-    assert "build_datapath" in inspect.getsource(trace.verify_against_engine)
+    assert "build_datapath" in inspect.getsource(dataflow_ablation.simulate_os)
+    for module in (kernel, trace, dataflow_ablation):
+        source = inspect.getsource(module)
+        assert "rewind_cycles()" not in source
+        assert "chunk_length_entries" not in source
+
+
+def test_rewind_and_per_move_come_from_the_buffers(supernpu_config, baseline_config):
+    integrated = build_datapath(supernpu_config)
+    assert integrated.rewind_cycles == integrated.ifmap_buffer.rewind_cycles()
+    assert integrated.per_move_cycles == 0
+
+    separate = build_datapath(baseline_config)
+    assert separate.rewind_cycles == separate.ifmap_buffer.rewind_cycles()
+    assert separate.per_move_cycles == (separate.psum_buffer.chunk_length_entries
+                                        + separate.output_buffer.chunk_length_entries)
+    # Fig. 16 (1): the 16 MB Baseline pair moves 65,536 cycles per psum move.
+    assert separate.per_move_cycles == 65536

@@ -1,17 +1,20 @@
 """Execution-trace tests."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.core.designs import baseline, supernpu
+from repro.core.designs import all_designs, baseline, supernpu
+from repro.simulator.engine import simulate
 from repro.simulator.trace import (
     PHASES,
     TraceEvent,
     trace_layer,
     trace_summary,
     trace_to_csv,
-    verify_against_engine,
 )
-from repro.workloads.models import vgg16
+from repro.workloads.layers import ConvLayer, depthwise_layer, fc_layer
+from repro.workloads.models import Network, vgg16
 
 
 @pytest.fixture(scope="module")
@@ -44,19 +47,62 @@ def test_integrated_design_has_no_psum_moves(multi_mapping_layer):
     assert all(e.phase != "psum_move" for e in events)
 
 
+def assert_trace_matches_simulate(layer, config, batch):
+    """Each phase total of the trace is the matching charge of the
+    ``simulate()`` layer row."""
+    summary = trace_summary(trace_layer(layer, config, batch))
+    row = simulate(config, Network("one", (layer,)), batch=batch).layers[0]
+    assert summary["weight_load"] == row.weight_load_cycles
+    assert summary["ifmap_rewind"] == row.ifmap_prep_cycles
+    assert summary["compute"] == row.compute_cycles
+    assert summary["psum_move"] == row.psum_move_cycles
+    assert summary["total"] == (row.weight_load_cycles + row.ifmap_prep_cycles
+                                + row.compute_cycles + row.psum_move_cycles)
+
+
 def test_trace_matches_engine_baseline(multi_mapping_layer):
-    assert verify_against_engine(multi_mapping_layer, baseline(), batch=1)
+    assert_trace_matches_simulate(multi_mapping_layer, baseline(), batch=1)
 
 
 def test_trace_matches_engine_supernpu(multi_mapping_layer):
-    assert verify_against_engine(multi_mapping_layer, supernpu(), batch=4)
+    assert_trace_matches_simulate(multi_mapping_layer, supernpu(), batch=4)
 
 
 def test_trace_matches_engine_on_depthwise():
     from repro.workloads.models import mobilenet
 
     dw_layer = next(l for l in mobilenet().layers if l.is_depthwise)
-    assert verify_against_engine(dw_layer, supernpu(), batch=2)
+    assert_trace_matches_simulate(dw_layer, supernpu(), batch=2)
+
+
+@st.composite
+def traced_layers(draw):
+    """Random conv, depthwise and FC layers, small enough to trace quickly
+    yet tiling over several row and column tiles of the named designs."""
+    kind = draw(st.sampled_from(["conv", "depthwise", "fc"]))
+    if kind == "fc":
+        return fc_layer("fc", draw(st.integers(1, 2000)), draw(st.integers(1, 1100)))
+    size = draw(st.integers(1, 14))
+    kernel = draw(st.integers(1, min(3, size)))
+    stride = draw(st.integers(1, 2))
+    if kind == "depthwise":
+        return depthwise_layer("dw", draw(st.integers(1, 300)), size, kernel=kernel,
+                               stride=stride, padding=kernel // 2)
+    groups = draw(st.sampled_from([1, 1, 2]))
+    return ConvLayer(
+        "conv", in_channels=groups * draw(st.integers(1, 200)), in_height=size,
+        in_width=size, out_channels=groups * draw(st.integers(1, 600)),
+        kernel_height=kernel, kernel_width=kernel, stride=stride,
+        padding=draw(st.integers(0, kernel // 2)), groups=groups,
+    )
+
+
+@given(traced_layers(), st.sampled_from(all_designs()), st.integers(1, 8))
+@settings(max_examples=60, deadline=None)
+def test_trace_summary_equals_the_simulate_row(layer, config, batch):
+    """The trace matches the ``simulate()`` layer row on random layers
+    and the four named designs."""
+    assert_trace_matches_simulate(layer, config, batch)
 
 
 def test_summary_totals(multi_mapping_layer):
@@ -112,7 +158,6 @@ def test_summary_totals_match_engine(config_factory, multi_mapping_layer):
     assert summary["ifmap_rewind"] == result.ifmap_prep_cycles
     assert summary["compute"] == result.compute_cycles
     assert summary["psum_move"] == result.psum_move_cycles
-    assert verify_against_engine(multi_mapping_layer, config, batch=1)
 
 
 def test_event_validation():

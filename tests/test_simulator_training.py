@@ -2,7 +2,10 @@
 
 import pytest
 
+from repro import obs
 from repro.core.designs import supernpu
+from repro.errors import WorkloadError
+from repro.simulator.engine import simulate
 from repro.simulator.training import (
     gradient_layer,
     gradient_network,
@@ -69,3 +72,37 @@ def test_training_throughput_positive():
 def test_training_batch_validation():
     with pytest.raises(ValueError):
         simulate_training_step(supernpu(), mobilenet(), batch=0)
+
+
+def test_training_batch_is_a_workload_error():
+    with pytest.raises(WorkloadError) as info:
+        simulate_training_step(supernpu(), mobilenet(), batch=0)
+    assert info.value.code == "workload.invalid_batch"
+
+
+def test_weight_gradient_is_the_forward_pass_simulated_once():
+    """dW is charged as the forward pass: same layers and activity as a
+    fresh forward simulation, held in its own objects, and the step
+    simulates two networks (forward and dX), not three."""
+    config, network = supernpu(), mobilenet()
+    obs.enable()
+    try:
+        result = simulate_training_step(config, network, batch=2)
+        runs = obs.metrics().snapshot()["counters"]["sim.runs"]
+    finally:
+        obs.disable()
+        obs.reset()
+    assert runs == 2
+    forward = simulate(config, network, batch=2)
+    weight_gradient = result.weight_gradient
+    assert weight_gradient.network == f"{network.name}-wgrad"
+    assert (weight_gradient.design, weight_gradient.batch, weight_gradient.frequency_ghz) == (
+        forward.design, 2, forward.frequency_ghz)
+    assert weight_gradient.layers == forward.layers
+    assert [value.hex() for value in weight_gradient.activity.effective_cycles.values()] == [
+        value.hex() for value in forward.activity.effective_cycles.values()]
+    assert list(weight_gradient.activity.effective_cycles) == list(
+        forward.activity.effective_cycles)
+    assert weight_gradient.layers is not result.forward.layers
+    assert weight_gradient.layers[0] is not result.forward.layers[0]
+    assert weight_gradient.activity is not result.forward.activity
