@@ -85,7 +85,8 @@ from repro.components.base import (
 from repro.core.chaos import ChaosInjector
 from repro.core.resilience import RetryPolicy, SweepCheckpoint
 from repro.obs.progress import ProgressReporter
-from repro.device.cells import CellLibrary, Technology, library_for
+from repro.device.cells import CellLibrary, Technology, library_for, library_text
+from repro.device.cells import library_fingerprint  # noqa: F401 (re-exported for plan)
 from repro.errors import CacheError, ConfigError, ReproError, WorkerError
 from repro.estimator.arch_level import NPUEstimate, estimate_npu
 from repro.estimator.uarch_level import UnitEstimate
@@ -155,15 +156,6 @@ def workload_signature(network: Network) -> Dict[str, Any]:
     }
 
 
-def library_fingerprint(library: CellLibrary) -> Dict[str, Any]:
-    """Cache-relevant content of a cell library (technology, process, cells)."""
-    return {
-        "technology": library.technology.value,
-        "process": dataclasses.asdict(library.process),
-        "cells": {name: dataclasses.asdict(library[name]) for name in library.names},
-    }
-
-
 def config_text(config: Union[NPUConfig, CMOSNPUConfig]) -> str:
     """Canonical JSON of :func:`config_signature`, rendered once per config."""
     return kept_text(config, config_signature)
@@ -172,12 +164,6 @@ def config_text(config: Union[NPUConfig, CMOSNPUConfig]) -> str:
 def workload_text(network: Network) -> str:
     """Canonical JSON of :func:`workload_signature`, rendered once per network."""
     return kept_text(network, workload_signature)
-
-
-def library_text(library: Optional[CellLibrary]) -> str:
-    """Canonical JSON of :func:`library_fingerprint` (``null`` for none),
-    rendered once per library."""
-    return "null" if library is None else kept_text(library, library_fingerprint)
 
 
 # -- tasks -----------------------------------------------------------------
@@ -533,8 +519,11 @@ class ResultCache:
 
 # -- task execution (top-level so it pickles into worker processes) --------
 
-#: Per-process memo of architecture estimates, so a process handed many
-#: tasks for the same design computes its clock model once.  Keyed by the
+#: Per-process memo of whole architecture estimates, one per design, for
+#: the tasks a process runs.  The estimator already estimates each
+#: distinct unit once, but even an all-hit estimate_npu rebuilds the
+#: design's units and its clock (tens of microseconds); a design's tasks
+#: (one per network) take this dict lookup instead.  Keyed by the
 #: canonical texts that estimate_key hashes: the same content, without
 #: re-hashing it on every task.
 _WORKER_ESTIMATES: Dict[Tuple[str, str], NPUEstimate] = {}

@@ -22,11 +22,12 @@ number of switching junctions).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from functools import lru_cache
 from types import MappingProxyType
-from typing import Dict, Iterable, Mapping
+from typing import Any, Dict, Iterable, Mapping, Optional
 
+from repro.canonical import kept_text
 from repro.device.process import AIST_10UM, FabricationProcess
 
 
@@ -228,6 +229,22 @@ class CellLibrary:
 
     def with_process(self, process: FabricationProcess) -> "CellLibrary":
         return CellLibrary(self.technology, process, self.cells)
+
+
+def library_fingerprint(library: CellLibrary) -> Dict[str, Any]:
+    """Content of a cell library that keys depend on (technology, process, cells)."""
+    return {
+        "technology": library.technology.value,
+        "process": asdict(library.process),
+        "cells": {name: asdict(library[name]) for name in library.names},
+    }
+
+
+def library_text(library: Optional[CellLibrary]) -> str:
+    """Canonical JSON of :func:`library_fingerprint` (``null`` for none),
+    rendered once per library.  Cache keys and the estimator's unit memo
+    both key on it."""
+    return "null" if library is None else kept_text(library, library_fingerprint)
 
 
 def _to_ersfq(cell: SFQCell) -> SFQCell:

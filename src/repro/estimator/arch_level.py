@@ -9,6 +9,7 @@ power, access energies, and area (including inter-unit wiring), for a given
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Tuple
 
@@ -17,7 +18,7 @@ if TYPE_CHECKING:  # pragma: no cover - type-only import, avoids a cycle
 
 from repro import obs
 from repro.device import cells
-from repro.device.cells import CellLibrary
+from repro.device.cells import CellLibrary, library_text
 from repro.device.process import CMOS_28NM_UM
 from repro.errors import ConfigError
 from repro.timing.clocking import ClockingScheme
@@ -49,6 +50,9 @@ class ReplicatedUnit(Unit):
         self.prototype = prototype
         self.count = count
         self.kind = kind or f"{prototype.kind}[x{count}]"
+
+    def signature(self) -> tuple:
+        return (type(self).__name__, self.prototype.signature(), self.count, self.kind)
 
     def gate_counts(self) -> GateCounts:
         return self.prototype.gate_counts().scaled(self.count)
@@ -218,22 +222,17 @@ class NPUEstimate:
                 + link.action_energy_j("transfer", num_bytes))
 
 
-def chip_clock(units: Dict[str, Unit], library: CellLibrary,
+def chip_clock(units: Dict[str, UnitEstimate], library: CellLibrary,
                interface_distance_mm: float = INTERFACE_DISTANCE_MM,
                cycle_time_ps: float = 0.0, critical: str = "") -> Tuple[float, str]:
     """The chip's cycle time (ps) and critical-path label: the slowest of
-    the units' intra-unit pairs, the interface pairs and the constraint
-    ``cycle_time_ps`` / ``critical`` the caller starts from (the OS PE's
-    for the dataflow ablation); ties keep the earlier one."""
+    the unit estimates' critical pairs, the interface pairs and the
+    constraint ``cycle_time_ps`` / ``critical`` the caller starts from (the
+    OS PE's for the dataflow ablation); ties keep the earlier one."""
     for name, unit in units.items():
-        try:
-            report = unit.frequency(library)
-        except ValueError:
-            continue
-        if report.cycle_time_ps > cycle_time_ps:
-            cycle_time_ps = report.cycle_time_ps
-            pair = report.critical_pair
-            critical = f"{name}: {pair.label or f'{pair.src}->{pair.dst}'}"
+        if unit.cycle_time_ps is not None and unit.cycle_time_ps > cycle_time_ps:
+            cycle_time_ps = unit.cycle_time_ps
+            critical = f"{name}: {unit.critical_pair}"
     for pair in interface_gate_pairs(interface_distance_mm):
         constraint = pair.resolve(library)
         if constraint.cycle_time_ps > cycle_time_ps:
@@ -242,23 +241,62 @@ def chip_clock(units: Dict[str, Unit], library: CellLibrary,
     return cycle_time_ps, critical
 
 
+#: Most unit estimates the process keeps; once full, the oldest goes
+#: first.  A default-grid search holds 77 distinct units per library.
+UNIT_MEMO_SIZE = 2048
+
+#: Process-wide memo of unit estimates, keyed on (unit name, the unit's
+#: :meth:`~repro.uarch.unit.Unit.signature`, the library's canonical
+#: text).  Estimates are frozen, so callers share them.
+_UNIT_MEMO: Dict[Tuple[str, tuple, str], UnitEstimate] = {}
+_UNIT_MEMO_LOCK = threading.Lock()
+
+
+def clear_unit_memo() -> None:
+    """Forget every memoized unit estimate (the next estimates run cold)."""
+    with _UNIT_MEMO_LOCK:
+        _UNIT_MEMO.clear()
+
+
+def _remember(key: Tuple[str, tuple, str], estimate: UnitEstimate) -> UnitEstimate:
+    with _UNIT_MEMO_LOCK:
+        if len(_UNIT_MEMO) >= UNIT_MEMO_SIZE:
+            del _UNIT_MEMO[next(iter(_UNIT_MEMO))]
+        _UNIT_MEMO[key] = estimate
+    return estimate
+
+
 def estimate_npu(
     config: NPUConfig,
     library: CellLibrary,
     interface_distance_mm: float = INTERFACE_DISTANCE_MM,
 ) -> NPUEstimate:
-    """Run the full three-layer estimation for one NPU design point."""
+    """Run the full three-layer estimation for one NPU design point.
+
+    Each distinct unit is estimated once per process and library; the
+    returned estimate has its own ``units`` dict over the shared entries.
+    """
     with obs.trace_span(
         "estimate", design=config.name, technology=library.technology.value
     ):
-        units = build_units(config)
+        text = library_text(library)
         estimates: Dict[str, UnitEstimate] = {}
-        for name, unit in units.items():
-            with obs.trace_span("estimate/unit", unit=name):
-                estimates[name] = estimate_unit(unit, library, name)
+        hits = 0
+        for name, unit in build_units(config).items():
+            key = (name, unit.signature(), text)
+            estimate = _UNIT_MEMO.get(key)
+            with obs.trace_span("estimate/unit", unit=name,
+                                memo="miss" if estimate is None else "hit"):
+                if estimate is None:
+                    estimate = _remember(key, estimate_unit(unit, library, name))
+                else:
+                    hits += 1
+            estimates[name] = estimate
         obs.counter("estimator.units_estimated").add(len(estimates))
+        obs.counter("estimator.unit_memo.hits").add(hits)
+        obs.counter("estimator.unit_memo.misses").add(len(estimates) - hits)
 
-        worst_cct, critical = chip_clock(units, library, interface_distance_mm)
+        worst_cct, critical = chip_clock(estimates, library, interface_distance_mm)
         wiring = _interface_wiring_counts(config, interface_distance_mm)
         obs.counter("estimator.designs_estimated").inc()
         return NPUEstimate(

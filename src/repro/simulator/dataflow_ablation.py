@@ -25,7 +25,7 @@ from dataclasses import replace
 from typing import Optional
 
 from repro.device.cells import CellLibrary
-from repro.estimator.arch_level import NPUEstimate, build_units, chip_clock, estimate_npu
+from repro.estimator.arch_level import NPUEstimate, chip_clock, estimate_npu
 from repro.simulator.datapath import build_datapath
 from repro.simulator.kernel import charge_network_os
 from repro.simulator.memory import memory_model_for
@@ -50,12 +50,13 @@ def estimate_os_npu(config: NPUConfig, library: CellLibrary) -> NPUEstimate:
         registers=config.registers_per_pe,
         dataflow=Dataflow.OUTPUT_STATIONARY,
     )
-    units = build_units(config)
+    estimate = estimate_npu(config, library)
+    units = dict(estimate.units)
     del units["pe_array"]  # the OS PE above stands in for it
     worst_cct, critical = chip_clock(
         units, library, cycle_time_ps=os_pe.frequency(library).cycle_time_ps,
         critical="pe_array (OS accumulator loop)")
-    return replace(estimate_npu(config, library), frequency_ghz=1e3 / worst_cct,
+    return replace(estimate, frequency_ghz=1e3 / worst_cct,
                    cycle_time_ps=worst_cct, critical_path=critical)
 
 

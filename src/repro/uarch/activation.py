@@ -33,6 +33,9 @@ class ReLUUnit(Unit):
         self.lanes = lanes
         self.bits = bits
 
+    def signature(self) -> tuple:
+        return (type(self).__name__, self.lanes, self.bits)
+
     def gate_counts(self) -> GateCounts:
         counts = GateCounts()
         # Sign detection (NOT on the sign bit) fanned out over the word,
@@ -60,6 +63,9 @@ class MaxPoolUnit(Unit):
             raise ValueError("lanes and bits must be positive")
         self.lanes = lanes
         self.bits = bits
+
+    def signature(self) -> tuple:
+        return (type(self).__name__, self.lanes, self.bits)
 
     def gate_counts(self) -> GateCounts:
         counts = GateCounts()

@@ -37,6 +37,9 @@ class BitSerialMAC(Unit):
         self.bits = bits
         self.psum_bits = psum_bits
 
+    def signature(self) -> tuple:
+        return (type(self).__name__, self.bits, self.psum_bits)
+
     @property
     def cycles_per_mac(self) -> int:
         """A shift-and-add serial multiplier needs bits^2 cycles per MAC."""

@@ -66,6 +66,10 @@ class ShiftRegisterBuffer(Unit):
         self.entry_bits = entry_bits
         self.division = division
 
+    def signature(self) -> tuple:
+        return (type(self).__name__, self.capacity_bytes, self.io_width,
+                self.entry_bits, self.division)
+
     # -- Geometry ------------------------------------------------------------
 
     @property

@@ -8,13 +8,18 @@ SuperNPU — are constructed in :mod:`repro.core.designs`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import numbers
+from dataclasses import dataclass, fields, replace
 
 from repro.canonical import KeepsCanonicalText
 from repro.errors import ConfigError
 
 KIB = 1024
 MIB = 1024 * 1024
+
+#: Largest value an integer field takes (a signed 64-bit integer), which
+#: keeps every estimator quantity a finite float.
+MAX_INTEGER_FIELD = 2**63 - 1
 
 
 @dataclass(frozen=True)
@@ -67,12 +72,25 @@ class NPUConfig(KeepsCanonicalText):
     link_technology: str = "4k-300k-link"
 
     def __post_init__(self) -> None:
+        for field_name in INTEGER_FIELDS:
+            value = getattr(self, field_name)
+            if type(value) is not int:
+                if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                    raise ConfigError(
+                        f"{field_name} must be an integer, not {type(value).__name__}",
+                        code="config.invalid_value", field=field_name)
+                value = int(value)  # a numpy integer: keep the int it is
+                object.__setattr__(self, field_name, value)
+            if value > MAX_INTEGER_FIELD:
+                raise ConfigError(f"{field_name} exceeds {MAX_INTEGER_FIELD}",
+                                  code="config.invalid_value", field=field_name)
         if self.pe_array_width < 1 or self.pe_array_height < 1:
             raise ConfigError("PE array dimensions must be positive",
                               code="config.invalid_value",
                               width=self.pe_array_width, height=self.pe_array_height)
-        if self.data_bits < 1 or self.psum_bits < self.data_bits:
-            raise ConfigError("psum width must be at least the data width",
+        if self.data_bits < 2 or self.psum_bits < 2 * self.data_bits:
+            raise ConfigError("psum width must hold the full product: at least "
+                              "twice the data width, which is at least 2",
                               code="config.invalid_value",
                               data_bits=self.data_bits, psum_bits=self.psum_bits)
         if self.ifmap_division < 1 or self.output_division < 1:
@@ -136,3 +154,9 @@ class NPUConfig(KeepsCanonicalText):
     def with_updates(self, **changes) -> "NPUConfig":
         """Return a modified copy (used by the design-space optimizer)."""
         return replace(self, **changes)
+
+
+#: The fields that count things (annotated ``int``): each must be a whole
+#: number, never a bool, float or string, so equal designs have equal
+#: field values.
+INTEGER_FIELDS = tuple(f.name for f in fields(NPUConfig) if f.type == "int")

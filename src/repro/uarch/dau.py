@@ -48,6 +48,9 @@ class DataAlignmentUnit(Unit):
         self.bits = bits
         self.pe_pipeline_stages = pe_pipeline_stages
 
+    def signature(self) -> tuple:
+        return (type(self).__name__, self.rows, self.bits, self.pe_pipeline_stages)
+
     def delay_stages(self, row: int) -> int:
         """Timing-adjustment depth of ``row`` (0-indexed): r*(stages-1)."""
         if not 0 <= row < self.rows:
@@ -56,9 +59,10 @@ class DataAlignmentUnit(Unit):
 
     @property
     def total_delay_cells(self) -> int:
-        """Total bypassable DFFs across all rows and bit lanes."""
-        per_lane = sum(self.delay_stages(r) for r in range(self.rows))
-        return per_lane * self.bits
+        """Total bypassable DFFs across all rows and bit lanes: the sum of
+        :meth:`delay_stages` over the rows, ``(stages - 1) * rows * (rows - 1) / 2``
+        per lane."""
+        return self.bits * (self.pe_pipeline_stages - 1) * (self.rows * (self.rows - 1) // 2)
 
     def gate_counts(self) -> GateCounts:
         counts = GateCounts()

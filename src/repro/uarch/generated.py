@@ -46,6 +46,9 @@ class GeneratedMACUnit(Unit):
         self.psum_bits = psum_bits
         self.circuit: PipelinedCircuit = build_mac(bits, accumulator_bits=psum_bits)
 
+    def signature(self) -> tuple:
+        return (type(self).__name__, self.bits, self.psum_bits)
+
     @property
     def pipeline_stages(self) -> int:
         """The netlist's real latency (deeper than the carry-save model)."""

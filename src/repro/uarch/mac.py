@@ -69,6 +69,9 @@ class MACUnit(Unit):
         self.psum_bits = psum_bits
         self.dataflow = dataflow
 
+    def signature(self) -> tuple:
+        return (type(self).__name__, self.bits, self.psum_bits, self.dataflow.value)
+
     @property
     def pipeline_stages(self) -> int:
         """Pipeline depth in cycles: ``2*bits - 1`` (15 stages at 8 bits)."""

@@ -66,6 +66,9 @@ class NetworkUnit(Unit):
         self.width = width
         self.bits = bits
 
+    def signature(self) -> tuple:
+        return (type(self).__name__, self.width, self.bits)
+
     def critical_path_delay_ps(self, library) -> float:
         """Inverse of the maximum frequency, as plotted in Fig. 5a."""
         return self.frequency(library).cycle_time_ps

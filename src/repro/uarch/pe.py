@@ -38,6 +38,11 @@ class ProcessingElement(Unit):
         self.dataflow = dataflow
         self.mac = MACUnit(bits, psum_bits, dataflow)
 
+    def signature(self) -> tuple:
+        # The MAC's signature carries the dataflow.
+        return (type(self).__name__, self.bits, self.psum_bits, self.registers,
+                self.mac.signature())
+
     @property
     def pipeline_stages(self) -> int:
         """Latency in cycles from ifmap input to psum output."""

@@ -89,6 +89,15 @@ class Unit:
     def gate_pairs(self) -> List[GatePair]:
         raise NotImplementedError
 
+    def signature(self) -> tuple:
+        """The unit's class name and constructor values, as a hashable tuple.
+
+        Two units with equal signatures have equal estimates under one
+        cell library, so the estimator memoizes unit estimates on it.  It
+        holds values only: object identity is never part of it.
+        """
+        raise NotImplementedError
+
     # -- Derived metrics ---------------------------------------------------
 
     def full_gate_counts(self) -> GateCounts:

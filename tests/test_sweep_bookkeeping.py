@@ -36,6 +36,7 @@ from repro.workloads.models import Network, all_workloads, by_name
 jobs = importlib.import_module("repro.core.jobs")
 plan = importlib.import_module("repro.core.plan")
 search = importlib.import_module("repro.core.search")
+cells = importlib.import_module("repro.device.cells")
 
 
 def _fresh_objects(tiny_network):
@@ -115,8 +116,10 @@ def test_each_sub_document_renders_once_and_each_task_is_keyed_once(
                            plan.batch_axis((1, 2)), plan.library_axis((library,))))
     experiment = plan.ExperimentPlan("bookkeeping", (grid,))
     renders: Counter = Counter()
-    _count_calls(monkeypatch, jobs, ("config_signature", "workload_signature",
-                                     "library_fingerprint"), renders)
+    _count_calls(monkeypatch, jobs, ("config_signature", "workload_signature"), renders)
+    # A library's text renders where the library lives (the estimator's
+    # unit memo keys on it too), not in repro.core.jobs.
+    _count_calls(monkeypatch, cells, ("library_fingerprint",), renders)
     keyed = []  # holds every keyed task, so no two share an id()
     original_key = jobs.SimTask.key
 

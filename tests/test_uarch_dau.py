@@ -1,6 +1,8 @@
 """Data alignment unit structure tests."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.device import cells
 from repro.uarch.dau import DataAlignmentUnit
@@ -28,6 +30,13 @@ def test_total_delay_cells_quadratic_in_rows():
     # sum over r of r*(stages-1): 28*14 vs 120*14.
     assert small.total_delay_cells == 28 * 14
     assert large.total_delay_cells == 120 * 14
+
+
+@settings(max_examples=80, deadline=None)
+@given(rows=st.integers(1, 512), stages=st.integers(1, 40), bits=st.integers(1, 16))
+def test_total_delay_cells_closed_form_equals_per_row_sum(rows, stages, bits):
+    dau = DataAlignmentUnit(rows=rows, bits=bits, pe_pipeline_stages=stages)
+    assert dau.total_delay_cells == bits * sum(dau.delay_stages(r) for r in range(rows))
 
 
 def test_bypassable_dffs_in_gate_counts():
