@@ -42,46 +42,6 @@ def bench_metrics_snapshot():
         obs.reset()
 
 
-@pytest.fixture(scope="session", autouse=True)
-def bench_hotspot_profile():
-    """Optionally profile the whole benchmark session's host time.
-
-    Driven entirely by environment variables (set by
-    ``repro.obs.bench.run_benchmarks`` when a hotspot capture is
-    requested): ``SUPERNPU_BENCH_HOTSPOT_OUT`` names the output JSON,
-    ``SUPERNPU_BENCH_HOTSPOT_MODE`` picks sampling/tracing, and
-    ``SUPERNPU_BENCH_HOTSPOT_HZ`` sets the sampling rate.  Without the
-    OUT variable this fixture is a no-op, so plain benchmark runs pay
-    nothing.
-    """
-    out = os.environ.get("SUPERNPU_BENCH_HOTSPOT_OUT")
-    if not out:
-        yield
-        return
-    import json
-
-    from repro.obs.hotspot import DEFAULT_SAMPLE_HZ, HotspotProfiler
-
-    mode = os.environ.get("SUPERNPU_BENCH_HOTSPOT_MODE", "sampling")
-    try:
-        hz = float(os.environ.get("SUPERNPU_BENCH_HOTSPOT_HZ", ""))
-    except ValueError:
-        hz = DEFAULT_SAMPLE_HZ
-    profiler = HotspotProfiler(mode=mode, sample_hz=hz)
-    profiler.start()
-    try:
-        yield
-    finally:
-        profile = profiler.stop()
-        document = {
-            "summary": profile.summary(),
-            "collapsed": profile.collapsed(),
-            "profile": profile.to_dict(),
-        }
-        with open(out, "w", encoding="utf-8") as handle:
-            json.dump(document, handle, indent=2, sort_keys=True)
-
-
 def pytest_runtest_logreport(report):
     """Fold per-test outcomes into the session's obs snapshot.
 

@@ -29,12 +29,11 @@ Commands mirror the paper's experiments:
 * ``client request|drill|smoke`` — talk to a running daemon, or run
   the chaos drill / CI smoke against one (docs/ROBUSTNESS.md)
 * ``hotspot <command...>`` — run any other supernpu command under the
-  host-time profiler (wall-clock sampling, or deterministic tracing for
-  sub-millisecond commands); ``simulate``, ``evaluate``, ``plan run``
-  and ``bench run`` also take ``--hotspot`` / ``--hotspot-out FILE`` /
-  ``--hotspot-mode`` / ``--sample-hz`` directly.  All profiler output
-  goes to stderr, so the profiled command's stdout stays
-  bitwise-identical to an unprofiled run
+  host-time profiler (stdlib ``cProfile``); ``simulate``, ``evaluate``,
+  ``plan run`` and ``bench run`` also take ``--hotspot`` /
+  ``--hotspot-out FILE`` directly.  All profiler output goes to stderr,
+  so the profiled command's stdout stays bitwise-identical to an
+  unprofiled run
 
 ``simulate``, ``evaluate``, ``sweep``, ``compare``, ``reproduce``,
 ``bottleneck`` and ``profile`` accept ``--trace-out FILE`` (Chrome
@@ -88,49 +87,40 @@ class _ObsSession:
         self.metrics_out: Optional[str] = getattr(args, "metrics_out", None)
         self.active = force or bool(self.trace_out or self.metrics_out)
         self.hotspot_out: Optional[str] = getattr(args, "hotspot_out", None)
-        self.hotspot = bool(getattr(args, "hotspot", False) or self.hotspot_out)
+        self.hotspot_summary = None  # set by finish() under --hotspot
         self._profiler = None
         self._start = time.perf_counter()
+        if getattr(args, "hotspot", False) or self.hotspot_out:
+            # Started first: a nested profiler fails before obs is enabled.
+            from repro.obs.hotspot import HotspotProfiler
+
+            self._profiler = HotspotProfiler().start()
         if self.active:
             from repro import obs
 
             obs.reset()
             obs.enable()
-        if self.hotspot:
-            from repro.obs.hotspot import HotspotProfiler
-
-            self._profiler = HotspotProfiler(
-                mode=getattr(args, "hotspot_mode", None) or "sampling",
-                sample_hz=getattr(args, "sample_hz", None) or 97.0,
-            )
-            self._profiler.start()
-
-    def _finish_hotspot(self, phase_fractions=None):
-        """Stop the profiler and report it — stderr only, never stdout.
-
-        The command's stdout must stay bitwise-identical with and without
-        ``--hotspot``; everything the profiler says rides on stderr.
-        Returns the compact summary for the run registry, or None.
-        """
-        if self._profiler is None:
-            return None
-        profile = self._profiler.stop()
-        self._profiler = None
-        print(profile.report(phase_fractions=phase_fractions), file=sys.stderr)
-        if self.hotspot_out:
-            with open(self.hotspot_out, "w", encoding="utf-8") as handle:
-                handle.write(profile.collapsed())
-            print(f"collapsed stacks written to {self.hotspot_out}",
-                  file=sys.stderr)
-        return profile.summary()
 
     def finish(self, config=None, network=None, batch=None, technology=None,
-               keep_enabled: bool = False, hotspot_phases=None, **extra):
-        """Write the requested outputs; returns the manifest (or None)."""
+               keep_enabled: bool = False, run=None, **extra):
+        """Write the requested outputs; returns the manifest (or None).
+
+        With ``--hotspot``, a ``run`` joins the host profile with its
+        simulated-cycle phase attribution, so the report answers "which
+        loop models the phase that dominates simulated time".
+        """
         from repro import obs
         from repro.obs import registry as run_registry
 
-        hotspot_summary = self._finish_hotspot(hotspot_phases)
+        if self._profiler is not None:
+            phases = None
+            if run is not None:
+                from repro.simulator.attribution import attribute
+
+                phases = dict(attribute(run).summary_fractions)
+            self.hotspot_summary = _report_hotspot(
+                self._profiler.stop(), self.hotspot_out, phase_fractions=phases)
+            self._profiler = None
         manifest = obs.RunManifest.capture(
             self.command,
             config=config,
@@ -144,10 +134,7 @@ class _ObsSession:
             # Manifest capture is pure (no instrumentation needed), so the
             # run registry gets design/workload provenance even when the
             # obs runtime stayed off; counters exist only when it was on.
-            staged = {"manifest": manifest.to_dict()}
-            if hotspot_summary is not None:
-                staged["hotspot"] = hotspot_summary
-            run_registry.stage(**staged)
+            run_registry.stage(manifest=manifest.to_dict())
             return None
         if self.metrics_out:
             obs.write_metrics(self.metrics_out, manifest=manifest)
@@ -158,15 +145,34 @@ class _ObsSession:
         # Stage manifest + metrics for the run registry before the global
         # state is reset; main() finalizes the entry with exit code and
         # wall time once the command returns.
-        staged = {"manifest": manifest.to_dict(),
-                  "metrics": obs.metrics().snapshot()}
-        if hotspot_summary is not None:
-            staged["hotspot"] = hotspot_summary
-        run_registry.stage(**staged)
+        run_registry.stage(manifest=manifest.to_dict(),
+                           metrics=obs.metrics().snapshot())
         if not keep_enabled:
             obs.disable()
             obs.reset()
         return manifest
+
+
+def _report_hotspot(profile, out: Optional[str] = None, top_n: int = 10,
+                    phase_fractions=None) -> dict:
+    """Report a finished host-time profile — stderr only, never stdout.
+
+    A profiled command's stdout must stay bitwise-identical to an
+    unprofiled run.  Prints the top-N table, writes the collapsed edges
+    to ``out`` when given, and stages the summary for the run registry;
+    returns that summary.
+    """
+    from repro.obs import registry as run_registry
+
+    print(profile.report(top_n=top_n, phase_fractions=phase_fractions),
+          file=sys.stderr)
+    if out:
+        with open(out, "w", encoding="utf-8") as handle:
+            handle.write(profile.collapsed())
+        print(f"collapsed stacks written to {out}", file=sys.stderr)
+    summary = profile.summary()
+    run_registry.stage(hotspot=summary)
+    return summary
 
 
 def _resolve_design(args: argparse.Namespace):
@@ -308,16 +314,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         run = api.simulate(config, network, batch=args.batch, technology=library)
         power = power_report(run, estimate)
         breakdown = run.cycle_breakdown()
-        hotspot_phases = None
-        if session.hotspot:
-            # Join host self-time with the run's simulated-cycle phase
-            # attribution so the report answers "which loop models the
-            # phase that dominates simulated time".  Raw per-phase
-            # fractions; the report groups them into compute /
-            # preparation / dram itself.
-            from repro.simulator.attribution import attribute
-
-            hotspot_phases = dict(attribute(run).summary_fractions)
         if args.json:
             from repro.core.report import simulation_record
 
@@ -325,8 +321,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                             config=config, network=network, batch=run.batch,
                             technology=args.technology)
             session.finish(config=config, network=network, batch=run.batch,
-                           technology=args.technology,
-                           hotspot_phases=hotspot_phases)
+                           technology=args.technology, run=run)
             return 0
         print(f"{config.name} running {network.name} (batch {run.batch})")
         print(f"  cycles      : {run.total_cycles:,}")
@@ -342,8 +337,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         print(f"  chip power  : {power.total_w:.2f} W "
               f"(static {power.static_w:.2f} + dynamic {power.dynamic_w:.2f})")
         session.finish(config=config, network=network, batch=run.batch,
-                       technology=args.technology,
-                       hotspot_phases=hotspot_phases)
+                       technology=args.technology, run=run)
     return 0
 
 
@@ -440,23 +434,20 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def cmd_profile(args: argparse.Namespace) -> int:
     """One ``simulate`` run under full observability: span tree + metrics."""
-    from repro import obs
-    from repro.core.batching import batch_for
-    from repro.device.cells import Technology, library_for
-    from repro.estimator.arch_level import estimate_npu
-    from repro.simulator.engine import simulate
-    from repro.workloads.models import by_name
+    from repro import api, obs
 
     config = _resolve_design(args)
-    network = by_name(args.workload)
+    network = api.workload(args.workload)
     session = _ObsSession(args, "profile", force=True)
-    library = library_for(Technology(args.technology))
-    estimate = estimate_npu(config, library)
-    batch = args.batch or batch_for(config, network)
-    run = simulate(config, network, batch=batch, estimate=estimate)
+    with _jobs_session(args):
+        # A fresh runner estimates before simulating, as `simulate` does,
+        # so the span tree always shows the estimator's cost.
+        api.estimate(config, technology=args.technology)
+        run = api.simulate(config, network, batch=args.batch,
+                           technology=args.technology)
 
     print(f"profile: {config.name} running {network.name} "
-          f"(batch {batch}, {run.total_cycles:,} cycles)")
+          f"(batch {run.batch}, {run.total_cycles:,} cycles)")
     print()
     print(obs.tracer().summary_table())
     snapshot = obs.metrics().snapshot()
@@ -470,7 +461,7 @@ def cmd_profile(args: argparse.Namespace) -> int:
               f"mean={summary['mean']:.6f} total={summary['sum']:.6f} "
               f"p50={summary['p50']:.6f} p95={summary['p95']:.6f} "
               f"p99={summary['p99']:.6f}")
-    manifest = session.finish(config=config, network=network, batch=batch,
+    manifest = session.finish(config=config, network=network, batch=run.batch,
                               technology=args.technology)
     print()
     print("manifest:")
@@ -482,30 +473,26 @@ def cmd_bottleneck(args: argparse.Namespace) -> int:
     """Per-layer bound attribution, critical layers, roofline, timeline."""
     import json
 
-    from repro import obs
-    from repro.core.batching import batch_for
-    from repro.device.cells import Technology, library_for
-    from repro.estimator.arch_level import estimate_npu
+    from repro import api, obs
     from repro.simulator.attribution import (
         attribute,
         attribution_records,
         roofline,
         roofline_records,
     )
-    from repro.simulator.engine import simulate
     from repro.simulator.utilization import utilization_report
-    from repro.workloads.models import by_name
 
     config = _resolve_design(args)
-    network = by_name(args.workload)
+    network = api.workload(args.workload)
     session = _ObsSession(args, "bottleneck")
-    library = library_for(Technology(args.technology))
-    estimate = estimate_npu(config, library)
-    batch = args.batch or batch_for(config, network)
+    library = api.library(args.technology)
+    estimate = api.estimate(config, technology=library)
     timeline = obs.CycleTimeline(
         estimate.frequency_ghz, design=config.name, network=network.name
     )
-    run = simulate(config, network, batch=batch, estimate=estimate, timeline=timeline)
+    run = api.simulate(config, network, batch=args.batch, technology=library,
+                       timeline=timeline)
+    batch = run.batch
     report = attribute(run)
     roof = roofline(run, estimate.peak_mac_per_s, config.memory_bandwidth_gbps)
     util = utilization_report(run)
@@ -621,16 +608,15 @@ def cmd_bottleneck(args: argparse.Namespace) -> int:
 
 
 def cmd_table(args: argparse.Namespace) -> int:
+    from repro import api
+
     if args.table == "1":
         from repro.core.designs import all_designs
-        from repro.device.cells import rsfq_library
-        from repro.estimator.arch_level import estimate_npu
 
-        library = rsfq_library()
         widths = [14, 8, 8, 10, 12, 12]
         print(_fmt_row(["design", "array", "regs", "freq", "peak", "area(28nm)"], widths))
         for config in all_designs():
-            est = estimate_npu(config, library)
+            est = api.estimate(config)
             print(
                 _fmt_row(
                     [
@@ -653,10 +639,9 @@ def cmd_table(args: argparse.Namespace) -> int:
         for design, row in PAPER_BATCHES.items():
             print(_fmt_row([design] + [row[w] for w in workloads], widths))
     else:
-        from repro.core.evaluate import evaluate_suite, table3_rows
+        from repro.core.evaluate import table3_rows
 
-        suite = evaluate_suite()
-        rows = table3_rows(suite)
+        rows = table3_rows(api.evaluate())
         reference = rows[0]
         widths = [30, 12, 14, 16]
         print(_fmt_row(["configuration", "chip (W)", "wall (W)", "perf/W vs TPU"], widths))
@@ -1090,13 +1075,14 @@ def cmd_bench(args: argparse.Namespace) -> int:
     from repro.obs import bench
 
     if args.action == "run":
-        hotspot_mode = None
-        if args.hotspot or args.hotspot_out:
-            hotspot_mode = args.hotspot_mode or "sampling"
+        # Under --hotspot the pytest subprocess profiles itself too, and
+        # its stats fold into this session's profile (see run_benchmarks).
+        session = _ObsSession(args, "bench")
         document = bench.run_benchmarks(
-            args.subset, min_rounds=args.min_rounds, max_time_s=args.max_time,
-            label=args.label, hotspot_mode=hotspot_mode,
-            hotspot_hz=args.sample_hz)
+            args.subset, min_rounds=args.min_rounds,
+            max_time_s=args.max_time, label=args.label)
+        session.finish(subset=args.subset)
+        document["hotspot"] = session.hotspot_summary
         path = bench.write_document(document, path=args.out)
         if args.json:
             _print_envelope("bench", document, action="run", subset=args.subset)
@@ -1109,19 +1095,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
                 print(f"  {name:<58s} min {stats['min_s'] * 1e3:9.3f} ms  "
                       f"mean {stats['mean_s'] * 1e3:9.3f} ms  "
                       f"({stats['rounds']} rounds)")
-        hotspot_doc = document.get("hotspot")
-        if hotspot_doc:
-            from repro.obs import registry as run_registry
-            from repro.obs.hotspot import HotspotProfile
-
-            profile = HotspotProfile.from_dict(hotspot_doc["profile"])
-            print(profile.report(), file=sys.stderr)
-            if args.hotspot_out:
-                with open(args.hotspot_out, "w", encoding="utf-8") as handle:
-                    handle.write(hotspot_doc.get("collapsed", ""))
-                print(f"collapsed stacks written to {args.hotspot_out}",
-                      file=sys.stderr)
-            run_registry.stage(hotspot=hotspot_doc.get("summary"))
         return 0
 
     # compare: candidate vs an explicit --baseline or the newest committed one
@@ -1227,13 +1200,9 @@ def cmd_hotspot(args: argparse.Namespace) -> int:
 
     Runs the wrapped command in-process under a :class:`HotspotProfiler`
     and prints the top-N table to stderr — the wrapped command's stdout
-    is bitwise-identical to an unprofiled run.  ``tracing`` mode is the
-    right choice for sub-millisecond commands (deterministic, counts
-    calls); ``sampling`` (default) for anything that runs long enough to
-    collect samples.
+    is bitwise-identical to an unprofiled run.
     """
     from repro.errors import ConfigError
-    from repro.obs import registry as run_registry
     from repro.obs.hotspot import HotspotProfiler
 
     inner = list(args.argv)
@@ -1243,23 +1212,12 @@ def cmd_hotspot(args: argparse.Namespace) -> int:
         raise ConfigError(
             "'hotspot' needs a supernpu command to profile",
             code="config.missing_command",
-            hint="e.g. supernpu hotspot --hotspot-mode tracing "
-                 "simulate supernpu mobilenet",
+            hint="e.g. supernpu hotspot simulate supernpu mobilenet",
         )
-    profiler = HotspotProfiler(mode=args.hotspot_mode,
-                               sample_hz=args.sample_hz)
-    profiler.start()
-    try:
-        exit_code = main(inner)
-    finally:
-        profile = profiler.stop()
-    print(profile.report(top_n=args.top), file=sys.stderr)
-    if args.hotspot_out:
-        with open(args.hotspot_out, "w", encoding="utf-8") as handle:
-            handle.write(profile.collapsed())
-        print(f"collapsed stacks written to {args.hotspot_out}",
-              file=sys.stderr)
-    run_registry.stage(hotspot=profile.summary())
+    # A command that raises leaves the profiler to main()'s cleanup.
+    profiler = HotspotProfiler().start()
+    exit_code = main(inner)
+    _report_hotspot(profiler.stop(), args.hotspot_out, top_n=args.top)
     return exit_code
 
 
@@ -1395,16 +1353,9 @@ def _add_hotspot_flags(parser: argparse.ArgumentParser) -> None:
                              "top-N table goes to stderr (stdout is "
                              "bitwise-identical to an unprofiled run)")
     parser.add_argument("--hotspot-out", metavar="FILE", default=None,
-                        help="write collapsed stacks (flamegraph.pl / "
-                             "speedscope format); implies --hotspot")
-    parser.add_argument("--hotspot-mode", choices=["sampling", "tracing"],
-                        default="sampling",
-                        help="sampling (default; wall-clock samples) or "
-                             "tracing (deterministic sys.setprofile hook; "
-                             "use for sub-millisecond commands)")
-    parser.add_argument("--sample-hz", type=float, default=97.0, metavar="HZ",
-                        help="sampling rate for --hotspot-mode sampling "
-                             "(default 97, prime to dodge periodic aliasing)")
+                        help="write collapsed caller;callee edges "
+                             "(flamegraph.pl / speedscope format, two frames "
+                             "deep); implies --hotspot")
 
 
 def _add_component_flags(parser: argparse.ArgumentParser) -> None:
@@ -1664,14 +1615,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_hot.add_argument("--top", type=int, default=10, metavar="N",
                        help="how many functions the report ranks (default 10)")
     p_hot.add_argument("--hotspot-out", metavar="FILE", default=None,
-                       help="write collapsed stacks (flamegraph.pl / "
-                            "speedscope format)")
-    p_hot.add_argument("--hotspot-mode", choices=["sampling", "tracing"],
-                       default="sampling",
-                       help="sampling (default) or deterministic tracing "
-                            "(use for sub-millisecond commands)")
-    p_hot.add_argument("--sample-hz", type=float, default=97.0, metavar="HZ",
-                       help="sampling rate (default 97)")
+                       help="write collapsed caller;callee edges "
+                            "(flamegraph.pl / speedscope format, two frames "
+                            "deep)")
     p_hot.add_argument("argv", nargs=argparse.REMAINDER,
                        help="the supernpu command line to profile, e.g. "
                             "'simulate supernpu mobilenet'")
@@ -1760,6 +1706,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: List[str] | None = None) -> int:
     from repro.errors import ReproError
+    from repro.obs import hotspot
     from repro.obs import registry as run_registry
 
     parser = build_parser()
@@ -1767,6 +1714,7 @@ def main(argv: List[str] | None = None) -> int:
     argv_list = list(sys.argv[1:] if argv is None else argv)
     started = time.perf_counter()
     mark = _plan_mark()
+    outer_profiler = hotspot.active_profiler()
     exit_code: Optional[int] = None
     try:
         exit_code = args.func(args)
@@ -1784,6 +1732,10 @@ def main(argv: List[str] | None = None) -> int:
         exit_code = error.exit_code
         return exit_code
     finally:
+        # A command that failed mid-run leaves its --hotspot profiler
+        # running; stop it so the process can profile again.
+        if hotspot.active_profiler() not in (None, outer_profiler):
+            hotspot.active_profiler().stop()
         # Every invocation lands in the run registry (best-effort; a full
         # disk never turns a successful command into a failure).  The
         # registry's own query command is not recorded — listing history

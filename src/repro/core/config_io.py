@@ -39,6 +39,10 @@ def config_from_dict(data: Dict[str, Any]) -> NPUConfig:
         )
     if "name" not in data:
         raise ConfigError("a config needs a 'name'", code="config.missing_name")
+    if not isinstance(data["name"], str):
+        raise ConfigError(
+            f"a config's 'name' must be a string, not {type(data['name']).__name__}",
+            code="config.invalid_value", field="name")
     try:
         return NPUConfig(**data)
     except TypeError as error:
@@ -69,7 +73,7 @@ def save(config: NPUConfig, path: Union[str, Path]) -> None:
 def load(path: Union[str, Path]) -> NPUConfig:
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as error:
+    except (OSError, UnicodeDecodeError) as error:
         raise ConfigError(f"cannot read config file {path}: {error}",
                           code="config.unreadable", path=str(path)) from error
     return loads(text)

@@ -622,20 +622,28 @@ class WorkerObsSpec:
     sidecar_dir: str
     metrics: bool = False
     tracing: bool = False
-    hotspot_mode: Optional[str] = None
-    hotspot_hz: float = 97.0
+    hotspot: bool = False
 
     @property
     def collects_anything(self) -> bool:
-        return self.metrics or self.tracing or self.hotspot_mode is not None
+        return self.metrics or self.tracing or self.hotspot
 
 
 def _write_obs_sidecar(spec: WorkerObsSpec, key: str,
                        counters: Dict[str, Any],
                        spans: List[Dict[str, Any]],
-                       profile: Optional[Any]) -> None:
-    """Atomically write one worker's per-task obs sidecar (best-effort)."""
+                       profiler: Optional[Any]) -> None:
+    """Atomically write one worker's per-task obs sidecar (best-effort).
+
+    A hotspot profile goes beside it as ``<key>.prof`` (``pstats``
+    format), written first so a sidecar never names a partial one.
+    """
     try:
+        if profiler is not None:
+            stats = Path(spec.sidecar_dir) / f"{key}.prof"
+            tmp = Path(spec.sidecar_dir) / f"{key}.prof.tmp.{os.getpid()}"
+            profiler.dump_stats(str(tmp))
+            os.replace(tmp, stats)
         document = {
             "kind": "worker-obs",
             "schema": 1,
@@ -643,7 +651,6 @@ def _write_obs_sidecar(spec: WorkerObsSpec, key: str,
             "pid": os.getpid(),
             "counters": counters,
             "spans": spans,
-            "hotspot": None if profile is None else profile.to_dict(),
         }
         path = Path(spec.sidecar_dir) / f"{key}.json"
         tmp = path.with_suffix(f".tmp.{os.getpid()}")
@@ -669,17 +676,15 @@ def _execute_observed(task: SimTask, chaos: Optional[ChaosInjector],
     obs.reset()
     obs.enable(metrics=spec.metrics, tracing=spec.tracing)
     profiler = None
-    if spec.hotspot_mode is not None:
+    if spec.hotspot:
         try:
-            profiler = HotspotProfiler(mode=spec.hotspot_mode,
-                                       sample_hz=spec.hotspot_hz).start()
-        except Exception:
-            profiler = None
+            profiler = HotspotProfiler().start()
+        except ConfigError:
+            profiler = None  # another profiler runs here: collect nothing
     try:
         if chaos is not None:
             chaos.fire(task.key())
         run, seconds = _execute(task)
-        profile = profiler.stop() if profiler is not None else None
         snapshot = obs.metrics().snapshot() if spec.metrics else {}
         spans = serialize_spans(obs.tracer()) if spec.tracing else []
     finally:
@@ -687,7 +692,7 @@ def _execute_observed(task: SimTask, chaos: Optional[ChaosInjector],
             profiler.stop()
         obs.disable()
         obs.reset()
-    _write_obs_sidecar(spec, task.key(), snapshot.get("counters", {}), spans, profile)
+    _write_obs_sidecar(spec, task.key(), snapshot.get("counters", {}), spans, profiler)
     return run, seconds
 
 
@@ -1078,18 +1083,17 @@ class JobRunner:
         """
         from repro.obs import hotspot as hotspot_mod
 
-        profiler = hotspot_mod.active_profiler()
+        want_hotspot = hotspot_mod.active_profiler() is not None
         want_metrics = obs.metrics().enabled
         want_tracing = obs.tracer().enabled
-        if not (want_metrics or want_tracing or profiler is not None):
+        if not (want_metrics or want_tracing or want_hotspot):
             return None
         sidecar_dir = tempfile.mkdtemp(prefix="supernpu-worker-obs-")
         return WorkerObsSpec(
             sidecar_dir=sidecar_dir,
             metrics=want_metrics,
             tracing=want_tracing,
-            hotspot_mode=None if profiler is None else profiler.mode,
-            hotspot_hz=profiler.sample_hz if profiler is not None else 97.0,
+            hotspot=want_hotspot,
         )
 
     def _merge_worker_obs(self, spec: Optional["WorkerObsSpec"]) -> None:
@@ -1097,8 +1101,8 @@ class JobRunner:
 
         Counters come back prefixed ``jobs.worker.`` (so parent-side and
         worker-side accounting stay distinguishable), spans land in a
-        per-PID lane of the parent's Chrome trace, and hotspot samples
-        merge into the active profiler.  Unreadable sidecars are skipped;
+        per-PID lane of the parent's Chrome trace, and hotspot stats
+        fold into the active profiler.  Unreadable sidecars are skipped;
         the sidecar directory is always removed.
         """
         if spec is None:
@@ -1124,9 +1128,7 @@ class JobRunner:
                 spans = document.get("spans") or []
                 if spans:
                     obs.tracer().absorb_serialized(spans, pid=pid)
-                hotspot_doc = document.get("hotspot")
-                if hotspot_doc:
-                    hotspot_mod.absorb(hotspot_doc)
+                hotspot_mod.absorb(path.with_suffix(".prof"))
             if merged:
                 obs.counter("jobs.worker.sidecars").add(merged)
                 obs.gauge("jobs.worker.pids").set(len(pids))

@@ -29,13 +29,12 @@ PR 6 adds the cross-run trajectory on top of the in-run runtime:
 * **bench** — the BENCH_<sha>.json recorder and regression comparator
   over the ``benchmarks/`` suite (:mod:`repro.obs.bench`).
 
-PR 7 adds host-time hotspot profiling (:mod:`repro.obs.hotspot`): a
-stdlib-only sampling profiler (plus a deterministic tracing fallback for
-sub-millisecond runs) with collapsed-stack export and a report that
+Host-time hotspot profiling (:mod:`repro.obs.hotspot`) runs stdlib
+``cProfile``, with collapsed caller→callee export and a report that
 joins per-function self-time with the simulated-cycle phase attribution.
-Worker processes spawned by :mod:`repro.core.jobs` serialize their own
-spans / counters / samples into per-task sidecars that the parent merges
-into one Chrome trace with one lane per worker PID.
+Worker processes spawned by :mod:`repro.core.jobs` write their own
+spans / counters / ``pstats`` into per-task sidecars that the parent
+merges: one Chrome trace with one lane per worker PID, one profile.
 """
 
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry

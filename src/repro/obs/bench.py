@@ -37,6 +37,7 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import ConfigError, SimulationError
+from repro.obs import hotspot
 from repro.obs.manifest import RunManifest
 
 #: Bump when the BENCH document layout changes meaning.
@@ -50,11 +51,6 @@ COMPATIBLE_SCHEMAS = (1, 2)
 
 BENCH_KIND = "supernpu-bench"
 BENCH_PREFIX = "BENCH_"
-
-#: Environment variables the benchmarks/conftest.py hotspot fixture honors.
-HOTSPOT_OUT_ENV = "SUPERNPU_BENCH_HOTSPOT_OUT"
-HOTSPOT_MODE_ENV = "SUPERNPU_BENCH_HOTSPOT_MODE"
-HOTSPOT_HZ_ENV = "SUPERNPU_BENCH_HOTSPOT_HZ"
 
 #: Named benchmark subsets (file stems under ``benchmarks/``).
 #: ``smoke`` is the CI gate: the fastest representative slice of the
@@ -181,8 +177,6 @@ def run_benchmarks(subset: str = "all", *,
                    max_time_s: float = 0.5,
                    timeout_s: float = 1800.0,
                    label: Optional[str] = None,
-                   hotspot_mode: Optional[str] = None,
-                   hotspot_hz: float = 97.0,
                    pytest_args: Sequence[str] = ()) -> Dict[str, Any]:
     """Run the suite in a pytest subprocess; returns the BENCH document.
 
@@ -193,10 +187,12 @@ def run_benchmarks(subset: str = "all", *,
     stats JSON alongside; both are folded into the returned document.
 
     ``label`` names the trajectory point (sets the default filename to
-    ``BENCH_<label>.json``).  ``hotspot_mode`` ("sampling" or "tracing")
-    asks the benchmark conftest to profile the whole session host-side
-    (``SUPERNPU_BENCH_HOTSPOT_*`` env vars); the resulting summary and
-    collapsed stacks fold into the document's ``hotspot`` field.
+    ``BENCH_<label>.json``).  When a hotspot profiler runs in this
+    process, pytest-benchmark runs each benchmarked call once more under
+    its own ``cProfile`` and dumps the ``pstats``; they fold into that
+    profiler, as pool workers' do.  (A profiler around the whole pytest
+    session cannot work: pytest-benchmark pauses and restores profile
+    hooks through ``sys.setprofile``, which cannot restore ``cProfile``.)
     """
     if min_rounds < 1:
         raise ConfigError("min_rounds must be >= 1",
@@ -207,13 +203,9 @@ def run_benchmarks(subset: str = "all", *,
     with tempfile.TemporaryDirectory(prefix="supernpu-bench-") as scratch:
         raw_path = Path(scratch) / "pytest-benchmark.json"
         metrics_path = Path(scratch) / "bench-metrics.json"
-        hotspot_path = Path(scratch) / "bench-hotspot.json"
+        profiles = Path(scratch) / "hotspot"
         env = dict(os.environ)
         env["SUPERNPU_BENCH_METRICS_OUT"] = str(metrics_path)
-        if hotspot_mode is not None:
-            env[HOTSPOT_OUT_ENV] = str(hotspot_path)
-            env[HOTSPOT_MODE_ENV] = hotspot_mode
-            env[HOTSPOT_HZ_ENV] = str(hotspot_hz)
         src = str(Path(__file__).resolve().parents[2])
         env["PYTHONPATH"] = src + (
             os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
@@ -227,6 +219,9 @@ def run_benchmarks(subset: str = "all", *,
             f"--benchmark-json={raw_path}",
             *pytest_args,
         ]
+        if hotspot.active_profiler() is not None:
+            command += ["--benchmark-cprofile=tottime",
+                        f"--benchmark-cprofile-dump={profiles / 'bench'}"]
         try:
             proc = subprocess.run(
                 command, cwd=str(base), env=env, capture_output=True,
@@ -252,12 +247,8 @@ def run_benchmarks(subset: str = "all", *,
             metrics_doc = json.loads(metrics_path.read_text(encoding="utf-8"))
             counters = metrics_doc.get("metrics", {}).get("counters", {})
             histograms = metrics_doc.get("metrics", {}).get("histograms", {})
-        hotspot_doc: Optional[Dict[str, Any]] = None
-        if hotspot_mode is not None and hotspot_path.is_file():
-            try:
-                hotspot_doc = json.loads(hotspot_path.read_text(encoding="utf-8"))
-            except ValueError:
-                hotspot_doc = None
+        for path in sorted(profiles.glob("*.prof")):
+            hotspot.absorb(path)
     wall = time.perf_counter() - started
 
     benchmarks: Dict[str, Dict[str, Any]] = {}
@@ -304,7 +295,7 @@ def run_benchmarks(subset: str = "all", *,
         "benchmarks": benchmarks,
         "counters": counters,
         "histograms": histograms,
-        "hotspot": hotspot_doc,
+        "hotspot": None,
     }
 
 

@@ -2,38 +2,33 @@
 
 The rest of ``repro.obs`` attributes *simulated* cycles (timeline,
 bottleneck, roofline) and *end-to-end* wall time (bench).  This module
-closes the remaining gap: which **Python frames** burn the host's wall
-clock, so the RK4 / cycle-model inner loops named by ROADMAP item 2 can
-be located before a numpy rewrite and re-checked afterwards.
+closes the remaining gap: which **Python functions** burn the host's
+wall clock, so the inner loops of the cycle model and the solvers can be
+located before a rewrite and re-checked afterwards.
 
-Two stdlib-only collection modes, one data model:
+Collection is stdlib ``cProfile``: deterministic per-function call
+counts, self and cumulative wall time, and caller→callee edges.  A
+:class:`HotspotProfile` is built from the ``pstats`` table.  It ranks
+functions in a top-N terminal report, exports the edges as two-frame
+collapsed stacks (``flamegraph.pl`` format), and joins with the
+cycle-domain attribution of ``repro.simulator.attribution``, so each
+simulated phase (compute / preparation / dram) maps to the host frames
+that model it.  Pool workers dump their ``pstats`` beside their obs
+sidecar and the parent folds them in (see ``repro.core.jobs``).
 
-* ``sampling`` — a daemon thread walks ``sys._current_frames()`` at a
-  configurable rate (default ~97 Hz; a prime, so it does not alias with
-  common periodic work).  Near-zero overhead, statistically accurate for
-  runs lasting tens of milliseconds or more.
-* ``tracing`` — a deterministic ``sys.setprofile`` hook recording exact
-  per-function call counts and self/cumulative wall time.  Higher
-  overhead, but the *set of frames and call counts* is bitwise-stable
-  across runs of a fixed workload, which makes it testable and the right
-  mode for sub-millisecond commands.
-
-Both feed a :class:`HotspotProfile`: per-stack sample weights that
-aggregate into per-function self/cumulative time, export as collapsed
-stacks (``flamegraph.pl`` format), render as a top-N terminal report,
-serialize to/from JSON (so pool workers can ship samples to the parent
-in a sidecar, see ``repro.core.jobs``), and join with the cycle-domain
-attribution of ``repro.simulator.attribution`` so each simulated phase
-(compute / preparation / dram) maps to the host frames that model it.
+``cProfile`` and ``pstats`` are imported only when a profiler starts,
+so importing ``repro`` does not pay for them.
 """
 
 from __future__ import annotations
 
+import os
 import sys
-import threading
 import time
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Tuple
+
+from repro.errors import ConfigError
 
 __all__ = [
     "FrameKey",
@@ -50,15 +45,8 @@ __all__ = [
 # (function name, file path, first line of the function)
 FrameKey = Tuple[str, str, int]
 
-# Stack root→leaf, as frame keys.
-StackKey = Tuple[FrameKey, ...]
-
-MODES = ("sampling", "tracing")
-
-DEFAULT_SAMPLE_HZ = 97.0
-DEFAULT_MAX_DEPTH = 64
-
-PROFILE_SCHEMA_VERSION = 1
+# (caller, callee)
+Edge = Tuple[FrameKey, FrameKey]
 
 
 def _frame_label(key: FrameKey) -> str:
@@ -121,10 +109,8 @@ def classify_frame(key: FrameKey) -> Tuple[str, Optional[str]]:
 
 def group_phase_fractions(summary_fractions: Dict[str, float]) -> Dict[str, float]:
     """Collapse attribution phase fractions into compute/preparation/dram."""
-    grouped = {}
-    for group, phases in _PHASE_GROUPS.items():
-        grouped[group] = sum(summary_fractions.get(phase, 0.0) for phase in phases)
-    return grouped
+    return {group: sum(summary_fractions.get(phase, 0.0) for phase in phases)
+            for group, phases in _PHASE_GROUPS.items()}
 
 
 def join_with_phases(profile: "HotspotProfile",
@@ -141,31 +127,18 @@ def join_with_phases(profile: "HotspotProfile",
     dominates both is the target.
     """
     grouped = group_phase_fractions(summary_fractions)
-    by_phase: Dict[Optional[str], Dict[FrameKey, float]] = {}
-    for stat in profile.function_stats():
-        _, phase = classify_frame(stat.key)
-        by_phase.setdefault(phase, {})[stat.key] = stat.self_s
-    rows: List[Dict[str, Any]] = []
-    for group in ("compute", "preparation", "dram"):
-        frames = by_phase.get(group, {})
-        hottest = sorted(frames.items(), key=lambda kv: (-kv[1], kv[0]))[:top_frames]
-        rows.append({
-            "phase": group,
+    by_phase: Dict[Optional[str], List[FunctionStat]] = {}
+    for stat in profile.function_stats():  # hottest first
+        by_phase.setdefault(classify_frame(stat.key)[1], []).append(stat)
+    return [
+        {
+            "phase": group or "unattributed",
             "cycle_fraction": grouped.get(group, 0.0),
-            "host_self_s": sum(frames.values()),
-            "frames": [_frame_label(key) for key, _ in hottest],
-        })
-    other = by_phase.get(None, {})
-    rows.append({
-        "phase": "unattributed",
-        "cycle_fraction": 0.0,
-        "host_self_s": sum(other.values()),
-        "frames": [
-            _frame_label(key)
-            for key, _ in sorted(other.items(), key=lambda kv: (-kv[1], kv[0]))[:top_frames]
-        ],
-    })
-    return rows
+            "host_self_s": sum(stat.self_s for stat in by_phase.get(group, [])),
+            "frames": [stat.label for stat in by_phase.get(group, [])[:top_frames]],
+        }
+        for group in ("compute", "preparation", "dram", None)
+    ]
 
 
 # -- profile data model --------------------------------------------------
@@ -178,157 +151,98 @@ class FunctionStat:
     self_s: float = 0.0
     cum_s: float = 0.0
     calls: int = 0
-    samples: int = 0
 
     @property
     def label(self) -> str:
         return _frame_label(self.key)
 
 
-class HotspotProfile:
-    """Aggregated stack samples with export, merge and serialization.
+#: This module's source path, used to keep profiler-internal frames out
+#: of collected profiles.
+_OWN_FILE = __file__
 
-    The core storage is ``stack_seconds`` / ``stack_counts``: for every
-    observed root→leaf stack, the summed self-time attributed to its leaf
-    and the number of samples (sampling) or returns (tracing) observed.
-    Everything else — per-function stats, collapsed stacks, reports — is
-    derived.
+#: ``Profile.disable`` is recorded as the last call of every profile.
+_DISABLE_BUILTIN = "<method 'disable' of '_lsprof.Profiler' objects>"
+
+
+def _is_profiler_frame(key: FrameKey) -> bool:
+    return key[1] == _OWN_FILE or key[0] == _DISABLE_BUILTIN
+
+
+class HotspotProfile:
+    """Per-function host time and caller→callee edges of one profiled run.
+
+    ``edges`` maps ``(caller, callee)`` to the callee's self seconds
+    while called from that caller.  Everything else (rankings, collapsed
+    stacks, reports) is derived.
     """
 
-    def __init__(self, mode: str = "sampling", interval_s: float = 0.0) -> None:
-        if mode not in MODES:
-            raise ValueError(f"unknown hotspot mode {mode!r}; expected one of {MODES}")
-        self.mode = mode
-        self.interval_s = interval_s
-        self.duration_s = 0.0
-        self.samples = 0
-        self.stack_seconds: Dict[StackKey, float] = {}
-        self.stack_counts: Dict[StackKey, int] = {}
-        self.calls: Dict[FrameKey, int] = {}
-        self._lock = threading.Lock()
-
-    # -- recording ------------------------------------------------------
-    def add(self, stack: StackKey, seconds: float, count: int = 1) -> None:
-        """Attribute ``seconds`` of self-time to ``stack``'s leaf frame."""
-        if not stack:
-            return
-        with self._lock:
-            self.stack_seconds[stack] = self.stack_seconds.get(stack, 0.0) + seconds
-            self.stack_counts[stack] = self.stack_counts.get(stack, 0) + count
-
-    def add_call(self, key: FrameKey, count: int = 1) -> None:
-        with self._lock:
-            self.calls[key] = self.calls.get(key, 0) + count
-
-    def merge(self, other: "HotspotProfile") -> None:
-        """Fold another profile's samples into this one (worker merge)."""
-        with self._lock:
-            for stack, seconds in other.stack_seconds.items():
-                self.stack_seconds[stack] = self.stack_seconds.get(stack, 0.0) + seconds
-            for stack, count in other.stack_counts.items():
-                self.stack_counts[stack] = self.stack_counts.get(stack, 0) + count
-            for key, count in other.calls.items():
-                self.calls[key] = self.calls.get(key, 0) + count
-            self.samples += other.samples
-
-    # -- derived views --------------------------------------------------
-    def function_stats(self) -> List[FunctionStat]:
-        """Per-function self/cumulative time, sorted by self-time desc.
-
-        Self time sums the leaf attributions; cumulative time counts each
-        stack once per *distinct function on it* (so recursion does not
-        double-count).
-        """
-        with self._lock:
-            stacks = dict(self.stack_seconds)
-            counts = dict(self.stack_counts)
-            calls = dict(self.calls)
-        stats: Dict[FrameKey, FunctionStat] = {}
-        for stack, seconds in stacks.items():
-            leaf = stack[-1]
-            stat = stats.setdefault(leaf, FunctionStat(leaf))
-            stat.self_s += seconds
-            stat.samples += counts.get(stack, 0)
-            for key in set(stack):
-                stats.setdefault(key, FunctionStat(key)).cum_s += seconds
-        for key, count in calls.items():
-            stats.setdefault(key, FunctionStat(key)).calls = count
-        return sorted(stats.values(), key=lambda s: (-s.self_s, -s.cum_s, s.key))
-
-    def top(self, n: int = 10) -> List[FunctionStat]:
-        return self.function_stats()[:n]
-
-    def total_seconds(self) -> float:
-        with self._lock:
-            return sum(self.stack_seconds.values())
-
-    def collapsed(self) -> str:
-        """Collapsed-stack export, one ``a;b;c value`` line per stack.
-
-        Directly consumable by ``flamegraph.pl`` / speedscope.  Values
-        are integer microseconds of leaf self-time; stacks are sorted
-        lexically so the output is deterministic for a fixed profile.
-        """
-        with self._lock:
-            stacks = dict(self.stack_seconds)
-        lines = []
-        for stack in sorted(stacks):
-            frames = ";".join(
-                f"{name} {_short_path(filename)}:{lineno}"
-                for name, filename, lineno in stack
-            )
-            micros = int(round(stacks[stack] * 1e6))
-            lines.append(f"{frames} {micros}")
-        return "\n".join(lines)
-
-    # -- serialization --------------------------------------------------
-    def to_dict(self) -> Dict[str, Any]:
-        with self._lock:
-            return {
-                "schema_version": PROFILE_SCHEMA_VERSION,
-                "mode": self.mode,
-                "interval_s": self.interval_s,
-                "duration_s": self.duration_s,
-                "samples": self.samples,
-                "stacks": [
-                    {
-                        "frames": [list(frame) for frame in stack],
-                        "seconds": seconds,
-                        "count": self.stack_counts.get(stack, 0),
-                    }
-                    for stack, seconds in sorted(self.stack_seconds.items())
-                ],
-                "calls": [
-                    {"frame": list(key), "count": count}
-                    for key, count in sorted(self.calls.items())
-                ],
-            }
+    def __init__(self, functions: Iterable[FunctionStat] = (),
+                 edges: Optional[Dict[Edge, float]] = None,
+                 duration_s: float = 0.0) -> None:
+        self.functions: Dict[FrameKey, FunctionStat] = {
+            stat.key: stat for stat in functions}
+        self.edges: Dict[Edge, float] = dict(edges or {})
+        self.duration_s = duration_s
 
     @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "HotspotProfile":
-        profile = cls(mode=data.get("mode", "sampling"),
-                      interval_s=data.get("interval_s", 0.0))
-        profile.duration_s = data.get("duration_s", 0.0)
-        profile.samples = data.get("samples", 0)
-        for entry in data.get("stacks", []):
-            stack = tuple(
-                (str(frame[0]), str(frame[1]), int(frame[2]))
-                for frame in entry["frames"]
-            )
-            profile.stack_seconds[stack] = float(entry.get("seconds", 0.0))
-            profile.stack_counts[stack] = int(entry.get("count", 0))
-        for entry in data.get("calls", []):
-            frame = entry["frame"]
-            profile.calls[(str(frame[0]), str(frame[1]), int(frame[2]))] = int(entry["count"])
-        return profile
+    def from_stats(cls, stats: Dict[Any, Any],
+                   duration_s: float = 0.0) -> "HotspotProfile":
+        """Build from a ``pstats.Stats.stats`` table, minus profiler frames.
+
+        The table maps ``(file, line, name)`` to ``(primitive calls,
+        calls, self s, cum s, callers)``; each caller entry holds the
+        same four numbers for that one edge.
+        """
+        functions = []
+        edges: Dict[Edge, float] = {}
+        for (filename, line, name), (_, calls, self_s, cum_s, callers) in stats.items():
+            key = (name, filename, line)
+            if _is_profiler_frame(key):
+                continue
+            functions.append(FunctionStat(key, self_s, cum_s, calls))
+            for (caller_file, caller_line, caller_name), edge in callers.items():
+                caller = (caller_name, caller_file, caller_line)
+                if not _is_profiler_frame(caller):
+                    edges[(caller, key)] = edge[2]
+        return cls(functions, edges, duration_s)
+
+    # -- derived views --------------------------------------------------
+    @property
+    def calls(self) -> Dict[FrameKey, int]:
+        """Exact call count per function."""
+        return {key: stat.calls for key, stat in self.functions.items()}
+
+    def function_stats(self) -> List[FunctionStat]:
+        """Per-function self/cumulative time, sorted by self-time desc."""
+        return sorted(self.functions.values(),
+                      key=lambda s: (-s.self_s, -s.cum_s, s.key))
+
+    def total_seconds(self) -> float:
+        return sum(stat.self_s for stat in self.functions.values())
+
+    def collapsed(self) -> str:
+        """Collapsed-stack export, one ``caller;callee value`` line per edge.
+
+        ``cProfile`` records caller→callee edges, not whole stacks, so a
+        flamegraph built from this is two frames deep; a function with no
+        profiled caller is one frame on its own.  Values are integer
+        microseconds of the callee's self-time under that caller; lines
+        are sorted so the output is deterministic for a fixed profile.
+        """
+        lines = [f"{_frame_label(caller)};{_frame_label(callee)} {round(seconds * 1e6)}"
+                 for (caller, callee), seconds in self.edges.items()]
+        called = {callee for _, callee in self.edges}
+        lines.extend(f"{stat.label} {round(stat.self_s * 1e6)}"
+                     for key, stat in self.functions.items() if key not in called)
+        return "\n".join(sorted(lines))
 
     def summary(self, top_n: int = 5) -> Dict[str, Any]:
         """Compact summary for RunRegistry entries and BENCH documents."""
         stats = self.function_stats()
         return {
-            "mode": self.mode,
             "duration_s": round(self.duration_s, 6),
-            "samples": self.samples,
+            "calls": sum(stat.calls for stat in stats),
             "functions": len(stats),
             "top": [
                 {
@@ -349,20 +263,19 @@ class HotspotProfile:
         """Human-readable top-N hotspot table (stderr-destined)."""
         stats = self.function_stats()
         total = sum(stat.self_s for stat in stats)
-        header = (f"hotspot [{self.mode}]: {len(stats)} functions, "
-                  f"{self.samples} samples over {self.duration_s * 1e3:.1f} ms host time")
-        lines = [header,
+        calls = sum(stat.calls for stat in stats)
+        lines = [f"hotspot: {len(stats)} functions, {calls:,} calls over "
+                 f"{self.duration_s * 1e3:.1f} ms host time",
                  f"{'self ms':>10s} {'self %':>7s} {'cum ms':>10s} {'calls':>8s}  function"]
-        for stat in stats[:top_n]:
+
+        def row(stat: FunctionStat) -> str:
             share = 100.0 * stat.self_s / total if total else 0.0
-            calls = str(stat.calls) if stat.calls else "-"
-            lines.append(
-                f"{stat.self_s * 1e3:>10.3f} {share:>6.1f}% {stat.cum_s * 1e3:>10.3f} "
-                f"{calls:>8s}  {stat.label}"
-            )
-        if len(stats) == 0:
-            lines.append("(no samples collected — try --hotspot-mode tracing "
-                         "or a longer workload)")
+            return (f"{stat.self_s * 1e3:>10.3f} {share:>6.1f}% "
+                    f"{stat.cum_s * 1e3:>10.3f} {stat.calls:>8d}  {stat.label}")
+
+        lines.extend(row(stat) for stat in stats[:top_n])
+        if not stats:
+            lines.append("(no calls recorded)")
         # Stdlib/harness frames (argparse, dataclasses.asdict, ...) often
         # crowd the global ranking on short commands; a framework-only
         # sub-ranking keeps the simulator's inner loops visible.
@@ -371,177 +284,87 @@ class HotspotProfile:
         if repro_stats and repro_stats[:5] != stats[:5]:
             lines.append("")
             lines.append("top repro frames (framework code only):")
-            for stat in repro_stats[:5]:
-                share = 100.0 * stat.self_s / total if total else 0.0
-                calls = str(stat.calls) if stat.calls else "-"
-                lines.append(
-                    f"{stat.self_s * 1e3:>10.3f} {share:>6.1f}% "
-                    f"{stat.cum_s * 1e3:>10.3f} {calls:>8s}  {stat.label}"
-                )
+            lines.extend(row(stat) for stat in repro_stats[:5])
         if phase_fractions is not None:
             lines.append("")
             lines.append("cycle-domain join (simulated fraction vs host self time):")
             lines.append(f"{'phase':<14s} {'sim %':>7s} {'host ms':>10s}  hottest frames")
-            for row in join_with_phases(self, phase_fractions):
-                frames = "; ".join(row["frames"]) if row["frames"] else "-"
+            for entry in join_with_phases(self, phase_fractions):
+                frames = "; ".join(entry["frames"]) if entry["frames"] else "-"
                 lines.append(
-                    f"{row['phase']:<14s} {100.0 * row['cycle_fraction']:>6.1f}% "
-                    f"{row['host_self_s'] * 1e3:>10.3f}  {frames}"
+                    f"{entry['phase']:<14s} {100.0 * entry['cycle_fraction']:>6.1f}% "
+                    f"{entry['host_self_s'] * 1e3:>10.3f}  {frames}"
                 )
         return "\n".join(lines)
 
 
-# -- collectors ----------------------------------------------------------
-
-#: This module's source path, used to keep profiler-internal frames out
-#: of collected profiles.
-_OWN_FILE = __file__
-
-
-def _extract_stack(frame: Any, max_depth: int) -> StackKey:
-    """Walk ``frame.f_back`` links into a root→leaf tuple of frame keys."""
-    frames: List[FrameKey] = []
-    while frame is not None and len(frames) < max_depth:
-        code = frame.f_code
-        frames.append((code.co_name, code.co_filename, code.co_firstlineno))
-        frame = frame.f_back
-    frames.reverse()
-    return tuple(frames)
-
-
-class _SamplerThread(threading.Thread):
-    """Daemon thread attributing one interval of wall time per sample."""
-
-    def __init__(self, profile: HotspotProfile, interval_s: float, max_depth: int) -> None:
-        super().__init__(name="hotspot-sampler", daemon=True)
-        self._profile = profile
-        self._interval_s = interval_s
-        self._max_depth = max_depth
-        # NB: threading.Thread has a private _stop() method; don't shadow it.
-        self._stop_event = threading.Event()
-
-    def stop(self) -> None:
-        self._stop_event.set()
-        self.join(timeout=5.0)
-
-    def run(self) -> None:
-        own = self.ident
-        while not self._stop_event.wait(self._interval_s):
-            frames = sys._current_frames()
-            for thread_id, frame in frames.items():
-                if thread_id == own:
-                    continue
-                stack = _extract_stack(frame, self._max_depth)
-                if stack:
-                    self._profile.add(stack, self._interval_s, 1)
-            self._profile.samples += 1
-
-
-class _TracingCollector:
-    """Deterministic ``sys.setprofile`` collector for the calling thread."""
-
-    def __init__(self, profile: HotspotProfile, max_depth: int) -> None:
-        self._profile = profile
-        self._max_depth = max_depth
-        # Each entry: [frame key, entry perf_counter, accumulated child seconds]
-        self._stack: List[List[Any]] = []
-
-    def install(self) -> None:
-        sys.setprofile(self._dispatch)
-
-    def uninstall(self) -> None:
-        sys.setprofile(None)
-        # Frames still open when profiling stops get credited up to now.
-        now = time.perf_counter()
-        while self._stack:
-            self._close_top(now)
-
-    def _dispatch(self, frame: Any, event: str, arg: Any) -> None:
-        if event == "call":
-            code = frame.f_code
-            key = (code.co_name, code.co_filename, code.co_firstlineno)
-            if len(self._stack) < self._max_depth:
-                self._stack.append([key, time.perf_counter(), 0.0])
-        elif event == "return":
-            # Returns from frames entered before install() find an empty
-            # stack; ignore them.
-            if self._stack:
-                self._close_top(time.perf_counter())
-
-    def _close_top(self, now: float) -> None:
-        key, started, child_s = self._stack.pop()
-        elapsed = now - started
-        if self._stack:
-            self._stack[-1][2] += elapsed
-        if key[1] == _OWN_FILE:
-            # The profiler's own teardown frames (stop/uninstall) are
-            # mid-flight when the hook is removed; keep them out of the
-            # profile so a fixed workload's frame set stays stable.
-            return
-        self_s = max(0.0, elapsed - child_s)
-        path = tuple(entry[0] for entry in self._stack
-                     if entry[0][1] != _OWN_FILE) + (key,)
-        self._profile.add(path, self_s, 1)
-        self._profile.add_call(key, 1)
-
+# -- the profiler --------------------------------------------------------
 
 class HotspotProfiler:
-    """Start/stop wrapper around one collection run.
+    """Start/stop wrapper around one ``cProfile`` run.
 
     Usable as a context manager::
 
-        with HotspotProfiler(mode="tracing") as profiler:
+        with HotspotProfiler() as profiler:
             run_workload()
         print(profiler.profile.report(), file=sys.stderr)
 
     While running, the profiler registers itself as the process-ambient
     profiler (:func:`active_profiler`) so `repro.core.jobs` can forward
-    the request to pool workers and :func:`absorb` their samples back.
+    the request to pool workers and :func:`absorb` their stats back.
+    Only one profiler may run at a time: starting a second one, or one
+    while another tool profiles the thread, raises :class:`ConfigError`.
     """
 
-    def __init__(self, mode: str = "sampling",
-                 sample_hz: float = DEFAULT_SAMPLE_HZ,
-                 max_depth: int = DEFAULT_MAX_DEPTH) -> None:
-        if mode not in MODES:
-            raise ValueError(f"unknown hotspot mode {mode!r}; expected one of {MODES}")
-        if sample_hz <= 0:
-            raise ValueError(f"sample_hz must be positive, got {sample_hz}")
-        self.mode = mode
-        self.sample_hz = sample_hz
-        self.max_depth = max_depth
-        interval = 1.0 / sample_hz if mode == "sampling" else 0.0
-        self.profile = HotspotProfile(mode=mode, interval_s=interval)
-        self._sampler: Optional[_SamplerThread] = None
-        self._tracer: Optional[_TracingCollector] = None
-        self._started_at: Optional[float] = None
+    def __init__(self) -> None:
+        self.profile = HotspotProfile()
+        self._running: Any = None  # the cProfile.Profile while running
+        self._stats: Any = None  # pstats.Stats: workers' while running, all after
+        self._started_at = 0.0
 
     def start(self) -> "HotspotProfiler":
-        if self._started_at is not None:
+        if self._running is not None:
             return self
+        import cProfile
+        import pstats
+
+        running = cProfile.Profile()
+        try:
+            if _active is not None or sys.getprofile() is not None:
+                raise ValueError("a profile hook is installed")
+            # Python 3.12+ raises ValueError itself when another
+            # sys.monitoring profiler holds the slot.
+            running.enable()
+        except ValueError as error:
+            raise ConfigError(
+                "another profiler is already running in this process",
+                code="hotspot.nested",
+                hint="profile once: drop --hotspot under 'supernpu hotspot', "
+                     "or stop the other profiler first",
+            ) from error
+        self._running = running
+        self._stats = pstats.Stats()
         self._started_at = time.perf_counter()
-        if self.mode == "sampling":
-            self._sampler = _SamplerThread(self.profile, self.profile.interval_s,
-                                           self.max_depth)
-            self._sampler.start()
-        else:
-            self._tracer = _TracingCollector(self.profile, self.max_depth)
-            self._tracer.install()
         _set_active(self)
         return self
 
     def stop(self) -> HotspotProfile:
-        if self._started_at is None:
+        if self._running is None:
             return self.profile
-        if self._sampler is not None:
-            self._sampler.stop()
-            self._sampler = None
-        if self._tracer is not None:
-            self._tracer.uninstall()
-            self._tracer = None
-        self.profile.duration_s += time.perf_counter() - self._started_at
-        self._started_at = None
+        self._running.disable()
+        duration = time.perf_counter() - self._started_at
         _set_active(None)
+        try:
+            self._stats.add(self._running)
+        except TypeError:
+            pass  # pstats refuses an empty profile
+        self._running = None
+        self.profile = HotspotProfile.from_stats(self._stats.stats, duration)
         return self.profile
+
+    def dump_stats(self, path: str) -> None:
+        """Write the stopped profile's raw ``pstats`` table to ``path``."""
+        self._stats.dump_stats(path)
 
     def __enter__(self) -> "HotspotProfiler":
         return self.start()
@@ -560,19 +383,38 @@ def _set_active(profiler: Optional[HotspotProfiler]) -> None:
     _active = profiler
 
 
+def _forget_after_fork() -> None:
+    """A forked child must not keep feeding its parent's profiler copy."""
+    if _active is not None:
+        _active._running.disable()
+        _set_active(None)
+
+
+if hasattr(os, "register_at_fork"):  # POSIX only
+    os.register_at_fork(after_in_child=_forget_after_fork)
+
+
 def active_profiler() -> Optional[HotspotProfiler]:
     """The profiler currently running in this process, if any."""
     return _active
 
 
-def absorb(data: Dict[str, Any]) -> bool:
-    """Merge a serialized worker profile into the active profiler.
+def absorb(path: Any) -> bool:
+    """Fold a worker's :meth:`HotspotProfiler.dump_stats` file into the
+    active profiler.
 
-    Returns False (and drops the data) when no profiler is running —
-    worker sidecars are best-effort.
+    Returns False (and drops the file's data) when no profiler is
+    running or the file is missing or unreadable — worker stats are
+    best-effort.
     """
-    profiler = _active
-    if profiler is None:
+    if _active is None:
         return False
-    profiler.profile.merge(HotspotProfile.from_dict(data))
+    import pstats
+
+    try:
+        # pstats reports bad data on its stream: keep stdout clean.
+        stats = pstats.Stats(str(path), stream=sys.stderr)
+    except (OSError, EOFError, ValueError, TypeError, AttributeError):
+        return False
+    _active._stats.add(stats)
     return True

@@ -124,7 +124,7 @@ class RunEntry:
             top = self.hotspot.get("top") or []
             label = (f"{top[0]['function']} ({top[0]['file']}:{top[0]['line']}, "
                      f"{top[0]['self_s'] * 1e3:.3f} ms self)") if top else "-"
-            rows.append(("hotspot", f"{self.hotspot.get('mode')} mode, "
+            rows.append(("hotspot", f"{self.hotspot.get('functions')} functions, "
                                     f"top: {label}"))
         lines = [f"  {k:12s}: {v}" for k, v in rows]
         counters = self.counters

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass, fields, replace
+from typing import Callable, Iterable
 
 from repro.canonical import KeepsCanonicalText
 from repro.errors import ConfigError
@@ -20,6 +21,27 @@ MIB = 1024 * 1024
 #: Largest value an integer field takes (a signed 64-bit integer), which
 #: keeps every estimator quantity a finite float.
 MAX_INTEGER_FIELD = 2**63 - 1
+
+
+def check_integer_fields(instance: object, names: Iterable[str],
+                         error: Callable[[str, str], Exception]) -> None:
+    """The integer-field rule, applied in place to a frozen dataclass.
+
+    Each named field must be an int (a numpy integer becomes the int it
+    is), never a bool, float or string, and at most
+    :data:`MAX_INTEGER_FIELD`; otherwise ``error(message, field)`` is
+    raised.
+    """
+    for name in names:
+        value = getattr(instance, name)
+        if type(value) is not int:
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise error(f"{name} must be an integer, not {type(value).__name__}",
+                            name)
+            value = int(value)
+            object.__setattr__(instance, name, value)
+        if value > MAX_INTEGER_FIELD:
+            raise error(f"{name} exceeds {MAX_INTEGER_FIELD}", name)
 
 
 @dataclass(frozen=True)
@@ -72,18 +94,8 @@ class NPUConfig(KeepsCanonicalText):
     link_technology: str = "4k-300k-link"
 
     def __post_init__(self) -> None:
-        for field_name in INTEGER_FIELDS:
-            value = getattr(self, field_name)
-            if type(value) is not int:
-                if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                    raise ConfigError(
-                        f"{field_name} must be an integer, not {type(value).__name__}",
-                        code="config.invalid_value", field=field_name)
-                value = int(value)  # a numpy integer: keep the int it is
-                object.__setattr__(self, field_name, value)
-            if value > MAX_INTEGER_FIELD:
-                raise ConfigError(f"{field_name} exceeds {MAX_INTEGER_FIELD}",
-                                  code="config.invalid_value", field=field_name)
+        check_integer_fields(self, INTEGER_FIELDS, lambda message, field: ConfigError(
+            message, code="config.invalid_value", field=field))
         if self.pe_array_width < 1 or self.pe_array_height < 1:
             raise ConfigError("PE array dimensions must be positive",
                               code="config.invalid_value",

@@ -15,6 +15,10 @@ import numbers
 from dataclasses import dataclass
 
 from repro.errors import WorkloadError
+from repro.uarch.config import check_integer_fields
+
+_INTEGER_FIELDS = ("in_channels", "in_height", "in_width", "out_channels",
+                   "kernel_height", "kernel_width", "stride", "padding", "groups")
 
 
 @dataclass(frozen=True)
@@ -45,26 +49,16 @@ class ConvLayer:
     groups: int = 1
 
     def __post_init__(self) -> None:
-        for field_name in (
-            "in_channels",
-            "in_height",
-            "in_width",
-            "out_channels",
-            "kernel_height",
-            "kernel_width",
-            "stride",
-            "groups",
-        ):
-            if getattr(self, field_name) < 1:
+        check_integer_fields(self, _INTEGER_FIELDS, lambda message, field: WorkloadError(
+            f"{message} in layer {self.name!r}", code="workload.invalid_layer",
+            layer=self.name, field=field))
+        for field_name in _INTEGER_FIELDS:
+            lowest, bound = (0, "non-negative") if field_name == "padding" else (1, "positive")
+            if getattr(self, field_name) < lowest:
                 raise WorkloadError(
-                    f"{field_name} must be positive in layer {self.name!r}",
+                    f"{field_name} must be {bound} in layer {self.name!r}",
                     code="workload.invalid_layer", layer=self.name, field=field_name,
                 )
-        if self.padding < 0:
-            raise WorkloadError(
-                f"padding must be non-negative in layer {self.name!r}",
-                code="workload.invalid_layer", layer=self.name,
-            )
         if self.in_channels % self.groups or self.out_channels % self.groups:
             raise WorkloadError(
                 f"channels must divide evenly into groups in layer {self.name!r}",

@@ -130,6 +130,20 @@ def test_table3_command(capsys):
     assert "RSFQ-SuperNPU (w/ cooling)" in out
 
 
+def test_tables_and_bottleneck_run_on_the_ambient_runner(tmp_path, capsys):
+    from repro import api
+
+    with api.session(cache_dir=tmp_path / "cache") as runner:
+        assert main(["table", "1"]) == 0
+        assert main(["bottleneck", "baseline", "alexnet", "--batch", "1"]) == 0
+        assert runner.cache.stats().by_kind == {"estimate": 4}
+        assert main(["table", "3"]) == 0
+        simulated = runner.cache.stats().by_kind["simulate"]
+        assert simulated > 0
+        assert main(["table", "3"]) == 0
+    assert runner.stats.hits >= simulated  # the rerun came from the cache
+
+
 def test_config_file_flow(tmp_path, capsys):
     from repro.core.config_io import save
     from repro.core.designs import supernpu

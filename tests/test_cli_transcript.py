@@ -1,0 +1,114 @@
+"""Golden CLI transcript: deterministic stdouts pinned byte for byte.
+
+Each command below runs in-process through ``repro.cli.main`` and its
+stdout is compared with ``tests/golden/cli_transcript.json``.  ``--json``
+envelopes drop their ``manifest`` key (it carries timestamps, hosts and
+wall times); everything else must match exactly, so a refactor of the
+CLI, ``repro.api`` or the observability layer cannot shift a number, a
+column or a key without failing here.
+
+The second half pins the profiler's stdout contract: a command run with
+``--hotspot --hotspot-out FILE``, or wrapped in ``supernpu hotspot``,
+prints exactly what the unprofiled command prints.
+
+After a deliberate output change, regenerate the golden file with::
+
+    PYTHONPATH=src python tests/test_cli_transcript.py
+"""
+
+from __future__ import annotations
+
+import io
+import json
+import sys
+from contextlib import redirect_stdout
+from pathlib import Path
+
+import pytest
+
+from repro.cli import main
+
+GOLDEN = Path(__file__).parent / "golden" / "cli_transcript.json"
+
+COMMANDS = (
+    "estimate supernpu --json",
+    "simulate supernpu mobilenet --json",
+    "evaluate --json",
+    "compare baseline supernpu --json",
+    "bottleneck supernpu mobilenet --json",
+    "plan show fig23_evaluate --json",
+    "table 1",
+    "table 2",
+    "table 3",
+    "workloads",
+    "validate",
+    "report supernpu mobilenet",
+    "trace baseline vgg16 conv3_1",
+)
+
+PROFILED = (
+    "simulate supernpu mobilenet",
+    "evaluate",
+)
+
+
+def _stdout(command: str) -> str:
+    buffer = io.StringIO()
+    with redirect_stdout(buffer):
+        exit_code = main(["--no-registry", *command.split()])
+    assert exit_code == 0, command
+    return buffer.getvalue()
+
+
+def _canonical(command: str, out: str) -> str:
+    """The stdout with a ``--json`` envelope's ``manifest`` key removed."""
+    if "--json" not in command.split():
+        return out
+    document = json.loads(out)
+    # The envelope is printed as sorted, 2-space-indented JSON; pin that
+    # layout before re-rendering it without the manifest.
+    assert json.dumps(document, indent=2, sort_keys=True) + "\n" == out
+    document.pop("manifest", None)
+    return json.dumps(document, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.fixture(scope="module")
+def golden():
+    return json.loads(GOLDEN.read_text(encoding="utf-8"))
+
+
+def test_golden_covers_every_command(golden):
+    assert sorted(golden) == sorted(COMMANDS)
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_stdout_matches_golden(command, golden):
+    assert _canonical(command, _stdout(command)) == golden[command]
+
+
+@pytest.mark.parametrize("command", PROFILED)
+def test_hotspot_flags_leave_stdout_unchanged(command, tmp_path):
+    plain = _stdout(command)
+    collapsed = tmp_path / "hotspot.collapsed"
+    profiled = _stdout(f"{command} --hotspot --hotspot-out {collapsed}")
+    assert profiled == plain
+    assert collapsed.is_file()
+
+
+@pytest.mark.parametrize("command", PROFILED)
+def test_hotspot_wrapper_leaves_stdout_unchanged(command):
+    plain = _stdout(command)
+    assert _stdout(f"hotspot {command}") == plain
+
+
+def _regenerate() -> None:
+    transcript = {command: _canonical(command, _stdout(command))
+                  for command in COMMANDS}
+    GOLDEN.parent.mkdir(parents=True, exist_ok=True)
+    GOLDEN.write_text(json.dumps(transcript, indent=1, sort_keys=True) + "\n",
+                      encoding="utf-8")
+    print(f"wrote {len(transcript)} transcripts to {GOLDEN}", file=sys.stderr)
+
+
+if __name__ == "__main__":
+    _regenerate()

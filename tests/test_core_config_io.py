@@ -1,6 +1,11 @@
 """NPUConfig JSON (de)serialization tests."""
 
+import json
+import math
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.config_io import (
     config_from_dict,
@@ -11,6 +16,9 @@ from repro.core.config_io import (
     save,
 )
 from repro.core.designs import supernpu
+from repro.device.cells import rsfq_library
+from repro.errors import ConfigError, ReproError
+from repro.estimator.arch_level import estimate_npu
 
 
 def test_round_trip_preserves_config():
@@ -45,6 +53,25 @@ def test_missing_name_rejected():
         config_from_dict(data)
 
 
+@pytest.mark.parametrize("name", [5, None, True, 1.5, [], {}])
+def test_non_string_name_rejected(name):
+    data = config_to_dict(supernpu())
+    data["name"] = name
+    with pytest.raises(ConfigError) as excinfo:
+        config_from_dict(data)
+    assert excinfo.value.code == "config.invalid_value"
+    with pytest.raises(ConfigError):
+        loads(json.dumps(data))
+
+
+def test_non_utf8_file_is_a_config_error(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_bytes(b"\xff\xfe{}")
+    with pytest.raises(ConfigError) as excinfo:
+        load(path)
+    assert excinfo.value.code == "config.unreadable"
+
+
 def test_invalid_values_still_validated():
     data = config_to_dict(supernpu())
     data["pe_array_width"] = 0
@@ -61,3 +88,36 @@ def test_dumps_is_stable():
     a = dumps(supernpu())
     b = dumps(supernpu())
     assert a == b
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-2**70, 2**70)
+    | st.floats(allow_nan=False) | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.dictionaries(
+    st.sampled_from(sorted(config_to_dict(supernpu())) + ["bogus"]),
+    _JSON, max_size=5))
+def test_any_config_document_estimates_or_raises_a_repro_error(changes):
+    text = json.dumps({**config_to_dict(supernpu()), **changes})
+    try:
+        estimate = estimate_npu(loads(text), rsfq_library())
+    except ReproError:
+        return
+    assert 0 < estimate.frequency_ghz < math.inf
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.binary(max_size=64))
+def test_any_config_file_bytes_load_or_raise_a_config_error(tmp_path_factory, raw):
+    path = tmp_path_factory.mktemp("fuzz") / "config.json"
+    path.write_bytes(raw)
+    try:
+        load(path)
+    except ConfigError:
+        pass

@@ -2,7 +2,7 @@
 
 The guarantee under test: running a sweep with ``--jobs N`` loses no
 telemetry relative to a serial run.  Worker processes write their
-counters / spans / hotspot samples into per-task sidecars; the parent
+counters / spans / hotspot stats into per-task sidecars; the parent
 merges them under the ``jobs.worker.`` prefix and into one Chrome trace
 with one lane per worker PID.
 """
@@ -101,14 +101,14 @@ def test_worker_hotspot_samples_reach_parent_profiler(
         obs_enabled, supernpu_config, tiny_network, rsfq):
     from repro.obs.hotspot import HotspotProfiler
 
-    profiler = HotspotProfiler(mode="tracing")
+    profiler = HotspotProfiler()
     profiler.start()
     try:
         JobRunner(jobs=2).run(_tasks(supernpu_config, tiny_network, rsfq))
     finally:
         profile = profiler.stop()
-    # Deterministic worker tracing must surface the simulator's kernel
-    # in the parent's merged profile.
+    # The workers' dumped stats must surface the simulator's kernel in
+    # the parent's merged profile.
     assert any(key[0] == "charge_network" for key in profile.calls)
 
 
@@ -123,3 +123,33 @@ def test_retried_tasks_contribute_sidecars_once(
     second = _worker_counters(obs_enabled.metrics().snapshot())
     assert first
     assert second == {name: 2 * value for name, value in first.items()}
+
+
+def test_unreadable_worker_stats_are_skipped(tmp_path, obs_enabled):
+    from repro.core.jobs import WorkerObsSpec
+    from repro.obs.hotspot import HotspotProfiler
+
+    def leaf():
+        return sum(range(10))
+
+    donor = HotspotProfiler()
+    with donor:
+        leaf()
+    sidecars = tmp_path / "sidecars"
+    sidecars.mkdir()
+    for key, stats in (("good", None), ("bad", b"\xff\xfe garbage")):
+        (sidecars / f"{key}.json").write_text(json.dumps(
+            {"kind": "worker-obs", "pid": 7, "counters": {"sim.layers": 1},
+             "spans": []}), encoding="utf-8")
+        if stats is None:
+            donor.dump_stats(str(sidecars / f"{key}.prof"))
+        else:
+            (sidecars / f"{key}.prof").write_bytes(stats)
+
+    with HotspotProfiler() as profiler:
+        JobRunner()._merge_worker_obs(WorkerObsSpec(str(sidecars), hotspot=True))
+    assert not sidecars.exists()
+    snapshot = obs_enabled.metrics().snapshot()
+    assert snapshot["counters"]["jobs.worker.sidecars"] == 2
+    assert snapshot["counters"]["jobs.worker.sim.layers"] == 2
+    assert any(key[0] == "leaf" for key in profiler.profile.calls)

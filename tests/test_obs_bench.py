@@ -222,3 +222,17 @@ def test_cli_bench_run_records_real_subset(tmp_path, capsys):
     assert document["manifest"]["command"] == "bench"
     # A recording compares clean against itself through the CLI gate.
     assert main(["bench", "compare", str(out), "--baseline", str(out)]) == 0
+
+
+@pytest.mark.slow
+def test_cli_bench_run_hotspot_folds_in_the_benchmarked_calls(tmp_path, capsys):
+    out = tmp_path / "BENCH_hot.json"
+    collapsed = tmp_path / "bench.collapsed"
+    assert main(["bench", "run", "--subset", "table1", "--min-rounds", "1",
+                 "--max-time", "0.05", "--out", str(out),
+                 "--hotspot", "--hotspot-out", str(collapsed)]) == 0
+    assert "hotspot: " in capsys.readouterr().err
+    summary = bench.load_document(out)["hotspot"]
+    assert summary["functions"] > 0 and summary["top"]
+    # The subprocess's cProfile dumps reached the parent's profile.
+    assert "estimate_npu (repro/estimator/arch_level.py" in collapsed.read_text()

@@ -1,12 +1,13 @@
-"""Host-time hotspot profiling: determinism, math, serialization, join.
+"""Host-time hotspot profiling: determinism, math, merge, join.
 
 The load-bearing guarantees:
 
-* tracing mode is deterministic — a fixed workload yields the same call
-  counts and the same stack set on every run;
-* self/cum accounting is exact (recursion counted once per stack);
-* profiles survive a JSON round-trip and merge losslessly (the worker
-  sidecar path depends on both);
+* profiles are deterministic — a fixed workload yields the same call
+  counts and the same caller→callee edges on every run;
+* the profiler's own frames never appear in a profile;
+* worker stats dumped to a file fold into the running profiler and add
+  up (the pool-worker path depends on it); unreadable files are skipped;
+* only one profiler runs at a time, and a second one is a ConfigError;
 * the cycle-domain join groups attribution phases correctly whether it
   gets raw per-phase fractions or pre-grouped ones.
 """
@@ -14,12 +15,19 @@ The load-bearing guarantees:
 from __future__ import annotations
 
 import json
+import marshal
+import os
 import re
-import time
+import subprocess
+import sys
 from pathlib import Path
 
+import pytest
+
+from repro.errors import ConfigError
 from repro.obs import hotspot
 from repro.obs.hotspot import (
+    FunctionStat,
     HotspotProfile,
     HotspotProfiler,
     absorb,
@@ -57,63 +65,81 @@ def _workload() -> int:
     return acc
 
 
-def _trace_workload() -> HotspotProfile:
-    profiler = HotspotProfiler(mode="tracing")
+def _countdown(n: int) -> int:
+    return 0 if n == 0 else 1 + _countdown(n - 1)
+
+
+def _profiled(workload=_workload) -> HotspotProfiler:
+    profiler = HotspotProfiler()
     profiler.start()
     try:
-        _workload()
+        workload()
     finally:
-        profile = profiler.stop()
-    return profile
+        profiler.stop()
+    return profiler
 
 
-# -- tracing determinism ---------------------------------------------------
+def _trace_workload() -> HotspotProfile:
+    return _profiled().profile
+
+
+def _calls_by_name(profile: HotspotProfile):
+    return {key[0]: count for key, count in profile.calls.items()}
+
+
+# -- determinism -----------------------------------------------------------
 
 def test_tracing_profile_is_stable_across_runs():
     first = _trace_workload()
     second = _trace_workload()
     assert first.calls == second.calls
-    assert set(first.stack_counts) == set(second.stack_counts)
-    assert first.stack_counts == second.stack_counts
+    assert set(first.edges) == set(second.edges)
 
 
 def test_tracing_counts_calls_exactly():
-    profile = _trace_workload()
-    by_name = {key[0]: count for key, count in profile.calls.items()}
+    by_name = _calls_by_name(_trace_workload())
     assert by_name["_workload"] == 1
     assert by_name["_middle"] == 5
     assert by_name["_leaf"] == 10
 
 
 def test_tracing_excludes_profiler_internals():
-    from repro.obs import hotspot as hotspot_mod
-
     profile = _trace_workload()
-    assert all(key[1] != hotspot_mod.__file__ for key in profile.calls)
+    frames = set(profile.functions)
+    frames.update(frame for edge in profile.edges for frame in edge)
+    assert all(key[1] != hotspot.__file__ for key in frames)
+    assert not any("_lsprof.Profiler" in key[0] for key in frames)
 
 
 # -- self / cumulative accounting ------------------------------------------
 
 def test_self_and_cum_seconds():
-    a = ("a", "f.py", 1)
-    b = ("b", "f.py", 10)
-    profile = HotspotProfile(mode="tracing", interval_s=0.0)
-    profile.add((a,), 0.5, 1)
-    profile.add((a, b), 0.25, 1)
-    stats = {stat.key: stat for stat in profile.function_stats()}
-    assert stats[a].self_s == 0.5
-    assert stats[a].cum_s == 0.75
-    assert stats[b].self_s == 0.25
-    assert stats[b].cum_s == 0.25
+    # A pstats table: (file, line, name) -> (cc, nc, tt, ct, callers).
+    a = ("f.py", 1, "a")
+    b = ("f.py", 10, "b")
+    own = (hotspot.__file__, 1, "stop")
+    stats = {
+        a: (1, 1, 0.5, 0.75, {}),
+        b: (2, 2, 0.25, 0.25, {a: (2, 2, 0.25, 0.25)}),
+        own: (1, 1, 0.1, 0.1, {}),
+    }
+    profile = HotspotProfile.from_stats(stats, duration_s=1.0)
+    by_key = {stat.key: stat for stat in profile.function_stats()}
+    assert set(by_key) == {("a", "f.py", 1), ("b", "f.py", 10)}
+    assert by_key[("a", "f.py", 1)].self_s == 0.5
+    assert by_key[("a", "f.py", 1)].cum_s == 0.75
+    assert by_key[("b", "f.py", 10)].calls == 2
+    assert profile.edges == {(("a", "f.py", 1), ("b", "f.py", 10)): 0.25}
     assert profile.total_seconds() == 0.75
 
 
 def test_recursion_counted_once_per_stack():
-    a = ("a", "f.py", 1)
-    profile = HotspotProfile(mode="tracing", interval_s=0.0)
-    profile.add((a, a), 1.0, 1)
-    stats = {stat.key: stat for stat in profile.function_stats()}
-    assert stats[a].cum_s == 1.0  # not 2.0
+    profiler = _profiled(lambda: _countdown(20))
+    stat = next(stat for stat in profiler.profile.function_stats()
+                if stat.key[0] == "_countdown")
+    assert stat.calls == 21
+    # Cumulative time counts the outermost call only, not once per level.
+    assert stat.cum_s <= profiler.profile.duration_s
 
 
 # -- collapsed-stack export ------------------------------------------------
@@ -125,47 +151,123 @@ def test_collapsed_format_and_determinism():
     assert lines
     for line in lines:
         assert re.fullmatch(r".+ \d+", line), line
+        assert line.count(";") <= 1, line  # caller;callee edges
     assert lines == sorted(lines)
+    assert any(re.match(r"_middle \(\S+:\d+\);_leaf \(\S+:\d+\) \d+$", line)
+               for line in lines)
+    assert collapsed == profile.collapsed()
 
 
-# -- serialization ---------------------------------------------------------
+# -- merging worker stats --------------------------------------------------
 
-def test_profile_json_roundtrip_is_exact():
-    profile = _trace_workload()
-    restored = HotspotProfile.from_dict(
-        json.loads(json.dumps(profile.to_dict())))
-    assert restored.mode == profile.mode
-    assert restored.calls == profile.calls
-    assert restored.stack_counts == profile.stack_counts
-    assert restored.stack_seconds == profile.stack_seconds
-    assert restored.samples == profile.samples
+def test_merge_adds_counts_and_seconds(tmp_path):
+    donor = _profiled()
+    dump = tmp_path / "worker.prof"
+    donor.dump_stats(str(dump))
+
+    profiler = HotspotProfiler()
+    profiler.start()
+    try:
+        _workload()
+        assert absorb(dump) is True
+        assert absorb(dump) is True
+    finally:
+        profile = profiler.stop()
+    assert _calls_by_name(profile)["_leaf"] == 30
+    assert _calls_by_name(profile)["_middle"] == 15
+    leaf = next(stat for stat in profile.function_stats() if stat.key[0] == "_leaf")
+    donor_leaf = next(stat for stat in donor.profile.function_stats()
+                      if stat.key[0] == "_leaf")
+    assert leaf.self_s > 2 * donor_leaf.self_s
 
 
-def test_merge_adds_counts_and_seconds():
-    a = ("a", "f.py", 1)
-    one = HotspotProfile(mode="tracing", interval_s=0.0)
-    one.add((a,), 0.5, 1)
-    two = HotspotProfile(mode="tracing", interval_s=0.0)
-    two.add((a,), 0.25, 2)
-    one.merge(two)
-    assert one.stack_seconds[(a,)] == 0.75
-    assert one.stack_counts[(a,)] == 3
+def test_absorb_requires_active_profiler(tmp_path):
+    dump = tmp_path / "worker.prof"
+    _profiled().dump_stats(str(dump))
+    assert absorb(dump) is False  # nothing running
 
-
-def test_absorb_requires_active_profiler():
-    donor = HotspotProfile(mode="tracing", interval_s=0.0)
-    donor.add((("a", "f.py", 1),), 0.5, 1)
-    assert absorb(donor.to_dict()) is False  # nothing running
-
-    profiler = HotspotProfiler(mode="tracing")
+    profiler = HotspotProfiler()
     profiler.start()
     try:
         assert active_profiler() is profiler
-        assert absorb(donor.to_dict()) is True
+        assert absorb(dump) is True
     finally:
         profile = profiler.stop()
     assert active_profiler() is None
-    assert (("a", "f.py", 1),) in profile.stack_seconds
+    assert _calls_by_name(profile)["_workload"] == 1
+
+
+@pytest.mark.parametrize("content", [
+    b"", b"\xff\xfe not a marshal stream", marshal.dumps(5), marshal.dumps([1]),
+    marshal.dumps({}), marshal.dumps({("f.py", 1, "f"): (1, 2)}),
+    marshal.dumps({("f.py", 1, "f"): (1, 1, 0.5, 0.5, 7)}),
+])
+def test_unreadable_stats_files_are_skipped(tmp_path, capsys, content):
+    bad = tmp_path / "bad.prof"
+    bad.write_bytes(content)
+    with HotspotProfiler() as profiler:
+        assert absorb(bad) is False
+        assert absorb(tmp_path / "missing.prof") is False
+        _leaf(10)
+    assert _calls_by_name(profiler.profile)["_leaf"] == 1
+    assert not any(key[1] == "f.py" for key in profiler.profile.functions)
+    assert capsys.readouterr().out == ""  # stdout stays the command's
+
+
+# -- one profiler at a time ------------------------------------------------
+
+def test_nested_profiler_raises_config_error():
+    with HotspotProfiler() as outer:
+        with pytest.raises(ConfigError) as error:
+            HotspotProfiler().start()
+        assert error.value.exit_code == 2
+        assert active_profiler() is outer
+        _leaf(10)
+    assert _calls_by_name(outer.profile)["_leaf"] == 1
+    assert active_profiler() is None
+
+
+def test_foreign_profiler_raises_config_error():
+    sys.setprofile(lambda frame, event, arg: None)
+    try:
+        with pytest.raises(ConfigError):
+            HotspotProfiler().start()
+    finally:
+        sys.setprofile(None)
+    assert active_profiler() is None
+
+
+def test_nested_cli_profilers_exit_2(capsys):
+    from repro.cli import main
+
+    code = main(["--no-registry", "hotspot", "simulate", "supernpu", "mobilenet",
+                 "--hotspot"])
+    assert code == 2
+    assert main(["--no-registry", "hotspot", "hotspot", "workloads"]) == 2
+    assert "another profiler is already running" in capsys.readouterr().err
+    assert active_profiler() is None
+
+
+def test_failed_command_stops_its_profiler(capsys):
+    from repro.cli import main
+
+    code = main(["--no-registry", "simulate", "supernpu", "mobilenet",
+                 "--batch", "0", "--hotspot"])
+    assert code == 2
+    assert active_profiler() is None
+    assert main(["--no-registry", "simulate", "supernpu", "mobilenet",
+                 "--hotspot"]) == 0
+    assert "hotspot:" in capsys.readouterr().err
+
+
+def test_profiling_modules_are_imported_lazily():
+    src = Path(hotspot.__file__).resolve().parents[2]
+    code = ("import sys, repro, repro.api, repro.obs, repro.cli; "
+            "print(sorted({'cProfile', 'pstats'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(src)}).stdout
+    assert out.strip() == "[]"
 
 
 # -- cycle-domain join -----------------------------------------------------
@@ -200,10 +302,9 @@ def test_join_with_phases_attributes_host_time():
     engine = ("simulate_layer", "/x/src/repro/simulator/engine.py", 74)
     mapping = ("map_layer", "/x/src/repro/simulator/mapping.py", 96)
     other = ("deepcopy", "/usr/lib/python3.11/copy.py", 128)
-    profile = HotspotProfile(mode="tracing", interval_s=0.0)
-    profile.add((engine,), 0.4, 1)
-    profile.add((mapping,), 0.1, 1)
-    profile.add((other,), 0.2, 1)
+    profile = HotspotProfile([FunctionStat(engine, self_s=0.4),
+                              FunctionStat(mapping, self_s=0.1),
+                              FunctionStat(other, self_s=0.2)])
     rows = {row["phase"]: row for row in join_with_phases(profile, RAW_FRACTIONS)}
     assert rows["compute"]["cycle_fraction"] == 0.60
     assert rows["compute"]["host_self_s"] == 0.4
@@ -217,34 +318,20 @@ def test_join_with_phases_attributes_host_time():
 def test_report_renders_join_table():
     profile = _trace_workload()
     text = profile.report(phase_fractions=RAW_FRACTIONS)
-    assert "hotspot [tracing]" in text
+    assert text.startswith("hotspot: ")
+    assert "_leaf" in text
     assert "cycle-domain join" in text
     assert "preparation" in text
 
 
 def test_report_explains_empty_profile():
-    profile = HotspotProfile(mode="sampling", interval_s=0.01)
-    assert "no samples" in profile.report()
+    assert "no calls recorded" in HotspotProfile().report()
 
 
-# -- sampling mode ---------------------------------------------------------
-
-def test_sampling_collects_stacks_of_busy_loop():
-    profiler = HotspotProfiler(mode="sampling", sample_hz=400.0)
-    profiler.start()
-    try:
-        deadline = time.perf_counter() + 0.1
-        while time.perf_counter() < deadline:
-            _leaf(500)
-    finally:
-        profile = profiler.stop()
-    assert profile.samples >= 1
-    assert profile.total_seconds() > 0.0
-    assert profile.duration_s > 0.0
-
+# -- lifecycle -------------------------------------------------------------
 
 def test_profiler_stop_is_idempotent():
-    profiler = HotspotProfiler(mode="tracing")
+    profiler = HotspotProfiler()
     profiler.start()
     _leaf(10)
     first = profiler.stop()
@@ -256,7 +343,7 @@ def test_profiler_stop_is_idempotent():
 def test_summary_is_json_serializable():
     profile = _trace_workload()
     summary = json.loads(json.dumps(profile.summary()))
-    assert summary["mode"] == "tracing"
     assert summary["functions"] > 0
+    assert summary["calls"] >= 16
     assert summary["top"]
-    assert {"function", "file", "line", "self_s", "cum_s"} <= set(summary["top"][0])
+    assert {"function", "file", "line", "self_s", "cum_s", "calls"} <= set(summary["top"][0])

@@ -1,8 +1,20 @@
-"""Layer-geometry and volume tests."""
+"""Layer-geometry, volume and field-validation tests."""
 
+import math
+
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro import api
+from repro.errors import ReproError, WorkloadError
+from repro.uarch.config import MAX_INTEGER_FIELD
 from repro.workloads.layers import ConvLayer, ceil_div, depthwise_layer, fc_layer, pooled
+from repro.workloads.models import Network
+
+FIELDS = ("in_channels", "in_height", "in_width", "out_channels",
+          "kernel_height", "kernel_width", "stride", "padding", "groups")
 
 
 def _layer(**overrides):
@@ -106,3 +118,50 @@ def test_invalid_layers_rejected(overrides):
 def test_footprint_requires_positive_batch():
     with pytest.raises(ValueError):
         _layer().footprint_bytes(0)
+
+
+# -- field validation: NPUConfig's integer-field rule ----------------------
+
+@pytest.mark.parametrize("field", FIELDS)
+@pytest.mark.parametrize("value", ["3", None, True, 3.5, 3.0, float("nan"),
+                                   MAX_INTEGER_FIELD + 1])
+def test_non_integer_field_is_an_invalid_layer(field, value):
+    with pytest.raises(WorkloadError) as excinfo:
+        _layer(**{field: value})
+    assert excinfo.value.code == "workload.invalid_layer"
+    assert excinfo.value.context["field"] == field
+
+
+def test_fractional_channels_report_the_type_not_the_groups():
+    with pytest.raises(WorkloadError, match="must be an integer, not float"):
+        _layer(in_channels=3.5)
+
+
+def test_numpy_integers_are_kept_as_ints():
+    layer = _layer(in_channels=np.int64(3), padding=np.int32(1))
+    assert type(layer.in_channels) is int and type(layer.padding) is int
+    assert layer == _layer()
+
+
+_FIELD_VALUES = st.one_of(
+    st.integers(-2, 12),
+    st.integers(-2, 2**12),
+    st.sampled_from([True, False, MAX_INTEGER_FIELD, MAX_INTEGER_FIELD + 1]),
+    st.integers(2**40, 2**1100),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.text(max_size=3),
+    st.none(),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.dictionaries(st.sampled_from(FIELDS), _FIELD_VALUES, max_size=4),
+       st.sampled_from([1, 3]))
+def test_any_field_input_simulates_or_raises_a_repro_error(changes, batch):
+    try:
+        run = api.simulate("supernpu", Network("fuzz", (_layer(**changes),)),
+                           batch=batch)
+    except ReproError:
+        return
+    assert run.total_cycles > 0
+    assert 0 < run.latency_s < math.inf
