@@ -36,7 +36,7 @@ Commands mirror the paper's experiments:
   unprofiled run
 
 ``simulate``, ``evaluate``, ``sweep``, ``compare``, ``reproduce``,
-``bottleneck`` and ``profile`` accept ``--trace-out FILE`` (Chrome
+``plan``, ``bottleneck`` and ``profile`` accept ``--trace-out FILE`` (Chrome
 trace-event JSON, loadable in Perfetto) and ``--metrics-out FILE``
 (metrics snapshot + run manifest); either flag switches the
 ``repro.obs`` instrumentation on for that run.  ``bottleneck`` adds
@@ -50,12 +50,18 @@ Commands that fan out many design-point simulations (``simulate``,
 re-runs skip simulation entirely), and ``--no-cache``.  ``supernpu
 cache stats|clear --cache-dir DIR`` inspects / empties a cache.
 Parallel and warm-cache results are bitwise-identical to serial cold
-runs.  ``estimate``, ``simulate``, ``evaluate`` and ``compare`` accept
-``--json``: one consistent machine-readable envelope
-(``{"command", "design", "workload", "data", "manifest"}``).
+runs.  ``estimate``, ``simulate``, ``evaluate``, ``compare``, ``plan``,
+``components``, ``runs`` and ``bench`` accept ``--json``: one consistent
+machine-readable envelope (``{"command", "design", "workload", "data",
+"manifest"}``) on stdout.  For ``estimate``, ``simulate``, ``evaluate``
+and ``plan run`` its ``data`` is the :mod:`repro.core.report` record
+that ``serve`` sends for the same verb.
 
 All command logic routes through :mod:`repro.api`, the canonical typed
-facade; the CLI only parses flags and formats tables.
+facade; the CLI only parses flags and formats tables.  :func:`main` opens
+one session around every command (:func:`_command_session`): the job
+runner, the profiler, ``repro.obs`` and the one run manifest, torn down
+on every exit.
 """
 
 from __future__ import annotations
@@ -71,108 +77,199 @@ def _fmt_row(cells: Iterable[object], widths: Sequence[int]) -> str:
     return "  ".join(f"{str(c):>{w}s}" for c, w in zip(cells, widths))
 
 
-class _ObsSession:
-    """Per-command observability lifecycle driven by the CLI flags.
+class _Session:
+    """A command's handle on its :func:`_command_session`.
 
-    Enables ``repro.obs`` when ``--trace-out`` / ``--metrics-out`` was
-    passed (or unconditionally for ``profile``), and on :meth:`finish`
-    stamps a run manifest, writes the requested files, and disables +
-    resets the global registry/tracer so in-process callers (tests) see
-    no leakage between commands.
+    The command notes manifest fields, reads the one manifest they make,
+    and prints its ``--json`` envelope.  ``record`` collects the
+    run-registry fields (manifest, metrics, hotspot summary) that
+    :func:`main` files with the exit code.
     """
 
-    def __init__(self, args: argparse.Namespace, command: str, force: bool = False):
-        self.command = command
-        self.trace_out: Optional[str] = getattr(args, "trace_out", None)
-        self.metrics_out: Optional[str] = getattr(args, "metrics_out", None)
-        self.active = force or bool(self.trace_out or self.metrics_out)
-        self.hotspot_out: Optional[str] = getattr(args, "hotspot_out", None)
-        self.hotspot_summary = None  # set by finish() under --hotspot
-        self._profiler = None
+    def __init__(self, args: argparse.Namespace):
+        from repro.core.plan import recent_plans
+
+        self.args = args
+        self.context: dict = {}
+        self.run = None
+        self.profiler = None
+        self.record: dict = {}
+        self._manifest = None
+        self._plans_before = len(recent_plans())
         self._start = time.perf_counter()
-        if getattr(args, "hotspot", False) or self.hotspot_out:
-            # Started first: a nested profiler fails before obs is enabled.
-            from repro.obs.hotspot import HotspotProfiler
 
-            self._profiler = HotspotProfiler().start()
-        if self.active:
-            from repro import obs
+    def note(self, run=None, **context) -> None:
+        """Add run-manifest fields (before the first :meth:`manifest`).
 
-            obs.reset()
-            obs.enable()
-
-    def finish(self, config=None, network=None, batch=None, technology=None,
-               keep_enabled: bool = False, run=None, **extra):
-        """Write the requested outputs; returns the manifest (or None).
-
-        With ``--hotspot``, a ``run`` joins the host profile with its
+        Under ``--hotspot`` a ``run`` joins the host profile with its
         simulated-cycle phase attribution, so the report answers "which
         loop models the phase that dominates simulated time".
         """
-        from repro import obs
-        from repro.obs import registry as run_registry
+        if run is not None:
+            self.run = run
+        self.context.update(context)
 
-        if self._profiler is not None:
-            phases = None
-            if run is not None:
-                from repro.simulator.attribution import attribute
+    def manifest(self):
+        """The command's one run manifest, captured on first use."""
+        if self._manifest is None:
+            from repro import obs
+            from repro.core.plan import recent_plans
 
-                phases = dict(attribute(run).summary_fractions)
-            self.hotspot_summary = _report_hotspot(
-                self._profiler.stop(), self.hotspot_out, phase_fractions=phases)
-            self._profiler = None
-        manifest = obs.RunManifest.capture(
-            self.command,
-            config=config,
-            workload=network,
-            batch=batch,
-            technology=technology,
-            wall_time_s=time.perf_counter() - self._start,
-            **extra,
-        )
-        if not self.active:
-            # Manifest capture is pure (no instrumentation needed), so the
-            # run registry gets design/workload provenance even when the
-            # obs runtime stayed off; counters exist only when it was on.
-            run_registry.stage(manifest=manifest.to_dict())
+            # Every plan this command executed, (name, hash) stamped.
+            executed = recent_plans()[self._plans_before:]
+            plans = [{"name": name, "hash": digest} for name, digest in executed]
+            self._manifest = obs.RunManifest.capture(
+                self.args.command,
+                wall_time_s=time.perf_counter() - self._start,
+                **self.context, **({"plans": plans} if plans else {}))
+        return self._manifest
+
+    def envelope(self, data) -> None:
+        """Print the one JSON result envelope shared by every --json command."""
+        import json
+
+        document = {
+            "command": self.args.command,
+            "design": getattr(self.context.get("config"), "name", None),
+            "workload": getattr(self.context.get("workload"), "name", None),
+            "data": data,
+            "manifest": self.manifest().to_dict(),
+        }
+        print(json.dumps(document, indent=2, sort_keys=True))
+
+    def stop_profiler(self) -> Optional[dict]:
+        """Stop and report a running ``--hotspot`` profile; returns its summary.
+
+        The report goes to stderr only: a profiled command's stdout stays
+        bitwise-identical to an unprofiled run.
+        """
+        if self.profiler is None:
             return None
-        if self.metrics_out:
-            obs.write_metrics(self.metrics_out, manifest=manifest)
-            print(f"metrics written to {self.metrics_out}")
-        if self.trace_out:
-            obs.write_trace(self.trace_out, manifest=manifest)
-            print(f"trace written to {self.trace_out}")
-        # Stage manifest + metrics for the run registry before the global
-        # state is reset; main() finalizes the entry with exit code and
-        # wall time once the command returns.
-        run_registry.stage(manifest=manifest.to_dict(),
-                           metrics=obs.metrics().snapshot())
-        if not keep_enabled:
-            obs.disable()
-            obs.reset()
-        return manifest
+        profile, self.profiler = self.profiler.stop(), None
+        phases = None
+        if self.run is not None:
+            from repro.simulator.attribution import attribute
+
+            phases = dict(attribute(self.run).summary_fractions)
+        print(profile.report(top_n=getattr(self.args, "top", 10),
+                             phase_fractions=phases), file=sys.stderr)
+        out = getattr(self.args, "hotspot_out", None)
+        if out:
+            with open(out, "w", encoding="utf-8") as handle:
+                handle.write(profile.collapsed())
+            print(f"collapsed stacks written to {out}", file=sys.stderr)
+        self.record["hotspot"] = profile.summary()
+        return self.record["hotspot"]
 
 
-def _report_hotspot(profile, out: Optional[str] = None, top_n: int = 10,
-                    phase_fractions=None) -> dict:
-    """Report a finished host-time profile — stderr only, never stdout.
+@contextmanager
+def _command_session(args: argparse.Namespace):
+    """The one session :func:`main` opens around every command.
 
-    A profiled command's stdout must stay bitwise-identical to an
-    unprofiled run.  Prints the top-N table, writes the collapsed edges
-    to ``out`` when given, and stages the summary for the run registry;
-    returns that summary.
+    Commands with the runner flags (``--no-cache`` among them) get the
+    job runner those flags ask for, and ``profile`` a fresh one so its
+    span tree always shows the estimator; the rest run on the ambient
+    runner.  With a cache directory, a checkpoint journal lives beside it
+    (``<cache>/checkpoints/<command>.journal``) so a killed run resumes.
+    ``--hotspot`` starts the host profiler; ``--trace-out`` /
+    ``--metrics-out`` (and ``profile``) switch ``repro.obs`` on.
+    Commands only :meth:`_Session.note` their manifest fields.
+
+    On every exit, success or failure, the session captures the one
+    manifest (the ``--json`` envelope and the bottleneck timeline reuse
+    it), writes the trace and metrics, disables and resets ``repro.obs``
+    and stops the profiler, so nothing leaks into the next in-process
+    command.  Under ``--json`` its status lines go to stderr and stdout
+    stays one document.
     """
-    from repro.obs import registry as run_registry
+    from contextlib import nullcontext
+    from pathlib import Path
 
-    print(profile.report(top_n=top_n, phase_fractions=phase_fractions),
-          file=sys.stderr)
-    if out:
-        with open(out, "w", encoding="utf-8") as handle:
-            handle.write(profile.collapsed())
-        print(f"collapsed stacks written to {out}", file=sys.stderr)
-    summary = profile.summary()
-    run_registry.stage(hotspot=summary)
-    return summary
+    from repro import obs
+    from repro.core import jobs
+    from repro.core.resilience import RetryPolicy
+    from repro.errors import ConfigError
+    from repro.obs.progress import auto_reporter
+
+    for flag in ("jobs", "top", "limit"):
+        value = getattr(args, flag, None)
+        if value is not None and value < 1:
+            raise ConfigError(f"--{flag} must be at least 1, got {value}",
+                              code=f"config.invalid_{flag}",
+                              hint=f"pass --{flag} 1 or more")
+    session = _Session(args)
+    # Status lines go to stderr under --json so stdout stays one document.
+    stream = sys.stderr if getattr(args, "json", False) else sys.stdout
+    observed = args.command == "profile" or bool(
+        getattr(args, "trace_out", None) or getattr(args, "metrics_out", None))
+    runner_session = nullcontext()
+    if hasattr(args, "no_cache") or args.command == "profile":
+        cache_dir = None if getattr(args, "no_cache", True) else args.cache_dir
+        checkpoint_path = None
+        if cache_dir is not None:
+            checkpoint_path = (Path(cache_dir).expanduser() / "checkpoints"
+                               / f"{args.command}.journal")
+        # Live progress goes to stderr only, so sweep stdout (tables, JSON
+        # envelopes) stays bitwise-identical with progress on or off.
+        runner_session = jobs.session(
+            jobs=getattr(args, "jobs", 1), cache_dir=cache_dir,
+            retry=RetryPolicy(max_retries=getattr(args, "retries", 2)),
+            timeout_s=getattr(args, "task_timeout", None),
+            checkpoint_path=checkpoint_path,
+            progress=auto_reporter(getattr(args, "progress", None)))
+    try:
+        with runner_session as runner:
+            if getattr(args, "hotspot", False) or getattr(args, "hotspot_out", None):
+                # Started first: a nested profiler fails before obs is enabled.
+                from repro.obs.hotspot import HotspotProfiler
+
+                session.profiler = HotspotProfiler().start()
+            if observed:
+                obs.reset()
+                obs.enable()
+            yield session
+            session.stop_profiler()
+            if runner is None:
+                return
+            stats = runner.stats
+            if runner.cache is not None and stats.tasks:
+                print(f"cache [{runner.cache.root}]: {stats.describe()}",
+                      file=stream)
+            if runner.jobs > 1 and stats.elapsed_seconds > 0:
+                print(f"jobs: {runner.jobs} workers, "
+                      f"{stats.parallel_speedup:.2f}x aggregate-sim-time speedup",
+                      file=stream)
+            if stats.tasks > 1:
+                # One-line sweep summary, always on stderr (satellite of the
+                # progress stream; never part of a command's stdout contract).
+                print(f"summary: {stats.tasks} tasks ({stats.executed} run, "
+                      f"{stats.hits} cached, {stats.retries} retried), "
+                      f"{stats.elapsed_seconds:.1f}s wall, "
+                      f"{100 * stats.hit_rate:.0f}% cache hit-rate",
+                      file=sys.stderr)
+    finally:
+        if session.profiler is not None:  # the command failed: no report
+            session.profiler.stop()
+        manifest = session.manifest()
+        # Manifest capture is pure (no instrumentation needed), so the run
+        # registry gets provenance even when the obs runtime stayed off;
+        # counters exist only when it was on.
+        session.record["manifest"] = manifest.to_dict()
+        if observed:
+            try:
+                if args.metrics_out:
+                    obs.write_metrics(args.metrics_out, manifest=manifest)
+                    print(f"metrics written to {args.metrics_out}", file=stream)
+                if args.trace_out:
+                    obs.write_trace(args.trace_out, manifest=manifest)
+                    print(f"trace written to {args.trace_out}", file=stream)
+                # Keep the metrics for the run registry before the global
+                # state is reset; main() finalizes the entry with exit code
+                # and wall time once the command returns.
+                session.record["metrics"] = obs.metrics().snapshot()
+            finally:
+                obs.disable()
+                obs.reset()
 
 
 def _resolve_design(args: argparse.Namespace):
@@ -200,91 +297,17 @@ def _resolve_design(args: argparse.Namespace):
     return config
 
 
-@contextmanager
-def _jobs_session(args: argparse.Namespace):
-    """Install the job runner the command's --jobs/--cache-dir flags ask for.
-
-    On exit, prints a one-line cache summary when a cache was in play, so
-    warm runs visibly report their hit rate.  When a cache directory is
-    given, a checkpoint journal lives beside it
-    (``<cache>/checkpoints/<command>.journal``) so a killed run resumes.
-    """
-    from pathlib import Path
-
-    from repro.core import jobs
-    from repro.core.resilience import RetryPolicy
-
-    workers = getattr(args, "jobs", None) or 1
-    cache_dir = None
-    if not getattr(args, "no_cache", False):
-        cache_dir = getattr(args, "cache_dir", None)
-    checkpoint_path = None
-    if cache_dir is not None and getattr(args, "command", None):
-        checkpoint_path = (Path(cache_dir).expanduser() / "checkpoints"
-                           / f"{args.command}.journal")
-    retry = RetryPolicy(max_retries=getattr(args, "retries", 2))
-    timeout_s = getattr(args, "task_timeout", None)
-    # Live progress goes to stderr only, so sweep stdout (tables, JSON
-    # envelopes) stays bitwise-identical with progress on or off.
-    from repro.obs.progress import auto_reporter
-
-    reporter = auto_reporter(getattr(args, "progress", None))
-    # Summary lines go to stderr under --json so stdout stays one document.
-    stream = sys.stderr if getattr(args, "json", False) else sys.stdout
-    with jobs.session(jobs=workers, cache_dir=cache_dir, retry=retry,
-                      timeout_s=timeout_s, checkpoint_path=checkpoint_path,
-                      progress=reporter) as runner:
-        yield runner
-        if runner.cache is not None:
-            print(f"cache [{runner.cache.root}]: {runner.stats.describe()}",
-                  file=stream)
-        if workers > 1 and runner.stats.elapsed_seconds > 0:
-            print(f"jobs: {workers} workers, "
-                  f"{runner.stats.parallel_speedup:.2f}x aggregate-sim-time speedup",
-                  file=stream)
-        stats = runner.stats
-        if stats.tasks > 1:
-            # One-line sweep summary, always on stderr (satellite of the
-            # progress stream; never part of a command's stdout contract).
-            print(f"summary: {stats.tasks} tasks ({stats.executed} run, "
-                  f"{stats.hits} cached, {stats.retries} retried), "
-                  f"{stats.elapsed_seconds:.1f}s wall, "
-                  f"{100 * stats.hit_rate:.0f}% cache hit-rate",
-                  file=sys.stderr)
-
-
-def _print_envelope(command: str, data, *, config=None, network=None,
-                    batch=None, technology=None, **extra) -> None:
-    """The one JSON result envelope shared by every --json command."""
-    import json
-
-    from repro import obs
-
-    manifest = obs.RunManifest.capture(
-        command, config=config, workload=network, batch=batch,
-        technology=technology, **extra,
-    )
-    document = {
-        "command": command,
-        "design": getattr(config, "name", None),
-        "workload": getattr(network, "name", None),
-        "data": data,
-        "manifest": manifest.to_dict(),
-    }
-    print(json.dumps(document, indent=2, sort_keys=True))
-
-
 def cmd_estimate(args: argparse.Namespace) -> int:
     from repro import api
 
     config = _resolve_design(args)
     library = api.library(args.technology)
     est = api.estimate(config, technology=library)
+    args.session.note(config=config, technology=args.technology)
     if args.json:
         from repro.core.report import estimate_record
 
-        _print_envelope("estimate", estimate_record(est), config=config,
-                        technology=args.technology)
+        args.session.envelope(estimate_record(est))
         return 0
     print(f"design          : {config.name} ({library.technology.value})")
     print(f"frequency       : {est.frequency_ghz:.2f} GHz  (critical: {est.critical_path})")
@@ -303,63 +326,49 @@ def cmd_estimate(args: argparse.Namespace) -> int:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     from repro import api
-    from repro.simulator.power import power_report
+    from repro.core.report import simulate_with_power, simulation_record
 
     config = _resolve_design(args)
     network = api.workload(args.workload)
-    session = _ObsSession(args, "simulate")
-    with _jobs_session(args):
-        library = api.library(args.technology)
-        estimate = api.estimate(config, technology=library)
-        run = api.simulate(config, network, batch=args.batch, technology=library)
-        power = power_report(run, estimate)
-        breakdown = run.cycle_breakdown()
-        if args.json:
-            from repro.core.report import simulation_record
-
-            _print_envelope("simulate", simulation_record(run, power),
-                            config=config, network=network, batch=run.batch,
-                            technology=args.technology)
-            session.finish(config=config, network=network, batch=run.batch,
-                           technology=args.technology, run=run)
-            return 0
-        print(f"{config.name} running {network.name} (batch {run.batch})")
-        print(f"  cycles      : {run.total_cycles:,}")
-        print(f"  latency     : {run.latency_s * 1e6:.1f} us")
-        print(f"  throughput  : {run.tmacs:.2f} TMAC/s")
-        print(f"  PE util     : {100 * run.pe_utilization(estimate.peak_mac_per_s):.2f} %")
-        print(
-            "  breakdown   : "
-            f"prep {100 * breakdown['preparation']:.1f}% / "
-            f"compute {100 * breakdown['computation']:.1f}% / "
-            f"memory {100 * breakdown['memory']:.1f}%"
-        )
-        print(f"  chip power  : {power.total_w:.2f} W "
-              f"(static {power.static_w:.2f} + dynamic {power.dynamic_w:.2f})")
-        session.finish(config=config, network=network, batch=run.batch,
-                       technology=args.technology, run=run)
+    run, power = simulate_with_power(config, network, batch=args.batch,
+                                     technology=args.technology)
+    args.session.note(config=config, workload=network, batch=run.batch,
+                      technology=args.technology, run=run)
+    if args.json:
+        args.session.envelope(simulation_record(run, power))
+        return 0
+    peak_mac_per_s = api.estimate(config, technology=args.technology).peak_mac_per_s
+    breakdown = run.cycle_breakdown()
+    print(f"{config.name} running {network.name} (batch {run.batch})")
+    print(f"  cycles      : {run.total_cycles:,}")
+    print(f"  latency     : {run.latency_s * 1e6:.1f} us")
+    print(f"  throughput  : {run.tmacs:.2f} TMAC/s")
+    print(f"  PE util     : {100 * run.pe_utilization(peak_mac_per_s):.2f} %")
+    print(
+        "  breakdown   : "
+        f"prep {100 * breakdown['preparation']:.1f}% / "
+        f"compute {100 * breakdown['computation']:.1f}% / "
+        f"memory {100 * breakdown['memory']:.1f}%"
+    )
+    print(f"  chip power  : {power.total_w:.2f} W "
+          f"(static {power.static_w:.2f} + dynamic {power.dynamic_w:.2f})")
     return 0
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
     from repro import api
+    from repro.core.report import evaluation_record
 
-    session = _ObsSession(args, "evaluate")
-    with _jobs_session(args):
-        suite = api.evaluate()
-        speedups = suite.speedups()
-        workloads = list(suite.tpu_runs) + ["Average"]
-        if args.json:
-            _print_envelope("evaluate", {"speedups": speedups,
-                                         "workloads": workloads},
-                            suite="fig23")
-            session.finish(suite="fig23")
-            return 0
-        widths = [14] + [10] * len(workloads)
-        print(_fmt_row(["design (vs TPU)"] + workloads, widths))
-        for design, row in speedups.items():
-            print(_fmt_row([design] + [f"{row[w]:.2f}x" for w in workloads], widths))
-        session.finish(suite="fig23")
+    args.session.note(suite="fig23")
+    record = evaluation_record(api.evaluate())
+    if args.json:
+        args.session.envelope(record)
+        return 0
+    workloads = record["workloads"]
+    widths = [14] + [10] * len(workloads)
+    print(_fmt_row(["design (vs TPU)"] + workloads, widths))
+    for design, row in record["speedups"].items():
+        print(_fmt_row([design] + [f"{row[w]:.2f}x" for w in workloads], widths))
     return 0
 
 
@@ -393,59 +402,55 @@ def cmd_validate(args: argparse.Namespace) -> int:
 def cmd_sweep(args: argparse.Namespace) -> int:
     from repro.core.optimizer import buffer_sweep, register_sweep, resource_sweep
 
-    session = _ObsSession(args, "sweep")
-    with _jobs_session(args):
-        if args.plot:
-            from repro.core.plotting import sweep_chart
-
-            if args.which == "buffers":
-                print(sweep_chart(buffer_sweep(), "max_batch"))
-            elif args.which == "resources":
-                print(sweep_chart(resource_sweep(), "max_batch_added_buffer"))
-            else:
-                for width, rows in register_sweep().items():
-                    print(f"width {width}:")
-                    print(sweep_chart(rows, "speedup"))
-            session.finish(which=args.which, plot=True)
-            return 0
+    args.session.note(which=args.which, plot=args.plot)
+    if args.plot:
+        from repro.core.plotting import sweep_chart
 
         if args.which == "buffers":
-            for point in buffer_sweep():
-                m = point.metrics
-                print(
-                    f"{point.label:26s} single={m['single_batch']:7.2f}x "
-                    f"max={m['max_batch']:7.2f}x area={m['area']:5.2f}x"
-                )
+            print(sweep_chart(buffer_sweep(), "max_batch"))
         elif args.which == "resources":
-            for point in resource_sweep():
-                m = point.metrics
-                print(
-                    f"{point.label:14s} fixed={m['max_batch_fixed_buffer']:7.2f}x "
-                    f"added={m['max_batch_added_buffer']:7.2f}x "
-                    f"intensity={m['intensity']:9.0f}"
-                )
+            print(sweep_chart(resource_sweep(), "max_batch_added_buffer"))
         else:
             for width, rows in register_sweep().items():
-                for point in rows:
-                    print(f"{point.label:22s} speedup={point.metrics['speedup']:7.2f}x")
-        session.finish(which=args.which)
+                print(f"width {width}:")
+                print(sweep_chart(rows, "speedup"))
+        return 0
+
+    if args.which == "buffers":
+        for point in buffer_sweep():
+            m = point.metrics
+            print(
+                f"{point.label:26s} single={m['single_batch']:7.2f}x "
+                f"max={m['max_batch']:7.2f}x area={m['area']:5.2f}x"
+            )
+    elif args.which == "resources":
+        for point in resource_sweep():
+            m = point.metrics
+            print(
+                f"{point.label:14s} fixed={m['max_batch_fixed_buffer']:7.2f}x "
+                f"added={m['max_batch_added_buffer']:7.2f}x "
+                f"intensity={m['intensity']:9.0f}"
+            )
+    else:
+        for width, rows in register_sweep().items():
+            for point in rows:
+                print(f"{point.label:22s} speedup={point.metrics['speedup']:7.2f}x")
     return 0
 
 
 def cmd_profile(args: argparse.Namespace) -> int:
     """One ``simulate`` run under full observability: span tree + metrics."""
     from repro import api, obs
+    from repro.core.report import simulate_with_power
 
     config = _resolve_design(args)
     network = api.workload(args.workload)
-    session = _ObsSession(args, "profile", force=True)
-    with _jobs_session(args):
-        # A fresh runner estimates before simulating, as `simulate` does,
-        # so the span tree always shows the estimator's cost.
-        api.estimate(config, technology=args.technology)
-        run = api.simulate(config, network, batch=args.batch,
-                           technology=args.technology)
-
+    # A fresh runner estimates before simulating, as `simulate` does,
+    # so the span tree always shows the estimator's cost.
+    run, _ = simulate_with_power(config, network, batch=args.batch,
+                                 technology=args.technology)
+    args.session.note(config=config, workload=network, batch=run.batch,
+                      technology=args.technology)
     print(f"profile: {config.name} running {network.name} "
           f"(batch {run.batch}, {run.total_cycles:,} cycles)")
     print()
@@ -461,11 +466,9 @@ def cmd_profile(args: argparse.Namespace) -> int:
               f"mean={summary['mean']:.6f} total={summary['sum']:.6f} "
               f"p50={summary['p50']:.6f} p95={summary['p95']:.6f} "
               f"p99={summary['p99']:.6f}")
-    manifest = session.finish(config=config, network=network, batch=run.batch,
-                              technology=args.technology)
     print()
     print("manifest:")
-    print(manifest.describe())
+    print(args.session.manifest().describe())
     return 0
 
 
@@ -484,7 +487,6 @@ def cmd_bottleneck(args: argparse.Namespace) -> int:
 
     config = _resolve_design(args)
     network = api.workload(args.workload)
-    session = _ObsSession(args, "bottleneck")
     library = api.library(args.technology)
     estimate = api.estimate(config, technology=library)
     timeline = obs.CycleTimeline(
@@ -493,19 +495,15 @@ def cmd_bottleneck(args: argparse.Namespace) -> int:
     run = api.simulate(config, network, batch=args.batch, technology=library,
                        timeline=timeline)
     batch = run.batch
+    args.session.note(config=config, workload=network, batch=batch,
+                      technology=args.technology)
     report = attribute(run)
     roof = roofline(run, estimate.peak_mac_per_s, config.memory_bandwidth_gbps)
     util = utilization_report(run)
 
     if args.timeline_out:
-        manifest = obs.RunManifest.capture(
-            "bottleneck",
-            config=config,
-            workload=network,
-            batch=batch,
-            technology=args.technology,
-        )
-        obs.write_timeline(args.timeline_out, timeline, manifest=manifest)
+        obs.write_timeline(args.timeline_out, timeline,
+                           manifest=args.session.manifest())
 
     if args.json:
         document = {
@@ -539,8 +537,6 @@ def cmd_bottleneck(args: argparse.Namespace) -> int:
             "utilization": util.to_dict(),
         }
         print(json.dumps(document, indent=2, sort_keys=True))
-        session.finish(config=config, network=network, batch=batch,
-                       technology=args.technology)
         return 0
 
     print(f"bottleneck: {config.name} running {network.name} "
@@ -602,8 +598,6 @@ def cmd_bottleneck(args: argparse.Namespace) -> int:
     if args.timeline_out:
         print()
         print(f"timeline written to {args.timeline_out}")
-    session.finish(config=config, network=network, batch=batch,
-                   technology=args.technology)
     return 0
 
 
@@ -664,22 +658,21 @@ def cmd_report(args: argparse.Namespace) -> int:
     from repro import api
     from repro.core.report import (
         layer_records,
+        simulate_with_power,
         simulation_record,
         to_csv,
         to_json,
     )
-    from repro.simulator.power import power_report
 
     config = _resolve_design(args)
     network = api.workload(args.workload)
-    library = api.library(args.technology)
-    estimate = api.estimate(config, technology=library)
-    run = api.simulate(config, network, batch=args.batch, technology=library)
+    run, power = simulate_with_power(config, network, batch=args.batch,
+                                     technology=args.technology)
     if args.layers:
         records = layer_records(run)
         print(to_csv(records) if args.format == "csv" else to_json(records))
     else:
-        record = simulation_record(run, power_report(run, estimate))
+        record = simulation_record(run, power)
         print(to_csv([record]) if args.format == "csv" else to_json(record))
     return 0
 
@@ -736,20 +729,16 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
     configs = [api.design(spec) for spec in args.designs]
     workloads = args.workloads.split(",") if args.workloads else None
-    session = _ObsSession(args, "compare")
-    with _jobs_session(args):
-        columns = api.compare(configs, workloads=workloads)
-        if args.json:
-            data = {"columns": comparison_records(columns),
-                    "winner": winner(columns).config.name}
-            if len(columns) > 1:
-                data["phase_deltas"] = phase_deltas(columns)
-            _print_envelope("compare", data,
-                            designs=",".join(c.config.name for c in columns))
-            session.finish(designs=",".join(c.config.name for c in columns))
-            return 0
-        _print_compare_tables(columns, winner, phase_deltas)
-        session.finish(designs=",".join(c.config.name for c in columns))
+    columns = api.compare(configs, workloads=workloads)
+    args.session.note(designs=",".join(c.config.name for c in columns))
+    if args.json:
+        data = {"columns": comparison_records(columns),
+                "winner": winner(columns).config.name}
+        if len(columns) > 1:
+            data["phase_deltas"] = phase_deltas(columns)
+        args.session.envelope(data)
+        return 0
+    _print_compare_tables(columns, winner, phase_deltas)
     return 0
 
 
@@ -793,18 +782,15 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
     from repro.core.experiments import EXPERIMENTS, EXTENSIONS, reproduce_all
 
     only = args.only.split(",") if args.only else None
-    session = _ObsSession(args, "reproduce")
-    mark = _plan_mark()
-    with _jobs_session(args):
-        results = reproduce_all(
-            out_dir=args.out, only=only, include_extensions=args.extensions
-        )
-        for name in results:
-            marker = f"-> {args.out}/{name}.json" if args.out else "(in memory)"
-            print(f"  {name:28s} {marker}")
-        available = len(EXPERIMENTS) + (len(EXTENSIONS) if args.extensions else 0)
-        print(f"{len(results)} of {available} experiments regenerated")
-        session.finish(experiments=",".join(results), **_plans_since(mark))
+    results = reproduce_all(
+        out_dir=args.out, only=only, include_extensions=args.extensions
+    )
+    args.session.note(experiments=",".join(results))
+    for name in results:
+        marker = f"-> {args.out}/{name}.json" if args.out else "(in memory)"
+        print(f"  {name:28s} {marker}")
+    available = len(EXPERIMENTS) + (len(EXTENSIONS) if args.extensions else 0)
+    print(f"{len(results)} of {available} experiments regenerated")
     return 0
 
 
@@ -858,31 +844,11 @@ def cmd_trace(args: argparse.Namespace) -> int:
     return 0
 
 
-def _plans_since(mark: int) -> dict:
-    """Manifest extras for every plan executed since ``mark``.
-
-    ``mark`` is ``len(recent_plans())`` taken before the command ran; the
-    delta is this command's plan executions, (name, hash) stamped.
-    """
-    from repro.core.plan import recent_plans
-
-    executed = recent_plans()[mark:]
-    if not executed:
-        return {}
-    return {"plans": [{"name": name, "hash": digest}
-                      for name, digest in executed]}
-
-
-def _plan_mark() -> int:
-    from repro.core.plan import recent_plans
-
-    return len(recent_plans())
-
-
 def cmd_plan(args: argparse.Namespace) -> int:
     from repro import api
     from repro.errors import ConfigError
 
+    args.session.note(action=args.action)
     if args.action == "list":
         names = api.plans()
         if args.json:
@@ -894,7 +860,7 @@ def cmd_plan(args: argparse.Namespace) -> int:
                 }
                 for name in names
             ]
-            _print_envelope("plan", {"plans": plans}, action="list")
+            args.session.envelope({"plans": plans})
             return 0
         widths = [24, 8]
         print(_fmt_row(["plan", "points"], widths) + "  description")
@@ -911,6 +877,7 @@ def cmd_plan(args: argparse.Namespace) -> int:
             hint=f"known plans: {', '.join(api.plans())}",
         )
     plan = api.plan(args.name)
+    args.session.note(plan=plan.name)
 
     if args.action == "show":
         lowered = plan.lower()
@@ -924,7 +891,7 @@ def cmd_plan(args: argparse.Namespace) -> int:
             cache = ResultCache(cache_dir)
             cached = sum(1 for key in unique if cache.path_for(key).exists())
         if args.json:
-            _print_envelope("plan", {
+            args.session.envelope({
                 "name": plan.name,
                 "hash": lowered.plan_hash,
                 "description": plan.description,
@@ -937,7 +904,7 @@ def cmd_plan(args: argparse.Namespace) -> int:
                      "points": grid.num_points}
                     for grid in plan.grids
                 ],
-            }, action="show", plan=plan.name)
+            })
             return 0
         print(plan.describe())
         line = (f"dry run: {len(lowered.points)} points -> "
@@ -951,27 +918,18 @@ def cmd_plan(args: argparse.Namespace) -> int:
         return 0
 
     # run
-    session = _ObsSession(args, "plan")
-    mark = _plan_mark()
-    with _jobs_session(args):
-        resultset = api.run_plan(plan)
-        if args.json:
-            _print_envelope("plan", {
-                "name": plan.name,
-                "hash": resultset.plan_hash,
-                "points_total": resultset.points_total,
-                "points_cached": resultset.points_cached,
-                "points_executed": resultset.points_executed,
-                "records": resultset.records(),
-            }, action="run", plan=plan.name)
-        else:
-            print(resultset.describe())
-            print(f"plan hash: {resultset.plan_hash}")
-        session.finish(plan=plan.name, plan_hash=resultset.plan_hash,
-                       points_total=resultset.points_total,
-                       points_cached=resultset.points_cached,
-                       points_executed=resultset.points_executed,
-                       **_plans_since(mark))
+    from repro.core.report import plan_run_record
+
+    resultset = api.run_plan(plan)
+    args.session.note(plan_hash=resultset.plan_hash,
+                      points_total=resultset.points_total,
+                      points_cached=resultset.points_cached,
+                      points_executed=resultset.points_executed)
+    if args.json:
+        args.session.envelope(plan_run_record(resultset))
+    else:
+        print(resultset.describe())
+        print(f"plan hash: {resultset.plan_hash}")
     return 0
 
 
@@ -979,13 +937,12 @@ def cmd_components(args: argparse.Namespace) -> int:
     from repro import api
     from repro.errors import ConfigError
 
+    args.session.note(action=args.action)
     if args.action == "list":
         registered = api.components(kind=args.kind)
         if args.json:
-            _print_envelope(
-                "components",
-                {"components": [component.to_dict() for component in registered]},
-                action="list")
+            args.session.envelope(
+                {"components": [component.to_dict() for component in registered]})
             return 0
         widths = [16, 8, 8, 10]
         print(_fmt_row(["component", "kind", "stage", "GB/s"], widths)
@@ -1007,9 +964,9 @@ def cmd_components(args: argparse.Namespace) -> int:
                  + ", ".join(c.name for c in api.components()),
         )
     component = api.component(args.name)
+    args.session.note(component=component.name)
     if args.json:
-        _print_envelope("components", component.to_dict(), action="show",
-                        component=component.name)
+        args.session.envelope(component.to_dict())
         return 0
     print(f"component   : {component.name} ({component.kind})")
     print(f"stage       : {component.stage_k:g} K")
@@ -1077,15 +1034,14 @@ def cmd_bench(args: argparse.Namespace) -> int:
     if args.action == "run":
         # Under --hotspot the pytest subprocess profiles itself too, and
         # its stats fold into this session's profile (see run_benchmarks).
-        session = _ObsSession(args, "bench")
+        args.session.note(action="run", subset=args.subset)
         document = bench.run_benchmarks(
             args.subset, min_rounds=args.min_rounds,
             max_time_s=args.max_time, label=args.label)
-        session.finish(subset=args.subset)
-        document["hotspot"] = session.hotspot_summary
+        document["hotspot"] = args.session.stop_profiler()
         path = bench.write_document(document, path=args.out)
         if args.json:
-            _print_envelope("bench", document, action="run", subset=args.subset)
+            args.session.envelope(document)
         else:
             print(f"bench [{document['git_sha']}]: "
                   f"{len(document['benchmarks'])} benchmarks "
@@ -1126,21 +1082,20 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 def cmd_runs(args: argparse.Namespace) -> int:
     """Query the persistent run registry (list / show / diff)."""
-    import json
-
     from repro.errors import ConfigError
     from repro.obs.registry import RunRegistry
 
     registry = RunRegistry(getattr(args, "runs_dir", None))
+    args.session.note(action=args.action)
 
     if args.action == "list":
         entries, corrupt = registry.entries(limit=args.limit,
                                             command=args.command_filter)
         if args.json:
-            _print_envelope("runs", {
+            args.session.envelope({
                 "runs": [entry.to_dict() for entry in entries],
                 "corrupt_skipped": corrupt,
-            }, action="list")
+            })
             return 0
         print(f"runs [{registry.root}]: {len(entries)} shown")
         widths = [30, 4, 9, 20]
@@ -1165,7 +1120,7 @@ def cmd_runs(args: argparse.Namespace) -> int:
                               hint="see 'supernpu runs list'")
         entry = registry.get(args.ids[0])
         if args.json:
-            _print_envelope("runs", entry.to_dict(), action="show")
+            args.session.envelope(entry.to_dict())
         else:
             print(entry.describe())
         return 0
@@ -1177,7 +1132,7 @@ def cmd_runs(args: argparse.Namespace) -> int:
                           hint="see 'supernpu runs list'")
     difference = registry.diff(args.ids[0], args.ids[1])
     if args.json:
-        _print_envelope("runs", difference, action="diff")
+        args.session.envelope(difference)
         return 0
     print(f"runs diff: {difference['a']} -> {difference['b']}")
     if difference["wall_time_delta_s"] is not None:
@@ -1198,12 +1153,12 @@ def cmd_runs(args: argparse.Namespace) -> int:
 def cmd_hotspot(args: argparse.Namespace) -> int:
     """Profile any other supernpu command's host time.
 
-    Runs the wrapped command in-process under a :class:`HotspotProfiler`
-    and prints the top-N table to stderr — the wrapped command's stdout
-    is bitwise-identical to an unprofiled run.
+    Runs the wrapped command in-process; this command's session profiles
+    it (the parser defaults ``hotspot`` on) and prints the top-N table to
+    stderr — the wrapped command's stdout is bitwise-identical to an
+    unprofiled run.
     """
     from repro.errors import ConfigError
-    from repro.obs.hotspot import HotspotProfiler
 
     inner = list(args.argv)
     if inner and inner[0] == "--":
@@ -1214,11 +1169,7 @@ def cmd_hotspot(args: argparse.Namespace) -> int:
             code="config.missing_command",
             hint="e.g. supernpu hotspot simulate supernpu mobilenet",
         )
-    # A command that raises leaves the profiler to main()'s cleanup.
-    profiler = HotspotProfiler().start()
-    exit_code = main(inner)
-    _report_hotspot(profiler.stop(), args.hotspot_out, top_n=args.top)
-    return exit_code
+    return main(inner)
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
@@ -1305,11 +1256,22 @@ def cmd_client(args: argparse.Namespace) -> int:
     if not port:
         raise ConfigError("no daemon port: pass --port or --port-file",
                           code="config.missing_port")
-    body = json_mod.loads(args.data) if args.data else None
+    try:
+        body = json_mod.loads(args.data) if args.data else None
+    except ValueError as error:
+        raise ConfigError(f"--data is not JSON: {error}",
+                          code="config.bad_json",
+                          hint="""e.g. --data '{"design": "supernpu"}'""") from error
     method = args.method or ("POST" if body is not None else "GET")
     client = ServeClient(host=args.host, port=port, client_id=args.client_id)
-    response = client.request(method, args.path, body=body,
-                              deadline_s=args.deadline)
+    try:
+        response = client.request(method, args.path, body=body,
+                                  deadline_s=args.deadline)
+    except OSError as error:
+        raise ConfigError(f"no daemon at {args.host}:{port}: {error}",
+                          code="serve.unreachable",
+                          hint="start one with 'supernpu serve --port-file FILE' "
+                               "and pass that --port-file here") from error
     print(f"{response.status} {args.path}", file=sys.stderr)
     print(response.body)
     return 0 if response.status < 400 else 1
@@ -1368,6 +1330,24 @@ def _add_component_flags(parser: argparse.ArgumentParser) -> None:
                              "traffic (default: 4k-300k-link)")
 
 
+def _add_design_args(parser: argparse.ArgumentParser, *, required: bool = False,
+                     workload: bool = True, batch: bool = True,
+                     batch_default: Optional[int] = None,
+                     technology: bool = True) -> None:
+    """``design [workload]`` plus ``--batch`` / ``--technology`` / ``--config-file``."""
+    if required:
+        parser.add_argument("design")
+    else:
+        parser.add_argument("design", nargs="?", default="supernpu")
+    if workload:
+        parser.add_argument("workload")
+    if batch:
+        parser.add_argument("--batch", type=int, default=batch_default)
+    if technology:
+        parser.add_argument("--technology", choices=["rsfq", "ersfq"], default="rsfq")
+    parser.add_argument("--config-file", help="JSON NPUConfig instead of a named design")
+
+
 def _add_json_flag(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--json", action="store_true",
                         help="emit one machine-readable JSON envelope "
@@ -1390,19 +1370,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_est = sub.add_parser("estimate", help="frequency / power / area of a design")
-    p_est.add_argument("design", nargs="?", default="supernpu")
-    p_est.add_argument("--technology", choices=["rsfq", "ersfq"], default="rsfq")
-    p_est.add_argument("--config-file", help="JSON NPUConfig instead of a named design")
+    _add_design_args(p_est, workload=False, batch=False)
     _add_component_flags(p_est)
     _add_json_flag(p_est)
     p_est.set_defaults(func=cmd_estimate)
 
     p_sim = sub.add_parser("simulate", help="cycle-level simulation of one workload")
-    p_sim.add_argument("design", nargs="?", default="supernpu")
-    p_sim.add_argument("workload")
-    p_sim.add_argument("--batch", type=int, default=None)
-    p_sim.add_argument("--technology", choices=["rsfq", "ersfq"], default="rsfq")
-    p_sim.add_argument("--config-file", help="JSON NPUConfig instead of a named design")
+    _add_design_args(p_sim)
     _add_component_flags(p_sim)
     _add_obs_flags(p_sim)
     _add_jobs_flags(p_sim)
@@ -1415,11 +1389,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="simulate one workload under full observability "
              "(span tree, counters, run manifest)",
     )
-    p_prof.add_argument("design", nargs="?", default="supernpu")
-    p_prof.add_argument("workload")
-    p_prof.add_argument("--batch", type=int, default=None)
-    p_prof.add_argument("--technology", choices=["rsfq", "ersfq"], default="rsfq")
-    p_prof.add_argument("--config-file", help="JSON NPUConfig instead of a named design")
+    _add_design_args(p_prof)
     _add_obs_flags(p_prof)
     p_prof.set_defaults(func=cmd_profile)
 
@@ -1428,11 +1398,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="per-layer bound attribution, critical layers, roofline, "
              "and a simulated-cycle timeline export",
     )
-    p_bott.add_argument("design", nargs="?", default="supernpu")
-    p_bott.add_argument("workload")
-    p_bott.add_argument("--batch", type=int, default=None)
-    p_bott.add_argument("--technology", choices=["rsfq", "ersfq"], default="rsfq")
-    p_bott.add_argument("--config-file", help="JSON NPUConfig instead of a named design")
+    _add_design_args(p_bott)
     p_bott.add_argument("--top", type=int, default=5,
                         help="how many critical layers to rank (default 5)")
     p_bott.add_argument("--json", action="store_true",
@@ -1445,8 +1411,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bott.set_defaults(func=cmd_bottleneck)
 
     p_floor = sub.add_parser("floorplan", help="block placement and interfaces")
-    p_floor.add_argument("design", nargs="?", default="supernpu")
-    p_floor.add_argument("--config-file", help="JSON NPUConfig instead of a named design")
+    _add_design_args(p_floor, workload=False, batch=False, technology=False)
     p_floor.set_defaults(func=cmd_floorplan)
 
     p_energy = sub.add_parser("energy", help="joules per image across designs")
@@ -1476,14 +1441,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_table.set_defaults(func=cmd_table)
 
     p_report = sub.add_parser("report", help="export a run as JSON/CSV records")
-    p_report.add_argument("design")
-    p_report.add_argument("workload")
-    p_report.add_argument("--batch", type=int, default=None)
-    p_report.add_argument("--technology", choices=["rsfq", "ersfq"], default="rsfq")
+    _add_design_args(p_report, required=True)
     p_report.add_argument("--format", choices=["json", "csv"], default="json")
     p_report.add_argument("--layers", action="store_true",
                           help="emit per-layer records instead of the summary")
-    p_report.add_argument("--config-file", help="JSON NPUConfig instead of a named design")
     p_report.set_defaults(func=cmd_report)
 
     p_compare = sub.add_parser("compare", help="side-by-side design comparison")
@@ -1510,12 +1471,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_workloads.set_defaults(func=cmd_workloads)
 
     p_trace = sub.add_parser("trace", help="per-mapping execution trace of one layer")
-    p_trace.add_argument("design")
-    p_trace.add_argument("workload")
+    _add_design_args(p_trace, required=True, batch_default=1, technology=False)
     p_trace.add_argument("layer")
-    p_trace.add_argument("--batch", type=int, default=1)
     p_trace.add_argument("--format", choices=["summary", "csv"], default="summary")
-    p_trace.add_argument("--config-file", help="JSON NPUConfig instead of a named design")
     p_trace.set_defaults(func=cmd_trace)
 
     p_plan = sub.add_parser(
@@ -1621,7 +1579,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_hot.add_argument("argv", nargs=argparse.REMAINDER,
                        help="the supernpu command line to profile, e.g. "
                             "'simulate supernpu mobilenet'")
-    p_hot.set_defaults(func=cmd_hotspot)
+    p_hot.set_defaults(func=cmd_hotspot, hotspot=True)
 
     p_serve = sub.add_parser(
         "serve",
@@ -1706,18 +1664,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: List[str] | None = None) -> int:
     from repro.errors import ReproError
-    from repro.obs import hotspot
     from repro.obs import registry as run_registry
 
     parser = build_parser()
     args = parser.parse_args(argv)
     argv_list = list(sys.argv[1:] if argv is None else argv)
     started = time.perf_counter()
-    mark = _plan_mark()
-    outer_profiler = hotspot.active_profiler()
     exit_code: Optional[int] = None
     try:
-        exit_code = args.func(args)
+        with _command_session(args) as args.session:
+            exit_code = args.func(args)
         return exit_code
     except BrokenPipeError:
         # Output was piped into a consumer that closed early (e.g. head).
@@ -1732,25 +1688,20 @@ def main(argv: List[str] | None = None) -> int:
         exit_code = error.exit_code
         return exit_code
     finally:
-        # A command that failed mid-run leaves its --hotspot profiler
-        # running; stop it so the process can profile again.
-        if hotspot.active_profiler() not in (None, outer_profiler):
-            hotspot.active_profiler().stop()
         # Every invocation lands in the run registry (best-effort; a full
         # disk never turns a successful command into a failure).  The
         # registry's own query command is not recorded — listing history
         # should not grow it.
         if args.command != "runs" and not args.no_registry:
+            session = getattr(args, "session", None)
             run_registry.record_invocation(
                 command=args.command,
                 argv=argv_list,
                 exit_code=exit_code,
                 wall_time_s=time.perf_counter() - started,
                 runs_dir=args.runs_dir,
-                plans=_plans_since(mark).get("plans"),
+                **(session.record if session is not None else {}),
             )
-        else:
-            run_registry.take_staged()
 
 
 if __name__ == "__main__":

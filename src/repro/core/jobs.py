@@ -93,7 +93,7 @@ from repro.estimator.uarch_level import UnitEstimate
 from repro.simulator.engine import DesignCharges, charge_designs, simulate
 from repro.simulator.results import ActivityTrace, LayerResult, SimulationResult
 from repro.uarch.config import NPUConfig
-from repro.workloads.layers import is_batch_count
+from repro.workloads.layers import check_batch
 from repro.workloads.models import Network
 
 #: Bump whenever the simulator, the estimator, or the payload layout
@@ -186,9 +186,7 @@ class SimTask:
     _key: Optional[str] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not is_batch_count(self.batch):
-            raise ConfigError("batch must be a positive integer",
-                              code="config.invalid_batch", batch=self.batch)
+        check_batch(self.batch)
         if type(self.batch) is not int:  # a numpy integer: key it as the int it is
             object.__setattr__(self, "batch", int(self.batch))
 
@@ -1252,9 +1250,10 @@ def session(jobs: int = 1, cache_dir: Optional[Union[str, Path]] = None,
             progress: Optional[ProgressReporter] = None) -> Iterator[JobRunner]:
     """Build a runner from knobs and install it (the CLI's entry point).
 
-    A checkpoint journal given here is cleared when the block exits
-    cleanly (the sweep finished; nothing to resume) and kept when the
-    block raises or the process dies (the next session resumes from it).
+    A checkpoint journal given here is cleared when the block ran tasks
+    and exits cleanly (the sweep finished; nothing to resume) and kept
+    when the block raises, ran nothing, or the process dies (the next
+    session resumes from it).
     """
     if cache is None and cache_dir is not None:
         cache = ResultCache(cache_dir)
@@ -1264,5 +1263,5 @@ def session(jobs: int = 1, cache_dir: Optional[Union[str, Path]] = None,
                        checkpoint=checkpoint, chaos=chaos, progress=progress)
     with use_runner(runner):
         yield runner
-    if checkpoint is not None:
+    if checkpoint is not None and runner.stats.tasks:
         checkpoint.clear()

@@ -3,7 +3,8 @@
 Turns estimator and simulator outputs into plain dictionaries (and JSON or
 CSV text) so downstream tooling — plotting scripts, regression dashboards,
 spreadsheets — can consume the reproduction's numbers without importing
-the library.
+the library.  These are the one record per verb that both front ends
+print: the CLI's ``--json`` ``data`` and ``supernpu serve``'s wire ``data``.
 """
 
 from __future__ import annotations
@@ -11,11 +12,15 @@ from __future__ import annotations
 import csv
 import io
 import json
-from typing import Dict, List
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.estimator.arch_level import NPUEstimate
-from repro.simulator.power import PowerReport
+from repro.simulator.power import PowerReport, power_report
 from repro.simulator.results import SimulationResult
+
+if TYPE_CHECKING:
+    from repro.core.evaluate import EvaluationSuite
+    from repro.core.plan import ResultSet
 
 
 def estimate_record(estimate: NPUEstimate) -> Dict[str, object]:
@@ -63,6 +68,48 @@ def simulation_record(run: SimulationResult, power: PowerReport | None = None) -
         record["dynamic_power_w"] = power.dynamic_w
         record["total_power_w"] = power.total_w
     return record
+
+
+def simulate_with_power(design, workload, *, batch: Optional[int] = None,
+                        technology="rsfq") -> Tuple[SimulationResult, PowerReport]:
+    """Estimate, simulate and power one design point under the ambient runner.
+
+    Accepts the spellings :func:`repro.api.simulate` does;
+    ``simulation_record(*simulate_with_power(...))`` is the ``simulate``
+    record.
+    """
+    from repro import api  # the facade imports this package
+
+    config = api.design(design)
+    library = api.library(technology)
+    estimate = api.estimate(config, technology=library)
+    run = api.simulate(config, workload, batch=batch, technology=library)
+    return run, power_report(run, estimate)
+
+
+def evaluation_record(suite: "EvaluationSuite") -> Dict[str, object]:
+    """The Fig. 23 suite: speedups vs the TPU plus each design's mean rate."""
+    return {
+        "speedups": suite.speedups(),
+        "workloads": list(suite.tpu_runs) + ["Average"],
+        "designs": [d.config.name for d in suite.designs],
+        "mean_mac_per_s": {d.config.name: d.mean_mac_per_s for d in suite.designs},
+    }
+
+
+def plan_run_record(resultset: "ResultSet") -> Dict[str, object]:
+    """An executed plan, without its cache temperature.
+
+    ``points_cached`` / ``points_executed`` and each record's ``cached``
+    flag vary between otherwise-identical runs, so they stay out.
+    """
+    return {
+        "plan": resultset.plan.name,
+        "plan_hash": resultset.plan_hash,
+        "points_total": resultset.points_total,
+        "records": [{k: v for k, v in record.items() if k != "cached"}
+                    for record in resultset.records()],
+    }
 
 
 def layer_records(run: SimulationResult) -> List[Dict[str, object]]:

@@ -328,45 +328,24 @@ class RunRegistry:
         }
 
 
-# -- per-invocation staging -------------------------------------------------
-#
-# The CLI's observability session (repro.cli._ObsSession) knows the run's
-# manifest and metrics snapshot just before it resets the global registry;
-# the CLI main() knows the exit code and wall time just after.  The staging
-# dict carries the former to the latter without coupling their lifetimes.
-
-_STAGED: Dict[str, Any] = {}
-
-
-def stage(**fields: Any) -> None:
-    """Contribute manifest/metrics for the in-flight invocation."""
-    _STAGED.update(fields)
-
-
-def take_staged() -> Dict[str, Any]:
-    """Drain the staged fields (empties the staging area)."""
-    drained = dict(_STAGED)
-    _STAGED.clear()
-    return drained
-
-
 def record_invocation(command: str,
                       argv: Sequence[str],
                       exit_code: Optional[int],
                       wall_time_s: float,
                       runs_dir: Optional[Union[str, Path]] = None,
-                      plans: Optional[Sequence[Dict[str, str]]] = None,
+                      manifest: Optional[Dict[str, Any]] = None,
+                      metrics: Optional[Dict[str, Any]] = None,
+                      hotspot: Optional[Dict[str, Any]] = None,
                       ) -> Optional[RunEntry]:
     """Best-effort append of one CLI invocation (never raises).
 
     The registry observes commands; a full disk or read-only home
     directory must not turn a successful ``supernpu evaluate`` into a
     failure, so every error here is swallowed and ``None`` returned.
+    The entry's plans are the manifest's ``plans``.
     """
     if registry_disabled():
-        take_staged()
         return None
-    staged = take_staged()
     try:
         registry = RunRegistry(runs_dir)
         return registry.append(
@@ -374,10 +353,10 @@ def record_invocation(command: str,
             argv=argv,
             exit_code=exit_code,
             wall_time_s=wall_time_s,
-            manifest=staged.get("manifest"),
-            metrics=staged.get("metrics"),
-            plans=plans,
-            hotspot=staged.get("hotspot"),
+            manifest=manifest,
+            metrics=metrics,
+            plans=(manifest or {}).get("plans"),
+            hotspot=hotspot,
         )
     except Exception:
         return None

@@ -15,8 +15,9 @@ content-addressed :class:`~repro.core.jobs.ResultCache`):
   (503 / 429 + ``Retry-After``);
 * :mod:`repro.serve.coalesce` — single-flight coalescing of identical
   content-hashed requests (all waiters share one computation);
-* :mod:`repro.serve.engine` — endpoints calling the ``repro.api``
-  verbs under a per-request ambient runner over one shared cache, a
+* :mod:`repro.serve.engine` — a table of endpoints over the ``repro.api``
+  verbs and the CLI's ``--json`` records (:mod:`repro.core.report`),
+  run under a per-request ambient runner over one shared cache, a
   daemon-level degrade latch, and handler-scope chaos injection;
 * :mod:`repro.serve.daemon` — the asyncio server itself: per-request
   deadlines, slow-client timeouts, SIGTERM drain, port-file handshake;

@@ -8,12 +8,13 @@ runner is per thread).  Cache writes are atomic and therefore safe to
 share; the runner's stats give the request's ``X-Cache-Hits`` /
 ``X-Executed`` headers.
 
-Each handler checks the outside input the verbs cannot see (unknown
-params, the batch type, list types) and then calls
-:func:`repro.api.estimate` / ``simulate`` / ``evaluate`` / ``run_plan``,
-so the daemon accepts exactly the design/workload/technology vocabulary
-the CLI does, bad specs raise the same taxonomy errors, and the wire
-records are the CLI's ``--json`` records.
+Each endpoint is one row of :data:`_ENDPOINTS`: the params it accepts
+(with their defaults) and the call that turns them into a record.  The
+calls are the :mod:`repro.api` verbs and the records are
+:mod:`repro.core.report`'s, so the daemon accepts exactly the
+design/workload/technology vocabulary the CLI does, bad specs raise the
+same taxonomy errors, and the wire ``data`` is the CLI's ``--json``
+``data``.
 
 Degradation is latched daemon-wide: once any request's runner degrades
 to serial (two pool deaths), every later runner is built with
@@ -27,21 +28,74 @@ import hashlib
 import json
 import threading
 from pathlib import Path
-from typing import Any, Dict, Optional, Tuple, Union
+from typing import Any, Callable, Dict, Optional, Tuple, Union
 
 from repro import api, obs
 from repro.core.chaos import ChaosInjector
 from repro.core.jobs import JobRunner, ResultCache, use_runner
-from repro.core.report import estimate_record, simulation_record
+from repro.core.report import (
+    estimate_record,
+    evaluation_record,
+    plan_run_record,
+    simulate_with_power,
+    simulation_record,
+)
 from repro.core.resilience import RetryPolicy
 from repro.errors import ConfigError
 from repro.serve.protocol import success_envelope
-from repro.simulator.power import power_report
-from repro.workloads.layers import is_batch_count
 
-#: Compute endpoints (path → handler suffix); health/stats live in the
-#: daemon because they report admission state the engine cannot see.
-ENDPOINTS = ("estimate", "simulate", "evaluate", "plan/run")
+
+def _names(param: str, value: Any) -> Any:
+    """A ``designs`` / ``workloads`` list: the verbs take any sequence, so a
+    JSON string or object here would silently become one-letter names."""
+    if value is not None and not isinstance(value, list):
+        raise ConfigError(f"{param} must be a list of names or specs",
+                          code="serve.bad_params")
+    return value
+
+
+def _plan_name(value: Any) -> str:
+    if not isinstance(value, str) or not value:
+        raise ConfigError("plan/run requires a plan name",
+                          code="serve.bad_params",
+                          hint="see 'supernpu plan list'")
+    return value
+
+
+def _with_points(resultset) -> Tuple[dict, Dict[str, str]]:
+    """A plan's record; its cache temperature (volatile across otherwise
+    identical requests) rides in headers."""
+    return plan_run_record(resultset), {
+        "X-Points-Cached": str(resultset.points_cached),
+        "X-Points-Executed": str(resultset.points_executed),
+    }
+
+
+#: endpoint -> (accepted params with their defaults, params -> (record,
+#: extra headers)).  Health/stats live in the daemon because they report
+#: admission state the engine cannot see.
+_ENDPOINTS: Dict[str, Tuple[Dict[str, Any], Callable[..., Tuple[dict, Dict[str, str]]]]] = {
+    "estimate": (
+        {"design": "SuperNPU", "technology": "rsfq"},
+        lambda design, technology: (
+            estimate_record(api.estimate(design, technology=technology)), {})),
+    "simulate": (
+        {"design": "SuperNPU", "workload": "mobilenet", "batch": None,
+         "technology": "rsfq"},
+        lambda design, workload, batch, technology: (simulation_record(
+            *simulate_with_power(design, workload, batch=batch,
+                                 technology=technology)), {})),
+    "evaluate": (
+        {"designs": None, "workloads": None, "technology": "rsfq"},
+        lambda designs, workloads, technology: (evaluation_record(
+            api.evaluate(_names("designs", designs),
+                         _names("workloads", workloads),
+                         technology=technology)), {})),
+    "plan/run": (
+        {"plan": None},
+        lambda plan: _with_points(api.run_plan(_plan_name(plan)))),
+}
+ENDPOINTS = tuple(_ENDPOINTS)
 
 
 def request_key(endpoint: str, params: Dict[str, Any]) -> str:
@@ -98,112 +152,33 @@ class ServeEngine:
     def handle(self, endpoint: str, params: Optional[Dict[str, Any]]
                ) -> Tuple[str, Dict[str, str]]:
         """Compute one request: (deterministic body, volatile headers)."""
-        if endpoint not in ENDPOINTS:
+        if endpoint not in _ENDPOINTS:
             raise ConfigError(f"unknown endpoint {endpoint!r}; "
                               f"known: {ENDPOINTS}",
                               code="serve.unknown_endpoint", endpoint=endpoint)
         if self.handler_chaos is not None:
             self.handler_chaos.fire(endpoint)
-        params = dict(params or {})
         with self._lock:
             self.requests_total += 1
-        runner = self._runner()
-        try:
-            with use_runner(runner):
-                if endpoint == "estimate":
-                    body, meta = self._estimate(params)
-                elif endpoint == "simulate":
-                    body, meta = self._simulate(params)
-                elif endpoint == "evaluate":
-                    body, meta = self._evaluate(params)
-                else:
-                    body, meta = self._plan_run(params)
-        finally:
-            self._absorb_runner(runner)
-        meta.setdefault("X-Cache-Hits", str(int(runner.stats.hits)))
-        meta.setdefault("X-Executed", str(int(runner.stats.executed)))
-        if runner.stats.degraded or self._degraded:
-            meta["X-Degraded"] = "1"
-        return body, meta
-
-    # -- per-endpoint handlers (under the request's ambient runner) -----
-    @staticmethod
-    def _reject_unknown(params: Dict[str, Any], allowed: Tuple[str, ...],
-                        endpoint: str) -> None:
-        unknown = sorted(set(params) - set(allowed))
+        defaults, compute = _ENDPOINTS[endpoint]
+        params = dict(params or {})
+        unknown = sorted(set(params) - set(defaults))
         if unknown:
             raise ConfigError(
                 f"unknown parameter(s) {unknown} for {endpoint}; "
-                f"allowed: {sorted(allowed)}",
+                f"allowed: {sorted(defaults)}",
                 code="serve.bad_params", endpoint=endpoint)
-
-    def _estimate(self, params: Dict[str, Any]) -> Tuple[str, Dict[str, str]]:
-        self._reject_unknown(params, ("design", "technology"), "estimate")
-        estimate = api.estimate(params.get("design", "SuperNPU"),
-                                technology=params.get("technology", "rsfq"))
-        return success_envelope("estimate", estimate_record(estimate)), {}
-
-    def _simulate(self, params: Dict[str, Any]) -> Tuple[str, Dict[str, str]]:
-        self._reject_unknown(params, ("design", "workload", "batch",
-                                      "technology"), "simulate")
-        config = api.design(params.get("design", "SuperNPU"))
-        network = api.workload(params.get("workload", "mobilenet"))
-        library = api.library(params.get("technology", "rsfq"))
-        batch = params.get("batch")
-        if batch is not None and not is_batch_count(batch):
-            raise ConfigError("batch must be a positive integer",
-                              code="serve.bad_params", batch=batch)
-        run = api.simulate(config, network, batch=batch, technology=library)
-        estimate = api.estimate(config, technology=library)
-        record = simulation_record(run, power_report(run, estimate))
-        return success_envelope("simulate", record), {}
-
-    def _evaluate(self, params: Dict[str, Any]) -> Tuple[str, Dict[str, str]]:
-        self._reject_unknown(params, ("designs", "workloads", "technology"),
-                             "evaluate")
-        designs = params.get("designs")
-        workloads = params.get("workloads")
-        if designs is not None and not isinstance(designs, list):
-            raise ConfigError("designs must be a list of design specs",
-                              code="serve.bad_params")
-        if workloads is not None and not isinstance(workloads, list):
-            raise ConfigError("workloads must be a list of workload names",
-                              code="serve.bad_params")
-        library = api.library(params.get("technology", "rsfq"))
-        suite = api.evaluate(designs, workloads, technology=library)
-        data = {
-            "speedups": suite.speedups(),
-            "designs": [d.config.name for d in suite.designs],
-            "workloads": sorted(suite.tpu_runs),
-            "mean_mac_per_s": {d.config.name: d.mean_mac_per_s
-                               for d in suite.designs},
-        }
-        return success_envelope("evaluate", data), {}
-
-    def _plan_run(self, params: Dict[str, Any]) -> Tuple[str, Dict[str, str]]:
-        self._reject_unknown(params, ("plan",), "plan/run")
-        name = params.get("plan")
-        if not isinstance(name, str) or not name:
-            raise ConfigError("plan/run requires a plan name",
-                              code="serve.bad_params",
-                              hint="see 'supernpu plan list'")
-        resultset = api.run_plan(name)
-        # Cache temperature (points_cached / points_executed, and the
-        # per-record ``cached`` flag) is volatile across otherwise-
-        # identical requests, so it rides in headers / gets stripped.
-        records = [{k: v for k, v in record.items() if k != "cached"}
-                   for record in resultset.records()]
-        data = {
-            "plan": resultset.plan.name,
-            "plan_hash": resultset.plan_hash,
-            "points_total": resultset.points_total,
-            "records": records,
-        }
-        meta = {
-            "X-Points-Cached": str(resultset.points_cached),
-            "X-Points-Executed": str(resultset.points_executed),
-        }
-        return success_envelope("plan/run", data), meta
+        runner = self._runner()
+        try:
+            with use_runner(runner):
+                data, meta = compute(**{**defaults, **params})
+        finally:
+            self._absorb_runner(runner)
+        meta["X-Cache-Hits"] = str(int(runner.stats.hits))
+        meta["X-Executed"] = str(int(runner.stats.executed))
+        if runner.stats.degraded or self._degraded:
+            meta["X-Degraded"] = "1"
+        return success_envelope(endpoint, data), meta
 
     # -- introspection -------------------------------------------------
     def stats_data(self) -> Dict[str, Any]:

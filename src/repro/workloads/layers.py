@@ -161,15 +161,11 @@ class ConvLayer:
         return self.groups * self.reduction_size * self.output_pixels
 
 
-def is_batch_count(batch: object) -> bool:
-    """A Python / numpy integer of at least one image (never a ``bool`` or float)."""
-    return (isinstance(batch, numbers.Integral) and not isinstance(batch, bool)
-            and batch >= 1)
-
-
 def check_batch(batch: int) -> None:
-    """Reject anything but a positive whole number of images."""
-    if not is_batch_count(batch):
+    """Reject anything but a Python / numpy integer of at least one image
+    (never a ``bool`` or a float)."""
+    if not (isinstance(batch, numbers.Integral) and not isinstance(batch, bool)
+            and batch >= 1):
         raise WorkloadError("batch must be a positive integer",
                             code="workload.invalid_batch", batch=batch)
 

@@ -28,9 +28,6 @@ def _isolated_run_registry(tmp_path, monkeypatch):
     from repro.obs import registry
 
     monkeypatch.setenv(registry.RUNS_DIR_ENV, str(tmp_path / "runs"))
-    registry.take_staged()
-    yield
-    registry.take_staged()
 
 
 @pytest.fixture

@@ -537,6 +537,11 @@ def test_plan_run_json_envelope(tmp_path, capsys):
     assert document["command"] == "plan"
     assert document["data"]["points_total"] == 6
     assert len(document["data"]["records"]) == 6
+    # Cache temperature lives in the manifest, never in the record.
+    assert "cached" not in document["data"]["records"][0]
+    assert "points_cached" not in document["data"]
+    assert (document["manifest"]["points_cached"],
+            document["manifest"]["points_executed"]) == (0, 6)
 
 
 # -- serve / client ---------------------------------------------------------
@@ -584,3 +589,86 @@ def test_client_request_against_live_daemon(tmp_path, capsys):
 def test_client_request_without_port_exits_2(capsys):
     assert main(["client", "request", "/health"]) == 2
     assert "no daemon port" in capsys.readouterr().err
+
+
+def test_client_request_fails_cleanly(capsys):
+    import socket
+
+    with socket.socket() as probe:  # a port nothing listens on
+        probe.bind(("127.0.0.1", 0))
+        port = str(probe.getsockname()[1])
+    assert main(["client", "request", "/v1/estimate", "--port", port,
+                 "--data", "notjson"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --data is not JSON") and "hint:" in err
+    assert main(["client", "request", "/health", "--port", port]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: no daemon at 127.0.0.1:{port}")
+    assert "supernpu serve" in err and "Traceback" not in err
+
+
+# -- the command session -----------------------------------------------------
+
+@pytest.mark.parametrize("argv", [
+    ["bottleneck", "supernpu", "mobilenet", "--top", "0"],
+    ["bottleneck", "supernpu", "mobilenet", "--top", "-1"],
+    ["runs", "list", "--limit", "-1"],
+    ["simulate", "supernpu", "mobilenet", "--jobs", "0"],
+    ["evaluate", "--jobs", "-3"],
+])
+def test_count_flags_below_one_exit_2(argv, tmp_path, capsys):
+    flag = next(arg for arg in argv if arg.startswith("--"))
+    assert main(["--runs-dir", str(tmp_path / "runs"), *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    error, hint = captured.err.splitlines()
+    assert error.startswith(f"error: {flag} must be at least 1")
+    assert hint == f"hint: pass {flag} 1 or more"
+
+
+def test_failed_command_leaves_obs_off(tmp_path, capsys):
+    import json
+
+    from repro import obs
+
+    trace = tmp_path / "t.json"
+    assert main(["--no-registry", "simulate", "supernpu", "mobilenet",
+                 "--batch", "0", "--trace-out", str(trace)]) == 3
+    assert not obs.enabled()
+    assert obs.metrics().is_empty() and obs.tracer().roots == []
+    # The session still wrote what it was asked for.
+    assert json.loads(trace.read_text())["metadata"]["command"] == "simulate"
+    assert main(["--no-registry", "simulate", "supernpu", "mobilenet"]) == 0
+    assert obs.metrics().is_empty()
+
+
+def test_json_status_lines_go_to_stderr(tmp_path, capsys):
+    import json
+
+    metrics, trace = tmp_path / "m.json", tmp_path / "t.json"
+    assert main(["--no-registry", "simulate", "supernpu", "mobilenet", "--json",
+                 "--metrics-out", str(metrics), "--trace-out", str(trace)]) == 0
+    captured = capsys.readouterr()
+    document = json.loads(captured.out)  # stdout is one JSON document
+    assert document["command"] == "simulate"
+    assert f"metrics written to {metrics}" in captured.err
+    assert f"trace written to {trace}" in captured.err
+    # The envelope and the metrics file carry the one manifest.
+    assert json.loads(metrics.read_text())["manifest"] == document["manifest"]
+
+
+@pytest.mark.parametrize("argv", [["plan", "list"],
+                                  ["plan", "show", "fig23_evaluate"]])
+def test_plan_inspection_honours_hotspot_and_trace(argv, tmp_path, capsys):
+    import json
+
+    trace, collapsed = tmp_path / "t.json", tmp_path / "h.col"
+    assert main(["--no-registry", *argv]) == 0
+    plain = capsys.readouterr().out
+    assert main(["--no-registry", *argv, "--hotspot-out", str(collapsed),
+                 "--trace-out", str(trace)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == plain + f"trace written to {trace}\n"
+    assert "hotspot:" in captured.err
+    assert collapsed.read_text()
+    assert json.loads(trace.read_text())["metadata"]["command"] == "plan"

@@ -18,6 +18,7 @@ After a deliberate output change, regenerate the golden file with::
 
 from __future__ import annotations
 
+import hashlib
 import io
 import json
 import sys
@@ -84,6 +85,24 @@ def test_golden_covers_every_command(golden):
 @pytest.mark.parametrize("command", COMMANDS)
 def test_stdout_matches_golden(command, golden):
     assert _canonical(command, _stdout(command)) == golden[command]
+
+
+#: sha256 of the ``evaluate --json`` transcript before the envelope's
+#: ``data`` became the shared evaluation record (serve's ``/v1/evaluate``).
+EVALUATE_BEFORE_SHARED_RECORD = (
+    "902fe3bfd0727fc970dbc38d7571068cbf8943a89c6f0915039571ed5663caef")
+
+
+def test_evaluate_record_only_added_keys(golden):
+    """Sharing the record with serve added ``designs`` and
+    ``mean_mac_per_s``; every other key and value kept its bytes."""
+    document = json.loads(golden["evaluate --json"])
+    added = {key: document["data"].pop(key)
+             for key in ("designs", "mean_mac_per_s")}
+    assert added["designs"] == list(added["mean_mac_per_s"])
+    before = json.dumps(document, indent=2, sort_keys=True) + "\n"
+    assert (hashlib.sha256(before.encode("utf-8")).hexdigest()
+            == EVALUATE_BEFORE_SHARED_RECORD)
 
 
 @pytest.mark.parametrize("command", PROFILED)

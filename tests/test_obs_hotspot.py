@@ -253,7 +253,7 @@ def test_failed_command_stops_its_profiler(capsys):
 
     code = main(["--no-registry", "simulate", "supernpu", "mobilenet",
                  "--batch", "0", "--hotspot"])
-    assert code == 2
+    assert code == 3  # workload.invalid_batch
     assert active_profiler() is None
     assert main(["--no-registry", "simulate", "supernpu", "mobilenet",
                  "--hotspot"]) == 0

@@ -140,24 +140,24 @@ def test_record_invocation_never_raises(tmp_path, monkeypatch):
     blocked.write_text("a file, not a directory")
     assert record_invocation("estimate", ["estimate"], 0, 0.1,
                              runs_dir=blocked) is None
-    # Disabled via env: nothing written, staged fields drained.
+    # Disabled via env: nothing written.
     monkeypatch.setenv(regmod.NO_REGISTRY_ENV, "1")
-    regmod.stage(manifest={"design": "X"})
     assert record_invocation("estimate", ["estimate"], 0, 0.1,
-                             runs_dir=tmp_path / "runs") is None
-    assert regmod.take_staged() == {}
+                             runs_dir=tmp_path / "runs",
+                             manifest={"design": "X"}) is None
     assert not (tmp_path / "runs").exists()
 
 
-def test_record_invocation_consumes_staged(tmp_path):
-    regmod.stage(manifest={"design": "SuperNPU"},
-                 metrics={"counters": {"sim.runs": 1}})
+def test_record_invocation_files_the_session_fields(tmp_path):
+    plans = [{"name": "fig20_buffers", "hash": "ab" * 32}]
     entry = record_invocation("simulate", ["simulate", "supernpu"], 0, 0.5,
-                              runs_dir=tmp_path / "runs")
+                              runs_dir=tmp_path / "runs",
+                              manifest={"design": "SuperNPU", "plans": plans},
+                              metrics={"counters": {"sim.runs": 1}})
     assert entry is not None
-    assert entry.manifest == {"design": "SuperNPU"}
+    assert entry.manifest == {"design": "SuperNPU", "plans": plans}
     assert entry.counters == {"sim.runs": 1}
-    assert regmod.take_staged() == {}  # drained
+    assert entry.plans == plans  # read from the manifest
 
 
 def test_append_retries_past_reserved_names(registry, monkeypatch):

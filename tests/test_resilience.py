@@ -187,8 +187,9 @@ def test_retries_exhausted_raises_worker_error(tmp_path, tasks):
 
 
 def test_deterministic_errors_are_never_retried(tmp_path):
-    with pytest.raises(ConfigError):
+    with pytest.raises(WorkloadError) as info:
         SimTask(api.design("supernpu"), api.workload("mobilenet"), batch=0)
+    assert info.value.code == "workload.invalid_batch"
 
 
 def test_parallel_retry_matches_serial(tmp_path, tasks, clean):

@@ -16,9 +16,6 @@ import pytest
 
 from repro.cli import main
 from repro.core.chaos import ChaosInjector, FaultSpec
-from repro.core.designs import supernpu
-from repro.core.evaluate import evaluate_suite
-from repro.core.plan import execute, plan_by_name
 from repro.errors import (
     CacheError,
     ConfigError,
@@ -38,7 +35,6 @@ from repro.serve.protocol import (
     status_for_error,
     success_envelope,
 )
-from repro.workloads.models import mobilenet
 
 
 # -- token buckets (injected clock: no sleeping, no flakes) ---------------
@@ -184,8 +180,16 @@ def test_engine_rejects_unknown_endpoint_and_params(tmp_path):
         engine.handle("estimate", {"design": "SuperNPU", "librarry": "rsfq"})
     assert excinfo.value.code == "serve.bad_params"
     for batch in (-1, 0, 2.5, 2.0, True, "2"):
-        with pytest.raises(ConfigError) as excinfo:
+        with pytest.raises(WorkloadError) as excinfo:
             engine.handle("simulate", {"batch": batch})
+        assert excinfo.value.code == "workload.invalid_batch"
+    for params in ({"designs": "SuperNPU"}, {"workloads": {"a": 1}}):
+        with pytest.raises(ConfigError) as excinfo:
+            engine.handle("evaluate", params)
+        assert excinfo.value.code == "serve.bad_params"
+    for params in ({}, {"plan": ""}, {"plan": 3}):
+        with pytest.raises(ConfigError) as excinfo:
+            engine.handle("plan/run", params)
         assert excinfo.value.code == "serve.bad_params"
     assert "plan/run" in ENDPOINTS
 
@@ -198,41 +202,32 @@ def _cli_json_data(capsys, argv):
 
 
 def test_serve_bodies_match_the_cli_and_the_core_calls(capsys):
-    """One computation, one record: serve's wire ``data`` is what the CLI's
-    ``--json`` prints, and what the core functions return."""
+    """One computation, one record: for every shared verb, serve's wire
+    ``data`` is what the CLI's ``--json`` envelope prints."""
     engine = ServeEngine(cache_dir=None, jobs=1)
+    for endpoint, params, argv in (
+            ("estimate", {"design": "Baseline", "technology": "ersfq"},
+             ["estimate", "baseline", "--technology", "ersfq"]),
+            ("simulate", {"design": "Baseline", "workload": "mobilenet",
+                          "batch": 2, "technology": "ersfq"},
+             ["simulate", "baseline", "mobilenet", "--batch", "2",
+              "--technology", "ersfq"]),
+            ("evaluate", {}, ["evaluate"]),
+            ("plan/run", {"plan": "cooling_sensitivity"},
+             ["plan", "run", "cooling_sensitivity"]),
+    ):
+        body, _ = engine.handle(endpoint, params)
+        assert json.loads(body)["data"] == _cli_json_data(capsys, argv), endpoint
 
-    body, _ = engine.handle("estimate", {"design": "Baseline",
-                                         "technology": "ersfq"})
-    assert json.loads(body)["data"] == _cli_json_data(
-        capsys, ["estimate", "baseline", "--technology", "ersfq"])
 
-    body, _ = engine.handle("simulate", {"design": "Baseline",
-                                         "workload": "mobilenet", "batch": 2,
-                                         "technology": "ersfq"})
-    assert json.loads(body)["data"] == _cli_json_data(
-        capsys, ["simulate", "baseline", "mobilenet", "--batch", "2",
-                 "--technology", "ersfq"])
-
-    body, _ = engine.handle("evaluate", {"designs": ["SuperNPU"],
-                                         "workloads": ["mobilenet"]})
-    suite = evaluate_suite(designs=[supernpu()], workloads=[mobilenet()])
-    assert body == success_envelope("evaluate", {
-        "speedups": suite.speedups(),
-        "designs": ["SuperNPU"],
-        "workloads": ["MobileNet"],
-        "mean_mac_per_s": {"SuperNPU": suite.designs[0].mean_mac_per_s},
-    })
-
-    body, _ = engine.handle("plan/run", {"plan": "cooling_sensitivity"})
-    resultset = execute(plan_by_name("cooling_sensitivity"))
-    assert body == success_envelope("plan/run", {
-        "plan": "cooling_sensitivity",
-        "plan_hash": resultset.plan_hash,
-        "points_total": resultset.points_total,
-        "records": [{k: v for k, v in record.items() if k != "cached"}
-                    for record in resultset.records()],
-    })
+def test_plan_run_cache_temperature_rides_in_headers(tmp_path):
+    engine = ServeEngine(cache_dir=tmp_path / "cache", jobs=1)
+    cold, cold_meta = engine.handle("plan/run", {"plan": "cooling_sensitivity"})
+    warm, warm_meta = engine.handle("plan/run", {"plan": "cooling_sensitivity"})
+    assert cold == warm
+    total = str(json.loads(cold)["data"]["points_total"])
+    assert (cold_meta["X-Points-Cached"], cold_meta["X-Points-Executed"]) == ("0", total)
+    assert (warm_meta["X-Points-Cached"], warm_meta["X-Points-Executed"]) == (total, "0")
 
 
 # -- the daemon, end to end -----------------------------------------------

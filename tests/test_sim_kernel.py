@@ -28,7 +28,7 @@ from repro.components import component_names
 from repro.core.batching import paper_batch
 from repro.core.designs import baseline, buffer_opt, resource_opt, supernpu
 from repro.core.jobs import JobRunner, ResultCache, SimTask
-from repro.errors import ConfigError, SimulationError, WorkloadError
+from repro.errors import SimulationError, WorkloadError
 from repro.estimator.arch_level import estimate_npu
 from repro.obs.timeline import CycleTimeline
 from repro.simulator import engine, kernel
@@ -528,10 +528,11 @@ def test_bad_batch_is_a_workload_error(supernpu_config, tiny_network):
         assert isinstance(info.value, ValueError)
     # Truncating 2.5 to 2 (or True to 1) would misreport the batch and
     # file the run under its own cache key; integers of any kind pass.
-    for batch in (2.5, 2.0, True):
-        with pytest.raises(ConfigError) as info:
+    # The runner's task applies the same rule as the timeline path.
+    for batch in (0, 2.5, 2.0, True):
+        with pytest.raises(WorkloadError) as info:
             api.simulate("supernpu", "mobilenet", batch=batch)
-        assert info.value.code == "config.invalid_batch"
+        assert info.value.code == "workload.invalid_batch"
     assert SimTask(supernpu_config, tiny_network, np.int64(2)).key() \
         == SimTask(supernpu_config, tiny_network, 2).key()
     run = api.simulate(supernpu_config, tiny_network, batch=np.int64(2))
