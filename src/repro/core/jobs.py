@@ -63,6 +63,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import operator
 import os
 import shutil
 import tempfile
@@ -73,7 +74,7 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Deque, Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Deque, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro import obs
 from repro.baselines.scalesim import CMOSNPUConfig, simulate_cmos
@@ -96,10 +97,16 @@ from repro.uarch.config import NPUConfig
 from repro.workloads.layers import check_batch
 from repro.workloads.models import Network
 
-#: Bump whenever the simulator, the estimator, or the payload layout
-#: changes meaning: old cache entries become unreachable (their keys no
-#: longer match), never silently wrong.
+#: Bump whenever the simulator or the estimator changes meaning: every
+#: key changes, so old cache entries become unreachable, never silently
+#: wrong.  It hashes into every key (and so into plan hashes).
 CACHE_SCHEMA_VERSION = 1
+
+#: Bump whenever the on-disk entry layout changes (e.g. columnar layers):
+#: keys stay the same, and an entry written in another layout is
+#: quarantined as ``wrong-schema`` on first read, costing one miss.
+#: Written as each entry document's ``"schema"``.
+CACHE_FORMAT_VERSION = 2
 
 #: Subdirectory of a cache root where damaged entries are parked.
 QUARANTINE_DIR = "quarantine"
@@ -234,24 +241,35 @@ def estimate_key(config: NPUConfig, library: CellLibrary) -> str:
 # records exactly (Python's json preserves ints and floats bit-exactly),
 # which is what makes warm-cache runs bitwise-identical to cold ones.
 
-#: LayerResult's fields, all plain ints and strings: copying them is what
-#: dataclasses.asdict would do, without its per-value deep copy.
+#: LayerResult's fields, all plain ints and strings, in constructor order.
 _LAYER_FIELDS = tuple(f.name for f in dataclasses.fields(LayerResult))
+_LAYER_FIELD_SET = frozenset(_LAYER_FIELDS)
+_layer_row = operator.attrgetter(*_LAYER_FIELDS)
 
 
 def result_to_dict(run: SimulationResult) -> Dict[str, Any]:
+    # Layers are stored as columns, one list per LayerResult field: a row
+    # layout would spell out every field name once per layer.
+    columns = zip(*map(_layer_row, run.layers))
     return {
         "design": run.design,
         "network": run.network,
         "batch": run.batch,
         "frequency_ghz": run.frequency_ghz,
-        "layers": [{name: getattr(layer, name) for name in _LAYER_FIELDS}
-                   for layer in run.layers],
+        "layers": {name: list(column) for name, column in zip(_LAYER_FIELDS, columns)},
         "activity": dict(run.activity.effective_cycles),
     }
 
 
 def result_from_dict(data: Dict[str, Any]) -> SimulationResult:
+    layers = data["layers"]
+    if not isinstance(layers, dict) or layers.keys() != _LAYER_FIELD_SET:
+        raise ValueError("layer columns are not LayerResult's fields")
+    columns = [layers[name] for name in _LAYER_FIELDS]
+    # zip would silently truncate ragged columns to the shortest.
+    if not all(type(column) is list for column in columns) or \
+            len({len(column) for column in columns}) != 1:
+        raise ValueError("layer columns are not lists of one length")
     # Activity materializes in sorted-unit order, as the simulator emits
     # it, no matter how the payload was ordered: power sums fold floats in
     # iteration order, so a cache hit and a fresh run must agree on it.
@@ -261,7 +279,7 @@ def result_from_dict(data: Dict[str, Any]) -> SimulationResult:
         network=data["network"],
         batch=data["batch"],
         frequency_ghz=data["frequency_ghz"],
-        layers=[LayerResult(**layer) for layer in data["layers"]],
+        layers=[LayerResult(*row) for row in zip(*columns)],
         activity=ActivityTrace(effective_cycles={unit: activity[unit]
                                                  for unit in sorted(activity)}),
     )
@@ -334,13 +352,17 @@ class ResultCache:
     One JSON file per entry under ``root/<key[:2]>/<key>.json``; writes
     are atomic (tmp file + ``os.replace``) so concurrent runners sharing
     a cache directory never observe torn entries.  Entries that cannot
-    be read back — torn writes, truncated JSON, foreign schema versions —
-    are moved into ``root/quarantine/`` the first time they are seen, so
-    a damaged entry costs exactly one miss, not one per run forever.
+    be read back — torn writes, truncated JSON, another entry format
+    (:data:`CACHE_FORMAT_VERSION`) — are moved into ``root/quarantine/``
+    the first time they are seen, so a damaged entry costs exactly one
+    miss, not one per run forever.
     """
 
     def __init__(self, root: Union[str, Path]) -> None:
         self.root = Path(root).expanduser()
+        #: The root as a plain string: get and put build entry paths with
+        #: os.path, which costs a fraction of pathlib's per-call overhead.
+        self._root = str(self.root)
         try:
             self.root.mkdir(parents=True, exist_ok=True)
         except OSError as error:
@@ -357,26 +379,29 @@ class ResultCache:
         except OSError:
             pass
 
+    def _bucket(self, key: str) -> str:
+        return os.path.join(self._root, key[:2])
+
     def path_for(self, key: str) -> Path:
         """On-disk location of one entry."""
-        return self.root / key[:2] / f"{key}.json"
+        return Path(self._bucket(key), f"{key}.json")
 
     def get(self, key: str) -> Optional[Dict[str, Any]]:
         """The stored payload, or None on miss (quarantining bad entries)."""
-        path = self.path_for(key)
         try:
-            text = path.read_text(encoding="utf-8")
+            with open(os.path.join(self._bucket(key), f"{key}.json"), "rb") as handle:
+                raw = handle.read()
         except FileNotFoundError:
             return None
         except OSError:
             self.quarantine(key, reason="unreadable")
             return None
         try:
-            document = json.loads(text)
-        except ValueError:
+            document = json.loads(raw.decode("utf-8"))
+        except ValueError:  # not UTF-8, or not JSON
             self.quarantine(key, reason="corrupt")
             return None
-        if not isinstance(document, dict) or document.get("schema") != CACHE_SCHEMA_VERSION:
+        if not isinstance(document, dict) or document.get("schema") != CACHE_FORMAT_VERSION:
             self.quarantine(key, reason="wrong-schema")
             return None
         payload = document.get("payload")
@@ -386,30 +411,37 @@ class ResultCache:
         return payload
 
     def put(self, key: str, payload: Dict[str, Any], kind: str = "simulate") -> None:
-        path = self.path_for(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
         document = {
-            "schema": CACHE_SCHEMA_VERSION,
+            "schema": CACHE_FORMAT_VERSION,
             "kind": kind,
             "key": key,
             "created_unix": time.time(),
             "payload": payload,
         }
-        tmp = path.with_suffix(f".tmp.{os.getpid()}")
+        raw = json.dumps(document, sort_keys=True).encode("utf-8")
+        bucket = self._bucket(key)
+        path = os.path.join(bucket, f"{key}.json")
+        tmp = os.path.join(bucket, f"{key}.tmp.{os.getpid()}")
         try:
-            tmp.write_text(json.dumps(document, sort_keys=True), encoding="utf-8")
+            try:
+                handle = open(tmp, "wb")
+            except FileNotFoundError:  # the bucket's first entry
+                os.makedirs(bucket, exist_ok=True)
+                handle = open(tmp, "wb")
+            with handle:
+                handle.write(raw)
             os.replace(tmp, path)
         except OSError as error:
             # Never litter the cache dir with orphaned tmp files.
             try:
-                tmp.unlink()
+                os.unlink(tmp)
             except OSError:
                 pass
             raise CacheError(
                 f"failed to write cache entry {key[:12]}…: {error}",
                 code="cache.write_failed",
                 hint="check free space and permissions on the cache directory",
-                path=str(path),
+                path=path,
             ) from error
 
     def quarantine(self, key: str, reason: str = "corrupt") -> Optional[Path]:
@@ -831,7 +863,7 @@ class JobRunner:
         resumed = 0
         try:
             for index, key in enumerate(keys):
-                result = self._cached_result(key)
+                result = self._cached(key, result_from_dict)
                 if result is None:
                     pending.append(index)
                     self._emit("queued", key)
@@ -864,15 +896,17 @@ class JobRunner:
         return self.run([task])[0]
 
     # -- cache interaction --------------------------------------------
-    def _cached_result(self, key: str) -> Optional[SimulationResult]:
-        """The cached result, decoded once, or None (quarantining poison)."""
+    def _cached(self, key: str, decode: Callable[[Dict[str, Any]], Any]) -> Any:
+        """The entry at ``key`` decoded once by ``decode`` (a result or an
+        estimate), or None on a miss or a payload it cannot decode, which
+        is quarantined as poison."""
         if self.cache is None:
             return None
         payload = self.cache.get(key)
         if payload is None:
             return None
         try:
-            return result_from_dict(payload)
+            return decode(payload)
         except Exception:
             # Well-formed JSON, wrong shape: poison, not a result.
             self.cache.quarantine(key, reason="poisoned-payload")
@@ -1171,10 +1205,10 @@ class JobRunner:
         cached = self._estimates.get(key)
         if cached is not None:
             return cached, True
-        payload = self.cache.get(key) if self.cache is not None else None
-        if payload is not None:
+        estimate = self._cached(key, estimate_from_dict)
+        served = estimate is not None
+        if served:
             obs.counter("jobs.estimate_cache.hits").inc()
-            estimate = estimate_from_dict(payload)
         else:
             obs.counter("jobs.estimate_cache.misses").inc()
             estimate = estimate_npu(config, library)
@@ -1183,7 +1217,7 @@ class JobRunner:
             if self.cache is not None:
                 self.cache.put(key, estimate_to_dict(estimate), kind="estimate")
         self._estimates[key] = estimate
-        return estimate, payload is not None
+        return estimate, served
 
     # -- accounting ---------------------------------------------------
     def _account(self, tasks: int, hits: int, executed: int,

@@ -183,8 +183,13 @@ GOLDEN_ESTIMATE_KEY = \
     "c845524b4b24c4191e80d93b6c9d2ca775cf31da5918703e85c41af212102ca7"
 GOLDEN_ESTIMATE_PAYLOAD = \
     "95fd7ba492bb4672f7a2ac06144a35ef8b1c6ba80d2221a6b23475b446e201ca"
+#: Hash of the simulate payload in row layout (one dict per layer), the
+#: layout of entry format 1; checked over the rows rebuilt from columns.
 GOLDEN_SIMULATE_PAYLOAD = \
     "9c6c82004b4eedbe00d0ffef801c4ed895575ad24c35f925eb52e60e0ad20fa3"
+#: Hash of the same payload as stored since entry format 2 (layer columns).
+GOLDEN_SIMULATE_COLUMNS = \
+    "e35c26a85e28da596b9828c1f99a7865ec074efb0481dc307c46d0963b6b1cea"
 GOLDEN_PLAN_HASHES = {
     "fig21_resources":
         "9d1b1822dab2c66d58135e69fdee9602a1eb81986623dea17d8f744aeb416ee4",
@@ -204,7 +209,11 @@ def test_golden_default_technology_payloads_unchanged():
     est = estimate_npu(config, library)
     assert _canonical_hash(estimate_to_dict(est)) == GOLDEN_ESTIMATE_PAYLOAD
     run = simulate(config, resnet50(), 30, estimate=est)
-    assert _canonical_hash(result_to_dict(run)) == GOLDEN_SIMULATE_PAYLOAD
+    payload = result_to_dict(run)
+    assert _canonical_hash(payload) == GOLDEN_SIMULATE_COLUMNS
+    columns = payload["layers"]
+    rows = [dict(zip(columns, row)) for row in zip(*columns.values())]
+    assert _canonical_hash({**payload, "layers": rows}) == GOLDEN_SIMULATE_PAYLOAD
 
 
 def test_golden_plan_hashes_unchanged():

@@ -19,7 +19,7 @@ import pytest
 from repro.baselines.scalesim import TPU_CORE
 from repro.core.evaluate import evaluate_suite
 from repro.core.jobs import (
-    CACHE_SCHEMA_VERSION,
+    CACHE_FORMAT_VERSION,
     JobRunner,
     ResultCache,
     SimTask,
@@ -118,14 +118,17 @@ def test_cache_miss_then_hit(tmp_path):
 
 
 def test_cache_ignores_other_schema_versions(tmp_path):
+    # A document's "schema" is the entry format, not the key schema: any
+    # other format (the older row layout, a newer one) is a miss.
     cache = ResultCache(tmp_path / "c")
     key = "cd" * 32
-    cache.put(key, {"x": 1})
-    path = cache.path_for(key)
-    document = json.loads(path.read_text())
-    document["schema"] = CACHE_SCHEMA_VERSION + 1
-    path.write_text(json.dumps(document))
-    assert cache.get(key) is None
+    for forged in (CACHE_FORMAT_VERSION - 1, CACHE_FORMAT_VERSION + 1):
+        cache.put(key, {"x": 1})
+        path = cache.path_for(key)
+        document = json.loads(path.read_text())
+        document["schema"] = forged
+        path.write_text(json.dumps(document))
+        assert cache.get(key) is None
 
 
 def test_cache_quarantines_corrupt_entries(tmp_path):

@@ -9,6 +9,7 @@ are *equal* to a clean serial run's, and an interrupted sweep resumes
 executing only the remaining tasks.
 """
 
+import json
 import pickle
 
 import pytest
@@ -16,13 +17,15 @@ import pytest
 from repro import api
 from repro.core.chaos import (
     ANY_TASK,
+    CORRUPTION_MODES,
     ChaosFailure,
     ChaosInjector,
     FaultSpec,
     corrupt_cache_entry,
 )
-from repro.core.jobs import JobRunner, ResultCache, SimTask, session
+from repro.core.jobs import JobRunner, ResultCache, SimTask, estimate_key, session
 from repro.core.resilience import NO_RETRY, RetryPolicy, SweepCheckpoint
+from repro.device.cells import Technology, library_for
 from repro.errors import (
     CacheError,
     ConfigError,
@@ -411,23 +414,98 @@ def test_run_killed_while_charging_a_group_keeps_earlier_tasks(tmp_path, group_t
 
 # -- corrupted caches ------------------------------------------------------
 
-@pytest.mark.parametrize("mode", ["truncate", "garbage", "wrong_schema",
-                                  "poisoned_payload"])
+#: Each corruption mode on a simulate entry, plus a poisoned estimate entry.
+CORRUPT_ENTRIES = [pytest.param(mode, "simulate", id=mode) for mode in CORRUPTION_MODES] + [
+    pytest.param("poisoned_payload", "estimate", id="poisoned_estimate")]
+
+
+@pytest.mark.parametrize("mode, entry", CORRUPT_ENTRIES)
 def test_corrupt_cache_entry_is_quarantined_and_reexecuted(
-        tmp_path, tasks, clean, mode):
+        tmp_path, tasks, clean, obs_enabled, mode, entry):
+    config = tasks[0].config
     cache = ResultCache(tmp_path / "cache")
-    JobRunner(jobs=1, cache=cache).run(tasks)
-    corrupt_cache_entry(cache, tasks[0].key(), mode)
+    filler = JobRunner(jobs=1, cache=cache)
+    filler.run(tasks)
+    estimate = filler.estimate(config)
+    key = (tasks[0].key() if entry == "simulate"
+           else estimate_key(config, library_for(Technology.RSFQ)))
+    corrupt_cache_entry(cache, key, mode)
 
     runner = JobRunner(jobs=1, cache=cache)
     assert runner.run(tasks) == clean
-    assert runner.stats.executed == 1  # only the damaged entry re-ran
+    assert runner.lookup_estimate(config) == (estimate, entry != "estimate")
+    # Only the damaged entry is recomputed, and it counts as a miss.
+    assert runner.stats.executed == (1 if entry == "simulate" else 0)
+    counters = obs_enabled.metrics().snapshot()["counters"]
+    assert counters["jobs.estimate_cache.misses"] == (2 if entry == "estimate" else 1)
     stats = cache.stats()
     assert stats.quarantined == 1
     # The repaired entry is a plain hit on the next pass.
     rerun = JobRunner(jobs=1, cache=cache)
     assert rerun.run(tasks) == clean
     assert rerun.stats.hits == len(tasks)
+    assert rerun.lookup_estimate(config) == (estimate, True)
+
+
+def _quarantined(cache):
+    return sorted(path.name for path in (cache.root / "quarantine").iterdir())
+
+
+@pytest.mark.parametrize("damage", ["ragged", "missing", "extra"])
+def test_malformed_layer_columns_are_poison(tmp_path, tasks, clean, damage):
+    cache = ResultCache(tmp_path / "cache")
+    JobRunner(cache=cache).run(tasks)
+    key = tasks[0].key()
+    path = cache.path_for(key)
+    document = json.loads(path.read_text())
+    columns = document["payload"]["layers"]
+    if damage == "ragged":
+        columns["macs"].pop()  # zip would drop the last layer silently
+    elif damage == "missing":
+        del columns["macs"]
+    else:
+        columns["bogus"] = list(columns["macs"])
+    path.write_text(json.dumps(document))
+
+    runner = JobRunner(cache=cache)
+    assert _bits(runner.run(tasks)) == _bits(clean)
+    assert runner.stats.executed == 1
+    assert _quarantined(cache) == [f"poisoned-payload-{key}.json"]
+
+
+def _to_row_layout(cache, key):
+    """Rewrite one entry as entry format 1 stored it: one dict per layer."""
+    path = cache.path_for(key)
+    document = json.loads(path.read_text())
+    payload = document["payload"]
+    if "layers" in payload:
+        columns = payload["layers"]
+        payload["layers"] = [dict(zip(columns, row)) for row in zip(*columns.values())]
+    document["schema"] = 1
+    path.write_text(json.dumps(document, sort_keys=True))
+
+
+def test_row_layout_entries_cost_one_miss_each(tmp_path, tasks, clean):
+    config = tasks[0].config
+    cache = ResultCache(tmp_path / "cache")
+    filler = JobRunner(cache=cache)
+    filler.run(tasks)
+    estimate = filler.estimate(config)
+    keys = [task.key() for task in tasks] + [estimate_key(config, library_for(Technology.RSFQ))]
+    for key in keys:
+        _to_row_layout(cache, key)
+
+    first = JobRunner(cache=cache)
+    assert _bits(first.run(tasks)) == _bits(clean)
+    assert first.lookup_estimate(config) == (estimate, False)
+    assert first.stats.executed == len(tasks)
+    assert _quarantined(cache) == sorted(f"wrong-schema-{key}.json" for key in keys)
+
+    second = JobRunner(cache=cache)
+    assert _bits(second.run(tasks)) == _bits(clean)
+    assert second.lookup_estimate(config) == (estimate, True)
+    assert second.stats.hits == len(tasks) and second.stats.executed == 0
+    assert len(_quarantined(cache)) == len(keys)
 
 
 def test_put_cleans_up_tmp_file_on_replace_failure(tmp_path, monkeypatch):
