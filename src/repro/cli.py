@@ -889,7 +889,7 @@ def cmd_plan(args: argparse.Namespace) -> int:
             from repro.core.jobs import ResultCache
 
             cache = ResultCache(cache_dir)
-            cached = sum(1 for key in unique if cache.path_for(key).exists())
+            cached = sum(1 for key in unique if key in cache)
         if args.json:
             args.session.envelope({
                 "name": plan.name,

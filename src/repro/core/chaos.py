@@ -23,7 +23,7 @@ pool restarts* and then lets the task succeed — which is what makes
 "inject, recover, converge" provable.
 
 Cache poisoning (:func:`corrupt_cache_entry`) covers the storage side:
-truncated JSON, garbage bytes, wrong schema versions, and well-formed
+torn records, garbage bytes, wrong schema versions, and well-formed
 but unmaterializable payloads.
 
 The serving layer (:mod:`repro.serve`) drills one level higher with the
@@ -46,7 +46,6 @@ absorbed server-side by bounded read timeouts.
 
 from __future__ import annotations
 
-import json
 import os
 import signal
 import time
@@ -205,30 +204,41 @@ def parse_fault_flag(text: str) -> Tuple[str, FaultSpec]:
 
 def corrupt_cache_entry(cache: "ResultCache", key: str,
                         mode: str = "truncate") -> Path:
-    """Damage one cache entry in place; returns the entry's path.
+    """Damage one cache record; returns the segment it sits in.
 
-    Modes: ``"truncate"`` (half the JSON text), ``"garbage"`` (not JSON
-    at all), ``"wrong_schema"`` (valid JSON, wrong schema version), and
+    ``"truncate"`` (the second half of the entry zeroed, as a torn
+    write leaves it) and ``"garbage"`` (not JSON at all) overwrite the
+    record's bytes in place, so its sha256 no longer checks out.
+    ``"wrong_schema"`` (valid JSON, wrong schema version) and
     ``"poisoned_payload"`` (passes the schema check but cannot be
-    materialized into a result).
+    materialized into a result) append a superseding record whose
+    sha256 is valid.
     """
     if mode not in CORRUPTION_MODES:
         raise ConfigError(
             f"unknown corruption mode {mode!r}; known: {CORRUPTION_MODES}",
             code="config.invalid_fault", mode=mode,
         )
-    path = cache.path_for(key)
-    text = path.read_text(encoding="utf-8")
-    if mode == "truncate":
-        path.write_text(text[: max(1, len(text) // 2)], encoding="utf-8")
-    elif mode == "garbage":
-        path.write_text("\x00not json{{{", encoding="utf-8")
-    elif mode == "wrong_schema":
-        document = json.loads(text)
+    located = cache.locate(key)
+    if located is None:
+        raise ConfigError(f"no cache entry {key[:12]}… to corrupt",
+                          code="config.invalid_fault", key=key)
+    segment, offset, length = located
+    if mode in ("truncate", "garbage"):
+        with open(segment, "r+b") as handle:
+            handle.seek(offset)
+            raw = handle.read(length)
+            if mode == "truncate":
+                damaged = raw[: max(1, length // 2)].ljust(length, b"\0")
+            else:
+                damaged = b"\x00not json{{{".ljust(length, b"{")[:length]
+            handle.seek(offset)
+            handle.write(damaged)
+        return segment
+    document = cache.document(key)
+    if mode == "wrong_schema":
         document["schema"] = -1
-        path.write_text(json.dumps(document), encoding="utf-8")
     else:  # poisoned_payload
-        document = json.loads(text)
         document["payload"] = {"bogus": True}
-        path.write_text(json.dumps(document), encoding="utf-8")
-    return path
+    cache.put_document(key, document)
+    return cache.locate(key)[0]

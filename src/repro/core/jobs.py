@@ -6,7 +6,8 @@ deterministic ``(config, network, batch, library)`` simulations.  This
 module turns that fan-out into an explicit job layer:
 
 * :class:`SimTask` — one design-point simulation, SFQ or CMOS-baseline;
-* :class:`ResultCache` — a content-addressed on-disk store keyed by a
+* :class:`ResultCache` — a content-addressed on-disk store (one
+  append-only segment file per writer) keyed by a
   stable hash of the config, the workload's full layer content, the
   batch, the cell-library fingerprint, and a cache-schema version, so a
   warm re-run skips simulation entirely and any change to any key
@@ -67,14 +68,16 @@ import operator
 import os
 import shutil
 import tempfile
+import threading
 import time
+import weakref
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, BrokenExecutor, Future, ProcessPoolExecutor, wait
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Deque, Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Deque, Dict, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
 from repro import obs
 from repro.baselines.scalesim import CMOSNPUConfig, simulate_cmos
@@ -330,6 +333,7 @@ class CacheStats:
     bytes: int
     by_kind: Dict[str, int] = field(default_factory=dict)
     quarantined: int = 0
+    #: Torn segment tails of dead writers this cache handle cut back.
     tmp_swept: int = 0
 
 
@@ -346,23 +350,102 @@ def _pid_alive(pid: int) -> bool:
     return True
 
 
+#: Subdirectory of a cache root holding the append-only segment files.
+SEGMENTS_DIR = "segments"
+
+#: Longest header line a scan looks for; real ones are under 200 bytes.
+_HEADER_MAX = 256
+
+#: Bytes a segment scan reads at a time; the scan keeps no more than this.
+_SCAN_CHUNK = 1 << 16
+
+#: Most segment descriptors one cache handle keeps open.
+_MAX_FDS = 32
+
+#: Where a record's entry document sits: (segment name, offset, length,
+#: sha256 digest).  The (segment, offset) pair also names the record in a
+#: tombstone.
+_Entry = Tuple[str, int, int, bytes]
+
+
+def _scan_segment(fd: int, start: int, size: int,
+                  ) -> Tuple[List[Tuple[str, int, int, bytes]],
+                             List[Tuple[str, str, int]], int]:
+    """Parse the whole records and tombstones in ``[start, size)`` of a segment.
+
+    Returns ``(records, tombstones, end)``: records as ``(key, offset,
+    length, sha256 digest)`` of their entry documents, tombstones as
+    ``(key, segment, offset)``, and the offset just past the last whole
+    frame.  The scan stops at the first torn or malformed frame.
+    """
+    records: List[Tuple[str, int, int, bytes]] = []
+    tombstones: List[Tuple[str, str, int]] = []
+    chunk, base, pos = b"", start, start
+    while pos < size:
+        if pos + _HEADER_MAX > base + len(chunk) and base + len(chunk) < size:
+            chunk, base = os.pread(fd, _SCAN_CHUNK, pos), pos
+        at = pos - base
+        newline = chunk.find(b"\n", at, at + _HEADER_MAX)
+        if newline < 0:
+            break
+        fields = chunk[at:newline].decode("ascii", "replace").split(" ")
+        if len(fields) == 4 and fields[0] == "-" and fields[3].isdigit():
+            tombstones.append((fields[1], fields[2], int(fields[3])))
+            pos = base + newline + 1
+            continue
+        if len(fields) != 3 or not fields[1].isdigit() or len(fields[2]) != 64:
+            break
+        body = base + newline + 1
+        end = body + int(fields[1]) + 1
+        if end > size:
+            break
+        if end - 1 >= base + len(chunk):
+            chunk, base = os.pread(fd, _SCAN_CHUNK, end - 1), end - 1
+        if chunk[end - 1 - base:end - base] != b"\n":
+            break
+        try:
+            sha = bytes.fromhex(fields[2])
+        except ValueError:
+            break
+        records.append((fields[0], body, end - 1 - body, sha))
+        pos = end
+    return records, tombstones, pos
+
+
+def _close_fds(fds: Dict[str, int]) -> None:
+    for fd in fds.values():
+        try:
+            os.close(fd)
+        except OSError:
+            pass
+    fds.clear()
+
+
 class ResultCache:
     """Content-addressed store of simulation / estimation payloads.
 
-    One JSON file per entry under ``root/<key[:2]>/<key>.json``; writes
-    are atomic (tmp file + ``os.replace``) so concurrent runners sharing
-    a cache directory never observe torn entries.  Entries that cannot
-    be read back — torn writes, truncated JSON, another entry format
-    (:data:`CACHE_FORMAT_VERSION`) — are moved into ``root/quarantine/``
-    the first time they are seen, so a damaged entry costs exactly one
-    miss, not one per run forever.
+    Entries live in append-only segment files, ``root/segments/<pid>-
+    <token>.seg``: each handle opens one on its first put and appends
+    every entry to it as one framed record, a header line ``<key>
+    <length> <sha256>\\n``, the entry document, then ``\\n``.  No index
+    is stored: opening a cache scans the segments' headers into an
+    in-memory index, and a miss rescans the segments of live writers for
+    records written since.
+
+    A record whose sha256, JSON or entry format
+    (:data:`CACHE_FORMAT_VERSION`) does not check out is copied to
+    ``root/quarantine/<reason>-<key>.json`` the first time it is read,
+    and a tombstone line ``- <key> <segment> <offset>\\n``, appended to
+    the reader's own segment, keeps every later scan from indexing it
+    again, so a damaged entry costs exactly one miss, not one per run
+    forever.  A writer killed mid-append leaves a torn last record; scans
+    stop before it, and the first handle to look after the writer died
+    cuts it off.  Entries of the older one-file-per-entry layout are not
+    read.  Threads may share a handle, and processes a directory.
     """
 
     def __init__(self, root: Union[str, Path]) -> None:
         self.root = Path(root).expanduser()
-        #: The root as a plain string: get and put build entry paths with
-        #: os.path, which costs a fraction of pathlib's per-call overhead.
-        self._root = str(self.root)
         try:
             self.root.mkdir(parents=True, exist_ok=True)
         except OSError as error:
@@ -371,104 +454,250 @@ class ResultCache:
                 code="cache.unwritable", hint="pick a writable --cache-dir",
                 path=str(self.root),
             ) from error
-        # A writer SIGKILLed between tmp-write and os.replace leaks its
-        # tmp file; a past process cannot clean up after itself, so every
-        # cache open sweeps on behalf of the dead.
+        self._segments = os.path.join(str(self.root), SEGMENTS_DIR)
+        self._lock = threading.Lock()
+        self._index: Dict[str, _Entry] = {}
+        self._dead: Set[Tuple[str, int]] = set()
+        self._scanned: Dict[str, int] = {}  # segment -> end of its last whole frame
+        self._live: Set[str] = set()  # foreign segments whose writer was alive
+        self._fds: Dict[str, int] = {}
+        self._writer: Optional[str] = None  # this handle's own segment
+        self._writer_pid = 0
+        self._end = 0
+        self._swept = 0
+        weakref.finalize(self, _close_fds, self._fds)
+        with self._lock:
+            self._refresh()
+
+    def close(self) -> None:
+        """Close every segment and forget the index; the next lookup
+        rescans the segments."""
+        with self._lock:
+            self._forget()
+
+    # -- segments (every helper here runs with the lock held) ----------
+    def _forget(self) -> None:
+        _close_fds(self._fds)
+        self._writer = None
+        self._index.clear()
+        self._dead.clear()
+        self._scanned.clear()
+        self._live.clear()
+
+    def _fd(self, name: str) -> int:
+        fd = self._fds.get(name)
+        if fd is None:
+            fd = os.open(os.path.join(self._segments, name), os.O_RDONLY)
+            if len(self._fds) >= _MAX_FDS:
+                victim = next(n for n in self._fds if n != self._writer)
+                os.close(self._fds.pop(victim))
+            self._fds[name] = fd
+        return fd
+
+    def _refresh(self) -> None:
+        """Index the records written since the last look.
+
+        Stats only new segments and those of live writers other than this
+        handle.  A dead writer's segment is cut back to its last whole
+        record.
+        """
         try:
-            self.sweep_orphan_tmp()
+            names = os.listdir(self._segments)
+        except FileNotFoundError:
+            return
+        records: List[Tuple[str, _Entry]] = []
+        tombstones: List[Tuple[str, str, int]] = []
+        for name in names:
+            if (not name.endswith(".seg") or name == self._writer
+                    or (name in self._scanned and name not in self._live)):
+                continue
+            try:
+                alive = _pid_alive(int(name.split("-", 1)[0]))
+            except ValueError:
+                continue  # not a segment
+            try:
+                fd = self._fd(name)
+                size = os.fstat(fd).st_size
+                start = self._scanned.get(name, 0)
+                found, dead, end = _scan_segment(fd, start, size)
+                if end < size and not alive:
+                    os.truncate(os.path.join(self._segments, name), end)
+                    self._swept += 1
+                    obs.counter("jobs.cache.tmp_swept").inc()
+            except OSError:
+                continue  # deleted under us, or unreadable: look again next miss
+            records.extend((key, (name, offset, length, sha))
+                           for key, offset, length, sha in found)
+            tombstones.extend(dead)
+            self._scanned[name] = end
+            if alive:
+                self._live.add(name)
+            else:
+                self._live.discard(name)
+        for key, segment, offset in tombstones:
+            self._dead.add((segment, offset))
+            entry = self._index.get(key)
+            if entry is not None and entry[:2] == (segment, offset):
+                del self._index[key]
+        for key, entry in records:
+            if entry[:2] not in self._dead:
+                self._index[key] = entry
+
+    def _append(self, frame: bytes) -> Tuple[str, int]:
+        """Append ``frame`` to this handle's segment in one write; returns
+        (segment, offset).  A failed write is cut back, and the next append
+        opens a fresh segment."""
+        if self._writer is None or self._writer_pid != os.getpid():
+            os.makedirs(self._segments, exist_ok=True)
+            name = f"{os.getpid()}-{os.urandom(8).hex()}.seg"
+            fd = os.open(os.path.join(self._segments, name),
+                         os.O_RDWR | os.O_APPEND | os.O_CREAT | os.O_EXCL, 0o644)
+            self._fds[name] = fd
+            self._writer, self._writer_pid, self._end = name, os.getpid(), 0
+        name, offset = self._writer, self._end
+        fd = self._fds[name]
+        try:
+            written = os.write(fd, frame)
+            if written != len(frame):
+                raise OSError(f"short write: {written} of {len(frame)} bytes")
         except OSError:
-            pass
+            try:
+                os.ftruncate(fd, offset)
+            except OSError:
+                pass
+            self._writer = None
+            raise
+        self._end = offset + len(frame)
+        return name, offset
 
-    def _bucket(self, key: str) -> str:
-        return os.path.join(self._root, key[:2])
-
-    def path_for(self, key: str) -> Path:
-        """On-disk location of one entry."""
-        return Path(self._bucket(key), f"{key}.json")
+    # -- entries -------------------------------------------------------
+    def _read(self, key: str) -> Tuple[Any, str]:
+        """``(document, "")`` for a record that checks out, ``(None,
+        reason)`` for a damaged one, ``(None, "")`` on a miss."""
+        with self._lock:
+            entry = self._index.get(key)
+            if entry is None:
+                self._refresh()
+                entry = self._index.get(key)
+                if entry is None:
+                    return None, ""
+            name, offset, length, sha = entry
+            try:
+                raw = os.pread(self._fd(name), length, offset)
+            except FileNotFoundError:  # the segment was cleared away
+                del self._index[key]
+                return None, ""
+            except OSError:
+                return None, "unreadable"
+        if len(raw) != length or hashlib.sha256(raw).digest() != sha:
+            return None, "corrupt"
+        try:
+            document = json.loads(raw)
+        except ValueError:  # not UTF-8, or not JSON
+            return None, "corrupt"
+        if not isinstance(document, dict):
+            return None, "wrong-schema"
+        return document, ""
 
     def get(self, key: str) -> Optional[Dict[str, Any]]:
         """The stored payload, or None on miss (quarantining bad entries)."""
-        try:
-            with open(os.path.join(self._bucket(key), f"{key}.json"), "rb") as handle:
-                raw = handle.read()
-        except FileNotFoundError:
-            return None
-        except OSError:
-            self.quarantine(key, reason="unreadable")
-            return None
-        try:
-            document = json.loads(raw.decode("utf-8"))
-        except ValueError:  # not UTF-8, or not JSON
-            self.quarantine(key, reason="corrupt")
-            return None
-        if not isinstance(document, dict) or document.get("schema") != CACHE_FORMAT_VERSION:
-            self.quarantine(key, reason="wrong-schema")
+        document, reason = self._read(key)
+        if document is None:
+            if reason:
+                self.quarantine(key, reason=reason)
             return None
         payload = document.get("payload")
-        if not isinstance(payload, dict):
+        if document.get("schema") != CACHE_FORMAT_VERSION or not isinstance(payload, dict):
             self.quarantine(key, reason="wrong-schema")
             return None
         return payload
 
+    def document(self, key: str) -> Optional[Dict[str, Any]]:
+        """The whole entry document at ``key`` if its record checks out
+        (sha256, JSON object), else None; never quarantines."""
+        return self._read(key)[0]
+
     def put(self, key: str, payload: Dict[str, Any], kind: str = "simulate") -> None:
-        document = {
+        self.put_document(key, {
             "schema": CACHE_FORMAT_VERSION,
             "kind": kind,
             "key": key,
             "created_unix": time.time(),
             "payload": payload,
-        }
+        })
+
+    def put_document(self, key: str, document: Any) -> None:
+        """Append ``document`` (as sorted-key JSON) as the record for
+        ``key``; a record it supersedes gets a tombstone in the same write."""
         raw = json.dumps(document, sort_keys=True).encode("utf-8")
-        bucket = self._bucket(key)
-        path = os.path.join(bucket, f"{key}.json")
-        tmp = os.path.join(bucket, f"{key}.tmp.{os.getpid()}")
-        try:
+        sha = hashlib.sha256(raw)
+        header = f"{key} {len(raw)} {sha.hexdigest()}\n".encode("ascii")
+        with self._lock:
+            old = self._index.get(key)
+            frame = header + raw + b"\n"
+            if old is not None:
+                frame += f"- {key} {old[0]} {old[1]}\n".encode("ascii")
             try:
-                handle = open(tmp, "wb")
-            except FileNotFoundError:  # the bucket's first entry
-                os.makedirs(bucket, exist_ok=True)
-                handle = open(tmp, "wb")
-            with handle:
-                handle.write(raw)
-            os.replace(tmp, path)
-        except OSError as error:
-            # Never litter the cache dir with orphaned tmp files.
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise CacheError(
-                f"failed to write cache entry {key[:12]}…: {error}",
-                code="cache.write_failed",
-                hint="check free space and permissions on the cache directory",
-                path=path,
-            ) from error
+                name, offset = self._append(frame)
+            except OSError as error:
+                raise CacheError(
+                    f"failed to write cache entry {key[:12]}…: {error}",
+                    code="cache.write_failed",
+                    hint="check free space and permissions on the cache directory",
+                    path=self._segments,
+                ) from error
+            self._index[key] = (name, offset + len(header), len(raw), sha.digest())
+            if old is not None:
+                self._dead.add((old[0], old[1]))
+
+    def __contains__(self, key: str) -> bool:
+        if key in self._index:
+            return True
+        with self._lock:
+            self._refresh()
+            return key in self._index
+
+    def keys(self) -> List[str]:
+        """Every indexed key, sorted."""
+        with self._lock:
+            self._refresh()
+            return sorted(self._index)
+
+    def locate(self, key: str) -> Optional[Tuple[Path, int, int]]:
+        """Where the record for ``key`` keeps its entry document:
+        ``(segment path, byte offset, length)``, or None."""
+        with self._lock:
+            self._refresh()
+            entry = self._index.get(key)
+        if entry is None:
+            return None
+        return Path(self._segments, entry[0]), entry[1], entry[2]
 
     def quarantine(self, key: str, reason: str = "corrupt") -> Optional[Path]:
-        """Park a damaged entry under ``quarantine/``; returns its new path."""
-        path = self.path_for(key)
-        if not path.exists():
-            return None
-        pen = self.root / QUARANTINE_DIR
-        destination = pen / f"{reason}-{path.name}"
-        try:
-            pen.mkdir(parents=True, exist_ok=True)
-            os.replace(path, destination)
-        except OSError:
-            try:  # quarantine unavailable: deleting still stops the re-miss loop
-                path.unlink()
+        """Copy a damaged record under ``quarantine/`` and tombstone it;
+        returns the copy's path."""
+        with self._lock:
+            entry = self._index.pop(key, None)
+            if entry is None:
+                return None
+            name, offset, length, _ = entry
+            self._dead.add((name, offset))
+            try:
+                self._append(f"- {key} {name} {offset}\n".encode("ascii"))
+            except OSError:
+                pass  # this handle has forgotten it; another scan re-finds it
+            try:
+                raw = os.pread(self._fd(name), length, offset)
             except OSError:
                 return None
+        destination = self.root / QUARANTINE_DIR / f"{reason}-{key}.json"
+        try:
+            destination.parent.mkdir(exist_ok=True)
+            destination.write_bytes(raw)
+        except OSError:
             return None
         obs.counter("jobs.cache.quarantined").inc()
         return destination
-
-    def _entries(self) -> Iterator[Path]:
-        if not self.root.exists():
-            return
-        for path in sorted(self.root.glob("*/*.json")):
-            if len(path.parent.name) == 2:  # hash buckets only, not quarantine/
-                yield path
 
     def _quarantined(self) -> List[Path]:
         pen = self.root / QUARANTINE_DIR
@@ -476,72 +705,39 @@ class ResultCache:
             return []
         return sorted(p for p in pen.iterdir() if p.is_file())
 
-    def sweep_orphan_tmp(self, max_age_s: float = 3600.0) -> int:
-        """Remove tmp files orphaned by dead writers; returns how many.
-
-        Writes go through ``<entry>.tmp.<pid>`` + ``os.replace``; a writer
-        SIGKILLed in between leaves the tmp file forever (its own
-        unlink-on-error never runs).  A tmp file is an orphan when its
-        writer pid no longer exists, or — covering recycled pids and
-        mangled names — when it is older than ``max_age_s``.  Fresh tmp
-        files of live pids are in-flight writes and are left alone.
-        """
-        removed = 0
-        now = time.time()
-        for path in list(self.root.glob("*/*.tmp.*")):
-            if len(path.parent.name) != 2:  # hash buckets only
-                continue
-            try:
-                pid = int(path.name.rsplit(".", 1)[-1])
-            except ValueError:
-                pid = -1
-            try:
-                age_s = now - path.stat().st_mtime
-            except OSError:
-                continue  # already gone (another sweeper won the race)
-            if (pid > 0 and _pid_alive(pid)) and age_s <= max_age_s:
-                continue
-            if pid <= 0 and age_s <= max_age_s:
-                continue
-            try:
-                path.unlink()
-            except OSError:
-                continue
-            removed += 1
-        if removed:
-            obs.counter("jobs.cache.tmp_swept").inc(removed)
-        return removed
-
     def stats(self) -> CacheStats:
-        swept = self.sweep_orphan_tmp()
-        entries = 0
-        total_bytes = 0
+        """Entries and bytes of the live records, by kind; a record that
+        fails a check counts as ``corrupt``."""
         by_kind: Dict[str, int] = {}
-        for path in self._entries():
-            try:
-                raw = path.read_bytes()  # one read serves both size and kind
-            except OSError:
-                continue
-            entries += 1
-            total_bytes += len(raw)
-            try:
-                kind = json.loads(raw).get("kind", "?")
-            except ValueError:
-                kind = "corrupt"
+        total_bytes = 0
+        for key in self.keys():
+            entry = self._index.get(key)
+            document, reason = self._read(key)
+            if entry is None or (document is None and not reason):
+                continue  # cleared away since the listing
+            kind = "corrupt" if document is None else str(document.get("kind", "?"))
             by_kind[kind] = by_kind.get(kind, 0) + 1
-        return CacheStats(entries=entries, bytes=total_bytes, by_kind=by_kind,
-                          quarantined=len(self._quarantined()), tmp_swept=swept)
+            total_bytes += entry[2]
+        return CacheStats(entries=sum(by_kind.values()), bytes=total_bytes,
+                          by_kind=by_kind, quarantined=len(self._quarantined()),
+                          tmp_swept=self._swept)
 
     def clear(self) -> int:
-        """Delete every entry (quarantined included); returns how many."""
-        removed = 0
-        for path in self._entries():
-            path.unlink()
-            removed += 1
+        """Delete every entry (quarantined and old per-file ones included);
+        returns how many."""
+        removed = len(self.keys())
+        with self._lock:
+            self._forget()
+        shutil.rmtree(self._segments, ignore_errors=True)
         for path in self._quarantined():
             path.unlink()
             removed += 1
-        for bucket in sorted(self.root.glob("*")):
+        # The one-file-per-entry layout: <key[:2]>/<key>.json and tmp files.
+        for path in sorted(self.root.glob("??/*")):
+            if path.suffix == ".json" or ".tmp." in path.name:
+                removed += path.suffix == ".json"
+                path.unlink()
+        for bucket in sorted(self.root.glob("??")):
             if bucket.is_dir() and not any(bucket.iterdir()):
                 bucket.rmdir()
         return removed
@@ -1289,13 +1485,18 @@ def session(jobs: int = 1, cache_dir: Optional[Union[str, Path]] = None,
     when the block raises, ran nothing, or the process dies (the next
     session resumes from it).
     """
+    owned = None
     if cache is None and cache_dir is not None:
-        cache = ResultCache(cache_dir)
+        cache = owned = ResultCache(cache_dir)
     if checkpoint is None and checkpoint_path is not None:
         checkpoint = SweepCheckpoint(checkpoint_path)
     runner = JobRunner(jobs=jobs, cache=cache, retry=retry, timeout_s=timeout_s,
                        checkpoint=checkpoint, chaos=chaos, progress=progress)
-    with use_runner(runner):
-        yield runner
+    try:
+        with use_runner(runner):
+            yield runner
+    finally:
+        if owned is not None:
+            owned.close()
     if checkpoint is not None and runner.stats.tasks:
         checkpoint.clear()

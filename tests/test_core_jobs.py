@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import time
 
 import pytest
 
 from repro.baselines.scalesim import TPU_CORE
+from repro.core.chaos import corrupt_cache_entry
 from repro.core.evaluate import evaluate_suite
 from repro.core.jobs import (
     CACHE_FORMAT_VERSION,
@@ -124,10 +124,9 @@ def test_cache_ignores_other_schema_versions(tmp_path):
     key = "cd" * 32
     for forged in (CACHE_FORMAT_VERSION - 1, CACHE_FORMAT_VERSION + 1):
         cache.put(key, {"x": 1})
-        path = cache.path_for(key)
-        document = json.loads(path.read_text())
+        document = cache.document(key)
         document["schema"] = forged
-        path.write_text(json.dumps(document))
+        cache.put_document(key, document)
         assert cache.get(key) is None
 
 
@@ -135,10 +134,11 @@ def test_cache_quarantines_corrupt_entries(tmp_path):
     cache = ResultCache(tmp_path / "c")
     key = "ef" * 32
     cache.put(key, {"x": 1})
-    cache.path_for(key).write_text("not json{")
+    corrupt_cache_entry(cache, key, "garbage")
     assert cache.get(key) is None
     # The damaged entry is moved aside, not silently re-missed forever.
-    assert not cache.path_for(key).exists()
+    assert key not in cache and key not in ResultCache(tmp_path / "c")
+    assert (tmp_path / "c" / "quarantine" / f"corrupt-{key}.json").is_file()
     stats = cache.stats()
     assert stats.entries == 0 and stats.quarantined == 1
 
@@ -154,42 +154,58 @@ def test_cache_stats_and_clear(tmp_path):
     assert cache.stats().entries == 0
 
 
-def test_sweep_removes_tmp_files_of_dead_processes(tmp_path):
-    """A SIGKILLed writer's tmp file is cleaned up by any later process."""
+def test_cache_stats_count_damaged_records_as_corrupt(tmp_path):
+    cache = ResultCache(tmp_path / "c")
+    cache.put("11" * 32, {"a": 1}, kind="simulate")
+    cache.put_document("22" * 32, [1, 2])  # valid JSON, not an object
+    for key, mode in (("33" * 32, "truncate"), ("44" * 32, "garbage")):
+        cache.put(key, {"c": 3}, kind="estimate")
+        corrupt_cache_entry(cache, key, mode)  # torn, and sha-mismatched
+    stats = cache.stats()
+    assert stats.by_kind == {"simulate": 1, "corrupt": 3}
+    assert stats.entries == 4 and stats.quarantined == 0
+
+
+def _torn_segment(tmp_path, pid):
+    """A segment named for ``pid`` holding one whole record, then the
+    header and half the body of a second (a writer killed mid-append)."""
+    cache = ResultCache(tmp_path / "c")
+    cache.put("11" * 32, {"a": 1})
+    cache.close()
+    (whole,) = (cache.root / "segments").iterdir()
+    size = whole.stat().st_size
+    torn = whole.with_name(f"{pid}-{'0' * 16}.seg")
+    whole.rename(torn)
+    with open(torn, "ab") as handle:
+        handle.write(f"{'22' * 32} 200 {'f' * 64}\n{{\"created".encode())
+    return torn, size
+
+
+def test_open_cuts_back_a_dead_writers_torn_tail(tmp_path, obs_enabled):
+    # PID 99999999 is far beyond pid_max, so it is never alive.
+    torn, size = _torn_segment(tmp_path, 99999999)
+    reopened = ResultCache(tmp_path / "c")
+    assert torn.stat().st_size == size
+    assert reopened.get("11" * 32) == {"a": 1}
+    assert reopened.get("22" * 32) is None
+    stats = reopened.stats()
+    assert stats.tmp_swept == 1 and stats.entries == 1
+    assert obs_enabled.metrics().snapshot()["counters"]["jobs.cache.tmp_swept"] == 1
+    # Nothing is left to cut on the next open.
+    assert ResultCache(tmp_path / "c").stats().tmp_swept == 0
+
+
+def test_live_writers_segment_is_left_alone(tmp_path):
     import os
 
-    cache = ResultCache(tmp_path / "c")
-    cache.put("11" * 32, {"a": 1})
-    bucket = cache.path_for("11" * 32).parent
-    # PID 1 is never us; a pid far beyond pid_max never exists.
-    dead = bucket / f"{'aa' * 32}.tmp.99999999"
-    dead.write_text("{torn")
-    live = bucket / f"{'bb' * 32}.tmp.{os.getpid()}"
-    live.write_text("{in progress")
-    assert cache.sweep_orphan_tmp() == 1
-    assert not dead.exists()
-    assert live.exists()  # a live writer's file is never touched young
-    # A live pid's tmp file older than the age cap is an orphan too
-    # (the writer moved on long ago; replace() would have consumed it).
-    old = time.time() - 7200
-    os.utime(live, (old, old))
-    assert cache.sweep_orphan_tmp(max_age_s=3600.0) == 1
-    assert not live.exists()
-
-
-def test_sweep_runs_on_startup_and_reports_in_stats(tmp_path):
-    cache = ResultCache(tmp_path / "c")
-    cache.put("11" * 32, {"a": 1})
-    orphan = cache.path_for("11" * 32).parent / f"{'cc' * 32}.tmp.99999999"
-    orphan.write_text("{torn")
-    # A fresh handle on the same directory sweeps the orphan on init.
+    torn, _ = _torn_segment(tmp_path, os.getpid())
+    size = torn.stat().st_size
     reopened = ResultCache(tmp_path / "c")
-    assert not orphan.exists()
-    orphan.write_text("{torn again")
-    stats = reopened.stats()
-    assert stats.tmp_swept == 1
-    assert not orphan.exists()
-    assert stats.entries == 1  # real entries are untouched
+    # A live writer's tail is an append in flight: skipped, never cut.
+    assert reopened.get("11" * 32) == {"a": 1}
+    assert reopened.get("22" * 32) is None
+    assert torn.stat().st_size == size
+    assert reopened.stats().tmp_swept == 0
 
 
 # -- the runner ------------------------------------------------------------

@@ -456,8 +456,7 @@ def test_malformed_layer_columns_are_poison(tmp_path, tasks, clean, damage):
     cache = ResultCache(tmp_path / "cache")
     JobRunner(cache=cache).run(tasks)
     key = tasks[0].key()
-    path = cache.path_for(key)
-    document = json.loads(path.read_text())
+    document = cache.document(key)
     columns = document["payload"]["layers"]
     if damage == "ragged":
         columns["macs"].pop()  # zip would drop the last layer silently
@@ -465,7 +464,7 @@ def test_malformed_layer_columns_are_poison(tmp_path, tasks, clean, damage):
         del columns["macs"]
     else:
         columns["bogus"] = list(columns["macs"])
-    path.write_text(json.dumps(document))
+    cache.put_document(key, document)
 
     runner = JobRunner(cache=cache)
     assert _bits(runner.run(tasks)) == _bits(clean)
@@ -475,14 +474,13 @@ def test_malformed_layer_columns_are_poison(tmp_path, tasks, clean, damage):
 
 def _to_row_layout(cache, key):
     """Rewrite one entry as entry format 1 stored it: one dict per layer."""
-    path = cache.path_for(key)
-    document = json.loads(path.read_text())
+    document = cache.document(key)
     payload = document["payload"]
     if "layers" in payload:
         columns = payload["layers"]
         payload["layers"] = [dict(zip(columns, row)) for row in zip(*columns.values())]
     document["schema"] = 1
-    path.write_text(json.dumps(document, sort_keys=True))
+    cache.put_document(key, document)
 
 
 def test_row_layout_entries_cost_one_miss_each(tmp_path, tasks, clean):
@@ -508,17 +506,210 @@ def test_row_layout_entries_cost_one_miss_each(tmp_path, tasks, clean):
     assert len(_quarantined(cache)) == len(keys)
 
 
-def test_put_cleans_up_tmp_file_on_replace_failure(tmp_path, monkeypatch):
+# -- cache segments --------------------------------------------------------
+
+def _segments(cache):
+    return sorted((cache.root / "segments").iterdir())
+
+
+def _spawn(script, *args):
+    """Start ``script`` in a fresh interpreter that imports this checkout."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import repro
+
+    env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).resolve().parents[1]))
+    return subprocess.Popen([sys.executable, "-c", script, *map(str, args)], env=env)
+
+
+def test_failed_append_raises_and_indexes_nothing(tmp_path, monkeypatch):
+    import os
+
     cache = ResultCache(tmp_path / "cache")
+    cache.put("11" * 32, {"a": 1})
+    (segment,) = _segments(cache)
+    size = segment.stat().st_size
+    write = os.write
 
-    def broken_replace(src, dst):
-        raise OSError("cross-device link")
+    def short_write(fd, data):  # half the frame lands, then the disk fills
+        return write(fd, data[: len(data) // 2])
 
-    monkeypatch.setattr("repro.core.jobs.os.replace", broken_replace)
-    with pytest.raises(CacheError) as excinfo:
-        cache.put("ab" * 32, {"x": 1})
-    assert excinfo.value.code == "cache.write_failed"
-    assert not list(cache.root.rglob("*.tmp.*"))
+    def no_space(fd, data):
+        raise OSError(28, "No space left on device")
+
+    for broken in (short_write, no_space):
+        monkeypatch.setattr("repro.core.jobs.os.write", broken)
+        with pytest.raises(CacheError) as excinfo:
+            cache.put("22" * 32, {"b": 2})
+        monkeypatch.undo()
+        assert excinfo.value.code == "cache.write_failed"
+        assert "22" * 32 not in cache
+        assert "22" * 32 not in ResultCache(tmp_path / "cache")
+    # The torn frame is cut back; the next append opens a fresh segment.
+    assert segment.stat().st_size == size
+    cache.put("33" * 32, {"c": 3})
+    assert ResultCache(tmp_path / "cache").keys() == ["11" * 32, "33" * 32]
+
+
+#: A child that runs ``tasks`` into the cache at argv[1] and SIGKILLs
+#: itself after writing the header of the last task's record.
+KILLED_MID_APPEND = """
+import os, signal, sys
+from repro import api
+from repro.core.jobs import JobRunner, ResultCache, SimTask
+design, network = api.design("supernpu"), api.workload("mobilenet")
+tasks = [SimTask(design, network, batch=b) for b in (1, 2, 4, 8)]
+write, appends = os.write, []
+def write_then_die(fd, data):
+    appends.append(fd)
+    if len(appends) == len(tasks):
+        write(fd, data[: data.index(b"\\n") + 1])
+        os.kill(os.getpid(), signal.SIGKILL)
+    return write(fd, data)
+os.write = write_then_die
+JobRunner(cache=ResultCache(sys.argv[1])).run(tasks)
+"""
+
+
+def test_writer_killed_mid_append_costs_one_miss(tmp_path, tasks, clean):
+    import signal
+
+    child = _spawn(KILLED_MID_APPEND, tmp_path / "cache")
+    assert child.wait(timeout=120) == -signal.SIGKILL
+    (segment,) = (tmp_path / "cache" / "segments").iterdir()
+    torn = segment.read_bytes()
+
+    reopened = ResultCache(tmp_path / "cache")
+    whole = segment.read_bytes()
+    # Cut back by exactly the orphaned header line.
+    assert torn.startswith(whole) and whole.endswith(b"\n")
+    assert torn[len(whole):].count(b"\n") == 1 and torn.endswith(b"\n")
+    assert reopened.stats().tmp_swept == 1
+    runner = JobRunner(cache=reopened)
+    assert _bits(runner.run(tasks)) == _bits(clean)
+    assert (runner.stats.hits, runner.stats.executed) == (len(tasks) - 1, 1)
+    assert runner.run([tasks[-1]])[0] == clean[-1]
+    assert runner.stats.executed == 1  # the re-executed record is whole now
+
+
+#: A writer that waits for argv[2] to exist, then appends 4 KiB records
+#: for its own keys and for keys every writer shares.
+CONCURRENT_WRITER = """
+import os, sys, time
+from repro.core.jobs import ResultCache
+root, go, name = sys.argv[1:4]
+cache = ResultCache(root)
+while not os.path.exists(go):
+    time.sleep(0.001)
+for number in range(150):
+    for key in (f"{name}{number:062d}", f"ff{number:062d}"):
+        cache.put(key, {"key": key, "writer": name, "blob": name * 2048})
+"""
+
+
+def test_two_writer_processes_lose_and_interleave_nothing(tmp_path):
+    root, go = tmp_path / "cache", tmp_path / "go"
+    writers = {name: _spawn(CONCURRENT_WRITER, root, go, name) for name in ("aa", "bb")}
+    go.touch()
+    assert all(child.wait(timeout=120) == 0 for child in writers.values())
+
+    cache = ResultCache(root)
+    keys = {f"{name}{number:062d}" for name in ("aa", "bb", "ff") for number in range(150)}
+    assert set(cache.keys()) == keys
+    for key in sorted(keys):
+        payload = cache.get(key)
+        assert payload["key"] == key and payload["blob"] == payload["writer"] * 2048
+        if not key.startswith("ff"):  # an own key sits in its writer's segment
+            assert payload["writer"] == key[:2]
+            assert cache.locate(key)[0].name.startswith(f"{writers[key[:2]].pid}-")
+    stats = cache.stats()
+    assert "corrupt" not in stats.by_kind and stats.entries == len(keys)
+    assert stats.tmp_swept == 0 and len(_segments(cache)) == 2
+
+
+def test_serve_threads_share_one_cache(tmp_path):
+    import sys
+    import threading
+
+    cache = ResultCache(tmp_path / "cache")
+    threads_n, per_thread = 8, 40
+
+    def writer(thread):
+        for number in range(per_thread):
+            key = f"{thread:02d}{number:062d}"
+            cache.put(key, {"thread": thread, "number": number})
+            assert cache.get(key) == {"thread": thread, "number": number}
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=writer, args=(thread,)) for thread in range(threads_n)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    reopened = ResultCache(tmp_path / "cache")
+    expected = {f"{t:02d}{n:062d}": {"thread": t, "number": n}
+                for t in range(threads_n) for n in range(per_thread)}
+    assert reopened.keys() == sorted(expected)
+    assert all(reopened.get(key) == payload for key, payload in expected.items())
+    assert reopened.stats().by_kind == {"simulate": threads_n * per_thread}
+    assert len(_segments(cache)) == 1
+
+
+def test_legacy_per_file_entries_cost_one_miss_and_are_cleared(tmp_path, tasks, clean,
+                                                                capsys):
+    from repro.cli import main
+    from repro.core.jobs import CACHE_FORMAT_VERSION, result_to_dict
+
+    root = tmp_path / "cache"
+    for task, run in zip(tasks, clean):
+        key = task.key()
+        bucket = root / key[:2]
+        bucket.mkdir(parents=True, exist_ok=True)
+        (bucket / f"{key}.json").write_text(json.dumps({
+            "schema": CACHE_FORMAT_VERSION, "kind": "simulate", "key": key,
+            "created_unix": 0.0, "payload": result_to_dict(run)}, sort_keys=True))
+        (bucket / f"{key}.tmp.99999999").write_text("{torn")
+    first = JobRunner(cache=ResultCache(root))
+    assert _bits(first.run(tasks)) == _bits(clean)
+    assert first.stats.executed == len(tasks)
+    second = JobRunner(cache=ResultCache(root))
+    assert second.run(tasks) == clean and second.stats.hits == len(tasks)
+
+    assert main(["cache", "clear", "--cache-dir", str(root)]) == 0
+    assert f"removed {2 * len(tasks)} entries" in capsys.readouterr().out
+    assert sorted(path.name for path in root.iterdir()) == []
+
+
+def test_quarantined_record_stays_dead_in_any_scan_order(tmp_path, monkeypatch):
+    import os
+
+    root = tmp_path / "cache"
+    ResultCache(root).put("11" * 32, {"poisoned": True})
+    ResultCache(root).put("22" * 32, {"b": 2})
+    reader = ResultCache(root)
+    assert reader.quarantine("11" * 32, reason="poisoned-payload") is not None
+    listdir = os.listdir
+    for order in (sorted, lambda names: sorted(names, reverse=True)):
+        monkeypatch.setattr("repro.core.jobs.os.listdir", lambda path: order(listdir(path)))
+        reopened = ResultCache(root)
+        assert "11" * 32 not in reopened and reopened.get("11" * 32) is None
+        assert reopened.get("22" * 32) == {"b": 2}
+    # A fresh record for the key, written after the tombstone, is live.
+    reader.put("11" * 32, {"a": 1})
+    for order in (sorted, lambda names: sorted(names, reverse=True)):
+        monkeypatch.setattr("repro.core.jobs.os.listdir", lambda path: order(listdir(path)))
+        assert ResultCache(root).get("11" * 32) == {"a": 1}
+    monkeypatch.undo()
+    assert len(_segments(reader)) == 3
+    assert _quarantined(reader) == [f"poisoned-payload-{'11' * 32}.json"]
 
 
 # -- chaos harness self-checks --------------------------------------------

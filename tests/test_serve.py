@@ -16,6 +16,7 @@ import pytest
 
 from repro.cli import main
 from repro.core.chaos import ChaosInjector, FaultSpec
+from repro.core.jobs import ResultCache
 from repro.errors import (
     CacheError,
     ConfigError,
@@ -258,7 +259,7 @@ def test_daemon_serves_identical_bodies_and_structured_errors(tmp_path):
         stats = client.stats()
         assert stats.ok
         assert stats.data["serve"]["serve.responses_200"] >= 2
-    assert not list((tmp_path / "cache").glob("*/*.tmp.*"))
+    assert ResultCache(tmp_path / "cache").stats().tmp_swept == 0  # no torn tail left
 
 
 def test_daemon_quota_shed_carries_retry_after(tmp_path):

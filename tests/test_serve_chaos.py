@@ -10,6 +10,7 @@ the report's evidence; the drill owns the assertions.
 
 import pytest
 
+from repro.core.jobs import ResultCache
 from repro.serve.drill import DRILL_REQUESTS, DrillFailure, clean_baseline, run_chaos_drill
 from repro.serve.engine import ServeEngine, request_key
 
@@ -31,7 +32,7 @@ def test_chaos_drill_survives_with_bitwise_identical_responses(tmp_path):
     assert report.shed_429 >= 1  # the greedy client was quota-shed
     assert report.deadline_504 == 1  # the hung handler shed exactly once
     assert report.slow_408 == 1
-    assert not list((tmp_path / "cache").glob("*/*.tmp.*"))
+    assert ResultCache(tmp_path / "cache").stats().tmp_swept == 0  # no torn tail left
 
 
 def test_drill_failure_is_loud(tmp_path):
