@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from repro.canonical import KeepsCanonicalText
 from repro.simulator.memory import memory_model_for
-from repro.simulator.results import ActivityTrace, LayerResult, SimulationResult
+from repro.simulator.results import LAYER_FIELDS, ActivityTrace, SimulationResult
 from repro.workloads.layers import ConvLayer
 from repro.workloads.models import Network
 
@@ -91,7 +91,7 @@ def simulate_cmos(
     if batch < 1:
         raise ValueError("batch must be positive")
     memory = memory_model_for(config, config.frequency_ghz)
-    layers = []
+    columns = {name: [] for name in LAYER_FIELDS}
     resident = False
     for index, layer in enumerate(network.layers):
         fill_drain, streaming = _layer_cycles(layer, config, batch)
@@ -107,28 +107,25 @@ def simulate_cmos(
             traffic += layer.ofmap_bytes * batch
         on_chip = fill_drain + streaming
         dram_cycles = memory.transfer_cycles(traffic)
-        layers.append(
-            LayerResult(
-                name=layer.name,
-                mappings=max(1, math.ceil(layer.reduction_size / config.pe_array_height))
-                * max(1, math.ceil(layer.filters_per_group / config.pe_array_width))
-                * layer.groups,
-                weight_load_cycles=fill_drain,
-                ifmap_prep_cycles=0,
-                psum_move_cycles=0,
-                activation_transfer_cycles=0,
-                compute_cycles=streaming,
-                dram_traffic_bytes=traffic,
-                dram_cycles=dram_cycles,
-                total_cycles=max(on_chip, dram_cycles),
-                macs=layer.macs_per_image * batch,
-            )
+        row = dict(
+            name=layer.name,
+            mappings=max(1, math.ceil(layer.reduction_size / config.pe_array_height))
+            * max(1, math.ceil(layer.filters_per_group / config.pe_array_width))
+            * layer.groups,
+            weight_load_cycles=fill_drain,
+            ifmap_prep_cycles=0, psum_move_cycles=0, activation_transfer_cycles=0,
+            compute_cycles=streaming,
+            dram_traffic_bytes=traffic, dram_cycles=dram_cycles,
+            total_cycles=max(on_chip, dram_cycles),
+            macs=layer.macs_per_image * batch,
         )
+        for name, value in row.items():
+            columns[name].append(value)
     return SimulationResult(
         design=config.name,
         network=network.name,
         batch=batch,
         frequency_ghz=config.frequency_ghz,
-        layers=layers,
+        columns=columns,
         activity=ActivityTrace(),
     )

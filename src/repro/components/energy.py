@@ -98,7 +98,7 @@ def cross_temperature_report(
         getattr(config, "link_technology", DEFAULT_LINK_TECHNOLOGY),
         kind="link")
 
-    traffic_bytes = sum(layer.dram_traffic_bytes for layer in run.layers)
+    traffic_bytes = sum(run.columns["dram_traffic_bytes"])
     runtime_s = run.latency_s
 
     dissipation: Dict[float, float] = {stage.temperature_k: 0.0

@@ -64,7 +64,6 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import operator
 import os
 import shutil
 import tempfile
@@ -95,7 +94,7 @@ from repro.errors import CacheError, ConfigError, ReproError, WorkerError
 from repro.estimator.arch_level import NPUEstimate, estimate_npu
 from repro.estimator.uarch_level import UnitEstimate
 from repro.simulator.engine import DesignCharges, charge_designs, simulate
-from repro.simulator.results import ActivityTrace, LayerResult, SimulationResult
+from repro.simulator.results import LAYER_FIELDS, ActivityTrace, SimulationResult
 from repro.uarch.config import NPUConfig
 from repro.workloads.layers import check_batch
 from repro.workloads.models import Network
@@ -244,35 +243,28 @@ def estimate_key(config: NPUConfig, library: CellLibrary) -> str:
 # records exactly (Python's json preserves ints and floats bit-exactly),
 # which is what makes warm-cache runs bitwise-identical to cold ones.
 
-#: LayerResult's fields, all plain ints and strings, in constructor order.
-_LAYER_FIELDS = tuple(f.name for f in dataclasses.fields(LayerResult))
-_LAYER_FIELD_SET = frozenset(_LAYER_FIELDS)
-_layer_row = operator.attrgetter(*_LAYER_FIELDS)
-
-
 def result_to_dict(run: SimulationResult) -> Dict[str, Any]:
-    # Layers are stored as columns, one list per LayerResult field: a row
-    # layout would spell out every field name once per layer.
-    columns = zip(*map(_layer_row, run.layers))
+    # Layers are stored as the result's columns, one list per LayerResult
+    # field: a row layout would spell out every field name once per layer.
     return {
         "design": run.design,
         "network": run.network,
         "batch": run.batch,
         "frequency_ghz": run.frequency_ghz,
-        "layers": {name: list(column) for name, column in zip(_LAYER_FIELDS, columns)},
+        "layers": run.columns,
         "activity": dict(run.activity.effective_cycles),
     }
 
 
 def result_from_dict(data: Dict[str, Any]) -> SimulationResult:
     layers = data["layers"]
-    if not isinstance(layers, dict) or layers.keys() != _LAYER_FIELD_SET:
+    if not isinstance(layers, dict) or layers.keys() != set(LAYER_FIELDS):
         raise ValueError("layer columns are not LayerResult's fields")
-    columns = [layers[name] for name in _LAYER_FIELDS]
     # zip would silently truncate ragged columns to the shortest.
-    if not all(type(column) is list for column in columns) or \
-            len({len(column) for column in columns}) != 1:
+    if not all(type(column) is list for column in layers.values()) or \
+            len({len(column) for column in layers.values()}) != 1:
         raise ValueError("layer columns are not lists of one length")
+    # The constructor's TypeError rejects columns that do not sum to ints.
     # Activity materializes in sorted-unit order, as the simulator emits
     # it, no matter how the payload was ordered: power sums fold floats in
     # iteration order, so a cache hit and a fresh run must agree on it.
@@ -282,7 +274,7 @@ def result_from_dict(data: Dict[str, Any]) -> SimulationResult:
         network=data["network"],
         batch=data["batch"],
         frequency_ghz=data["frequency_ghz"],
-        layers=[LayerResult(*row) for row in zip(*columns)],
+        columns=layers,
         activity=ActivityTrace(effective_cycles={unit: activity[unit]
                                                  for unit in sorted(activity)}),
     )

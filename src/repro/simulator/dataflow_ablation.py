@@ -29,7 +29,7 @@ from repro.estimator.arch_level import NPUEstimate, chip_clock, estimate_npu
 from repro.simulator.datapath import build_datapath
 from repro.simulator.kernel import charge_network_os
 from repro.simulator.memory import memory_model_for
-from repro.simulator.results import ActivityTrace, LayerResult, SimulationResult
+from repro.simulator.results import LAYER_FIELDS, ActivityTrace, SimulationResult
 from repro.uarch.config import NPUConfig
 from repro.uarch.mac import Dataflow
 from repro.uarch.pe import ProcessingElement
@@ -78,14 +78,13 @@ def simulate_os(
         estimate = estimate_os_npu(config, library)
 
     memory = memory_model_for(config, estimate.frequency_ghz)
-    (rows,) = charge_network_os(
+    (charges,) = charge_network_os(
         network.layer_table, [(config, batch, memory, build_datapath(config))])
     return SimulationResult(
         design=f"{config.name} (OS)",
         network=network.name,
         batch=batch,
         frequency_ghz=estimate.frequency_ghz,
-        layers=[LayerResult(name, *row)
-                for name, row in zip(network.layer_table.names, rows)],
+        columns=dict(zip(LAYER_FIELDS, (list(network.layer_table.names), *charges))),
         activity=ActivityTrace(),
     )

@@ -46,7 +46,7 @@ from repro.simulator.datapath import build_datapath
 from repro.simulator.kernel import charge_network
 from repro.simulator.mapping import LayerMapping, map_layer
 from repro.simulator.memory import MemoryModel, memory_model_for
-from repro.simulator.results import ActivityTrace, LayerResult, SimulationResult
+from repro.simulator.results import LAYER_FIELDS, ActivityTrace, LayerResult, SimulationResult
 from repro.uarch.buffers import ShiftRegisterBuffer
 from repro.uarch.config import NPUConfig
 from repro.uarch.pe import ProcessingElement
@@ -185,10 +185,10 @@ def simulate_layer(
 @dataclass(frozen=True)
 class DesignCharges:
     """One design point's part of a joint charge pass (:func:`charge_designs`):
-    its per-layer charge rows, its activity, and its share of the pass's
+    its per-layer charge columns, its activity, and its share of the pass's
     wall seconds."""
 
-    rows: List[List[int]]
+    columns: List[List[int]]
     activity: Dict[str, float]
     seconds: float
 
@@ -227,11 +227,11 @@ def simulate(
         shared = 0.0
         if charges is None:
             memory = memory_model_for(config, estimate.frequency_ghz)
-            (rows,), (activity,) = charge_network(
+            (columns,), (activity,) = charge_network(
                 network.layer_table, [(config, batch, memory, build_datapath(config))])
         else:
-            rows, activity, shared = charges.rows, charges.activity, charges.seconds
-        run = _result(config, network, batch, estimate, rows, activity, timeline)
+            columns, activity, shared = charges.columns, charges.activity, charges.seconds
+        run = _result(config, network, batch, estimate, columns, activity, timeline)
     # A point charged jointly also spent its share of the joint pass.
     obs.histogram("sim.simulate_seconds").observe(time.perf_counter() - began + shared)
     return run
@@ -265,8 +265,8 @@ def charge_designs(
              build_datapath(config))
             for config, batch, estimate in zip(configs, batches, estimates)])
     seconds = (time.perf_counter() - began) / len(configs)
-    return [DesignCharges(rows, activity, seconds)
-            for rows, activity in zip(charges, activities)]
+    return [DesignCharges(columns, activity, seconds)
+            for columns, activity in zip(charges, activities)]
 
 
 def _result(
@@ -278,16 +278,22 @@ def _result(
     activity: Dict[str, float],
     timeline: Optional[CycleTimeline] = None,
 ) -> SimulationResult:
-    """One run's :class:`SimulationResult` from its charge rows, with its
+    """One run's :class:`SimulationResult` from its charge columns, with its
     layer spans, timeline and ``sim.*`` counts when those are on."""
-    names = network.layer_table.names
-    if timeline is None and not obs.tracer().enabled:
-        layers = [LayerResult(name, *row) for name, row in zip(names, charges)]
-    else:
-        layers = []
-        for layer, name, row in zip(network.layers, names, charges):
-            with obs.trace_span("simulate/layer", layer=name) as span:
-                result = LayerResult(name, *row)
+    names = list(network.layer_table.names)
+    run = SimulationResult(
+        design=config.name,
+        network=network.name,
+        batch=batch,
+        frequency_ghz=estimate.frequency_ghz,
+        columns=dict(zip(LAYER_FIELDS, (names, *charges))),
+        # Sorted-unit order, the order a cached payload decodes in:
+        # power sums fold these floats in iteration order.
+        activity=ActivityTrace(activity),
+    )
+    if timeline is not None or obs.tracer().enabled:
+        for layer, result in zip(network.layers, run.layers):
+            with obs.trace_span("simulate/layer", layer=result.name) as span:
                 span.annotate(cycles=result.total_cycles, macs=result.macs)
             if timeline is not None:
                 timeline.record_layer(
@@ -304,24 +310,12 @@ def _result(
                         ),
                     },
                 )
-            layers.append(result)
-
-    run = SimulationResult(
-        design=config.name,
-        network=network.name,
-        batch=batch,
-        frequency_ghz=estimate.frequency_ghz,
-        layers=layers,
-        # Sorted-unit order, the order a cached payload decodes in:
-        # power sums fold these floats in iteration order.
-        activity=ActivityTrace(activity),
-    )
     if obs.metrics().enabled:
         obs.counter("sim.runs").inc()
-        obs.counter("sim.layers_simulated").add(len(layers))
+        obs.counter("sim.layers_simulated").add(len(names))
         obs.counter("sim.cycles").add(run.total_cycles)
         obs.counter("sim.macs").add(run.total_macs)
         obs.counter("sim.dram_traffic_bytes").add(
-            sum(layer.dram_traffic_bytes for layer in layers)
+            sum(run.columns["dram_traffic_bytes"])
         )
     return run

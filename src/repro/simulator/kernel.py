@@ -6,7 +6,7 @@ One kernel charges both dataflows over a network's :class:`LayerTable`:
 :mod:`repro.simulator.dataflow_ablation`.  Each charge is an elementwise
 int64 expression over ``(D, 1)`` config columns and the table's ``(L,)``
 layer columns; residency, the DRAM ceiling and the ``max(on_chip, dram)``
-tail are shared (:func:`_layer_rows`).
+tail are shared (:func:`_layer_columns`).
 
 Every WS charge of :func:`~repro.simulator.engine.simulate_layer` — the
 scalar golden reference, which walks the tiles of
@@ -198,10 +198,11 @@ def _design_columns(table: LayerTable, designs: Sequence[Design], bounds):
     return columns.T[:, :, np.newaxis], per_cycle[:, np.newaxis], has_psum
 
 
-def _layer_rows(phases, traffic, ifmap_bytes, ofmap_bytes, output_buffer,
-                bytes_per_cycle, macs) -> List[List[List[int]]]:
-    """Per design, one row of Python ints per layer, in
-    :class:`~repro.simulator.results.LayerResult` field order after ``name``.
+def _layer_columns(phases, traffic, ifmap_bytes, ofmap_bytes, output_buffer,
+                   bytes_per_cycle, macs) -> List[List[List[int]]]:
+    """Per design, one column of Python ints per
+    :class:`~repro.simulator.results.LayerResult` field after ``name``, in
+    field order, with one entry per layer.
 
     ``phases`` are the on-chip charges (mappings, weight load, ifmap prep,
     psum move, activation transfer, compute) and ``traffic`` the DRAM
@@ -221,8 +222,8 @@ def _layer_rows(phases, traffic, ifmap_bytes, ofmap_bytes, output_buffer,
     charges = np.array((*phases, traffic, dram, np.maximum(on_chip, dram), macs))
     if charges.ndim == 2:  # one design, without the design axis
         charges = charges[:, np.newaxis]
-    # (10, D, L) -> (D, L, 10): per design, one row per layer.
-    return charges.transpose(1, 2, 0).tolist()
+    # (10, D, L) -> (D, 10, L): per design, one column per field.
+    return charges.transpose(1, 0, 2).tolist()
 
 
 def charge_network(
@@ -237,7 +238,7 @@ def charge_network(
     along ``axis=-1``): a single design passes its terms as scalars and
     runs the same code on ``(L,)`` arrays.
 
-    Returns, per design, the :func:`_layer_rows` (mappings, weight load,
+    Returns, per design, the :func:`_layer_columns` (mappings, weight load,
     ifmap prep, psum move, activation transfer, compute, DRAM traffic,
     DRAM cycles, total, MACs), and the effective activity cycles per unit
     in sorted-unit order.  Both are bitwise what a loop of
@@ -288,7 +289,7 @@ def charge_network(
                   & (table.channels * batch <= height * ifmap_division))
     refetch = np.where(ifmap_fits, 1, col_tiles)
     macs = table.macs * batch
-    rows = _layer_rows(
+    layer_columns = _layer_columns(
         (mappings, weight_load, ifmap_prep, psum_move, activation, compute),
         table.weights + ifmap_bytes * (refetch - 1), ifmap_bytes, ofmap_bytes,
         output_buffer, bytes_per_cycle, macs)
@@ -311,14 +312,14 @@ def charge_network(
          if psum or unit != "psum_buffer"}
         for totals, psum in zip(folded.T.tolist(), has_psum)
     ]
-    return rows, activity
+    return layer_columns, activity
 
 
 def charge_network_os(
     table: LayerTable, designs: Sequence[Design],
 ) -> List[List[List[int]]]:
     """Every layer's output-stationary charges, per design the
-    :func:`_layer_rows`, for several designs of one network in one pass.
+    :func:`_layer_columns`, for several designs of one network in one pass.
 
     A tile of ``height x width`` outputs stays in the PEs while the whole
     reduction streams through: ``ceil(E*F*B / height) * ceil(K / width) *
@@ -340,9 +341,9 @@ def charge_network_os(
     weight_tile = np.minimum(table.reduction, height) * np.minimum(table.filters, width)
     phases = (tiles, tiles * -(-weight_tile // width), (tiles - 1) * rewind,
               np.zeros_like(tiles), tiles * height, tiles * (table.reduction + pe_stages))
-    return _layer_rows(phases, tiles * weight_tile, table.ifmap * batch,
-                       table.ofmap * batch, output_buffer, bytes_per_cycle,
-                       table.macs * batch)
+    return _layer_columns(phases, tiles * weight_tile, table.ifmap * batch,
+                          table.ofmap * batch, output_buffer, bytes_per_cycle,
+                          table.macs * batch)
 
 
 def _dau_cycles(full_tile: np.ndarray, rem_tile: np.ndarray, full_rows: np.ndarray,

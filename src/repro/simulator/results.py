@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List
+from dataclasses import dataclass, field, fields
+from functools import cached_property
+from typing import Dict, List, Tuple
 
 
 @dataclass
@@ -77,36 +78,52 @@ class ActivityTrace:
         self.effective_cycles[unit] = self.effective_cycles.get(unit, 0.0) + cycles
 
 
+#: LayerResult's fields in constructor order: the keys of
+#: :attr:`SimulationResult.columns`, and of a cached entry's ``"layers"``.
+LAYER_FIELDS = tuple(f.name for f in fields(LayerResult))
+
+
 @dataclass
 class SimulationResult:
-    """Whole-network simulation outcome for one design point."""
+    """Whole-network simulation outcome for one design point.
+
+    ``columns`` maps each :data:`LAYER_FIELDS` name to one list with an
+    entry per layer.  ``total_cycles``, ``total_macs``, ``compute_cycles``
+    and ``preparation_cycles`` are summed from them once, at construction,
+    and must come out as exact ints: a ``TypeError`` rejects any other
+    column values.
+    """
 
     design: str
     network: str
     batch: int
     frequency_ghz: float
-    layers: List[LayerResult]
+    columns: Dict[str, List]
     activity: ActivityTrace
 
-    @property
-    def total_cycles(self) -> int:
-        return sum(layer.total_cycles for layer in self.layers)
+    def __post_init__(self) -> None:
+        columns = self.columns
+        self.total_cycles = sum(columns["total_cycles"])
+        self.total_macs = sum(columns["macs"])
+        self.compute_cycles = sum(columns["compute_cycles"])
+        self.preparation_cycles = (
+            sum(columns["weight_load_cycles"]) + sum(columns["ifmap_prep_cycles"])
+            + sum(columns["psum_move_cycles"]) + sum(columns["activation_transfer_cycles"]))
+        if not all(type(total) is int for total in (
+                self.total_cycles, self.total_macs, self.compute_cycles,
+                self.preparation_cycles)):
+            raise TypeError("layer charge columns do not sum to ints")
 
-    @property
-    def total_macs(self) -> int:
-        return sum(layer.macs for layer in self.layers)
-
-    @property
-    def preparation_cycles(self) -> int:
-        return sum(layer.preparation_cycles for layer in self.layers)
-
-    @property
-    def compute_cycles(self) -> int:
-        return sum(layer.compute_cycles for layer in self.layers)
-
-    @property
+    @cached_property
     def memory_stall_cycles(self) -> int:
+        """Summed on first read: it takes a per-layer ``max``; no sweep reads it."""
         return sum(layer.memory_stall_cycles for layer in self.layers)
+
+    @property
+    def layers(self) -> Tuple[LayerResult, ...]:
+        """One :class:`LayerResult` per layer, built afresh on every read:
+        a cached copy would hold every layer twice."""
+        return tuple(map(LayerResult, *(self.columns[name] for name in LAYER_FIELDS)))
 
     @property
     def latency_s(self) -> float:

@@ -451,7 +451,12 @@ def _quarantined(cache):
     return sorted(path.name for path in (cache.root / "quarantine").iterdir())
 
 
-@pytest.mark.parametrize("damage", ["ragged", "missing", "extra"])
+#: Values forged over every ``total_cycles`` entry: a str or None would
+#: break the first read of a total, a float would be served as a wrong rate.
+_FORGED = {"str": "1", "none": None, "float": 1.5}
+
+
+@pytest.mark.parametrize("damage", ["ragged", "missing", "extra", *_FORGED])
 def test_malformed_layer_columns_are_poison(tmp_path, tasks, clean, damage):
     cache = ResultCache(tmp_path / "cache")
     JobRunner(cache=cache).run(tasks)
@@ -462,8 +467,10 @@ def test_malformed_layer_columns_are_poison(tmp_path, tasks, clean, damage):
         columns["macs"].pop()  # zip would drop the last layer silently
     elif damage == "missing":
         del columns["macs"]
-    else:
+    elif damage == "extra":
         columns["bogus"] = list(columns["macs"])
+    else:
+        columns["total_cycles"] = [_FORGED[damage]] * len(columns["total_cycles"])
     cache.put_document(key, document)
 
     runner = JobRunner(cache=cache)

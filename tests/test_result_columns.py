@@ -1,0 +1,136 @@
+"""A result's layer columns, its totals and its ``.layers`` rows agree.
+
+Every constructor of :class:`~repro.simulator.results.SimulationResult`
+is covered: a lone weight-stationary ``simulate``, a ``charge_designs``
+group, the output-stationary ``simulate_os``, the CMOS ``simulate_cmos``,
+and the cache codec's ``result_from_dict``.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from repro.baselines.scalesim import TPU_CORE, simulate_cmos
+from repro.core.designs import baseline, supernpu
+from repro.core.jobs import JobRunner, ResultCache, SimTask, result_from_dict, result_to_dict
+from repro.device.cells import rsfq_library
+from repro.estimator.arch_level import estimate_npu
+from repro.simulator.dataflow_ablation import simulate_os
+from repro.simulator.engine import charge_designs, simulate
+from repro.workloads.models import WORKLOAD_NAMES, by_name
+
+#: sha256 prefixes of ``json.dumps(result_to_dict(run), sort_keys=True)``
+#: per network and constructor, as written before results held columns:
+#: the bytes a cache entry stores must not move.
+GOLDEN_PAYLOADS = {
+    ("AlexNet", "simulate"): "0ca2987ecfda913d",
+    ("AlexNet", "group-baseline"): "8bfbedfd9682d428",
+    ("AlexNet", "group-supernpu"): "40969df7685da4be",
+    ("AlexNet", "dataflow_ablation"): "52e7f638d02d2059",
+    ("AlexNet", "scalesim"): "8413b807bfcd3cd8",
+    ("FasterRCNN", "simulate"): "6b10a08dbb41d775",
+    ("FasterRCNN", "group-baseline"): "bdfa3e785c6bb11f",
+    ("FasterRCNN", "group-supernpu"): "6933e9ab24396349",
+    ("FasterRCNN", "dataflow_ablation"): "11861f3463bf21bb",
+    ("FasterRCNN", "scalesim"): "4355b48d1fee123d",
+    ("GoogLeNet", "simulate"): "d237f372bacce955",
+    ("GoogLeNet", "group-baseline"): "b4f8790da253ea97",
+    ("GoogLeNet", "group-supernpu"): "ca7be5dde1d8733f",
+    ("GoogLeNet", "dataflow_ablation"): "47ac6d01222fccb5",
+    ("GoogLeNet", "scalesim"): "ae0a458b8072850b",
+    ("MobileNet", "simulate"): "9db77b244cfa87c2",
+    ("MobileNet", "group-baseline"): "dfa850ee3859e74f",
+    ("MobileNet", "group-supernpu"): "cf12a3730656b520",
+    ("MobileNet", "dataflow_ablation"): "93bc66156d5bac04",
+    ("MobileNet", "scalesim"): "deb1a0cc5bf3d32b",
+    ("ResNet50", "simulate"): "4c78089616ddfa7f",
+    ("ResNet50", "group-baseline"): "df1086d2e4425e30",
+    ("ResNet50", "group-supernpu"): "452b25b41940927a",
+    ("ResNet50", "dataflow_ablation"): "1e1ddc65096d626c",
+    ("ResNet50", "scalesim"): "32759b94c7b59be0",
+    ("VGG16", "simulate"): "7a4973a5fb240164",
+    ("VGG16", "group-baseline"): "c7211269d0a7b27f",
+    ("VGG16", "group-supernpu"): "4650cb8c25401e82",
+    ("VGG16", "dataflow_ablation"): "476b18ae2c5fb4f6",
+    ("VGG16", "scalesim"): "49aac96e591b63ca",
+}
+
+
+def _results(network):
+    """One result per constructor site, by site name."""
+    library = rsfq_library()
+    configs = [baseline(), supernpu()]
+    estimates = [estimate_npu(config, library) for config in configs]
+    group = charge_designs(configs, network, [1, 7], estimates)
+    return {
+        "simulate": simulate(supernpu(), network, 3, estimate=estimates[1]),
+        "group-baseline": simulate(configs[0], network, 1, estimate=estimates[0],
+                                   charges=group[0]),
+        "group-supernpu": simulate(configs[1], network, 7, estimate=estimates[1],
+                                   charges=group[1]),
+        "dataflow_ablation": simulate_os(supernpu(), network, 2),
+        "scalesim": simulate_cmos(TPU_CORE, network, 4),
+    }
+
+
+def _digest(run):
+    text = json.dumps(result_to_dict(run), sort_keys=True)
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
+
+
+def _assert_agree(run):
+    layers = run.layers
+    assert run.total_cycles == sum(layer.total_cycles for layer in layers)
+    assert run.total_macs == sum(layer.macs for layer in layers)
+    assert run.compute_cycles == sum(layer.compute_cycles for layer in layers)
+    assert run.preparation_cycles == sum(layer.preparation_cycles for layer in layers)
+    assert run.memory_stall_cycles == sum(layer.memory_stall_cycles for layer in layers)
+    assert all(type(total) is int for total in (
+        run.total_cycles, run.total_macs, run.compute_cycles,
+        run.preparation_cycles, run.memory_stall_cycles))
+    # A fresh view per read, equal every time.
+    again = run.layers
+    assert again == layers and again is not layers
+    assert [layer.name for layer in layers] == run.columns["name"]
+
+
+@pytest.mark.parametrize("name", WORKLOAD_NAMES)
+def test_rows_view_and_totals_agree_for_every_constructor(name):
+    network = by_name(name)
+    for site, run in _results(network).items():
+        _assert_agree(run)
+        assert len(run.layers) == len(network.layers)
+        decoded = result_from_dict(result_to_dict(run))
+        assert decoded == run, site
+        _assert_agree(decoded)
+        assert (decoded.total_cycles, decoded.memory_stall_cycles, decoded.mac_per_s) == (
+            run.total_cycles, run.memory_stall_cycles, run.mac_per_s)
+        assert _digest(run) == GOLDEN_PAYLOADS[name, site], site
+
+
+@pytest.mark.parametrize("name", WORKLOAD_NAMES)
+def test_warm_cache_hits_hold_the_cold_rows(tmp_path, name):
+    network = by_name(name)
+    # Two SFQ points of one network are charged as one group; the CMOS
+    # point runs alone.
+    tasks = [SimTask(baseline(), network, 1), SimTask(supernpu(), network, 7),
+             SimTask(TPU_CORE, network, 4)]
+    cold = JobRunner(cache=ResultCache(tmp_path / "cache")).run(tasks)
+    runner = JobRunner(cache=ResultCache(tmp_path / "cache"))
+    warm = runner.run(tasks)
+    assert runner.stats.hits == len(tasks) and runner.stats.executed == 0
+    for hot, fresh in zip(warm, cold):
+        assert hot.layers == fresh.layers
+        assert hot == fresh
+        _assert_agree(hot)
+
+    # The sites without a task kind, through the cache's own round trip.
+    cache = ResultCache(tmp_path / "direct")
+    runs = _results(network)
+    for site, run in runs.items():
+        cache.put(hashlib.sha256(site.encode()).hexdigest(), result_to_dict(run))
+    reopened = ResultCache(tmp_path / "direct")
+    for site, run in runs.items():
+        hit = result_from_dict(reopened.get(hashlib.sha256(site.encode()).hexdigest()))
+        assert hit.layers == run.layers, site

@@ -58,7 +58,7 @@ def reference_run(config, network, batch, frequency_ghz):
             is_last_layer=index == len(network.layers) - 1,
         )
         layers.append(result)
-    return layers, dict(sorted(activity.effective_cycles.items()))
+    return tuple(layers), dict(sorted(activity.effective_cycles.items()))
 
 
 def reference_timeline(config, network, batch, frequency_ghz, layers):
@@ -458,7 +458,7 @@ def os_closed_forms(config, network, batch, frequency_ghz):
             layer.name, tiles, weight_load, ifmap_prep, 0, tiles * height, compute,
             traffic, dram, max(on_chip, dram), layer.macs_per_image * batch))
         resident = output_resident
-    return layers
+    return tuple(layers)
 
 
 @given(st.lists(configs(), min_size=1, max_size=4), networks(), st.data())
@@ -469,14 +469,13 @@ def test_os_pass_equals_its_closed_forms_alone_and_in_a_group(group, network, da
     designs = [(config, batch, memory_model_for(config, frequency), build_datapath(config))
                for config, batch, frequency in zip(group, batches, frequencies)]
     joint = kernel.charge_network_os(network.layer_table, designs)
-    for design, config, batch, frequency, rows in zip(
+    for design, config, batch, frequency, columns in zip(
             designs, group, batches, frequencies, joint):
         run = simulate_os(config, network, batch,
                           estimate=SimpleNamespace(frequency_ghz=frequency))
         expected = os_closed_forms(config, network, batch, frequency)
         assert run.layers == expected
-        assert [LayerResult(name, *row) for name, row in zip(
-            network.layer_table.names, rows)] == expected
+        assert tuple(map(LayerResult, network.layer_table.names, *columns)) == expected
         assert all(type(value) is int
                    for layer in run.layers for value in vars(layer).values()
                    if not isinstance(value, str))

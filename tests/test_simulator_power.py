@@ -77,7 +77,8 @@ def _synthetic_run_and_estimate(baseline_config):
     """
     from repro.estimator.arch_level import NPUEstimate
     from repro.estimator.uarch_level import UnitEstimate
-    from repro.simulator.results import ActivityTrace, LayerResult, SimulationResult
+    from repro.simulator.results import (
+        LAYER_FIELDS, ActivityTrace, LayerResult, SimulationResult)
 
     def unit(name, static_w, clocked_j, wire_j):
         return UnitEstimate(
@@ -110,7 +111,8 @@ def _synthetic_run_and_estimate(baseline_config):
         compute_cycles=50_000, dram_traffic_bytes=0, dram_cycles=0,
         total_cycles=50_000, macs=0,
     )
-    run = SimulationResult("d", "n", 1, 50.0, [layer], activity)
+    columns = {name: [getattr(layer, name)] for name in LAYER_FIELDS}
+    run = SimulationResult("d", "n", 1, 50.0, columns, activity)
     return run, estimate
 
 

@@ -53,9 +53,10 @@ def test_compare_keys(runs):
 
 
 def test_zero_cycle_run_rejected():
-    from repro.simulator.results import ActivityTrace, SimulationResult
+    from repro.simulator.results import LAYER_FIELDS, ActivityTrace, SimulationResult
 
-    empty = SimulationResult("d", "n", 1, 52.6, [], ActivityTrace())
+    columns = {name: [] for name in LAYER_FIELDS}
+    empty = SimulationResult("d", "n", 1, 52.6, columns, ActivityTrace())
     with pytest.raises(ValueError):
         utilization_report(empty)
 
@@ -64,7 +65,7 @@ def test_zero_cycle_run_rejected():
 
 def _run_with_activity(activity, total_cycles=1000):
     """A synthetic run: one layer carrying the cycle total, given activity."""
-    from repro.simulator.results import LayerResult, SimulationResult
+    from repro.simulator.results import LAYER_FIELDS, LayerResult, SimulationResult
 
     layer = LayerResult(
         name="l", mappings=1, weight_load_cycles=0, ifmap_prep_cycles=0,
@@ -72,7 +73,8 @@ def _run_with_activity(activity, total_cycles=1000):
         compute_cycles=total_cycles, dram_traffic_bytes=0, dram_cycles=0,
         total_cycles=total_cycles, macs=0,
     )
-    return SimulationResult("d", "n", 1, 52.6, [layer], activity)
+    columns = {name: [getattr(layer, name)] for name in LAYER_FIELDS}
+    return SimulationResult("d", "n", 1, 52.6, columns, activity)
 
 
 def test_hand_computed_percentages():
