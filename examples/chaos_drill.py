@@ -6,8 +6,8 @@ results every time:
 1. a clean serial baseline;
 2. under SIGKILLed workers — the process pool dies twice and the runner
    degrades to serial execution;
-3. interrupted mid-sweep and resumed from its checkpoint journal,
-   executing only the remaining tasks;
+3. interrupted mid-sweep and resumed from the result cache, which holds
+   every task that finished, executing only the remaining tasks;
 4. against a cache with a poisoned entry, which is quarantined and
    re-simulated.
 
@@ -22,7 +22,7 @@ from pathlib import Path
 from repro import api, obs
 from repro.core.chaos import ANY_TASK, ChaosInjector, FaultSpec, corrupt_cache_entry
 from repro.core.jobs import JobRunner, ResultCache, SimTask
-from repro.core.resilience import NO_RETRY, RetryPolicy, SweepCheckpoint
+from repro.core.resilience import NO_RETRY, RetryPolicy
 from repro.errors import WorkerError
 
 FAST_RETRY = RetryPolicy(max_retries=3, base_delay_s=0.0, jitter=0.0)
@@ -51,21 +51,19 @@ def main() -> int:
         assert runner.stats.degraded == 1, "the pool should have died twice"
         print(f"   {runner.stats.describe()}")
 
-        print("== phase 3: interrupted sweep resumes from its checkpoint")
+        print("== phase 3: interrupted sweep resumes from the cache")
         cache = ResultCache(scratch / "cache")
-        journal = scratch / "sweep.journal"
         chaos = ChaosInjector(scratch / "fatal",
                               {tasks[-1].key(): FaultSpec("exception", times=9)})
         try:
-            JobRunner(jobs=1, cache=cache, checkpoint=SweepCheckpoint(journal),
-                      chaos=chaos, retry=NO_RETRY).run(tasks)
+            JobRunner(jobs=1, cache=cache, chaos=chaos, retry=NO_RETRY).run(tasks)
             raise AssertionError("the injected fault should have interrupted the sweep")
         except WorkerError as error:
             print(f"   interrupted as planned: {error.code}")
-        resumed = JobRunner(jobs=1, cache=cache,
-                            checkpoint=SweepCheckpoint(journal))
+        resumed = JobRunner(jobs=1, cache=cache)
         assert resumed.run(tasks) == clean, "resumed results differ!"
         assert resumed.stats.executed == 1, "resume must only run remaining tasks"
+        assert resumed.stats.hits == 3, "the finished tasks must be cache hits"
         print(f"   {resumed.stats.describe()}")
 
         print("== phase 4: poisoned cache entry is quarantined")
@@ -79,7 +77,7 @@ def main() -> int:
     counters = obs.metrics().snapshot()["counters"]
     print("== resilience counters")
     for name in ("jobs.retries", "jobs.pool_restarts", "jobs.degraded",
-                 "jobs.resumed", "jobs.cache.quarantined"):
+                 "jobs.cache.quarantined"):
         print(f"   {name:24s}: {counters.get(name, 0)}")
     print("chaos drill passed: all recovery paths reproduce the clean run")
     return 0

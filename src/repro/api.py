@@ -290,8 +290,8 @@ def run_plan(plan_or_name: Union[str, ExperimentPlan]) -> ResultSet:
     """Execute a plan (or a registered plan name) through the job engine.
 
     Inherits the ambient runner's cache, parallel fan-out, retry/timeout
-    handling, and checkpoint resume; returns provenance-stamped per-point
-    results.
+    handling, and resume from the cache; returns provenance-stamped
+    per-point results.
     """
     resolved = plan_by_name(plan_or_name) if isinstance(plan_or_name, str) \
         else plan_or_name
@@ -302,8 +302,8 @@ def evaluate_grid(plan_or_name: Union[str, ExperimentPlan]) -> GridEvaluation:
     """Run a plan and return dense, axis-shaped per-grid result arrays.
 
     The lowered design points still execute through the job engine as
-    one deduplicated submission (cache, fan-out, retries, checkpoints
-    all apply); the returned :class:`GridEvaluation` adds the vectorized
+    one deduplicated submission (cache, fan-out, retries and resume all
+    apply); the returned :class:`GridEvaluation` adds the vectorized
     result surface — ``evaluation.grid().array("mac_per_s")`` is the
     whole grid as one numpy array, shaped by the grid's axes, instead of
     a hand-rolled loop over per-point records.

@@ -47,7 +47,8 @@ Commands that fan out many design-point simulations (``simulate``,
 ``evaluate``, ``compare``, ``sweep``, ``reproduce``) accept
 ``--jobs N`` (parallel worker processes; default 1 = serial),
 ``--cache-dir DIR`` (content-addressed on-disk result cache: warm
-re-runs skip simulation entirely), and ``--no-cache``.  ``supernpu
+re-runs skip simulation entirely, and a killed run's finished tasks are
+hits when it is run again), and ``--no-cache``.  ``supernpu
 cache stats|clear --cache-dir DIR`` inspects / empties a cache.
 Parallel and warm-cache results are bitwise-identical to serial cold
 runs.  ``estimate``, ``simulate``, ``evaluate``, ``compare``, ``plan``,
@@ -169,8 +170,8 @@ def _command_session(args: argparse.Namespace):
     Commands with the runner flags (``--no-cache`` among them) get the
     job runner those flags ask for, and ``profile`` a fresh one so its
     span tree always shows the estimator; the rest run on the ambient
-    runner.  With a cache directory, a checkpoint journal lives beside it
-    (``<cache>/checkpoints/<command>.journal``) so a killed run resumes.
+    runner.  With a cache directory, a killed run resumes from the cache:
+    each finished task was written there, so it is a hit on the next run.
     ``--hotspot`` starts the host profiler; ``--trace-out`` /
     ``--metrics-out`` (and ``profile``) switch ``repro.obs`` on.
     Commands only :meth:`_Session.note` their manifest fields.
@@ -183,7 +184,6 @@ def _command_session(args: argparse.Namespace):
     stays one document.
     """
     from contextlib import nullcontext
-    from pathlib import Path
 
     from repro import obs
     from repro.core import jobs
@@ -205,17 +205,12 @@ def _command_session(args: argparse.Namespace):
     runner_session = nullcontext()
     if hasattr(args, "no_cache") or args.command == "profile":
         cache_dir = None if getattr(args, "no_cache", True) else args.cache_dir
-        checkpoint_path = None
-        if cache_dir is not None:
-            checkpoint_path = (Path(cache_dir).expanduser() / "checkpoints"
-                               / f"{args.command}.journal")
         # Live progress goes to stderr only, so sweep stdout (tables, JSON
         # envelopes) stays bitwise-identical with progress on or off.
         runner_session = jobs.session(
             jobs=getattr(args, "jobs", 1), cache_dir=cache_dir,
             retry=RetryPolicy(max_retries=getattr(args, "retries", 2)),
             timeout_s=getattr(args, "task_timeout", None),
-            checkpoint_path=checkpoint_path,
             progress=auto_reporter(getattr(args, "progress", None)))
     try:
         with runner_session as runner:

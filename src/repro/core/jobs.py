@@ -20,10 +20,11 @@ module turns that fan-out into an explicit job layer:
   failures a long sweep actually hits: per-task wall-clock timeouts,
   bounded retry with backoff + jitter for transient worker failures
   (:class:`repro.core.resilience.RetryPolicy`), ``BrokenProcessPool``
-  recovery that re-executes stranded tasks, graceful degradation to
-  serial execution when the pool dies twice, and a
-  :class:`repro.core.resilience.SweepCheckpoint` journal so a killed
-  sweep resumes instead of restarting.
+  recovery that re-executes stranded tasks, and graceful degradation to
+  serial execution when the pool dies twice.  Each task is written to
+  the cache as soon as it completes and every run reads the cache first,
+  so the cache is also the resume record: a killed sweep's finished
+  tasks are hits on the next run.
 
 The payload codec runs only at a boundary.  A cache hit is decoded once;
 a pool worker ships its result as a payload, decoded once in the parent;
@@ -38,8 +39,7 @@ In-process runs charge the pending SFQ tasks that share a network
 together, one (designs x layers) array pass per group
 (:func:`repro.simulator.engine.charge_designs`), when the group's first task
 comes up; each task then builds its own result with one ``simulate`` call.
-Chaos, retries, events, cache writes and the checkpoint journal stay per
-task, in task order.
+Chaos, retries, events and cache writes stay per task, in task order.
 
 Keys are computed once per object, not once per use: configs, networks
 and cell libraries keep their canonical JSON text (:mod:`repro.canonical`)
@@ -56,7 +56,9 @@ a configured one for the calling thread with :func:`use_runner` or :func:`sessio
 Cache and resilience counters are exported through the ``repro.obs``
 metrics registry (``jobs.cache.hits``, ``jobs.cache.misses``,
 ``jobs.sim.executed``, ``jobs.retries``, ``jobs.timeouts``,
-``jobs.degraded``, ``jobs.resumed``, ``jobs.cache.quarantined``, ...).
+``jobs.degraded``, ``jobs.cache.quarantined``, ...).  A pool worker
+returns its task's counters, spans and host profile with the result,
+and the parent folds them in under ``jobs.worker.``.
 """
 
 from __future__ import annotations
@@ -66,7 +68,6 @@ import hashlib
 import json
 import os
 import shutil
-import tempfile
 import threading
 import time
 import weakref
@@ -86,7 +87,7 @@ from repro.components.base import (
     DEFAULT_MEMORY_TECHNOLOGY,
 )
 from repro.core.chaos import ChaosInjector
-from repro.core.resilience import RetryPolicy, SweepCheckpoint
+from repro.core.resilience import RetryPolicy
 from repro.obs.progress import ProgressReporter
 from repro.device.cells import CellLibrary, Technology, library_for, library_text
 from repro.device.cells import library_fingerprint  # noqa: F401 (re-exported for plan)
@@ -715,8 +716,9 @@ class ResultCache:
                           tmp_swept=self._swept)
 
     def clear(self) -> int:
-        """Delete every entry (quarantined and old per-file ones included);
-        returns how many."""
+        """Delete every entry (quarantined and old per-file ones included)
+        and any ``checkpoints/`` journals older versions left; returns how
+        many entries."""
         removed = len(self.keys())
         with self._lock:
             self._forget()
@@ -732,6 +734,7 @@ class ResultCache:
         for bucket in sorted(self.root.glob("??")):
             if bucket.is_dir() and not any(bucket.iterdir()):
                 bucket.rmdir()
+        shutil.rmtree(self.root / "checkpoints", ignore_errors=True)
         return removed
 
 
@@ -830,98 +833,20 @@ class WorkerObsSpec:
 
     Built by the parent from its own live obs state (is tracing on? is a
     hotspot profiler running?) and pickled along with every submitted
-    task.  Workers run a private obs session per task and leave a JSON
-    sidecar in ``sidecar_dir`` keyed by the task's content hash; the
-    parent merges all sidecars after the parallel phase and deletes the
-    directory.  Everything is best-effort: a worker that cannot write
-    its sidecar still returns its result normally.
+    task; None when the parent collects nothing.  Workers run a private
+    obs session per task and return what it collected with the result.
     """
 
-    sidecar_dir: str
     metrics: bool = False
     tracing: bool = False
     hotspot: bool = False
 
-    @property
-    def collects_anything(self) -> bool:
-        return self.metrics or self.tracing or self.hotspot
-
-
-def _write_obs_sidecar(spec: WorkerObsSpec, key: str,
-                       counters: Dict[str, Any],
-                       spans: List[Dict[str, Any]],
-                       profiler: Optional[Any]) -> None:
-    """Atomically write one worker's per-task obs sidecar (best-effort).
-
-    A hotspot profile goes beside it as ``<key>.prof`` (``pstats``
-    format), written first so a sidecar never names a partial one.
-    """
-    try:
-        if profiler is not None:
-            stats = Path(spec.sidecar_dir) / f"{key}.prof"
-            tmp = Path(spec.sidecar_dir) / f"{key}.prof.tmp.{os.getpid()}"
-            profiler.dump_stats(str(tmp))
-            os.replace(tmp, stats)
-        document = {
-            "kind": "worker-obs",
-            "schema": 1,
-            "key": key,
-            "pid": os.getpid(),
-            "counters": counters,
-            "spans": spans,
-        }
-        path = Path(spec.sidecar_dir) / f"{key}.json"
-        tmp = path.with_suffix(f".tmp.{os.getpid()}")
-        tmp.write_text(json.dumps(document), encoding="utf-8")
-        os.replace(tmp, path)
-    except Exception:
-        pass  # observability must never fail the task
-
-
-def _execute_observed(task: SimTask, chaos: Optional[ChaosInjector],
-                      spec: WorkerObsSpec) -> Tuple[SimulationResult, float]:
-    """Run one task under a private worker obs session + sidecar.
-
-    The session is reset before and after, so the sidecar holds exactly
-    this task's spans and counters even when the worker process is
-    reused for many tasks.  The sidecar is written only on success —
-    a retried task contributes once, under its stable content key.
-    """
-    from repro.obs.hotspot import HotspotProfiler
-    from repro.obs.tracing import serialize_spans
-
-    obs.disable()
-    obs.reset()
-    obs.enable(metrics=spec.metrics, tracing=spec.tracing)
-    profiler = None
-    if spec.hotspot:
-        try:
-            profiler = HotspotProfiler().start()
-        except ConfigError:
-            profiler = None  # another profiler runs here: collect nothing
-    try:
-        if chaos is not None:
-            chaos.fire(task.key())
-        run, seconds = _execute(task)
-        snapshot = obs.metrics().snapshot() if spec.metrics else {}
-        spans = serialize_spans(obs.tracer()) if spec.tracing else []
-    finally:
-        if profiler is not None:
-            profiler.stop()
-        obs.disable()
-        obs.reset()
-    _write_obs_sidecar(spec, task.key(), snapshot.get("counters", {}), spans, profiler)
-    return run, seconds
-
 
 def _execute_task(task: SimTask,
                   chaos: Optional[ChaosInjector] = None,
-                  obs_spec: Optional[WorkerObsSpec] = None,
                   charges: Optional[DesignCharges] = None,
                   ) -> Tuple[SimulationResult, float]:
     """Optional chaos, then the simulation, in this process."""
-    if obs_spec is not None and obs_spec.collects_anything:
-        return _execute_observed(task, chaos, obs_spec)
     if chaos is not None:
         chaos.fire(task.key())
     return _execute(task, charges)
@@ -930,11 +855,67 @@ def _execute_task(task: SimTask,
 def _execute_remote(task: SimTask,
                     chaos: Optional[ChaosInjector] = None,
                     obs_spec: Optional[WorkerObsSpec] = None,
-                    ) -> Tuple[Dict[str, Any], float]:
-    """The unit submitted to pool workers: the result crosses the process
-    boundary as its serialized payload."""
-    run, seconds = _execute_task(task, chaos, obs_spec)
-    return result_to_dict(run), seconds
+                    ) -> Tuple[Dict[str, Any], float, Optional[Dict[str, Any]]]:
+    """The unit submitted to pool workers: ``(payload, seconds,
+    telemetry)``, the result crossing the process boundary as its
+    serialized payload.
+
+    ``telemetry`` is None when ``obs_spec`` is.  Otherwise the task runs
+    under a private obs session, reset before and after, so the telemetry
+    ``{pid, counters, spans, profile}`` holds exactly this task's
+    counters, spans and raw ``pstats`` table (None without a profiler),
+    even when the worker process is reused for many tasks.  A failed
+    attempt raises and returns none.
+    """
+    if obs_spec is None:
+        run, seconds = _execute_task(task, chaos)
+        return result_to_dict(run), seconds, None
+    from repro.obs.hotspot import HotspotProfiler
+    from repro.obs.tracing import serialize_spans
+
+    obs.disable()
+    obs.reset()
+    obs.enable(metrics=obs_spec.metrics, tracing=obs_spec.tracing)
+    profiler = None
+    if obs_spec.hotspot:
+        try:
+            profiler = HotspotProfiler().start()
+        except ConfigError:
+            profiler = None  # another profiler runs here: collect nothing
+    try:
+        run, seconds = _execute_task(task, chaos)
+        counters = obs.metrics().snapshot()["counters"] if obs_spec.metrics else {}
+        spans = serialize_spans(obs.tracer()) if obs_spec.tracing else []
+    finally:
+        if profiler is not None:
+            profiler.stop()
+        obs.disable()
+        obs.reset()
+    return result_to_dict(run), seconds, {
+        "pid": os.getpid(),
+        "counters": counters,
+        "spans": spans,
+        "profile": profiler.stats_table() if profiler is not None else None,
+    }
+
+
+def _fold_telemetry(telemetry: Dict[str, Any], pids: Set[int]) -> None:
+    """Fold one finished task's worker telemetry into the parent obs
+    state: counters under ``jobs.worker.`` (apart from the parent's own),
+    spans into a per-PID lane of the Chrome trace, the profile into the
+    active profiler.  ``pids`` collects the workers seen so far."""
+    from repro.obs import hotspot
+
+    pid = telemetry["pid"]
+    for name, value in telemetry["counters"].items():
+        obs.counter(f"jobs.worker.{name}").add(value)
+    if telemetry["spans"]:
+        obs.tracer().absorb_serialized(telemetry["spans"], pid=pid)
+    if telemetry["profile"] is not None:
+        hotspot.absorb(telemetry["profile"])
+    pids.add(pid)
+    obs.counter("jobs.worker.tasks").inc()
+    obs.gauge("jobs.worker.pids").set(len(pids))
 
 
 # -- the runner ------------------------------------------------------------
@@ -951,7 +932,6 @@ class RunnerStats:
     timeouts: int = 0
     pool_restarts: int = 0
     degraded: int = 0
-    resumed: int = 0
     task_seconds: float = 0.0
     elapsed_seconds: float = 0.0
 
@@ -975,8 +955,6 @@ class RunnerStats:
             line += f", {self.retries} retries"
         if self.timeouts:
             line += f", {self.timeouts} timeouts"
-        if self.resumed:
-            line += f", {self.resumed} resumed from checkpoint"
         if self.degraded:
             line += " [degraded to serial]"
         return line
@@ -1001,15 +979,14 @@ class JobRunner:
     * a broken pool (e.g. a SIGKILLed worker) is rebuilt once; if the
       pool dies a second time the runner degrades to serial execution and
       finishes the sweep in-process (``jobs.degraded``);
-    * completed tasks are written to the cache and the ``checkpoint``
-      journal *immediately*, so a killed run resumes from where it died
-      (``jobs.resumed`` counts journaled tasks served from cache).
+    * completed tasks are written to the cache *immediately*, and every
+      run reads the cache first, so a killed run resumes from where it
+      died: its finished tasks are cache hits.
     """
 
     def __init__(self, jobs: int = 1, cache: Optional[ResultCache] = None,
                  retry: Optional[RetryPolicy] = None,
                  timeout_s: Optional[float] = None,
-                 checkpoint: Optional[SweepCheckpoint] = None,
                  chaos: Optional[ChaosInjector] = None,
                  progress: Optional[ProgressReporter] = None) -> None:
         if jobs < 1:
@@ -1022,7 +999,6 @@ class JobRunner:
         self.cache = cache
         self.retry = retry if retry is not None else RetryPolicy()
         self.timeout_s = timeout_s
-        self.checkpoint = checkpoint
         self.chaos = chaos
         self.progress = progress
         self.stats = RunnerStats()
@@ -1048,7 +1024,6 @@ class JobRunner:
         results: List[Optional[SimulationResult]] = [None] * len(tasks)
         cached = [False] * len(tasks)
         pending: List[int] = []
-        resumed = 0
         try:
             for index, key in enumerate(keys):
                 result = self._cached(key, result_from_dict)
@@ -1059,8 +1034,6 @@ class JobRunner:
                 results[index] = result
                 cached[index] = True
                 self._emit("cached", key)
-                if self.checkpoint is not None and key in self.checkpoint:
-                    resumed += 1
             hits = len(tasks) - len(pending)
 
             task_seconds = 0.0
@@ -1077,7 +1050,7 @@ class JobRunner:
                 self.progress.done()
 
         elapsed = time.perf_counter() - started
-        self._account(len(tasks), hits, len(pending), task_seconds, elapsed, resumed)
+        self._account(len(tasks), hits, len(pending), task_seconds, elapsed)
         return RunResults(results, cached)
 
     def run_one(self, task: SimTask) -> SimulationResult:
@@ -1104,7 +1077,7 @@ class JobRunner:
                      result: SimulationResult,
                      results: List[Optional[SimulationResult]],
                      payload: Optional[Dict[str, Any]] = None) -> None:
-        """Record one completed task: result slot, cache, journal.
+        """Record one completed task: result slot, cache.
 
         ``payload`` is the serialized result when it already exists (a
         pool worker shipped it); otherwise it is encoded here, and only
@@ -1115,8 +1088,6 @@ class JobRunner:
             kind = "simulate_cmos" if task.is_cmos else "simulate"
             self.cache.put(key, payload if payload is not None else result_to_dict(result),
                            kind=kind)
-        if self.checkpoint is not None:
-            self.checkpoint.mark(key)
 
     # -- serial execution (also the degraded path) --------------------
     def _run_serial(self, tasks: Sequence[SimTask], keys: List[str],
@@ -1127,8 +1098,8 @@ class JobRunner:
         SFQ tasks that share a network are charged together
         (:func:`_group_leaders`), when the group's first task comes up.
         Each task then fires its own chaos under the retry policy, builds
-        its own result, emits its own events and is cached and journaled
-        on its own, as if run alone.
+        its own result, emits its own events and is cached on its own, as
+        if run alone.
         """
         leaders = _group_leaders(tasks, [index for index, _ in pending])
         charged: Dict[int, DesignCharges] = {}
@@ -1176,6 +1147,7 @@ class JobRunner:
         queue: Deque[Tuple[int, int]] = deque((index, 0) for index in pending)
         remaining = len(pending)
         obs_spec = self._worker_obs_spec()
+        worker_pids: Set[int] = set()
         pool: Optional[ProcessPoolExecutor] = ProcessPoolExecutor(max_workers=workers)
         pool_deaths = 0
         inflight: Dict[Future, Tuple[int, int, Optional[float]]] = {}
@@ -1209,7 +1181,7 @@ class JobRunner:
                 for future in done:
                     index, failures, _ = inflight.pop(future)
                     try:
-                        payload, seconds = future.result()
+                        payload, seconds, telemetry = future.result()
                     except BrokenExecutor:
                         # The pool died under this task (SIGKILLed worker,
                         # OOM-killed child, ...).  The task is stranded, not
@@ -1238,6 +1210,8 @@ class JobRunner:
                         self._finish_task(index, keys[index], tasks[index],
                                           result_from_dict(payload), results,
                                           payload=payload)
+                        if telemetry is not None:
+                            _fold_telemetry(telemetry, worker_pids)
                         self._emit("finished", keys[index])
                         remaining -= 1
 
@@ -1289,71 +1263,19 @@ class JobRunner:
         finally:
             if pool is not None:
                 pool.shutdown(wait=True)
-            self._merge_worker_obs(obs_spec)
         return total_seconds
 
     # -- worker observability ------------------------------------------
     @staticmethod
-    def _worker_obs_spec() -> Optional["WorkerObsSpec"]:
-        """A spec mirroring the parent's live obs state, or None when off.
+    def _worker_obs_spec() -> Optional[WorkerObsSpec]:
+        """A spec mirroring the parent's live obs state, or None when off
+        (the common case), which keeps the worker path allocation-free."""
+        from repro.obs import hotspot
 
-        None (the common case) keeps the worker path allocation-free;
-        otherwise a fresh sidecar directory is created for this parallel
-        phase and torn down by :meth:`_merge_worker_obs`.
-        """
-        from repro.obs import hotspot as hotspot_mod
-
-        want_hotspot = hotspot_mod.active_profiler() is not None
-        want_metrics = obs.metrics().enabled
-        want_tracing = obs.tracer().enabled
-        if not (want_metrics or want_tracing or want_hotspot):
-            return None
-        sidecar_dir = tempfile.mkdtemp(prefix="supernpu-worker-obs-")
-        return WorkerObsSpec(
-            sidecar_dir=sidecar_dir,
-            metrics=want_metrics,
-            tracing=want_tracing,
-            hotspot=want_hotspot,
-        )
-
-    def _merge_worker_obs(self, spec: Optional["WorkerObsSpec"]) -> None:
-        """Fold every worker sidecar into the parent obs state.
-
-        Counters come back prefixed ``jobs.worker.`` (so parent-side and
-        worker-side accounting stay distinguishable), spans land in a
-        per-PID lane of the parent's Chrome trace, and hotspot stats
-        fold into the active profiler.  Unreadable sidecars are skipped;
-        the sidecar directory is always removed.
-        """
-        if spec is None:
-            return
-        from repro.obs import hotspot as hotspot_mod
-
-        sidecar_dir = Path(spec.sidecar_dir)
-        try:
-            merged = 0
-            pids = set()
-            for path in sorted(sidecar_dir.glob("*.json")):
-                try:
-                    document = json.loads(path.read_text(encoding="utf-8"))
-                except (OSError, ValueError):
-                    continue
-                if not isinstance(document, dict) or document.get("kind") != "worker-obs":
-                    continue
-                pid = int(document.get("pid", 0))
-                pids.add(pid)
-                merged += 1
-                for name, value in (document.get("counters") or {}).items():
-                    obs.counter(f"jobs.worker.{name}").add(value)
-                spans = document.get("spans") or []
-                if spans:
-                    obs.tracer().absorb_serialized(spans, pid=pid)
-                hotspot_mod.absorb(path.with_suffix(".prof"))
-            if merged:
-                obs.counter("jobs.worker.sidecars").add(merged)
-                obs.gauge("jobs.worker.pids").set(len(pids))
-        finally:
-            shutil.rmtree(sidecar_dir, ignore_errors=True)
+        spec = WorkerObsSpec(metrics=obs.metrics().enabled,
+                             tracing=obs.tracer().enabled,
+                             hotspot=hotspot.active_profiler() is not None)
+        return spec if spec.metrics or spec.tracing or spec.hotspot else None
 
     def _wait_timeout(self, inflight: Dict[Future, Tuple[int, int, Optional[float]]]
                       ) -> Optional[float]:
@@ -1409,20 +1331,17 @@ class JobRunner:
 
     # -- accounting ---------------------------------------------------
     def _account(self, tasks: int, hits: int, executed: int,
-                 task_seconds: float, elapsed: float, resumed: int = 0) -> None:
+                 task_seconds: float, elapsed: float) -> None:
         self.stats.tasks += tasks
         self.stats.hits += hits
         self.stats.misses += executed
         self.stats.executed += executed
-        self.stats.resumed += resumed
         self.stats.task_seconds += task_seconds
         self.stats.elapsed_seconds += elapsed
         obs.counter("jobs.tasks").add(tasks)
         obs.counter("jobs.cache.hits").add(hits)
         obs.counter("jobs.cache.misses").add(executed)
         obs.counter("jobs.sim.executed").add(executed)
-        if resumed:
-            obs.counter("jobs.resumed").add(resumed)
         obs.gauge("jobs.workers").set(self.jobs)
         obs.histogram("jobs.batch_seconds").observe(elapsed)
         if executed and elapsed > 0:
@@ -1466,29 +1385,17 @@ def session(jobs: int = 1, cache_dir: Optional[Union[str, Path]] = None,
             cache: Optional[ResultCache] = None,
             retry: Optional[RetryPolicy] = None,
             timeout_s: Optional[float] = None,
-            checkpoint: Optional[SweepCheckpoint] = None,
-            checkpoint_path: Optional[Union[str, Path]] = None,
             chaos: Optional[ChaosInjector] = None,
             progress: Optional[ProgressReporter] = None) -> Iterator[JobRunner]:
-    """Build a runner from knobs and install it (the CLI's entry point).
-
-    A checkpoint journal given here is cleared when the block ran tasks
-    and exits cleanly (the sweep finished; nothing to resume) and kept
-    when the block raises, ran nothing, or the process dies (the next
-    session resumes from it).
-    """
+    """Build a runner from knobs and install it (the CLI's entry point)."""
     owned = None
     if cache is None and cache_dir is not None:
         cache = owned = ResultCache(cache_dir)
-    if checkpoint is None and checkpoint_path is not None:
-        checkpoint = SweepCheckpoint(checkpoint_path)
     runner = JobRunner(jobs=jobs, cache=cache, retry=retry, timeout_s=timeout_s,
-                       checkpoint=checkpoint, chaos=chaos, progress=progress)
+                       chaos=chaos, progress=progress)
     try:
         with use_runner(runner):
             yield runner
     finally:
         if owned is not None:
             owned.close()
-    if checkpoint is not None and runner.stats.tasks:
-        checkpoint.clear()

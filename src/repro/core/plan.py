@@ -21,7 +21,7 @@ hand-rolling that loop, a driver now declares the grid:
   :class:`~repro.core.jobs.SimTask`\\ s;
 * :func:`execute` — runs a lowered plan through the ambient (or given)
   :class:`~repro.core.jobs.JobRunner`, inheriting the cache, parallel
-  fan-out, retry/timeout handling, and ``SweepCheckpoint`` resume for
+  fan-out, retry/timeout handling, and resume from the cache for
   free, and returns a :class:`ResultSet` of provenance-stamped
   :class:`PlanResult` records;
 * :func:`evaluate_grid` — :func:`execute` plus a dense axis-shaped
@@ -619,7 +619,7 @@ def execute(plan: ExperimentPlan) -> ResultSet:
 
     Unique simulation tasks go to the runner as one list (so ``jobs > 1``
     fans the entire plan out at once and every point is individually
-    cached / checkpointed); estimate points resolve through
+    cached); estimate points resolve through
     ``runner.estimate``.  Returns provenance-stamped per-point results in
     lowering order.
     """
@@ -778,7 +778,7 @@ def evaluate_grid(plan: ExperimentPlan) -> GridEvaluation:
 
     The whole plan still goes through :func:`execute` as one deduplicated
     submission (per-point caching, parallel fan-out, retries, and
-    checkpoint resume all apply unchanged); what this adds is the dense
+    resume from the cache all apply unchanged); what this adds is the dense
     grid-shaped result surface — ``evaluation.grid().array("mac_per_s")``
     instead of a hand-rolled loop over :meth:`ResultSet.select`.
     """

@@ -1,35 +1,22 @@
 """Fault-tolerance primitives for the job layer.
 
-Two pieces, both consumed by :class:`repro.core.jobs.JobRunner`:
+:class:`RetryPolicy`, consumed by :class:`repro.core.jobs.JobRunner`, is
+bounded retry with exponential backoff and jitter for *transient* task
+failures (a crashed worker, a chaos injection, an OS hiccup).
+Deterministic failures — anything in the :mod:`repro.errors` taxonomy —
+are never retried: a bad config fails the same way every time.
 
-* :class:`RetryPolicy` — bounded retry with exponential backoff and
-  jitter for *transient* task failures (a crashed worker, a chaos
-  injection, an OS hiccup).  Deterministic failures — anything in the
-  :mod:`repro.errors` taxonomy — are never retried: a bad config fails
-  the same way every time.
-* :class:`SweepCheckpoint` — an append-only journal of completed task
-  keys kept beside the result cache.  A killed ``evaluate`` / ``sweep``
-  / ``reproduce`` run leaves its journal behind; the next run with the
-  same checkpoint resumes, executing only the remaining tasks, and a
-  run that completes cleanly clears it.
-
-The journal stores only 64-hex-char content keys (one per line), so a
-writer killed mid-line can at worst leave one unparseable line, which
-is dropped on load — resume is conservative, never wrong.
+A killed sweep needs no journal to resume: the runner writes each task
+to the result cache as it completes and reads the cache before running
+anything, so the finished tasks are hits on the next run.
 """
 
 from __future__ import annotations
 
-import os
 import random
-import string
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Set, Union
 
 from repro.errors import ConfigError
-
-_HEX = set(string.hexdigits.lower())
 
 
 @dataclass(frozen=True)
@@ -69,59 +56,3 @@ class RetryPolicy:
 
 #: Fail-fast policy (no retries, no sleeping) for tests and strict runs.
 NO_RETRY = RetryPolicy(max_retries=0, base_delay_s=0.0, jitter=0.0)
-
-
-class SweepCheckpoint:
-    """Append-only journal of completed task keys (one 64-hex key per line).
-
-    The journal lives beside the cache (``<cache>/checkpoints/<name>.journal``
-    by CLI convention) and is crash-safe by construction: ``mark`` appends
-    a single line and flushes, loading drops anything that is not a whole
-    content key, and a load of a file missing its trailing newline repairs
-    it before the next append so a killed writer cannot splice two keys.
-    """
-
-    def __init__(self, path: Union[str, Path]) -> None:
-        self.path = Path(path).expanduser()
-        self.completed: Set[str] = set()
-        self._needs_newline = False
-        try:
-            text = self.path.read_text(encoding="utf-8")
-        except FileNotFoundError:
-            return
-        except OSError:
-            return
-        self._needs_newline = bool(text) and not text.endswith("\n")
-        for line in text.splitlines():
-            key = line.strip()
-            if len(key) == 64 and set(key) <= _HEX:
-                self.completed.add(key)
-
-    def __contains__(self, key: str) -> bool:
-        return key in self.completed
-
-    def __len__(self) -> int:
-        return len(self.completed)
-
-    def mark(self, key: str) -> None:
-        """Record one completed task (idempotent, flushed immediately)."""
-        if key in self.completed:
-            return
-        self.completed.add(key)
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        with open(self.path, "a", encoding="utf-8") as journal:
-            if self._needs_newline:
-                journal.write("\n")
-                self._needs_newline = False
-            journal.write(key + "\n")
-            journal.flush()
-            os.fsync(journal.fileno())
-
-    def clear(self) -> None:
-        """Forget everything — the sweep completed, no resume needed."""
-        self.completed.clear()
-        self._needs_newline = False
-        try:
-            self.path.unlink()
-        except FileNotFoundError:
-            pass

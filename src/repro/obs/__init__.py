@@ -32,9 +32,9 @@ PR 6 adds the cross-run trajectory on top of the in-run runtime:
 Host-time hotspot profiling (:mod:`repro.obs.hotspot`) runs stdlib
 ``cProfile``, with collapsed caller→callee export and a report that
 joins per-function self-time with the simulated-cycle phase attribution.
-Worker processes spawned by :mod:`repro.core.jobs` write their own
-spans / counters / ``pstats`` into per-task sidecars that the parent
-merges: one Chrome trace with one lane per worker PID, one profile.
+Worker processes spawned by :mod:`repro.core.jobs` return each task's
+spans / counters / ``pstats`` table with its result and the parent
+merges them: one Chrome trace with one lane per worker PID, one profile.
 """
 
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry

@@ -13,8 +13,8 @@ functions in a top-N terminal report, exports the edges as two-frame
 collapsed stacks (``flamegraph.pl`` format), and joins with the
 cycle-domain attribution of ``repro.simulator.attribution``, so each
 simulated phase (compute / preparation / dram) maps to the host frames
-that model it.  Pool workers dump their ``pstats`` beside their obs
-sidecar and the parent folds them in (see ``repro.core.jobs``).
+that model it.  Pool workers return their raw ``pstats`` table with each
+task's result and the parent folds it in (see ``repro.core.jobs``).
 
 ``cProfile`` and ``pstats`` are imported only when a profiler starts,
 so importing ``repro`` does not pay for them.
@@ -366,6 +366,10 @@ class HotspotProfiler:
         """Write the stopped profile's raw ``pstats`` table to ``path``."""
         self._stats.dump_stats(path)
 
+    def stats_table(self) -> Dict[Any, Any]:
+        """The stopped profile's raw ``pstats`` table, a picklable dict."""
+        return self._stats.stats
+
     def __enter__(self) -> "HotspotProfiler":
         return self.start()
 
@@ -399,13 +403,13 @@ def active_profiler() -> Optional[HotspotProfiler]:
     return _active
 
 
-def absorb(path: Any) -> bool:
-    """Fold a worker's :meth:`HotspotProfiler.dump_stats` file into the
-    active profiler.
+def absorb(source: Any) -> bool:
+    """Fold a worker's profile into the active profiler: a
+    :meth:`HotspotProfiler.stats_table` dict, or the path of a
+    :meth:`HotspotProfiler.dump_stats` file.
 
-    Returns False (and drops the file's data) when no profiler is
-    running or the file is missing or unreadable — worker stats are
-    best-effort.
+    Returns False (and drops the data) when no profiler is running or
+    the file is missing or unreadable — worker stats are best-effort.
     """
     if _active is None:
         return False
@@ -413,7 +417,12 @@ def absorb(path: Any) -> bool:
 
     try:
         # pstats reports bad data on its stream: keep stdout clean.
-        stats = pstats.Stats(str(path), stream=sys.stderr)
+        if isinstance(source, dict):
+            stats = pstats.Stats(stream=sys.stderr)
+            stats.stats = source
+            stats.get_top_level_stats()
+        else:
+            stats = pstats.Stats(str(source), stream=sys.stderr)
     except (OSError, EOFError, ValueError, TypeError, AttributeError):
         return False
     _active._stats.add(stats)

@@ -175,7 +175,7 @@ class Tracer:
             return
         # Keep raw unix stamps; ts conversion happens at export time,
         # anchored at the earliest event across *all* processes — batches
-        # arrive in sidecar-hash order, not chronological order, so no
+        # arrive in task-completion order, not chronological order, so no
         # single batch can safely fix the anchor.
         first = min(span["start_unix"] for span in spans)
         if self._foreign_min_unix is None or first < self._foreign_min_unix:
@@ -312,8 +312,9 @@ def serialize_spans(tracer: Tracer) -> List[Dict[str, Any]]:
     """Serialize a tracer's span forest with **unix** timestamps.
 
     ``perf_counter`` epochs are per-process, so spans shipped across a
-    process boundary (worker → parent sidecar) carry unix times instead;
-    :meth:`Tracer.absorb_serialized` re-anchors them on the other side.
+    process boundary (worker → parent, with the task's result) carry unix
+    times instead; :meth:`Tracer.absorb_serialized` re-anchors them on
+    the other side.
     """
     offset = time.time() - time.perf_counter()
 

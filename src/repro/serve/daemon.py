@@ -11,9 +11,9 @@ Request lifecycle (one connection per request, ``Connection: close``)::
 
 The deadline uses ``wait_for(shield(...))``: a timed-out waiter is
 cut loose with a 504 while the leader's computation runs to completion
-into the shared cache — which is exactly what keeps the cache and any
-checkpoint journal consistent under cancellation (writes are atomic and
-always finish; only the *response* is abandoned).
+into the shared cache — which is exactly what keeps the cache
+consistent under cancellation (writes are atomic and always finish; only
+the *response* is abandoned).
 
 SIGTERM flips the admission controller to draining (new work is shed
 with 503 + ``Retry-After``), closes the listener, waits for in-flight

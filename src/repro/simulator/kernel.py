@@ -68,7 +68,7 @@ def _overflow(batch: int, bound: float) -> SimulationError:
         "cycle charges could reach 2**53, where int64/float64 arithmetic "
         "stops being exact",
         code="simulation.charge_overflow", batch=batch, bound=bound,
-        hint="simulate a smaller batch or smaller layers",
+        hint="simulate a smaller batch, smaller layers or a smaller array",
     )
 
 
@@ -168,14 +168,17 @@ def _design_columns(table: LayerTable, designs: Sequence[Design], bounds):
     Returns eleven int64 columns (from one ``np.array`` call), the float64
     DRAM bytes per cycle, and whether each design has a psum buffer.
     Checks every design against :data:`EXACT_LIMIT` first, in Python ints,
-    with the pass's ``bounds`` (:func:`_ws_bounds` or :func:`_os_bounds`).
+    with the pass's ``bounds`` (:func:`_ws_bounds` or :func:`_os_bounds`)
+    and the config-term products the WS pass takes in int64.
     """
     rows = []
     per_cycle = []
     has_psum = []
     for config, batch, memory, datapath in designs:
         on_chip, traffic_bytes = bounds(table, batch, config, datapath)
-        bound = max(on_chip, traffic_bytes / memory.bytes_per_cycle + 1)
+        bound = max(on_chip, traffic_bytes / memory.bytes_per_cycle + 1,
+                    config.pe_array_width * config.registers_per_pe,
+                    config.pe_array_height * config.ifmap_division)
         if bound >= EXACT_LIMIT:
             raise _overflow(batch, bound)
 

@@ -154,6 +154,20 @@ def test_cache_stats_and_clear(tmp_path):
     assert cache.stats().entries == 0
 
 
+def test_cache_clear_removes_old_resume_journals(tmp_path, capsys):
+    from repro.cli import main
+
+    # Older versions journaled each CLI command under <cache>/checkpoints/.
+    root = tmp_path / "c"
+    ResultCache(root).put("11" * 32, {"a": 1})
+    (root / "checkpoints").mkdir()
+    (root / "checkpoints" / "evaluate.journal").write_text("11" * 32 + "\n")
+    assert main(["cache", "clear", "--cache-dir", str(root)]) == 0
+    assert "removed 1 entries" in capsys.readouterr().out
+    assert not (root / "checkpoints").exists()
+    assert ResultCache(root).keys() == []
+
+
 def test_cache_stats_count_damaged_records_as_corrupt(tmp_path):
     cache = ResultCache(tmp_path / "c")
     cache.put("11" * 32, {"a": 1}, kind="simulate")

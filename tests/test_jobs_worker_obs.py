@@ -1,10 +1,10 @@
-"""Cross-process worker observability: sidecar capture + parent merge.
+"""Cross-process worker observability: per-task capture + parent merge.
 
 The guarantee under test: running a sweep with ``--jobs N`` loses no
-telemetry relative to a serial run.  Worker processes write their
-counters / spans / hotspot stats into per-task sidecars; the parent
-merges them under the ``jobs.worker.`` prefix and into one Chrome trace
-with one lane per worker PID.
+telemetry relative to a serial run.  Worker processes return each task's
+counters / spans / hotspot stats with its result; the parent merges them
+under the ``jobs.worker.`` prefix and into one Chrome trace with one
+lane per worker PID.
 """
 
 from __future__ import annotations
@@ -45,7 +45,23 @@ def test_parallel_worker_counters_match_serial_totals(
     assert [r.total_cycles for r in parallel_results] == \
         [r.total_cycles for r in serial_results]
     assert _worker_counters(snapshot) == serial
-    assert snapshot["counters"]["jobs.worker.sidecars"] == 3
+    assert snapshot["counters"]["jobs.worker.tasks"] == 3
+
+
+def test_duplicate_tasks_lose_no_worker_counters(
+        obs_enabled, supernpu_config, tiny_network, rsfq):
+    # Three copies of one task share a key; each run still counts.
+    t, u = _tasks(supernpu_config, tiny_network, rsfq, batches=(1, 2))
+    JobRunner().run([t, t, t, u])
+    serial = _sim_counters(obs_enabled.metrics().snapshot())
+    assert serial["sim.runs"] == 4
+
+    obs_enabled.reset()
+    obs_enabled.enable()
+    JobRunner(jobs=2).run([t, t, t, u])
+    snapshot = obs_enabled.metrics().snapshot()
+    assert _worker_counters(snapshot) == serial
+    assert snapshot["counters"]["jobs.worker.tasks"] == 4
 
 
 def test_merged_trace_has_one_lane_per_worker_pid(
@@ -114,8 +130,8 @@ def test_worker_hotspot_samples_reach_parent_profiler(
 
 def test_retried_tasks_contribute_sidecars_once(
         obs_enabled, supernpu_config, tiny_network, rsfq):
-    # Sidecars are keyed by the task's content hash, so re-running the
-    # same tasks merges fresh sidecars each run (same totals twice).
+    # Each finished task returns its telemetry once, so re-running the
+    # same tasks adds the same totals again.
     tasks = _tasks(supernpu_config, tiny_network, rsfq, batches=(1, 2))
     JobRunner(jobs=2).run(tasks)
     first = _worker_counters(obs_enabled.metrics().snapshot())
@@ -124,32 +140,3 @@ def test_retried_tasks_contribute_sidecars_once(
     assert first
     assert second == {name: 2 * value for name, value in first.items()}
 
-
-def test_unreadable_worker_stats_are_skipped(tmp_path, obs_enabled):
-    from repro.core.jobs import WorkerObsSpec
-    from repro.obs.hotspot import HotspotProfiler
-
-    def leaf():
-        return sum(range(10))
-
-    donor = HotspotProfiler()
-    with donor:
-        leaf()
-    sidecars = tmp_path / "sidecars"
-    sidecars.mkdir()
-    for key, stats in (("good", None), ("bad", b"\xff\xfe garbage")):
-        (sidecars / f"{key}.json").write_text(json.dumps(
-            {"kind": "worker-obs", "pid": 7, "counters": {"sim.layers": 1},
-             "spans": []}), encoding="utf-8")
-        if stats is None:
-            donor.dump_stats(str(sidecars / f"{key}.prof"))
-        else:
-            (sidecars / f"{key}.prof").write_bytes(stats)
-
-    with HotspotProfiler() as profiler:
-        JobRunner()._merge_worker_obs(WorkerObsSpec(str(sidecars), hotspot=True))
-    assert not sidecars.exists()
-    snapshot = obs_enabled.metrics().snapshot()
-    assert snapshot["counters"]["jobs.worker.sidecars"] == 2
-    assert snapshot["counters"]["jobs.worker.sim.layers"] == 2
-    assert any(key[0] == "leaf" for key in profiler.profile.calls)

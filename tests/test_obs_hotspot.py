@@ -170,7 +170,7 @@ def test_merge_adds_counts_and_seconds(tmp_path):
     try:
         _workload()
         assert absorb(dump) is True
-        assert absorb(dump) is True
+        assert absorb(donor.stats_table()) is True  # a table folds like its file
     finally:
         profile = profiler.stop()
     assert _calls_by_name(profile)["_leaf"] == 30

@@ -1,8 +1,8 @@
 """The chaos suite: every recovery path must reproduce the clean serial run.
 
 Exercises the resilient execution layer end to end — the error taxonomy,
-retry/timeout/degradation in :class:`repro.core.jobs.JobRunner`, sweep
-checkpointing, and cache quarantine — under failures injected by
+retry/timeout/degradation in :class:`repro.core.jobs.JobRunner`, resuming
+a killed sweep from the cache, and cache quarantine — under failures injected by
 :mod:`repro.core.chaos` (worker exceptions, hangs, SIGKILLed workers,
 corrupted cache entries).  The invariant throughout: recovered results
 are *equal* to a clean serial run's, and an interrupted sweep resumes
@@ -24,7 +24,7 @@ from repro.core.chaos import (
     corrupt_cache_entry,
 )
 from repro.core.jobs import JobRunner, ResultCache, SimTask, estimate_key, session
-from repro.core.resilience import NO_RETRY, RetryPolicy, SweepCheckpoint
+from repro.core.resilience import NO_RETRY, RetryPolicy
 from repro.device.cells import Technology, library_for
 from repro.errors import (
     CacheError,
@@ -101,7 +101,7 @@ def test_raise_sites_speak_taxonomy():
         api.design("supernpu").with_updates(pe_array_width=0)
 
 
-# -- retry policy and checkpoint primitives -------------------------------
+# -- retry policy ---------------------------------------------------------
 
 def test_retry_policy_backoff_is_bounded():
     policy = RetryPolicy(max_retries=5, base_delay_s=0.1, max_delay_s=0.5, jitter=0.0)
@@ -142,30 +142,6 @@ def test_retry_policy_validation():
         RetryPolicy(max_retries=-1)
     with pytest.raises(ConfigError):
         RetryPolicy(jitter=2.0)
-
-
-def test_checkpoint_round_trip(tmp_path):
-    journal = tmp_path / "sweep.journal"
-    ckpt = SweepCheckpoint(journal)
-    keys = ["ab" * 32, "cd" * 32]
-    for key in keys:
-        ckpt.mark(key)
-    ckpt.mark(keys[0])  # idempotent
-    reloaded = SweepCheckpoint(journal)
-    assert len(reloaded) == 2 and all(k in reloaded for k in keys)
-    reloaded.clear()
-    assert not journal.exists() and len(SweepCheckpoint(journal)) == 0
-
-
-def test_checkpoint_drops_torn_line(tmp_path):
-    """A writer killed mid-append leaves a partial line; it must be ignored."""
-    journal = tmp_path / "sweep.journal"
-    good = "ab" * 32
-    journal.write_text(good + "\n" + "cd" * 16)  # torn: only half a key
-    ckpt = SweepCheckpoint(journal)
-    assert len(ckpt) == 1 and good in ckpt
-    ckpt.mark("ef" * 32)  # the repair must not splice onto the torn line
-    assert len(SweepCheckpoint(journal)) == 2
 
 
 # -- chaos: transient failures, retry, exhaustion -------------------------
@@ -255,45 +231,43 @@ def test_hung_task_is_timed_out_and_retried(tmp_path, tasks, clean):
     assert runner.stats.timeouts >= 1
 
 
-# -- checkpointed sweeps ---------------------------------------------------
+# -- resuming a killed sweep from the cache --------------------------------
 
 def test_interrupted_sweep_resumes_remaining_tasks(tmp_path, tasks, clean):
     cache = ResultCache(tmp_path / "cache")
-    journal = tmp_path / "sweep.journal"
     # A fatal fault on the last task interrupts the sweep after 3 completions.
     chaos = ChaosInjector(tmp_path / "chaos",
                           {tasks[3].key(): FaultSpec("exception", times=10)})
-    broken = JobRunner(jobs=1, cache=cache, checkpoint=SweepCheckpoint(journal),
-                       chaos=chaos, retry=NO_RETRY)
+    broken = JobRunner(jobs=1, cache=cache, chaos=chaos, retry=NO_RETRY)
     with pytest.raises(WorkerError):
         broken.run(tasks)
-    assert len(SweepCheckpoint(journal)) == 3
+    assert set(cache.keys()) == {task.key() for task in tasks[:3]}
 
-    resumed = JobRunner(jobs=1, cache=cache, checkpoint=SweepCheckpoint(journal))
+    resumed = JobRunner(jobs=1, cache=cache)
     assert resumed.run(tasks) == clean
     assert resumed.stats.executed == 1  # only the task that never finished
-    assert resumed.stats.resumed == 3
+    assert resumed.stats.hits == 3
 
 
-def test_session_clears_checkpoint_only_on_clean_exit(tmp_path, tasks):
-    journal = tmp_path / "ckpt.journal"
+def test_session_keeps_finished_tasks_when_the_block_raises(tmp_path, tasks):
+    # A session that raises mid-sweep keeps what it finished: the cache is
+    # the resume record.
     with pytest.raises(RuntimeError):
-        with session(cache_dir=tmp_path / "cache", checkpoint_path=journal) as runner:
+        with session(cache_dir=tmp_path / "cache") as runner:
             runner.run(tasks[:2])
             raise RuntimeError("killed mid-sweep")
-    assert journal.exists()  # kept: there is something to resume
+    assert set(ResultCache(tmp_path / "cache").keys()) == {task.key() for task in tasks[:2]}
 
-    with session(cache_dir=tmp_path / "cache", checkpoint_path=journal) as runner:
+    with session(cache_dir=tmp_path / "cache") as runner:
         runner.run(tasks[:2])
-        assert runner.stats.resumed == 2
-    assert not journal.exists()  # cleared: the sweep completed
+        assert runner.stats.hits == 2
 
 
 # -- grouped serial runs ---------------------------------------------------
 #
 # A serial runner charges the pending SFQ tasks of one network together
-# (one array pass); each task still fires its own chaos, is retried, cached
-# and journaled on its own.  The reference is the per-task path: the same
+# (one array pass); each task still fires its own chaos, is retried and
+# cached on its own.  The reference is the per-task path: the same
 # tasks run one ``run()`` at a time, where there is nothing to group.
 
 @pytest.fixture(scope="module")
@@ -361,21 +335,19 @@ def test_grouped_serial_run_matches_the_per_task_path(tmp_path, group_tasks, obs
 def test_run_killed_mid_group_resumes(tmp_path, group_tasks):
     clean = [JobRunner().run([task])[0] for task in group_tasks]
     cache = ResultCache(tmp_path / "cache")
-    journal = tmp_path / "sweep.journal"
     chaos = ChaosInjector(tmp_path / "chaos",
                           {group_tasks[3].key(): FaultSpec("exception", times=10)})
-    broken = JobRunner(cache=cache, checkpoint=SweepCheckpoint(journal),
-                       chaos=chaos, retry=NO_RETRY)
+    broken = JobRunner(cache=cache, chaos=chaos, retry=NO_RETRY)
     with pytest.raises(WorkerError):
         broken.run(group_tasks)
     # The group was charged together, but tasks finish one by one: the
-    # three before the failing one are cached and journaled.
-    assert len(SweepCheckpoint(journal)) == 3
+    # three before the failing one are cached.
+    assert set(cache.keys()) == {task.key() for task in group_tasks[:3]}
 
-    resumed = JobRunner(cache=cache, checkpoint=SweepCheckpoint(journal))
+    resumed = JobRunner(cache=cache)
     assert _bits(resumed.run(group_tasks)) == _bits(clean)
     assert resumed.stats.executed == 3
-    assert resumed.stats.resumed == 3
+    assert resumed.stats.hits == 3
 
 
 def test_run_killed_while_charging_a_group_keeps_earlier_tasks(tmp_path, group_tasks,
@@ -397,18 +369,17 @@ def test_run_killed_while_charging_a_group_keeps_earlier_tasks(tmp_path, group_t
 
     monkeypatch.setattr(jobs, "charge_designs", killed_on_second_pass)
     cache = ResultCache(tmp_path / "cache")
-    journal = tmp_path / "sweep.journal"
     with pytest.raises(KeyboardInterrupt):
-        JobRunner(cache=cache, checkpoint=SweepCheckpoint(journal)).run(tasks)
+        JobRunner(cache=cache).run(tasks)
     # A group is charged when its first task comes up, so the mobilenet
-    # tasks that came before the alexnet group finished and were journaled.
+    # tasks that came before the alexnet group finished and were cached.
     assert passes == [group_tasks[0].network.name, other.name]
-    assert len(SweepCheckpoint(journal)) == 2
+    assert set(cache.keys()) == {task.key() for task in tasks[:2]}
 
     monkeypatch.setattr(jobs, "charge_designs", charge_designs)
-    resumed = JobRunner(cache=cache, checkpoint=SweepCheckpoint(journal))
+    resumed = JobRunner(cache=cache)
     assert _bits(resumed.run(tasks)) == _bits(clean)
-    assert resumed.stats.resumed == 2
+    assert resumed.stats.hits == 2
     assert resumed.stats.executed == 3
 
 
@@ -747,12 +718,9 @@ def test_resilience_counters_are_exported(tmp_path, tasks, clean, obs_enabled):
     chaos = ChaosInjector(tmp_path / "chaos",
                           {ANY_TASK: FaultSpec("sigkill", times=3)})
     cache = ResultCache(tmp_path / "cache")
-    journal = tmp_path / "ckpt.journal"
-    runner = JobRunner(jobs=2, cache=cache, chaos=chaos, retry=FAST_RETRY,
-                       checkpoint=SweepCheckpoint(journal))
+    runner = JobRunner(jobs=2, cache=cache, chaos=chaos, retry=FAST_RETRY)
     assert runner.run(tasks) == clean
-    resumed = JobRunner(jobs=1, cache=cache,
-                        checkpoint=SweepCheckpoint(journal))
+    resumed = JobRunner(jobs=1, cache=cache)
     assert resumed.run(tasks) == clean
     corrupt_cache_entry(cache, tasks[0].key(), "truncate")
     assert cache.get(tasks[0].key()) is None
@@ -760,7 +728,7 @@ def test_resilience_counters_are_exported(tmp_path, tasks, clean, obs_enabled):
     counters = obs_enabled.metrics().snapshot()["counters"]
     assert counters.get("jobs.retries", 0) + counters.get("jobs.pool_restarts", 0) >= 2
     assert counters.get("jobs.degraded", 0) >= 1
-    assert counters.get("jobs.resumed", 0) >= len(tasks)
+    assert counters.get("jobs.cache.hits", 0) >= len(tasks)
     assert counters.get("jobs.cache.quarantined", 0) >= 1
 
 

@@ -1,16 +1,20 @@
 """NPUConfig validation and derived-quantity tests."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.device.cells import rsfq_library
 from repro.errors import ConfigError, ReproError
 from repro.estimator.arch_level import estimate_npu
+from repro.simulator import simulate
 from repro.uarch.config import INTEGER_FIELDS, KIB, MAX_INTEGER_FIELD, MIB, NPUConfig
+from repro.workloads.layers import ConvLayer, fc_layer
+from repro.workloads.models import Network
 
 
 def test_default_config_is_valid():
@@ -115,6 +119,7 @@ _FIELD_VALUES = st.one_of(
     st.integers(-3, 40),
     st.integers(-3, 2**20),
     st.sampled_from([True, False, MAX_INTEGER_FIELD, MAX_INTEGER_FIELD + 1]),
+    st.integers(2**26, 2**62),  # two of these multiply past 2**53
     st.integers(2**40, 2**1100),  # past a float's range
     st.floats(allow_nan=True, allow_infinity=True),
     st.text(max_size=3),
@@ -122,13 +127,38 @@ _FIELD_VALUES = st.one_of(
 )
 
 
+#: Four layers: a plain, a depthwise and a strided convolution, then an FC.
+_FUZZ_NETWORK = Network("FuzzNet", (
+    ConvLayer("conv1", in_channels=3, in_height=16, in_width=16, out_channels=8,
+              kernel_height=3, kernel_width=3, padding=1),
+    ConvLayer("dw2", in_channels=8, in_height=16, in_width=16, out_channels=8,
+              kernel_height=3, kernel_width=3, padding=1, groups=8),
+    ConvLayer("conv3", in_channels=8, in_height=16, in_width=16, out_channels=16,
+              kernel_height=3, kernel_width=3, stride=2, padding=1),
+    fc_layer("fc", 16 * 8 * 8, 10),
+))
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.dictionaries(st.sampled_from(INTEGER_FIELDS + ("integrated_output_buffer",)),
                        _FIELD_VALUES, max_size=5))
+@example({"pe_array_width": 2**40, "registers_per_pe": 2**30})
+@example({"registers_per_pe": 2**62, "pe_array_width": 4})
+@example({"pe_array_height": 2**40, "ifmap_division": 2**30})
 def test_any_integer_field_input_estimates_or_raises_a_repro_error(changes):
     try:
-        estimate = estimate_npu(NPUConfig(name="fuzz", **changes), rsfq_library())
+        config = NPUConfig(name="fuzz", **changes)
+        estimate = estimate_npu(config, rsfq_library())
     except ReproError:
         return
     assert 0 < estimate.frequency_ghz < math.inf
     assert 0 < estimate.area_mm2 < math.inf
+    # An accepted config simulates too, or raises a ReproError.  Numpy
+    # warns when int64 arithmetic overflows; here that is an error.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        try:
+            run = simulate(config, _FUZZ_NETWORK, estimate=estimate)
+        except ReproError:
+            return
+    assert run.total_cycles > 0
