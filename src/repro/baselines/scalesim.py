@@ -37,6 +37,10 @@ class CMOSNPUConfig(KeepsCanonicalText):
     memory_bandwidth_gbps: float = 300.0
     average_power_w: float = 40.0
 
+    #: Besides the canonical text, each instance keeps its memory model
+    #: (``repro.simulator.memory.KEPT_MEMORY_MODEL``).
+    _memos = KeepsCanonicalText._memos + ("_memory_model",)
+
     def __post_init__(self) -> None:
         if self.pe_array_width < 1 or self.pe_array_height < 1:
             raise ValueError("PE array dimensions must be positive")

@@ -146,8 +146,12 @@ _DEFAULT_TECHNOLOGY_FIELDS = {
 
 
 def config_signature(config: Union[NPUConfig, CMOSNPUConfig]) -> Dict[str, Any]:
-    """The cache-relevant content of a design config (JSON-able)."""
-    document = dataclasses.asdict(config)
+    """The cache-relevant content of a design config (JSON-able).
+
+    Every config field is a scalar, so the fields are read directly: the
+    same document ``dataclasses.asdict`` builds, without its deep copy.
+    """
+    document = {f.name: getattr(config, f.name) for f in dataclasses.fields(config)}
     for field_name, default in _DEFAULT_TECHNOLOGY_FIELDS.items():
         if document.get(field_name) == default:
             del document[field_name]
@@ -213,10 +217,11 @@ class SimTask:
         """Content-addressed cache key of this task."""
         if self._key is None:
             # The sorted-key document {batch, config, kind, library,
-            # schema, workload}, spliced from the kept sub-texts.
+            # schema, workload}, spliced from the kept sub-texts; the
+            # batch is an exact int, whose JSON text is its str().
             kind = "simulate_cmos" if self.is_cmos else "simulate"
             object.__setattr__(self, "_key", _sha256(
-                f'{{"batch":{canonical_json(self.batch)},'
+                f'{{"batch":{self.batch},'
                 f'"config":{config_text(self.config)},"kind":"{kind}",'
                 f'"library":{library_text(self.resolved_library())},'
                 f'"schema":{CACHE_SCHEMA_VERSION},'

@@ -12,10 +12,12 @@ design *is* the reproduction of the paper's design narrative.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 from repro import obs
+from repro.core.designs import buffer_opt
 from repro.core.jobs import get_runner
 from repro.core.optimizer import resource_config
 from repro.core.plan import (
@@ -29,7 +31,7 @@ from repro.core.plan import (
 )
 from repro.device.cells import CellLibrary, Technology, library_for
 from repro.errors import ConfigError
-from repro.uarch.config import NPUConfig
+from repro.uarch.config import MAX_INTEGER_FIELD, NPUConfig
 from repro.workloads.models import Network, all_workloads
 
 #: TPU die budget the paper compares against (Table I: "<330" mm2 @28nm).
@@ -58,16 +60,35 @@ class Candidate:
         return self.area_mm2_28nm <= AREA_BUDGET_MM2
 
 
-def _candidate_config(width: int, division: int, registers: int,
-                      library: CellLibrary) -> NPUConfig:
-    base = resource_config(width, registers=registers, library=library)
+def _check_axes(widths: Sequence[int], divisions: Sequence[int],
+                registers: Sequence[int]) -> None:
+    """The checks NPUConfig makes of the fields these axes set, made before
+    any work: whole numbers of at least 1.  A width also may not exceed the
+    Buffer opt. array, whose freed area :func:`resource_config` re-balances.
+    """
+    widest = buffer_opt().pe_array_width
+    for axis, values, most in (("widths", widths, widest),
+                               ("divisions", divisions, MAX_INTEGER_FIELD),
+                               ("registers", registers, MAX_INTEGER_FIELD)):
+        for value in values:
+            if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+                    or not 1 <= value <= most):
+                raise ConfigError(
+                    f"search {axis} must be whole numbers from 1 to {most}, "
+                    f"not {value!r}", code="config.invalid_value", field=axis, value=value)
+
+
+def _candidate_config(base: NPUConfig, width: int, division: int,
+                      registers: int) -> NPUConfig:
+    """``base``, the :func:`resource_config` of ``width`` and ``registers``,
+    re-divided for the requested ``division``."""
     # resource_config fixes divisions for chunk-length constancy; scale
     # both by the requested degree relative to its 64-chunk reference.
-    factor = max(1, division // 64) if division >= 64 else 1
+    factor = division // 64
     return base.with_updates(
         name=f"w{width}-d{division}-r{registers}",
-        ifmap_division=max(division, 1) if division < 64 else base.ifmap_division * factor,
-        output_division=max(division, 1) if division < 64 else base.output_division * factor,
+        ifmap_division=division if division < 64 else base.ifmap_division * factor,
+        output_division=division if division < 64 else base.output_division * factor,
     )
 
 
@@ -78,11 +99,20 @@ def search_plan(
     workloads: Optional[List[Network]] = None,
     library: Optional[CellLibrary] = None,
 ) -> ExperimentPlan:
-    """The exhaustive width x division x registers candidate grid."""
+    """The exhaustive width x division x registers candidate grid.
+
+    Raises:
+        ConfigError: ``config.invalid_value`` for an axis value no design
+            can take (see :func:`_check_axes`).
+    """
+    _check_axes(widths, divisions, registers)
     library = library or library_for(Technology.RSFQ)
     workloads = workloads if workloads is not None else all_workloads()
+    # The divisions of one width and register count share their base.
+    bases = {(width, regs): resource_config(width, registers=regs, library=library)
+             for width in widths for regs in registers}
     configs = tuple(
-        _candidate_config(width, division, regs, library)
+        _candidate_config(bases[width, regs], width, division, regs)
         for width in widths
         for division in divisions
         for regs in registers

@@ -2,8 +2,8 @@
 
 Both dataflows' array passes (:mod:`repro.simulator.kernel`) and the
 execution tracer read the buffers, PE, ifmap rewind and psum per-move
-charge a config implies from one :class:`Datapath`, computed here once;
-only the scalar golden reference
+charge a config implies from one :class:`Datapath`, built here once per
+config instance and kept on it; only the scalar golden reference
 (:func:`~repro.simulator.engine.simulate_layer`) derives the charges from
 the buffers itself.
 """
@@ -30,13 +30,26 @@ class Datapath:
     per_move_cycles: int  # one psum move, ofmap <-> psum buffer (Fig. 16 (1)); 0 if integrated
 
 
+#: Instance attribute where a config keeps its :class:`Datapath`; listed in
+#: ``NPUConfig._memos``, so it never rides along in a pickle or a copy.
+KEPT_DATAPATH = "_datapath"
+
+
 def build_datapath(config: NPUConfig) -> Datapath:
-    """Instantiate the ifmap / output / psum buffers and PE for ``config``.
+    """The ifmap / output / psum buffers and PE of ``config``, built on the
+    first call and kept on the (immutable) config instance.
 
     Integrated designs fold psum storage into the output buffer
     (``psum_buffer is None``); non-integrated designs carry the separate
     psum buffer whose shift-in/out movement Fig. 16 (1) charges.
     """
+    datapath = config.__dict__.get(KEPT_DATAPATH)
+    if datapath is None:
+        datapath = config.__dict__[KEPT_DATAPATH] = _build_datapath(config)
+    return datapath
+
+
+def _build_datapath(config: NPUConfig) -> Datapath:
     ifmap_buffer = ShiftRegisterBuffer(
         config.ifmap_buffer_bytes,
         io_width=config.pe_array_height,

@@ -26,7 +26,9 @@ The same engine simulates every design point; only the
 (:func:`repro.simulator.kernel.charge_network`, whose OS twin serves
 :mod:`repro.simulator.dataflow_ablation`); :func:`charge_designs` charges
 several design points of one network in one pass, and :func:`simulate`
-then builds each point's result from its part.
+then builds each point's result from its part.  A result keeps its slice
+of the pass's int64 block and the pass's totals; its per-layer lists are
+built only when something reads them.
 :func:`simulate_layer` charges one layer by walking its mapping tiles; it is
 the scalar golden reference the array pass is tested against, bit for bit.
 """
@@ -38,6 +40,8 @@ import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
+import numpy as np
+
 from repro import obs
 from repro.obs.timeline import CycleTimeline
 from repro.device.cells import CellLibrary
@@ -46,7 +50,7 @@ from repro.simulator.datapath import build_datapath
 from repro.simulator.kernel import charge_network
 from repro.simulator.mapping import LayerMapping, map_layer
 from repro.simulator.memory import MemoryModel, memory_model_for
-from repro.simulator.results import LAYER_FIELDS, ActivityTrace, LayerResult, SimulationResult
+from repro.simulator.results import ActivityTrace, LayerResult, SimulationResult
 from repro.uarch.buffers import ShiftRegisterBuffer
 from repro.uarch.config import NPUConfig
 from repro.uarch.pe import ProcessingElement
@@ -184,11 +188,12 @@ def simulate_layer(
 
 @dataclass(frozen=True)
 class DesignCharges:
-    """One design point's part of a joint charge pass (:func:`charge_designs`):
-    its per-layer charge columns, its activity, and its share of the pass's
-    wall seconds."""
+    """One design point's part of a charge pass (:func:`charge_designs`):
+    its ``(10, L)`` int64 block of per-layer charges, their totals as
+    Python ints, its activity, and its share of the pass's wall seconds."""
 
-    columns: List[List[int]]
+    charges: np.ndarray
+    totals: List[int]
     activity: Dict[str, float]
     seconds: float
 
@@ -224,16 +229,15 @@ def simulate(
                 library = rsfq_library()
             estimate = estimate_npu(config, library)
 
-        shared = 0.0
         if charges is None:
             memory = memory_model_for(config, estimate.frequency_ghz)
-            (columns,), (activity,) = charge_network(
+            block, (totals,), (activity,) = charge_network(
                 network.layer_table, [(config, batch, memory, build_datapath(config))])
-        else:
-            columns, activity, shared = charges.columns, charges.activity, charges.seconds
-        run = _result(config, network, batch, estimate, columns, activity, timeline)
+            charges = DesignCharges(block[0], totals, activity, 0.0)
+        run = _result(config, network, batch, estimate, charges, timeline)
     # A point charged jointly also spent its share of the joint pass.
-    obs.histogram("sim.simulate_seconds").observe(time.perf_counter() - began + shared)
+    obs.histogram("sim.simulate_seconds").observe(
+        time.perf_counter() - began + charges.seconds)
     return run
 
 
@@ -260,13 +264,12 @@ def charge_designs(
         return []
     began = time.perf_counter()
     with obs.trace_span("simulate/group", network=network.name, designs=len(configs)):
-        charges, activities = charge_network(network.layer_table, [
+        block, totals, activities = charge_network(network.layer_table, [
             (config, batch, memory_model_for(config, estimate.frequency_ghz),
              build_datapath(config))
             for config, batch, estimate in zip(configs, batches, estimates)])
     seconds = (time.perf_counter() - began) / len(configs)
-    return [DesignCharges(columns, activity, seconds)
-            for columns, activity in zip(charges, activities)]
+    return [DesignCharges(*part, seconds) for part in zip(block, totals, activities)]
 
 
 def _result(
@@ -274,23 +277,18 @@ def _result(
     network: Network,
     batch: int,
     estimate: NPUEstimate,
-    charges: List[List[int]],
-    activity: Dict[str, float],
+    charges: DesignCharges,
     timeline: Optional[CycleTimeline] = None,
 ) -> SimulationResult:
-    """One run's :class:`SimulationResult` from its charge columns, with its
-    layer spans, timeline and ``sim.*`` counts when those are on."""
-    names = list(network.layer_table.names)
-    run = SimulationResult(
-        design=config.name,
-        network=network.name,
-        batch=batch,
-        frequency_ghz=estimate.frequency_ghz,
-        columns=dict(zip(LAYER_FIELDS, (names, *charges))),
+    """One run's :class:`SimulationResult` from its part of a charge pass,
+    with its layer spans, timeline and ``sim.*`` counts when those are on."""
+    names = network.layer_table.names
+    run = SimulationResult.from_charges(
+        config.name, network.name, batch, estimate.frequency_ghz, names,
+        charges.charges, charges.totals,
         # Sorted-unit order, the order a cached payload decodes in:
         # power sums fold these floats in iteration order.
-        activity=ActivityTrace(activity),
-    )
+        ActivityTrace(charges.activity))
     if timeline is not None or obs.tracer().enabled:
         for layer, result in zip(network.layers, run.layers):
             with obs.trace_span("simulate/layer", layer=result.name) as span:

@@ -23,11 +23,14 @@ stays on chip depends on that layer alone, so the next layer's
 
 Integer charges are exact int64 arithmetic, so they equal Python ints as
 long as nothing reaches :data:`EXACT_LIMIT`, which each pass checks per
-design, with its own bound, before computing.  The float steps keep the
-scalar order: DRAM and activation-transfer cycles are float64 ceilings of
-the same quotients, each WS activity unit is a left fold over layers in
-layer order, and each ``(design, layer)`` ``dau`` term is the reference's
-fold over tiles (see :func:`_dau_cycles`).
+design, with its own bound, before computing.  The WS pass hands back its
+``(D, 10, L)`` int64 block as is, with every column's total from one int64
+reduction (:func:`_column_totals`); the OS pass converts its block to
+lists.  The float steps keep the scalar order: DRAM and
+activation-transfer cycles are float64 ceilings of the same quotients,
+each WS activity unit is a left fold over layers in layer order, and each
+``(design, layer)`` ``dau`` term is the reference's fold over tiles (see
+:func:`_dau_cycles`).
 """
 
 from __future__ import annotations
@@ -169,14 +172,16 @@ def _design_columns(table: LayerTable, designs: Sequence[Design], bounds):
     DRAM bytes per cycle, and whether each design has a psum buffer.
     Checks every design against :data:`EXACT_LIMIT` first, in Python ints,
     with the pass's ``bounds`` (:func:`_ws_bounds` or :func:`_os_bounds`)
-    and the config-term products the WS pass takes in int64.
+    and the config-term products the WS pass takes in int64.  The bounds
+    cover every charge, DRAM bytes included, so each entry of the pass's
+    block is below the limit.
     """
     rows = []
     per_cycle = []
     has_psum = []
     for config, batch, memory, datapath in designs:
         on_chip, traffic_bytes = bounds(table, batch, config, datapath)
-        bound = max(on_chip, traffic_bytes / memory.bytes_per_cycle + 1,
+        bound = max(on_chip, traffic_bytes, traffic_bytes / memory.bytes_per_cycle + 1,
                     config.pe_array_width * config.registers_per_pe,
                     config.pe_array_height * config.ifmap_division)
         if bound >= EXACT_LIMIT:
@@ -202,8 +207,8 @@ def _design_columns(table: LayerTable, designs: Sequence[Design], bounds):
 
 
 def _layer_columns(phases, traffic, ifmap_bytes, ofmap_bytes, output_buffer,
-                   bytes_per_cycle, macs) -> List[List[List[int]]]:
-    """Per design, one column of Python ints per
+                   bytes_per_cycle, macs) -> np.ndarray:
+    """The ``(D, 10, L)`` int64 block: per design, one row per
     :class:`~repro.simulator.results.LayerResult` field after ``name``, in
     field order, with one entry per layer.
 
@@ -225,13 +230,28 @@ def _layer_columns(phases, traffic, ifmap_bytes, ofmap_bytes, output_buffer,
     charges = np.array((*phases, traffic, dram, np.maximum(on_chip, dram), macs))
     if charges.ndim == 2:  # one design, without the design axis
         charges = charges[:, np.newaxis]
-    # (10, D, L) -> (D, 10, L): per design, one column per field.
-    return charges.transpose(1, 0, 2).tolist()
+    # (10, D, L) -> (D, 10, L): per design, one column per field.  Runs
+    # keep views of the block, so it is read-only.
+    charges.setflags(write=False)
+    return charges.transpose(1, 0, 2)
+
+
+def _column_totals(block: np.ndarray) -> List[List[int]]:
+    """Each design's ten column sums of a :func:`_layer_columns` block, as
+    exact Python ints.
+
+    Every entry is below :data:`EXACT_LIMIT`, so one int64 reduction is
+    exact while ``L * EXACT_LIMIT < 2**63`` (fewer than 1,024 layers); a
+    longer table sums its columns as Python ints instead.
+    """
+    if block.shape[-1] * EXACT_LIMIT < 2 ** 63:
+        return block.sum(axis=-1).tolist()
+    return [[sum(column) for column in design] for design in block.tolist()]
 
 
 def charge_network(
     table: LayerTable, designs: Sequence[Design],
-) -> Tuple[List[List[List[int]]], List[Dict[str, float]]]:
+) -> Tuple[np.ndarray, List[List[int]], List[Dict[str, float]]]:
     """Every layer's weight-stationary charges, and each run's activity,
     for several designs of one network in one array pass.
 
@@ -241,12 +261,13 @@ def charge_network(
     along ``axis=-1``): a single design passes its terms as scalars and
     runs the same code on ``(L,)`` arrays.
 
-    Returns, per design, the :func:`_layer_columns` (mappings, weight load,
-    ifmap prep, psum move, activation transfer, compute, DRAM traffic,
-    DRAM cycles, total, MACs), and the effective activity cycles per unit
-    in sorted-unit order.  Both are bitwise what a loop of
-    :func:`~repro.simulator.engine.simulate_layer` produces for that
-    design alone.
+    Returns the :func:`_layer_columns` block (per design: mappings, weight
+    load, ifmap prep, psum move, activation transfer, compute, DRAM
+    traffic, DRAM cycles, total, MACs), each design's ten column totals
+    (:func:`_column_totals`), and each design's effective activity cycles
+    per unit in sorted-unit order.  Each design's rows and activity are
+    bitwise what a loop of :func:`~repro.simulator.engine.simulate_layer`
+    produces for that design alone.
 
     Raises:
         SimulationError: ``simulation.charge_overflow`` when some charge
@@ -292,7 +313,7 @@ def charge_network(
                   & (table.channels * batch <= height * ifmap_division))
     refetch = np.where(ifmap_fits, 1, col_tiles)
     macs = table.macs * batch
-    layer_columns = _layer_columns(
+    block = _layer_columns(
         (mappings, weight_load, ifmap_prep, psum_move, activation, compute),
         table.weights + ifmap_bytes * (refetch - 1), ifmap_bytes, ofmap_bytes,
         output_buffer, bytes_per_cycle, macs)
@@ -315,14 +336,15 @@ def charge_network(
          if psum or unit != "psum_buffer"}
         for totals, psum in zip(folded.T.tolist(), has_psum)
     ]
-    return layer_columns, activity
+    return block, _column_totals(block), activity
 
 
 def charge_network_os(
     table: LayerTable, designs: Sequence[Design],
 ) -> List[List[List[int]]]:
-    """Every layer's output-stationary charges, per design the
-    :func:`_layer_columns`, for several designs of one network in one pass.
+    """Every layer's output-stationary charges, per design the rows of
+    :func:`_layer_columns` as lists of Python ints, for several designs of
+    one network in one pass.
 
     A tile of ``height x width`` outputs stays in the PEs while the whole
     reduction streams through: ``ceil(E*F*B / height) * ceil(K / width) *
@@ -346,7 +368,7 @@ def charge_network_os(
               np.zeros_like(tiles), tiles * height, tiles * (table.reduction + pe_stages))
     return _layer_columns(phases, tiles * weight_tile, table.ifmap * batch,
                           table.ofmap * batch, output_buffer, bytes_per_cycle,
-                          table.macs * batch)
+                          table.macs * batch).tolist()
 
 
 def _dau_cycles(full_tile: np.ndarray, rem_tile: np.ndarray, full_rows: np.ndarray,

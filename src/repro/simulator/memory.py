@@ -62,8 +62,15 @@ class MemoryModel:
         return math.ceil(num_bytes / self.bytes_per_cycle)
 
 
+#: Instance attribute where a config keeps its last :class:`MemoryModel`;
+#: listed in the config classes' ``_memos``, so it never rides along in a
+#: pickle or a copy.
+KEPT_MEMORY_MODEL = "_memory_model"
+
+
 def memory_model_for(config, frequency_ghz: float) -> MemoryModel:
-    """The registry-backed :class:`MemoryModel` of one design point.
+    """The registry-backed :class:`MemoryModel` of one design point, kept
+    on the (immutable) config instance and reused at the same clock.
 
     Resolves ``config.memory_technology`` / ``config.link_technology``
     (via ``getattr`` with defaults, so CMOS baseline configs without the
@@ -73,6 +80,9 @@ def memory_model_for(config, frequency_ghz: float) -> MemoryModel:
     the result is exactly ``MemoryModel(config.memory_bandwidth_gbps,
     frequency_ghz)``.
     """
+    kept = config.__dict__.get(KEPT_MEMORY_MODEL)
+    if kept is not None and kept.frequency_ghz == frequency_ghz:
+        return kept
     from repro.components import (
         DEFAULT_LINK_TECHNOLOGY,
         DEFAULT_MEMORY_TECHNOLOGY,
@@ -88,4 +98,5 @@ def memory_model_for(config, frequency_ghz: float) -> MemoryModel:
     bandwidth = memory.resolved_bandwidth_gbps(config.memory_bandwidth_gbps)
     if link.bandwidth_gbps is not None:
         bandwidth = min(bandwidth, link.bandwidth_gbps)
-    return MemoryModel(bandwidth, frequency_ghz)
+    model = config.__dict__[KEPT_MEMORY_MODEL] = MemoryModel(bandwidth, frequency_ghz)
+    return model

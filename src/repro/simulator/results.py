@@ -4,7 +4,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
 from functools import cached_property
-from typing import Dict, List, Tuple
+from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass
@@ -92,6 +95,10 @@ class SimulationResult:
     and ``preparation_cycles`` are summed from them once, at construction,
     and must come out as exact ints: a ``TypeError`` rejects any other
     column values.
+
+    A run built from a charge pass (:meth:`from_charges`) keeps its slice
+    of the pass's int64 block instead, takes its totals from the pass, and
+    builds ``columns`` from the block on first read.
     """
 
     design: str
@@ -113,6 +120,23 @@ class SimulationResult:
                 self.total_cycles, self.total_macs, self.compute_cycles,
                 self.preparation_cycles)):
             raise TypeError("layer charge columns do not sum to ints")
+
+    @classmethod
+    def from_charges(cls, design: str, network: str, batch: int, frequency_ghz: float,
+                     names: Sequence[str], charges: "np.ndarray", totals: Sequence[int],
+                     activity: ActivityTrace) -> "SimulationResult":
+        """A run over its part of a charge pass: ``charges`` is its
+        ``(10, L)`` int64 block, one row per :data:`LAYER_FIELDS` field
+        after ``name``, and ``totals`` are those rows' sums as exact ints."""
+        run = cls.__new__(cls)
+        run.design, run.network, run.batch = design, network, batch
+        run.frequency_ghz, run.activity = frequency_ghz, activity
+        run._names, run._charges = names, charges
+        (_, weight_load, ifmap_prep, psum_move, activation, compute, _, _,
+         run.total_cycles, run.total_macs) = totals
+        run.compute_cycles = compute
+        run.preparation_cycles = weight_load + ifmap_prep + psum_move + activation
+        return run
 
     @cached_property
     def memory_stall_cycles(self) -> int:
@@ -163,3 +187,22 @@ class SimulationResult:
             "computation": self.compute_cycles / total,
             "memory": self.memory_stall_cycles / total,
         }
+
+
+class _ColumnsFromBlock:
+    """``SimulationResult.columns`` until a :meth:`~SimulationResult.from_charges`
+    run first reads it: the lists are built from the run's block, then kept
+    in the instance ``__dict__``, which every later read (and every run the
+    constructor built) finds first."""
+
+    def __get__(self, run, owner=None):
+        if run is None:
+            raise AttributeError("columns")
+        state = run.__dict__
+        columns = state["columns"] = dict(zip(
+            LAYER_FIELDS, (list(state.pop("_names")), *state.pop("_charges").tolist())))
+        return columns
+
+
+# Set after the dataclass is made, so it is no field default.
+SimulationResult.columns = _ColumnsFromBlock()

@@ -93,6 +93,11 @@ class NPUConfig(KeepsCanonicalText):
     memory_technology: str = "dram-300k"
     link_technology: str = "4k-300k-link"
 
+    #: Besides the canonical text, each instance keeps its datapath
+    #: (``repro.simulator.datapath.KEPT_DATAPATH``) and memory model
+    #: (``repro.simulator.memory.KEPT_MEMORY_MODEL``).
+    _memos = KeepsCanonicalText._memos + ("_datapath", "_memory_model")
+
     def __post_init__(self) -> None:
         check_integer_fields(self, INTEGER_FIELDS, lambda message, field: ConfigError(
             message, code="config.invalid_value", field=field))

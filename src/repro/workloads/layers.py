@@ -164,6 +164,8 @@ class ConvLayer:
 def check_batch(batch: int) -> None:
     """Reject anything but a Python / numpy integer of at least one image
     (never a ``bool`` or a float)."""
+    if type(batch) is int and batch >= 1:  # the common case, without the ABC check
+        return
     if not (isinstance(batch, numbers.Integral) and not isinstance(batch, bool)
             and batch >= 1):
         raise WorkloadError("batch must be a positive integer",

@@ -7,6 +7,7 @@ reproduce every pre-registry hash), and the end-to-end technology
 plan-axis sweep.
 """
 
+import hashlib
 import math
 
 import pytest
@@ -34,6 +35,7 @@ from repro.core.jobs import (
     result_to_dict,
 )
 from repro.core.plan import execute, plan_by_name, technology_axis
+from repro.core.search import search, search_plan
 from repro.device.cells import rsfq_library
 from repro.errors import ConfigError
 from repro.estimator.arch_level import estimate_npu
@@ -196,6 +198,34 @@ GOLDEN_PLAN_HASHES = {
     "fig20_buffers":
         "4ee6678162473160eb42e744306d1c7eb81547bdaf305d8e23238eb39db6b43f",
 }
+
+
+#: The default search: its plan hash, a sha256 over its 384 task keys then
+#: its 64 estimate keys (one per line), and a sha256 over its ranking, one
+#: ``name repr(mean) repr(area) repr(peak)`` line per candidate.
+GOLDEN_SEARCH_PLAN_HASH = \
+    "150858ce84610c1c03995f627e33bff23e9a4ca4c774e5b56fb72a6f678554a4"
+GOLDEN_SEARCH_KEYS = \
+    "df1ce47b313068ba653ef48fe5c9c914b01c3eba4e81786d77e992aa892bc6f0"
+GOLDEN_SEARCH_RANKING = \
+    "c844ff86e5c2ee3661f0e6a54fc8fdd529493855f4b5c3e3f1553ef93a816bad"
+
+
+def _lines_digest(lines):
+    return hashlib.sha256("".join(f"{line}\n" for line in lines).encode()).hexdigest()
+
+
+def test_golden_search_plan_keys_and_ranking_unchanged():
+    plan, library = search_plan(), rsfq_library()
+    assert plan.plan_hash() == GOLDEN_SEARCH_PLAN_HASH
+    task_keys = plan.lower().task_keys()
+    configs = plan.grids[0].axes[0].values
+    assert (len(task_keys), len(configs)) == (384, 64)
+    assert _lines_digest(task_keys + [estimate_key(config, library) for config in configs]) \
+        == GOLDEN_SEARCH_KEYS
+    assert _lines_digest(
+        f"{c.config.name} {c.mean_mac_per_s!r} {c.area_mm2_28nm!r} {c.peak_tmacs!r}"
+        for c in search()) == GOLDEN_SEARCH_RANKING
 
 
 def test_golden_default_technology_keys_unchanged():

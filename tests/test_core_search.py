@@ -1,8 +1,11 @@
 """Design-space search tests — the Section V narrative, rediscovered."""
 
+import importlib
+
 import pytest
 
 from repro.core.search import AREA_BUDGET_MM2, best, search
+from repro.errors import ConfigError
 from repro.workloads.models import mobilenet, resnet50
 
 
@@ -62,3 +65,26 @@ def test_best_requires_candidates():
 def test_budget_validation():
     with pytest.raises(ValueError):
         search(area_budget_mm2=0, workloads=[mobilenet()])
+
+
+@pytest.mark.parametrize("axes", [
+    {"widths": (0,)},  # resource_config would divide by zero
+    {"widths": (512,)},  # wider than the array whose area is re-balanced
+    {"divisions": (0,)},  # would be simulated as undivided
+    {"divisions": (-64,)},
+    {"registers": (0,)},
+    {"widths": (64.0,)},
+    {"divisions": (True,)},
+])
+def test_bad_search_axes_are_config_errors_before_any_work(monkeypatch, axes):
+    module = importlib.import_module("repro.core.search")
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("no design may be built for a bad axis")
+
+    monkeypatch.setattr(module, "resource_config", forbidden)
+    monkeypatch.setattr(module, "get_runner", forbidden)
+    with pytest.raises(ConfigError) as info:
+        search(workloads=[mobilenet()], **axes)
+    assert info.value.code == "config.invalid_value"
+    assert info.value.context["field"] == next(iter(axes))

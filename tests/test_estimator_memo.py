@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import gc
 import importlib
-import itertools
 import random
 import sys
 import threading
@@ -45,8 +44,7 @@ def _cold_memo():
 
 
 def _search_configs(library):
-    return [search._candidate_config(w, d, r, library) for w, d, r in itertools.product(
-        search.DEFAULT_WIDTHS, search.DEFAULT_DIVISIONS, search.DEFAULT_REGISTERS)]
+    return list(search.search_plan(library=library).grids[0].axes[0].values)
 
 
 def _fresh(config, library):

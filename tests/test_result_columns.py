@@ -4,10 +4,15 @@ Every constructor of :class:`~repro.simulator.results.SimulationResult`
 is covered: a lone weight-stationary ``simulate``, a ``charge_designs``
 group, the output-stationary ``simulate_os``, the CMOS ``simulate_cmos``,
 and the cache codec's ``result_from_dict``.
+
+A run built by a weight-stationary charge pass keeps its slice of the
+pass's int64 block: its totals come from one int64 reduction, and its
+columns are built from the block when first read.
 """
 
 import hashlib
 import json
+from types import SimpleNamespace
 
 import pytest
 
@@ -15,10 +20,15 @@ from repro.baselines.scalesim import TPU_CORE, simulate_cmos
 from repro.core.designs import baseline, supernpu
 from repro.core.jobs import JobRunner, ResultCache, SimTask, result_from_dict, result_to_dict
 from repro.device.cells import rsfq_library
+from repro.errors import SimulationError
 from repro.estimator.arch_level import estimate_npu
 from repro.simulator.dataflow_ablation import simulate_os
 from repro.simulator.engine import charge_designs, simulate
-from repro.workloads.models import WORKLOAD_NAMES, by_name
+from repro.simulator.kernel import EXACT_LIMIT
+from repro.simulator.results import LAYER_FIELDS
+from repro.uarch.config import NPUConfig
+from repro.workloads.layers import fc_layer
+from repro.workloads.models import WORKLOAD_NAMES, Network, by_name
 
 #: sha256 prefixes of ``json.dumps(result_to_dict(run), sort_keys=True)``
 #: per network and constructor, as written before results held columns:
@@ -134,3 +144,84 @@ def test_warm_cache_hits_hold_the_cold_rows(tmp_path, name):
     for site, run in runs.items():
         hit = result_from_dict(reopened.get(hashlib.sha256(site.encode()).hexdigest()))
         assert hit.layers == run.layers, site
+
+
+def _pass_runs(network, batches=(1, 7)):
+    """Runs built by a charge pass: a lone ``simulate`` (one design, the
+    scalar path) and a two-design ``charge_designs`` group."""
+    library = rsfq_library()
+    configs = [baseline(), supernpu()]
+    estimates = [estimate_npu(config, library) for config in configs]
+    group = charge_designs(configs, network, list(batches), estimates)
+    return [simulate(supernpu(), network, 3, estimate=estimates[1])] + [
+        simulate(config, network, batch, estimate=estimate, charges=charges)
+        for config, batch, estimate, charges in zip(configs, batches, estimates, group)]
+
+
+def _assert_columns_are_python_ints(run):
+    columns = run.columns
+    assert list(columns) == list(LAYER_FIELDS)
+    assert all(type(name) is str for name in columns["name"])
+    assert all(type(value) is int
+               for field in LAYER_FIELDS[1:] for value in columns[field])
+    assert run.total_cycles == sum(columns["total_cycles"])
+    assert run.total_macs == sum(columns["macs"])
+    assert run.compute_cycles == sum(columns["compute_cycles"])
+    assert run.preparation_cycles == sum(
+        sum(columns[field]) for field in ("weight_load_cycles", "ifmap_prep_cycles",
+                                          "psum_move_cycles", "activation_transfer_cycles"))
+    assert all(type(total) is int for total in (
+        run.total_cycles, run.total_macs, run.compute_cycles, run.preparation_cycles))
+
+
+@pytest.mark.parametrize("name", WORKLOAD_NAMES)
+def test_pass_runs_build_python_int_columns_on_read_and_round_trip(name):
+    network = by_name(name)
+    for run in _pass_runs(network):
+        # Totals are ready; the per-layer lists are not built yet.
+        assert "columns" not in vars(run)
+        assert isinstance(run.total_cycles, int) and run.mac_per_s > 0
+        assert "columns" not in vars(run)
+        _assert_columns_are_python_ints(run)
+        assert run.columns is run.columns  # built once, then kept
+        assert result_from_dict(result_to_dict(run)) == run
+
+
+def test_a_pass_run_equals_its_round_trip_before_its_columns_are_read():
+    network = by_name("alexnet")
+    for run, twin in zip(_pass_runs(network), _pass_runs(network)):
+        decoded = result_from_dict(result_to_dict(twin))
+        assert "columns" not in vars(run)
+        assert decoded == run
+        assert repr(decoded) == repr(run)
+
+
+def _tall_network(layers):
+    """``layers`` tiny FC layers: at the largest batch the guard allows,
+    each layer takes about 2**52.4 cycles, so a few thousand of them sum
+    past 2**63."""
+    return Network("tall", tuple(fc_layer(f"fc{index}", 1, 1) for index in range(layers)))
+
+
+@pytest.mark.parametrize("designs", [1, 2])
+def test_column_totals_past_the_int64_bound_are_exact(designs):
+    network = _tall_network(2048)
+    config = NPUConfig("tall", pe_array_height=1, pe_array_width=1,
+                       ifmap_buffer_bytes=0, output_buffer_bytes=0, psum_buffer_bytes=0,
+                       integrated_output_buffer=True)
+    estimate = SimpleNamespace(frequency_ghz=52.6)
+    batch = EXACT_LIMIT // 3 - 2 ** 20
+    if designs == 1:
+        run = simulate(config, network, batch, estimate=estimate)
+    else:
+        group = charge_designs([config] * designs, network, [batch] * designs,
+                               [estimate] * designs)
+        run = simulate(config, network, batch, estimate=estimate, charges=group[-1])
+    assert max(run.columns["total_cycles"]) < EXACT_LIMIT
+    assert run.total_cycles >= 2 ** 63  # an int64 sum would have wrapped
+    _assert_columns_are_python_ints(run)
+
+    # Past the guard, the pass refuses to charge at all.
+    with pytest.raises(SimulationError) as info:
+        simulate(config, network, EXACT_LIMIT // 3, estimate=estimate)
+    assert info.value.code == "simulation.charge_overflow"

@@ -39,7 +39,7 @@ from repro.simulator.memory import memory_model_for
 from repro.simulator.results import ActivityTrace, LayerResult
 from repro.simulator.trace import trace_layer
 from repro.uarch.config import NPUConfig
-from repro.workloads.layers import ConvLayer, depthwise_layer, fc_layer
+from repro.workloads.layers import ConvLayer, check_batch, depthwise_layer, fc_layer
 from repro.workloads.models import Network, all_workloads
 
 
@@ -528,14 +528,25 @@ def test_bad_batch_is_a_workload_error(supernpu_config, tiny_network):
     # Truncating 2.5 to 2 (or True to 1) would misreport the batch and
     # file the run under its own cache key; integers of any kind pass.
     # The runner's task applies the same rule as the timeline path.
-    for batch in (0, 2.5, 2.0, True):
+    for batch in (0, 2.5, 2.0, True, np.bool_(True)):
         with pytest.raises(WorkloadError) as info:
             api.simulate("supernpu", "mobilenet", batch=batch)
         assert info.value.code == "workload.invalid_batch"
+    # check_batch itself, past its exact-int fast path: a bool is an int
+    # subclass and numpy's bool is no Integral; numpy integers pass.
+    for batch in (True, 2.0, 0, np.bool_(True)):
+        with pytest.raises(WorkloadError) as info:
+            check_batch(batch)
+        assert info.value.code == "workload.invalid_batch"
+    check_batch(np.int64(3))
     assert SimTask(supernpu_config, tiny_network, np.int64(2)).key() \
         == SimTask(supernpu_config, tiny_network, 2).key()
     run = api.simulate(supernpu_config, tiny_network, batch=np.int64(2))
     assert run == api.simulate(supernpu_config, tiny_network, batch=2)
+    assert engine.simulate(supernpu_config, tiny_network, batch=np.int64(3),
+                           estimate=SimpleNamespace(frequency_ghz=52.6)) \
+        == engine.simulate(supernpu_config, tiny_network, batch=3,
+                           estimate=SimpleNamespace(frequency_ghz=52.6))
 
 
 # -- the layer table memo ---------------------------------------------------

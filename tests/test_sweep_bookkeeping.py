@@ -8,15 +8,19 @@ Every key and plan hash must stay byte-identical; the golden pins live in
 
 from __future__ import annotations
 
+import copy
+import dataclasses
 import gc
 import importlib
 import json
 import pickle
 import weakref
 from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 
+from repro.baselines.scalesim import TPU_CORE, CMOSNPUConfig
 from repro.canonical import canonical_json
 from repro.core.batching import derived_batch
 from repro.core.chaos import corrupt_cache_entry
@@ -30,6 +34,9 @@ from repro.device.cells import (
 )
 from repro.device.process import AIST_10UM
 from repro.estimator.arch_level import estimate_npu
+from repro.simulator.datapath import build_datapath
+from repro.simulator.engine import simulate
+from repro.simulator.memory import memory_model_for
 from repro.simulator.power import power_report
 from repro.workloads.models import Network, all_workloads, by_name
 
@@ -90,9 +97,31 @@ def test_kept_texts_never_ride_along_in_pickles(tiny_network):
     (config, _), network, library = _fresh_objects(tiny_network)
     before = [pickle.dumps(record) for record in (config, network, library)]
     jobs.SimTask(config, network, 1, library).key()
+    # Simulating keeps the config's datapath and memory model on it, once.
+    simulate(config, network, 2, estimate=SimpleNamespace(frequency_ghz=52.6))
+    assert build_datapath(config) is build_datapath(config)
+    assert memory_model_for(config, 52.6) is memory_model_for(config, 52.6)
+    assert memory_model_for(config, 30.0).frequency_ghz == 30.0
     assert [pickle.dumps(record) for record in (config, network, library)] == before
+    for copied in (pickle.loads(pickle.dumps(config)), copy.copy(config)):
+        assert not {"_canonical_text", "_datapath", "_memory_model"} & set(vars(copied))
     restored = pickle.loads(pickle.dumps(library))
     assert jobs.library_text(restored) == jobs.library_text(library)
+    cmos = CMOSNPUConfig(name="fresh-tpu")
+    before = pickle.dumps(cmos)
+    assert memory_model_for(cmos, 0.7) is memory_model_for(cmos, 0.7)
+    assert pickle.dumps(cmos) == before
+
+
+@pytest.mark.parametrize("config", [
+    supernpu(), supernpu().with_updates(memory_technology="dram-77k"), TPU_CORE])
+def test_config_signature_is_the_asdict_document(config):
+    document = dataclasses.asdict(config)
+    for name, default in jobs._DEFAULT_TECHNOLOGY_FIELDS.items():
+        if document.get(name) == default:
+            del document[name]
+    assert jobs.config_signature(config) == document
+    assert jobs.config_text(config) == canonical_json(document)
 
 
 def test_plan_value_texts_match_value_signatures():
