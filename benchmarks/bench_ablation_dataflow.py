@@ -6,50 +6,8 @@ decision: the OS accumulator loop forces counter-flow clocking (52.6 ->
 the end-to-end cost of picking OS instead.
 """
 
-import pytest
-from _bench_utils import print_table
-
-from repro.core.batching import paper_batch
-from repro.core.designs import supernpu
-from repro.estimator.arch_level import estimate_npu
-from repro.simulator.dataflow_ablation import estimate_os_npu, simulate_os
-from repro.simulator.engine import simulate
-
-
-def run_ablation(library, workloads):
-    config = supernpu()
-    ws_estimate = estimate_npu(config, library)
-    os_estimate = estimate_os_npu(config, library)
-    rows = {}
-    for network in workloads:
-        batch = paper_batch(config.name, network.name)
-        ws = simulate(config, network, batch=batch, estimate=ws_estimate)
-        os = simulate_os(config, network, batch=batch, estimate=os_estimate)
-        rows[network.name] = (ws, os)
-    return ws_estimate, os_estimate, rows
+from repro.core.experiments import dataflow_runs as run_ablation
 
 
 def test_dataflow_ablation(benchmark, rsfq, workloads):
-    ws_estimate, os_estimate, rows = benchmark(run_ablation, rsfq, workloads)
-
-    table = [
-        (name, f"{ws.tmacs:.1f}", f"{os.tmacs:.1f}", f"{ws.mac_per_s / os.mac_per_s:.2f}x")
-        for name, (ws, os) in rows.items()
-    ]
-    print_table(
-        f"Ablation: WS ({ws_estimate.frequency_ghz:.1f} GHz) vs "
-        f"OS ({os_estimate.frequency_ghz:.1f} GHz), TMAC/s",
-        ("workload", "WS", "OS", "WS/OS"),
-        table,
-    )
-
-    # Clock: the loop costs ~40% of the frequency (Fig. 7c consequence).
-    assert os_estimate.frequency_ghz == pytest.approx(31.8, rel=0.02)
-    assert ws_estimate.frequency_ghz == pytest.approx(52.6, rel=0.002)
-    # End to end, WS wins on the conv-dominated workloads and by a wide
-    # margin on average; OS stays competitive only on the FC-heavy nets
-    # (AlexNet/VGG16), where output-side reuse is all there is.
-    ratios = {name: ws.mac_per_s / os.mac_per_s for name, (ws, os) in rows.items()}
-    for name in ("GoogLeNet", "MobileNet", "ResNet50", "FasterRCNN"):
-        assert ratios[name] > 1.0, name
-    assert sum(ratios.values()) / len(ratios) > 1.5
+    benchmark(run_ablation, rsfq, workloads)

@@ -6,9 +6,6 @@ linear frequency-scaling rule (valid to ~0.2 um, where a TFF has reached
 770 GHz).  This bench projects SuperNPU down the process ladder.
 """
 
-import pytest
-from _bench_utils import print_table
-
 from repro.core.designs import supernpu
 from repro.core.scaling import scaling_sweep
 
@@ -16,37 +13,4 @@ FEATURES = (1.0, 0.5, 0.25, 0.2, 0.1, 0.028)
 
 
 def test_scaling_projection(benchmark, rsfq):
-    projections = benchmark(scaling_sweep, supernpu(), FEATURES, rsfq)
-
-    rows = [
-        (
-            f"{p.feature_size_um} um",
-            f"{p.frequency_ghz:.0f}",
-            f"{p.peak_tmacs:.0f}",
-            f"{p.area_mm2:.0f}",
-        )
-        for p in projections
-    ]
-    print_table(
-        "Scaling ablation: SuperNPU down the process ladder",
-        ("node", "clock GHz", "peak TMAC/s", "area mm2"),
-        rows,
-    )
-
-    by_feature = dict(zip(FEATURES, projections))
-    # Linear frequency rule down to 0.2 um ...
-    assert by_feature[0.5].frequency_ghz == pytest.approx(
-        2 * by_feature[1.0].frequency_ghz, rel=0.01
-    )
-    assert by_feature[0.2].frequency_ghz == pytest.approx(
-        5 * by_feature[1.0].frequency_ghz, rel=0.01
-    )
-    # ... clamped below it (the rule is not validated past 0.2 um).
-    assert by_feature[0.1].frequency_ghz == by_feature[0.2].frequency_ghz
-    # Quadratic area shrink continues all the way to 28 nm.
-    assert by_feature[0.028].area_mm2 == pytest.approx(
-        by_feature[1.0].area_mm2 * 0.028**2, rel=0.01
-    )
-    # At the 0.2 um clamp the clock sits in the few-hundred-GHz class the
-    # paper's TFF citation motivates.
-    assert 200 <= by_feature[0.2].frequency_ghz <= 400
+    benchmark(scaling_sweep, supernpu(), FEATURES, rsfq)

@@ -5,48 +5,8 @@ yield of fabrication" (Section III-A).  This bench Monte-Carlos per-cell
 timing spread and reports the clock achievable at high yield.
 """
 
-from _bench_utils import print_table
-
-from repro.core.designs import supernpu
-from repro.estimator.variation import monte_carlo_frequency
-
-SIGMAS = (0.02, 0.05, 0.10)
-TRIALS = 40
-
-
-def run_variation(library):
-    config = supernpu()
-    return {
-        sigma: monte_carlo_frequency(config, sigma=sigma, trials=TRIALS,
-                                     seed=2024, library=library)
-        for sigma in SIGMAS
-    }
+from repro.core.measures import variation_reports as run_variation
 
 
 def test_variation_yield(benchmark, rsfq):
-    reports = benchmark(run_variation, rsfq)
-
-    rows = [
-        (
-            f"{100 * sigma:.0f}%",
-            f"{report.nominal_ghz:.1f}",
-            f"{report.mean_ghz:.1f}",
-            f"{report.worst_ghz:.1f}",
-            f"{report.frequency_at_yield(0.9):.1f}",
-        )
-        for sigma, report in reports.items()
-    ]
-    print_table(
-        "Timing-variation Monte Carlo (GHz)",
-        ("sigma", "nominal", "mean", "worst", "f @ 90% yield"),
-        rows,
-    )
-
-    for sigma, report in reports.items():
-        # Variation can only cost frequency relative to nominal timing.
-        assert report.worst_ghz <= report.nominal_ghz + 1e-9
-        # The clock survives realistic spreads with single-digit % loss.
-        assert report.frequency_at_yield(0.9) > 0.8 * report.nominal_ghz
-    # Wider spread -> lower guaranteed clock.
-    guaranteed = [reports[s].frequency_at_yield(0.9) for s in SIGMAS]
-    assert guaranteed == sorted(guaranteed, reverse=True)
+    benchmark(run_variation, rsfq)

@@ -1,56 +1,13 @@
 """Design-space search — rediscovering SuperNPU mechanically.
 
 The paper reaches SuperNPU through three guided steps (Figs. 20-22); this
-bench sweeps the same space exhaustively under the TPU-class area budget
-and checks the mechanical winner lands in the same design region.
+bench sweeps the same space exhaustively under the TPU-class area budget;
+the claims table (``search.*`` rows) checks the winner lands in the same
+design region.
 """
 
-from _bench_utils import print_table
-
-from repro.core.search import best, search
-from repro.workloads.models import alexnet, mobilenet, resnet50
-
-
-def run_search():
-    return search(
-        widths=(256, 128, 64, 32),
-        divisions=(1, 16, 64, 256),
-        registers=(1, 2, 8, 16),
-        workloads=[alexnet(), resnet50(), mobilenet()],
-    )
+from repro.core.measures import design_space_search as run_search
 
 
 def test_dse_search(benchmark):
-    results = benchmark(run_search)
-
-    rows = [
-        (
-            c.config.name,
-            f"{c.mean_tmacs:.1f}",
-            f"{c.area_mm2_28nm:.0f}",
-            f"{c.peak_tmacs:.0f}",
-        )
-        for c in results[:8]
-    ]
-    rows.append(("...", "", "", ""))
-    rows += [
-        (c.config.name, f"{c.mean_tmacs:.1f}", f"{c.area_mm2_28nm:.0f}",
-         f"{c.peak_tmacs:.0f}")
-        for c in results[-3:]
-    ]
-    print_table(
-        "Exhaustive DSE under the <330 mm2 budget (mean TMAC/s)",
-        ("design", "mean TMAC/s", "area mm2", "peak"),
-        rows,
-    )
-
-    winner = best(results)
-    # The mechanical winner is SuperNPU-class: narrowed array, heavily
-    # divided integrated buffers, multiple registers per PE.
-    assert winner.config.pe_array_width in (64, 128)
-    assert winner.config.ifmap_division >= 64
-    assert winner.config.registers_per_pe >= 2
-    # The gap to the naive corner of the space is enormous (Fig. 20/23).
-    worst = results[-1]
-    assert worst.config.ifmap_division == 1
-    assert winner.mean_mac_per_s > 100 * worst.mean_mac_per_s
+    benchmark(run_search)

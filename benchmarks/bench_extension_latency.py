@@ -5,45 +5,8 @@ critical serving cares about batch 1, where the 52.6 GHz clock pays off
 directly.  This bench reports per-image latency for the TPU and SuperNPU.
 """
 
-from _bench_utils import print_table
-
-from repro.baselines.scalesim import TPU_CORE, simulate_cmos
-from repro.core.designs import supernpu
-from repro.estimator.arch_level import estimate_npu
-from repro.simulator.engine import simulate
-
-
-def run_latency(library, workloads):
-    config = supernpu()
-    estimate = estimate_npu(config, library)
-    rows = {}
-    for network in workloads:
-        sfq = simulate(config, network, batch=1, estimate=estimate)
-        tpu = simulate_cmos(TPU_CORE, network, batch=1)
-        rows[network.name] = (sfq, tpu)
-    return rows
+from repro.core.measures import batch1_runs as run_latency
 
 
 def test_latency_extension(benchmark, rsfq, workloads):
-    rows = benchmark(run_latency, rsfq, workloads)
-
-    table = [
-        (
-            name,
-            f"{sfq.latency_s * 1e6:.0f}",
-            f"{tpu.latency_s * 1e6:.0f}",
-            f"{tpu.latency_s / sfq.latency_s:.1f}x",
-        )
-        for name, (sfq, tpu) in rows.items()
-    ]
-    print_table(
-        "Batch-1 inference latency (us): SuperNPU vs TPU",
-        ("workload", "SuperNPU", "TPU", "speedup"),
-        table,
-    )
-
-    for name, (sfq, tpu) in rows.items():
-        # SuperNPU's latency win holds at batch 1 on every workload.
-        assert sfq.latency_s < tpu.latency_s, name
-    ratios = [tpu.latency_s / sfq.latency_s for sfq, tpu in rows.values()]
-    assert sum(ratios) / len(ratios) > 3
+    benchmark(run_latency, rsfq, workloads)

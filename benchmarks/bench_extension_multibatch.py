@@ -6,43 +6,14 @@ extra batching stops paying — the quantitative basis of Table II's
 "maximum resident batch" policy.
 """
 
-from _bench_utils import print_table
-
 from repro.core.designs import supernpu
-from repro.simulator.batch_sweep import batch_sweep, knee_batch
+from repro.simulator.batch_sweep import batch_sweep
 from repro.workloads.models import resnet50
 
 BATCHES = (1, 2, 4, 8, 16, 30)
 
 
 def test_multibatch_curve(benchmark, rsfq):
-    points = benchmark(
+    benchmark(
         batch_sweep, supernpu(), resnet50(), BATCHES, None, rsfq
     )
-
-    rows = [
-        (
-            point.batch,
-            f"{point.tmacs:.1f}",
-            f"{point.latency_s * 1e6:.1f}",
-            f"{point.latency_per_image_s * 1e6:.1f}",
-        )
-        for point in points
-    ]
-    print_table(
-        "SuperNPU / ResNet50 throughput vs batch",
-        ("batch", "TMAC/s", "latency us", "us/image"),
-        rows,
-    )
-
-    knee = knee_batch(points)
-    print(f"\nknee batch (10% marginal-gain threshold): {knee}")
-
-    # Batching multiplies throughput many-fold before residency limits.
-    peak = max(point.mac_per_s for point in points)
-    assert peak > 5 * points[0].mac_per_s
-    # Per-image latency improves monotonically up to the peak batch.
-    best = max(points, key=lambda p: p.mac_per_s)
-    assert best.latency_per_image_s < points[0].latency_per_image_s
-    # The knee sits strictly inside the sweep.
-    assert BATCHES[0] <= knee <= BATCHES[-1]

@@ -6,47 +6,8 @@ matmuls — streaming, control-flow-free — so they are the natural second
 workload class; this bench runs a BERT-base encoder block on every design.
 """
 
-from _bench_utils import print_table
-
-from repro.baselines.scalesim import TPU_CORE, simulate_cmos
-from repro.core.batching import derived_batch
-from repro.core.designs import all_designs
-from repro.estimator.arch_level import estimate_npu
-from repro.simulator.engine import simulate
-from repro.workloads.extra import bert_base_block
-
-
-def run_transformer(library):
-    network = bert_base_block()
-    tpu = simulate_cmos(TPU_CORE, network, batch=8)
-    rows = {"TPU": tpu}
-    for config in all_designs():
-        estimate = estimate_npu(config, library)
-        batch = derived_batch(config.with_updates(name=f"{config.name}*"), network)
-        rows[config.name] = simulate(config, network, batch=batch, estimate=estimate)
-    return rows
+from repro.core.measures import transformer_runs as run_transformer
 
 
 def test_transformer_extension(benchmark, rsfq):
-    rows = benchmark(run_transformer, rsfq)
-
-    tpu = rows["TPU"]
-    table = [
-        (
-            name,
-            run.batch,
-            f"{run.tmacs:.1f}",
-            f"{run.mac_per_s / tpu.mac_per_s:.1f}x",
-        )
-        for name, run in rows.items()
-    ]
-    print_table(
-        "BERT-base encoder block (seq 384) across designs",
-        ("design", "batch", "TMAC/s", "vs TPU"),
-        table,
-    )
-
-    # The optimization sequence carries over to matmul workloads.
-    assert rows["SuperNPU"].mac_per_s > 5 * tpu.mac_per_s
-    assert rows["SuperNPU"].mac_per_s > rows["Baseline"].mac_per_s * 5
-    assert rows["Buffer opt."].mac_per_s > rows["Baseline"].mac_per_s
+    benchmark(run_transformer, rsfq)

@@ -1,11 +1,4 @@
-"""Fig. 5 — on-chip network design comparison.
-
-Paper: the 2D splitter tree's critical-path delay grows with the PE-array
-width (>800 ps at width 64) while the systolic store-and-forward chain
-stays flat and smallest in both delay and area.
-"""
-
-from _bench_utils import print_table
+"""Fig. 5 — on-chip network design comparison (claims ``fig05.*``)."""
 
 from repro.uarch.network import compare_designs
 
@@ -17,28 +10,4 @@ def run_fig05(library):
 
 
 def test_fig05_network_comparison(benchmark, rsfq):
-    results = benchmark(run_fig05, rsfq)
-
-    rows = []
-    for width, designs in results.items():
-        for name, metrics in designs.items():
-            rows.append(
-                (
-                    width,
-                    name,
-                    f"{metrics['critical_path_delay_ps']:.1f}",
-                    f"{metrics['area_mm2']:.2f}",
-                )
-            )
-    print_table("Fig. 5: NW designs (width, design, delay ps, area mm2)",
-                ("width", "design", "delay_ps", "area_mm2"), rows)
-
-    at64 = results[64]
-    # Paper: 2D tree exceeds 800 ps at width 64.
-    assert at64["2d_splitter_tree"]["critical_path_delay_ps"] > 800
-    # Systolic wins both metrics at every width.
-    for width in WIDTHS:
-        systolic = results[width]["systolic_array"]
-        for other in ("2d_splitter_tree", "1d_splitter_tree"):
-            assert systolic["critical_path_delay_ps"] <= results[width][other]["critical_path_delay_ps"]
-            assert systolic["area_mm2"] < results[width][other]["area_mm2"]
+    benchmark(run_fig05, rsfq)

@@ -1,55 +1,11 @@
-"""Fig. 7(c) — feedback loop's impact on SFQ clock frequency.
+"""Fig. 7(c) — feedback loop's impact on SFQ clock frequency (claims ``fig07.*``)."""
 
-Paper (JSIM measurements): a full adder drops from 66 GHz (concurrent-flow)
-to 30 GHz (counter-flow with accumulator loop); a shift register from
-133 GHz to 71 GHz.
-"""
-
-import pytest
-from _bench_utils import print_table
-
-from repro.uarch.buffers import ShiftRegisterBuffer
+from repro.core.experiments import feedback_frequencies as run_fig07
 from repro.uarch.mac import Dataflow, MACUnit
-from repro.device import cells
-from repro.timing.clocking import concurrent_flow_cct, counter_flow_cct
-
-PAPER = {
-    "FA": (66.0, 30.0),
-    "SR": (133.0, 71.0),
-}
-
-
-def run_fig07(library):
-    and_gate = library[cells.AND]
-    dff = library[cells.DFF]
-    fa_fast = concurrent_flow_cct(and_gate.setup_ps, and_gate.hold_ps).frequency_ghz
-    fa_loop = and_gate.delay_ps + 1.6 + dff.delay_ps + 1.6
-    fa_slow = counter_flow_cct(and_gate.setup_ps, and_gate.hold_ps, fa_loop).frequency_ghz
-    sr_fast = concurrent_flow_cct(dff.setup_ps, dff.hold_ps).frequency_ghz
-    sr_slow = ShiftRegisterBuffer(64, io_width=1).frequency(library).frequency_ghz
-    return {"FA": (fa_fast, fa_slow), "SR": (sr_fast, sr_slow)}
 
 
 def test_fig07_feedback_frequency(benchmark, rsfq):
-    measured = benchmark(run_fig07, rsfq)
-
-    rows = [
-        (circuit,
-         f"{measured[circuit][0]:.1f}", f"{PAPER[circuit][0]:.0f}",
-         f"{measured[circuit][1]:.1f}", f"{PAPER[circuit][1]:.0f}")
-        for circuit in ("FA", "SR")
-    ]
-    print_table(
-        "Fig. 7c: frequency GHz (measured vs paper, without/with feedback)",
-        ("circuit", "no-fb (ours)", "no-fb (paper)", "fb (ours)", "fb (paper)"),
-        rows,
-    )
-
-    for circuit, (fast_ref, slow_ref) in PAPER.items():
-        fast, slow = measured[circuit]
-        assert fast == pytest.approx(fast_ref, rel=0.05)
-        assert slow == pytest.approx(slow_ref, rel=0.10)
-        assert slow < 0.6 * fast  # the headline: loops cripple the clock
+    benchmark(run_fig07, rsfq)
 
 
 def test_fig07_os_pe_frequency(benchmark, rsfq):
@@ -60,7 +16,4 @@ def test_fig07_os_pe_frequency(benchmark, rsfq):
         os = MACUnit(8, 24, Dataflow.OUTPUT_STATIONARY).frequency(rsfq).frequency_ghz
         return ws, os
 
-    ws, os = benchmark(run)
-    print_table("PE dataflow frequency (GHz)",
-                ("dataflow", "GHz"), [("WS", f"{ws:.1f}"), ("OS", f"{os:.1f}")])
-    assert os < 0.55 * ws
+    benchmark(run)

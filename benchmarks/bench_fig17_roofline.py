@@ -1,55 +1,7 @@
-"""Fig. 17 — roofline analysis of the single-batch Baseline.
+"""Fig. 17 — roofline analysis of the single-batch Baseline (claims ``fig17.*``)."""
 
-Paper: with one input batch, every workload's attainable performance sits
-far below the 3366 TMAC/s peak — maximum PE utilization is below 2% on
-average, and the measured performance hugs the bandwidth roof.
-"""
-
-from _bench_utils import print_table
-
-from repro.core.designs import baseline
-from repro.core.metrics import roofline_point
-from repro.estimator.arch_level import estimate_npu
-from repro.simulator.engine import simulate
-
-
-def run_fig17(library, workloads):
-    config = baseline()
-    estimate = estimate_npu(config, library)
-    points = []
-    for network in workloads:
-        run = simulate(config, network, batch=1, estimate=estimate)
-        points.append(
-            roofline_point(
-                network, 1, estimate.peak_mac_per_s,
-                config.memory_bandwidth_gbps, measured=run,
-            )
-        )
-    return points
+from repro.core.experiments import roofline_points as run_fig17
 
 
 def test_fig17_roofline(benchmark, rsfq, workloads):
-    points = benchmark(run_fig17, rsfq, workloads)
-
-    rows = [
-        (
-            p.network,
-            f"{p.intensity_mac_per_byte:.0f}",
-            f"{p.attainable_mac_per_s / 1e9:.0f}",
-            f"{(p.measured_mac_per_s or 0) / 1e9:.0f}",
-            f"{100 * p.max_pe_utilization:.2f}%",
-        )
-        for p in points
-    ]
-    print_table(
-        "Fig. 17: roofline (intensity MAC/B, roofline GMAC/s, measured GMAC/s, util bound)",
-        ("workload", "MAC/B", "roofline", "measured", "max util"),
-        rows,
-    )
-
-    # Paper: >98% below peak; average utilization bound under 2%.
-    mean_util = sum(p.max_pe_utilization for p in points) / len(points)
-    assert mean_util < 0.02
-    for p in points:
-        assert p.attainable_mac_per_s < 0.1 * p.peak_mac_per_s
-        assert p.measured_mac_per_s <= p.attainable_mac_per_s * 1.05
+    benchmark(run_fig17, rsfq, workloads)

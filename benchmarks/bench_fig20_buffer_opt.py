@@ -1,12 +1,4 @@
-"""Fig. 20 — performance impact and area overhead of buffer optimizations.
-
-Paper: psum/ofmap integration plus progressive buffer division lifts
-single-batch performance ~6.3x and max-batch performance ~20x by division
-64, after which performance saturates while the MUX/DEMUX tree area grows
-steeply (the reason SuperNPU stops at 64).
-"""
-
-from _bench_utils import print_table
+"""Fig. 20 — performance and area of the buffer optimizations (``fig20.*``)."""
 
 from repro.core.optimizer import buffer_sweep
 
@@ -14,40 +6,8 @@ DIVISIONS = (2, 4, 16, 64, 256, 1024, 4096)
 
 
 def test_fig20_buffer_optimization(benchmark, workloads, rsfq):
-    points = benchmark(buffer_sweep, workloads, rsfq, DIVISIONS)
-
-    rows = [
-        (
-            p.label,
-            f"{p.metrics['single_batch']:.2f}x",
-            f"{p.metrics['max_batch']:.2f}x",
-            f"{p.metrics['area']:.2f}x",
-        )
-        for p in points
-    ]
-    print_table(
-        "Fig. 20: buffer integration + division (normalized to Baseline)",
-        ("design", "single batch", "max batch", "area"),
-        rows,
-    )
-
-    metrics = {p.label: p.metrics for p in points}
-    # Integration alone already helps.
-    assert metrics["+Integration (Division 2)"]["single_batch"] > 1.5
-    # Division 64 is the paper's chosen operating point: large gains ...
-    assert metrics["+Division 64"]["single_batch"] > 4.0
-    assert metrics["+Division 64"]["max_batch"] > 10.0
-    # ... and performance saturates beyond it ...
-    assert (
-        metrics["+Division 4096"]["single_batch"]
-        < 1.35 * metrics["+Division 64"]["single_batch"]
-    )
-    # ... while area keeps climbing (paper: exponential MUX/DEMUX cost).
-    assert metrics["+Division 64"]["area"] < 1.05
-    assert metrics["+Division 4096"]["area"] > 1.3
+    benchmark(buffer_sweep, workloads, rsfq, DIVISIONS)
 
 
 def test_fig20_monotone_before_saturation(benchmark, workloads, rsfq):
-    points = benchmark(buffer_sweep, workloads, rsfq, (2, 4, 16, 64))
-    series = [p.metrics["max_batch"] for p in points]
-    assert all(a <= b * 1.01 for a, b in zip(series, series[1:]))
+    benchmark(buffer_sweep, workloads, rsfq, (2, 4, 16, 64))

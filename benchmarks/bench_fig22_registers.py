@@ -1,11 +1,4 @@
-"""Fig. 22 — weight registers per PE.
-
-Paper: the 128-wide design cannot improve with more registers (it is
-memory-bound), while the 64-wide design keeps gaining — which is why
-SuperNPU is the 64-wide array with 8 registers per PE.
-"""
-
-from _bench_utils import print_table
+"""Fig. 22 — weight registers per PE (claims ``fig22.*``)."""
 
 from repro.core.optimizer import register_sweep
 
@@ -13,27 +6,4 @@ REGISTERS = (1, 2, 4, 8, 16, 32)
 
 
 def test_fig22_registers(benchmark, workloads, rsfq):
-    rows_by_width = benchmark(register_sweep, workloads, rsfq, (64, 128), REGISTERS)
-
-    rows = []
-    for width, points in rows_by_width.items():
-        for regs, point in zip(REGISTERS, points):
-            rows.append((width, regs, f"{point.metrics['speedup']:.1f}x"))
-    print_table(
-        "Fig. 22: speedup vs Baseline by registers per PE",
-        ("width", "registers", "speedup"),
-        rows,
-    )
-
-    speed64 = [p.metrics["speedup"] for p in rows_by_width[64]]
-    speed128 = [p.metrics["speedup"] for p in rows_by_width[128]]
-    # 64-wide keeps improving with more registers (our model's average gain
-    # is smaller than the paper's — see EXPERIMENTS.md — but monotone) ...
-    assert speed64[REGISTERS.index(8)] > 1.04 * speed64[0]
-    assert all(a <= b * 1.001 for a, b in zip(speed64, speed64[1:]))
-    # ... and gains more from registers than the 128-wide design does.
-    gain64 = speed64[REGISTERS.index(8)] / speed64[0]
-    gain128 = speed128[REGISTERS.index(8)] / speed128[0]
-    assert gain64 > gain128
-    # Both sweeps stay far above Baseline throughout.
-    assert min(speed64 + speed128) > 5
+    benchmark(register_sweep, workloads, rsfq, (64, 128), REGISTERS)

@@ -6,57 +6,8 @@ dominated by path-balancing DFFs (the structural fact behind the analytic
 MAC model's DFF factor).
 """
 
-from _bench_utils import print_table
-
-from repro.gatesim import build_multiplier
-
-
-def run_pipeline_study():
-    results = {}
-    for bits in (2, 4, 8):
-        circuit = build_multiplier(bits)
-        operations = [{"a": a % (1 << bits), "b": (a * 7 + 1) % (1 << bits)}
-                      for a in range(24)]
-        outputs = circuit.compute_stream(operations)
-        correct = outputs == [op["a"] * op["b"] for op in operations]
-        results[bits] = {
-            "gates": circuit.num_gates,
-            "latency": circuit.latency,
-            "histogram": circuit.gate_histogram(),
-            "stream_correct": correct,
-        }
-    return results
+from repro.core.measures import multiplier_pipelines as run_pipeline_study
 
 
 def test_gatesim_pipeline(benchmark):
-    results = benchmark(run_pipeline_study)
-
-    rows = []
-    for bits, r in results.items():
-        hist = r["histogram"]
-        logic = hist.get("AND", 0) + hist.get("XOR", 0) + hist.get("OR", 0)
-        rows.append(
-            (
-                f"{bits}x{bits}",
-                r["gates"],
-                r["latency"],
-                f"{hist.get('DFF', 0) / logic:.1f}",
-                "yes" if r["stream_correct"] else "NO",
-            )
-        )
-    print_table(
-        "Gate-level-pipelined multipliers (pulse-logic simulation)",
-        ("width", "gates", "latency", "DFF/logic", "1 op/clock"),
-        rows,
-    )
-
-    for bits, r in results.items():
-        # Streaming correctness at full rate: the Fig. 2(a) property.
-        assert r["stream_correct"], bits
-        # Path-balancing DFFs dominate every width.
-        hist = r["histogram"]
-        logic = hist.get("AND", 0) + hist.get("XOR", 0) + hist.get("OR", 0)
-        assert hist["DFF"] > 1.5 * logic
-    # Latency grows with width; throughput (1/clock) does not change.
-    latencies = [results[b]["latency"] for b in (2, 4, 8)]
-    assert latencies == sorted(latencies)
+    benchmark(run_pipeline_study)

@@ -1,14 +1,5 @@
-"""Table I — evaluation setup: frequency, peak throughput, area.
+"""Table I — evaluation setup: frequency, peak throughput, area (``table1.*``)."""
 
-Paper: every SFQ design clocks at 52.6 GHz; peaks of 3366 TMAC/s
-(256x256) and 842 TMAC/s (64x256); 28 nm-equivalent areas of ~283-299 mm2,
-all under the TPU's <330 mm2.
-"""
-
-import pytest
-from _bench_utils import print_table
-
-from repro.baselines.scalesim import TPU_CORE
 from repro.core.designs import all_designs
 from repro.estimator.arch_level import estimate_npu
 
@@ -18,41 +9,4 @@ def run_table1(library):
 
 
 def test_table1_setup(benchmark, rsfq):
-    estimates = benchmark(run_table1, rsfq)
-
-    rows = [
-        (
-            "TPU",
-            f"{TPU_CORE.pe_array_width}x{TPU_CORE.pe_array_height}",
-            1,
-            f"{TPU_CORE.frequency_ghz:.1f}",
-            f"{TPU_CORE.peak_mac_per_s / 1e12:.0f}",
-            "<330",
-        )
-    ]
-    for name, est in estimates.items():
-        rows.append(
-            (
-                name,
-                f"{est.config.pe_array_width}x{est.config.pe_array_height}",
-                est.config.registers_per_pe,
-                f"{est.frequency_ghz:.1f}",
-                f"{est.peak_tmacs:.0f}",
-                f"{est.area_mm2_scaled():.0f}",
-            )
-        )
-    print_table(
-        "Table I: setup (freq GHz, peak TMAC/s, area mm2 @28nm)",
-        ("design", "array", "regs", "freq", "peak", "area"),
-        rows,
-    )
-
-    for name, est in estimates.items():
-        assert est.frequency_ghz == pytest.approx(52.6, rel=0.002), name
-        assert est.area_mm2_scaled() < 330, name
-    assert estimates["Baseline"].peak_tmacs == pytest.approx(3447, rel=0.05)
-    assert estimates["SuperNPU"].peak_tmacs == pytest.approx(862, rel=0.05)
-    # Peak ratio between the wide and narrow arrays is exactly 4.
-    assert estimates["Baseline"].peak_tmacs == pytest.approx(
-        4 * estimates["SuperNPU"].peak_tmacs
-    )
+    benchmark(run_table1, rsfq)

@@ -1,50 +1,7 @@
-"""Table II — per-workload batch sizes.
+"""Table II — capacity-derived batch sizes (claims ``table2.*``)."""
 
-Paper: batches are the largest values the on-chip buffers hold without
-extra off-chip traffic (conservatively capped): TPU 3-22, Baseline 1
-everywhere, SuperNPU 30 (VGG16: 7).  The published table is used verbatim
-by the evaluation; this bench regenerates the capacity-derived side and
-shows both.
-"""
-
-from _bench_utils import print_table
-
-from repro.core.batching import PAPER_BATCHES, derived_batch
-from repro.core.designs import all_designs
-from repro.workloads.analysis import max_batch_for_buffer
-from repro.baselines.scalesim import TPU_CORE
-
-
-def run_table2(workloads):
-    derived = {}
-    for config in all_designs():
-        sweep_alias = config.with_updates(name=f"{config.name} (derived)")
-        derived[config.name] = {
-            network.name: derived_batch(sweep_alias, network) for network in workloads
-        }
-    derived["TPU"] = {
-        network.name: min(30, max_batch_for_buffer(network, TPU_CORE.onchip_buffer_bytes))
-        for network in workloads
-    }
-    return derived
+from repro.core.experiments import derived_batches as run_table2
 
 
 def test_table2_batches(benchmark, workloads):
-    derived = benchmark(run_table2, workloads)
-
-    names = [network.name for network in workloads]
-    rows = []
-    for design in ("TPU", "Baseline", "Buffer opt.", "Resource opt.", "SuperNPU"):
-        rows.append(tuple([f"{design} (paper)"] + [PAPER_BATCHES[design][n] for n in names]))
-        rows.append(tuple([f"{design} (derived)"] + [derived[design][n] for n in names]))
-    print_table("Table II: batch sizes (paper vs capacity-derived)",
-                tuple(["design"] + names), rows)
-
-    # Key shapes: Baseline cannot batch; VGG-class workloads batch least;
-    # the SuperNPU-class buffers support far larger batches than Baseline.
-    assert all(v == 1 for v in derived["Baseline"].values())
-    for design in ("Resource opt.", "SuperNPU"):
-        assert derived[design]["VGG16"] == min(derived[design].values())
-        assert max(derived[design].values()) >= 15
-    # The TPU-side derived batch reproduces the published VGG16 value.
-    assert derived["TPU"]["VGG16"] == PAPER_BATCHES["TPU"]["VGG16"] == 3
+    benchmark(run_table2, workloads)

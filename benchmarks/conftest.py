@@ -1,8 +1,9 @@
 """Shared fixtures for the figure/table reproduction benchmarks.
 
-Every benchmark both *times* its experiment (pytest-benchmark) and checks
-the paper-shape claims it reproduces; run with ``-s`` to see the
-regenerated rows next to the published values.
+Every benchmark times one experiment's computation (pytest-benchmark).
+The paper claims those experiments reproduce are rows of the claims
+table in :mod:`repro.core.golden`, checked by the tier-1 suite; rerun
+them with ``python -m repro.core.golden``.
 
 The whole benchmark session runs with ``repro.obs`` metrics enabled and
 writes the aggregate snapshot (simulated cycles/MACs, layers, estimator
@@ -15,11 +16,8 @@ machine-comparable across PRs.
 from __future__ import annotations
 
 import os
-import sys
 
 import pytest
-
-sys.path.insert(0, os.path.dirname(__file__))
 
 
 @pytest.fixture(scope="session", autouse=True)

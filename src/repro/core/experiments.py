@@ -1,19 +1,22 @@
 """One-command reproduction: run every experiment, write every artifact.
 
 ``reproduce_all()`` executes the full figure/table pipeline and returns
-(or writes, one JSON per experiment) machine-readable results — the
-programmatic twin of ``pytest benchmarks/``.  Used by
-``supernpu reproduce --out results/``.
+(or writes, one JSON per experiment) machine-readable results.  Used by
+``supernpu reproduce --out results/``, and the measurement path of most
+rows of the claims table (:mod:`repro.core.golden`).
 """
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Union
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
+from repro.device import cells
 from repro.device.cells import CellLibrary, Technology, library_for
-from repro.errors import ReproError, SimulationError
+from repro.errors import ConfigError, ReproError, SimulationError
+from repro.timing.clocking import concurrent_flow_cct, counter_flow_cct
+from repro.uarch.buffers import ShiftRegisterBuffer
 from repro.workloads.models import Network, all_workloads
 
 
@@ -26,12 +29,24 @@ def _fig05(library: CellLibrary, workloads: List[Network]) -> object:
     }
 
 
+def feedback_frequencies(library: CellLibrary) -> Dict[str, Tuple[float, float]]:
+    """Full adder and shift register clock (GHz), without and with a loop."""
+    and_gate = library[cells.AND]
+    dff = library[cells.DFF]
+    fa_fast = concurrent_flow_cct(and_gate.setup_ps, and_gate.hold_ps).frequency_ghz
+    fa_loop = and_gate.delay_ps + 1.6 + dff.delay_ps + 1.6
+    fa_slow = counter_flow_cct(and_gate.setup_ps, and_gate.hold_ps, fa_loop).frequency_ghz
+    sr_fast = concurrent_flow_cct(dff.setup_ps, dff.hold_ps).frequency_ghz
+    sr_slow = ShiftRegisterBuffer(64, io_width=1).frequency(library).frequency_ghz
+    return {"FA": (fa_fast, fa_slow), "SR": (sr_fast, sr_slow)}
+
+
 def _fig07(library: CellLibrary, workloads: List[Network]) -> object:
     from repro.uarch.mac import Dataflow, MACUnit
 
     ws = MACUnit(8, 24, Dataflow.WEIGHT_STATIONARY).frequency(library).frequency_ghz
     os = MACUnit(8, 24, Dataflow.OUTPUT_STATIONARY).frequency(library).frequency_ghz
-    return {"ws_ghz": ws, "os_ghz": os}
+    return {"ws_ghz": ws, "os_ghz": os, **feedback_frequencies(library)}
 
 
 def _fig08(library: CellLibrary, workloads: List[Network]) -> object:
@@ -95,24 +110,36 @@ def _fig15(library: CellLibrary, workloads: List[Network]) -> object:
     }
 
 
-def _fig17(library: CellLibrary, workloads: List[Network]) -> object:
+def roofline_points(library: CellLibrary, workloads: List[Network]) -> list:
+    """The batch-1 Baseline's roofline point per workload, with its simulation."""
     from repro.core.designs import baseline
     from repro.core.metrics import roofline_point
     from repro.estimator.arch_level import estimate_npu
+    from repro.simulator.engine import simulate
 
     config = baseline()
     estimate = estimate_npu(config, library)
+    points = []
+    for network in workloads:
+        run = simulate(config, network, batch=1, estimate=estimate)
+        points.append(
+            roofline_point(
+                network, 1, estimate.peak_mac_per_s,
+                config.memory_bandwidth_gbps, measured=run,
+            )
+        )
+    return points
+
+
+def _fig17(library: CellLibrary, workloads: List[Network]) -> object:
     return {
-        network.name: {
+        point.network: {
             "intensity_mac_per_byte": point.intensity_mac_per_byte,
             "attainable_gmacs": point.attainable_mac_per_s / 1e9,
+            "measured_gmacs": point.measured_mac_per_s / 1e9,
             "max_utilization": point.max_pe_utilization,
         }
-        for network in workloads
-        for point in [
-            roofline_point(network, 1, estimate.peak_mac_per_s,
-                           config.memory_bandwidth_gbps)
-        ]
+        for point in roofline_points(library, workloads)
     }
 
 
@@ -129,7 +156,7 @@ def _fig21(library: CellLibrary, workloads: List[Network]) -> object:
     from repro.core.optimizer import resource_sweep
 
     return [
-        {"label": point.label, **point.metrics}
+        {"label": point.label, "width": point.config.pe_array_width, **point.metrics}
         for point in resource_sweep(workloads=workloads, library=library)
     ]
 
@@ -163,10 +190,30 @@ def _table1(library: CellLibrary, workloads: List[Network]) -> object:
     }
 
 
+def derived_batches(workloads: List[Network]) -> Dict[str, Dict[str, int]]:
+    """The capacity-derived batch of every design (and the TPU) per workload."""
+    from repro.baselines.scalesim import TPU_CORE
+    from repro.core.batching import derived_batch
+    from repro.core.designs import all_designs
+    from repro.workloads.analysis import max_batch_for_buffer
+
+    derived = {}
+    for config in all_designs():
+        sweep_alias = config.with_updates(name=f"{config.name} (derived)")
+        derived[config.name] = {
+            network.name: derived_batch(sweep_alias, network) for network in workloads
+        }
+    derived["TPU"] = {
+        network.name: min(30, max_batch_for_buffer(network, TPU_CORE.onchip_buffer_bytes))
+        for network in workloads
+    }
+    return derived
+
+
 def _table2(library: CellLibrary, workloads: List[Network]) -> object:
     from repro.core.batching import PAPER_BATCHES
 
-    return PAPER_BATCHES
+    return {"paper": PAPER_BATCHES, "derived": derived_batches(workloads)}
 
 
 def _table3(library: CellLibrary, workloads: List[Network]) -> object:
@@ -225,7 +272,14 @@ def reproduce_all(
         selected = list(EXPERIMENTS) + (list(EXTENSIONS) if include_extensions else [])
     unknown = set(selected) - set(registry)
     if unknown:
-        raise KeyError(f"unknown experiments {sorted(unknown)}; known: {sorted(registry)}")
+        raise ConfigError(f"unknown experiments {sorted(unknown)}",
+                          code="config.unknown_experiment", unknown=sorted(unknown),
+                          hint=f"known experiments: {', '.join(sorted(registry))}")
+    directory = None if out_dir is None else Path(out_dir)
+    if directory is not None and directory.exists() and not directory.is_dir():
+        raise ConfigError(f"output path {directory} exists and is not a directory",
+                          code="config.invalid_value", path=str(directory),
+                          hint="pass a directory to hold one JSON file per experiment")
 
     results: Dict[str, object] = {}
     for name in selected:
@@ -243,8 +297,7 @@ def reproduce_all(
                 completed=sorted(results),
             ) from error
 
-    if out_dir is not None:
-        directory = Path(out_dir)
+    if directory is not None:
         directory.mkdir(parents=True, exist_ok=True)
         for name, result in results.items():
             (directory / f"{name}.json").write_text(
@@ -309,7 +362,8 @@ def _ext_cooling(library: CellLibrary, workloads: List[Network]) -> object:
     ]
 
 
-def _ext_dataflow(library: CellLibrary, workloads: List[Network]) -> object:
+def dataflow_runs(library: CellLibrary, workloads: List[Network]):
+    """SuperNPU's WS and OS estimates and its (WS, OS) run per workload."""
     from repro.core.batching import batch_for
     from repro.core.designs import supernpu
     from repro.estimator.arch_level import estimate_npu
@@ -324,8 +378,21 @@ def _ext_dataflow(library: CellLibrary, workloads: List[Network]) -> object:
         batch = batch_for(config, network)
         ws = simulate(config, network, batch=batch, estimate=ws_estimate)
         os = simulate_os(config, network, batch=batch, estimate=os_estimate)
-        rows[network.name] = {"ws_tmacs": ws.tmacs, "os_tmacs": os.tmacs}
-    return rows
+        rows[network.name] = (ws, os)
+    return ws_estimate, os_estimate, rows
+
+
+def _ext_dataflow(library: CellLibrary, workloads: List[Network]) -> object:
+    ws_estimate, os_estimate, rows = dataflow_runs(library, workloads)
+    return {
+        name: {
+            "ws_tmacs": ws.tmacs,
+            "os_tmacs": os.tmacs,
+            "ws_ghz": ws_estimate.frequency_ghz,
+            "os_ghz": os_estimate.frequency_ghz,
+        }
+        for name, (ws, os) in rows.items()
+    }
 
 
 def _ext_training(library: CellLibrary, workloads: List[Network]) -> object:
@@ -337,11 +404,11 @@ def _ext_training(library: CellLibrary, workloads: List[Network]) -> object:
     estimate = estimate_npu(config, library)
     return {
         network.name: {
-            "step_over_forward": simulate_training_step(
-                config, network, batch=4, estimate=estimate
-            ).training_vs_inference_ratio
+            "step_over_forward": step.training_vs_inference_ratio,
+            "macs_over_forward": step.total_macs / step.forward.total_macs,
         }
         for network in workloads
+        for step in [simulate_training_step(config, network, batch=4, estimate=estimate)]
     }
 
 

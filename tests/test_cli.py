@@ -277,6 +277,16 @@ def test_reproduce_metrics_out_flag(tmp_path, capsys):
     assert data["metrics"]["counters"]["sim.runs"] > 0
 
 
+def test_reproduce_bad_input_exits_2(tmp_path, capsys):
+    assert main(["reproduce", "--only", "fig99"]) == 2
+    err = capsys.readouterr().err
+    assert "unknown experiments" in err and "fig07_feedback" in err
+    path = tmp_path / "results"
+    path.write_text("")
+    assert main(["reproduce", "--out", str(path), "--only", "fig07_feedback"]) == 2
+    assert "not a directory" in capsys.readouterr().err
+
+
 def test_bottleneck_command(capsys):
     assert main(["bottleneck", "baseline", "alexnet", "--batch", "1"]) == 0
     out = capsys.readouterr().out

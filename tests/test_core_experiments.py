@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.core.experiments import EXPERIMENTS, reproduce_all
+from repro.errors import ConfigError
 from repro.workloads.models import mobilenet, resnet50
 
 
@@ -46,8 +47,23 @@ def test_json_artifacts_written(tmp_path, small_workloads):
 
 
 def test_unknown_experiment_rejected(small_workloads):
-    with pytest.raises(KeyError, match="unknown experiments"):
+    with pytest.raises(ConfigError, match="unknown experiments") as excinfo:
         reproduce_all(workloads=small_workloads, only=["fig99"])
+    assert excinfo.value.code == "config.unknown_experiment"
+    assert "fig07_feedback" in excinfo.value.hint
+
+
+def test_out_path_that_is_a_file_rejected_before_running(tmp_path, monkeypatch):
+    from repro.core import experiments
+
+    ran = []
+    monkeypatch.setitem(experiments.EXPERIMENTS, "fig07_feedback",
+                        lambda library, workloads: ran.append(1))
+    path = tmp_path / "results"
+    path.write_text("not a directory")
+    with pytest.raises(ConfigError, match="not a directory"):
+        reproduce_all(out_dir=path, only=["fig07_feedback"])
+    assert ran == []
 
 
 def test_full_run_results_are_consistent(small_workloads):
