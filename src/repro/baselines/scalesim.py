@@ -17,6 +17,7 @@ import math
 from dataclasses import dataclass
 
 from repro.canonical import KeepsCanonicalText
+from repro.simulator.kernel import EXACT_LIMIT, charge_overflow
 from repro.simulator.memory import memory_model_for
 from repro.simulator.results import LAYER_FIELDS, ActivityTrace, SimulationResult
 from repro.workloads.layers import ConvLayer
@@ -91,7 +92,12 @@ def simulate_cmos(
     batch: int = 1,
 ) -> SimulationResult:
     """Simulate ``network`` on the CMOS baseline; reuses the SFQ result type
-    so downstream comparisons treat both NPUs uniformly."""
+    so downstream comparisons treat both NPUs uniformly.
+
+    Raises:
+        SimulationError: ``simulation.charge_overflow`` when some layer
+            charge reaches :data:`~repro.simulator.kernel.EXACT_LIMIT`.
+    """
     if batch < 1:
         raise ValueError("batch must be positive")
     memory = memory_model_for(config, config.frequency_ghz)
@@ -125,6 +131,11 @@ def simulate_cmos(
         )
         for name, value in row.items():
             columns[name].append(value)
+    # The bound the SFQ passes keep: past it an int64 sum of the layers
+    # could wrap, and the cache could not hold the run exactly.
+    largest = max(max(columns[name]) for name in LAYER_FIELDS[1:])
+    if largest >= EXACT_LIMIT:
+        raise charge_overflow(batch, largest)
     return SimulationResult(
         design=config.name,
         network=network.name,

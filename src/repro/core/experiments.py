@@ -180,13 +180,14 @@ def _table1(library: CellLibrary, workloads: List[Network]) -> object:
     from repro.core.designs import all_designs
     from repro.estimator.arch_level import estimate_npu
 
+    estimates = [estimate_npu(config, library) for config in all_designs()]
     return {
-        config.name: {
-            "frequency_ghz": estimate_npu(config, library).frequency_ghz,
-            "peak_tmacs": estimate_npu(config, library).peak_tmacs,
-            "area_mm2_28nm": estimate_npu(config, library).area_mm2_scaled(),
+        estimate.config.name: {
+            "frequency_ghz": estimate.frequency_ghz,
+            "peak_tmacs": estimate.peak_tmacs,
+            "area_mm2_28nm": estimate.area_mm2_scaled(),
         }
-        for config in all_designs()
+        for estimate in estimates
     }
 
 

@@ -79,6 +79,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Deque, Dict, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
+import numpy as np
+
 from repro import obs
 from repro.baselines.scalesim import CMOSNPUConfig, simulate_cmos
 from repro.canonical import canonical_json, kept_text
@@ -95,6 +97,7 @@ from repro.errors import CacheError, ConfigError, ReproError, WorkerError
 from repro.estimator.arch_level import NPUEstimate, estimate_npu
 from repro.estimator.uarch_level import UnitEstimate
 from repro.simulator.engine import DesignCharges, charge_designs, simulate
+from repro.simulator.kernel import EXACT_LIMIT, column_totals
 from repro.simulator.results import LAYER_FIELDS, ActivityTrace, SimulationResult
 from repro.uarch.config import NPUConfig
 from repro.workloads.layers import check_batch
@@ -105,11 +108,12 @@ from repro.workloads.models import Network
 #: wrong.  It hashes into every key (and so into plan hashes).
 CACHE_SCHEMA_VERSION = 1
 
-#: Bump whenever the on-disk entry layout changes (e.g. columnar layers):
-#: keys stay the same, and an entry written in another layout is
-#: quarantined as ``wrong-schema`` on first read, costing one miss.
-#: Written as each entry document's ``"schema"``.
-CACHE_FORMAT_VERSION = 2
+#: Bump whenever the on-disk entry layout changes (3: a simulate entry's
+#: layer charges as one int64 block after its JSON header): keys stay the
+#: same, and an entry written in another layout is quarantined as
+#: ``wrong-schema`` on first read, costing one miss.  Written as each
+#: entry document's ``"schema"``.
+CACHE_FORMAT_VERSION = 3
 
 #: Subdirectory of a cache root where damaged entries are parked.
 QUARANTINE_DIR = "quarantine"
@@ -245,45 +249,52 @@ def estimate_key(config: NPUConfig, library: CellLibrary) -> str:
 
 # -- payload codecs --------------------------------------------------------
 #
-# Cached payloads are plain JSON dicts; these codecs round-trip the result
-# records exactly (Python's json preserves ints and floats bit-exactly),
-# which is what makes warm-cache runs bitwise-identical to cold ones.
+# These codecs round-trip the result records exactly (Python's json
+# preserves ints and floats bit-exactly, and the layer charges travel as
+# int64), which is what makes warm-cache runs bitwise-identical to cold
+# ones.  A simulate payload is JSON-able but for its "block": the layer
+# charges, one little-endian int64 row per BLOCK_FIELDS field with an
+# entry per layer, which the cache writes after the JSON header.
+
+#: The layer fields a simulate payload's block holds, in block order.
+BLOCK_FIELDS = list(LAYER_FIELDS[1:])
+
 
 def result_to_dict(run: SimulationResult) -> Dict[str, Any]:
-    # Layers are stored as the result's columns, one list per LayerResult
-    # field: a row layout would spell out every field name once per layer.
+    state = vars(run)
+    if "_charges" in state:  # a charge-pass or decoded run: its block as it is
+        names, charges = state["_names"], state["_charges"]
+    else:  # a run built from lists, or one whose lists were read
+        columns = run.columns
+        names = columns["name"]
+        charges = np.array([columns[name] for name in BLOCK_FIELDS], dtype=np.int64)
     return {
         "design": run.design,
         "network": run.network,
         "batch": run.batch,
         "frequency_ghz": run.frequency_ghz,
-        "layers": run.columns,
         "activity": dict(run.activity.effective_cycles),
+        "names": list(names),
+        "fields": BLOCK_FIELDS,
+        "block": charges.astype("<i8", copy=False).tobytes(),
     }
 
 
 def result_from_dict(data: Dict[str, Any]) -> SimulationResult:
-    layers = data["layers"]
-    if not isinstance(layers, dict) or layers.keys() != set(LAYER_FIELDS):
-        raise ValueError("layer columns are not LayerResult's fields")
-    # zip would silently truncate ragged columns to the shortest.
-    if not all(type(column) is list for column in layers.values()) or \
-            len({len(column) for column in layers.values()}) != 1:
-        raise ValueError("layer columns are not lists of one length")
-    # The constructor's TypeError rejects columns that do not sum to ints.
+    names = data["names"]
+    charges = np.frombuffer(data["block"], "<i8").reshape(len(BLOCK_FIELDS), len(names))
+    # Negative values view as uint64s past the limit: one reduction bounds
+    # both ends, and below the limit the int64 totals cannot wrap.
+    if charges.view(np.uint64).max() >= EXACT_LIMIT:
+        raise ValueError("layer charges outside [0, 2**53)")
     # Activity materializes in sorted-unit order, as the simulator emits
     # it, no matter how the payload was ordered: power sums fold floats in
     # iteration order, so a cache hit and a fresh run must agree on it.
     activity = data["activity"]
-    return SimulationResult(
-        design=data["design"],
-        network=data["network"],
-        batch=data["batch"],
-        frequency_ghz=data["frequency_ghz"],
-        columns=layers,
-        activity=ActivityTrace(effective_cycles={unit: activity[unit]
-                                                 for unit in sorted(activity)}),
-    )
+    return SimulationResult.from_charges(
+        data["design"], data["network"], data["batch"], data["frequency_ghz"],
+        names, charges, column_totals(charges),
+        ActivityTrace(effective_cycles={unit: activity[unit] for unit in sorted(activity)}))
 
 
 def estimate_to_dict(estimate: NPUEstimate) -> Dict[str, Any]:
@@ -357,6 +368,9 @@ _HEADER_MAX = 256
 #: Bytes a segment scan reads at a time; the scan keeps no more than this.
 _SCAN_CHUNK = 1 << 16
 
+#: JSON separators of a record body: no spaces to write, read and store.
+_COMPACT = (",", ":")
+
 #: Most segment descriptors one cache handle keeps open.
 _MAX_FDS = 32
 
@@ -425,13 +439,17 @@ class ResultCache:
     Entries live in append-only segment files, ``root/segments/<pid>-
     <token>.seg``: each handle opens one on its first put and appends
     every entry to it as one framed record, a header line ``<key>
-    <length> <sha256>\\n``, the entry document, then ``\\n``.  No index
-    is stored: opening a cache scans the segments' headers into an
+    <length> <sha256>\\n``, the entry body, then ``\\n``.  The body is the
+    entry document as sorted-key JSON, but a simulate entry's int64 layer
+    block (:data:`BLOCK_FIELDS`) follows that JSON after a ``\\n``.  No
+    index is stored: opening a cache scans the segments' headers into an
     in-memory index, and a miss rescans the segments of live writers for
     records written since.
 
-    A record whose sha256, JSON or entry format
-    (:data:`CACHE_FORMAT_VERSION`) does not check out is copied to
+    A record whose sha256, JSON or block length (``8 x fields x
+    layers``) does not check out is ``corrupt``; one in another entry
+    format (:data:`CACHE_FORMAT_VERSION`, block fields) is
+    ``wrong-schema``.  Either is copied to
     ``root/quarantine/<reason>-<key>.json`` the first time it is read,
     and a tombstone line ``- <key> <segment> <offset>\\n``, appended to
     the reader's own segment, keeps every later scan from indexing it
@@ -589,12 +607,22 @@ class ResultCache:
                 return None, "unreadable"
         if len(raw) != length or hashlib.sha256(raw).digest() != sha:
             return None, "corrupt"
-        try:
-            document = json.loads(raw)
+        cut = raw.find(b"\n")  # a JSON text has none
+        try:  # json.loads(bytes) would first guess their encoding
+            document = json.loads((raw if cut < 0 else raw[:cut]).decode("utf-8"))
         except ValueError:  # not UTF-8, or not JSON
             return None, "corrupt"
         if not isinstance(document, dict):
             return None, "wrong-schema"
+        if cut >= 0:  # a JSON header, then the block it frames
+            payload = document.get("payload")
+            try:
+                framed = len(raw) - cut - 1 == 8 * len(payload["fields"]) * len(payload["names"])
+            except (KeyError, TypeError):
+                framed = False
+            if not framed:
+                return None, "corrupt"
+            payload["block"] = raw[cut + 1:]
         return document, ""
 
     def get(self, key: str) -> Optional[Dict[str, Any]]:
@@ -605,14 +633,16 @@ class ResultCache:
                 self.quarantine(key, reason=reason)
             return None
         payload = document.get("payload")
-        if document.get("schema") != CACHE_FORMAT_VERSION or not isinstance(payload, dict):
+        if (document.get("schema") != CACHE_FORMAT_VERSION or not isinstance(payload, dict)
+                or payload.get("fields", BLOCK_FIELDS) != BLOCK_FIELDS):
             self.quarantine(key, reason="wrong-schema")
             return None
         return payload
 
     def document(self, key: str) -> Optional[Dict[str, Any]]:
-        """The whole entry document at ``key`` if its record checks out
-        (sha256, JSON object), else None; never quarantines."""
+        """The whole entry document at ``key``, a block in its payload's
+        ``"block"``, if its record checks out (sha256, JSON object, block
+        length), else None; never quarantines."""
         return self._read(key)[0]
 
     def put(self, key: str, payload: Dict[str, Any], kind: str = "simulate") -> None:
@@ -625,9 +655,19 @@ class ResultCache:
         })
 
     def put_document(self, key: str, document: Any) -> None:
-        """Append ``document`` (as sorted-key JSON) as the record for
-        ``key``; a record it supersedes gets a tombstone in the same write."""
-        raw = json.dumps(document, sort_keys=True).encode("utf-8")
+        """Append ``document`` as the record for ``key``: its sorted-key
+        JSON, or, when its payload holds a ``"block"``, the JSON without
+        it, ``\\n`` and the block.  A record it supersedes gets a tombstone
+        in the same write."""
+        payload = document.get("payload") if isinstance(document, dict) else None
+        block = payload.get("block") if isinstance(payload, dict) else None
+        if block is None:
+            raw = json.dumps(document, sort_keys=True, separators=_COMPACT).encode("utf-8")
+        else:
+            header = {**document, "payload": {name: value for name, value in payload.items()
+                                               if name != "block"}}
+            raw = (json.dumps(header, sort_keys=True, separators=_COMPACT).encode("utf-8")
+                   + b"\n" + block)
         sha = hashlib.sha256(raw)
         header = f"{key} {len(raw)} {sha.hexdigest()}\n".encode("ascii")
         with self._lock:

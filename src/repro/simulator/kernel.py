@@ -25,7 +25,7 @@ Integer charges are exact int64 arithmetic, so they equal Python ints as
 long as nothing reaches :data:`EXACT_LIMIT`, which each pass checks per
 design, with its own bound, before computing.  The WS pass hands back its
 ``(D, 10, L)`` int64 block as is, with every column's total from one int64
-reduction (:func:`_column_totals`); the OS pass converts its block to
+reduction (:func:`column_totals`); the OS pass converts its block to
 lists.  The float steps keep the scalar order: DRAM and
 activation-transfer cycles are float64 ceilings of the same quotients,
 each WS activity unit is a left fold over layers in layer order, and each
@@ -66,7 +66,7 @@ def tile_charges(rows, cols, regs, vectors, pe_stages, tiles=1):
             tiles * (vectors * regs + cols + pe_stages) + rows)
 
 
-def _overflow(batch: int, bound: float) -> SimulationError:
+def charge_overflow(batch: int, bound: float) -> SimulationError:
     return SimulationError(
         "cycle charges could reach 2**53, where int64/float64 arithmetic "
         "stops being exact",
@@ -117,7 +117,7 @@ class LayerTable:
         outputs = max(row[5] for row in rows)
         # Every column entry is at most one of these bounds.
         if max(on_chip, traffic, weights) >= EXACT_LIMIT:
-            raise _overflow(1, max(on_chip, traffic, weights))
+            raise charge_overflow(1, max(on_chip, traffic, weights))
         columns = np.array(list(zip(*rows)), dtype=np.int64)
         columns.setflags(write=False)
         return cls(tuple(layer.name for layer in layers), *columns,
@@ -185,7 +185,7 @@ def _design_columns(table: LayerTable, designs: Sequence[Design], bounds):
                     config.pe_array_width * config.registers_per_pe,
                     config.pe_array_height * config.ifmap_division)
         if bound >= EXACT_LIMIT:
-            raise _overflow(batch, bound)
+            raise charge_overflow(batch, bound)
 
         # Every byte count compared with a buffer size is below the limit,
         # so capping the sizes there keeps each comparison and int64 safe.
@@ -236,9 +236,10 @@ def _layer_columns(phases, traffic, ifmap_bytes, ofmap_bytes, output_buffer,
     return charges.transpose(1, 0, 2)
 
 
-def _column_totals(block: np.ndarray) -> List[List[int]]:
-    """Each design's ten column sums of a :func:`_layer_columns` block, as
-    exact Python ints.
+def column_totals(block: np.ndarray) -> list:
+    """The sums along the last (layer) axis of an int64 block of charges,
+    as exact Python ints: per design, the ten column sums of a
+    :func:`_layer_columns` block, or one run's ten of its ``(10, L)`` slice.
 
     Every entry is below :data:`EXACT_LIMIT`, so one int64 reduction is
     exact while ``L * EXACT_LIMIT < 2**63`` (fewer than 1,024 layers); a
@@ -246,7 +247,7 @@ def _column_totals(block: np.ndarray) -> List[List[int]]:
     """
     if block.shape[-1] * EXACT_LIMIT < 2 ** 63:
         return block.sum(axis=-1).tolist()
-    return [[sum(column) for column in design] for design in block.tolist()]
+    return block.astype(object).sum(axis=-1).tolist()
 
 
 def charge_network(
@@ -264,7 +265,7 @@ def charge_network(
     Returns the :func:`_layer_columns` block (per design: mappings, weight
     load, ifmap prep, psum move, activation transfer, compute, DRAM
     traffic, DRAM cycles, total, MACs), each design's ten column totals
-    (:func:`_column_totals`), and each design's effective activity cycles
+    (:func:`column_totals`), and each design's effective activity cycles
     per unit in sorted-unit order.  Each design's rows and activity are
     bitwise what a loop of :func:`~repro.simulator.engine.simulate_layer`
     produces for that design alone.
@@ -336,7 +337,7 @@ def charge_network(
          if psum or unit != "psum_buffer"}
         for totals, psum in zip(folded.T.tolist(), has_psum)
     ]
-    return block, _column_totals(block), activity
+    return block, column_totals(block), activity
 
 
 def charge_network_os(

@@ -82,7 +82,8 @@ class ActivityTrace:
 
 
 #: LayerResult's fields in constructor order: the keys of
-#: :attr:`SimulationResult.columns`, and of a cached entry's ``"layers"``.
+#: :attr:`SimulationResult.columns`; after ``name``, the rows of a charge
+#: block and of a cached entry's block.
 LAYER_FIELDS = tuple(f.name for f in fields(LayerResult))
 
 
@@ -96,9 +97,10 @@ class SimulationResult:
     and must come out as exact ints: a ``TypeError`` rejects any other
     column values.
 
-    A run built from a charge pass (:meth:`from_charges`) keeps its slice
-    of the pass's int64 block instead, takes its totals from the pass, and
-    builds ``columns`` from the block on first read.
+    A run built from a charge pass or decoded from a cache entry
+    (:meth:`from_charges`) keeps its int64 block instead, takes its totals
+    from one reduction over it, and builds ``columns`` from the block on
+    first read.
     """
 
     design: str
@@ -125,9 +127,10 @@ class SimulationResult:
     def from_charges(cls, design: str, network: str, batch: int, frequency_ghz: float,
                      names: Sequence[str], charges: "np.ndarray", totals: Sequence[int],
                      activity: ActivityTrace) -> "SimulationResult":
-        """A run over its part of a charge pass: ``charges`` is its
-        ``(10, L)`` int64 block, one row per :data:`LAYER_FIELDS` field
-        after ``name``, and ``totals`` are those rows' sums as exact ints."""
+        """A run over its part of a charge pass, or over a cache entry's
+        block: ``charges`` is its ``(10, L)`` int64 block, one row per
+        :data:`LAYER_FIELDS` field after ``name``, and ``totals`` are those
+        rows' sums as exact ints."""
         run = cls.__new__(cls)
         run.design, run.network, run.batch = design, network, batch
         run.frequency_ghz, run.activity = frequency_ghz, activity

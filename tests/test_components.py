@@ -32,6 +32,7 @@ from repro.core.jobs import (
     config_signature,
     estimate_key,
     estimate_to_dict,
+    result_from_dict,
     result_to_dict,
 )
 from repro.core.plan import execute, plan_by_name, technology_axis
@@ -43,6 +44,7 @@ from repro.simulator.engine import simulate
 from repro.simulator.memory import MemoryModel, memory_model_for
 from repro.uarch.config import NPUConfig
 from repro.workloads.models import resnet50
+from tests.payloads import columns_document
 
 
 # -- the registry -----------------------------------------------------------
@@ -189,7 +191,8 @@ GOLDEN_ESTIMATE_PAYLOAD = \
 #: layout of entry format 1; checked over the rows rebuilt from columns.
 GOLDEN_SIMULATE_PAYLOAD = \
     "9c6c82004b4eedbe00d0ffef801c4ed895575ad24c35f925eb52e60e0ad20fa3"
-#: Hash of the same payload as stored since entry format 2 (layer columns).
+#: Hash of the same payload as entry format 2 stored it (layer columns),
+#: checked over a result decoded from its format-3 payload.
 GOLDEN_SIMULATE_COLUMNS = \
     "e35c26a85e28da596b9828c1f99a7865ec074efb0481dc307c46d0963b6b1cea"
 GOLDEN_PLAN_HASHES = {
@@ -238,8 +241,8 @@ def test_golden_default_technology_payloads_unchanged():
     config, library = supernpu(), rsfq_library()
     est = estimate_npu(config, library)
     assert _canonical_hash(estimate_to_dict(est)) == GOLDEN_ESTIMATE_PAYLOAD
-    run = simulate(config, resnet50(), 30, estimate=est)
-    payload = result_to_dict(run)
+    run = result_from_dict(result_to_dict(simulate(config, resnet50(), 30, estimate=est)))
+    payload = columns_document(run)
     assert _canonical_hash(payload) == GOLDEN_SIMULATE_COLUMNS
     columns = payload["layers"]
     rows = [dict(zip(columns, row)) for row in zip(*columns.values())]

@@ -99,3 +99,29 @@ def test_experiments_md_claims_block_is_current(full_record):
     assert splice(document, render(full_record)) == document, (
         "EXPERIMENTS.md's claims block is stale: run `python -m repro.core.golden`"
     )
+
+
+def test_the_module_runs_clean_as_a_script(tmp_path):
+    """``python -m repro.core.golden`` measures and checks every row with
+    no runpy warning, which an import of the module before it runs would
+    raise.  It runs on a copy of the package, so the claims block it
+    writes lands in ``tmp_path``, not in the checkout."""
+    import os
+    import shutil
+    import subprocess
+    import sys
+
+    import repro
+
+    shutil.copytree(Path(repro.__file__).resolve().parent, tmp_path / "src" / "repro",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    shutil.copy(EXPERIMENTS_MD, tmp_path / "EXPERIMENTS.md")
+    done = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "repro.core.golden"],
+        cwd=tmp_path, env=dict(os.environ, PYTHONPATH=str(tmp_path / "src")),
+        capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stderr == ""
+    assert f"all {len(CLAIMS)} claims hold" in done.stdout
+    assert (tmp_path / "EXPERIMENTS.md").read_text(encoding="utf-8") == \
+        EXPERIMENTS_MD.read_text(encoding="utf-8")

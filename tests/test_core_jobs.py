@@ -35,6 +35,7 @@ from repro.core.jobs import (
 from repro.device.cells import ersfq_library
 from repro.simulator.engine import simulate
 from repro.workloads.models import Network
+from tests.payloads import columns_document
 
 
 # -- cache keys ------------------------------------------------------------
@@ -96,7 +97,7 @@ def test_result_roundtrip_is_exact(supernpu_config, tiny_network, rsfq):
 
     run = simulate(supernpu_config, tiny_network, batch=2,
                    estimate=estimate_npu(supernpu_config, rsfq))
-    restored = result_from_dict(json.loads(json.dumps(result_to_dict(run))))
+    restored = result_from_dict(result_to_dict(run))
     assert restored == run
 
 
@@ -340,11 +341,11 @@ def test_rejects_nonpositive_jobs():
 def _suite_fingerprint(suite):
     """Every float of the Fig. 23 suite, exactly."""
     return json.dumps({
-        "tpu": {name: result_to_dict(run) for name, run in suite.tpu_runs.items()},
+        "tpu": {name: columns_document(run) for name, run in suite.tpu_runs.items()},
         "designs": [
             {
                 "name": ev.config.name,
-                "runs": {n: result_to_dict(r) for n, r in ev.runs.items()},
+                "runs": {n: columns_document(r) for n, r in ev.runs.items()},
                 "speedups": ev.speedup_vs(suite.tpu_runs),
             }
             for ev in suite.designs

@@ -11,7 +11,9 @@ executing only the remaining tasks.
 
 import json
 import pickle
+import struct
 
+import numpy as np
 import pytest
 
 from repro import api
@@ -23,7 +25,14 @@ from repro.core.chaos import (
     FaultSpec,
     corrupt_cache_entry,
 )
-from repro.core.jobs import JobRunner, ResultCache, SimTask, estimate_key, session
+from repro.core.jobs import (
+    JobRunner,
+    ResultCache,
+    SimTask,
+    estimate_key,
+    result_from_dict,
+    session,
+)
 from repro.core.resilience import NO_RETRY, RetryPolicy
 from repro.device.cells import Technology, library_for
 from repro.errors import (
@@ -35,6 +44,8 @@ from repro.errors import (
     WorkerError,
     WorkloadError,
 )
+from repro.simulator.kernel import EXACT_LIMIT
+from tests.payloads import columns_document
 
 #: A retry policy that never sleeps, so chaos tests stay fast.
 FAST_RETRY = RetryPolicy(max_retries=3, base_delay_s=0.0, jitter=0.0)
@@ -389,6 +400,10 @@ def test_run_killed_while_charging_a_group_keeps_earlier_tasks(tmp_path, group_t
 CORRUPT_ENTRIES = [pytest.param(mode, "simulate", id=mode) for mode in CORRUPTION_MODES] + [
     pytest.param("poisoned_payload", "estimate", id="poisoned_estimate")]
 
+#: The quarantine reason each corruption mode trips.
+_REASONS = {"truncate": "corrupt", "garbage": "corrupt", "wrong_schema": "wrong-schema",
+            "poisoned_payload": "poisoned-payload"}
+
 
 @pytest.mark.parametrize("mode, entry", CORRUPT_ENTRIES)
 def test_corrupt_cache_entry_is_quarantined_and_reexecuted(
@@ -400,7 +415,10 @@ def test_corrupt_cache_entry_is_quarantined_and_reexecuted(
     estimate = filler.estimate(config)
     key = (tasks[0].key() if entry == "simulate"
            else estimate_key(config, library_for(Technology.RSFQ)))
+    before = _body(cache, key)
     corrupt_cache_entry(cache, key, mode)
+    if mode == "wrong_schema":  # the forged record keeps the block it read
+        assert _body(cache, key).partition(b"\n")[2] == before.partition(b"\n")[2] != b""
 
     runner = JobRunner(jobs=1, cache=cache)
     assert runner.run(tasks) == clean
@@ -411,6 +429,7 @@ def test_corrupt_cache_entry_is_quarantined_and_reexecuted(
     assert counters["jobs.estimate_cache.misses"] == (2 if entry == "estimate" else 1)
     stats = cache.stats()
     assert stats.quarantined == 1
+    assert _quarantined(cache) == [f"{_REASONS[mode]}-{key}.json"]
     # The repaired entry is a plain hit on the next pass.
     rerun = JobRunner(jobs=1, cache=cache)
     assert rerun.run(tasks) == clean
@@ -422,46 +441,79 @@ def _quarantined(cache):
     return sorted(path.name for path in (cache.root / "quarantine").iterdir())
 
 
-#: Values forged over every ``total_cycles`` entry: a str or None would
-#: break the first read of a total, a float would be served as a wrong rate.
-_FORGED = {"str": "1", "none": None, "float": 1.5}
+def _body(cache, key):
+    """The stored body of the record for ``key``."""
+    segment, offset, length = cache.locate(key)
+    with open(segment, "rb") as handle:
+        handle.seek(offset)
+        return handle.read(length)
 
 
-@pytest.mark.parametrize("damage", ["ragged", "missing", "extra", *_FORGED])
+#: Bytes forged over every ``total_cycles`` entry of a block, each read
+#: as an int64 outside ``[0, 2**53)``, where int64 totals could wrap: text
+#: digits and a float64 1.5 lie past the limit, a -1 "no value" below 0.
+_FORGED = {"str": b"00000001", "none": (-1).to_bytes(8, "little", signed=True),
+           "float": struct.pack("<d", 1.5), "limit": EXACT_LIMIT.to_bytes(8, "little")}
+
+#: How each damage to a simulate record is quarantined.
+_DAMAGES = {
+    "ragged": "corrupt",  # the block one entry short of 8 x fields x layers
+    "missing": "wrong-schema",  # no macs row, in the header and the block
+    "extra": "wrong-schema",  # a bogus row after the others
+    "reordered": "wrong-schema",  # the first two rows swapped, header and block
+    **{forged: "poisoned-payload" for forged in _FORGED},
+}
+
+
+@pytest.mark.parametrize("damage", list(_DAMAGES))
 def test_malformed_layer_columns_are_poison(tmp_path, tasks, clean, damage):
+    """A damaged block costs one miss and is quarantined under its reason."""
     cache = ResultCache(tmp_path / "cache")
     JobRunner(cache=cache).run(tasks)
     key = tasks[0].key()
     document = cache.document(key)
-    columns = document["payload"]["layers"]
+    payload = document["payload"]
+    fields = payload["fields"]
+    rows = np.frombuffer(payload["block"], "<i8").reshape(len(fields), -1).copy()
     if damage == "ragged":
-        columns["macs"].pop()  # zip would drop the last layer silently
+        rows = rows.ravel()[:-1]
     elif damage == "missing":
-        del columns["macs"]
+        rows = rows[:-1]
+        fields = fields[:-1]
     elif damage == "extra":
-        columns["bogus"] = list(columns["macs"])
+        rows = np.vstack([rows, rows[-1:]])
+        fields = [*fields, "bogus"]
+    elif damage == "reordered":
+        rows = rows[[1, 0, *range(2, len(fields))]]
+        fields = [fields[1], fields[0], *fields[2:]]
     else:
-        columns["total_cycles"] = [_FORGED[damage]] * len(columns["total_cycles"])
+        rows[fields.index("total_cycles")] = np.frombuffer(_FORGED[damage], "<i8")[0]
+    payload["fields"], payload["block"] = fields, rows.tobytes()
     cache.put_document(key, document)
 
     runner = JobRunner(cache=cache)
     assert _bits(runner.run(tasks)) == _bits(clean)
     assert runner.stats.executed == 1
-    assert _quarantined(cache) == [f"poisoned-payload-{key}.json"]
+    assert _quarantined(cache) == [f"{_DAMAGES[damage]}-{key}.json"]
+    assert JobRunner(cache=cache).run(tasks).cached == [True] * len(tasks)
 
 
-def _to_row_layout(cache, key):
-    """Rewrite one entry as entry format 1 stored it: one dict per layer."""
+def _to_older_format(cache, key, schema):
+    """Rewrite one entry as entry format ``schema`` (1 or 2) stored it: all
+    JSON, a simulate entry's layers as lists, one per field (2) or one
+    dict per layer (1)."""
     document = cache.document(key)
-    payload = document["payload"]
-    if "layers" in payload:
-        columns = payload["layers"]
-        payload["layers"] = [dict(zip(columns, row)) for row in zip(*columns.values())]
-    document["schema"] = 1
+    if "block" in document["payload"]:
+        payload = columns_document(result_from_dict(document["payload"]))
+        if schema == 1:
+            columns = payload["layers"]
+            payload["layers"] = [dict(zip(columns, row)) for row in zip(*columns.values())]
+        document["payload"] = payload
+    document["schema"] = schema
     cache.put_document(key, document)
 
 
-def test_row_layout_entries_cost_one_miss_each(tmp_path, tasks, clean):
+def _older_entries_cost_one_miss_each(tmp_path, tasks, clean, schema):
     config = tasks[0].config
     cache = ResultCache(tmp_path / "cache")
     filler = JobRunner(cache=cache)
@@ -469,7 +521,8 @@ def test_row_layout_entries_cost_one_miss_each(tmp_path, tasks, clean):
     estimate = filler.estimate(config)
     keys = [task.key() for task in tasks] + [estimate_key(config, library_for(Technology.RSFQ))]
     for key in keys:
-        _to_row_layout(cache, key)
+        _to_older_format(cache, key, schema)
+        assert b"\n" not in _body(cache, key)  # one JSON text, no block
 
     first = JobRunner(cache=cache)
     assert _bits(first.run(tasks)) == _bits(clean)
@@ -482,6 +535,14 @@ def test_row_layout_entries_cost_one_miss_each(tmp_path, tasks, clean):
     assert second.lookup_estimate(config) == (estimate, True)
     assert second.stats.hits == len(tasks) and second.stats.executed == 0
     assert len(_quarantined(cache)) == len(keys)
+
+
+def test_row_layout_entries_cost_one_miss_each(tmp_path, tasks, clean):
+    _older_entries_cost_one_miss_each(tmp_path, tasks, clean, schema=1)
+
+
+def test_format2_list_column_entries_cost_one_miss_each(tmp_path, tasks, clean):
+    _older_entries_cost_one_miss_each(tmp_path, tasks, clean, schema=2)
 
 
 # -- cache segments --------------------------------------------------------
@@ -644,7 +705,6 @@ def test_serve_threads_share_one_cache(tmp_path):
 def test_legacy_per_file_entries_cost_one_miss_and_are_cleared(tmp_path, tasks, clean,
                                                                 capsys):
     from repro.cli import main
-    from repro.core.jobs import CACHE_FORMAT_VERSION, result_to_dict
 
     root = tmp_path / "cache"
     for task, run in zip(tasks, clean):
@@ -652,8 +712,8 @@ def test_legacy_per_file_entries_cost_one_miss_and_are_cleared(tmp_path, tasks, 
         bucket = root / key[:2]
         bucket.mkdir(parents=True, exist_ok=True)
         (bucket / f"{key}.json").write_text(json.dumps({
-            "schema": CACHE_FORMAT_VERSION, "kind": "simulate", "key": key,
-            "created_unix": 0.0, "payload": result_to_dict(run)}, sort_keys=True))
+            "schema": 2, "kind": "simulate", "key": key,
+            "created_unix": 0.0, "payload": columns_document(run)}, sort_keys=True))
         (bucket / f"{key}.tmp.99999999").write_text("{torn")
     first = JobRunner(cache=ResultCache(root))
     assert _bits(first.run(tasks)) == _bits(clean)

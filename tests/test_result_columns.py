@@ -6,7 +6,8 @@ group, the output-stationary ``simulate_os``, the CMOS ``simulate_cmos``,
 and the cache codec's ``result_from_dict``.
 
 A run built by a weight-stationary charge pass keeps its slice of the
-pass's int64 block: its totals come from one int64 reduction, and its
+pass's int64 block, and a run decoded from a cache payload keeps a view of
+the record's block: its totals come from one int64 reduction, and its
 columns are built from the block when first read.
 """
 
@@ -18,7 +19,14 @@ import pytest
 
 from repro.baselines.scalesim import TPU_CORE, simulate_cmos
 from repro.core.designs import baseline, supernpu
-from repro.core.jobs import JobRunner, ResultCache, SimTask, result_from_dict, result_to_dict
+from repro.core.jobs import (
+    CACHE_FORMAT_VERSION,
+    JobRunner,
+    ResultCache,
+    SimTask,
+    result_from_dict,
+    result_to_dict,
+)
 from repro.device.cells import rsfq_library
 from repro.errors import SimulationError
 from repro.estimator.arch_level import estimate_npu
@@ -29,10 +37,12 @@ from repro.simulator.results import LAYER_FIELDS
 from repro.uarch.config import NPUConfig
 from repro.workloads.layers import fc_layer
 from repro.workloads.models import WORKLOAD_NAMES, Network, by_name
+from tests.payloads import columns_document
 
-#: sha256 prefixes of ``json.dumps(result_to_dict(run), sort_keys=True)``
-#: per network and constructor, as written before results held columns:
-#: the bytes a cache entry stores must not move.
+#: sha256 prefixes of the sorted-key JSON of ``columns_document`` of each
+#: run decoded from its payload, per network and constructor: the bytes
+#: entry formats 1 and 2 stored.  The values a cache entry holds must not
+#: move, whatever its format.
 GOLDEN_PAYLOADS = {
     ("AlexNet", "simulate"): "0ca2987ecfda913d",
     ("AlexNet", "group-baseline"): "8bfbedfd9682d428",
@@ -85,8 +95,36 @@ def _results(network):
 
 
 def _digest(run):
-    text = json.dumps(result_to_dict(run), sort_keys=True)
+    text = json.dumps(columns_document(result_from_dict(result_to_dict(run))), sort_keys=True)
     return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
+
+
+#: sha256 prefixes of the format-3 record body (the compact sorted-key JSON
+#: header, ``\n``, the int64 layer block) of a few sites' entries, written
+#: with a fixed key and creation time.
+GOLDEN_RECORDS = {
+    ("AlexNet", "group-supernpu"): "d8e8bc23427d062b",
+    ("MobileNet", "dataflow_ablation"): "18b4e93afc61f5e6",
+    ("VGG16", "scalesim"): "22c3df4a6e181c1f",
+}
+
+
+def test_format3_record_bytes_are_pinned(tmp_path):
+    cache = ResultCache(tmp_path / "cache")
+    for (name, site), expected in GOLDEN_RECORDS.items():
+        run = _results(by_name(name))[site]
+        key = hashlib.sha256(f"{name}/{site}".encode()).hexdigest()
+        cache.put_document(key, {"schema": CACHE_FORMAT_VERSION, "kind": "simulate",
+                                 "key": key, "created_unix": 0.0,
+                                 "payload": result_to_dict(run)})
+        segment, offset, length = cache.locate(key)
+        with open(segment, "rb") as handle:
+            handle.seek(offset)
+            body = handle.read(length)
+        header, block = body.split(b"\n", 1)
+        assert json.loads(header)["payload"]["fields"] == list(LAYER_FIELDS[1:])
+        assert len(block) == 8 * (len(LAYER_FIELDS) - 1) * len(run.columns["name"])
+        assert hashlib.sha256(body).hexdigest()[:16] == expected, (name, site)
 
 
 def _assert_agree(run):
@@ -191,6 +229,9 @@ def test_a_pass_run_equals_its_round_trip_before_its_columns_are_read():
     network = by_name("alexnet")
     for run, twin in zip(_pass_runs(network), _pass_runs(network)):
         decoded = result_from_dict(result_to_dict(twin))
+        # The encoder writes the pass's block as it is, and the decoder
+        # keeps a view of it: neither builds the per-layer lists.
+        assert "columns" not in vars(twin) and "columns" not in vars(decoded)
         assert "columns" not in vars(run)
         assert decoded == run
         assert repr(decoded) == repr(run)

@@ -8,10 +8,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.baselines.scalesim import CMOSNPUConfig, simulate_cmos
+from repro.core.jobs import result_from_dict, result_to_dict
 from repro.device.cells import rsfq_library
 from repro.errors import ConfigError, ReproError
 from repro.estimator.arch_level import estimate_npu
-from repro.simulator import simulate
+from repro.simulator import simulate, simulate_os
 from repro.uarch.config import INTEGER_FIELDS, KIB, MAX_INTEGER_FIELD, MIB, NPUConfig
 from repro.workloads.layers import ConvLayer, fc_layer
 from repro.workloads.models import Network
@@ -162,3 +164,17 @@ def test_any_integer_field_input_estimates_or_raises_a_repro_error(changes):
         except ReproError:
             return
     assert run.total_cycles > 0
+    # Every run the fuzz reaches round-trips the cache codec bit for bit:
+    # this one, the config's OS ablation and a CMOS array of its shape.
+    runs = [run]
+    for make in (
+            lambda: simulate_os(config, _FUZZ_NETWORK, estimate=estimate),
+            lambda: simulate_cmos(CMOSNPUConfig(
+                pe_array_width=config.pe_array_width, pe_array_height=config.pe_array_height,
+                onchip_buffer_bytes=config.onchip_buffer_bytes), _FUZZ_NETWORK)):
+        try:
+            runs.append(make())
+        except ReproError:
+            pass
+    for each in runs:
+        assert repr(result_from_dict(result_to_dict(each))) == repr(each)
