@@ -1,17 +1,12 @@
-"""Fig. 15 — Baseline cycle breakdown per CNN workload (claims ``fig15.*``)."""
+"""Fig. 15 — Baseline cycle breakdown per CNN workload (claims ``fig15.*``).
 
-from repro.core.designs import baseline
-from repro.estimator.arch_level import estimate_npu
-from repro.simulator.engine import simulate
+Times the ``fig15_cycle_breakdown`` experiment, which executes
+``fig15_plan``: the call the claims measure.
+"""
 
+from repro.core.experiments import EXPERIMENTS
 
-def run_fig15(library, workloads):
-    config = baseline()
-    estimate = estimate_npu(config, library)
-    return {
-        network.name: simulate(config, network, batch=1, estimate=estimate)
-        for network in workloads
-    }
+run_fig15 = EXPERIMENTS["fig15_cycle_breakdown"]
 
 
 def test_fig15_cycle_breakdown(benchmark, rsfq, workloads):

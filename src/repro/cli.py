@@ -28,12 +28,11 @@ Commands mirror the paper's experiments:
   cleanly on SIGTERM
 * ``client request|drill|smoke`` — talk to a running daemon, or run
   the chaos drill / CI smoke against one (docs/ROBUSTNESS.md)
-* ``hotspot <command...>`` — run any other supernpu command under the
-  host-time profiler (stdlib ``cProfile``); ``simulate``, ``evaluate``,
-  ``plan run`` and ``bench run`` also take ``--hotspot`` /
-  ``--hotspot-out FILE`` directly.  All profiler output goes to stderr,
-  so the profiled command's stdout stays bitwise-identical to an
-  unprofiled run
+* ``hotspot [--top N] [--hotspot-out FILE] <command...>`` — run any
+  other supernpu command under the host-time profiler (stdlib
+  ``cProfile``), in that command's own session.  All profiler output
+  goes to stderr, so the profiled command's stdout stays
+  bitwise-identical to an unprofiled run
 
 ``simulate``, ``evaluate``, ``sweep``, ``compare``, ``reproduce``,
 ``plan``, ``bottleneck`` and ``profile`` accept ``--trace-out FILE`` (Chrome
@@ -51,18 +50,21 @@ re-runs skip simulation entirely, and a killed run's finished tasks are
 hits when it is run again), and ``--no-cache``.  ``supernpu
 cache stats|clear --cache-dir DIR`` inspects / empties a cache.
 Parallel and warm-cache results are bitwise-identical to serial cold
-runs.  ``estimate``, ``simulate``, ``evaluate``, ``compare``, ``plan``,
-``components``, ``runs`` and ``bench`` accept ``--json``: one consistent
-machine-readable envelope (``{"command", "design", "workload", "data",
-"manifest"}``) on stdout.  For ``estimate``, ``simulate``, ``evaluate``
-and ``plan run`` its ``data`` is the :mod:`repro.core.report` record
-that ``serve`` sends for the same verb.
+runs.  ``estimate``, ``simulate``, ``evaluate``, ``compare``,
+``bottleneck``, ``plan``, ``components``, ``runs`` and ``bench`` accept
+``--json``: one consistent machine-readable envelope (``{"command",
+"design", "workload", "data", "manifest"}``) on stdout.  For
+``estimate``, ``simulate``, ``evaluate``, ``compare``, ``bottleneck``
+and ``plan run`` its ``data`` is a :mod:`repro.core.report` record.
 
 All command logic routes through :mod:`repro.api`, the canonical typed
-facade; the CLI only parses flags and formats tables.  :func:`main` opens
-one session around every command (:func:`_command_session`): the job
-runner, the profiler, ``repro.obs`` and the one run manifest, torn down
-on every exit.
+facade; the CLI only parses flags and formats tables.  ``estimate``,
+``simulate``, ``evaluate`` and ``plan run`` run their rows of
+:data:`repro.core.report.VERBS`, the table ``serve`` answers from, so
+each of those verbs' call and record is written once.  :func:`main`
+opens one session around every command (:func:`_command_session`): the
+job runner, the profiler, ``repro.obs`` and the one run manifest, torn
+down on every exit.
 """
 
 from __future__ import annotations
@@ -102,8 +104,8 @@ class _Session:
     def note(self, run=None, **context) -> None:
         """Add run-manifest fields (before the first :meth:`manifest`).
 
-        Under ``--hotspot`` a ``run`` joins the host profile with its
-        simulated-cycle phase attribution, so the report answers "which
+        Under ``supernpu hotspot`` a ``run`` joins the host profile with
+        its simulated-cycle phase attribution, so the report answers "which
         loop models the phase that dominates simulated time".
         """
         if run is not None:
@@ -139,7 +141,7 @@ class _Session:
         print(json.dumps(document, indent=2, sort_keys=True))
 
     def stop_profiler(self) -> Optional[dict]:
-        """Stop and report a running ``--hotspot`` profile; returns its summary.
+        """Stop and report a running ``hotspot`` profile; returns its summary.
 
         The report goes to stderr only: a profiled command's stdout stays
         bitwise-identical to an unprofiled run.
@@ -152,15 +154,25 @@ class _Session:
             from repro.simulator.attribution import attribute
 
             phases = dict(attribute(self.run).summary_fractions)
-        print(profile.report(top_n=getattr(self.args, "top", 10),
+        print(profile.report(top_n=self.args.hotspot["top"],
                              phase_fractions=phases), file=sys.stderr)
-        out = getattr(self.args, "hotspot_out", None)
+        out = self.args.hotspot["out"]
         if out:
             with open(out, "w", encoding="utf-8") as handle:
                 handle.write(profile.collapsed())
             print(f"collapsed stacks written to {out}", file=sys.stderr)
         self.record["hotspot"] = profile.summary()
         return self.record["hotspot"]
+
+
+def _check_count(flag: str, value: Optional[int]) -> None:
+    """Reject a count flag (``--jobs``, ``--top``, ``--limit``) below 1."""
+    from repro.errors import ConfigError
+
+    if value is not None and value < 1:
+        raise ConfigError(f"--{flag} must be at least 1, got {value}",
+                          code=f"config.invalid_{flag}",
+                          hint=f"pass --{flag} 1 or more")
 
 
 @contextmanager
@@ -172,7 +184,7 @@ def _command_session(args: argparse.Namespace):
     span tree always shows the estimator; the rest run on the ambient
     runner.  With a cache directory, a killed run resumes from the cache:
     each finished task was written there, so it is a hit on the next run.
-    ``--hotspot`` starts the host profiler; ``--trace-out`` /
+    ``supernpu hotspot`` starts the host profiler; ``--trace-out`` /
     ``--metrics-out`` (and ``profile``) switch ``repro.obs`` on.
     Commands only :meth:`_Session.note` their manifest fields.
 
@@ -188,15 +200,10 @@ def _command_session(args: argparse.Namespace):
     from repro import obs
     from repro.core import jobs
     from repro.core.resilience import RetryPolicy
-    from repro.errors import ConfigError
     from repro.obs.progress import auto_reporter
 
     for flag in ("jobs", "top", "limit"):
-        value = getattr(args, flag, None)
-        if value is not None and value < 1:
-            raise ConfigError(f"--{flag} must be at least 1, got {value}",
-                              code=f"config.invalid_{flag}",
-                              hint=f"pass --{flag} 1 or more")
+        _check_count(flag, getattr(args, flag, None))
     session = _Session(args)
     # Status lines go to stderr under --json so stdout stays one document.
     stream = sys.stderr if getattr(args, "json", False) else sys.stdout
@@ -214,7 +221,7 @@ def _command_session(args: argparse.Namespace):
             progress=auto_reporter(getattr(args, "progress", None)))
     try:
         with runner_session as runner:
-            if getattr(args, "hotspot", False) or getattr(args, "hotspot_out", None):
+            if getattr(args, "hotspot", None):
                 # Started first: a nested profiler fails before obs is enabled.
                 from repro.obs.hotspot import HotspotProfiler
 
@@ -292,19 +299,31 @@ def _resolve_design(args: argparse.Namespace):
     return config
 
 
-def cmd_estimate(args: argparse.Namespace) -> int:
+def _simulate(args: argparse.Namespace):
+    """The ``simulate`` verb on a command's design, workload, ``--batch``
+    and ``--technology``, noted in its manifest; returns (config,
+    network, run, power)."""
     from repro import api
+    from repro.core.report import VERBS
+
+    config, network = _resolve_design(args), api.workload(args.workload)
+    run, power = VERBS["simulate"](design=config, workload=network,
+                                   batch=args.batch, technology=args.technology)
+    args.session.note(config=config, workload=network, batch=run.batch,
+                      technology=args.technology, run=run)
+    return config, network, run, power
+
+
+def cmd_estimate(args: argparse.Namespace) -> int:
+    from repro.core.report import VERBS
 
     config = _resolve_design(args)
-    library = api.library(args.technology)
-    est = api.estimate(config, technology=library)
+    est = VERBS["estimate"](design=config, technology=args.technology)
     args.session.note(config=config, technology=args.technology)
     if args.json:
-        from repro.core.report import estimate_record
-
-        args.session.envelope(estimate_record(est))
+        args.session.envelope(VERBS["estimate"].record(est))
         return 0
-    print(f"design          : {config.name} ({library.technology.value})")
+    print(f"design          : {config.name} ({est.technology})")
     print(f"frequency       : {est.frequency_ghz:.2f} GHz  (critical: {est.critical_path})")
     print(f"peak throughput : {est.peak_tmacs:.0f} TMAC/s")
     print(f"static power    : {est.static_power_w:.2f} W")
@@ -320,19 +339,14 @@ def cmd_estimate(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    from repro import api
-    from repro.core.report import simulate_with_power, simulation_record
+    from repro.core.report import VERBS
 
-    config = _resolve_design(args)
-    network = api.workload(args.workload)
-    run, power = simulate_with_power(config, network, batch=args.batch,
-                                     technology=args.technology)
-    args.session.note(config=config, workload=network, batch=run.batch,
-                      technology=args.technology, run=run)
+    config, network, run, power = _simulate(args)
     if args.json:
-        args.session.envelope(simulation_record(run, power))
+        args.session.envelope(VERBS["simulate"].record((run, power)))
         return 0
-    peak_mac_per_s = api.estimate(config, technology=args.technology).peak_mac_per_s
+    peak_mac_per_s = VERBS["estimate"](
+        design=config, technology=args.technology).peak_mac_per_s
     breakdown = run.cycle_breakdown()
     print(f"{config.name} running {network.name} (batch {run.batch})")
     print(f"  cycles      : {run.total_cycles:,}")
@@ -351,11 +365,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    from repro import api
-    from repro.core.report import evaluation_record
+    from repro.core.report import VERBS
 
     args.session.note(suite="fig23")
-    record = evaluation_record(api.evaluate())
+    record = VERBS["evaluate"].record(VERBS["evaluate"]())
     if args.json:
         args.session.envelope(record)
         return 0
@@ -435,17 +448,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def cmd_profile(args: argparse.Namespace) -> int:
     """One ``simulate`` run under full observability: span tree + metrics."""
-    from repro import api, obs
-    from repro.core.report import simulate_with_power
+    from repro import obs
 
-    config = _resolve_design(args)
-    network = api.workload(args.workload)
     # A fresh runner estimates before simulating, as `simulate` does,
     # so the span tree always shows the estimator's cost.
-    run, _ = simulate_with_power(config, network, batch=args.batch,
-                                 technology=args.technology)
-    args.session.note(config=config, workload=network, batch=run.batch,
-                      technology=args.technology)
+    config, network, run, _ = _simulate(args)
     print(f"profile: {config.name} running {network.name} "
           f"(batch {run.batch}, {run.total_cycles:,} cycles)")
     print()
@@ -469,15 +476,9 @@ def cmd_profile(args: argparse.Namespace) -> int:
 
 def cmd_bottleneck(args: argparse.Namespace) -> int:
     """Per-layer bound attribution, critical layers, roofline, timeline."""
-    import json
-
     from repro import api, obs
-    from repro.simulator.attribution import (
-        attribute,
-        attribution_records,
-        roofline,
-        roofline_records,
-    )
+    from repro.core.report import bottleneck_record
+    from repro.simulator.attribution import attribute, roofline
     from repro.simulator.utilization import utilization_report
 
     config = _resolve_design(args)
@@ -501,37 +502,9 @@ def cmd_bottleneck(args: argparse.Namespace) -> int:
                            manifest=args.session.manifest())
 
     if args.json:
-        document = {
-            "design": config.name,
-            "network": network.name,
-            "batch": batch,
-            "technology": args.technology,
-            "frequency_ghz": run.frequency_ghz,
-            "total_cycles": run.total_cycles,
-            "simulated_us": timeline.span_us,
-            "layers": attribution_records(report),
-            "summary": {
-                "fractions": report.summary_fractions,
-                "bound_counts": report.bound_counts,
-            },
-            "critical_layers": [
-                {
-                    "layer": layer.name,
-                    "share": share,
-                    "bound": layer.bound,
-                    "dominant_phase": layer.dominant_phase,
-                }
-                for layer, share in report.critical_layers(args.top)
-            ],
-            "roofline": {
-                "compute_roof_gops": roof.compute_roof_gops,
-                "bandwidth_gbytes_per_s": roof.bandwidth_gbytes_per_s,
-                "ridge_macs_per_byte": roof.ridge_macs_per_byte,
-                "points": roofline_records(roof),
-            },
-            "utilization": util.to_dict(),
-        }
-        print(json.dumps(document, indent=2, sort_keys=True))
+        args.session.envelope(bottleneck_record(
+            run, report, roof, util, technology=args.technology,
+            simulated_us=timeline.span_us, top=args.top))
         return 0
 
     print(f"bottleneck: {config.name} running {network.name} "
@@ -650,24 +623,14 @@ def cmd_table(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    from repro import api
-    from repro.core.report import (
-        layer_records,
-        simulate_with_power,
-        simulation_record,
-        to_csv,
-        to_json,
-    )
+    from repro.core.report import VERBS, layer_records, to_csv, to_json
 
-    config = _resolve_design(args)
-    network = api.workload(args.workload)
-    run, power = simulate_with_power(config, network, batch=args.batch,
-                                     technology=args.technology)
+    _, _, run, power = _simulate(args)
     if args.layers:
         records = layer_records(run)
         print(to_csv(records) if args.format == "csv" else to_json(records))
     else:
-        record = simulation_record(run, power)
+        record = VERBS["simulate"].record((run, power))
         print(to_csv([record]) if args.format == "csv" else to_json(record))
     return 0
 
@@ -720,24 +683,21 @@ def cmd_energy(args: argparse.Namespace) -> int:
 
 def cmd_compare(args: argparse.Namespace) -> int:
     from repro import api
-    from repro.core.compare import comparison_records, phase_deltas, winner
+    from repro.core.report import comparison_record
 
     configs = [api.design(spec) for spec in args.designs]
     workloads = args.workloads.split(",") if args.workloads else None
     columns = api.compare(configs, workloads=workloads)
     args.session.note(designs=",".join(c.config.name for c in columns))
+    record = comparison_record(columns)
     if args.json:
-        data = {"columns": comparison_records(columns),
-                "winner": winner(columns).config.name}
-        if len(columns) > 1:
-            data["phase_deltas"] = phase_deltas(columns)
-        args.session.envelope(data)
+        args.session.envelope(record)
         return 0
-    _print_compare_tables(columns, winner, phase_deltas)
+    _print_compare_tables(columns, record)
     return 0
 
 
-def _print_compare_tables(columns, winner, phase_deltas) -> None:
+def _print_compare_tables(columns, record) -> None:
     workload_names = list(columns[0].throughput_tmacs)
     widths = [16, 8, 8, 10, 10] + [10] * len(workload_names)
     print(_fmt_row(
@@ -754,7 +714,7 @@ def _print_compare_tables(columns, winner, phase_deltas) -> None:
             + [f"{column.throughput_tmacs[name]:.1f}" for name in workload_names],
             widths,
         ))
-    print(f"winner (mean throughput): {winner(columns).config.name}")
+    print(f"winner (mean throughput): {record['winner']}")
     if len(columns) > 1:
         print()
         print(f"cycle movement vs {columns[0].config.name} "
@@ -763,7 +723,7 @@ def _print_compare_tables(columns, winner, phase_deltas) -> None:
         header = (["phase"] + [c.config.name for c in columns]
                   + [f"delta ({columns[-1].config.name})"])
         print(_fmt_row(header, widths))
-        for row in phase_deltas(columns):
+        for row in record["phase_deltas"]:
             delta = row[f"{columns[-1].config.name}_delta"]
             print(_fmt_row(
                 [row["phase"]]
@@ -871,10 +831,9 @@ def cmd_plan(args: argparse.Namespace) -> int:
             code="config.missing_plan",
             hint=f"known plans: {', '.join(api.plans())}",
         )
-    plan = api.plan(args.name)
-    args.session.note(plan=plan.name)
-
     if args.action == "show":
+        plan = api.plan(args.name)
+        args.session.note(plan=plan.name)
         lowered = plan.lower()
         unique = lowered.sim_tasks()
         estimate_points = sum(1 for p in lowered.points if p.task is None)
@@ -912,16 +871,18 @@ def cmd_plan(args: argparse.Namespace) -> int:
         print(line)
         return 0
 
-    # run
-    from repro.core.report import plan_run_record
+    # run: the row takes the registry key, which is not always the plan's
+    # own name (``search_grid`` builds the plan named ``search``).
+    from repro.core.report import VERBS
 
-    resultset = api.run_plan(plan)
-    args.session.note(plan_hash=resultset.plan_hash,
+    resultset = VERBS["plan/run"](plan=args.name)
+    args.session.note(plan=resultset.plan.name,
+                      plan_hash=resultset.plan_hash,
                       points_total=resultset.points_total,
                       points_cached=resultset.points_cached,
                       points_executed=resultset.points_executed)
     if args.json:
-        args.session.envelope(plan_run_record(resultset))
+        args.session.envelope(VERBS["plan/run"].record(resultset))
     else:
         print(resultset.describe())
         print(f"plan hash: {resultset.plan_hash}")
@@ -1021,14 +982,13 @@ def _print_bench_comparison(comparison) -> None:
 
 def cmd_bench(args: argparse.Namespace) -> int:
     """Record the benchmark suite / gate a recording against a baseline."""
-    import json
-
     from repro.errors import ConfigError
     from repro.obs import bench
 
     if args.action == "run":
-        # Under --hotspot the pytest subprocess profiles itself too, and
-        # its stats fold into this session's profile (see run_benchmarks).
+        # Under `supernpu hotspot` the pytest subprocess profiles itself
+        # too, and its stats fold into this session's profile (see
+        # run_benchmarks).
         args.session.note(action="run", subset=args.subset)
         document = bench.run_benchmarks(
             args.subset, min_rounds=args.min_rounds,
@@ -1069,7 +1029,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     comparison = bench.compare_documents(baseline, candidate,
                                          threshold=args.threshold)
     if args.json:
-        print(json.dumps(comparison.to_dict(), indent=2, sort_keys=True))
+        args.session.envelope(comparison.to_dict())
     else:
         _print_bench_comparison(comparison)
     return 0 if comparison.ok else 1
@@ -1145,28 +1105,6 @@ def cmd_runs(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_hotspot(args: argparse.Namespace) -> int:
-    """Profile any other supernpu command's host time.
-
-    Runs the wrapped command in-process; this command's session profiles
-    it (the parser defaults ``hotspot`` on) and prints the top-N table to
-    stderr — the wrapped command's stdout is bitwise-identical to an
-    unprofiled run.
-    """
-    from repro.errors import ConfigError
-
-    inner = list(args.argv)
-    if inner and inner[0] == "--":
-        inner = inner[1:]
-    if not inner:
-        raise ConfigError(
-            "'hotspot' needs a supernpu command to profile",
-            code="config.missing_command",
-            hint="e.g. supernpu hotspot simulate supernpu mobilenet",
-        )
-    return main(inner)
-
-
 def cmd_serve(args: argparse.Namespace) -> int:
     """Run the long-lived evaluation daemon (see docs/API.md).
 
@@ -1203,8 +1141,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         task_timeout_s=args.task_timeout,
         max_inflight=args.max_inflight,
         quota_rate_per_s=args.quota_rps, quota_burst=args.quota_burst,
-        deadline_s=args.deadline, header_timeout_s=args.header_timeout,
-        body_timeout_s=args.header_timeout,
+        deadline_s=args.deadline, read_timeout_s=args.header_timeout,
         drain_timeout_s=args.drain_timeout,
         port_file=args.port_file,
         record_runs=args.record_runs, runs_dir=args.runs_dir,
@@ -1304,17 +1241,6 @@ def _add_jobs_flags(parser: argparse.ArgumentParser) -> None:
                         help="never stream sweep progress")
 
 
-def _add_hotspot_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--hotspot", action="store_true",
-                        help="profile this command's own host time; the "
-                             "top-N table goes to stderr (stdout is "
-                             "bitwise-identical to an unprofiled run)")
-    parser.add_argument("--hotspot-out", metavar="FILE", default=None,
-                        help="write collapsed caller;callee edges "
-                             "(flamegraph.pl / speedscope format, two frames "
-                             "deep); implies --hotspot")
-
-
 def _add_component_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--memory-technology", metavar="NAME", default=None,
                         help="registered memory component to charge off-chip "
@@ -1375,7 +1301,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_component_flags(p_sim)
     _add_obs_flags(p_sim)
     _add_jobs_flags(p_sim)
-    _add_hotspot_flags(p_sim)
     _add_json_flag(p_sim)
     p_sim.set_defaults(func=cmd_simulate)
 
@@ -1396,8 +1321,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_design_args(p_bott)
     p_bott.add_argument("--top", type=int, default=5,
                         help="how many critical layers to rank (default 5)")
-    p_bott.add_argument("--json", action="store_true",
-                        help="emit the full report as JSON")
+    _add_json_flag(p_bott)
     p_bott.add_argument("--timeline-out", metavar="FILE", default=None,
                         help="write the run's simulated-cycle timeline as "
                              "Chrome trace JSON (timestamps are simulated "
@@ -1416,7 +1340,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval = sub.add_parser("evaluate", help="full Fig. 23 speedup comparison")
     _add_obs_flags(p_eval)
     _add_jobs_flags(p_eval)
-    _add_hotspot_flags(p_eval)
     _add_json_flag(p_eval)
     p_eval.set_defaults(func=cmd_evaluate)
 
@@ -1481,7 +1404,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="a registered plan name (see 'plan list')")
     _add_obs_flags(p_plan)
     _add_jobs_flags(p_plan)
-    _add_hotspot_flags(p_plan)
     _add_json_flag(p_plan)
     p_plan.set_defaults(func=cmd_plan)
 
@@ -1537,7 +1459,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "label and write it as BENCH_<label>.json — "
                               "use one label per PR to grow a committed "
                               "performance trajectory")
-    _add_hotspot_flags(p_bench)
     _add_json_flag(p_bench)
     p_bench.set_defaults(func=cmd_bench)
 
@@ -1565,7 +1486,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="run another supernpu command under the host-time profiler "
              "(top-N table on stderr; stdout untouched)",
     )
-    p_hot.add_argument("--top", type=int, default=10, metavar="N",
+    p_hot.add_argument("--top", dest="hotspot_top", type=int, default=10,
+                       metavar="N",
                        help="how many functions the report ranks (default 10)")
     p_hot.add_argument("--hotspot-out", metavar="FILE", default=None,
                        help="write collapsed caller;callee edges "
@@ -1574,7 +1496,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_hot.add_argument("argv", nargs=argparse.REMAINDER,
                        help="the supernpu command line to profile, e.g. "
                             "'simulate supernpu mobilenet'")
-    p_hot.set_defaults(func=cmd_hotspot, hotspot=True)
 
     p_serve = sub.add_parser(
         "serve",
@@ -1657,6 +1578,40 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _profiled_command(parser: argparse.ArgumentParser,
+                      args: argparse.Namespace) -> argparse.Namespace:
+    """The command ``hotspot`` wraps, parsed with the profiler's options.
+
+    The wrapped command runs as itself, in its own one session, which
+    starts the profiler because the namespace carries the ``hotspot``
+    options (the wrapper's ``--top`` and ``--hotspot-out``);
+    so its manifest, its ``run`` join and its run-registry entry are the
+    command's own.  The global flags given before ``hotspot`` carry over.
+    """
+    from repro.errors import ConfigError
+
+    _check_count("top", args.hotspot_top)
+    inner = list(args.argv)
+    if inner and inner[0] == "--":
+        inner = inner[1:]
+    if not inner:
+        raise ConfigError(
+            "'hotspot' needs a supernpu command to profile",
+            code="config.missing_command",
+            hint="e.g. supernpu hotspot simulate supernpu mobilenet",
+        )
+    wrapped = parser.parse_args(inner, namespace=argparse.Namespace(
+        debug=args.debug, runs_dir=args.runs_dir, no_registry=args.no_registry,
+        hotspot={"top": args.hotspot_top, "out": args.hotspot_out}))
+    if wrapped.command == "hotspot":
+        raise ConfigError(
+            "'hotspot' cannot profile itself: one profiler runs per process",
+            code="hotspot.nested",
+            hint="profile once: drop the inner 'hotspot'",
+        )
+    return wrapped
+
+
 def main(argv: List[str] | None = None) -> int:
     from repro.errors import ReproError
     from repro.obs import registry as run_registry
@@ -1667,6 +1622,8 @@ def main(argv: List[str] | None = None) -> int:
     started = time.perf_counter()
     exit_code: Optional[int] = None
     try:
+        if args.command == "hotspot":
+            args = _profiled_command(parser, args)
         with _command_session(args) as args.session:
             exit_code = args.func(args)
         return exit_code

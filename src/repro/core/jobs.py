@@ -449,8 +449,8 @@ class ResultCache:
     A record whose sha256, JSON or block length (``8 x fields x
     layers``) does not check out is ``corrupt``; one in another entry
     format (:data:`CACHE_FORMAT_VERSION`, block fields) is
-    ``wrong-schema``.  Either is copied to
-    ``root/quarantine/<reason>-<key>.json`` the first time it is read,
+    ``wrong-schema``.  Either record's raw body is copied to
+    ``root/quarantine/<reason>-<key>.entry`` the first time it is read,
     and a tombstone line ``- <key> <segment> <offset>\\n``, appended to
     the reader's own segment, keeps every later scan from indexing it
     again, so a damaged entry costs exactly one miss, not one per run
@@ -728,7 +728,7 @@ class ResultCache:
                 raw = os.pread(self._fd(name), length, offset)
             except OSError:
                 return None
-        destination = self.root / QUARANTINE_DIR / f"{reason}-{key}.json"
+        destination = self.root / QUARANTINE_DIR / f"{reason}-{key}.entry"
         try:
             destination.parent.mkdir(exist_ok=True)
             destination.write_bytes(raw)

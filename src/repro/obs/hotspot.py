@@ -339,8 +339,7 @@ class HotspotProfiler:
             raise ConfigError(
                 "another profiler is already running in this process",
                 code="hotspot.nested",
-                hint="profile once: drop --hotspot under 'supernpu hotspot', "
-                     "or stop the other profiler first",
+                hint="stop the other profiler first",
             ) from error
         self._running = running
         self._stats = pstats.Stats()

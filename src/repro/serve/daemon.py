@@ -66,8 +66,7 @@ class ServeConfig:
     quota_rate_per_s: float = 8.0
     quota_burst: int = 16
     deadline_s: float = 60.0
-    header_timeout_s: float = 5.0
-    body_timeout_s: float = 5.0
+    read_timeout_s: float = 5.0  # bounds the header read, then the body read
     drain_timeout_s: float = 30.0
     port_file: Optional[Union[str, Path]] = None
     record_runs: bool = False
@@ -208,8 +207,7 @@ class EvalDaemon:
         self._count("serve.requests")
         try:
             request = await protocol.read_request(
-                reader, header_timeout_s=self.config.header_timeout_s,
-                body_timeout_s=self.config.body_timeout_s)
+                reader, read_timeout_s=self.config.read_timeout_s)
         except ProtocolError as error:
             if error.status == 408:
                 self._count("serve.slow_client_408")

@@ -133,7 +133,7 @@ def run_chaos_drill(work_dir: Union[str, Path],
     config = ServeConfig(
         cache_dir=cache_dir, jobs=2, max_inflight=16,
         quota_rate_per_s=2.0, quota_burst=3,
-        deadline_s=120.0, header_timeout_s=0.6, body_timeout_s=0.6,
+        deadline_s=120.0, read_timeout_s=0.6,
         worker_chaos=worker_chaos, handler_chaos=handler_chaos)
 
     with daemon_in_thread(config) as daemon:

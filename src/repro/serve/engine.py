@@ -8,13 +8,12 @@ runner is per thread).  Cache writes are atomic and therefore safe to
 share; the runner's stats give the request's ``X-Cache-Hits`` /
 ``X-Executed`` headers.
 
-Each endpoint is one row of :data:`_ENDPOINTS`: the params it accepts
-(with their defaults) and the call that turns them into a record.  The
-calls are the :mod:`repro.api` verbs and the records are
-:mod:`repro.core.report`'s, so the daemon accepts exactly the
-design/workload/technology vocabulary the CLI does, bad specs raise the
-same taxonomy errors, and the wire ``data`` is the CLI's ``--json``
-``data``.
+Each endpoint is one row of :data:`repro.core.report.VERBS`: the params
+it accepts (with their defaults), the :mod:`repro.api` call they go to
+and the record of its result.  The CLI runs the same rows, so the
+daemon accepts exactly the design/workload/technology vocabulary the
+CLI does, bad specs raise the same taxonomy errors, and the wire
+``data`` is the CLI's ``--json`` ``data``.
 
 Degradation is latched daemon-wide: once any request's runner degrades
 to serial (two pool deaths), every later runner is built with
@@ -28,74 +27,19 @@ import hashlib
 import json
 import threading
 from pathlib import Path
-from typing import Any, Callable, Dict, Optional, Tuple, Union
+from typing import Any, Dict, Optional, Tuple, Union
 
-from repro import api, obs
+from repro import obs
 from repro.core.chaos import ChaosInjector
 from repro.core.jobs import JobRunner, ResultCache, use_runner
-from repro.core.report import (
-    estimate_record,
-    evaluation_record,
-    plan_run_record,
-    simulate_with_power,
-    simulation_record,
-)
+from repro.core.report import VERBS
 from repro.core.resilience import RetryPolicy
 from repro.errors import ConfigError
 from repro.serve.protocol import success_envelope
 
-
-def _names(param: str, value: Any) -> Any:
-    """A ``designs`` / ``workloads`` list: the verbs take any sequence, so a
-    JSON string or object here would silently become one-letter names."""
-    if value is not None and not isinstance(value, list):
-        raise ConfigError(f"{param} must be a list of names or specs",
-                          code="serve.bad_params")
-    return value
-
-
-def _plan_name(value: Any) -> str:
-    if not isinstance(value, str) or not value:
-        raise ConfigError("plan/run requires a plan name",
-                          code="serve.bad_params",
-                          hint="see 'supernpu plan list'")
-    return value
-
-
-def _with_points(resultset) -> Tuple[dict, Dict[str, str]]:
-    """A plan's record; its cache temperature (volatile across otherwise
-    identical requests) rides in headers."""
-    return plan_run_record(resultset), {
-        "X-Points-Cached": str(resultset.points_cached),
-        "X-Points-Executed": str(resultset.points_executed),
-    }
-
-
-#: endpoint -> (accepted params with their defaults, params -> (record,
-#: extra headers)).  Health/stats live in the daemon because they report
-#: admission state the engine cannot see.
-_ENDPOINTS: Dict[str, Tuple[Dict[str, Any], Callable[..., Tuple[dict, Dict[str, str]]]]] = {
-    "estimate": (
-        {"design": "SuperNPU", "technology": "rsfq"},
-        lambda design, technology: (
-            estimate_record(api.estimate(design, technology=technology)), {})),
-    "simulate": (
-        {"design": "SuperNPU", "workload": "mobilenet", "batch": None,
-         "technology": "rsfq"},
-        lambda design, workload, batch, technology: (simulation_record(
-            *simulate_with_power(design, workload, batch=batch,
-                                 technology=technology)), {})),
-    "evaluate": (
-        {"designs": None, "workloads": None, "technology": "rsfq"},
-        lambda designs, workloads, technology: (evaluation_record(
-            api.evaluate(_names("designs", designs),
-                         _names("workloads", workloads),
-                         technology=technology)), {})),
-    "plan/run": (
-        {"plan": None},
-        lambda plan: _with_points(api.run_plan(_plan_name(plan)))),
-}
-ENDPOINTS = tuple(_ENDPOINTS)
+#: Health/stats live in the daemon because they report admission state
+#: the engine cannot see.
+ENDPOINTS = tuple(VERBS)
 
 
 def request_key(endpoint: str, params: Dict[str, Any]) -> str:
@@ -152,7 +96,7 @@ class ServeEngine:
     def handle(self, endpoint: str, params: Optional[Dict[str, Any]]
                ) -> Tuple[str, Dict[str, str]]:
         """Compute one request: (deterministic body, volatile headers)."""
-        if endpoint not in _ENDPOINTS:
+        if endpoint not in VERBS:
             raise ConfigError(f"unknown endpoint {endpoint!r}; "
                               f"known: {ENDPOINTS}",
                               code="serve.unknown_endpoint", endpoint=endpoint)
@@ -160,18 +104,19 @@ class ServeEngine:
             self.handler_chaos.fire(endpoint)
         with self._lock:
             self.requests_total += 1
-        defaults, compute = _ENDPOINTS[endpoint]
+        verb = VERBS[endpoint]
         params = dict(params or {})
-        unknown = sorted(set(params) - set(defaults))
+        unknown = sorted(set(params) - set(verb.params))
         if unknown:
             raise ConfigError(
                 f"unknown parameter(s) {unknown} for {endpoint}; "
-                f"allowed: {sorted(defaults)}",
+                f"allowed: {sorted(verb.params)}",
                 code="serve.bad_params", endpoint=endpoint)
         runner = self._runner()
         try:
             with use_runner(runner):
-                data, meta = compute(**{**defaults, **params})
+                result = verb(**params)
+                data, meta = verb.record(result), verb.headers(result)
         finally:
             self._absorb_runner(runner)
         meta["X-Cache-Hits"] = str(int(runner.stats.hits))

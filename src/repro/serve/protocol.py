@@ -66,17 +66,16 @@ class HttpRequest:
 
 
 async def read_request(reader: asyncio.StreamReader,
-                       header_timeout_s: float,
-                       body_timeout_s: float) -> HttpRequest:
+                       read_timeout_s: float) -> HttpRequest:
     """Parse one HTTP/1.1 request off the stream, under read deadlines.
 
-    A client that cannot deliver its header block within
-    ``header_timeout_s`` (or its declared body within ``body_timeout_s``)
-    raises :class:`ProtocolError` with status 408 — the slow-client shed.
+    A client that cannot deliver its header block, or then its declared
+    body, within ``read_timeout_s`` each raises :class:`ProtocolError`
+    with status 408 — the slow-client shed.
     """
     try:
         raw_header = await asyncio.wait_for(
-            reader.readuntil(b"\r\n\r\n"), timeout=header_timeout_s)
+            reader.readuntil(b"\r\n\r\n"), timeout=read_timeout_s)
     except asyncio.TimeoutError:
         raise ProtocolError("request header not received in time",
                             status=408, code="serve.slow_client",
@@ -121,7 +120,7 @@ async def read_request(reader: asyncio.StreamReader,
     if length:
         try:
             raw_body = await asyncio.wait_for(
-                reader.readexactly(length), timeout=body_timeout_s)
+                reader.readexactly(length), timeout=read_timeout_s)
         except asyncio.TimeoutError:
             raise ProtocolError("request body not received in time",
                                 status=408, code="serve.slow_client",

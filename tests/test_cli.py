@@ -301,7 +301,9 @@ def test_bottleneck_json(capsys):
     import json
 
     assert main(["bottleneck", "baseline", "resnet50", "--json"]) == 0
-    doc = json.loads(capsys.readouterr().out)
+    envelope = json.loads(capsys.readouterr().out)
+    assert (envelope["command"], envelope["design"]) == ("bottleneck", "Baseline")
+    doc = envelope["data"]
     assert doc["design"] == "Baseline" and doc["network"] == "ResNet50"
     for layer in doc["layers"]:
         assert layer["bound"] in ("compute", "preparation", "dram")
@@ -554,6 +556,28 @@ def test_plan_run_json_envelope(tmp_path, capsys):
             document["manifest"]["points_executed"]) == (0, 6)
 
 
+def test_plan_run_takes_every_registered_name(monkeypatch, capsys):
+    """``plan run`` looks a plan up by its registry key, which is not
+    always the plan's own name (``search_grid`` builds ``search``)."""
+    from types import SimpleNamespace
+
+    from repro import api
+
+    ran = []
+
+    def execute(plan):
+        ran.append(plan.name)
+        return SimpleNamespace(plan=plan, plan_hash="0" * 64, points_total=0,
+                               points_cached=0, points_executed=0,
+                               describe=lambda: plan.name)
+
+    monkeypatch.setattr(api, "_execute_plan", execute)
+    for name in api.plans():
+        assert main(["--no-registry", "plan", "run", name]) == 0, name
+        assert ran.pop() == api.plan(name).name
+    capsys.readouterr()
+
+
 # -- serve / client ---------------------------------------------------------
 
 def test_serve_parser_accepts_all_knobs():
@@ -625,6 +649,7 @@ def test_client_request_fails_cleanly(capsys):
     ["runs", "list", "--limit", "-1"],
     ["simulate", "supernpu", "mobilenet", "--jobs", "0"],
     ["evaluate", "--jobs", "-3"],
+    ["hotspot", "--top", "0", "workloads"],
 ])
 def test_count_flags_below_one_exit_2(argv, tmp_path, capsys):
     flag = next(arg for arg in argv if arg.startswith("--"))
@@ -675,8 +700,8 @@ def test_plan_inspection_honours_hotspot_and_trace(argv, tmp_path, capsys):
     trace, collapsed = tmp_path / "t.json", tmp_path / "h.col"
     assert main(["--no-registry", *argv]) == 0
     plain = capsys.readouterr().out
-    assert main(["--no-registry", *argv, "--hotspot-out", str(collapsed),
-                 "--trace-out", str(trace)]) == 0
+    assert main(["--no-registry", "hotspot", "--hotspot-out", str(collapsed),
+                 *argv, "--trace-out", str(trace)]) == 0
     captured = capsys.readouterr()
     assert captured.out == plain + f"trace written to {trace}\n"
     assert "hotspot:" in captured.err

@@ -7,9 +7,9 @@ wall times); everything else must match exactly, so a refactor of the
 CLI, ``repro.api`` or the observability layer cannot shift a number, a
 column or a key without failing here.
 
-The second half pins the profiler's stdout contract: a command run with
-``--hotspot --hotspot-out FILE``, or wrapped in ``supernpu hotspot``,
-prints exactly what the unprofiled command prints.
+The second half pins the profiler's stdout contract: a command wrapped
+in ``supernpu hotspot --hotspot-out FILE`` prints exactly what the
+unprofiled command prints.
 
 After a deliberate output change, regenerate the golden file with::
 
@@ -105,19 +105,29 @@ def test_evaluate_record_only_added_keys(golden):
             == EVALUATE_BEFORE_SHARED_RECORD)
 
 
+#: sha256 of the ``bottleneck --json`` transcript when it printed its
+#: own document, before the envelope carried it as ``data``.
+BOTTLENECK_BEFORE_ENVELOPE = (
+    "fc0afd8f654b7382afba3a70b18a6dbed1263f4a47b87ee6765f06ad35dca76a")
+
+
+def test_bottleneck_record_is_the_old_document(golden):
+    """Moving ``bottleneck --json`` into the envelope kept its document:
+    the envelope's ``data``, rendered alone, has the old bytes."""
+    document = json.loads(golden["bottleneck supernpu mobilenet --json"])
+    assert (document["command"], document["design"], document["workload"]) == (
+        "bottleneck", "SuperNPU", "MobileNet")
+    before = json.dumps(document["data"], indent=2, sort_keys=True) + "\n"
+    assert (hashlib.sha256(before.encode("utf-8")).hexdigest()
+            == BOTTLENECK_BEFORE_ENVELOPE)
+
+
 @pytest.mark.parametrize("command", PROFILED)
-def test_hotspot_flags_leave_stdout_unchanged(command, tmp_path):
+def test_hotspot_wrapper_leaves_stdout_unchanged(command, tmp_path):
     plain = _stdout(command)
     collapsed = tmp_path / "hotspot.collapsed"
-    profiled = _stdout(f"{command} --hotspot --hotspot-out {collapsed}")
-    assert profiled == plain
-    assert collapsed.is_file()
-
-
-@pytest.mark.parametrize("command", PROFILED)
-def test_hotspot_wrapper_leaves_stdout_unchanged(command):
-    plain = _stdout(command)
-    assert _stdout(f"hotspot {command}") == plain
+    assert _stdout(f"hotspot --hotspot-out {collapsed} {command}") == plain
+    assert collapsed.read_text(encoding="utf-8")
 
 
 def _regenerate() -> None:

@@ -139,7 +139,7 @@ def test_cache_quarantines_corrupt_entries(tmp_path):
     assert cache.get(key) is None
     # The damaged entry is moved aside, not silently re-missed forever.
     assert key not in cache and key not in ResultCache(tmp_path / "c")
-    assert (tmp_path / "c" / "quarantine" / f"corrupt-{key}.json").is_file()
+    assert (tmp_path / "c" / "quarantine" / f"corrupt-{key}.entry").is_file()
     stats = cache.stats()
     assert stats.entries == 0 and stats.quarantined == 1
 

@@ -184,7 +184,9 @@ def test_cli_bench_compare_json(tmp_path, capsys):
     bench.write_document(make_document(), path=path)
     assert main(["bench", "compare", str(path), "--baseline", str(path),
                  "--json"]) == 0
-    document = json.loads(capsys.readouterr().out)
+    envelope = json.loads(capsys.readouterr().out)
+    assert envelope["command"] == "bench"
+    document = envelope["data"]
     assert document["ok"] is True and document["regressions"] == 0
 
 
@@ -228,9 +230,9 @@ def test_cli_bench_run_records_real_subset(tmp_path, capsys):
 def test_cli_bench_run_hotspot_folds_in_the_benchmarked_calls(tmp_path, capsys):
     out = tmp_path / "BENCH_hot.json"
     collapsed = tmp_path / "bench.collapsed"
-    assert main(["bench", "run", "--subset", "table1", "--min-rounds", "1",
-                 "--max-time", "0.05", "--out", str(out),
-                 "--hotspot", "--hotspot-out", str(collapsed)]) == 0
+    assert main(["hotspot", "--hotspot-out", str(collapsed), "bench", "run",
+                 "--subset", "table1", "--min-rounds", "1",
+                 "--max-time", "0.05", "--out", str(out)]) == 0
     assert "hotspot: " in capsys.readouterr().err
     summary = bench.load_document(out)["hotspot"]
     assert summary["functions"] > 0 and summary["top"]

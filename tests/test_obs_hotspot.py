@@ -240,10 +240,13 @@ def test_foreign_profiler_raises_config_error():
 def test_nested_cli_profilers_exit_2(capsys):
     from repro.cli import main
 
-    code = main(["--no-registry", "hotspot", "simulate", "supernpu", "mobilenet",
-                 "--hotspot"])
+    code = main(["--no-registry", "hotspot", "hotspot", "simulate", "supernpu",
+                 "mobilenet"])
     assert code == 2
-    assert main(["--no-registry", "hotspot", "hotspot", "workloads"]) == 2
+    assert "'hotspot' cannot profile itself" in capsys.readouterr().err
+    assert active_profiler() is None
+    with HotspotProfiler():  # another profiler already runs in the process
+        assert main(["--no-registry", "hotspot", "workloads"]) == 2
     assert "another profiler is already running" in capsys.readouterr().err
     assert active_profiler() is None
 
@@ -251,13 +254,46 @@ def test_nested_cli_profilers_exit_2(capsys):
 def test_failed_command_stops_its_profiler(capsys):
     from repro.cli import main
 
-    code = main(["--no-registry", "simulate", "supernpu", "mobilenet",
-                 "--batch", "0", "--hotspot"])
+    code = main(["--no-registry", "hotspot", "simulate", "supernpu", "mobilenet",
+                 "--batch", "0"])
     assert code == 3  # workload.invalid_batch
     assert active_profiler() is None
-    assert main(["--no-registry", "simulate", "supernpu", "mobilenet",
-                 "--hotspot"]) == 0
+    assert main(["--no-registry", "hotspot", "simulate", "supernpu",
+                 "mobilenet"]) == 0
     assert "hotspot:" in capsys.readouterr().err
+
+
+def test_wrapper_joins_cycles_and_records_one_run(tmp_path, capsys):
+    """The wrapped command runs in the one session: its run joins the
+    profile, and the invocation is one registry entry, the command's."""
+    from repro.cli import main
+    from repro.obs.registry import RunRegistry
+
+    assert main(["--runs-dir", str(tmp_path), "hotspot", "simulate", "supernpu",
+                 "mobilenet"]) == 0
+    assert "cycle-domain join" in capsys.readouterr().err
+    entries, corrupt = RunRegistry(tmp_path).entries()
+    assert corrupt == 0 and len(entries) == 1
+    assert entries[0].command == "simulate"
+    assert "hotspot" in entries[0].argv and entries[0].hotspot["functions"] > 0
+
+
+def _ranked_rows(report: str) -> int:
+    """How many functions the report's first table ranks."""
+    lines = report.splitlines()
+    start = next(i for i, line in enumerate(lines) if "self ms" in line) + 1
+    return next((n for n, line in enumerate(lines[start:]) if not line.strip()),
+                len(lines) - start)
+
+
+def test_wrapper_top_stays_apart_from_the_command_top(capsys):
+    from repro.cli import main
+
+    assert main(["--no-registry", "hotspot", "--top", "2", "bottleneck",
+                 "supernpu", "mobilenet", "--top", "3"]) == 0
+    captured = capsys.readouterr()
+    assert "critical layers (top 3 of" in captured.out
+    assert _ranked_rows(captured.err) == 2
 
 
 def test_profiling_modules_are_imported_lazily():

@@ -429,7 +429,7 @@ def test_corrupt_cache_entry_is_quarantined_and_reexecuted(
     assert counters["jobs.estimate_cache.misses"] == (2 if entry == "estimate" else 1)
     stats = cache.stats()
     assert stats.quarantined == 1
-    assert _quarantined(cache) == [f"{_REASONS[mode]}-{key}.json"]
+    assert _quarantined(cache) == [f"{_REASONS[mode]}-{key}.entry"]
     # The repaired entry is a plain hit on the next pass.
     rerun = JobRunner(jobs=1, cache=cache)
     assert rerun.run(tasks) == clean
@@ -494,7 +494,7 @@ def test_malformed_layer_columns_are_poison(tmp_path, tasks, clean, damage):
     runner = JobRunner(cache=cache)
     assert _bits(runner.run(tasks)) == _bits(clean)
     assert runner.stats.executed == 1
-    assert _quarantined(cache) == [f"{_DAMAGES[damage]}-{key}.json"]
+    assert _quarantined(cache) == [f"{_DAMAGES[damage]}-{key}.entry"]
     assert JobRunner(cache=cache).run(tasks).cached == [True] * len(tasks)
 
 
@@ -528,7 +528,7 @@ def _older_entries_cost_one_miss_each(tmp_path, tasks, clean, schema):
     assert _bits(first.run(tasks)) == _bits(clean)
     assert first.lookup_estimate(config) == (estimate, False)
     assert first.stats.executed == len(tasks)
-    assert _quarantined(cache) == sorted(f"wrong-schema-{key}.json" for key in keys)
+    assert _quarantined(cache) == sorted(f"wrong-schema-{key}.entry" for key in keys)
 
     second = JobRunner(cache=cache)
     assert _bits(second.run(tasks)) == _bits(clean)
@@ -747,7 +747,7 @@ def test_quarantined_record_stays_dead_in_any_scan_order(tmp_path, monkeypatch):
         assert ResultCache(root).get("11" * 32) == {"a": 1}
     monkeypatch.undo()
     assert len(_segments(reader)) == 3
-    assert _quarantined(reader) == [f"poisoned-payload-{'11' * 32}.json"]
+    assert _quarantined(reader) == [f"poisoned-payload-{'11' * 32}.entry"]
 
 
 # -- chaos harness self-checks --------------------------------------------

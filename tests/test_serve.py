@@ -302,7 +302,7 @@ def test_daemon_deadline_sheds_waiter_but_finishes_the_work(tmp_path):
 
 def test_daemon_sheds_slow_clients_and_drains_on_shutdown(tmp_path):
     config = ServeConfig(cache_dir=tmp_path / "cache",
-                         header_timeout_s=0.3, body_timeout_s=0.3,
+                         read_timeout_s=0.3,
                          port_file=tmp_path / "daemon.port")
     with daemon_in_thread(config) as daemon:
         client = ServeClient(port=daemon.port, client_id="t")
