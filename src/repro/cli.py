@@ -15,9 +15,6 @@ Commands mirror the paper's experiments:
   figure/table lowers onto: inspect a plan's grids, dry-run-count its
   unique simulation tasks (and how many are already cached), or execute
   it directly through the job engine
-* ``bench run|compare`` — record the ``benchmarks/`` suite into a
-  schema-versioned ``BENCH_<git-sha>.json`` and compare two recordings
-  with thresholded regression verdicts (nonzero exit on regression)
 * ``runs list|show|diff`` — query the persistent run registry; every
   invocation is recorded there (``~/.supernpu/runs/`` by default;
   ``--runs-dir DIR`` overrides, ``--no-registry`` opts out);
@@ -51,7 +48,7 @@ hits when it is run again), and ``--no-cache``.  ``supernpu
 cache stats|clear --cache-dir DIR`` inspects / empties a cache.
 Parallel and warm-cache results are bitwise-identical to serial cold
 runs.  ``estimate``, ``simulate``, ``evaluate``, ``compare``,
-``bottleneck``, ``plan``, ``components``, ``runs`` and ``bench`` accept
+``bottleneck``, ``plan``, ``components`` and ``runs`` accept
 ``--json``: one consistent machine-readable envelope (``{"command",
 "design", "workload", "data", "manifest"}``) on stdout.  For
 ``estimate``, ``simulate``, ``evaluate``, ``compare``, ``bottleneck``
@@ -140,14 +137,14 @@ class _Session:
         }
         print(json.dumps(document, indent=2, sort_keys=True))
 
-    def stop_profiler(self) -> Optional[dict]:
-        """Stop and report a running ``hotspot`` profile; returns its summary.
+    def stop_profiler(self) -> None:
+        """Stop and report a running ``hotspot`` profile.
 
         The report goes to stderr only: a profiled command's stdout stays
         bitwise-identical to an unprofiled run.
         """
         if self.profiler is None:
-            return None
+            return
         profile, self.profiler = self.profiler.stop(), None
         phases = None
         if self.run is not None:
@@ -162,7 +159,6 @@ class _Session:
                 handle.write(profile.collapsed())
             print(f"collapsed stacks written to {out}", file=sys.stderr)
         self.record["hotspot"] = profile.summary()
-        return self.record["hotspot"]
 
 
 def _check_count(flag: str, value: Optional[int]) -> None:
@@ -627,11 +623,14 @@ def cmd_report(args: argparse.Namespace) -> int:
 
     _, _, run, power = _simulate(args)
     if args.layers:
-        records = layer_records(run)
-        print(to_csv(records) if args.format == "csv" else to_json(records))
+        document = records = layer_records(run)
     else:
-        record = VERBS["simulate"].record((run, power))
-        print(to_csv([record]) if args.format == "csv" else to_json(record))
+        document = VERBS["simulate"].record((run, power))
+        records = [document]
+    if args.format == "csv":
+        print(to_csv(records), end="")
+    else:
+        print(to_json(document))
     return 0
 
 
@@ -805,22 +804,17 @@ def cmd_plan(args: argparse.Namespace) -> int:
 
     args.session.note(action=args.action)
     if args.action == "list":
-        names = api.plans()
+        plans = {name: api.plan(name) for name in api.plans()}
         if args.json:
-            plans = [
-                {
-                    "name": name,
-                    "points": api.plan(name).num_points,
-                    "description": api.plan(name).description,
-                }
-                for name in names
-            ]
-            args.session.envelope({"plans": plans})
+            args.session.envelope({"plans": [
+                {"name": name, "points": plan.num_points,
+                 "description": plan.description}
+                for name, plan in plans.items()
+            ]})
             return 0
         widths = [24, 8]
         print(_fmt_row(["plan", "points"], widths) + "  description")
-        for name in names:
-            plan = api.plan(name)
+        for name, plan in plans.items():
             print(_fmt_row([name, plan.num_points], widths)
                   + f"  {plan.description}")
         return 0
@@ -962,77 +956,6 @@ def cmd_cache(args: argparse.Namespace) -> int:
     if stats.quarantined:
         print(f"  quarantined   : {stats.quarantined}")
     return 0
-
-
-def _print_bench_comparison(comparison) -> None:
-    """Per-benchmark verdict table + one summary line."""
-    print(f"{'benchmark':<58s} {'base ms':>10s} {'new ms':>10s} "
-          f"{'ratio':>7s}  verdict")
-    for delta in comparison.deltas:
-        base_ms = "-" if delta.base_s is None else f"{delta.base_s * 1e3:.3f}"
-        new_ms = "-" if delta.new_s is None else f"{delta.new_s * 1e3:.3f}"
-        ratio = "-" if delta.ratio is None else f"{delta.ratio:.2f}x"
-        print(f"{delta.name:<58s} {base_ms:>10s} {new_ms:>10s} "
-              f"{ratio:>7s}  {delta.verdict}")
-    print(f"bench compare [{comparison.base_sha} -> {comparison.new_sha}]: "
-          f"{len(comparison.regressions)} regressions, "
-          f"{len(comparison.improvements)} improvements "
-          f"(threshold {comparison.threshold:g}x on min wall time)")
-
-
-def cmd_bench(args: argparse.Namespace) -> int:
-    """Record the benchmark suite / gate a recording against a baseline."""
-    from repro.errors import ConfigError
-    from repro.obs import bench
-
-    if args.action == "run":
-        # Under `supernpu hotspot` the pytest subprocess profiles itself
-        # too, and its stats fold into this session's profile (see
-        # run_benchmarks).
-        args.session.note(action="run", subset=args.subset)
-        document = bench.run_benchmarks(
-            args.subset, min_rounds=args.min_rounds,
-            max_time_s=args.max_time, label=args.label)
-        document["hotspot"] = args.session.stop_profiler()
-        path = bench.write_document(document, path=args.out)
-        if args.json:
-            args.session.envelope(document)
-        else:
-            print(f"bench [{document['git_sha']}]: "
-                  f"{len(document['benchmarks'])} benchmarks "
-                  f"({args.subset}) -> {path}")
-            for name in sorted(document["benchmarks"]):
-                stats = document["benchmarks"][name]
-                print(f"  {name:<58s} min {stats['min_s'] * 1e3:9.3f} ms  "
-                      f"mean {stats['mean_s'] * 1e3:9.3f} ms  "
-                      f"({stats['rounds']} rounds)")
-        return 0
-
-    # compare: candidate vs an explicit --baseline or the newest committed one
-    if not args.target:
-        raise ConfigError(
-            "'bench compare' needs a candidate BENCH_*.json",
-            code="bench.missing_candidate",
-            hint="record one with 'supernpu bench run --out FILE'",
-        )
-    candidate = bench.load_document(args.target)
-    baseline_path = args.baseline
-    if baseline_path is None:
-        baseline_path = bench.find_baseline(exclude=[args.target])
-        if baseline_path is None:
-            raise ConfigError(
-                "no baseline BENCH_*.json found at the repo root",
-                code="bench.no_baseline",
-                hint="pass --baseline FILE or commit a baseline recording",
-            )
-    baseline = bench.load_document(baseline_path)
-    comparison = bench.compare_documents(baseline, candidate,
-                                         threshold=args.threshold)
-    if args.json:
-        args.session.envelope(comparison.to_dict())
-    else:
-        _print_bench_comparison(comparison)
-    return 0 if comparison.ok else 1
 
 
 def cmd_runs(args: argparse.Namespace) -> int:
@@ -1427,40 +1350,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_cache.add_argument("--cache-dir", metavar="DIR", required=True,
                          help="the cache directory to inspect / clear")
     p_cache.set_defaults(func=cmd_cache)
-
-    p_bench = sub.add_parser(
-        "bench",
-        help="record the benchmark suite as BENCH_<sha>.json / compare "
-             "two recordings with a regression gate",
-    )
-    p_bench.add_argument("action", choices=["run", "compare"])
-    p_bench.add_argument("target", nargs="?", default=None,
-                         help="for 'compare': the candidate BENCH_*.json")
-    p_bench.add_argument("--subset", default="all",
-                         help="named subset (all, smoke, figures, ablation, "
-                              "extensions) or comma-separated name fragments")
-    p_bench.add_argument("--out", metavar="FILE", default=None,
-                         help="where to write the recording "
-                              "(default: BENCH_<git-sha>.json at the repo root)")
-    p_bench.add_argument("--min-rounds", type=int, default=3, metavar="N",
-                         help="pytest-benchmark rounds per benchmark (default 3)")
-    p_bench.add_argument("--max-time", type=float, default=0.5,
-                         metavar="SECONDS",
-                         help="pytest-benchmark time budget per benchmark "
-                              "(default 0.5)")
-    p_bench.add_argument("--baseline", metavar="FILE", default=None,
-                         help="for 'compare': explicit baseline recording "
-                              "(default: newest BENCH_*.json at the repo root)")
-    p_bench.add_argument("--threshold", type=float, default=1.5, metavar="X",
-                         help="regression threshold on the min-wall-time "
-                              "ratio (default 1.5)")
-    p_bench.add_argument("--label", default=None, metavar="NAME",
-                         help="for 'run': stamp the recording with a stable "
-                              "label and write it as BENCH_<label>.json — "
-                              "use one label per PR to grow a committed "
-                              "performance trajectory")
-    _add_json_flag(p_bench)
-    p_bench.set_defaults(func=cmd_bench)
 
     p_runs = sub.add_parser(
         "runs", help="query the persistent run registry"

@@ -5,7 +5,7 @@ extension study rests on), the figure or table it comes from, the
 paper's value where the paper prints one, and the band a measurement
 must land in.  Rows sit under the measurement that produces them, a
 function of :mod:`repro.core.measures`: the ``reproduce`` experiment for
-the figure where one exists, else the call its benchmark times.
+the figure where one exists, else a direct call into the library.
 :func:`measure` runs each measurement once per call; :func:`check`
 compares a record with the bands.  A row that differs from the paper on
 purpose names its item in EXPERIMENTS.md's summary of known deviations.

@@ -3,8 +3,7 @@
 Every public function without arguments returns ``{claim id: measured
 value}`` for its group.  A group measures through the ``reproduce``
 experiment for its figure (:mod:`repro.core.experiments`) where one
-exists, else through the very function its benchmark in ``benchmarks/``
-times (the functions here that take a library).  Only a check imports
+exists, else by calling the library directly.  Only a check imports
 this module, so the claims table itself stays cheap to import.
 """
 
@@ -274,50 +273,26 @@ def training() -> Record:
     }
 
 
-def bitserial_comparison(library):
-    """Clock, MAC/s, junctions and MAC/s per junction of both 8-bit MACs."""
-    serial = BitSerialMAC(8, 24)
-    parallel = MACUnit(8, 24)
-    return {
-        "bit-serial": {
-            "clock_ghz": serial.frequency(library).frequency_ghz,
-            "mac_per_s": serial.throughput_mac_per_s(library),
-            "jj": serial.jj_count(library),
-            "mac_per_s_per_jj": serial.throughput_per_jj(library),
-        },
-        "bit-parallel": {
-            "clock_ghz": parallel.frequency(library).frequency_ghz,
-            "mac_per_s": parallel.frequency(library).frequency_ghz * 1e9,
-            "jj": parallel.jj_count(library),
-            "mac_per_s_per_jj": parallel.frequency(library).frequency_ghz
-            * 1e9
-            / parallel.jj_count(library),
-        },
-    }
-
-
 def bitserial() -> Record:
-    results = bitserial_comparison(rsfq_library())
-    serial, parallel = results["bit-serial"], results["bit-parallel"]
+    """Bit-serial vs bit-parallel 8-bit MAC: clock, MAC/s, MAC/s per junction."""
+    library = rsfq_library()
+    serial, parallel = BitSerialMAC(8, 24), MACUnit(8, 24)
+    parallel_ghz = parallel.frequency(library).frequency_ghz
+    parallel_mac_per_s = parallel_ghz * 1e9
     return {
-        "bitserial.clock_ratio": serial["clock_ghz"] / parallel["clock_ghz"],
-        "bitserial.throughput_ratio": parallel["mac_per_s"] / serial["mac_per_s"],
-        "bitserial.per_jj_ratio": parallel["mac_per_s_per_jj"] / serial["mac_per_s_per_jj"],
-    }
-
-
-def variation_reports(library):
-    """SuperNPU's Monte Carlo clock at 2, 5 and 10 % per-cell timing spread."""
-    config = supernpu()
-    return {
-        sigma: monte_carlo_frequency(config, sigma=sigma, trials=40,
-                                     seed=2024, library=library)
-        for sigma in (0.02, 0.05, 0.10)
+        "bitserial.clock_ratio": serial.frequency(library).frequency_ghz / parallel_ghz,
+        "bitserial.throughput_ratio": parallel_mac_per_s / serial.throughput_mac_per_s(library),
+        "bitserial.per_jj_ratio": parallel_mac_per_s / parallel.jj_count(library)
+        / serial.throughput_per_jj(library),
     }
 
 
 def variation() -> Record:
-    reports = variation_reports(rsfq_library())
+    """SuperNPU's Monte Carlo clock at 2, 5 and 10 % per-cell timing spread."""
+    config, library = supernpu(), rsfq_library()
+    reports = {sigma: monte_carlo_frequency(config, sigma=sigma, trials=40,
+                                            seed=2024, library=library)
+               for sigma in (0.02, 0.05, 0.10)}
     return {
         "variation.worst_minus_nominal": {sigma: report.worst_ghz - report.nominal_ghz
                                           for sigma, report in reports.items()},
@@ -329,18 +304,14 @@ def variation() -> Record:
     }
 
 
-def design_space_search():
+def search() -> Record:
     """The exhaustive width x division x registers search on three CNNs."""
-    return design_search(
+    results = design_search(
         widths=(256, 128, 64, 32),
         divisions=(1, 16, 64, 256),
         registers=(1, 2, 8, 16),
         workloads=[alexnet(), resnet50(), mobilenet()],
     )
-
-
-def search() -> Record:
-    results = design_space_search()
     winner, worst = best(results), results[-1]
     return {
         "search.winner_width": winner.config.pe_array_width,
@@ -363,21 +334,15 @@ def energy() -> Record:
     }
 
 
-def batch1_runs(library, workloads):
-    """SuperNPU's and the TPU's batch-1 run of each workload."""
+def latency() -> Record:
+    """SuperNPU's and the TPU's batch-1 latency on each workload."""
     config = supernpu()
-    estimate = estimate_npu(config, library)
-    rows = {}
-    for network in workloads:
+    estimate = estimate_npu(config, rsfq_library())
+    speedups = {}
+    for network in all_workloads():
         sfq = simulate(config, network, batch=1, estimate=estimate)
         tpu = simulate_cmos(TPU_CORE, network, batch=1)
-        rows[network.name] = (sfq, tpu)
-    return rows
-
-
-def latency() -> Record:
-    speedups = {name: tpu.latency_s / sfq.latency_s
-                for name, (sfq, tpu) in batch1_runs(rsfq_library(), all_workloads()).items()}
+        speedups[network.name] = tpu.latency_s / sfq.latency_s
     return {"latency.tpu_over_supernpu": speedups,
             "latency.mean_speedup": _mean(speedups.values())}
 
@@ -393,20 +358,15 @@ def multibatch() -> Record:
     }
 
 
-def transformer_runs(library):
+def transformer() -> Record:
     """A BERT-base encoder block on the TPU and on every SFQ design."""
-    network = bert_base_block()
-    tpu = simulate_cmos(TPU_CORE, network, batch=8)
-    rows = {"TPU": tpu}
+    library, network = rsfq_library(), bert_base_block()
+    mac_per_s = {"TPU": simulate_cmos(TPU_CORE, network, batch=8).mac_per_s}
     for config in all_designs():
         estimate = estimate_npu(config, library)
         batch = derived_batch(config.with_updates(name=f"{config.name}*"), network)
-        rows[config.name] = simulate(config, network, batch=batch, estimate=estimate)
-    return rows
-
-
-def transformer() -> Record:
-    mac_per_s = {name: run.mac_per_s for name, run in transformer_runs(rsfq_library()).items()}
+        mac_per_s[config.name] = simulate(config, network, batch=batch,
+                                          estimate=estimate).mac_per_s
     return {
         "transformer.supernpu_over_tpu": mac_per_s["SuperNPU"] / mac_per_s["TPU"],
         "transformer.supernpu_over_baseline": mac_per_s["SuperNPU"] / mac_per_s["Baseline"],
@@ -414,7 +374,7 @@ def transformer() -> Record:
     }
 
 
-def multiplier_pipelines():
+def gatesim() -> Record:
     """Gate-level pipelined multipliers (2, 4, 8 bits) streaming 24 operations."""
     results = {}
     for bits in (2, 4, 8):
@@ -422,18 +382,11 @@ def multiplier_pipelines():
         operations = [{"a": a % (1 << bits), "b": (a * 7 + 1) % (1 << bits)}
                       for a in range(24)]
         outputs = circuit.compute_stream(operations)
-        correct = outputs == [op["a"] * op["b"] for op in operations]
         results[bits] = {
-            "gates": circuit.num_gates,
             "latency": circuit.latency,
             "histogram": circuit.gate_histogram(),
-            "stream_correct": correct,
+            "stream_correct": outputs == [op["a"] * op["b"] for op in operations],
         }
-    return results
-
-
-def gatesim() -> Record:
-    results = multiplier_pipelines()
     return {
         "gatesim.stream_correct": {bits: r["stream_correct"] for bits, r in results.items()},
         "gatesim.dff_over_logic": {

@@ -185,7 +185,8 @@ def to_csv(records: List[Dict[str, object]]) -> str:
     if not records:
         raise ValueError("no records to render")
     buffer = io.StringIO()
-    writer = csv.DictWriter(buffer, fieldnames=list(records[0].keys()))
+    writer = csv.DictWriter(buffer, fieldnames=list(records[0].keys()),
+                            lineterminator="\n")
     writer.writeheader()
     for record in records:
         writer.writerow(record)

@@ -95,7 +95,7 @@ class OSSystolicArray:
 
         Skews both operand sets and advances the grid one clock at a
         time — the original dataflow emulation, kept for equivalence
-        tests and stepped benchmarking (``SUPERNPU_SYSTOLIC=stepped``).
+        tests.
         """
         if x_streams.ndim != 2 or w_streams.ndim != 2:
             raise ValueError("streams must be 2-D")

@@ -109,8 +109,7 @@ class SystolicArray:
 
         Feeds the skewed streams through :meth:`step` one clock at a time
         and de-skews the bottom-edge outputs — the original dataflow
-        emulation, kept for equivalence tests and stepped benchmarking
-        (``SUPERNPU_SYSTOLIC=stepped``).
+        emulation, kept for equivalence tests.
         """
         if streams.ndim != 2:
             raise ValueError("streams must be 2-D (rows, time)")

@@ -18,8 +18,7 @@ batch-of-one wrapper.
 
 :class:`ScalarReferenceSolver` preserves the original per-step scalar
 implementation verbatim as the golden reference the vectorized kernel is
-tested against (see ``tests/test_golden_vectorized.py``) and benchmarked
-against (``SUPERNPU_JSIM_SOLVER=reference``).
+tested against (see ``tests/test_golden_vectorized.py``).
 """
 
 from __future__ import annotations
@@ -446,8 +445,7 @@ class ScalarReferenceSolver:
     This is the golden reference for the vectorized kernel: per-element
     ``np.add.at`` scatters, per-stage Python source evaluation, and
     list-append sampling.  It emits no obs metrics — it exists for
-    equivalence tests and before/after benchmarking
-    (``SUPERNPU_JSIM_SOLVER=reference``), not for production runs.
+    equivalence tests, not for production runs.
     """
 
     def __init__(self, circuit: Circuit, step_ps: float = 0.05) -> None:

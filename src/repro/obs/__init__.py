@@ -20,14 +20,16 @@ Everything is **off by default**: the instrumented hot paths in
 called (the CLI does this for ``supernpu profile`` and whenever
 ``--trace-out`` / ``--metrics-out`` is passed).
 
-PR 6 adds the cross-run trajectory on top of the in-run runtime:
+Across runs:
 
 * **progress** — live task-lifecycle streaming for parallel sweeps
   (:mod:`repro.obs.progress`);
 * **registry** — a persistent per-invocation run registry under
-  ``~/.supernpu/runs/`` (:mod:`repro.obs.registry`);
-* **bench** — the BENCH_<sha>.json recorder and regression comparator
-  over the ``benchmarks/`` suite (:mod:`repro.obs.bench`).
+  ``~/.supernpu/runs/`` (:mod:`repro.obs.registry`).
+
+Wall-time speed is measured outside the package, by the end-to-end
+benchmark in ``benchmarks/e2e`` and its committed ``BENCH_pr<N>.json``
+points.
 
 Host-time hotspot profiling (:mod:`repro.obs.hotspot`) runs stdlib
 ``cProfile``, with collapsed caller→callee export and a report that

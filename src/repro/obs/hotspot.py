@@ -1,7 +1,7 @@
 """Host-time hotspot profiling (``repro.obs.hotspot``).
 
 The rest of ``repro.obs`` attributes *simulated* cycles (timeline,
-bottleneck, roofline) and *end-to-end* wall time (bench).  This module
+bottleneck, roofline) and wall time per traced span.  This module
 closes the remaining gap: which **Python functions** burn the host's
 wall clock, so the inner loops of the cycle model and the solvers can be
 located before a rewrite and re-checked afterwards.
@@ -361,10 +361,6 @@ class HotspotProfiler:
         self.profile = HotspotProfile.from_stats(self._stats.stats, duration)
         return self.profile
 
-    def dump_stats(self, path: str) -> None:
-        """Write the stopped profile's raw ``pstats`` table to ``path``."""
-        self._stats.dump_stats(path)
-
     def stats_table(self) -> Dict[Any, Any]:
         """The stopped profile's raw ``pstats`` table, a picklable dict."""
         return self._stats.stats
@@ -402,27 +398,23 @@ def active_profiler() -> Optional[HotspotProfiler]:
     return _active
 
 
-def absorb(source: Any) -> bool:
-    """Fold a worker's profile into the active profiler: a
-    :meth:`HotspotProfiler.stats_table` dict, or the path of a
-    :meth:`HotspotProfiler.dump_stats` file.
+def absorb(table: Dict[Any, Any]) -> bool:
+    """Fold a worker's :meth:`HotspotProfiler.stats_table` into the
+    active profiler.
 
     Returns False (and drops the data) when no profiler is running or
-    the file is missing or unreadable — worker stats are best-effort.
+    the table is malformed — worker stats are best-effort.
     """
     if _active is None:
         return False
     import pstats
 
+    # pstats reports bad data on its stream: keep stdout clean.
+    stats = pstats.Stats(stream=sys.stderr)
+    stats.stats = table
     try:
-        # pstats reports bad data on its stream: keep stdout clean.
-        if isinstance(source, dict):
-            stats = pstats.Stats(stream=sys.stderr)
-            stats.stats = source
-            stats.get_top_level_stats()
-        else:
-            stats = pstats.Stats(str(source), stream=sys.stderr)
-    except (OSError, EOFError, ValueError, TypeError, AttributeError):
+        stats.get_top_level_stats()
+    except (ValueError, TypeError, AttributeError):
         return False
     _active._stats.add(stats)
     return True

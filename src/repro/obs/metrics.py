@@ -4,7 +4,7 @@ A :class:`MetricsRegistry` hands out named instruments; a disabled
 registry (the default) hands out shared no-op instruments and registers
 nothing, so instrumented hot paths cost one attribute check per call and
 the registry snapshot stays empty.  Snapshots are plain dicts (JSON-ready)
-so benchmark and CLI output can be diffed across PRs.
+so CLI output can be diffed across PRs.
 """
 
 from __future__ import annotations

@@ -2,8 +2,8 @@
 
 One :class:`~repro.obs.metrics.MetricsRegistry` and one
 :class:`~repro.obs.tracing.Tracer` per process, both **disabled by
-default** so instrumented library code is a no-op unless a CLI flag,
-benchmark fixture, or test turns observability on.
+default** so instrumented library code is a no-op unless a CLI flag
+or a test turns observability on.
 
 Hot-path usage::
 

@@ -10,6 +10,14 @@ def test_parser_requires_command():
         build_parser().parse_args([])
 
 
+def test_bench_is_an_unknown_command(capsys):
+    """Speed is measured by ``benchmarks/e2e/run.py`` alone."""
+    with pytest.raises(SystemExit) as exit_info:
+        main(["bench", "run"])
+    assert exit_info.value.code == 2
+    assert "invalid choice: 'bench'" in capsys.readouterr().err
+
+
 def test_estimate_command(capsys):
     assert main(["estimate", "supernpu"]) == 0
     out = capsys.readouterr().out
@@ -93,6 +101,18 @@ def test_report_csv_layers_command(capsys):
     assert main(["report", "baseline", "alexnet", "--format", "csv", "--layers"]) == 0
     out = capsys.readouterr().out
     assert out.startswith("design,network,layer")
+
+
+@pytest.mark.parametrize("command", [
+    "report baseline alexnet --format csv",
+    "report baseline alexnet --format csv --layers",
+    "trace supernpu resnet50 conv2_1b --format csv",
+])
+def test_csv_lines_end_in_one_newline(command, capsys):
+    assert main(command.split()) == 0
+    out = capsys.readouterr().out
+    assert "\r" not in out
+    assert out.endswith("\n") and not out.endswith("\n\n")
 
 
 def test_floorplan_command(capsys):
@@ -502,6 +522,27 @@ def test_plan_list_command(capsys):
     assert main(["plan", "list"]) == 0
     out = capsys.readouterr().out
     assert "fig23_evaluate" in out and "batch_knee" in out
+
+
+def test_plan_list_json_builds_each_plan_once(monkeypatch, capsys):
+    import json
+
+    from repro import api
+
+    names = api.plans()
+    expected = [{"name": name, "points": api.plan(name).num_points,
+                 "description": api.plan(name).description} for name in names]
+    built = []
+    plan = api.plan
+
+    def counted(name):
+        built.append(name)
+        return plan(name)
+
+    monkeypatch.setattr(api, "plan", counted)
+    assert main(["--no-registry", "plan", "list", "--json"]) == 0
+    assert built == list(names)
+    assert json.loads(capsys.readouterr().out)["data"] == {"plans": expected}
 
 
 def test_plan_show_command(capsys):

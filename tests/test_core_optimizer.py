@@ -1,7 +1,8 @@
 """Design-space sweep tests (Figs. 20-22 shapes).
 
 The sweeps run all six workloads per point; to keep the unit suite fast we
-sweep a reduced set here and leave the full-span runs to the benchmarks.
+sweep a reduced set here and leave the full-span runs to the claims table
+(``repro.core.golden``).
 """
 
 import pytest

@@ -17,6 +17,11 @@ each keeps its original implementation alive as a golden reference:
   matmul) vs ``run_stepped`` (cycle-accurate emulation) — **bitwise**
   identical including int64 wraparound, because integer addition is
   associative.
+
+The fast-path guards at the end make every scalar reference raise and
+run the default entry points on full-size inputs, so a default that
+quietly falls back to a scalar path fails here rather than only running
+slower.
 """
 
 from __future__ import annotations
@@ -25,14 +30,16 @@ import numpy as np
 import pytest
 
 from repro.functional.dau import aligned_streams
-from repro.functional.os_systolic import OSSystolicArray
-from repro.functional.systolic import SystolicArray
+from repro.functional.os_systolic import OSSystolicArray, conv2d_os
+from repro.functional.reference import conv2d_reference
+from repro.functional.systolic import SystolicArray, conv2d_systolic
 from repro.jsim import (
     Circuit,
     CurrentSource,
     Inductor,
     JosephsonJunction,
     Resistor,
+    ScalarReferenceSolver,
     TransientSolver,
     build_jtl,
     drive_jtl,
@@ -42,6 +49,7 @@ from repro.jsim import (
     reference_run,
     switch_count,
 )
+from repro.jsim import solver as solver_module
 
 #: Documented tolerance for vectorized-vs-scalar RK4 (see module docstring).
 RK4_ATOL = 1e-9
@@ -278,3 +286,70 @@ def test_stimuli_array_contract(factory):
     scalars = np.array([waveform(float(t)) for t in times])
     np.testing.assert_array_equal(vector, scalars)
     assert isinstance(waveform(3.0), float)
+
+
+# -- fast-path guards: the defaults never take a scalar path ----------------
+
+_RNG = np.random.default_rng(2020)
+_IFMAP = _RNG.integers(-8, 8, size=(8, 14, 14))
+_WEIGHTS = _RNG.integers(-8, 8, size=(16, 8, 3, 3))
+_TILE_WEIGHTS = _RNG.integers(-8, 8, size=(32, 32))
+_TILE_STREAMS = _RNG.integers(-8, 8, size=(32, 64))
+_OS_X = _RNG.integers(-8, 8, size=(32, 72))
+_OS_W = _RNG.integers(-8, 8, size=(32, 72))
+
+#: One pulse through a 16-stage JTL, long enough to reach the far end.
+JTL_STAGES = 16
+JTL_DURATION_PS = 75.0
+JTL_BATCH = 16
+
+
+class ScalarPathTaken(AssertionError):
+    """A default entry point reached a scalar reference."""
+
+
+@pytest.fixture
+def scalar_paths_raise(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise ScalarPathTaken("a default entry point took a scalar reference path")
+
+    monkeypatch.setattr(SystolicArray, "step", refuse)
+    monkeypatch.setattr(OSSystolicArray, "step", refuse)
+    monkeypatch.setattr(ScalarReferenceSolver, "__init__", refuse)
+    monkeypatch.setattr(solver_module, "reference_run", refuse)
+
+
+def test_guards_make_every_scalar_reference_raise(scalar_paths_raise):
+    circuit = build_jtl(2).circuit
+    ws = SystolicArray(2, 2)
+    ws.load_weights(np.ones((2, 2), dtype=np.int64))
+    with pytest.raises(ScalarPathTaken):
+        ws.run_stepped(np.ones((2, 3), dtype=np.int64))
+    with pytest.raises(ScalarPathTaken):
+        OSSystolicArray(2, 2).run_stepped(np.ones((2, 3)), np.ones((2, 3)))
+    with pytest.raises(ScalarPathTaken):
+        ScalarReferenceSolver(circuit)
+    with pytest.raises(ScalarPathTaken):
+        solver_module.reference_run(circuit, 1.0)
+
+
+def test_systolic_defaults_stay_on_the_matmul(scalar_paths_raise):
+    ws = SystolicArray(32, 32)
+    ws.load_weights(_TILE_WEIGHTS)
+    np.testing.assert_array_equal(ws.run(_TILE_STREAMS), _TILE_WEIGHTS.T @ _TILE_STREAMS)
+    np.testing.assert_array_equal(OSSystolicArray(32, 32).run(_OS_X, _OS_W), _OS_X @ _OS_W.T)
+    reference = conv2d_reference(_IFMAP, _WEIGHTS, stride=1, padding=1)
+    np.testing.assert_array_equal(conv2d_systolic(_IFMAP, _WEIGHTS, 32, 32, 1, 1), reference)
+    np.testing.assert_array_equal(conv2d_os(_IFMAP, _WEIGHTS, 32, 32, 1, 1), reference)
+
+
+def test_transient_solver_defaults_stay_vectorized(scalar_paths_raise):
+    jtl = build_jtl(JTL_STAGES)
+    drive_jtl(jtl, 25.0)
+    solver = TransientSolver(jtl.circuit)
+    single = solver.run(JTL_DURATION_PS)
+    assert switch_count(single, jtl.nodes[-1]) >= 1
+    batched = solver.run_batch(JTL_DURATION_PS, batch=JTL_BATCH)
+    assert batched.batch == JTL_BATCH
+    assert switch_count(batched.member(JTL_BATCH - 1), jtl.nodes[-1]) >= 1
+    np.testing.assert_array_equal(batched.member(0).phases, single.phases)

@@ -5,8 +5,8 @@ The load-bearing guarantees:
 * profiles are deterministic — a fixed workload yields the same call
   counts and the same caller→callee edges on every run;
 * the profiler's own frames never appear in a profile;
-* worker stats dumped to a file fold into the running profiler and add
-  up (the pool-worker path depends on it); unreadable files are skipped;
+* a worker's stats table folds into the running profiler and adds up
+  (the pool-worker path depends on it); malformed tables are skipped;
 * only one profiler runs at a time, and a second one is a ConfigError;
 * the cycle-domain join groups attribution phases correctly whether it
   gets raw per-phase fractions or pre-grouped ones.
@@ -15,7 +15,6 @@ The load-bearing guarantees:
 from __future__ import annotations
 
 import json
-import marshal
 import os
 import re
 import subprocess
@@ -160,17 +159,15 @@ def test_collapsed_format_and_determinism():
 
 # -- merging worker stats --------------------------------------------------
 
-def test_merge_adds_counts_and_seconds(tmp_path):
+def test_merge_adds_counts_and_seconds():
     donor = _profiled()
-    dump = tmp_path / "worker.prof"
-    donor.dump_stats(str(dump))
 
     profiler = HotspotProfiler()
     profiler.start()
     try:
         _workload()
-        assert absorb(dump) is True
-        assert absorb(donor.stats_table()) is True  # a table folds like its file
+        assert absorb(donor.stats_table()) is True
+        assert absorb(donor.stats_table()) is True
     finally:
         profile = profiler.stop()
     assert _calls_by_name(profile)["_leaf"] == 30
@@ -181,33 +178,29 @@ def test_merge_adds_counts_and_seconds(tmp_path):
     assert leaf.self_s > 2 * donor_leaf.self_s
 
 
-def test_absorb_requires_active_profiler(tmp_path):
-    dump = tmp_path / "worker.prof"
-    _profiled().dump_stats(str(dump))
-    assert absorb(dump) is False  # nothing running
+def test_absorb_requires_active_profiler():
+    table = _profiled().stats_table()
+    assert absorb(table) is False  # nothing running
 
     profiler = HotspotProfiler()
     profiler.start()
     try:
         assert active_profiler() is profiler
-        assert absorb(dump) is True
+        assert absorb(table) is True
     finally:
         profile = profiler.stop()
     assert active_profiler() is None
     assert _calls_by_name(profile)["_workload"] == 1
 
 
-@pytest.mark.parametrize("content", [
-    b"", b"\xff\xfe not a marshal stream", marshal.dumps(5), marshal.dumps([1]),
-    marshal.dumps({}), marshal.dumps({("f.py", 1, "f"): (1, 2)}),
-    marshal.dumps({("f.py", 1, "f"): (1, 1, 0.5, 0.5, 7)}),
-])
-def test_unreadable_stats_files_are_skipped(tmp_path, capsys, content):
-    bad = tmp_path / "bad.prof"
-    bad.write_bytes(content)
+@pytest.mark.parametrize("table", [
+    None, b"\xff\xfe not a table", 5, [1],
+    {("f.py", 1, "f"): (1, 2)},
+    {("f.py", 1, "f"): (1, 1, 0.5, 0.5, 7)},
+], ids=["none", "bytes", "int", "list", "short-row", "callers-not-a-dict"])
+def test_malformed_stats_tables_are_skipped(capsys, table):
     with HotspotProfiler() as profiler:
-        assert absorb(bad) is False
-        assert absorb(tmp_path / "missing.prof") is False
+        assert absorb(table) is False
         _leaf(10)
     assert _calls_by_name(profiler.profile)["_leaf"] == 1
     assert not any(key[1] == "f.py" for key in profiler.profile.functions)
