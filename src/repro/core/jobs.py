@@ -41,10 +41,13 @@ together, one (designs x layers) array pass per group
 comes up; each task then builds its own result with one ``simulate`` call.
 Chaos, retries, events and cache writes stay per task, in task order.
 
-Keys are computed once per object, not once per use: configs, networks
-and cell libraries keep their canonical JSON text (:mod:`repro.canonical`)
-and a :class:`SimTask` keeps its key, so per-task keying cost no longer
-grows with the size of the network, library and config documents.
+Keys are computed once per object, and only when read: configs, networks
+and cell libraries keep their canonical JSON text (:mod:`repro.canonical`),
+a :class:`SimTask` keeps its key, and sweeps dedupe on the texts a key
+hashes (:meth:`SimTask.content`, :func:`estimate_content`).  So a run
+hashes a task or an estimate request only for a reader of its key: a
+cache, a chaos injector, a progress reporter, an error message naming the
+task, or a plan result's provenance.
 
 The runner is ambient and per thread: library code calls :func:`get_runner`
 (a shared serial, cache-less default) and the CLI / API / serve install
@@ -94,7 +97,7 @@ from repro.obs.progress import ProgressReporter
 from repro.device.cells import CellLibrary, Technology, library_for, library_text
 from repro.device.cells import library_fingerprint  # noqa: F401 (re-exported for plan)
 from repro.errors import CacheError, ConfigError, ReproError, WorkerError
-from repro.estimator.arch_level import NPUEstimate, estimate_npu
+from repro.estimator.arch_level import UNIT_MEMO_SIZE, NPUEstimate, estimate_npu
 from repro.estimator.uarch_level import UnitEstimate
 from repro.simulator.engine import DesignCharges, charge_designs, simulate
 from repro.simulator.kernel import EXACT_LIMIT, column_totals
@@ -193,8 +196,9 @@ class SimTask:
     ``library`` selects the SFQ cell library (default: calibrated RSFQ)
     and is ignored for CMOS-baseline configs, whose cycle model has no
     cell library.  A task keeps its key once computed (and ships it to
-    worker processes), so lowering a plan keys each task once and the
-    runner reuses that key.
+    worker processes), so each task is hashed at most once, by whichever
+    reader asks first.  It keeps its :meth:`content` too, but not in a
+    pickle, as its records keep their texts (:mod:`repro.canonical`).
     """
 
     config: Union[NPUConfig, CMOSNPUConfig]
@@ -202,20 +206,40 @@ class SimTask:
     batch: int
     library: Optional[CellLibrary] = None
     _key: Optional[str] = field(default=None, init=False, repr=False, compare=False)
+    _content: Optional[Tuple[str, str, str, str, int]] = field(
+        default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         check_batch(self.batch)
         if type(self.batch) is not int:  # a numpy integer: key it as the int it is
             object.__setattr__(self, "batch", int(self.batch))
 
+    def __getstate__(self) -> Dict[str, Any]:
+        return {**self.__dict__, "_content": None}
+
     @property
     def is_cmos(self) -> bool:
         return not isinstance(self.config, NPUConfig)
+
+    @property
+    def kind(self) -> str:
+        """The cache entry kind of this task's result."""
+        return "simulate_cmos" if self.is_cmos else "simulate"
 
     def resolved_library(self) -> Optional[CellLibrary]:
         if self.is_cmos:
             return None
         return self.library or library_for(Technology.RSFQ)
+
+    def content(self) -> Tuple[str, str, str, str, int]:
+        """What :meth:`key` hashes: ``(kind, config, workload, library,
+        batch)``, the three texts kept by their records.  Tasks with equal
+        content have equal keys, so sweeps dedupe on this without hashing."""
+        if self._content is None:
+            object.__setattr__(self, "_content", (
+                self.kind, config_text(self.config), workload_text(self.network),
+                library_text(self.resolved_library()), self.batch))
+        return self._content
 
     def key(self) -> str:
         """Content-addressed cache key of this task."""
@@ -223,28 +247,31 @@ class SimTask:
             # The sorted-key document {batch, config, kind, library,
             # schema, workload}, spliced from the kept sub-texts; the
             # batch is an exact int, whose JSON text is its str().
-            kind = "simulate_cmos" if self.is_cmos else "simulate"
+            kind, config, workload, library, batch = self.content()
             object.__setattr__(self, "_key", _sha256(
-                f'{{"batch":{self.batch},'
-                f'"config":{config_text(self.config)},"kind":"{kind}",'
-                f'"library":{library_text(self.resolved_library())},'
-                f'"schema":{CACHE_SCHEMA_VERSION},'
-                f'"workload":{workload_text(self.network)}}}'))
+                f'{{"batch":{batch},"config":{config},"kind":"{kind}",'
+                f'"library":{library},"schema":{CACHE_SCHEMA_VERSION},'
+                f'"workload":{workload}}}'))
         return self._key
 
 
-def _task_keys(tasks: Sequence[SimTask]) -> List[str]:
-    """Each task's key: the one it already keeps (e.g. from plan lowering),
-    computed here only for tasks nobody has keyed yet."""
-    return [task._key or task.key() for task in tasks]
+def _task_key(task: SimTask) -> str:
+    """The key ``task`` keeps, computed here only if nobody has read it yet."""
+    return task._key or task.key()
+
+
+def estimate_content(config: NPUConfig, library: CellLibrary) -> Tuple[str, str]:
+    """What :func:`estimate_key` hashes: the config's and library's kept texts."""
+    return config_text(config), library_text(library)
 
 
 def estimate_key(config: NPUConfig, library: CellLibrary) -> str:
     """Cache key of one architecture-level estimation."""
     # The sorted-key document {config, kind, library, schema}.
+    config_json, library_json = estimate_content(config, library)
     return _sha256(
-        f'{{"config":{config_text(config)},"kind":"estimate",'
-        f'"library":{library_text(library)},"schema":{CACHE_SCHEMA_VERSION}}}')
+        f'{{"config":{config_json},"kind":"estimate",'
+        f'"library":{library_json},"schema":{CACHE_SCHEMA_VERSION}}}')
 
 
 # -- payload codecs --------------------------------------------------------
@@ -789,17 +816,23 @@ class ResultCache:
 #: the tasks a process runs.  The estimator already estimates each
 #: distinct unit once, but even an all-hit estimate_npu rebuilds the
 #: design's units and its clock (tens of microseconds); a design's tasks
-#: (one per network) take this dict lookup instead.  Keyed by the
-#: canonical texts that estimate_key hashes: the same content, without
-#: re-hashing it on every task.
+#: (one per network) take this dict lookup instead.  Keyed by
+#: :func:`estimate_content`, without hashing it.  It holds at most
+#: ``UNIT_MEMO_SIZE`` designs, the oldest evicted first, so a long-lived
+#: process does not keep every design it has seen.
 _WORKER_ESTIMATES: Dict[Tuple[str, str], NPUEstimate] = {}
+_WORKER_ESTIMATES_LOCK = threading.Lock()
 
 
 def _estimate_for(config: NPUConfig, library: CellLibrary) -> NPUEstimate:
-    memo_key = (config_text(config), library_text(library))
-    cached = _WORKER_ESTIMATES.get(memo_key)
+    content = estimate_content(config, library)
+    cached = _WORKER_ESTIMATES.get(content)
     if cached is None:
-        cached = _WORKER_ESTIMATES[memo_key] = estimate_npu(config, library)
+        cached = estimate_npu(config, library)
+        with _WORKER_ESTIMATES_LOCK:
+            if len(_WORKER_ESTIMATES) >= UNIT_MEMO_SIZE:
+                del _WORKER_ESTIMATES[next(iter(_WORKER_ESTIMATES))]
+            _WORKER_ESTIMATES[content] = cached
     return cached
 
 
@@ -893,7 +926,7 @@ def _execute_task(task: SimTask,
                   ) -> Tuple[SimulationResult, float]:
     """Optional chaos, then the simulation, in this process."""
     if chaos is not None:
-        chaos.fire(task.key())
+        chaos.fire(_task_key(task))
     return _execute(task, charges)
 
 
@@ -1047,47 +1080,53 @@ class JobRunner:
         self.chaos = chaos
         self.progress = progress
         self.stats = RunnerStats()
-        self._estimates: Dict[str, NPUEstimate] = {}
+        self._estimates: Dict[Tuple[str, str], NPUEstimate] = {}
 
-    def _emit(self, kind: str, key: Optional[str] = None, attempt: int = 0) -> None:
-        """Forward one lifecycle event to the progress reporter, if any.
+    def _emit(self, kind: str, task: Optional[SimTask] = None, attempt: int = 0) -> None:
+        """Forward one lifecycle event, keyed by ``task``'s key, to the
+        progress reporter, if any.
 
         Results never depend on this: the reporter writes only to its
         own stream (stderr) and to the obs registries, so a sweep is
         bitwise-identical with progress on or off.
         """
         if self.progress is not None:
-            self.progress.emit(kind, key=key, attempt=attempt)
+            self.progress.emit(kind, key=None if task is None else _task_key(task),
+                               attempt=attempt)
 
     # -- simulations --------------------------------------------------
     def run(self, tasks: Sequence[SimTask]) -> "RunResults":
-        """Run every task (cache-first), preserving task order."""
+        """Run every task (cache-first), preserving task order.
+
+        A task is hashed only if its key is read: by the cache, the chaos
+        injector, the progress reporter or an error naming the task.
+        """
         started = time.perf_counter()
         if self.progress is not None:
             self.progress.begin(len(tasks))
-        keys = _task_keys(tasks)
         results: List[Optional[SimulationResult]] = [None] * len(tasks)
         cached = [False] * len(tasks)
         pending: List[int] = []
         try:
-            for index, key in enumerate(keys):
-                result = self._cached(key, result_from_dict)
+            for index, task in enumerate(tasks):
+                result = (None if self.cache is None
+                          else self._cached(_task_key(task), result_from_dict))
                 if result is None:
                     pending.append(index)
-                    self._emit("queued", key)
+                    self._emit("queued", task)
                     continue
                 results[index] = result
                 cached[index] = True
-                self._emit("cached", key)
+                self._emit("cached", task)
             hits = len(tasks) - len(pending)
 
             task_seconds = 0.0
             if pending:
                 if self.jobs > 1 and len(pending) > 1:
-                    task_seconds = self._run_parallel(tasks, keys, results, pending)
+                    task_seconds = self._run_parallel(tasks, results, pending)
                 else:
                     task_seconds = self._run_serial(
-                        tasks, keys, results, [(index, 0) for index in pending])
+                        tasks, results, [(index, 0) for index in pending])
         finally:
             # Close the live line even when the sweep raises, so the
             # error message starts on a fresh line.
@@ -1105,9 +1144,7 @@ class JobRunner:
     def _cached(self, key: str, decode: Callable[[Dict[str, Any]], Any]) -> Any:
         """The entry at ``key`` decoded once by ``decode`` (a result or an
         estimate), or None on a miss or a payload it cannot decode, which
-        is quarantined as poison."""
-        if self.cache is None:
-            return None
+        is quarantined as poison.  Only called on a runner with a cache."""
         payload = self.cache.get(key)
         if payload is None:
             return None
@@ -1118,8 +1155,7 @@ class JobRunner:
             self.cache.quarantine(key, reason="poisoned-payload")
             return None
 
-    def _finish_task(self, index: int, key: str, task: SimTask,
-                     result: SimulationResult,
+    def _finish_task(self, index: int, task: SimTask, result: SimulationResult,
                      results: List[Optional[SimulationResult]],
                      payload: Optional[Dict[str, Any]] = None) -> None:
         """Record one completed task: result slot, cache.
@@ -1130,12 +1166,12 @@ class JobRunner:
         """
         results[index] = result
         if self.cache is not None:
-            kind = "simulate_cmos" if task.is_cmos else "simulate"
-            self.cache.put(key, payload if payload is not None else result_to_dict(result),
-                           kind=kind)
+            self.cache.put(_task_key(task),
+                           payload if payload is not None else result_to_dict(result),
+                           kind=task.kind)
 
     # -- serial execution (also the degraded path) --------------------
-    def _run_serial(self, tasks: Sequence[SimTask], keys: List[str],
+    def _run_serial(self, tasks: Sequence[SimTask],
                     results: List[Optional[SimulationResult]],
                     pending: Sequence[Tuple[int, int]]) -> float:
         """Run ``(index, failures so far)`` tasks in-process, in order.
@@ -1150,17 +1186,17 @@ class JobRunner:
         charged: Dict[int, DesignCharges] = {}
         total = 0.0
         for index, failures in pending:
-            self._emit("started", keys[index], attempt=failures)
+            self._emit("started", tasks[index], attempt=failures)
             if index in leaders:
                 charged.update(_charge_group(tasks, leaders[index]))
             result, seconds = self._execute_with_retry(
-                tasks[index], keys[index], failures, charged.pop(index, None))
+                tasks[index], failures, charged.pop(index, None))
             total += seconds
-            self._finish_task(index, keys[index], tasks[index], result, results)
-            self._emit("finished", keys[index])
+            self._finish_task(index, tasks[index], result, results)
+            self._emit("finished", tasks[index])
         return total
 
-    def _execute_with_retry(self, task: SimTask, key: str, failures: int = 0,
+    def _execute_with_retry(self, task: SimTask, failures: int = 0,
                             charges: Optional[DesignCharges] = None,
                             ) -> Tuple[SimulationResult, float]:
         """In-process execution under the retry policy; ``charges`` is the
@@ -1173,6 +1209,7 @@ class JobRunner:
             except Exception as error:
                 failures += 1
                 if failures > self.retry.max_retries:
+                    key = _task_key(task)
                     raise WorkerError(
                         f"task {key[:12]}… failed after {failures} attempts: {error}",
                         code="worker.retries_exhausted",
@@ -1180,11 +1217,11 @@ class JobRunner:
                              "see --retries",
                         task=key, attempts=failures,
                     ) from error
-                self._note_retry(key, error)
+                self._note_retry(task)
                 time.sleep(self.retry.delay_s(failures))
 
     # -- parallel execution -------------------------------------------
-    def _run_parallel(self, tasks: Sequence[SimTask], keys: List[str],
+    def _run_parallel(self, tasks: Sequence[SimTask],
                       results: List[Optional[SimulationResult]],
                       pending: Sequence[int]) -> float:
         total_seconds = 0.0
@@ -1200,7 +1237,7 @@ class JobRunner:
             while remaining:
                 if pool is None:
                     # Degraded: finish the sweep in-process, deterministically.
-                    total_seconds += self._run_serial(tasks, keys, results, queue)
+                    total_seconds += self._run_serial(tasks, results, queue)
                     break
 
                 broken = False
@@ -1218,7 +1255,7 @@ class JobRunner:
                     deadline = (time.monotonic() + self.timeout_s
                                 if self.timeout_s is not None else None)
                     inflight[future] = (index, failures, deadline)
-                    self._emit("started", keys[index], attempt=failures)
+                    self._emit("started", tasks[index], attempt=failures)
 
                 done, _ = wait(set(inflight), timeout=self._wait_timeout(inflight),
                                return_when=FIRST_COMPLETED)
@@ -1239,25 +1276,25 @@ class JobRunner:
                     except Exception as error:
                         failures += 1
                         if failures > self.retry.max_retries:
+                            key = _task_key(tasks[index])
                             raise WorkerError(
-                                f"task {keys[index][:12]}… failed after "
+                                f"task {key[:12]}… failed after "
                                 f"{failures} attempts: {error}",
                                 code="worker.retries_exhausted",
                                 hint="transient failures exhausted the retry "
                                      "budget; see --retries",
-                                task=keys[index], attempts=failures,
+                                task=key, attempts=failures,
                             ) from error
-                        self._note_retry(keys[index], error)
+                        self._note_retry(tasks[index])
                         time.sleep(self.retry.delay_s(failures))
                         queue.append((index, failures))
                     else:
                         total_seconds += seconds
-                        self._finish_task(index, keys[index], tasks[index],
-                                          result_from_dict(payload), results,
-                                          payload=payload)
+                        self._finish_task(index, tasks[index], result_from_dict(payload),
+                                          results, payload=payload)
                         if telemetry is not None:
                             _fold_telemetry(telemetry, worker_pids)
-                        self._emit("finished", keys[index])
+                        self._emit("finished", tasks[index])
                         remaining -= 1
 
                 if not broken and self.timeout_s is not None:
@@ -1272,14 +1309,15 @@ class JobRunner:
                         failures += 1
                         self.stats.timeouts += 1
                         obs.counter("jobs.timeouts").inc()
-                        self._emit("timeout", keys[index], attempt=failures)
+                        self._emit("timeout", tasks[index], attempt=failures)
                         if failures > self.retry.max_retries:
+                            key = _task_key(tasks[index])
                             fatal = WorkerError(
-                                f"task {keys[index][:12]}… exceeded the "
+                                f"task {key[:12]}… exceeded the "
                                 f"{self.timeout_s:g}s timeout {failures} times",
                                 code="worker.timeout",
                                 hint="raise --task-timeout or investigate the hang",
-                                task=keys[index], attempts=failures,
+                                task=key, attempts=failures,
                             )
                             break
                         queue.append((index, failures))
@@ -1341,10 +1379,10 @@ class JobRunner:
                 pass
         pool.shutdown(wait=False, cancel_futures=True)
 
-    def _note_retry(self, key: str, error: Exception) -> None:
+    def _note_retry(self, task: SimTask) -> None:
         self.stats.retries += 1
         obs.counter("jobs.retries").inc()
-        self._emit("retried", key)
+        self._emit("retried", task)
 
     # -- estimates ----------------------------------------------------
     def estimate(self, config: NPUConfig, library: Optional[CellLibrary] = None) -> NPUEstimate:
@@ -1356,11 +1394,13 @@ class JobRunner:
         """:meth:`estimate` plus whether it was served without computing
         (from this runner's memo or the on-disk cache)."""
         library = library or library_for(Technology.RSFQ)
-        key = estimate_key(config, library)
-        cached = self._estimates.get(key)
+        content = estimate_content(config, library)
+        cached = self._estimates.get(content)
         if cached is not None:
             return cached, True
-        estimate = self._cached(key, estimate_from_dict)
+        # Only the on-disk cache reads the key.
+        key = None if self.cache is None else estimate_key(config, library)
+        estimate = None if key is None else self._cached(key, estimate_from_dict)
         served = estimate is not None
         if served:
             obs.counter("jobs.estimate_cache.hits").inc()
@@ -1369,9 +1409,9 @@ class JobRunner:
             estimate = estimate_npu(config, library)
             # Units in sorted-name order, as estimate_from_dict makes them.
             estimate.units = {name: estimate.units[name] for name in sorted(estimate.units)}
-            if self.cache is not None:
+            if key is not None:
                 self.cache.put(key, estimate_to_dict(estimate), kind="estimate")
-        self._estimates[key] = estimate
+        self._estimates[content] = estimate
         return estimate, served
 
     # -- accounting ---------------------------------------------------

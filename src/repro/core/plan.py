@@ -18,7 +18,7 @@ hand-rolling that loop, a driver now declares the grid:
   differently;
 * :func:`lower` — compiles a plan into ordered :class:`PlanPoint`\\ s
   whose simulation points carry content-addressed
-  :class:`~repro.core.jobs.SimTask`\\ s;
+  :class:`~repro.core.jobs.SimTask`\\ s, one per distinct content;
 * :func:`execute` — runs a lowered plan through the ambient (or given)
   :class:`~repro.core.jobs.JobRunner`, inheriting the cache, parallel
   fan-out, retry/timeout handling, and resume from the cache for
@@ -31,7 +31,9 @@ hand-rolling that loop, a driver now declares the grid:
 Identical tasks inside one plan are deduplicated before submission (the
 payload-materialization guarantee of the job layer makes reusing a
 result bitwise-identical to re-running it), so a plan never simulates
-the same content twice in one run.
+the same content twice in one run.  Deduplication compares the texts a
+key hashes, not keys: a point's key, and so a result's, is computed the
+first time it is read.
 
 Plan activity is exported through ``repro.obs`` as the
 ``plan.points_total`` / ``plan.points_cached`` / ``plan.points_executed``
@@ -46,7 +48,7 @@ each figure/table grid to a ready-made plan, surfaced by the CLI as
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import product
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
@@ -59,8 +61,10 @@ from repro.canonical import canonical_json
 from repro.core.jobs import (
     SimTask,
     _sha256,
+    _task_key,
     config_signature,
     config_text,
+    estimate_content,
     estimate_key,
     get_runner,
     library_fingerprint,
@@ -338,9 +342,9 @@ class ExperimentPlan:
 class PlanPoint:
     """One fully-resolved grid point.
 
-    Simulation points carry a content-addressed :class:`SimTask` (and its
-    precomputed ``key``); estimate points carry the ``(config, library)``
-    request and its estimate-cache key.
+    Simulation points carry a content-addressed :class:`SimTask`, one
+    object shared by every point of the plan with the same content;
+    estimate points carry the ``(config, library)`` request.
     """
 
     grid: str
@@ -348,12 +352,22 @@ class PlanPoint:
     index: int
     coords: Tuple[Tuple[str, str], ...]
     config: ConfigLike
-    key: str
     network: Optional[Network] = None
     batch: Optional[int] = None
     library: Optional[CellLibrary] = None
     params: Tuple[Tuple[str, Any], ...] = ()
     task: Optional[SimTask] = None
+    _key: Optional[str] = field(default=None, init=False, repr=False, compare=False)
+
+    @property
+    def key(self) -> str:
+        """The point's content key: its task's, or its estimate request's
+        cache key.  Computed on first read and kept."""
+        if self.task is not None:
+            return _task_key(self.task)
+        if self._key is None:
+            object.__setattr__(self, "_key", estimate_key(self.config, _library(self)))
+        return self._key
 
     def coord(self, axis: str) -> str:
         for name, label in self.coords:
@@ -382,12 +396,18 @@ class LoweredPlan:
         return [point.key for point in self.points]
 
     def sim_tasks(self) -> "OrderedDict[str, SimTask]":
-        """Unique simulation tasks, keyed by content, in first-seen order."""
+        """Unique simulation tasks by key, in first-seen order; reads
+        every task's key."""
         unique: "OrderedDict[str, SimTask]" = OrderedDict()
         for point in self.points:
             if point.task is not None and point.key not in unique:
                 unique[point.key] = point.task
         return unique
+
+
+def _library(point: PlanPoint) -> CellLibrary:
+    """An estimate point's library, the default RSFQ one if it names none."""
+    return point.library or library_for(Technology.RSFQ)
 
 
 def _resolve_batch(value: BatchLike, config: ConfigLike, network: Network) -> int:
@@ -404,9 +424,12 @@ def lower(plan: ExperimentPlan) -> LoweredPlan:
     """Compile a plan into ordered, content-addressed points.
 
     Deterministic by construction: the same plan content always lowers
-    to the same point order and the same task keys.
+    to the same point order and the same task keys.  Points whose tasks
+    have equal :meth:`SimTask.content` share one task; nothing is hashed
+    but the plan.
     """
     points: List[PlanPoint] = []
+    tasks: Dict[Tuple[str, str, str, str, int], SimTask] = {}
     for grid in plan.grids:
         for combo in product(*(range(len(axis.values)) for axis in grid.axes)):
             coords: List[Tuple[str, str]] = []
@@ -415,7 +438,6 @@ def lower(plan: ExperimentPlan) -> LoweredPlan:
             network: Optional[Network] = None
             batch_value: BatchLike = "auto"
             library: Optional[CellLibrary] = None
-            have_batch_axis = False
             for axis, position in zip(grid.axes, combo):
                 value = axis.values[position]
                 coords.append((axis.name, axis.labels[position]))
@@ -425,31 +447,25 @@ def lower(plan: ExperimentPlan) -> LoweredPlan:
                     network = value
                 elif axis.kind == "batch":
                     batch_value = value
-                    have_batch_axis = True
                 elif axis.kind == "library":
                     library = value
                 else:
                     params.append((axis.name, value))
             assert config is not None  # Grid validation guarantees one config axis
             if grid.kind == "estimate":
-                resolved_library = library or library_for(Technology.RSFQ)
                 points.append(PlanPoint(
                     grid=grid.name, kind=grid.kind, index=len(points),
                     coords=tuple(coords), config=config,
-                    key=estimate_key(config, resolved_library),
                     library=library, params=tuple(params),
                 ))
                 continue
-            batch = _resolve_batch(batch_value, config, network)
-            if not have_batch_axis and not isinstance(config, NPUConfig):
-                # CMOS baselines default to Table II like the SFQ side does
-                # via batch_for; nothing extra needed — batch_for reads .name.
-                pass
-            task = SimTask(config, network, batch, library)
+            task = SimTask(config, network, _resolve_batch(batch_value, config, network),
+                           library)
+            task = tasks.setdefault(task.content(), task)
             points.append(PlanPoint(
                 grid=grid.name, kind=grid.kind, index=len(points),
-                coords=tuple(coords), config=config, key=task.key(),
-                network=network, batch=batch, library=library,
+                coords=tuple(coords), config=config,
+                network=network, batch=task.batch, library=library,
                 params=tuple(params), task=task,
             ))
     return LoweredPlan(plan=plan, plan_hash=plan.plan_hash(), points=tuple(points))
@@ -457,20 +473,40 @@ def lower(plan: ExperimentPlan) -> LoweredPlan:
 
 # -- results ---------------------------------------------------------------
 
+class _PointKey:
+    """:attr:`PlanResult.key` as a dataclass field: the key the result was
+    built with, else its point's, computed on first read and kept there."""
+
+    def __get__(self, result: Optional["PlanResult"], owner: Any = None) -> Optional[str]:
+        if result is None:
+            return None  # the field's default
+        key = result.__dict__["_key"]
+        return key if key is not None or result.point is None else result.point.key
+
+    def __set__(self, result: "PlanResult", key: Optional[str]) -> None:
+        result.__dict__["_key"] = key
+
+
 @dataclass(frozen=True)
 class PlanResult:
-    """One point's outcome, stamped with its provenance."""
+    """One point's outcome, stamped with its provenance.
+
+    :func:`execute` gives each result its :class:`PlanPoint`, and ``key``
+    reads the point's key when first asked for; a result may instead be
+    built with a ``key``.
+    """
 
     plan: str
     plan_hash: str
     grid: str
     coords: Tuple[Tuple[str, str], ...]
-    key: str
     cached: bool
     batch: Optional[int] = None
     run: Optional[SimulationResult] = None
     estimate: Optional[NPUEstimate] = None
     params: Tuple[Tuple[str, Any], ...] = ()
+    key: Optional[str] = _PointKey()  # type: ignore[assignment]
+    point: Optional[PlanPoint] = field(default=None, repr=False, compare=False)
 
     @property
     def result(self) -> Union[SimulationResult, NPUEstimate]:
@@ -517,9 +553,9 @@ class PlanResult:
         return record
 
 
-#: A :class:`ResultSet` index key: ``(grid, axis, label)``, with ``None``
-#: for "any grid", and ``(grid, None, None)`` for a whole grid.
-_IndexKey = Tuple[Optional[str], Optional[str], Optional[str]]
+#: A :class:`ResultSet` index table's key: ``(grid, axis)``, with ``None``
+#: for "any grid", and ``(grid, None)`` for a whole grid.
+_IndexKey = Tuple[Optional[str], Optional[str]]
 
 
 class ResultSet:
@@ -534,7 +570,7 @@ class ResultSet:
         self.points_total = len(self.results)
         self.points_cached = points_cached
         self.points_executed = points_executed
-        self._index: Optional[Dict[_IndexKey, List[int]]] = None
+        self._index: Dict[_IndexKey, Dict[Optional[str], List[int]]] = {}
 
     def __iter__(self) -> Iterator[PlanResult]:
         return iter(self.results)
@@ -545,31 +581,41 @@ class ResultSet:
     def select(self, grid: Optional[str] = None, **coords: str) -> List[PlanResult]:
         """Results matching a grid and/or axis labels, in point order.
 
-        Answered from an index of each ``(grid, axis, label)`` to its
-        point positions, built on the first call, so callers that select
-        once per design never rescan the whole set.
+        Answered from an index of each label of a ``(grid, axis)`` pair to
+        its point positions, built the first time a call asks for that
+        pair, so callers that select once per design never rescan the
+        whole set.
         """
-        if self._index is None:
-            self._index = self._build_index()
         if coords:
-            keys = [(grid, axis, label) for axis, label in coords.items()]
+            matches = [self._positions(grid, axis).get(label, [])
+                       for axis, label in coords.items()]
         elif grid is not None:
-            keys = [(grid, None, None)]
+            matches = [self._positions(grid, None).get(None, [])]
         else:
             return list(self.results)
-        matches = sorted((self._index.get(key, []) for key in keys), key=len)
+        matches.sort(key=len)
         others = [set(positions) for positions in matches[1:]]
         return [self.results[position] for position in matches[0]
                 if all(position in other for other in others)]
 
-    def _build_index(self) -> Dict[_IndexKey, List[int]]:
-        index: Dict[_IndexKey, List[int]] = {}
-        for position, result in enumerate(self.results):
-            index.setdefault((result.grid, None, None), []).append(position)
-            for axis, label in dict(result.coords).items():
-                index.setdefault((result.grid, axis, label), []).append(position)
-                index.setdefault((None, axis, label), []).append(position)
-        return index
+    def _positions(self, grid: Optional[str], axis: Optional[str],
+                   ) -> Dict[Optional[str], List[int]]:
+        """Each label of ``axis`` (``None``: the whole grid) to the positions
+        of the results in ``grid`` (``None``: any) that carry it."""
+        table = self._index.get((grid, axis))
+        if table is None:
+            table = self._index[grid, axis] = {}
+            for position, result in enumerate(self.results):
+                if grid is not None and result.grid != grid:
+                    continue
+                if axis is None:
+                    table.setdefault(None, []).append(position)
+                    continue
+                for name, label in result.coords:
+                    if name == axis:
+                        table.setdefault(label, []).append(position)
+                        break
+        return table
 
     def one(self, grid: Optional[str] = None, **coords: str) -> PlanResult:
         """Exactly one matching result, or a ConfigError."""
@@ -626,42 +672,45 @@ def execute(plan: ExperimentPlan) -> ResultSet:
     runner = get_runner()
     lowered = lower(plan)
 
-    unique_tasks = lowered.sim_tasks()
+    # Lowering gave points of equal content one task, so a task's id
+    # stands for its content here.
+    unique_tasks = list({id(point.task): point.task for point in lowered.points
+                         if point.task is not None}.values())
     with obs.trace_span(f"plan/{plan.name}", points=len(lowered.points),
                         hash=lowered.plan_hash[:12]):
         # Whether each unique task / estimate was cached comes from the
         # runner's own lookups, so a damaged entry that was re-simulated
         # counts as executed.
-        runs_by_key: Dict[str, SimulationResult] = {}
-        cached_by_key: Dict[str, bool] = {}
+        runs: Dict[int, Tuple[SimulationResult, bool]] = {}
         if unique_tasks:
-            runs = runner.run(list(unique_tasks.values()))
-            for key, run, cached in zip(unique_tasks, runs, runs.cached):
-                runs_by_key[key] = run
-                cached_by_key[key] = cached
+            ran = runner.run(unique_tasks)
+            runs = {id(task): (run, cached)
+                    for task, run, cached in zip(unique_tasks, ran, ran.cached)}
 
         results: List[PlanResult] = []
-        estimates: Dict[str, Tuple[NPUEstimate, bool]] = {}
+        estimates: Dict[Tuple[str, str], Tuple[NPUEstimate, bool]] = {}
         for point in lowered.points:
             if point.kind == "estimate":
-                if point.key not in estimates:
-                    estimates[point.key] = runner.lookup_estimate(point.config,
-                                                                  point.library)
-                estimate, cached = estimates[point.key]
+                library = _library(point)
+                content = estimate_content(point.config, library)
+                if content not in estimates:
+                    estimates[content] = runner.lookup_estimate(point.config, library)
+                estimate, cached = estimates[content]
                 results.append(PlanResult(
                     plan=plan.name, plan_hash=lowered.plan_hash,
-                    grid=point.grid, coords=point.coords, key=point.key,
+                    grid=point.grid, coords=point.coords, point=point,
                     cached=cached, params=point.params, estimate=estimate,
                 ))
             else:
+                run, cached = runs[id(point.task)]
                 results.append(PlanResult(
                     plan=plan.name, plan_hash=lowered.plan_hash,
-                    grid=point.grid, coords=point.coords, key=point.key,
-                    cached=cached_by_key[point.key], batch=point.batch,
-                    params=point.params, run=runs_by_key[point.key],
+                    grid=point.grid, coords=point.coords, point=point,
+                    cached=cached, batch=point.batch, params=point.params, run=run,
                 ))
 
-    flags = [*cached_by_key.values(), *(cached for _, cached in estimates.values())]
+    flags = [*(cached for _, cached in runs.values()),
+             *(cached for _, cached in estimates.values())]
     points_cached = sum(flags)
     points_executed = len(flags) - points_cached
     obs.counter("plan.points_total").add(len(lowered.points))

@@ -35,7 +35,7 @@ from repro.core.jobs import (
     result_from_dict,
     result_to_dict,
 )
-from repro.core.plan import execute, plan_by_name, technology_axis
+from repro.core.plan import PLAN_BUILDERS, execute, plan_by_name, technology_axis
 from repro.core.search import search, search_plan
 from repro.device.cells import rsfq_library
 from repro.errors import ConfigError
@@ -229,6 +229,26 @@ def test_golden_search_plan_keys_and_ranking_unchanged():
     assert _lines_digest(
         f"{c.config.name} {c.mean_mac_per_s!r} {c.area_mm2_28nm!r} {c.peak_tmacs!r}"
         for c in search()) == GOLDEN_SEARCH_RANKING
+
+
+#: Every registered plan, in registry order: a ``name plan_hash points``
+#: line, its points' keys (``lower().task_keys()``), then its estimate
+#: points' keys as ``estimate_key`` computes them, one per line.
+GOLDEN_ALL_PLAN_KEYS = \
+    "2618627eaf95be4c68393370f1de23e3306262cf1cbb66165e8be16107da9e3e"
+
+
+def test_golden_keys_of_every_registered_plan_unchanged():
+    lines = []
+    for name, build in PLAN_BUILDERS.items():
+        plan = build()
+        lowered = plan.lower()
+        lines.append(f"{name} {plan.plan_hash()} {len(lowered.points)}")
+        lines.extend(lowered.task_keys())
+        lines.extend(estimate_key(point.config, point.library or rsfq_library())
+                     for point in lowered.points if point.kind == "estimate")
+    assert (len(PLAN_BUILDERS), len(lines)) == (13, 829)
+    assert _lines_digest(lines) == GOLDEN_ALL_PLAN_KEYS
 
 
 def test_golden_default_technology_keys_unchanged():

@@ -207,6 +207,24 @@ def test_memo_stays_bounded(rsfq, monkeypatch):
         assert len(arch_level._UNIT_MEMO) <= 10
 
 
+def test_the_runners_design_memo_stays_bounded(rsfq, monkeypatch):
+    monkeypatch.setattr(jobs, "UNIT_MEMO_SIZE", 4)
+    monkeypatch.setattr(jobs, "_WORKER_ESTIMATES", {})
+    configs = _search_configs(rsfq)[:10]
+    fresh = [_fresh(config, rsfq) for config in configs]
+    clear_unit_memo()
+    first = jobs._estimate_for(configs[0], rsfq)
+    for config, expected in zip(configs, fresh):
+        assert jobs._estimate_for(config, rsfq) == expected
+        assert len(jobs._WORKER_ESTIMATES) <= 4
+    assert jobs.estimate_content(configs[0], rsfq) not in jobs._WORKER_ESTIMATES
+    again = jobs._estimate_for(configs[0], rsfq)  # evicted: estimated anew
+    assert again is not first
+    assert again == first == fresh[0]
+    assert repr(again.static_power_w) == repr(fresh[0].static_power_w)
+    assert repr(again.area_mm2) == repr(fresh[0].area_mm2)
+
+
 def test_threads_sharing_a_tiny_memo_get_fresh_estimates(rsfq, monkeypatch):
     monkeypatch.setattr(arch_level, "UNIT_MEMO_SIZE", 6)  # evicting on most inserts
     configs = _search_configs(rsfq)[::4]

@@ -12,6 +12,7 @@ import copy
 import dataclasses
 import gc
 import importlib
+import io
 import json
 import pickle
 import weakref
@@ -24,6 +25,7 @@ from repro.baselines.scalesim import TPU_CORE, CMOSNPUConfig
 from repro.canonical import canonical_json
 from repro.core.batching import derived_batch
 from repro.core.chaos import corrupt_cache_entry
+from repro.core.resilience import RetryPolicy
 from repro.core.designs import supernpu
 from repro.device.cells import (
     CellLibrary,
@@ -33,6 +35,7 @@ from repro.device.cells import (
     rsfq_library,
 )
 from repro.device.process import AIST_10UM
+from repro.errors import WorkerError
 from repro.estimator.arch_level import estimate_npu
 from repro.simulator.datapath import build_datapath
 from repro.simulator.engine import simulate
@@ -167,17 +170,75 @@ def test_each_sub_document_renders_once_and_each_task_is_keyed_once(
     assert [r.key for r in cold] == [r.key for r in warm]
 
 
-def test_runner_keys_a_fresh_task_once_across_runs(monkeypatch, supernpu_config,
-                                                   tiny_network, rsfq):
-    tasks = [jobs.SimTask(supernpu_config, tiny_network, b, rsfq) for b in (1, 2)]
+def _count_keys(monkeypatch):
+    """Count SimTask.key and estimate_key calls, at every binding."""
     calls: Counter = Counter()
     _count_calls(monkeypatch, jobs.SimTask, ("key",), calls)
     _count_calls(monkeypatch, jobs, ("estimate_key",), calls)
-    runner = jobs.JobRunner()
-    runner.run(tasks)
-    runner.run(tasks)
-    # Keyed by the first run; the per-process estimate memo needs no hash.
+    _count_calls(monkeypatch, plan, ("estimate_key",), calls)
+    return calls
+
+
+def _run_twice(runner, supernpu_config, tiny_network, rsfq):
+    tasks = [jobs.SimTask(supernpu_config, tiny_network, b, rsfq) for b in (1, 2)]
+    for _ in range(2):
+        runner.run(tasks)
+        runner.estimate(supernpu_config, rsfq)
+
+
+def test_a_runner_nothing_reads_keys_of_hashes_nothing(monkeypatch, supernpu_config,
+                                                       tiny_network, rsfq):
+    calls = _count_keys(monkeypatch)
+    _run_twice(jobs.JobRunner(), supernpu_config, tiny_network, rsfq)
+    assert calls == {}
+
+
+def test_a_cached_runner_hashes_each_task_once_across_runs(monkeypatch, tmp_path,
+                                                           supernpu_config, tiny_network,
+                                                           rsfq):
+    calls = _count_keys(monkeypatch)
+    runner = jobs.JobRunner(cache=jobs.ResultCache(tmp_path / "cache"))
+    _run_twice(runner, supernpu_config, tiny_network, rsfq)
+    # The estimate's second lookup is a runner memo hit, which needs no key.
+    assert calls == {"key": 2, "estimate_key": 1}
+    assert runner.stats.hits == 2
+
+
+@pytest.mark.parametrize("reader", ["chaos", "progress"])
+def test_a_chaos_or_progress_runner_hashes_each_task_once(monkeypatch, tmp_path, reader,
+                                                          supernpu_config, tiny_network,
+                                                          rsfq):
+    from repro.core.chaos import ChaosInjector
+    from repro.obs.progress import ProgressReporter
+
+    calls = _count_keys(monkeypatch)
+    runner = (jobs.JobRunner(chaos=ChaosInjector(tmp_path / "chaos", {}))
+              if reader == "chaos" else
+              jobs.JobRunner(progress=ProgressReporter(stream=io.StringIO(), interval_s=0.0)))
+    _run_twice(runner, supernpu_config, tiny_network, rsfq)
     assert calls == {"key": 2}
+
+
+def test_an_error_still_names_its_task(monkeypatch, supernpu_config, tiny_network, rsfq):
+    task = jobs.SimTask(supernpu_config, tiny_network, 1, rsfq)
+
+    def fail(*args, **kwargs):
+        raise RuntimeError("transient")
+
+    monkeypatch.setattr(jobs, "_execute", fail)
+    runner = jobs.JobRunner(retry=RetryPolicy(max_retries=0))
+    with pytest.raises(WorkerError) as info:
+        runner.run([task])
+    assert info.value.context["task"] == task.key()
+    assert task.key()[:12] in str(info.value)
+
+
+def test_a_cache_less_search_hashes_nothing(monkeypatch):
+    calls = _count_keys(monkeypatch)
+    with jobs.session():
+        ranked = search.search()
+    assert ranked
+    assert calls == {}
 
 
 # -- the codec runs only at the cache boundary -----------------------------
