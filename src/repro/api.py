@@ -76,7 +76,6 @@ from repro.errors import ConfigError, InvalidSpecError, InvalidWorkloadSpecError
 from repro.estimator.arch_level import NPUEstimate
 from repro.obs.hotspot import HotspotProfile, HotspotProfiler
 from repro.obs.progress import ProgressReporter
-from repro.obs.registry import RunRegistry
 from repro.obs.timeline import CycleTimeline
 from repro.simulator.results import SimulationResult
 from repro.uarch.config import NPUConfig
@@ -120,7 +119,6 @@ __all__ = [
     "JobRunner",
     "ProgressReporter",
     "ResultCache",
-    "RunRegistry",
     "SimTask",
     "get_runner",
     "session",

@@ -4,7 +4,6 @@ Commands mirror the paper's experiments:
 
 * ``estimate <design>``  — frequency / power / area of a design point
 * ``simulate <design> <workload>`` — cycle-level run (perf + power)
-* ``profile <design> <workload>`` — the same run under full observability
 * ``bottleneck <design> <workload>`` — per-layer bound attribution,
   critical layers, roofline, and a simulated-cycle timeline export
 * ``evaluate``           — the Fig. 23 speedup table
@@ -15,10 +14,6 @@ Commands mirror the paper's experiments:
   figure/table lowers onto: inspect a plan's grids, dry-run-count its
   unique simulation tasks (and how many are already cached), or execute
   it directly through the job engine
-* ``runs list|show|diff`` — query the persistent run registry; every
-  invocation is recorded there (``~/.supernpu/runs/`` by default;
-  ``--runs-dir DIR`` overrides, ``--no-registry`` opts out);
-  ``list --command SUBSTR`` filters by command name / argv
 * ``serve`` — the long-lived evaluation daemon: HTTP/JSON endpoints
   over the job engine with admission control, per-client quotas,
   request coalescing and graceful degradation (docs/API.md); drains
@@ -32,7 +27,7 @@ Commands mirror the paper's experiments:
   bitwise-identical to an unprofiled run
 
 ``simulate``, ``evaluate``, ``sweep``, ``compare``, ``reproduce``,
-``plan``, ``bottleneck`` and ``profile`` accept ``--trace-out FILE`` (Chrome
+``plan`` and ``bottleneck`` accept ``--trace-out FILE`` (Chrome
 trace-event JSON, loadable in Perfetto) and ``--metrics-out FILE``
 (metrics snapshot + run manifest); either flag switches the
 ``repro.obs`` instrumentation on for that run.  ``bottleneck`` adds
@@ -48,7 +43,7 @@ hits when it is run again), and ``--no-cache``.  ``supernpu
 cache stats|clear --cache-dir DIR`` inspects / empties a cache.
 Parallel and warm-cache results are bitwise-identical to serial cold
 runs.  ``estimate``, ``simulate``, ``evaluate``, ``compare``,
-``bottleneck``, ``plan``, ``components`` and ``runs`` accept
+``bottleneck``, ``plan`` and ``components`` accept
 ``--json``: one consistent machine-readable envelope (``{"command",
 "design", "workload", "data", "manifest"}``) on stdout.  For
 ``estimate``, ``simulate``, ``evaluate``, ``compare``, ``bottleneck``
@@ -61,7 +56,8 @@ facade; the CLI only parses flags and formats tables.  ``estimate``,
 each of those verbs' call and record is written once.  :func:`main`
 opens one session around every command (:func:`_command_session`): the
 job runner, the profiler, ``repro.obs`` and the one run manifest, torn
-down on every exit.
+down on every exit.  A command writes only the files its command line
+names.
 """
 
 from __future__ import annotations
@@ -81,9 +77,7 @@ class _Session:
     """A command's handle on its :func:`_command_session`.
 
     The command notes manifest fields, reads the one manifest they make,
-    and prints its ``--json`` envelope.  ``record`` collects the
-    run-registry fields (manifest, metrics, hotspot summary) that
-    :func:`main` files with the exit code.
+    and prints its ``--json`` envelope.
     """
 
     def __init__(self, args: argparse.Namespace):
@@ -93,7 +87,6 @@ class _Session:
         self.context: dict = {}
         self.run = None
         self.profiler = None
-        self.record: dict = {}
         self._manifest = None
         self._plans_before = len(recent_plans())
         self._start = time.perf_counter()
@@ -158,11 +151,10 @@ class _Session:
             with open(out, "w", encoding="utf-8") as handle:
                 handle.write(profile.collapsed())
             print(f"collapsed stacks written to {out}", file=sys.stderr)
-        self.record["hotspot"] = profile.summary()
 
 
 def _check_count(flag: str, value: Optional[int]) -> None:
-    """Reject a count flag (``--jobs``, ``--top``, ``--limit``) below 1."""
+    """Reject a count flag (``--jobs``, ``--top``) below 1."""
     from repro.errors import ConfigError
 
     if value is not None and value < 1:
@@ -176,17 +168,16 @@ def _command_session(args: argparse.Namespace):
     """The one session :func:`main` opens around every command.
 
     Commands with the runner flags (``--no-cache`` among them) get the
-    job runner those flags ask for, and ``profile`` a fresh one so its
-    span tree always shows the estimator; the rest run on the ambient
-    runner.  With a cache directory, a killed run resumes from the cache:
-    each finished task was written there, so it is a hit on the next run.
+    job runner those flags ask for; the rest run on the ambient runner.
+    With a cache directory, a killed run resumes from the cache: each
+    finished task was written there, so it is a hit on the next run.
     ``supernpu hotspot`` starts the host profiler; ``--trace-out`` /
-    ``--metrics-out`` (and ``profile``) switch ``repro.obs`` on.
-    Commands only :meth:`_Session.note` their manifest fields.
+    ``--metrics-out`` switch ``repro.obs`` on.  Commands only
+    :meth:`_Session.note` their manifest fields.
 
-    On every exit, success or failure, the session captures the one
-    manifest (the ``--json`` envelope and the bottleneck timeline reuse
-    it), writes the trace and metrics, disables and resets ``repro.obs``
+    On every exit, success or failure, the session writes the trace and
+    metrics with the one manifest (the ``--json`` envelope and the
+    bottleneck timeline reuse it), disables and resets ``repro.obs``
     and stops the profiler, so nothing leaks into the next in-process
     command.  Under ``--json`` its status lines go to stderr and stdout
     stays one document.
@@ -198,23 +189,22 @@ def _command_session(args: argparse.Namespace):
     from repro.core.resilience import RetryPolicy
     from repro.obs.progress import auto_reporter
 
-    for flag in ("jobs", "top", "limit"):
+    for flag in ("jobs", "top"):
         _check_count(flag, getattr(args, flag, None))
     session = _Session(args)
     # Status lines go to stderr under --json so stdout stays one document.
     stream = sys.stderr if getattr(args, "json", False) else sys.stdout
-    observed = args.command == "profile" or bool(
-        getattr(args, "trace_out", None) or getattr(args, "metrics_out", None))
+    observed = bool(getattr(args, "trace_out", None)
+                    or getattr(args, "metrics_out", None))
     runner_session = nullcontext()
-    if hasattr(args, "no_cache") or args.command == "profile":
-        cache_dir = None if getattr(args, "no_cache", True) else args.cache_dir
+    if hasattr(args, "no_cache"):
         # Live progress goes to stderr only, so sweep stdout (tables, JSON
         # envelopes) stays bitwise-identical with progress on or off.
         runner_session = jobs.session(
-            jobs=getattr(args, "jobs", 1), cache_dir=cache_dir,
-            retry=RetryPolicy(max_retries=getattr(args, "retries", 2)),
-            timeout_s=getattr(args, "task_timeout", None),
-            progress=auto_reporter(getattr(args, "progress", None)))
+            jobs=args.jobs, cache_dir=None if args.no_cache else args.cache_dir,
+            retry=RetryPolicy(max_retries=args.retries),
+            timeout_s=args.task_timeout,
+            progress=auto_reporter(args.progress))
     try:
         with runner_session as runner:
             if getattr(args, "hotspot", None):
@@ -248,12 +238,8 @@ def _command_session(args: argparse.Namespace):
     finally:
         if session.profiler is not None:  # the command failed: no report
             session.profiler.stop()
-        manifest = session.manifest()
-        # Manifest capture is pure (no instrumentation needed), so the run
-        # registry gets provenance even when the obs runtime stayed off;
-        # counters exist only when it was on.
-        session.record["manifest"] = manifest.to_dict()
         if observed:
+            manifest = session.manifest()
             try:
                 if args.metrics_out:
                     obs.write_metrics(args.metrics_out, manifest=manifest)
@@ -261,10 +247,6 @@ def _command_session(args: argparse.Namespace):
                 if args.trace_out:
                     obs.write_trace(args.trace_out, manifest=manifest)
                     print(f"trace written to {args.trace_out}", file=stream)
-                # Keep the metrics for the run registry before the global
-                # state is reset; main() finalizes the entry with exit code
-                # and wall time once the command returns.
-                session.record["metrics"] = obs.metrics().snapshot()
             finally:
                 obs.disable()
                 obs.reset()
@@ -284,7 +266,7 @@ def _resolve_design(args: argparse.Namespace):
     else:
         config = api.design(args.design)
     # Component-technology overrides (commands with the flags only);
-    # with_updates re-validates the names against the registry.
+    # with_updates re-validates the names against the component registry.
     overrides = {}
     if getattr(args, "memory_technology", None):
         overrides["memory_technology"] = args.memory_technology
@@ -439,34 +421,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         for width, rows in register_sweep().items():
             for point in rows:
                 print(f"{point.label:22s} speedup={point.metrics['speedup']:7.2f}x")
-    return 0
-
-
-def cmd_profile(args: argparse.Namespace) -> int:
-    """One ``simulate`` run under full observability: span tree + metrics."""
-    from repro import obs
-
-    # A fresh runner estimates before simulating, as `simulate` does,
-    # so the span tree always shows the estimator's cost.
-    config, network, run, _ = _simulate(args)
-    print(f"profile: {config.name} running {network.name} "
-          f"(batch {run.batch}, {run.total_cycles:,} cycles)")
-    print()
-    print(obs.tracer().summary_table())
-    snapshot = obs.metrics().snapshot()
-    print()
-    print("counters:")
-    for name, value in snapshot["counters"].items():
-        print(f"  {name:32s} {value:>16,}")
-    print("timers:")
-    for name, summary in snapshot["histograms"].items():
-        print(f"  {name:32s} count={summary['count']:<6d} "
-              f"mean={summary['mean']:.6f} total={summary['sum']:.6f} "
-              f"p50={summary['p50']:.6f} p95={summary['p95']:.6f} "
-              f"p99={summary['p99']:.6f}")
-    print()
-    print("manifest:")
-    print(args.session.manifest().describe())
     return 0
 
 
@@ -829,15 +783,14 @@ def cmd_plan(args: argparse.Namespace) -> int:
         plan = api.plan(args.name)
         args.session.note(plan=plan.name)
         lowered = plan.lower()
-        unique = lowered.sim_tasks()
+        unique = lowered.unique_tasks()
         estimate_points = sum(1 for p in lowered.points if p.task is None)
         cached = None
-        cache_dir = getattr(args, "cache_dir", None)
-        if cache_dir and not getattr(args, "no_cache", False):
+        if args.cache_dir and not args.no_cache:
             from repro.core.jobs import ResultCache
 
-            cache = ResultCache(cache_dir)
-            cached = sum(1 for key in unique if key in cache)
+            cache = ResultCache(args.cache_dir)
+            cached = sum(1 for task in unique if task.key() in cache)
         if args.json:
             args.session.envelope({
                 "name": plan.name,
@@ -865,8 +818,8 @@ def cmd_plan(args: argparse.Namespace) -> int:
         print(line)
         return 0
 
-    # run: the row takes the registry key, which is not always the plan's
-    # own name (``search_grid`` builds the plan named ``search``).
+    # run: the row takes the plan-registry key, which is not always the
+    # plan's own name (``search_grid`` builds the plan named ``search``).
     from repro.core.report import VERBS
 
     resultset = VERBS["plan/run"](plan=args.name)
@@ -958,76 +911,6 @@ def cmd_cache(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_runs(args: argparse.Namespace) -> int:
-    """Query the persistent run registry (list / show / diff)."""
-    from repro.errors import ConfigError
-    from repro.obs.registry import RunRegistry
-
-    registry = RunRegistry(getattr(args, "runs_dir", None))
-    args.session.note(action=args.action)
-
-    if args.action == "list":
-        entries, corrupt = registry.entries(limit=args.limit,
-                                            command=args.command_filter)
-        if args.json:
-            args.session.envelope({
-                "runs": [entry.to_dict() for entry in entries],
-                "corrupt_skipped": corrupt,
-            })
-            return 0
-        print(f"runs [{registry.root}]: {len(entries)} shown")
-        widths = [30, 4, 9, 20]
-        print(_fmt_row(["run", "exit", "wall (s)", "recorded"], widths)
-              + "  command")
-        for entry in entries:
-            wall = "-" if entry.wall_time_s is None else f"{entry.wall_time_s:.2f}"
-            exit_code = "?" if entry.exit_code is None else str(entry.exit_code)
-            when = time.strftime("%Y-%m-%d %H:%M:%S",
-                                 time.localtime(entry.created_unix))
-            command = " ".join(entry.argv) if entry.argv else entry.command
-            print(_fmt_row([entry.run_id, exit_code, wall, when], widths)
-                  + f"  {command}")
-        if corrupt:
-            print(f"({corrupt} corrupt entries skipped)")
-        return 0
-
-    if args.action == "show":
-        if len(args.ids) != 1:
-            raise ConfigError("'runs show' needs exactly one run id",
-                              code="registry.bad_query",
-                              hint="see 'supernpu runs list'")
-        entry = registry.get(args.ids[0])
-        if args.json:
-            args.session.envelope(entry.to_dict())
-        else:
-            print(entry.describe())
-        return 0
-
-    # diff
-    if len(args.ids) != 2:
-        raise ConfigError("'runs diff' needs two run ids",
-                          code="registry.bad_query",
-                          hint="see 'supernpu runs list'")
-    difference = registry.diff(args.ids[0], args.ids[1])
-    if args.json:
-        args.session.envelope(difference)
-        return 0
-    print(f"runs diff: {difference['a']} -> {difference['b']}")
-    if difference["wall_time_delta_s"] is not None:
-        print(f"  wall time   : {difference['wall_time_delta_s']:+.3f} s")
-    for name, change in difference["fields"].items():
-        print(f"  {name:12s}: {change['a']} -> {change['b']}")
-    if difference["counters"]:
-        print("  counters:")
-        for name, change in difference["counters"].items():
-            print(f"    {name:32s} {change['a']:>14,} -> {change['b']:>14,} "
-                  f"({change['delta']:+,})")
-    if not (difference["fields"] or difference["counters"]
-            or difference["wall_time_delta_s"] is not None):
-        print("  (no differences recorded)")
-    return 0
-
-
 def cmd_serve(args: argparse.Namespace) -> int:
     """Run the long-lived evaluation daemon (see docs/API.md).
 
@@ -1067,7 +950,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         deadline_s=args.deadline, read_timeout_s=args.header_timeout,
         drain_timeout_s=args.drain_timeout,
         port_file=args.port_file,
-        record_runs=args.record_runs, runs_dir=args.runs_dir,
         worker_chaos=worker_chaos, handler_chaos=handler_chaos,
     )
     daemon = EvalDaemon(config)
@@ -1206,11 +1088,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--debug", action="store_true",
                         help="show full tracebacks instead of one-line errors")
-    parser.add_argument("--runs-dir", metavar="DIR", default=None,
-                        help="run-registry directory (default: "
-                             "$SUPERNPU_RUNS_DIR or ~/.supernpu/runs)")
-    parser.add_argument("--no-registry", action="store_true",
-                        help="do not record this invocation in the run registry")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_est = sub.add_parser("estimate", help="frequency / power / area of a design")
@@ -1226,15 +1103,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_jobs_flags(p_sim)
     _add_json_flag(p_sim)
     p_sim.set_defaults(func=cmd_simulate)
-
-    p_prof = sub.add_parser(
-        "profile",
-        help="simulate one workload under full observability "
-             "(span tree, counters, run manifest)",
-    )
-    _add_design_args(p_prof)
-    _add_obs_flags(p_prof)
-    p_prof.set_defaults(func=cmd_profile)
 
     p_bott = sub.add_parser(
         "bottleneck",
@@ -1351,25 +1219,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="the cache directory to inspect / clear")
     p_cache.set_defaults(func=cmd_cache)
 
-    p_runs = sub.add_parser(
-        "runs", help="query the persistent run registry"
-    )
-    p_runs.add_argument("action", choices=["list", "show", "diff"],
-                        help="list recorded invocations, show one entry, or "
-                             "diff two entries (fields, counters, wall time)")
-    p_runs.add_argument("ids", nargs="*", default=[],
-                        help="run id (show) or two run ids (diff); unique "
-                             "prefixes are accepted")
-    p_runs.add_argument("--limit", type=int, default=20, metavar="N",
-                        help="how many entries 'list' shows (default 20)")
-    p_runs.add_argument("--command", dest="command_filter", default=None,
-                        metavar="SUBSTR",
-                        help="for 'list': only entries whose command or argv "
-                             "contains SUBSTR (case-insensitive; applied "
-                             "before --limit)")
-    _add_json_flag(p_runs)
-    p_runs.set_defaults(func=cmd_runs)
-
     p_hot = sub.add_parser(
         "hotspot",
         help="run another supernpu command under the host-time profiler "
@@ -1425,8 +1274,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--drain-timeout", type=float, default=30.0,
                          metavar="SECONDS",
                          help="how long SIGTERM waits for in-flight work")
-    p_serve.add_argument("--record-runs", action="store_true",
-                         help="record one run-registry entry per request")
     p_serve.add_argument("--chaos", action="append", metavar="SPEC",
                          help="arm fault injection: scope:kind:times[:seconds] "
                               "(scope handler|worker; e.g. worker:sigkill:2, "
@@ -1473,9 +1320,9 @@ def _profiled_command(parser: argparse.ArgumentParser,
 
     The wrapped command runs as itself, in its own one session, which
     starts the profiler because the namespace carries the ``hotspot``
-    options (the wrapper's ``--top`` and ``--hotspot-out``);
-    so its manifest, its ``run`` join and its run-registry entry are the
-    command's own.  The global flags given before ``hotspot`` carry over.
+    options (the wrapper's ``--top`` and ``--hotspot-out``); so its
+    manifest and its ``run`` join are the command's own.  The global
+    flags given before ``hotspot`` carry over.
     """
     from repro.errors import ConfigError
 
@@ -1490,8 +1337,7 @@ def _profiled_command(parser: argparse.ArgumentParser,
             hint="e.g. supernpu hotspot simulate supernpu mobilenet",
         )
     wrapped = parser.parse_args(inner, namespace=argparse.Namespace(
-        debug=args.debug, runs_dir=args.runs_dir, no_registry=args.no_registry,
-        hotspot={"top": args.hotspot_top, "out": args.hotspot_out}))
+        debug=args.debug, hotspot={"top": args.hotspot_top, "out": args.hotspot_out}))
     if wrapped.command == "hotspot":
         raise ConfigError(
             "'hotspot' cannot profile itself: one profiler runs per process",
@@ -1503,46 +1349,24 @@ def _profiled_command(parser: argparse.ArgumentParser,
 
 def main(argv: List[str] | None = None) -> int:
     from repro.errors import ReproError
-    from repro.obs import registry as run_registry
 
     parser = build_parser()
     args = parser.parse_args(argv)
-    argv_list = list(sys.argv[1:] if argv is None else argv)
-    started = time.perf_counter()
-    exit_code: Optional[int] = None
     try:
         if args.command == "hotspot":
             args = _profiled_command(parser, args)
         with _command_session(args) as args.session:
-            exit_code = args.func(args)
-        return exit_code
+            return args.func(args)
     except BrokenPipeError:
         # Output was piped into a consumer that closed early (e.g. head).
-        exit_code = 0
-        return exit_code
+        return 0
     except ReproError as error:
         if args.debug:
             raise
         print(f"error: {error.message}", file=sys.stderr)
         if error.hint:
             print(f"hint: {error.hint}", file=sys.stderr)
-        exit_code = error.exit_code
-        return exit_code
-    finally:
-        # Every invocation lands in the run registry (best-effort; a full
-        # disk never turns a successful command into a failure).  The
-        # registry's own query command is not recorded — listing history
-        # should not grow it.
-        if args.command != "runs" and not args.no_registry:
-            session = getattr(args, "session", None)
-            run_registry.record_invocation(
-                command=args.command,
-                argv=argv_list,
-                exit_code=exit_code,
-                wall_time_s=time.perf_counter() - started,
-                runs_dir=args.runs_dir,
-                **(session.record if session is not None else {}),
-            )
+        return error.exit_code
 
 
 if __name__ == "__main__":

@@ -395,6 +395,13 @@ class LoweredPlan:
         """Every point's content key, in point order."""
         return [point.key for point in self.points]
 
+    def unique_tasks(self) -> List[SimTask]:
+        """The distinct simulation tasks, in first-seen order; reads no
+        key.  Lowering gave points of equal content one task, so a task's
+        identity stands for its content."""
+        return list({id(point.task): point.task for point in self.points
+                     if point.task is not None}.values())
+
     def sim_tasks(self) -> "OrderedDict[str, SimTask]":
         """Unique simulation tasks by key, in first-seen order; reads
         every task's key."""
@@ -672,10 +679,7 @@ def execute(plan: ExperimentPlan) -> ResultSet:
     runner = get_runner()
     lowered = lower(plan)
 
-    # Lowering gave points of equal content one task, so a task's id
-    # stands for its content here.
-    unique_tasks = list({id(point.task): point.task for point in lowered.points
-                         if point.task is not None}.values())
+    unique_tasks = lowered.unique_tasks()
     with obs.trace_span(f"plan/{plan.name}", points=len(lowered.points),
                         hash=lowered.plan_hash[:12]):
         # Whether each unique task / estimate was cached comes from the

@@ -1,11 +1,11 @@
 """``repro.obs`` — observability for the simulator / estimator / jsim stack.
 
-Three pieces (see ``docs/OBSERVABILITY.md``):
+Four pieces (see ``docs/OBSERVABILITY.md``):
 
 * **metrics** — process-local counters / gauges / histograms-as-timers
   (:mod:`repro.obs.metrics`), snapshot-able to a plain dict / JSON;
-* **tracing** — nested wall-time spans with Chrome trace-event export and
-  a human-readable summary tree (:mod:`repro.obs.tracing`);
+* **tracing** — nested wall-time spans with Chrome trace-event export
+  (:mod:`repro.obs.tracing`);
 * **manifests** — provenance records (config hash, workload, batch,
   technology, version, wall time) embedded in every exported file
   (:mod:`repro.obs.manifest`);
@@ -17,15 +17,11 @@ Three pieces (see ``docs/OBSERVABILITY.md``):
 Everything is **off by default**: the instrumented hot paths in
 ``simulator.engine``, ``jsim.solver``, ``estimator.arch_level`` and
 ``core.search`` reduce to a single flag check until :func:`enable` is
-called (the CLI does this for ``supernpu profile`` and whenever
-``--trace-out`` / ``--metrics-out`` is passed).
+called (the CLI does this whenever ``--trace-out`` / ``--metrics-out``
+is passed).
 
-Across runs:
-
-* **progress** — live task-lifecycle streaming for parallel sweeps
-  (:mod:`repro.obs.progress`);
-* **registry** — a persistent per-invocation run registry under
-  ``~/.supernpu/runs/`` (:mod:`repro.obs.registry`).
+Live task-lifecycle streaming for parallel sweeps is
+:mod:`repro.obs.progress`.
 
 Wall-time speed is measured outside the package, by the end-to-end
 benchmark in ``benchmarks/e2e`` and its committed ``BENCH_pr<N>.json``
@@ -58,7 +54,6 @@ from repro.obs.runtime import (
     tracer,
 )
 from repro.obs.progress import ProgressEvent, ProgressReporter, auto_reporter
-from repro.obs.registry import RunEntry, RunRegistry, record_invocation
 from repro.obs.hotspot import HotspotProfile, HotspotProfiler, active_profiler
 
 __all__ = [
@@ -72,8 +67,6 @@ __all__ = [
     "MetricsRegistry",
     "ProgressEvent",
     "ProgressReporter",
-    "RunEntry",
-    "RunRegistry",
     "Span",
     "TimelineEvent",
     "Tracer",
@@ -81,7 +74,6 @@ __all__ = [
     "active_profiler",
     "auto_reporter",
     "config_content_hash",
-    "record_invocation",
     "metrics_document",
     "write_metrics",
     "write_timeline",

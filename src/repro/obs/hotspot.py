@@ -237,26 +237,6 @@ class HotspotProfile:
                      for key, stat in self.functions.items() if key not in called)
         return "\n".join(sorted(lines))
 
-    def summary(self, top_n: int = 5) -> Dict[str, Any]:
-        """Compact summary for RunRegistry entries and BENCH documents."""
-        stats = self.function_stats()
-        return {
-            "duration_s": round(self.duration_s, 6),
-            "calls": sum(stat.calls for stat in stats),
-            "functions": len(stats),
-            "top": [
-                {
-                    "function": stat.key[0],
-                    "file": _short_path(stat.key[1]),
-                    "line": stat.key[2],
-                    "self_s": round(stat.self_s, 6),
-                    "cum_s": round(stat.cum_s, 6),
-                    "calls": stat.calls,
-                }
-                for stat in stats[:top_n]
-            ],
-        }
-
     # -- reporting ------------------------------------------------------
     def report(self, top_n: int = 10,
                phase_fractions: Optional[Dict[str, float]] = None) -> str:

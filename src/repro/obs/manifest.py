@@ -22,9 +22,9 @@ from typing import Any, Dict, Optional
 def environment_provenance() -> Dict[str, Any]:
     """Host/interpreter facts that make cross-machine comparisons readable.
 
-    Bench and registry diffs are meaningless without knowing whether the
-    two runs shared a python version, numpy version, and machine — this
-    captures exactly that, nothing more (no env vars, no paths).
+    Two runs' exported files compare meaningfully only when you know
+    whether the runs shared a python version, numpy version, and machine —
+    this captures exactly that, nothing more (no env vars, no paths).
     """
     try:
         import numpy
@@ -122,30 +122,3 @@ class RunManifest:
 
     def to_json(self, indent: Optional[int] = 2) -> str:
         return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
-
-    def describe(self) -> str:
-        """One terminal-friendly line per populated field."""
-        rows = [("command", self.command)]
-        if self.design:
-            label = self.design
-            if self.config_hash:
-                label += f" (sha256:{self.config_hash})"
-            rows.append(("design", label))
-        if self.workload:
-            rows.append(("workload", self.workload))
-        if self.batch is not None:
-            rows.append(("batch", str(self.batch)))
-        if self.technology:
-            rows.append(("technology", self.technology))
-        rows.append(("version", self.package_version))
-        if self.wall_time_s is not None:
-            rows.append(("wall time", f"{self.wall_time_s:.3f} s"))
-        if self.environment:
-            env = self.environment
-            summary = (f"python {env.get('python')}, numpy {env.get('numpy')}, "
-                       f"{env.get('platform')}, {env.get('cpu_count')} cpus, "
-                       f"host {env.get('hostname')}")
-            rows.append(("environment", summary))
-        for key, value in self.extra.items():
-            rows.append((key, str(value)))
-        return "\n".join(f"  {k:12s}: {v}" for k, v in rows)

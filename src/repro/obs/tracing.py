@@ -7,8 +7,8 @@ attributes.  Finished traces export two ways:
 * :meth:`Tracer.to_chrome_trace` — the Chrome trace-event JSON object
   format (``{"traceEvents": [...]}`` with ``ph: "X"`` complete events),
   loadable in Perfetto / ``chrome://tracing``;
-* :meth:`Tracer.summary_table` — a human-readable tree of aggregated
-  wall times per span path, for terminal output.
+* :func:`serialize_spans` — the span forest with unix timestamps, for
+  shipping a worker's spans to its parent.
 
 Disabled (the default), ``Tracer.span()`` returns a shared no-op context
 manager, so instrumented code costs one flag check per span.
@@ -273,39 +273,6 @@ class Tracer:
     def to_chrome_trace_json(self, metadata: Optional[Dict[str, Any]] = None,
                              indent: Optional[int] = None) -> str:
         return json.dumps(self.to_chrome_trace(metadata), indent=indent)
-
-    def summary_table(self) -> str:
-        """Aggregated wall-time tree: one row per span path.
-
-        Sibling spans with the same name merge into a single row with a
-        call count, so a 53-layer ``simulate/layer`` fan-out reads as one
-        line.  Percentages are relative to the top-level total.
-        """
-        total = sum(root.duration_s for root in self.roots)
-        lines = [f"{'span':<44s} {'calls':>6s} {'wall ms':>12s} {'%':>7s}"]
-
-        def aggregate(spans: List[Span]) -> "Dict[str, List[Span]]":
-            groups: Dict[str, List[Span]] = {}
-            for span in spans:
-                groups.setdefault(span.name, []).append(span)
-            return groups
-
-        def emit(spans: List[Span], depth: int) -> None:
-            for name, group in aggregate(spans).items():
-                wall = sum(s.duration_s for s in group)
-                share = 100.0 * wall / total if total else 0.0
-                label = "  " * depth + name
-                lines.append(
-                    f"{label:<44s} {len(group):>6d} {1e3 * wall:>12.3f} {share:>6.1f}%"
-                )
-                children = [c for s in group for c in s.children]
-                if children:
-                    emit(children, depth + 1)
-
-        emit(self.roots, 0)
-        if len(lines) == 1:
-            lines.append("(no spans recorded)")
-        return "\n".join(lines)
 
 
 def serialize_spans(tracer: Tracer) -> List[Dict[str, Any]]:

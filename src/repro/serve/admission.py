@@ -37,7 +37,7 @@ class TokenBucket:
 
     def __init__(self, rate_per_s: float, burst: int,
                  now: Optional[float] = None) -> None:
-        if rate_per_s <= 0 or burst < 1:
+        if not (rate_per_s > 0 and burst >= 1):
             raise ConfigError("quota rate must be positive and burst >= 1",
                               code="config.invalid_quota",
                               rate_per_s=rate_per_s, burst=burst)
@@ -88,6 +88,7 @@ class AdmissionController:
             raise ConfigError("max_inflight must be >= 1",
                               code="config.invalid_admission",
                               max_inflight=max_inflight)
+        TokenBucket(quota_rate_per_s, quota_burst)  # a bad quota fails here
         self.max_inflight = max_inflight
         self.quota_rate_per_s = quota_rate_per_s
         self.quota_burst = quota_burst

@@ -36,7 +36,7 @@ from typing import Any, Dict, Iterator, Optional, Union
 
 from repro import obs
 from repro.core.chaos import ChaosInjector
-from repro.errors import ReproError
+from repro.errors import ConfigError, ReproError
 from repro.serve import protocol
 from repro.serve.admission import AdmissionController
 from repro.serve.coalesce import SingleFlight
@@ -44,7 +44,6 @@ from repro.serve.engine import ENDPOINTS, ServeEngine, request_key
 from repro.serve.protocol import (
     HttpRequest,
     ProtocolError,
-    canonical_body,
     error_envelope,
     render_response,
     status_for_error,
@@ -69,10 +68,20 @@ class ServeConfig:
     read_timeout_s: float = 5.0  # bounds the header read, then the body read
     drain_timeout_s: float = 30.0
     port_file: Optional[Union[str, Path]] = None
-    record_runs: bool = False
-    runs_dir: Optional[Union[str, Path]] = None
     worker_chaos: Optional[ChaosInjector] = None
     handler_chaos: Optional[ChaosInjector] = None
+
+
+def _check_timeouts(config: ServeConfig) -> None:
+    """Reject a deadline or timeout the daemon cannot serve with, so
+    ``supernpu serve`` fails before it binds rather than on a request."""
+    for name, positive in (("deadline_s", True), ("read_timeout_s", True),
+                           ("drain_timeout_s", False)):
+        value = getattr(config, name)
+        if not (value > 0 if positive else value >= 0):
+            bound = "positive" if positive else "at least 0"
+            raise ConfigError(f"{name} must be {bound}, got {value}",
+                              code="config.invalid_timeout", **{name: value})
 
 
 class EvalDaemon:
@@ -80,6 +89,13 @@ class EvalDaemon:
 
     def __init__(self, config: Optional[ServeConfig] = None) -> None:
         self.config = config or ServeConfig()
+        _check_timeouts(self.config)
+        # Built first: it rejects a bad quota before anything is allocated.
+        self.admission = AdmissionController(
+            max_inflight=self.config.max_inflight,
+            quota_rate_per_s=self.config.quota_rate_per_s,
+            quota_burst=self.config.quota_burst,
+        )
         self.engine = ServeEngine(
             cache_dir=self.config.cache_dir,
             jobs=self.config.jobs,
@@ -87,11 +103,6 @@ class EvalDaemon:
             task_timeout_s=self.config.task_timeout_s,
             worker_chaos=self.config.worker_chaos,
             handler_chaos=self.config.handler_chaos,
-        )
-        self.admission = AdmissionController(
-            max_inflight=self.config.max_inflight,
-            quota_rate_per_s=self.config.quota_rate_per_s,
-            quota_burst=self.config.quota_burst,
         )
         self.flights = SingleFlight()
         self.counters: Dict[str, int] = {}
@@ -337,7 +348,6 @@ class EvalDaemon:
                 time.perf_counter() - started)
         self._count("serve.responses_200")
         headers.update(meta)
-        self._record_run(endpoint, params)
         return render_response(200, body, headers)
 
     async def _lead(self, key: str, future: asyncio.Future,
@@ -381,22 +391,6 @@ class EvalDaemon:
             "coalesced_total": self.flights.coalesced_total,
         }
         return success_envelope("stats", data)
-
-    def _record_run(self, endpoint: str, params: Dict[str, Any]) -> None:
-        """Best-effort per-request registry entry (never blocks a response)."""
-        if not self.config.record_runs:
-            return
-        from repro.obs.registry import RunRegistry, registry_disabled
-
-        if registry_disabled():
-            return
-        try:
-            RunRegistry(self.config.runs_dir).append(
-                command=f"serve:{endpoint}",
-                argv=["serve", endpoint, canonical_body(params)],
-                exit_code=0)
-        except Exception:
-            pass
 
 
 @contextmanager

@@ -273,7 +273,6 @@ def run_serve_smoke(work_dir: Union[str, Path],
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in [str(Path(__file__).resolve().parents[2]),
                     env.get("PYTHONPATH", "")] if p)
-    env.setdefault("SUPERNPU_NO_REGISTRY", "1")
     process = subprocess.Popen(
         [python or sys.executable, "-m", "repro.cli", "serve",
          "--port", "0", "--port-file", str(port_file),

@@ -22,14 +22,6 @@ def _quiescent_obs():
     obs.reset()
 
 
-@pytest.fixture(autouse=True)
-def _isolated_run_registry(tmp_path, monkeypatch):
-    """CLI invocations in tests must never write ~/.supernpu/runs."""
-    from repro.obs import registry
-
-    monkeypatch.setenv(registry.RUNS_DIR_ENV, str(tmp_path / "runs"))
-
-
 @pytest.fixture
 def obs_enabled():
     """Turn the global obs runtime on for one test, cleaned up after."""

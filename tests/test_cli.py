@@ -18,6 +18,31 @@ def test_bench_is_an_unknown_command(capsys):
     assert "invalid choice: 'bench'" in capsys.readouterr().err
 
 
+def test_the_verb_set_is_pinned():
+    """One verb per job: a run's spans, counters and manifest come from
+    ``--trace-out`` / ``--metrics-out`` and its host time from ``hotspot``,
+    so there is no ``profile`` and no ``runs`` registry."""
+    import argparse
+
+    parser = build_parser()
+    verbs = next(action for action in parser._actions
+                 if isinstance(action, argparse._SubParsersAction)).choices
+    assert list(verbs) == [
+        "estimate", "simulate", "bottleneck", "floorplan", "energy", "evaluate",
+        "validate", "sweep", "table", "report", "compare", "reproduce",
+        "workloads", "trace", "plan", "components", "cache", "hotspot",
+        "serve", "client",
+    ]
+
+
+def test_a_command_writes_no_file_its_command_line_does_not_name(
+        tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("HOME", str(tmp_path))
+    monkeypatch.chdir(tmp_path)
+    assert main(["simulate", "supernpu", "mobilenet"]) == 0
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_estimate_command(capsys):
     assert main(["estimate", "supernpu"]) == 0
     out = capsys.readouterr().out
@@ -183,42 +208,6 @@ def test_compare_command(capsys):
     assert "winner (mean throughput): SuperNPU" in out
 
 
-def test_profile_command(capsys):
-    assert main(["profile", "supernpu", "mobilenet"]) == 0
-    out = capsys.readouterr().out
-    # Span-tree wall-time summary.
-    assert "simulate/layer" in out and "wall ms" in out
-    # Counters and the run manifest.
-    assert "sim.cycles" in out
-    assert "sha256:" in out and "SuperNPU" in out
-
-
-def test_profile_leaves_obs_disabled(capsys):
-    from repro import obs
-
-    assert main(["profile", "baseline", "alexnet", "--batch", "1"]) == 0
-    assert not obs.enabled()
-    assert obs.metrics().is_empty()
-    assert obs.tracer().roots == []
-
-
-def test_profile_writes_trace_and_metrics(tmp_path, capsys):
-    import json
-
-    trace_path = tmp_path / "trace.json"
-    metrics_path = tmp_path / "metrics.json"
-    assert main(["profile", "supernpu", "mobilenet",
-                 "--trace-out", str(trace_path),
-                 "--metrics-out", str(metrics_path)]) == 0
-    trace = json.loads(trace_path.read_text())
-    names = {event["name"] for event in trace["traceEvents"]}
-    assert {"simulate", "simulate/layer", "estimate", "estimate/unit"} <= names
-    assert trace["metadata"]["workload"] == "MobileNet"
-    metrics = json.loads(metrics_path.read_text())
-    assert metrics["metrics"]["counters"]["sim.runs"] == 1
-    assert metrics["manifest"]["config_hash"]
-
-
 def test_simulate_metrics_out_flag(tmp_path, capsys):
     import json
 
@@ -260,12 +249,6 @@ def test_simulate_without_obs_flags_records_nothing(capsys):
     assert main(["simulate", "baseline", "alexnet", "--batch", "1"]) == 0
     assert obs.metrics().is_empty()
     assert obs.tracer().roots == []
-
-
-def test_profile_prints_quantiles(capsys):
-    assert main(["profile", "baseline", "alexnet", "--batch", "1"]) == 0
-    out = capsys.readouterr().out
-    assert "p50=" in out and "p95=" in out and "p99=" in out
 
 
 def test_compare_metrics_out_flag(tmp_path, capsys):
@@ -540,16 +523,30 @@ def test_plan_list_json_builds_each_plan_once(monkeypatch, capsys):
         return plan(name)
 
     monkeypatch.setattr(api, "plan", counted)
-    assert main(["--no-registry", "plan", "list", "--json"]) == 0
+    assert main(["plan", "list", "--json"]) == 0
     assert built == list(names)
     assert json.loads(capsys.readouterr().out)["data"] == {"plans": expected}
 
 
-def test_plan_show_command(capsys):
+def test_plan_show_command(capsys, monkeypatch, tmp_path):
+    from repro.core import jobs
+
+    keyed = []
+    original_key = jobs.SimTask.key
+    monkeypatch.setattr(jobs.SimTask, "key",
+                        lambda task: keyed.append(task) or original_key(task))
     assert main(["plan", "show", "batch_knee"]) == 0
     out = capsys.readouterr().out
     assert "plan batch_knee: 6 points" in out
     assert "unique simulations" in out
+    # Without a cache the count is of distinct tasks: no key is read.
+    assert main(["plan", "show", "search_grid"]) == 0
+    assert "384 points -> 384 unique simulations\n" in capsys.readouterr().out
+    assert keyed == []
+    # With one, each unique task's key is read once, to look it up.
+    assert main(["plan", "show", "batch_knee", "--cache-dir", str(tmp_path)]) == 0
+    assert "0 already cached, 6 to execute" in capsys.readouterr().out
+    assert len(keyed) == 6
 
 
 def test_plan_show_without_name_exits_2(capsys):
@@ -614,7 +611,7 @@ def test_plan_run_takes_every_registered_name(monkeypatch, capsys):
 
     monkeypatch.setattr(api, "_execute_plan", execute)
     for name in api.plans():
-        assert main(["--no-registry", "plan", "run", name]) == 0, name
+        assert main(["plan", "run", name]) == 0, name
         assert ran.pop() == api.plan(name).name
     capsys.readouterr()
 
@@ -687,14 +684,14 @@ def test_client_request_fails_cleanly(capsys):
 @pytest.mark.parametrize("argv", [
     ["bottleneck", "supernpu", "mobilenet", "--top", "0"],
     ["bottleneck", "supernpu", "mobilenet", "--top", "-1"],
-    ["runs", "list", "--limit", "-1"],
+    ["sweep", "buffers", "--jobs", "0"],
     ["simulate", "supernpu", "mobilenet", "--jobs", "0"],
     ["evaluate", "--jobs", "-3"],
     ["hotspot", "--top", "0", "workloads"],
 ])
-def test_count_flags_below_one_exit_2(argv, tmp_path, capsys):
+def test_count_flags_below_one_exit_2(argv, capsys):
     flag = next(arg for arg in argv if arg.startswith("--"))
-    assert main(["--runs-dir", str(tmp_path / "runs"), *argv]) == 2
+    assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     error, hint = captured.err.splitlines()
@@ -708,13 +705,13 @@ def test_failed_command_leaves_obs_off(tmp_path, capsys):
     from repro import obs
 
     trace = tmp_path / "t.json"
-    assert main(["--no-registry", "simulate", "supernpu", "mobilenet",
+    assert main(["simulate", "supernpu", "mobilenet",
                  "--batch", "0", "--trace-out", str(trace)]) == 3
     assert not obs.enabled()
     assert obs.metrics().is_empty() and obs.tracer().roots == []
     # The session still wrote what it was asked for.
     assert json.loads(trace.read_text())["metadata"]["command"] == "simulate"
-    assert main(["--no-registry", "simulate", "supernpu", "mobilenet"]) == 0
+    assert main(["simulate", "supernpu", "mobilenet"]) == 0
     assert obs.metrics().is_empty()
 
 
@@ -722,7 +719,7 @@ def test_json_status_lines_go_to_stderr(tmp_path, capsys):
     import json
 
     metrics, trace = tmp_path / "m.json", tmp_path / "t.json"
-    assert main(["--no-registry", "simulate", "supernpu", "mobilenet", "--json",
+    assert main(["simulate", "supernpu", "mobilenet", "--json",
                  "--metrics-out", str(metrics), "--trace-out", str(trace)]) == 0
     captured = capsys.readouterr()
     document = json.loads(captured.out)  # stdout is one JSON document
@@ -739,9 +736,9 @@ def test_plan_inspection_honours_hotspot_and_trace(argv, tmp_path, capsys):
     import json
 
     trace, collapsed = tmp_path / "t.json", tmp_path / "h.col"
-    assert main(["--no-registry", *argv]) == 0
+    assert main([*argv]) == 0
     plain = capsys.readouterr().out
-    assert main(["--no-registry", "hotspot", "--hotspot-out", str(collapsed),
+    assert main(["hotspot", "--hotspot-out", str(collapsed),
                  *argv, "--trace-out", str(trace)]) == 0
     captured = capsys.readouterr()
     assert captured.out == plain + f"trace written to {trace}\n"

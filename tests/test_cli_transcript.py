@@ -56,7 +56,7 @@ PROFILED = (
 def _stdout(command: str) -> str:
     buffer = io.StringIO()
     with redirect_stdout(buffer):
-        exit_code = main(["--no-registry", *command.split()])
+        exit_code = main([*command.split()])
     assert exit_code == 0, command
     return buffer.getvalue()
 

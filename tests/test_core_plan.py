@@ -321,6 +321,10 @@ def test_every_named_plan_builds_and_hashes():
         assert plan.num_points > 0
         assert len(plan.plan_hash()) == 64
         assert plan.describe()  # renders without error
+        # Lowering shares one task among equal-content points, so the
+        # distinct tasks are the distinct keys.
+        lowered = plan.lower()
+        assert len(lowered.unique_tasks()) == len(lowered.sim_tasks())
 
 
 def test_unknown_plan_is_a_config_error():

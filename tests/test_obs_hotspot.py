@@ -233,13 +233,13 @@ def test_foreign_profiler_raises_config_error():
 def test_nested_cli_profilers_exit_2(capsys):
     from repro.cli import main
 
-    code = main(["--no-registry", "hotspot", "hotspot", "simulate", "supernpu",
+    code = main(["hotspot", "hotspot", "simulate", "supernpu",
                  "mobilenet"])
     assert code == 2
     assert "'hotspot' cannot profile itself" in capsys.readouterr().err
     assert active_profiler() is None
     with HotspotProfiler():  # another profiler already runs in the process
-        assert main(["--no-registry", "hotspot", "workloads"]) == 2
+        assert main(["hotspot", "workloads"]) == 2
     assert "another profiler is already running" in capsys.readouterr().err
     assert active_profiler() is None
 
@@ -247,28 +247,25 @@ def test_nested_cli_profilers_exit_2(capsys):
 def test_failed_command_stops_its_profiler(capsys):
     from repro.cli import main
 
-    code = main(["--no-registry", "hotspot", "simulate", "supernpu", "mobilenet",
+    code = main(["hotspot", "simulate", "supernpu", "mobilenet",
                  "--batch", "0"])
     assert code == 3  # workload.invalid_batch
     assert active_profiler() is None
-    assert main(["--no-registry", "hotspot", "simulate", "supernpu",
+    assert main(["hotspot", "simulate", "supernpu",
                  "mobilenet"]) == 0
     assert "hotspot:" in capsys.readouterr().err
 
 
-def test_wrapper_joins_cycles_and_records_one_run(tmp_path, capsys):
+def test_wrapper_joins_cycles_in_the_commands_own_session(capsys):
     """The wrapped command runs in the one session: its run joins the
-    profile, and the invocation is one registry entry, the command's."""
+    profile, and its envelope's manifest is the command's own."""
     from repro.cli import main
-    from repro.obs.registry import RunRegistry
 
-    assert main(["--runs-dir", str(tmp_path), "hotspot", "simulate", "supernpu",
-                 "mobilenet"]) == 0
-    assert "cycle-domain join" in capsys.readouterr().err
-    entries, corrupt = RunRegistry(tmp_path).entries()
-    assert corrupt == 0 and len(entries) == 1
-    assert entries[0].command == "simulate"
-    assert "hotspot" in entries[0].argv and entries[0].hotspot["functions"] > 0
+    assert main(["hotspot", "simulate", "supernpu", "mobilenet", "--json"]) == 0
+    captured = capsys.readouterr()
+    assert "cycle-domain join" in captured.err
+    document = json.loads(captured.out)
+    assert document["command"] == document["manifest"]["command"] == "simulate"
 
 
 def _ranked_rows(report: str) -> int:
@@ -282,7 +279,7 @@ def _ranked_rows(report: str) -> int:
 def test_wrapper_top_stays_apart_from_the_command_top(capsys):
     from repro.cli import main
 
-    assert main(["--no-registry", "hotspot", "--top", "2", "bottleneck",
+    assert main(["hotspot", "--top", "2", "bottleneck",
                  "supernpu", "mobilenet", "--top", "3"]) == 0
     captured = capsys.readouterr()
     assert "critical layers (top 3 of" in captured.out
@@ -367,12 +364,3 @@ def test_profiler_stop_is_idempotent():
     second = profiler.stop()
     assert first is second
     assert active_profiler() is None
-
-
-def test_summary_is_json_serializable():
-    profile = _trace_workload()
-    summary = json.loads(json.dumps(profile.summary()))
-    assert summary["functions"] > 0
-    assert summary["calls"] >= 16
-    assert summary["top"]
-    assert {"function", "file", "line", "self_s", "cum_s", "calls"} <= set(summary["top"][0])

@@ -56,13 +56,6 @@ def test_capture_minimal():
     assert data["created_unix"] > 0
 
 
-def test_describe_lines(supernpu_config):
-    manifest = RunManifest.capture("profile", config=supernpu_config, batch=2)
-    text = manifest.describe()
-    assert "command" in text and "profile" in text
-    assert "sha256:" in text and "batch" in text
-
-
 def test_write_metrics_document(tmp_path, supernpu_config):
     registry = MetricsRegistry(enabled=True)
     registry.counter("sim.runs").inc()

@@ -61,25 +61,6 @@ def test_chrome_trace_export():
     assert json.loads(tracer.to_chrome_trace_json())["traceEvents"]
 
 
-def test_summary_table_merges_siblings():
-    tracer = make_tracer()
-    with tracer.span("run"):
-        for name in ("a", "a", "b"):
-            with tracer.span(name):
-                pass
-    table = tracer.summary_table()
-    lines = table.splitlines()
-    assert "span" in lines[0] and "wall ms" in lines[0]
-    body = "\n".join(lines[1:])
-    assert body.count("  a ") == 1  # two 'a' spans merged into one row
-    a_row = next(line for line in lines if line.lstrip().startswith("a "))
-    assert " 2 " in a_row  # call count
-
-
-def test_summary_table_empty():
-    assert "(no spans recorded)" in Tracer(enabled=True).summary_table()
-
-
 def test_reset():
     tracer = make_tracer()
     with tracer.span("s"):

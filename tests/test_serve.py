@@ -26,7 +26,7 @@ from repro.errors import (
 from repro.serve.admission import AdmissionController, TokenBucket
 from repro.serve.client import ServeClient
 from repro.serve.coalesce import SingleFlight
-from repro.serve.daemon import ServeConfig, daemon_in_thread
+from repro.serve.daemon import EvalDaemon, ServeConfig, daemon_in_thread
 from repro.serve.engine import ENDPOINTS, ServeEngine, request_key
 from repro.serve.protocol import (
     ProtocolError,
@@ -63,6 +63,25 @@ def test_token_bucket_validation():
         TokenBucket(rate_per_s=0.0, burst=1)
     with pytest.raises(ConfigError):
         TokenBucket(rate_per_s=1.0, burst=0)
+
+
+@pytest.mark.parametrize("field, value, flag", [
+    ("quota_rate_per_s", 0.0, "--quota-rps"),
+    ("quota_rate_per_s", -1.0, "--quota-rps"),
+    ("quota_burst", 0, "--quota-burst"),
+    ("deadline_s", 0.0, "--deadline"),
+    ("read_timeout_s", 0.0, "--header-timeout"),
+    ("drain_timeout_s", -1.0, "--drain-timeout"),
+])
+def test_bad_admission_and_deadline_settings_fail_at_startup(field, value, flag,
+                                                             capsys):
+    """A setting every request would trip over is refused before binding."""
+    with pytest.raises(ConfigError):
+        EvalDaemon(ServeConfig(**{field: value}))
+    assert main(["serve", flag, str(value)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert "listening" not in captured.err
 
 
 # -- the admission ladder -------------------------------------------------
