@@ -784,7 +784,7 @@ def cmd_plan(args: argparse.Namespace) -> int:
         args.session.note(plan=plan.name)
         lowered = plan.lower()
         unique = lowered.unique_tasks()
-        estimate_points = sum(1 for p in lowered.points if p.task is None)
+        estimate_points = lowered.tasks.count(-1)
         cached = None
         if args.cache_dir and not args.no_cache:
             from repro.core.jobs import ResultCache

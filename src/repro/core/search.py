@@ -157,13 +157,15 @@ def search(
         for config in configs:
             with obs.trace_span("search/candidate", design=config.name):
                 entries.append((config, get_runner().estimate(config, library)))
-        resultset = execute(plan)
+        # A candidate's points are its workloads', in workload order: the
+        # builtin sum folds them as a per-candidate selection would.
+        throughput = execute(plan).column("mac_per_s", grid="candidates")
+        width = len(workloads)
         for done, (config, estimate) in enumerate(entries):
-            selected = resultset.select(grid="candidates", config=config.name)
             candidates.append(
                 Candidate(
                     config=config,
-                    mean_mac_per_s=sum(r.run.mac_per_s for r in selected)
+                    mean_mac_per_s=sum(throughput[done * width:(done + 1) * width])
                     / len(workloads),
                     area_mm2_28nm=estimate.area_mm2_scaled(),
                     peak_tmacs=estimate.peak_tmacs,

@@ -37,8 +37,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -186,8 +185,7 @@ def simulate_layer(
     return result, output_resident
 
 
-@dataclass(frozen=True)
-class DesignCharges:
+class DesignCharges(NamedTuple):
     """One design point's part of a charge pass (:func:`charge_designs`):
     its ``(10, L)`` int64 block of per-layer charges, their totals as
     Python ints, its activity, and its share of the pass's wall seconds."""
@@ -234,7 +232,32 @@ def simulate(
             block, (totals,), (activity,) = charge_network(
                 network.layer_table, [(config, batch, memory, build_datapath(config))])
             charges = DesignCharges(block[0], totals, activity, 0.0)
-        run = _result(config, network, batch, estimate, charges, timeline)
+        run = SimulationResult.from_charges(
+            config.name, network.name, batch, estimate.frequency_ghz,
+            network.layer_table.names, charges.charges, charges.totals,
+            # Sorted-unit order, the order a cached payload decodes in:
+            # power sums fold these floats in iteration order.
+            ActivityTrace(charges.activity))
+        # The layer spans, timeline and ``sim.*`` counts, when those are on.
+        if timeline is not None or obs.tracer().enabled:
+            for layer, result in zip(network.layers, run.layers):
+                with obs.trace_span("simulate/layer", layer=result.name) as span:
+                    span.annotate(cycles=result.total_cycles, macs=result.macs)
+                if timeline is not None:
+                    timeline.record_layer(result, occupancy={
+                        "ifmap_buffer_bytes": min(
+                            layer.ifmap_bytes * batch, config.ifmap_buffer_bytes),
+                        "output_buffer_bytes": min(
+                            layer.ofmap_bytes * batch, config.output_buffer_bytes),
+                        "weight_buffer_bytes": min(
+                            layer.weight_bytes, config.weight_buffer_bytes),
+                    })
+        if obs.metrics().enabled:
+            obs.counter("sim.runs").inc()
+            obs.counter("sim.layers_simulated").add(len(network.layer_table.names))
+            obs.counter("sim.cycles").add(run.total_cycles)
+            obs.counter("sim.macs").add(run.total_macs)
+            obs.counter("sim.dram_traffic_bytes").add(sum(run.columns["dram_traffic_bytes"]))
     # A point charged jointly also spent its share of the joint pass.
     obs.histogram("sim.simulate_seconds").observe(
         time.perf_counter() - began + charges.seconds)
@@ -270,50 +293,3 @@ def charge_designs(
             for config, batch, estimate in zip(configs, batches, estimates)])
     seconds = (time.perf_counter() - began) / len(configs)
     return [DesignCharges(*part, seconds) for part in zip(block, totals, activities)]
-
-
-def _result(
-    config: NPUConfig,
-    network: Network,
-    batch: int,
-    estimate: NPUEstimate,
-    charges: DesignCharges,
-    timeline: Optional[CycleTimeline] = None,
-) -> SimulationResult:
-    """One run's :class:`SimulationResult` from its part of a charge pass,
-    with its layer spans, timeline and ``sim.*`` counts when those are on."""
-    names = network.layer_table.names
-    run = SimulationResult.from_charges(
-        config.name, network.name, batch, estimate.frequency_ghz, names,
-        charges.charges, charges.totals,
-        # Sorted-unit order, the order a cached payload decodes in:
-        # power sums fold these floats in iteration order.
-        ActivityTrace(charges.activity))
-    if timeline is not None or obs.tracer().enabled:
-        for layer, result in zip(network.layers, run.layers):
-            with obs.trace_span("simulate/layer", layer=result.name) as span:
-                span.annotate(cycles=result.total_cycles, macs=result.macs)
-            if timeline is not None:
-                timeline.record_layer(
-                    result,
-                    occupancy={
-                        "ifmap_buffer_bytes": min(
-                            layer.ifmap_bytes * batch, config.ifmap_buffer_bytes
-                        ),
-                        "output_buffer_bytes": min(
-                            layer.ofmap_bytes * batch, config.output_buffer_bytes
-                        ),
-                        "weight_buffer_bytes": min(
-                            layer.weight_bytes, config.weight_buffer_bytes
-                        ),
-                    },
-                )
-    if obs.metrics().enabled:
-        obs.counter("sim.runs").inc()
-        obs.counter("sim.layers_simulated").add(len(names))
-        obs.counter("sim.cycles").add(run.total_cycles)
-        obs.counter("sim.macs").add(run.total_macs)
-        obs.counter("sim.dram_traffic_bytes").add(
-            sum(run.columns["dram_traffic_bytes"])
-        )
-    return run

@@ -87,8 +87,37 @@ class ActivityTrace:
 LAYER_FIELDS = tuple(f.name for f in fields(LayerResult))
 
 
+class RunRates:
+    """The rates of a run's totals: ``batch``, ``frequency_ghz``,
+    ``total_cycles`` and ``total_macs``, which the subclass provides."""
+
+    __slots__ = ()
+
+    @property
+    def latency_s(self) -> float:
+        """Wall-clock time to process the batch."""
+        return self.total_cycles / (self.frequency_ghz * 1e9)
+
+    @property
+    def mac_per_s(self) -> float:
+        """Effective throughput in MAC/s."""
+        if self.latency_s == 0:
+            return 0.0
+        return self.total_macs / self.latency_s
+
+    @property
+    def tmacs(self) -> float:
+        return self.mac_per_s / 1e12
+
+    @property
+    def images_per_s(self) -> float:
+        if self.latency_s == 0:
+            return 0.0
+        return self.batch / self.latency_s
+
+
 @dataclass
-class SimulationResult:
+class SimulationResult(RunRates):
     """Whole-network simulation outcome for one design point.
 
     ``columns`` maps each :data:`LAYER_FIELDS` name to one list with an
@@ -151,28 +180,6 @@ class SimulationResult:
         """One :class:`LayerResult` per layer, built afresh on every read:
         a cached copy would hold every layer twice."""
         return tuple(map(LayerResult, *(self.columns[name] for name in LAYER_FIELDS)))
-
-    @property
-    def latency_s(self) -> float:
-        """Wall-clock time to process the batch."""
-        return self.total_cycles / (self.frequency_ghz * 1e9)
-
-    @property
-    def mac_per_s(self) -> float:
-        """Effective throughput in MAC/s."""
-        if self.latency_s == 0:
-            return 0.0
-        return self.total_macs / self.latency_s
-
-    @property
-    def tmacs(self) -> float:
-        return self.mac_per_s / 1e12
-
-    @property
-    def images_per_s(self) -> float:
-        if self.latency_s == 0:
-            return 0.0
-        return self.batch / self.latency_s
 
     def pe_utilization(self, peak_mac_per_s: float) -> float:
         """Effective / peak throughput (the paper's PE utilization)."""

@@ -549,6 +549,15 @@ def test_plan_show_command(capsys, monkeypatch, tmp_path):
     assert len(keyed) == 6
 
 
+def test_a_dry_run_leaves_no_cache_directory_behind(tmp_path, capsys):
+    missing = tmp_path / "c"
+    assert main(["plan", "show", "batch_knee", "--cache-dir", str(missing)]) == 0
+    assert "0 already cached, 6 to execute" in capsys.readouterr().out
+    assert main(["cache", "stats", "--cache-dir", str(missing)]) == 0
+    assert "entries : 0" in capsys.readouterr().out
+    assert not missing.exists()
+
+
 def test_plan_show_without_name_exits_2(capsys):
     assert main(["plan", "show"]) == 2
     assert "known plans" in capsys.readouterr().err

@@ -276,7 +276,7 @@ def test_serial_runner_groups_sfq_tasks_by_network(monkeypatch, supernpu_config,
              + [SimTask(TPU_CORE, tiny_network, 1), SimTask(baseline_config, other, 3)]
              + [SimTask(baseline_config, tiny_network, b) for b in (3, 4)])
     expected = [JobRunner().run([task])[0] for task in tasks]
-    groups, simulated, solos = [], [], []
+    groups, built, solos = [], [], []
     charge, simulate = jobs.charge_designs, jobs.simulate
 
     def grouped(configs, network, batches, estimates):
@@ -284,26 +284,30 @@ def test_serial_runner_groups_sfq_tasks_by_network(monkeypatch, supernpu_config,
         return charge(configs, network, batches, estimates)
 
     def one(config, network, **kwargs):
-        simulated.append(network.name)
-        if kwargs["charges"] is None:
-            solos.append(network.name)
+        (solos if kwargs.get("charges") is None else built).append(network.name)
         return simulate(config, network, **kwargs)
 
     monkeypatch.setattr(jobs, "charge_designs", grouped)
     monkeypatch.setattr(jobs, "simulate", one)
-    assert JobRunner().run(tasks) == expected
+    ran = JobRunner().run(tasks)
     # One pass charges the four tiny_network SFQ tasks; the lone task on
-    # another network runs on its own, and the CMOS baseline never
-    # reaches the SFQ simulator.  Every SFQ task is one simulate() call.
+    # another network is a group of one, charged by its own simulate()
+    # call, and the CMOS baseline never reaches the SFQ simulator.  A
+    # grouped task's result is built from its slice when first read.
     assert groups == [(tiny_network.name, [1, 2, 3, 4])]
-    assert simulated == [tiny_network.name] * 2 + ["other"] + [tiny_network.name] * 2
-    assert solos == ["other"]
+    assert solos == ["other"] and built == []
+    assert [ran.value(index, "total_cycles") for index in range(len(tasks))] == [
+        run.total_cycles for run in expected]
+    assert built == []
+    assert ran == expected
+    assert built == [tiny_network.name] * 4
 
     groups.clear()
+    solos.clear()
     monkeypatch.setattr(jobs, "GROUP_LIMIT", 3)
     assert JobRunner().run(tasks) == expected
     assert groups == [(tiny_network.name, [1, 2, 3])]
-    assert solos == ["other", "other", tiny_network.name]
+    assert solos == ["other", tiny_network.name]
 
 
 def test_a_group_that_raises_runs_its_tasks_one_by_one(monkeypatch, supernpu_config,
@@ -315,9 +319,19 @@ def test_a_group_that_raises_runs_its_tasks_one_by_one(monkeypatch, supernpu_con
 
     tasks = [SimTask(supernpu_config, tiny_network, b) for b in (1, 2, 3)]
     expected = [JobRunner().run([task])[0] for task in tasks]
+    solos = []
+    simulate = jobs.simulate
+
+    def alone(config, network, **kwargs):
+        solos.append(kwargs.get("charges"))
+        return simulate(config, network, **kwargs)
+
     monkeypatch.setattr(jobs, "charge_designs", broken)
+    monkeypatch.setattr(jobs, "simulate", alone)
     runner = JobRunner()
-    assert runner.run(tasks) == expected
+    ran = runner.run(tasks)
+    assert solos == [None] * 3  # each task charged by its own simulate() call
+    assert ran == expected
     assert runner.stats.retries == 0  # a group failure is no task's failure
 
 
