@@ -26,6 +26,7 @@ from repro.core.plan import (
     ExperimentPlan,
     Grid,
     PlanResult,
+    PlanResults,
     ResultSet,
     batch_axis,
     config_axis,
@@ -180,8 +181,10 @@ def _random_resultset(rng):
         results.append(PlanResult(plan="synthetic", plan_hash="0" * 64, grid=grid,
                                   coords=coords, key=str(len(results)), cached=False,
                                   run=run))
-    return ResultSet(SimpleNamespace(name="synthetic"), "0" * 64, results,
-                     points_cached=0, points_executed=len(results))
+    return ResultSet(SimpleNamespace(name="synthetic"), "0" * 64, PlanResults(
+        len(results), results.__getitem__,
+        lambda position, metric: getattr(results[position].run, metric)),
+        points_cached=0, points_executed=len(results))
 
 
 @pytest.mark.parametrize("seed", range(20))
