@@ -207,12 +207,12 @@ def corrupt_cache_entry(cache: "ResultCache", key: str,
     """Damage one cache record; returns the segment it sits in.
 
     ``"truncate"`` (the second half of the entry zeroed, as a torn
-    write leaves it) and ``"garbage"`` (not JSON at all) overwrite the
-    record's bytes in place, so its sha256 no longer checks out.
-    ``"wrong_schema"`` (valid JSON, wrong schema version) and
-    ``"poisoned_payload"`` (passes the schema check but cannot be
+    write leaves it) and ``"garbage"`` (not a record at all) overwrite
+    the record's bytes in place, so its sha256 no longer checks out.
+    ``"wrong_schema"`` (the same record in entry format -1) and
+    ``"poisoned_payload"`` (passes the format check but cannot be
     materialized into a result) append a superseding record whose
-    sha256 is valid.
+    sha256 is valid, through ``document()`` / ``put_document()``.
     """
     if mode not in CORRUPTION_MODES:
         raise ConfigError(

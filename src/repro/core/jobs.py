@@ -26,14 +26,14 @@ module turns that fan-out into an explicit job layer:
   so the cache is also the resume record: a killed sweep's finished
   tasks are hits on the next run.
 
-The payload codec runs only at a boundary.  A cache hit is decoded once;
-a pool worker ships its result as a payload, decoded once in the parent;
-a serial miss keeps the simulator's own result in memory and is encoded
-only to be written to the cache.  The codec round-trips every field
-exactly and activity materializes in sorted-unit order on every path,
-so serial, parallel, warm-cache, and failure-recovered runs are
-bitwise-identical (proven by ``tests/test_resilience.py`` under injected
-crashes, hangs, SIGKILLs, and corrupted cache entries).
+The payload codec runs only at a boundary.  A cache hit is decoded once
+from its record's bytes; a pool worker ships the same bytes, decoded once
+in the parent and written as they are; a serial miss keeps the simulator's
+own result and is encoded only to be written to the cache.  The codec
+round-trips every field exactly and activity materializes in sorted-unit
+order on every path, so serial, parallel, warm-cache, and failure-recovered
+runs are bitwise-identical (proven by ``tests/test_resilience.py`` under
+injected crashes, hangs, SIGKILLs, and corrupted cache entries).
 
 In-process runs charge the pending SFQ tasks that share a network
 together, one (designs x layers) array pass per group
@@ -74,6 +74,7 @@ import hashlib
 import json
 import os
 import shutil
+import struct
 import threading
 import time
 import weakref
@@ -82,6 +83,8 @@ from concurrent.futures import FIRST_COMPLETED, BrokenExecutor, Future, ProcessP
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field
+from functools import lru_cache
+from itertools import accumulate
 from pathlib import Path
 from typing import Any, Callable, Deque, Dict, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
@@ -114,12 +117,12 @@ from repro.workloads.models import Network
 #: wrong.  It hashes into every key (and so into plan hashes).
 CACHE_SCHEMA_VERSION = 1
 
-#: Bump whenever the on-disk entry layout changes (3: a simulate entry's
-#: layer charges as one int64 block after its JSON header): keys stay the
-#: same, and an entry written in another layout is quarantined as
-#: ``wrong-schema`` on first read, costing one miss.  Written as each
-#: entry document's ``"schema"``.
-CACHE_FORMAT_VERSION = 3
+#: Bump whenever the on-disk entry layout changes (4: a simulate entry is
+#: a fixed binary layout, no JSON): keys stay the same, and an entry
+#: written in another layout is quarantined as ``wrong-schema`` on first
+#: read, costing one miss.  Written as a simulate record's header format
+#: and as each JSON entry document's ``"schema"``.
+CACHE_FORMAT_VERSION = 4
 
 #: Subdirectory of a cache root where damaged entries are parked.
 QUARANTINE_DIR = "quarantine"
@@ -277,18 +280,39 @@ def estimate_key(config: NPUConfig, library: CellLibrary) -> str:
 
 # -- payload codecs --------------------------------------------------------
 #
-# These codecs round-trip the result records exactly (Python's json
-# preserves ints and floats bit-exactly, and the layer charges travel as
-# int64), which is what makes warm-cache runs bitwise-identical to cold
-# ones.  A simulate payload is JSON-able but for its "block": the layer
-# charges, one little-endian int64 row per BLOCK_FIELDS field with an
-# entry per layer, which the cache writes after the JSON header.
+# These codecs round-trip the result records exactly (float64s, int64s,
+# and Python's json preserves an estimate's ints and floats), which is what
+# makes warm-cache runs bitwise-identical to cold ones.  A simulate result
+# is a format-4 record, decoded with no JSON: the _HEAD header, the kind,
+# design and network names, the sorted activity units comma-joined, their
+# float64 values, the layer names NUL-joined, then the int64 charges, one
+# row per BLOCK_FIELDS field (docs/ROBUSTNESS.md draws the layout).
 
-#: The layer fields a simulate payload's block holds, in block order.
+#: The layer fields a simulate record's block holds, in block order.
 BLOCK_FIELDS = list(LAYER_FIELDS[1:])
 
+#: The header: magic (no JSON text starts with it), format, batch,
+#: frequency_ghz, created_unix, the five texts' byte lengths, the unit and
+#: layer counts; and the block's entries, little-endian int64s.
+_HEAD, _MAGIC, _INT64 = struct.Struct("<4siqddIIIIIII"), b"\x93NPU", np.dtype("<i8")
 
-def result_to_dict(run: SimulationResult) -> Dict[str, Any]:
+
+def _record(schema: int, kind: str, created_unix: float, design: str, network: str,
+            batch: int, frequency_ghz: float, activity: Dict[str, float],
+            names: Sequence[str], block: bytes) -> bytes:
+    """A format-4 record body, its header's format ``schema``."""
+    units = sorted(activity)
+    texts = [text.encode("utf-8") for text in
+             (kind, design, network, ",".join(units), "\0".join(names))]
+    return b"".join((
+        _HEAD.pack(_MAGIC, schema, batch, frequency_ghz, created_unix, *map(len, texts),
+                   len(units), len(names)),
+        *texts[:4], np.array([activity[unit] for unit in units], "<f8").tobytes(),
+        texts[4], block))
+
+
+def result_to_dict(run: SimulationResult, kind: str = "simulate") -> bytes:
+    """``run`` as the body of a ``kind`` cache record created now."""
     state = vars(run)
     if "_charges" in state:  # a charge-pass or decoded run: its block as it is
         names, charges = state["_names"], state["_charges"]
@@ -296,33 +320,44 @@ def result_to_dict(run: SimulationResult) -> Dict[str, Any]:
         columns = run.columns
         names = columns["name"]
         charges = np.array([columns[name] for name in BLOCK_FIELDS], dtype=np.int64)
-    return {
-        "design": run.design,
-        "network": run.network,
-        "batch": run.batch,
-        "frequency_ghz": run.frequency_ghz,
-        "activity": dict(run.activity.effective_cycles),
-        "names": list(names),
-        "fields": BLOCK_FIELDS,
-        "block": charges.astype("<i8", copy=False).tobytes(),
-    }
+    return _record(CACHE_FORMAT_VERSION, kind, time.time(), run.design, run.network,
+                   run.batch, run.frequency_ghz, run.activity.effective_cycles, names,
+                   charges.astype("<i8", copy=False).tobytes())
 
 
-def result_from_dict(data: Dict[str, Any]) -> SimulationResult:
-    names = data["names"]
-    charges = np.frombuffer(data["block"], "<i8").reshape(len(BLOCK_FIELDS), len(names))
+def result_from_dict(record: bytes) -> SimulationResult:
+    """The result in a format-4 record body (a hit's or a pool worker's)."""
+    (_, _, batch, frequency_ghz, _, kind_bytes, design_bytes, network_bytes, units_bytes,
+     names_bytes, units, layers) = _HEAD.unpack_from(record)
+    network_at = (design_at := _HEAD.size + kind_bytes) + design_bytes
+    values_at = (units_at := network_at + network_bytes) + units_bytes
+    block_at = (names_at := values_at + 8 * units) + names_bytes
+    count = len(BLOCK_FIELDS) * layers
+    unit_names = _split(record[units_at:values_at], ",")
+    layer_names = _split(record[names_at:block_at], "\0") if layers else ()
+    if (len(unit_names), len(layer_names), block_at + 8 * count) != (units, layers, len(record)):
+        raise ValueError("record sections do not match its header")
+    charges = np.ndarray((len(BLOCK_FIELDS), layers), _INT64, record, block_at)
     # Negative values view as uint64s past the limit: one reduction bounds
     # both ends, and below the limit the int64 totals cannot wrap.
-    if charges.view(np.uint64).max() >= EXACT_LIMIT:
+    if np.maximum.reduce(charges.view(np.uint64), axis=None) >= EXACT_LIMIT:
         raise ValueError("layer charges outside [0, 2**53)")
-    # Activity materializes in sorted-unit order, as the simulator emits
-    # it, no matter how the payload was ordered: power sums fold floats in
-    # iteration order, so a cache hit and a fresh run must agree on it.
-    activity = data["activity"]
     return SimulationResult.from_charges(
-        data["design"], data["network"], data["batch"], data["frequency_ghz"],
-        names, charges, column_totals(charges),
-        ActivityTrace(effective_cycles={unit: activity[unit] for unit in sorted(activity)}))
+        record[design_at:network_at].decode("utf-8"),
+        record[network_at:units_at].decode("utf-8"), batch, frequency_ghz,
+        layer_names, charges, column_totals(charges), ActivityTrace(dict(
+            zip(unit_names, struct.unpack_from(f"<{units}d", record, values_at)))))
+
+
+@lru_cache(maxsize=UNIT_MEMO_SIZE)
+def _split(field: bytes, separator: str) -> Tuple[str, ...]:
+    """A record's unit list or layer names, split once per distinct field.
+    Activity materializes in sorted-unit order, as the simulator emits it
+    (power sums fold floats in iteration order): other orders are refused."""
+    names = tuple(field.decode("utf-8").split(separator)) if field else ()
+    if separator == "," and list(names) != sorted(set(names)):
+        raise ValueError("activity units out of sorted order")
+    return names
 
 
 def estimate_to_dict(estimate: NPUEstimate) -> Dict[str, Any]:
@@ -396,9 +431,6 @@ _HEADER_MAX = 256
 #: Bytes a segment scan reads at a time; the scan keeps no more than this.
 _SCAN_CHUNK = 1 << 16
 
-#: JSON separators of a record body: no spaces to write, read and store.
-_COMPACT = (",", ":")
-
 #: Most segment descriptors one cache handle keeps open.
 _MAX_FDS = 32
 
@@ -461,23 +493,39 @@ def _close_fds(fds: Dict[str, int]) -> None:
     fds.clear()
 
 
+def _record_document(key: str, record: Any) -> Optional[Dict[str, Any]]:
+    """The entry document of a record :meth:`ResultCache._read` returned
+    (see :meth:`ResultCache.document`)."""
+    if type(record) is not bytes:
+        return record
+    head = _HEAD.unpack_from(record)
+    at = list(accumulate((*head[5:9], 8 * head[10], head[9]), initial=_HEAD.size))
+    kind, design, network, units, _, names = (  # _: the activity values
+        record[start:stop].decode("utf-8", "replace") for start, stop in zip(at, at[1:]))
+    return {"schema": head[1], "kind": kind, "key": key, "created_unix": head[4], "payload": {
+        "design": design, "network": network, "batch": head[2], "frequency_ghz": head[3],
+        "activity": dict(zip(units.split(",") if units else (),
+                             struct.unpack_from(f"<{head[10]}d", record, at[4]))),
+        "names": names.split("\0") if head[11] else [], "block": record[at[-1]:]}}
+
+
 class ResultCache:
     """Content-addressed store of simulation / estimation payloads.
 
     Entries live in append-only segment files, ``root/segments/<pid>-
     <token>.seg``: each handle opens one on its first put and appends
     every entry to it as one framed record, a header line ``<key>
-    <length> <sha256>\\n``, the entry body, then ``\\n``.  The body is the
-    entry document as sorted-key JSON, but a simulate entry's int64 layer
-    block (:data:`BLOCK_FIELDS`) follows that JSON after a ``\\n``.  No
+    <length> <sha256>\\n``, the entry body, then ``\\n``.  A simulate
+    entry's body is its format-4 record (:func:`result_to_dict`), any
+    other's the entry document as sorted-key JSON.  No
     index is stored: opening a cache scans the segments' headers into an
     in-memory index, and a miss rescans the segments of live writers for
     records written since.
 
-    A record whose sha256, JSON or block length (``8 x fields x
-    layers``) does not check out is ``corrupt``; one in another entry
-    format (:data:`CACHE_FORMAT_VERSION`, block fields) is
-    ``wrong-schema``.  Either record's raw body is copied to
+    A record whose sha256, JSON or section lengths (the header's lengths
+    and counts, the block ``8 x fields x layers`` bytes) do not check out
+    is ``corrupt``; one in another entry format (:data:`CACHE_FORMAT_VERSION`)
+    is ``wrong-schema``.  Either record's raw body is copied to
     ``root/quarantine/<reason>-<key>.entry`` the first time it is read,
     and a tombstone line ``- <key> <segment> <offset>\\n``, appended to
     the reader's own segment, keeps every later scan from indexing it
@@ -609,7 +657,8 @@ class ResultCache:
 
     # -- entries -------------------------------------------------------
     def _read(self, key: str) -> Tuple[Any, str]:
-        """``(document, "")`` for a record that checks out, ``(None,
+        """``(record, "")`` for a record that checks out, a simulate record
+        as its format-4 body and any other as its JSON document; ``(None,
         reason)`` for a damaged one, ``(None, "")`` on a miss."""
         with self._lock:
             entry = self._index.get(key)
@@ -628,46 +677,45 @@ class ResultCache:
                 return None, "unreadable"
         if len(raw) != length or hashlib.sha256(raw).digest() != sha:
             return None, "corrupt"
-        cut = raw.find(b"\n")  # a JSON text has none
+        if raw[:4] == _MAGIC and length >= _HEAD.size:  # shorter: not UTF-8, corrupt
+            head = _HEAD.unpack_from(raw)
+            if head[1] != CACHE_FORMAT_VERSION:
+                return None, "wrong-schema"
+            size = sum(head[5:10]) + 8 * (head[10] + len(BLOCK_FIELDS) * head[11])
+            return (raw, "") if _HEAD.size + size == length else (None, "corrupt")
+        text, _, block = raw.partition(b"\n")  # a JSON text has no newline
         try:  # json.loads(bytes) would first guess their encoding
-            document = json.loads((raw if cut < 0 else raw[:cut]).decode("utf-8"))
+            document = json.loads(text.decode("utf-8"))
         except ValueError:  # not UTF-8, or not JSON
             return None, "corrupt"
-        if not isinstance(document, dict):
+        if not isinstance(document, dict) or block:  # block: format 3's JSON header
             return None, "wrong-schema"
-        if cut >= 0:  # a JSON header, then the block it frames
-            payload = document.get("payload")
-            try:
-                framed = len(raw) - cut - 1 == 8 * len(payload["fields"]) * len(payload["names"])
-            except (KeyError, TypeError):
-                framed = False
-            if not framed:
-                return None, "corrupt"
-            payload["block"] = raw[cut + 1:]
         return document, ""
 
-    def get(self, key: str) -> Optional[Dict[str, Any]]:
-        """The stored payload, or None on miss (quarantining bad entries)."""
-        document, reason = self._read(key)
-        if document is None:
-            if reason:
-                self.quarantine(key, reason=reason)
-            return None
-        payload = document.get("payload")
-        if (document.get("schema") != CACHE_FORMAT_VERSION or not isinstance(payload, dict)
-                or payload.get("fields", BLOCK_FIELDS) != BLOCK_FIELDS):
-            self.quarantine(key, reason="wrong-schema")
-            return None
-        return payload
+    def get(self, key: str) -> Any:
+        """The stored payload, a simulate record as its format-4 body
+        (bytes), or None on a miss (quarantining bad entries)."""
+        record, reason = self._read(key)
+        if type(record) is dict:
+            payload = record.get("payload")
+            if record.get("schema") == CACHE_FORMAT_VERSION and isinstance(payload, dict):
+                return payload
+            record, reason = None, "wrong-schema"
+        if reason:
+            self.quarantine(key, reason=reason)
+        return record
 
     def document(self, key: str) -> Optional[Dict[str, Any]]:
-        """The whole entry document at ``key``, a block in its payload's
-        ``"block"``, if its record checks out (sha256, JSON object, block
-        length), else None; never quarantines."""
-        return self._read(key)[0]
+        """The entry document at ``key`` if its record checks out, else
+        None; never quarantines.  A format-4 record's holds its header's
+        ``schema``, ``kind`` and ``created_unix`` and a payload of the rest
+        (its block as bytes), which :meth:`put_document` writes back."""
+        return _record_document(key, self._read(key)[0])
 
-    def put(self, key: str, payload: Dict[str, Any], kind: str = "simulate") -> None:
-        self.put_document(key, {
+    def put(self, key: str, payload: Any, kind: str = "simulate") -> None:
+        """Append ``payload``, a record body (:func:`result_to_dict`) or a
+        JSON-able ``kind`` payload, as the record for ``key``."""
+        self.put_document(key, payload if type(payload) is bytes else {
             "schema": CACHE_FORMAT_VERSION,
             "kind": kind,
             "key": key,
@@ -676,19 +724,17 @@ class ResultCache:
         })
 
     def put_document(self, key: str, document: Any) -> None:
-        """Append ``document`` as the record for ``key``: its sorted-key
-        JSON, or, when its payload holds a ``"block"``, the JSON without
-        it, ``\\n`` and the block.  A record it supersedes gets a tombstone
-        in the same write."""
+        """Append ``document`` as the record for ``key``: bytes as they are,
+        a payload with a ``"block"`` as a format-4 record, else sorted-key
+        JSON.  A record it supersedes gets a tombstone in the same write."""
         payload = document.get("payload") if isinstance(document, dict) else None
-        block = payload.get("block") if isinstance(payload, dict) else None
-        if block is None:
-            raw = json.dumps(document, sort_keys=True, separators=_COMPACT).encode("utf-8")
+        if type(document) is bytes:
+            raw = document
+        elif isinstance(payload, dict) and "block" in payload:
+            raw = _record(document["schema"], document["kind"], document["created_unix"],
+                          **payload)
         else:
-            header = {**document, "payload": {name: value for name, value in payload.items()
-                                               if name != "block"}}
-            raw = (json.dumps(header, sort_keys=True, separators=_COMPACT).encode("utf-8")
-                   + b"\n" + block)
+            raw = json.dumps(document, sort_keys=True, separators=(",", ":")).encode("utf-8")
         sha = hashlib.sha256(raw)
         header = f"{key} {len(raw)} {sha.hexdigest()}\n".encode("ascii")
         with self._lock:
@@ -771,9 +817,10 @@ class ResultCache:
         total_bytes = 0
         for key in self.keys():
             entry = self._index.get(key)
-            document, reason = self._read(key)
-            if entry is None or (document is None and not reason):
+            record, reason = self._read(key)
+            if entry is None or (record is None and not reason):
                 continue  # cleared away since the listing
+            document = _record_document(key, record)
             kind = "corrupt" if document is None else str(document.get("kind", "?"))
             by_kind[kind] = by_kind.get(kind, 0) + 1
             total_bytes += entry[2]
@@ -925,10 +972,10 @@ def _execute_task(task: SimTask,
 def _execute_remote(task: SimTask,
                     chaos: Optional[ChaosInjector] = None,
                     obs_spec: Optional[WorkerObsSpec] = None,
-                    ) -> Tuple[Dict[str, Any], float, Optional[Dict[str, Any]]]:
-    """The unit submitted to pool workers: ``(payload, seconds,
-    telemetry)``, the result crossing the process boundary as its
-    serialized payload.
+                    ) -> Tuple[bytes, float, Optional[Dict[str, Any]]]:
+    """The unit submitted to pool workers: ``(record, seconds,
+    telemetry)``, the result crossing the process boundary as the body of
+    its cache record (:func:`result_to_dict`).
 
     ``telemetry`` is None when ``obs_spec`` is.  Otherwise the task runs
     under a private obs session, reset before and after, so the telemetry
@@ -939,7 +986,7 @@ def _execute_remote(task: SimTask,
     """
     if obs_spec is None:
         run, seconds = _execute_task(task, chaos)
-        return result_to_dict(run), seconds, None
+        return result_to_dict(run, task.kind), seconds, None
     from repro.obs.hotspot import HotspotProfiler
     from repro.obs.tracing import serialize_spans
 
@@ -961,7 +1008,7 @@ def _execute_remote(task: SimTask,
             profiler.stop()
         obs.disable()
         obs.reset()
-    return result_to_dict(run), seconds, {
+    return result_to_dict(run, task.kind), seconds, {
         "pid": os.getpid(),
         "counters": counters,
         "spans": spans,
@@ -1135,7 +1182,7 @@ class JobRunner:
         return self.run([task])[0]
 
     # -- cache interaction --------------------------------------------
-    def _cached(self, key: str, decode: Callable[[Dict[str, Any]], Any]) -> Any:
+    def _cached(self, key: str, decode: Callable[[Any], Any]) -> Any:
         """The entry at ``key`` decoded once by ``decode`` (a result or an
         estimate), or None on a miss or a payload it cannot decode, which
         is quarantined as poison.  Only called on a runner with a cache."""
@@ -1145,23 +1192,22 @@ class JobRunner:
         try:
             return decode(payload)
         except Exception:
-            # Well-formed JSON, wrong shape: poison, not a result.
+            # A record that checks out but does not decode: poison.
             self.cache.quarantine(key, reason="poisoned-payload")
             return None
 
     def _finish_task(self, index: int, task: SimTask, result: Any, results: List[Any],
-                     payload: Optional[Dict[str, Any]] = None) -> None:
+                     record: Optional[bytes] = None) -> None:
         """Record one completed task: result slot, cache.
 
-        ``payload`` is the serialized result when it already exists (a
-        pool worker shipped it); otherwise it is encoded here, and only
-        when there is a cache to write it to.
+        ``record`` is the encoded result when it already exists (a pool
+        worker shipped it); otherwise it is encoded here, and only when
+        there is a cache to write it to.
         """
         results[index] = result
         if self.cache is not None:
             self.cache.put(_task_key(task),
-                           payload if payload is not None else result_to_dict(result),
-                           kind=task.kind)
+                           record if record is not None else result_to_dict(result, task.kind))
 
     # -- serial execution (also the degraded path) --------------------
     def _run_serial(self, tasks: Sequence[SimTask], results: List[Any],
@@ -1255,7 +1301,7 @@ class JobRunner:
                 for future in done:
                     index, failures, _ = inflight.pop(future)
                     try:
-                        payload, seconds, telemetry = future.result()
+                        record, seconds, telemetry = future.result()
                     except BrokenExecutor:
                         # The pool died under this task (SIGKILLed worker,
                         # OOM-killed child, ...).  The task is stranded, not
@@ -1271,8 +1317,8 @@ class JobRunner:
                         queue.append((index, failures))
                     else:
                         total_seconds += seconds
-                        self._finish_task(index, tasks[index], result_from_dict(payload),
-                                          results, payload=payload)
+                        self._finish_task(index, tasks[index], result_from_dict(record),
+                                          results, record=record)
                         if telemetry is not None:
                             _fold_telemetry(telemetry, worker_pids)
                         self._emit("finished", tasks[index])

@@ -180,7 +180,7 @@ class AxisSpec:
         """Canonical JSON of :meth:`value_signature`, spliced from the
         configs', networks' and libraries' kept texts."""
         if self.kind == "config":
-            cmos = canonical_json(not isinstance(value, NPUConfig))
+            cmos = "false" if isinstance(value, NPUConfig) else "true"
             return f'{{"cmos":{cmos},"fields":{config_text(value)}}}'
         if self.kind == "workload":
             return workload_text(value)

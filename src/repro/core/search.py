@@ -19,7 +19,7 @@ from typing import List, Optional, Sequence
 from repro import obs
 from repro.core.designs import buffer_opt
 from repro.core.jobs import get_runner
-from repro.core.optimizer import resource_config
+from repro.core.optimizer import balanced_buffer_bytes, resource_config
 from repro.core.plan import (
     ExperimentPlan,
     Grid,
@@ -108,8 +108,9 @@ def search_plan(
     _check_axes(widths, divisions, registers)
     library = library or library_for(Technology.RSFQ)
     workloads = workloads if workloads is not None else all_workloads()
-    # The divisions of one width and register count share their base.
-    bases = {(width, regs): resource_config(width, registers=regs, library=library)
+    # One buffer capacity per width, one base per width and register count.
+    capacity = {width: balanced_buffer_bytes(width, library) for width in widths}
+    bases = {(width, regs): resource_config(width, capacity[width], regs, library)
              for width in widths for regs in registers}
     configs = tuple(
         _candidate_config(bases[width, regs], width, division, regs)

@@ -246,7 +246,7 @@ def column_totals(block: np.ndarray) -> list:
     longer table sums its columns as Python ints instead.
     """
     if block.shape[-1] * EXACT_LIMIT < 2 ** 63:
-        return block.sum(axis=-1).tolist()
+        return np.add.reduce(block, axis=-1).tolist()  # ndarray.sum adds a Python call
     return block.astype(object).sum(axis=-1).tolist()
 
 

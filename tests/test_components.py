@@ -44,7 +44,7 @@ from repro.simulator.engine import simulate
 from repro.simulator.memory import MemoryModel, memory_model_for
 from repro.uarch.config import NPUConfig
 from repro.workloads.models import resnet50
-from tests.payloads import columns_document
+from tests.payloads import columns_document, unstamped
 
 
 # -- the registry -----------------------------------------------------------
@@ -231,6 +231,32 @@ def test_golden_search_plan_keys_and_ranking_unchanged():
         for c in search()) == GOLDEN_SEARCH_RANKING
 
 
+def test_search_plan_balances_buffers_once_per_width(monkeypatch):
+    import importlib
+
+    from repro.core import optimizer
+
+    search_module = importlib.import_module("repro.core.search")
+
+    calls = []
+    balanced = optimizer.balanced_buffer_bytes
+
+    def counted(width, *args, **kwargs):
+        calls.append(width)
+        return balanced(width, *args, **kwargs)
+
+    for module in (optimizer, search_module):
+        monkeypatch.setattr(module, "balanced_buffer_bytes", counted)
+    plan = search_plan()
+    # Once per width of the default grid, not once per width x registers.
+    assert sorted(calls) == sorted(search_module.DEFAULT_WIDTHS)
+    assert plan.plan_hash() == GOLDEN_SEARCH_PLAN_HASH
+    library = rsfq_library()
+    assert _lines_digest(plan.lower().task_keys() + [
+        estimate_key(config, library) for config in plan.grids[0].axes[0].values
+    ]) == GOLDEN_SEARCH_KEYS
+
+
 #: Every registered plan, in registry order: a ``name plan_hash points``
 #: line, its points' keys (``lower().task_keys()``), then its estimate
 #: points' keys as ``estimate_key`` computes them, one per line.
@@ -383,4 +409,4 @@ def test_technology_sweep_distinct_cached_reproducible(tmp_path):
     cycles = {r.coord("config"): r.run.total_cycles for r in cold}
     assert len(set(cycles.values())) > 1  # technologies actually differ
     for cold_r, warm_r in zip(cold, warm):
-        assert result_to_dict(cold_r.run) == result_to_dict(warm_r.run)
+        assert unstamped(result_to_dict(cold_r.run)) == unstamped(result_to_dict(warm_r.run))

@@ -118,17 +118,25 @@ def test_cache_miss_then_hit(tmp_path):
     assert cache.get("ab" * 32) == {"x": 1}
 
 
-def test_cache_ignores_other_schema_versions(tmp_path):
-    # A document's "schema" is the entry format, not the key schema: any
-    # other format (the older row layout, a newer one) is a miss.
+def test_cache_ignores_other_schema_versions(tmp_path, supernpu_config, tiny_network, rsfq):
+    # A record's format (a simulate record's header field, a JSON
+    # document's "schema") is the entry format, not the key schema: any
+    # other format (an older layout, a newer one) is a miss.
+    from repro.estimator.arch_level import estimate_npu
+
     cache = ResultCache(tmp_path / "c")
     key = "cd" * 32
-    for forged in (CACHE_FORMAT_VERSION - 1, CACHE_FORMAT_VERSION + 1):
-        cache.put(key, {"x": 1})
-        document = cache.document(key)
-        document["schema"] = forged
-        cache.put_document(key, document)
-        assert cache.get(key) is None
+    record = result_to_dict(simulate(supernpu_config, tiny_network, batch=2,
+                                     estimate=estimate_npu(supernpu_config, rsfq)))
+    for payload in ({"x": 1}, record):
+        for forged in (CACHE_FORMAT_VERSION - 1, CACHE_FORMAT_VERSION + 1):
+            cache.put(key, payload)
+            document = cache.document(key)
+            document["schema"] = forged
+            cache.put_document(key, document)
+            assert cache.get(key) is None
+            assert sorted(path.name for path in (cache.root / "quarantine").iterdir()) == [
+                f"wrong-schema-{key}.entry"]
 
 
 def test_cache_quarantines_corrupt_entries(tmp_path):
@@ -173,12 +181,13 @@ def test_cache_stats_count_damaged_records_as_corrupt(tmp_path):
     cache = ResultCache(tmp_path / "c")
     cache.put("11" * 32, {"a": 1}, kind="simulate")
     cache.put_document("22" * 32, [1, 2])  # valid JSON, not an object
+    cache.put("55" * 32, b"\x93NPU" + bytes(8))  # a format-4 magic, cut short of its header
     for key, mode in (("33" * 32, "truncate"), ("44" * 32, "garbage")):
         cache.put(key, {"c": 3}, kind="estimate")
         corrupt_cache_entry(cache, key, mode)  # torn, and sha-mismatched
     stats = cache.stats()
-    assert stats.by_kind == {"simulate": 1, "corrupt": 3}
-    assert stats.entries == 4 and stats.quarantined == 0
+    assert stats.by_kind == {"simulate": 1, "corrupt": 4}
+    assert stats.entries == 5 and stats.quarantined == 0
 
 
 def _torn_segment(tmp_path, pid):

@@ -15,6 +15,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from repro import api
 from repro.core.chaos import (
@@ -26,11 +28,13 @@ from repro.core.chaos import (
     corrupt_cache_entry,
 )
 from repro.core.jobs import (
+    BLOCK_FIELDS,
     JobRunner,
     ResultCache,
     SimTask,
     estimate_key,
     result_from_dict,
+    result_to_dict,
     session,
 )
 from repro.core.resilience import NO_RETRY, RetryPolicy
@@ -45,7 +49,13 @@ from repro.errors import (
     WorkloadError,
 )
 from repro.simulator.kernel import EXACT_LIMIT
-from tests.payloads import columns_document
+from tests.payloads import (
+    LENGTH_FIELDS,
+    RECORD_HEAD,
+    columns_document,
+    pack_record,
+    unpack_record,
+)
 
 #: A retry policy that never sleeps, so chaos tests stay fast.
 FAST_RETRY = RetryPolicy(max_retries=3, base_delay_s=0.0, jitter=0.0)
@@ -417,8 +427,10 @@ def test_corrupt_cache_entry_is_quarantined_and_reexecuted(
            else estimate_key(config, library_for(Technology.RSFQ)))
     before = _body(cache, key)
     corrupt_cache_entry(cache, key, mode)
-    if mode == "wrong_schema":  # the forged record keeps the block it read
-        assert _body(cache, key).partition(b"\n")[2] == before.partition(b"\n")[2] != b""
+    if mode == "wrong_schema":  # the forged record keeps every byte but its format
+        forged = _body(cache, key)
+        assert forged[:4] == before[:4] and forged[8:] == before[8:]
+        assert RECORD_HEAD.unpack_from(forged)[1] == -1
 
     runner = JobRunner(jobs=1, cache=cache)
     assert runner.run(tasks) == clean
@@ -455,12 +467,14 @@ def _body(cache, key):
 _FORGED = {"str": b"00000001", "none": (-1).to_bytes(8, "little", signed=True),
            "float": struct.pack("<d", 1.5), "limit": EXACT_LIMIT.to_bytes(8, "little")}
 
-#: How each damage to a simulate record is quarantined.
+#: How each damage to a simulate record is quarantined.  Format 4 names
+#: no block fields (its format fixes them), so a block with a row too few
+#: or too many is short or long of ``8 x fields x layers``.
 _DAMAGES = {
     "ragged": "corrupt",  # the block one entry short of 8 x fields x layers
-    "missing": "wrong-schema",  # no macs row, in the header and the block
-    "extra": "wrong-schema",  # a bogus row after the others
-    "reordered": "wrong-schema",  # the first two rows swapped, header and block
+    "missing": "corrupt",  # no macs row
+    "extra": "corrupt",  # a bogus row after the others
+    "reordered": "poisoned-payload",  # the activity units out of sorted order
     **{forged: "poisoned-payload" for forged in _FORGED},
 }
 
@@ -471,25 +485,27 @@ def test_malformed_layer_columns_are_poison(tmp_path, tasks, clean, damage):
     cache = ResultCache(tmp_path / "cache")
     JobRunner(cache=cache).run(tasks)
     key = tasks[0].key()
-    document = cache.document(key)
-    payload = document["payload"]
-    fields = payload["fields"]
-    rows = np.frombuffer(payload["block"], "<i8").reshape(len(fields), -1).copy()
-    if damage == "ragged":
-        rows = rows.ravel()[:-1]
-    elif damage == "missing":
-        rows = rows[:-1]
-        fields = fields[:-1]
-    elif damage == "extra":
-        rows = np.vstack([rows, rows[-1:]])
-        fields = [*fields, "bogus"]
-    elif damage == "reordered":
-        rows = rows[[1, 0, *range(2, len(fields))]]
-        fields = [fields[1], fields[0], *fields[2:]]
+    if damage == "reordered":  # units and their values reversed, lengths kept
+        head, sections = unpack_record(_body(cache, key))
+        values = sections["activity"]
+        sections["units"] = b",".join(reversed(sections["units"].split(b",")))
+        sections["activity"] = b"".join(
+            values[at:at + 8] for at in reversed(range(0, len(values), 8)))
+        cache.put(key, pack_record(head, sections))
     else:
-        rows[fields.index("total_cycles")] = np.frombuffer(_FORGED[damage], "<i8")[0]
-    payload["fields"], payload["block"] = fields, rows.tobytes()
-    cache.put_document(key, document)
+        document = cache.document(key)
+        payload = document["payload"]
+        rows = np.frombuffer(payload["block"], "<i8").reshape(len(BLOCK_FIELDS), -1).copy()
+        if damage == "ragged":
+            rows = rows.ravel()[:-1]
+        elif damage == "missing":
+            rows = rows[:-1]
+        elif damage == "extra":
+            rows = np.vstack([rows, rows[-1:]])
+        else:
+            rows[BLOCK_FIELDS.index("total_cycles")] = np.frombuffer(_FORGED[damage], "<i8")[0]
+        payload["block"] = rows.tobytes()
+        cache.put_document(key, document)
 
     runner = JobRunner(cache=cache)
     assert _bits(runner.run(tasks)) == _bits(clean)
@@ -499,18 +515,25 @@ def test_malformed_layer_columns_are_poison(tmp_path, tasks, clean, damage):
 
 
 def _to_older_format(cache, key, schema):
-    """Rewrite one entry as entry format ``schema`` (1 or 2) stored it: all
-    JSON, a simulate entry's layers as lists, one per field (2) or one
-    dict per layer (1)."""
-    document = cache.document(key)
-    if "block" in document["payload"]:
-        payload = columns_document(result_from_dict(document["payload"]))
+    """Rewrite one entry as entry format ``schema`` (1, 2 or 3) stored it:
+    a JSON document, a simulate entry's layers as one int64 block after
+    its compact sorted-key JSON header and ``\\n`` (3), as lists, one per
+    field (2), or one dict per layer (1)."""
+    document = {**cache.document(key), "schema": schema}
+    payload = document["payload"]
+    if "block" not in payload:  # an estimate
+        cache.put_document(key, document)
+    elif schema == 3:
+        header = {**document, "payload": {**payload, "fields": BLOCK_FIELDS}}
+        del header["payload"]["block"]
+        cache.put(key, json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+                  + b"\n" + payload["block"])
+    else:
+        payload = columns_document(result_from_dict(_body(cache, key)))
         if schema == 1:
             columns = payload["layers"]
             payload["layers"] = [dict(zip(columns, row)) for row in zip(*columns.values())]
-        document["payload"] = payload
-    document["schema"] = schema
-    cache.put_document(key, document)
+        cache.put_document(key, {**document, "payload": payload})
 
 
 def _older_entries_cost_one_miss_each(tmp_path, tasks, clean, schema):
@@ -522,7 +545,9 @@ def _older_entries_cost_one_miss_each(tmp_path, tasks, clean, schema):
     keys = [task.key() for task in tasks] + [estimate_key(config, library_for(Technology.RSFQ))]
     for key in keys:
         _to_older_format(cache, key, schema)
-        assert b"\n" not in _body(cache, key)  # one JSON text, no block
+        body = _body(cache, key)
+        assert body[:1] == b"{"  # a JSON text, not a format-4 record
+        assert (b"\n" in body) == (schema == 3 and key != keys[-1])  # a block after it
 
     first = JobRunner(cache=cache)
     assert _bits(first.run(tasks)) == _bits(clean)
@@ -543,6 +568,55 @@ def test_row_layout_entries_cost_one_miss_each(tmp_path, tasks, clean):
 
 def test_format2_list_column_entries_cost_one_miss_each(tmp_path, tasks, clean):
     _older_entries_cost_one_miss_each(tmp_path, tasks, clean, schema=2)
+
+
+def test_format3_json_header_entries_cost_one_miss_each(tmp_path, tasks, clean):
+    _older_entries_cost_one_miss_each(tmp_path, tasks, clean, schema=3)
+
+
+#: Damage to a format-4 record body: a truncation to ``n`` bytes, one
+#: byte xored with a mask, or one length or count field set to a new value.
+_RECORD_DAMAGE = st.one_of(
+    st.tuples(st.just("truncate"), st.integers(0, 1 << 16)),
+    st.tuples(st.just("flip"), st.integers(0, 1 << 16), st.integers(1, 255)),
+    st.tuples(st.just("field"), st.sampled_from(sorted(LENGTH_FIELDS.values())),
+              st.integers(0, 2 ** 32 - 1)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(damage=_RECORD_DAMAGE)
+def test_damaged_format4_records_never_raise(tmp_path_factory, clean, damage):
+    """A damaged record, re-framed with a valid sha256, is a miss quarantined
+    as ``corrupt`` or ``wrong-schema`` whenever its lengths no longer frame
+    it; a byte flip the layout cannot tell apart either decodes or fails
+    with a ValueError, which the runner quarantines as poison."""
+    body = result_to_dict(clean[0])
+    kind = damage[0]
+    if kind == "truncate":
+        damaged = body[:damage[1] % len(body)]
+    elif kind == "flip":
+        at = damage[1] % len(body)
+        damaged = body[:at] + bytes([body[at] ^ damage[2]]) + body[at + 1:]
+    else:
+        head = list(RECORD_HEAD.unpack_from(body))
+        assume(head[damage[1]] != damage[2])
+        head[damage[1]] = damage[2]
+        damaged = RECORD_HEAD.pack(*head) + body[RECORD_HEAD.size:]
+    cache = ResultCache(tmp_path_factory.mktemp("fuzz"))
+    key = "f" * 64
+    cache.put(key, damaged)
+    payload = cache.get(key)
+    if kind != "flip":
+        assert payload is None
+    if payload is None:
+        assert len(_quarantined(cache)) == 1
+        assert _quarantined(cache)[0] in (f"corrupt-{key}.entry", f"wrong-schema-{key}.entry")
+        return
+    try:
+        assert result_from_dict(payload).batch == RECORD_HEAD.unpack_from(damaged)[2]
+    except ValueError:  # UnicodeDecodeError too: the runner's poisoned-payload
+        pass
 
 
 # -- cache segments --------------------------------------------------------
@@ -627,6 +701,8 @@ def test_writer_killed_mid_append_costs_one_miss(tmp_path, tasks, clean):
     assert torn.startswith(whole) and whole.endswith(b"\n")
     assert torn[len(whole):].count(b"\n") == 1 and torn.endswith(b"\n")
     assert reopened.stats().tmp_swept == 1
+    assert _body(reopened, tasks[0].key())[:4] == RECORD_HEAD.unpack_from(
+        _body(reopened, tasks[1].key()))[0] == b"\x93NPU"  # format-4 records
     runner = JobRunner(cache=reopened)
     assert _bits(runner.run(tasks)) == _bits(clean)
     assert (runner.stats.hits, runner.stats.executed) == (len(tasks) - 1, 1)
@@ -634,18 +710,25 @@ def test_writer_killed_mid_append_costs_one_miss(tmp_path, tasks, clean):
     assert runner.stats.executed == 1  # the re-executed record is whole now
 
 
-#: A writer that waits for argv[2] to exist, then appends 4 KiB records
-#: for its own keys and for keys every writer shares.
+#: A writer that waits for argv[2] to exist, then appends 4 KiB records:
+#: a format-4 one for each of its own keys, naming the key as its design
+#: and the writer as its network, and a JSON one for each key every writer
+#: shares.
 CONCURRENT_WRITER = """
 import os, sys, time
-from repro.core.jobs import ResultCache
+import numpy as np
+from repro.core.jobs import ResultCache, result_to_dict
+from repro.simulator.results import ActivityTrace, SimulationResult
 root, go, name = sys.argv[1:4]
 cache = ResultCache(root)
+charges = np.arange(480, dtype=np.int64).reshape(10, 48)
 while not os.path.exists(go):
     time.sleep(0.001)
 for number in range(150):
-    for key in (f"{name}{number:062d}", f"ff{number:062d}"):
-        cache.put(key, {"key": key, "writer": name, "blob": name * 2048})
+    own, shared = f"{name}{number:062d}", f"ff{number:062d}"
+    cache.put(own, result_to_dict(SimulationResult.from_charges(
+        own, name, 1, 1.0, [name] * 48, charges, [0] * 10, ActivityTrace({"pe_array": 0.5}))))
+    cache.put(shared, {"key": shared, "writer": name, "blob": name * 2048})
 """
 
 
@@ -660,9 +743,11 @@ def test_two_writer_processes_lose_and_interleave_nothing(tmp_path):
     assert set(cache.keys()) == keys
     for key in sorted(keys):
         payload = cache.get(key)
-        assert payload["key"] == key and payload["blob"] == payload["writer"] * 2048
-        if not key.startswith("ff"):  # an own key sits in its writer's segment
-            assert payload["writer"] == key[:2]
+        if key.startswith("ff"):
+            assert payload["key"] == key and payload["blob"] == payload["writer"] * 2048
+        else:  # an own key's format-4 record sits in its writer's segment
+            run = result_from_dict(payload)
+            assert (run.design, run.network, run.layers[-1].macs) == (key, key[:2], 479)
             assert cache.locate(key)[0].name.startswith(f"{writers[key[:2]].pid}-")
     stats = cache.stats()
     assert "corrupt" not in stats.by_kind and stats.entries == len(keys)

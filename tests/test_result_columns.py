@@ -6,7 +6,7 @@ group, the output-stationary ``simulate_os``, the CMOS ``simulate_cmos``,
 and the cache codec's ``result_from_dict``.
 
 A run built by a weight-stationary charge pass keeps its slice of the
-pass's int64 block, and a run decoded from a cache payload keeps a view of
+pass's int64 block, and a run decoded from a cache record keeps a view of
 the record's block: its totals come from one int64 reduction, and its
 columns are built from the block when first read.
 """
@@ -37,7 +37,7 @@ from repro.simulator.results import LAYER_FIELDS
 from repro.uarch.config import NPUConfig
 from repro.workloads.layers import fc_layer
 from repro.workloads.models import WORKLOAD_NAMES, Network, by_name
-from tests.payloads import columns_document
+from tests.payloads import columns_document, unpack_record, unstamped
 
 #: sha256 prefixes of the sorted-key JSON of ``columns_document`` of each
 #: run decoded from its payload, per network and constructor: the bytes
@@ -99,31 +99,38 @@ def _digest(run):
     return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
 
 
-#: sha256 prefixes of the format-3 record body (the compact sorted-key JSON
-#: header, ``\n``, the int64 layer block) of a few sites' entries, written
-#: with a fixed key and creation time.
+#: sha256 prefixes of the format-4 record body (the fixed little-endian
+#: header, the kind, design, network and unit names, the activity row, the
+#: layer names, the int64 layer block) of a few sites' entries, written
+#: with a fixed creation time.
 GOLDEN_RECORDS = {
-    ("AlexNet", "group-supernpu"): "d8e8bc23427d062b",
-    ("MobileNet", "dataflow_ablation"): "18b4e93afc61f5e6",
-    ("VGG16", "scalesim"): "22c3df4a6e181c1f",
+    ("AlexNet", "group-supernpu"): "8dcde1cf8221227f",
+    ("MobileNet", "dataflow_ablation"): "9193abf831d4c870",
+    ("VGG16", "scalesim"): "346cadccbe818b79",
 }
 
 
-def test_format3_record_bytes_are_pinned(tmp_path):
+def test_format4_record_bytes_are_pinned(tmp_path):
     cache = ResultCache(tmp_path / "cache")
     for (name, site), expected in GOLDEN_RECORDS.items():
         run = _results(by_name(name))[site]
         key = hashlib.sha256(f"{name}/{site}".encode()).hexdigest()
-        cache.put_document(key, {"schema": CACHE_FORMAT_VERSION, "kind": "simulate",
-                                 "key": key, "created_unix": 0.0,
-                                 "payload": result_to_dict(run)})
+        cache.put(key, unstamped(result_to_dict(run)))
         segment, offset, length = cache.locate(key)
         with open(segment, "rb") as handle:
             handle.seek(offset)
             body = handle.read(length)
-        header, block = body.split(b"\n", 1)
-        assert json.loads(header)["payload"]["fields"] == list(LAYER_FIELDS[1:])
-        assert len(block) == 8 * (len(LAYER_FIELDS) - 1) * len(run.columns["name"])
+        head, sections = unpack_record(body)
+        assert head[:2] == [b"\x93NPU", CACHE_FORMAT_VERSION]
+        assert head[2:5] == [run.batch, run.frequency_ghz, 0.0]
+        assert [sections[part].decode() for part in ("kind", "design", "network")] == [
+            "simulate", run.design, run.network]
+        units = sorted(run.activity.effective_cycles)
+        assert sections["units"] == ",".join(units).encode() and head[10] == len(units)
+        assert len(sections["activity"]) == 8 * len(units)
+        assert sections["names"].decode().split("\0") == run.columns["name"]
+        assert len(sections["block"]) == 8 * (len(LAYER_FIELDS) - 1) * head[11]
+        assert head[11] == len(run.columns["name"])
         assert hashlib.sha256(body).hexdigest()[:16] == expected, (name, site)
 
 

@@ -424,3 +424,31 @@ def test_derived_batch_matches_the_per_layer_rule():
     for config in configs:
         for network in all_workloads():
             assert derived_batch(config, network) == per_layer(config, network)
+
+
+def test_a_warm_paper_rerun_parses_no_json(monkeypatch, tmp_path):
+    """Re-running the paper's figure and table plans on a filled cache
+    reads each task's format-4 record once and decodes it once, with no
+    JSON parse and no encode."""
+    plans = [plan.plan_by_name(name) for name in (
+        "fig20_buffers", "fig21_resources", "fig22_registers", "fig23_evaluate",
+        "table3_power")]
+    with jobs.session(cache_dir=tmp_path):
+        cold = [plan.execute(each) for each in plans]
+    calls: Counter = Counter()
+    _count_calls(monkeypatch, jobs, ("result_to_dict", "result_from_dict"), calls)
+    _count_calls(monkeypatch, jobs.ResultCache, ("get",), calls)
+    loads = json.loads
+
+    def counted_loads(*args, **kwargs):
+        calls["json.loads"] += 1
+        return loads(*args, **kwargs)
+
+    monkeypatch.setattr(jobs, "json", SimpleNamespace(loads=counted_loads, dumps=json.dumps))
+    with jobs.session(cache_dir=tmp_path) as runner:
+        warm = [plan.execute(each) for each in plans]
+    tasks = runner.stats.tasks
+    assert tasks > 200 and runner.stats.hits == tasks and runner.stats.executed == 0
+    assert calls == {"get": tasks, "result_from_dict": tasks}
+    assert [[result.run for result in each] for each in warm] == [
+        [result.run for result in each] for each in cold]
