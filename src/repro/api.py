@@ -27,8 +27,9 @@ uniformly.  The ambient runner is per thread: a :func:`session` or
 
 Execution knobs (fan-out, cache, retries, timeouts, progress) are
 :func:`session` arguments; host-time profiling wraps the block in a
-:class:`HotspotProfiler`.  Plans evaluate either point-by-point
-(:func:`run_plan`) or as dense axis-shaped grids (:func:`evaluate_grid`).
+:class:`HotspotProfiler`.  :func:`run_plan` executes a plan; its
+:class:`ResultSet` is the one way to read the results (``select``,
+``one``, ``mean``, ``column``).
 
 The CLI commands and the ``serve`` endpoints are thin wrappers over
 these functions.
@@ -62,11 +63,8 @@ from repro.core.jobs import (
     use_runner,
 )
 from repro.core.plan import (
-    EvaluatedGrid,
     ExperimentPlan,
-    GridEvaluation,
     ResultSet,
-    evaluate_grid as _evaluate_grid,
     execute as _execute_plan,
     named_plans,
     plan_by_name,
@@ -101,7 +99,6 @@ __all__ = [
     "estimate",
     "simulate",
     "evaluate",
-    "evaluate_grid",
     "compare",
     "ablate",
     "plans",
@@ -110,9 +107,7 @@ __all__ = [
     "serve",
     "ComponentEstimator",
     "CrossTemperatureReport",
-    "EvaluatedGrid",
     "ExperimentPlan",
-    "GridEvaluation",
     "ResultSet",
     "HotspotProfile",
     "HotspotProfiler",
@@ -294,21 +289,6 @@ def run_plan(plan_or_name: Union[str, ExperimentPlan]) -> ResultSet:
     resolved = plan_by_name(plan_or_name) if isinstance(plan_or_name, str) \
         else plan_or_name
     return _execute_plan(resolved)
-
-
-def evaluate_grid(plan_or_name: Union[str, ExperimentPlan]) -> GridEvaluation:
-    """Run a plan and return dense, axis-shaped per-grid result arrays.
-
-    The lowered design points still execute through the job engine as
-    one deduplicated submission (cache, fan-out, retries and resume all
-    apply); the returned :class:`GridEvaluation` adds the vectorized
-    result surface — ``evaluation.grid().array("mac_per_s")`` is the
-    whole grid as one numpy array, shaped by the grid's axes, instead of
-    a hand-rolled loop over per-point records.
-    """
-    resolved = plan_by_name(plan_or_name) if isinstance(plan_or_name, str) \
-        else plan_or_name
-    return _evaluate_grid(resolved)
 
 
 def paper_workloads() -> List[Network]:

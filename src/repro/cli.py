@@ -553,7 +553,7 @@ def cmd_table(args: argparse.Namespace) -> int:
     else:
         from repro.core.evaluate import table3_rows
 
-        rows = table3_rows(api.evaluate())
+        rows = table3_rows(api.run_plan("table3_power"))
         reference = rows[0]
         widths = [30, 12, 14, 16]
         print(_fmt_row(["configuration", "chip (W)", "wall (W)", "perf/W vs TPU"], widths))

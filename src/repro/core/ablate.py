@@ -104,15 +104,12 @@ def ablation_study(
     base: Optional[NPUConfig] = None,
 ) -> List[AblationRow]:
     """Run the one-factor ablation; rows sorted by damage, worst first."""
-    workloads = workloads if workloads is not None else all_workloads()
     configs = ablated_configs(base)
     plan = ablation_plan(workloads, library, base)
     resultset = execute(plan)
 
-    means: Dict[str, float] = {}
-    for key, config in configs.items():
-        selected = resultset.select(grid="ablation", config=config.name)
-        means[key] = sum(r.run.mac_per_s for r in selected) / len(workloads)
+    means = {key: resultset.mean("mac_per_s", grid="ablation", config=config.name)
+             for key, config in configs.items()}
 
     full = means["SuperNPU"]
     rows = [

@@ -2,17 +2,19 @@
 
 Runs the six CNN workloads on the TPU baseline and on the four SFQ design
 points, with Table II batch sizes, and produces the speedup comparison of
-Fig. 23, the setup rows of Table I and the power-efficiency rows of
-Table III.
+Fig. 23 (:func:`evaluate_suite`, one ``fig23_evaluate`` plan) and the
+power-efficiency rows of Table III (:func:`table3_rows`, read from one
+executed ``table3_power`` plan, which holds Fig. 23's grids too, so
+:func:`suite_from` reads both figures from one execution).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.baselines.scalesim import CMOSNPUConfig, TPU_CORE
-from repro.cooling.cryocooler import PAPER_COOLER, Cryocooler
+from repro.cooling.cryocooler import PAPER_COOLER
 from repro.errors import UnknownDesignError
 from repro.core.designs import all_designs, design_by_name
 from repro.core.jobs import get_runner
@@ -20,6 +22,7 @@ from repro.core.metrics import EfficiencyRow, efficiency_row
 from repro.core.plan import (
     ExperimentPlan,
     Grid,
+    ResultSet,
     batch_axis,
     config_axis,
     execute,
@@ -82,43 +85,6 @@ class EvaluationSuite:
         )
 
 
-def design_plan(
-    config: NPUConfig,
-    workloads: Optional[List[Network]] = None,
-    library: Optional[CellLibrary] = None,
-) -> ExperimentPlan:
-    """One design point x every workload (Table II batches)."""
-    library = library or library_for(Technology.RSFQ)
-    workloads = tuple(workloads if workloads is not None else all_workloads())
-    grid = Grid("design", (
-        config_axis((config,)),
-        workload_axis(workloads),
-        batch_axis(("auto",)),
-        library_axis((library,)),
-    ))
-    return ExperimentPlan(
-        f"evaluate_{config.name}", (grid,),
-        description=f"all workloads on {config.name}",
-    )
-
-
-def evaluate_design(
-    config: NPUConfig,
-    workloads: Optional[List[Network]] = None,
-    library: Optional[CellLibrary] = None,
-) -> DesignEvaluation:
-    """Simulate every workload on one design point (Table II batches)."""
-    library = library or library_for(Technology.RSFQ)
-    workloads = workloads if workloads is not None else all_workloads()
-    estimate = get_runner().estimate(config, library)
-    evaluation = DesignEvaluation(config=config, estimate=estimate)
-    resultset = execute(design_plan(config, workloads, library))
-    for network, result in zip(workloads, resultset):
-        evaluation.runs[network.name] = result.run
-        evaluation.power[network.name] = power_report(result.run, estimate)
-    return evaluation
-
-
 def evaluate_plan(
     designs: Optional[List[NPUConfig]] = None,
     workloads: Optional[List[Network]] = None,
@@ -160,17 +126,23 @@ def evaluate_suite(
     tasks reach the runner as a single list, so ``jobs > 1`` parallelizes
     the entire design x workload grid at once.
     """
-    library = library or library_for(Technology.RSFQ)
-    workloads = workloads if workloads is not None else all_workloads()
-    configs = list(designs) if designs is not None else all_designs()
+    return suite_from(execute(evaluate_plan(designs, workloads, library, tpu)))
 
-    resultset = execute(evaluate_plan(configs, workloads, library, tpu))
-    tpu_runs = {
-        network.name: result.run
-        for network, result in zip(workloads, resultset.select(grid="tpu"))
-    }
+
+def _values(resultset: ResultSet, grid: str, kind: str) -> Tuple[Any, ...]:
+    """The values of ``grid``'s axis of ``kind`` in an executed plan."""
+    planned = next(each for each in resultset.plan.grids if each.name == grid)
+    return next(axis.values for axis in planned.axes if axis.kind == kind)
+
+
+def suite_from(resultset: ResultSet) -> EvaluationSuite:
+    """The Fig. 23 suite read from an executed plan's ``tpu`` and
+    ``designs`` grids (:func:`evaluate_plan`'s or :func:`table3_plan`'s)."""
+    (tpu,) = _values(resultset, "tpu", "config")
+    (library,) = _values(resultset, "designs", "library")
+    tpu_runs = {result.run.network: result.run for result in resultset.select(grid="tpu")}
     design_evals = []
-    for config in configs:
+    for config in _values(resultset, "designs", "config"):
         estimate = get_runner().estimate(config, library)
         evaluation = DesignEvaluation(config=config, estimate=estimate)
         for result in resultset.select(grid="designs", config=config.name):
@@ -180,14 +152,20 @@ def evaluate_suite(
     return EvaluationSuite(tpu_config=tpu, tpu_runs=tpu_runs, designs=design_evals)
 
 
-def table3_plan(design_name: str = "SuperNPU") -> ExperimentPlan:
-    """Table III's grids: the Fig. 23 suite plus RSFQ/ERSFQ chip runs."""
-    suite = evaluate_plan()
-    workloads = tuple(all_workloads())
-    config = design_by_name(design_name)
+#: The design Table III rates in both technologies.
+TABLE3_DESIGN = "SuperNPU"
+
+
+def table3_plan(
+    workloads: Optional[List[Network]] = None,
+    library: Optional[CellLibrary] = None,
+) -> ExperimentPlan:
+    """Table III's grids: the Fig. 23 suite (its designs on ``library``)
+    plus the RSFQ and ERSFQ runs of :data:`TABLE3_DESIGN`."""
+    suite = evaluate_plan(workloads=workloads, library=library)
     technologies = Grid("technologies", (
-        config_axis((config,)),
-        workload_axis(workloads),
+        config_axis((design_by_name(TABLE3_DESIGN),)),
+        workload_axis(tuple(workloads if workloads is not None else all_workloads())),
         batch_axis(("auto",)),
         library_axis((library_for(Technology.RSFQ),
                       library_for(Technology.ERSFQ))),
@@ -198,38 +176,23 @@ def table3_plan(design_name: str = "SuperNPU") -> ExperimentPlan:
     )
 
 
-def table3_rows(
-    suite: EvaluationSuite,
-    cooler: Cryocooler = PAPER_COOLER,
-    design_name: str = "SuperNPU",
-) -> List[EfficiencyRow]:
-    """Table III: TPU vs RSFQ/ERSFQ SuperNPU, with and without cooling.
+def table3_rows(resultset: ResultSet) -> List[EfficiencyRow]:
+    """Table III from one executed :func:`table3_plan`: TPU vs RSFQ/ERSFQ
+    SuperNPU, with and without the paper's cryocooler.
 
     Chip power per technology is static + simulated dynamic power averaged
-    over the six workloads.
+    over the workloads.
     """
-    tpu_mean = sum(run.mac_per_s for run in suite.tpu_runs.values()) / len(suite.tpu_runs)
-    rows = [efficiency_row("TPU", suite.tpu_config.average_power_w, tpu_mean, cooler=None)]
-    design = suite.design(design_name)
+    tpu_perf = resultset.mean("mac_per_s", grid="tpu")
+    rows = [efficiency_row("TPU", TPU_CORE.average_power_w, tpu_perf, cooler=None)]
+    config = design_by_name(TABLE3_DESIGN)
     for technology in (Technology.RSFQ, Technology.ERSFQ):
-        evaluation = evaluate_design(
-            design.config, _networks_of(suite), library_for(technology)
-        )
-        chip_power = sum(p.total_w for p in evaluation.power.values()) / len(evaluation.power)
-        mean_perf = evaluation.mean_mac_per_s
-        label = f"{technology.value.upper()}-{design_name}"
-        rows.append(
-            efficiency_row(f"{label} (w/o cooling)", chip_power, mean_perf,
-                           cooler=cooler, free_cooling=True)
-        )
-        rows.append(
-            efficiency_row(f"{label} (w/ cooling)", chip_power, mean_perf,
-                           cooler=cooler, free_cooling=False)
-        )
+        estimate = get_runner().estimate(config, library_for(technology))
+        runs = resultset.runs(grid="technologies", library=technology.value)
+        chip_power = sum(power_report(run, estimate).total_w for run in runs) / len(runs)
+        mean_perf = resultset.mean("mac_per_s", grid="technologies", library=technology.value)
+        label = f"{technology.value.upper()}-{TABLE3_DESIGN}"
+        for cooling, free in (("w/o", True), ("w/", False)):
+            rows.append(efficiency_row(f"{label} ({cooling} cooling)", chip_power, mean_perf,
+                                       cooler=PAPER_COOLER, free_cooling=free))
     return rows
-
-
-def _networks_of(suite: EvaluationSuite) -> List[Network]:
-    from repro.workloads.models import by_name
-
-    return [by_name(name) for name in suite.tpu_runs]

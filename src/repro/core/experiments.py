@@ -218,10 +218,10 @@ def _table2(library: CellLibrary, workloads: List[Network]) -> object:
 
 
 def _table3(library: CellLibrary, workloads: List[Network]) -> object:
-    from repro.core.evaluate import evaluate_suite, table3_rows
+    from repro.core.evaluate import table3_plan, table3_rows
+    from repro.core.plan import execute
 
-    suite = evaluate_suite(workloads=workloads, library=library)
-    rows = table3_rows(suite)
+    rows = table3_rows(execute(table3_plan(workloads, library)))
     reference = rows[0]
     return {
         row.label: {

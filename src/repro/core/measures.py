@@ -15,9 +15,10 @@ from repro.baselines.scalesim import TPU_CORE, simulate_cmos
 from repro.core.batching import derived_batch
 from repro.core.designs import all_designs, supernpu
 from repro.core.energy import inference_energy_table, relative_energy
-from repro.core.evaluate import evaluate_suite, table3_rows
+from repro.core.evaluate import suite_from, table3_plan, table3_rows
 from repro.core.experiments import reproduce_all
 from repro.core.optimizer import FIG21_WIDTHS, FIG22_REGISTERS, balanced_buffer_bytes
+from repro.core.plan import execute
 from repro.core.search import best, search as design_search
 from repro.device.cells import rsfq_library
 from repro.estimator.arch_level import estimate_npu
@@ -48,10 +49,11 @@ def _mean(values: Iterable[float]) -> float:
 
 
 def evaluation() -> Record:
-    """Fig. 23 and Table III from one suite: the call both experiments make."""
-    suite = evaluate_suite()
+    """Fig. 23 and Table III from one executed ``table3_power`` plan."""
+    resultset = execute(table3_plan())
+    suite = suite_from(resultset)
     speedups = suite.speedups()
-    rows = {row.label: row for row in table3_rows(suite)}
+    rows = {row.label: row for row in table3_rows(resultset)}
     reference = rows["TPU"]
     supernpu_estimate = suite.design("SuperNPU").estimate
     baseline_estimate = suite.design("Baseline").estimate

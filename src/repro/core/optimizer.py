@@ -22,7 +22,6 @@ from repro.core.jobs import get_runner
 from repro.core.plan import (
     ExperimentPlan,
     Grid,
-    ResultSet,
     batch_axis,
     config_axis,
     execute,
@@ -42,13 +41,6 @@ FIG21_WIDTHS = (256, 128, 64, 32, 16)
 
 #: Register counts swept in Fig. 22.
 FIG22_REGISTERS = (1, 2, 4, 8, 16, 32)
-
-
-def _mean(resultset: ResultSet, grid: str, config: NPUConfig,
-          count: int) -> float:
-    """Mean mac/s of one config's workload row in a sweep grid."""
-    selected = resultset.select(grid=grid, config=config.name)
-    return sum(r.run.mac_per_s for r in selected) / count
 
 
 @dataclass
@@ -105,11 +97,9 @@ def buffer_sweep(
 ) -> List[SweepPoint]:
     """Fig. 20: buffer integration + division sweep, normalized to Baseline."""
     library = library or library_for(Technology.RSFQ)
-    workloads = workloads if workloads is not None else all_workloads()
-
     resultset = execute(buffer_plan(workloads, library, divisions))
     base = baseline()
-    base_perf = _mean(resultset, "single", base, len(workloads))
+    base_perf = resultset.mean("mac_per_s", grid="single", config=base.name)
     base_area = get_runner().estimate(base, library).area_mm2
 
     points = [
@@ -120,8 +110,8 @@ def buffer_sweep(
         )
     ]
     for division, config in zip(divisions, _fig20_configs(divisions)):
-        single = _mean(resultset, "single", config, len(workloads))
-        max_batch = _mean(resultset, "max", config, len(workloads))
+        single = resultset.mean("mac_per_s", grid="single", config=config.name)
+        max_batch = resultset.mean("mac_per_s", grid="max", config=config.name)
         area = get_runner().estimate(config, library).area_mm2
         label = "+Integration (Division 2)" if division == 2 else f"+Division {division}"
         points.append(
@@ -230,14 +220,14 @@ def resource_sweep(
     library = library or library_for(Technology.RSFQ)
     workloads = workloads if workloads is not None else all_workloads()
     resultset = execute(resource_plan(workloads, library, widths))
-    base_perf = _mean(resultset, "baseline", baseline(), len(workloads))
+    base_perf = resultset.mean("mac_per_s", grid="baseline", config=baseline().name)
 
     points = []
     for width in widths:
         fixed = resource_config(width, buffer_bytes=24 * MIB, library=library)
         added = resource_config(width, library=library)
-        perf_fixed = _mean(resultset, "fixed", fixed, len(workloads))
-        perf_added = _mean(resultset, "added", added, len(workloads))
+        perf_fixed = resultset.mean("mac_per_s", grid="fixed", config=fixed.name)
+        perf_added = resultset.mean("mac_per_s", grid="added", config=added.name)
         intensity = sum(
             derived_batch(added, network) * _mean_output_pixels(network)
             for network in workloads
@@ -290,16 +280,15 @@ def register_sweep(
 ) -> Dict[int, List[SweepPoint]]:
     """Fig. 22: registers per PE for each array width, vs Baseline."""
     library = library or library_for(Technology.RSFQ)
-    workloads = workloads if workloads is not None else all_workloads()
     resultset = execute(register_plan(workloads, library, widths, registers))
-    base_perf = _mean(resultset, "baseline", baseline(), len(workloads))
+    base_perf = resultset.mean("mac_per_s", grid="baseline", config=baseline().name)
 
     result: Dict[int, List[SweepPoint]] = {}
     for width in widths:
         rows = []
         for regs in registers:
             config = resource_config(width, registers=regs, library=library)
-            perf = _mean(resultset, "points", config, len(workloads))
+            perf = resultset.mean("mac_per_s", grid="points", config=config.name)
             rows.append(
                 SweepPoint(
                     f"width {width}, {regs} regs",

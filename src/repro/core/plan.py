@@ -24,12 +24,13 @@ hand-rolling that loop, a driver now declares the grid:
   :class:`~repro.core.jobs.JobRunner`, inheriting the cache, parallel
   fan-out, retry/timeout handling, and resume from the cache for
   free, and returns a :class:`ResultSet` of provenance-stamped
-  :class:`PlanResult` records, each built when first read;
-  :meth:`ResultSet.column` reads a metric of every point from the runs'
-  charge-pass totals without building them;
-* :func:`evaluate_grid` — :func:`execute` plus a dense axis-shaped
-  result surface per grid (:class:`EvaluatedGrid`), for figure code
-  that wants ``grid.array("mac_per_s")`` instead of per-point loops.
+  :class:`PlanResult` records, each built when first read.  The
+  :class:`ResultSet` is the one way to read them: ``select``, ``one``,
+  ``mean`` and ``column`` answer from the lowered grids' offsets and
+  labels, a selection builds only the results it returns, and ``mean``
+  and ``column`` read the runs' charge-pass totals without building
+  them.  A grid-shaped array is ``column`` reshaped:
+  ``np.array(rs.column(m, grid=g), float).reshape(shape)``.
 
 Identical tasks inside one plan are deduplicated before submission (the
 payload-materialization guarantee of the job layer makes reusing a
@@ -521,28 +522,10 @@ def lower(plan: ExperimentPlan) -> LoweredPlan:
 
 # -- results ---------------------------------------------------------------
 
-class _PointKey:
-    """:attr:`PlanResult.key` as a dataclass field: the key the result was
-    built with, else its point's, computed on first read and kept there."""
-
-    def __get__(self, result: Optional["PlanResult"], owner: Any = None) -> Optional[str]:
-        if result is None:
-            return None  # the field's default
-        key = result.__dict__["_key"]
-        return key if key is not None or result.point is None else result.point.key
-
-    def __set__(self, result: "PlanResult", key: Optional[str]) -> None:
-        result.__dict__["_key"] = key
-
-
 @dataclass(frozen=True)
 class PlanResult(_Labeled):
-    """One point's outcome, stamped with its provenance.
-
-    :func:`execute` gives each result its :class:`PlanPoint`, and ``key``
-    reads the point's key when first asked for; a result may instead be
-    built with a ``key``.
-    """
+    """One point's outcome, stamped with its provenance; ``key`` is its
+    point's key, computed when first read."""
 
     _noun = "result"
     plan: str
@@ -550,12 +533,15 @@ class PlanResult(_Labeled):
     grid: str
     coords: Tuple[Tuple[str, str], ...]
     cached: bool
+    point: PlanPoint = field(repr=False, compare=False)
     batch: Optional[int] = None
     run: Optional[SimulationResult] = None
     estimate: Optional[NPUEstimate] = None
     params: Tuple[Tuple[str, Any], ...] = ()
-    key: Optional[str] = _PointKey()  # type: ignore[assignment]
-    point: Optional[PlanPoint] = field(default=None, repr=False, compare=False)
+
+    @property
+    def key(self) -> str:
+        return self.point.key
 
     @property
     def result(self) -> Union[SimulationResult, NPUEstimate]:
@@ -590,34 +576,28 @@ class PlanResult(_Labeled):
         return record
 
 
-#: A :class:`ResultSet` index table's key: ``(grid, axis)``, with ``None``
-#: for "any grid", and ``(grid, None)`` for a whole grid.
-_IndexKey = Tuple[Optional[str], Optional[str]]
-
-
-class PlanResults(BuiltOnRead):
-    """:class:`PlanResult`\\ s, each built on first read, and ``value(i, metric)``:
-    point ``i``'s metric (None where it has none), read without building it."""
-
-    def __init__(self, size: int, build: Callable[[int], PlanResult],
-                 value: Callable[[int, str], Any]) -> None:
-        super().__init__(size, build)
-        self.value = value
-
-
 class ResultSet:
-    """All of one plan execution's results, in point order."""
+    """All of one plan execution's results, in point order.
 
-    def __init__(self, plan: ExperimentPlan, plan_hash: str,
-                 results: PlanResults,
+    Every read is answered from the lowered plan: a grid's offset, its
+    shape and its axes' labels give the positions a selection names, and
+    only the :class:`PlanResult`\\ s a call returns are built (each on
+    first read, then kept).  The ``value`` it is made with reads point
+    ``position``'s metric (None where it has none) without building its
+    result; :meth:`mean` and :meth:`column` read through it.
+    """
+
+    def __init__(self, lowered: LoweredPlan, build: Callable[[int], PlanResult],
+                 value: Callable[[int, str], Any],
                  points_cached: int, points_executed: int) -> None:
-        self.plan = plan
-        self.plan_hash = plan_hash
-        self.results = results
+        self.plan = lowered.plan
+        self.plan_hash = lowered.plan_hash
+        self.results: Sequence[PlanResult] = BuiltOnRead(len(lowered.tasks), build)
         self.points_total = len(self.results)
         self.points_cached = points_cached
         self.points_executed = points_executed
-        self._index: Dict[_IndexKey, Dict[Optional[str], List[int]]] = {}
+        self._grids = lowered.grids
+        self._value = value
 
     def __iter__(self) -> Iterator[PlanResult]:
         return iter(self.results)
@@ -625,82 +605,65 @@ class ResultSet:
     def __len__(self) -> int:
         return len(self.results)
 
+    def _positions(self, grid: Optional[str], coords: Dict[str, str]) -> List[int]:
+        """The positions of the points of ``grid`` (``None``: any grid)
+        whose axes carry every label in ``coords``, in point order."""
+        positions: List[int] = []
+        for planned, offset, _ in self._grids:
+            axes = {axis.name: axis.labels for axis in planned.axes}
+            if grid not in (None, planned.name) or not all(
+                    label in axes.get(name, ()) for name, label in coords.items()):
+                continue
+            # Points run last axis fastest, so a C-order block of the
+            # grid's positions indexed by label is the selection in order.
+            block = np.arange(offset, offset + planned.num_points).reshape(
+                [len(labels) for labels in axes.values()])
+            at = tuple(labels.index(coords[name]) if name in coords else slice(None)
+                       for name, labels in axes.items())
+            positions.extend(block[at].ravel().tolist())
+        return positions
+
     def select(self, grid: Optional[str] = None, **coords: str) -> List[PlanResult]:
-        """Results matching a grid and/or axis labels, in point order.
-
-        Answered from an index of each label of a ``(grid, axis)`` pair to
-        its point positions, built the first time a call asks for that
-        pair, so callers that select once per design never rescan the
-        whole set.
-        """
-        if coords:
-            matches = [self._positions(grid, axis).get(label, [])
-                       for axis, label in coords.items()]
-        elif grid is not None:
-            matches = [self._positions(grid, None).get(None, [])]
-        else:
-            return list(self.results)
-        matches.sort(key=len)
-        others = [set(positions) for positions in matches[1:]]
-        return [self.results[position] for position in matches[0]
-                if all(position in other for other in others)]
-
-    def _positions(self, grid: Optional[str], axis: Optional[str],
-                   ) -> Dict[Optional[str], List[int]]:
-        """Each label of ``axis`` (``None``: the whole grid) to the positions
-        of the results in ``grid`` (``None``: any) that carry it."""
-        table = self._index.get((grid, axis))
-        if table is None:
-            table = self._index[grid, axis] = {}
-            for position, result in enumerate(self.results):
-                if grid is not None and result.grid != grid:
-                    continue
-                if axis is None:
-                    table.setdefault(None, []).append(position)
-                    continue
-                for name, label in result.coords:
-                    if name == axis:
-                        table.setdefault(label, []).append(position)
-                        break
-        return table
+        """Results matching a grid and/or axis labels, in point order."""
+        return [self.results[position] for position in self._positions(grid, coords)]
 
     def one(self, grid: Optional[str] = None, **coords: str) -> PlanResult:
         """Exactly one matching result, or a ConfigError."""
-        selected = self.select(grid=grid, **coords)
-        if len(selected) != 1:
+        positions = self._positions(grid, coords)
+        if len(positions) != 1:
             raise ConfigError(
                 f"expected exactly one result for grid={grid!r} {coords}, "
-                f"got {len(selected)}", code="plan.ambiguous_selection",
-                plan=self.plan.name, matches=len(selected))
-        return selected[0]
+                f"got {len(positions)}", code="plan.ambiguous_selection",
+                plan=self.plan.name, matches=len(positions))
+        return self.results[positions[0]]
 
     def runs(self, grid: Optional[str] = None, **coords: str) -> List[SimulationResult]:
         return [result.run for result in self.select(grid=grid, **coords)]
 
     def mean(self, metric: str = "mac_per_s", grid: Optional[str] = None,
              **coords: str) -> float:
-        """Mean of one run metric over a selection (summed in point order)."""
-        selected = self.select(grid=grid, **coords)
-        if not selected:
+        """Mean of one metric over a selection (summed in point order),
+        read as :meth:`column` reads it."""
+        positions = self._positions(grid, coords)
+        if not positions:
             raise ConfigError(f"nothing selected for grid={grid!r} {coords}",
                               code="plan.empty_selection", plan=self.plan.name)
-        return sum(getattr(r.run, metric) for r in selected) / len(selected)
+        return sum(self._value(position, metric) for position in positions) / len(positions)
 
     def column(self, metric: str = "mac_per_s", grid: Optional[str] = None) -> List[Any]:
         """``metric`` of every point's result in point order, or of one
         grid's points; None where a result has no such metric.  A run not
         built yet answers its totals' metrics (``mac_per_s``,
         ``total_cycles``, ...) from its charge pass without being built."""
-        return [self.results.value(position, metric) for position in self._span(grid)]
+        return [self._value(position, metric) for position in self._span(grid)]
 
     def _span(self, grid: Optional[str]) -> range:
         """The positions of ``grid``'s points (``None``: every point)."""
-        start = 0
-        for planned in self.plan.grids:
-            if grid is None or planned.name == grid:
-                return range(start, len(self.results) if grid is None
-                             else start + planned.num_points)
-            start += planned.num_points
+        if grid is None:
+            return range(len(self.results))
+        for planned, offset, _ in self._grids:
+            if planned.name == grid:
+                return range(offset, offset + planned.num_points)
         raise ConfigError(f"plan {self.plan.name!r} has no grid {grid!r}",
                           code="plan.unknown_grid", plan=self.plan.name)
 
@@ -777,133 +740,8 @@ def execute(plan: ExperimentPlan) -> ResultSet:
     obs.counter("plan.points_executed").add(points_executed)
     _RECENT_PLANS.append((plan.name, lowered.plan_hash))
     del _RECENT_PLANS[:-_RECENT_LIMIT]
-    return ResultSet(plan, lowered.plan_hash, PlanResults(len(lowered.points), result, value),
+    return ResultSet(lowered, result, value,
                      points_cached=points_cached, points_executed=points_executed)
-
-
-# -- grid-shaped evaluation ------------------------------------------------
-
-@dataclass(frozen=True, eq=False)
-class EvaluatedGrid:
-    """One grid's results, reshaped onto its axes.
-
-    ``results`` is an object ndarray of :class:`PlanResult` shaped by the
-    axis lengths; because lowering emits points with the last axis
-    varying fastest, a plain C-order reshape is exact.  :meth:`array`
-    turns any scalar result attribute into a dense float array ready for
-    figure code — the vectorized surface the per-point loop never had.
-    """
-
-    name: str
-    kind: str
-    axis_names: Tuple[str, ...]
-    axis_labels: Tuple[Tuple[str, ...], ...]
-    resultset: ResultSet = field(repr=False)
-
-    @property
-    def shape(self) -> Tuple[int, ...]:
-        return tuple(len(labels) for labels in self.axis_labels)
-
-    @cached_property
-    def results(self) -> "np.ndarray":
-        span = self.resultset._span(self.name)
-        block = np.empty(len(span), dtype=object)
-        block[:] = self.resultset.results[span.start:span.stop]
-        return block.reshape(self.shape)
-
-    def array(self, metric: str = "mac_per_s") -> "np.ndarray":
-        """Dense metric array over the grid (``nan`` where undefined).
-
-        ``metric`` names an attribute of the point's result object — a
-        :class:`~repro.simulator.results.SimulationResult` for simulate
-        grids (``mac_per_s``, ``latency_s``, ``total_cycles``, ...) or an
-        :class:`~repro.estimator.arch_level.NPUEstimate` for estimate
-        grids (``frequency_ghz``, ``peak_tmacs``, ``area_mm2``, ...).
-        Runs not built yet answer their totals' metrics without being built.
-        """
-        values = [float("nan") if value is None else float(value)
-                  for value in self.resultset.column(metric, grid=self.name)]
-        return np.array(values, dtype=float).reshape(self.shape)
-
-    def result(self, **coords: str) -> PlanResult:
-        """The one point at the given axis labels (every axis required)."""
-        index = []
-        remaining = dict(coords)
-        for name, labels in zip(self.axis_names, self.axis_labels):
-            if name not in remaining:
-                raise ConfigError(
-                    f"grid {self.name!r} needs a label for axis {name!r}; "
-                    f"axes: {list(self.axis_names)}",
-                    code="plan.missing_axis", grid=self.name, axis=name)
-            label = remaining.pop(name)
-            try:
-                index.append(labels.index(label))
-            except ValueError:
-                raise ConfigError(
-                    f"axis {name!r} of grid {self.name!r} has no label "
-                    f"{label!r}; labels: {list(labels)}",
-                    code="plan.unknown_label", grid=self.name, axis=name,
-                ) from None
-        if remaining:
-            raise ConfigError(
-                f"grid {self.name!r} has no axes {sorted(remaining)}; "
-                f"axes: {list(self.axis_names)}",
-                code="plan.unknown_axis", grid=self.name)
-        return self.results[tuple(index)]
-
-
-class GridEvaluation:
-    """:func:`evaluate_grid`'s output: each grid of a plan, axis-shaped."""
-
-    def __init__(self, resultset: ResultSet,
-                 grids: "OrderedDict[str, EvaluatedGrid]") -> None:
-        self.resultset = resultset
-        self.plan = resultset.plan
-        self.plan_hash = resultset.plan_hash
-        self.grids = grids
-
-    def __iter__(self) -> Iterator[EvaluatedGrid]:
-        return iter(self.grids.values())
-
-    def __getitem__(self, name: str) -> EvaluatedGrid:
-        try:
-            return self.grids[name]
-        except KeyError:
-            raise ConfigError(
-                f"plan {self.plan.name!r} has no grid {name!r}; "
-                f"grids: {list(self.grids)}",
-                code="plan.unknown_grid", plan=self.plan.name) from None
-
-    def grid(self, name: Optional[str] = None) -> EvaluatedGrid:
-        """One grid — by name, or the only one when the plan has just one."""
-        if name is not None:
-            return self[name]
-        if len(self.grids) != 1:
-            raise ConfigError(
-                f"plan {self.plan.name!r} has {len(self.grids)} grids; "
-                f"name one of {list(self.grids)}",
-                code="plan.ambiguous_grid", plan=self.plan.name)
-        return next(iter(self.grids.values()))
-
-
-def evaluate_grid(plan: ExperimentPlan) -> GridEvaluation:
-    """Execute a plan and reshape its points onto dense per-grid arrays.
-
-    The whole plan still goes through :func:`execute` as one deduplicated
-    submission (per-point caching, parallel fan-out, retries, and
-    resume from the cache all apply unchanged); what this adds is the dense
-    grid-shaped result surface — ``evaluation.grid().array("mac_per_s")``
-    instead of a hand-rolled loop over :meth:`ResultSet.select`.
-    """
-    resultset = execute(plan)
-    grids: "OrderedDict[str, EvaluatedGrid]" = OrderedDict(
-        (grid.name, EvaluatedGrid(
-            name=grid.name, kind=grid.kind,
-            axis_names=tuple(axis.name for axis in grid.axes),
-            axis_labels=tuple(axis.labels for axis in grid.axes),
-            resultset=resultset))
-        for grid in plan.grids)
-    return GridEvaluation(resultset, grids)
 
 
 # -- the named registry ----------------------------------------------------

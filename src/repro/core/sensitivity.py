@@ -100,25 +100,16 @@ def bandwidth_sweep(
     library: Optional[CellLibrary] = None,
 ) -> List[BandwidthPoint]:
     """Mean throughput of SuperNPU and the TPU at each shared bandwidth."""
-    workloads = workloads if workloads is not None else all_workloads()
     plan = bandwidth_plan(bandwidths_gbps, config, workloads, library)
     resultset = execute(plan)
     points = []
     for bandwidth in bandwidths_gbps:
         label = f"{float(bandwidth):g}"
-        sfq_total = sum(
-            r.run.mac_per_s
-            for r in resultset.select(grid="sfq", bandwidth=label)
-        )
-        tpu_total = sum(
-            r.run.mac_per_s
-            for r in resultset.select(grid="tpu", bandwidth=label)
-        )
         points.append(
             BandwidthPoint(
                 bandwidth_gbps=float(bandwidth),
-                sfq_tmacs=sfq_total / len(workloads) / 1e12,
-                tpu_tmacs=tpu_total / len(workloads) / 1e12,
+                sfq_tmacs=resultset.mean("mac_per_s", grid="sfq", bandwidth=label) / 1e12,
+                tpu_tmacs=resultset.mean("mac_per_s", grid="tpu", bandwidth=label) / 1e12,
             )
         )
     return points

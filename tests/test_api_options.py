@@ -1,7 +1,8 @@
-"""The grid-shaped plan verb of ``repro.api``.
+"""Reading a plan's results through :class:`~repro.core.plan.ResultSet`.
 
-:func:`repro.api.evaluate_grid` is proven point-for-point identical to
-:func:`repro.api.run_plan`, and caches through the ambient session.
+A grid-shaped metric array is :meth:`ResultSet.column` reshaped onto the
+grid's axes, a point is :meth:`ResultSet.one` by its labels, and plans
+cache through the ambient session.
 """
 
 from __future__ import annotations
@@ -33,24 +34,30 @@ def tiny_plan(tiny_network, rsfq):
     return ExperimentPlan("tiny", (grid,), description="options test grid")
 
 
-# -- evaluate_grid ----------------------------------------------------------
+def _array(resultset, metric, grid="curve"):
+    """``metric`` over ``grid`` as a dense array shaped by its axes."""
+    planned = next(each for each in resultset.plan.grids if each.name == grid)
+    shape = tuple(len(axis.values) for axis in planned.axes)
+    return np.array(resultset.column(metric, grid=grid), float).reshape(shape)
 
-def test_evaluate_grid_matches_run_plan_pointwise(tiny_plan):
+
+def test_column_matches_the_results_pointwise(tiny_plan):
     resultset = api.run_plan(tiny_plan)
-    evaluation = api.evaluate_grid(tiny_plan)
-    assert evaluation.plan_hash == resultset.plan_hash
-    flat = list(evaluation.grid().results.ravel())
-    assert len(flat) == len(resultset.results) == 3
-    for grid_point, plan_point in zip(flat, resultset.results):
-        assert grid_point.run.total_cycles == plan_point.run.total_cycles
-        assert grid_point.run.mac_per_s == plan_point.run.mac_per_s
+    other = api.run_plan(tiny_plan)
+    assert other.plan_hash == resultset.plan_hash
+    cycles = resultset.column("total_cycles", grid="curve")
+    throughput = resultset.column("mac_per_s", grid="curve")
+    assert len(cycles) == len(other.results) == 3
+    for total_cycles, mac_per_s, plan_point in zip(cycles, throughput, other.results):
+        assert total_cycles == plan_point.run.total_cycles
+        assert mac_per_s == plan_point.run.mac_per_s
 
 
-def test_evaluated_grid_shape_and_metric_array(tiny_plan):
-    grid = api.evaluate_grid(tiny_plan).grid()
-    assert grid.shape == (1, 1, 3, 1)
-    assert grid.axis_names == ("config", "workload", "batch", "library")
-    throughput = grid.array("mac_per_s")
+def test_column_reshapes_onto_the_grid_axes(tiny_plan):
+    resultset = api.run_plan(tiny_plan)
+    grid = resultset.plan.grids[0]
+    assert tuple(axis.name for axis in grid.axes) == ("config", "workload", "batch", "library")
+    throughput = _array(resultset, "mac_per_s")
     assert throughput.shape == (1, 1, 3, 1)
     assert np.isfinite(throughput).all()
     # Larger batches never lower throughput on this tiny workload.
@@ -58,32 +65,35 @@ def test_evaluated_grid_shape_and_metric_array(tiny_plan):
     assert flat[2] >= flat[0]
 
 
-def test_evaluated_grid_label_lookup(tiny_plan):
-    grid = api.evaluate_grid(tiny_plan).grid()
-    point = grid.result(config="SuperNPU", workload="TinyNet",
-                        batch="2", library="rsfq")
+def test_one_looks_up_a_point_by_its_labels(tiny_plan):
+    resultset = api.run_plan(tiny_plan)
+    point = resultset.one(grid="curve", config="SuperNPU", workload="TinyNet",
+                          batch="2", library="rsfq")
     assert point.run.batch == 2
+    # Leaving an axis out matches its every label; an unknown label none.
     with pytest.raises(ConfigError) as err:
-        grid.result(config="SuperNPU", workload="TinyNet", library="rsfq")
-    assert err.value.code == "plan.missing_axis"
+        resultset.one(grid="curve", config="SuperNPU", workload="TinyNet", library="rsfq")
+    assert err.value.code == "plan.ambiguous_selection"
+    assert err.value.context["matches"] == 3
     with pytest.raises(ConfigError) as err:
-        grid.result(config="SuperNPU", workload="TinyNet",
-                    batch="99", library="rsfq")
-    assert err.value.code == "plan.unknown_label"
+        resultset.one(grid="curve", config="SuperNPU", workload="TinyNet",
+                      batch="99", library="rsfq")
+    assert err.value.code == "plan.ambiguous_selection"
+    assert err.value.context["matches"] == 0
 
 
-def test_grid_evaluation_unknown_grid(tiny_plan):
-    evaluation = api.evaluate_grid(tiny_plan)
-    assert [g.name for g in evaluation] == ["curve"]
+def test_column_of_an_unknown_grid_is_an_error(tiny_plan):
+    resultset = api.run_plan(tiny_plan)
+    assert [grid.name for grid in resultset.plan.grids] == ["curve"]
     with pytest.raises(ConfigError) as err:
-        evaluation["nope"]
+        resultset.column("mac_per_s", grid="nope")
     assert err.value.code == "plan.unknown_grid"
 
 
-def test_evaluate_grid_with_options_and_cache(tmp_path, tiny_plan):
+def test_run_plan_twice_in_a_cached_session_hits(tmp_path, tiny_plan):
     with api.session(cache_dir=tmp_path / "cache") as runner:
-        first = api.evaluate_grid(tiny_plan)
-        second = api.evaluate_grid(tiny_plan)
+        first = api.run_plan(tiny_plan)
+        second = api.run_plan(tiny_plan)
     assert runner.stats.hits == 3
-    np.testing.assert_array_equal(first.grid().array("total_cycles"),
-                                  second.grid().array("total_cycles"))
+    np.testing.assert_array_equal(_array(first, "total_cycles"),
+                                  _array(second, "total_cycles"))

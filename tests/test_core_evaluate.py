@@ -2,14 +2,20 @@
 
 import pytest
 
-from repro.core.evaluate import evaluate_design, evaluate_suite, table3_rows
+from repro.core.evaluate import evaluate_suite, table3_plan, table3_rows
 from repro.core.designs import supernpu
+from repro.core.plan import execute
 from repro.workloads.models import by_name
 
 
 @pytest.fixture(scope="module")
 def suite():
     return evaluate_suite()
+
+
+@pytest.fixture(scope="module")
+def table3():
+    return execute(table3_plan())
 
 
 def test_suite_covers_all_designs_and_workloads(suite):
@@ -50,14 +56,15 @@ def test_design_lookup(suite):
 
 
 def test_evaluate_design_single(rsfq):
-    evaluation = evaluate_design(supernpu(), workloads=[by_name("resnet50")], library=rsfq)
+    evaluation = evaluate_suite(designs=[supernpu()], workloads=[by_name("resnet50")],
+                                library=rsfq).design("SuperNPU")
     assert set(evaluation.runs) == {"ResNet50"}
     assert evaluation.mean_mac_per_s > 0
     assert evaluation.power["ResNet50"].total_w > 0
 
 
-def test_table3_shape(suite):
-    rows = table3_rows(suite)
+def test_table3_shape(table3):
+    rows = table3_rows(table3)
     labels = [r.label for r in rows]
     assert labels[0] == "TPU"
     assert any("RSFQ" in l for l in labels)
@@ -72,7 +79,7 @@ def test_table3_shape(suite):
     assert by_label["ERSFQ-SuperNPU (w/ cooling)"].normalized_to(reference) > 1.0
 
 
-def test_table3_chip_power_bands(suite):
-    rows = {r.label: r for r in table3_rows(suite)}
+def test_table3_chip_power_bands(table3):
+    rows = {r.label: r for r in table3_rows(table3)}
     assert 900 <= rows["RSFQ-SuperNPU (w/ cooling)"].chip_power_w <= 1030
     assert rows["ERSFQ-SuperNPU (w/ cooling)"].chip_power_w < 3.0

@@ -13,7 +13,6 @@ The three load-bearing guarantees:
 from __future__ import annotations
 
 import random
-from types import SimpleNamespace
 
 import pytest
 
@@ -25,9 +24,6 @@ from repro.core.plan import (
     AxisSpec,
     ExperimentPlan,
     Grid,
-    PlanResult,
-    PlanResults,
-    ResultSet,
     batch_axis,
     config_axis,
     execute,
@@ -169,22 +165,27 @@ def _scan(results, grid, coords):
             and all(dict(r.coords).get(axis) == label for axis, label in coords.items())]
 
 
+#: The configs the random plans' config axes draw from, by label; their
+#: register counts give each a different area.
+_CONFIGS = {label: supernpu().with_updates(name=f"synthetic-{label}", registers_per_pe=regs)
+            for label, regs in zip("abc", (1, 2, 4))}
+
+
 def _random_resultset(rng):
-    """Up to 60 synthetic results over three grids with random axes."""
-    results = []
-    axes_by_grid = {grid: rng.sample(["config", "workload", "batch", "x"], rng.randint(1, 4))
-                    for grid in ("g0", "g1", "g2")}
-    for _ in range(rng.randint(0, 60)):
-        grid = rng.choice(sorted(axes_by_grid))
-        coords = tuple((axis, rng.choice("abc")) for axis in axes_by_grid[grid])
-        run = SimpleNamespace(mac_per_s=rng.random() * 10.0 ** rng.randint(-3, 12))
-        results.append(PlanResult(plan="synthetic", plan_hash="0" * 64, grid=grid,
-                                  coords=coords, key=str(len(results)), cached=False,
-                                  run=run))
-    return ResultSet(SimpleNamespace(name="synthetic"), "0" * 64, PlanResults(
-        len(results), results.__getitem__,
-        lambda position, metric: getattr(results[position].run, metric)),
-        points_cached=0, points_executed=len(results))
+    """A random plan of three estimate grids, executed: each grid has one
+    config axis and up to three param axes, with names and labels drawn."""
+    grids = []
+    for grid in ("g0", "g1", "g2"):
+        names = rng.sample(["config", "workload", "batch", "x"], rng.randint(1, 4))
+        config_at = rng.randrange(len(names))
+        axes = []
+        for position, name in enumerate(names):
+            labels = tuple(rng.sample("abc", rng.randint(1, 3)))
+            axes.append(config_axis(tuple(_CONFIGS[label] for label in labels), name=name,
+                                    labels=labels) if position == config_at
+                        else param_axis(name, labels))
+        grids.append(Grid(grid, tuple(axes), kind="estimate"))
+    return execute(ExperimentPlan("synthetic", tuple(grids)))
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -209,12 +210,12 @@ def test_indexed_select_one_and_mean_match_a_linear_scan(seed):
                 resultset.one(grid=grid, **coords)
             assert info.value.code == "plan.ambiguous_selection"
         if expected:
-            total = sum(r.run.mac_per_s for r in expected)
-            assert resultset.mean(grid=grid, **coords) == total / len(expected)
+            total = sum(r.estimate.area_mm2 for r in expected)
+            assert resultset.mean("area_mm2", grid=grid, **coords) == total / len(expected)
         else:
             assert selected == []
             with pytest.raises(ConfigError) as info:
-                resultset.mean(grid=grid, **coords)
+                resultset.mean("area_mm2", grid=grid, **coords)
             assert info.value.code == "plan.empty_selection"
 
 

@@ -259,6 +259,41 @@ def test_a_cache_less_search_builds_no_run_and_estimates_once_per_session(monkey
     assert calls == {"estimate_content": 64 + 384, "estimate_npu": 64}
 
 
+# -- a read builds only what it returns ------------------------------------
+
+def test_one_builds_only_the_result_it_returns(monkeypatch):
+    calls: Counter = Counter()
+    _count_calls(monkeypatch, plan.PlanResult, ("__init__",), calls)
+    _count_calls(monkeypatch, jobs._Charged, ("build",), calls)
+    with jobs.session():
+        resultset = plan.execute(plan.plan_by_name("fig23_evaluate"))
+        result = resultset.one(grid="designs", config="SuperNPU", workload="ResNet50")
+    assert (result.run.design, result.run.network) == ("SuperNPU", "ResNet50")
+    assert calls["__init__"] == 1
+    assert calls["build"] <= 1
+
+
+@pytest.mark.parametrize("driver", [
+    "repro.core.ablate.ablation_study",
+    "repro.core.optimizer.buffer_sweep",
+    "repro.core.optimizer.resource_sweep",
+    "repro.core.optimizer.register_sweep",
+    "repro.core.sensitivity.bandwidth_sweep",
+])
+def test_a_driver_that_averages_builds_no_run(monkeypatch, tmp_path, driver):
+    module, name = driver.rsplit(".", 1)
+    run = getattr(importlib.import_module(module), name)
+    with jobs.session(cache_dir=tmp_path):
+        built = run()  # a cache writes each run, so every result is built
+    calls: Counter = Counter()
+    _count_calls(monkeypatch, jobs._Charged, ("build",), calls)
+    with jobs.session():
+        charged = run()
+    assert calls == {}
+    # Means read from the charge passes' totals equal the built runs'.
+    assert charged == built
+
+
 # -- the column path equals solo simulations -------------------------------
 
 def _solo(point):
