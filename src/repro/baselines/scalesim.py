@@ -9,18 +9,30 @@ the same analytical cycle model: for every fold (weight tile) of a layer,
 covering array fill, streaming one ifmap vector per cycle, and drain; SRAM
 is random-access (no shift-register preparation costs), and DRAM transfers
 overlap with compute (``max(on_chip, traffic/bw)`` per layer).
+
+The folds are never walked.  A layer has ``|R| = ceil(reduction / height)``
+row folds, whose rows add up to the reduction size, and ``|C| =
+ceil(filters / width)`` column folds, whose columns add up to the filters
+per group, so the sums over its ``groups * |R| * |C|`` folds are
+
+    fill_drain = groups * (2 * |C| * reduction + |R| * filters - 2 * |R| * |C|)
+    streaming  = groups * |R| * |C| * vectors
+
+and :func:`simulate_cmos` charges every layer at once, as int64 columns
+over the network's layer table, with the SFQ pass's residency and DRAM
+tail (:func:`repro.simulator.kernel.layer_columns`).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.canonical import KeepsCanonicalText
-from repro.simulator.kernel import EXACT_LIMIT, charge_overflow
+from repro.simulator.kernel import EXACT_LIMIT, charge_overflow, column_totals, layer_columns
 from repro.simulator.memory import memory_model_for
-from repro.simulator.results import LAYER_FIELDS, ActivityTrace, SimulationResult
-from repro.workloads.layers import ConvLayer
+from repro.simulator.results import ActivityTrace, SimulationResult
 from repro.workloads.models import Network
 
 MIB = 1024 * 1024
@@ -64,28 +76,6 @@ class CMOSNPUConfig(KeepsCanonicalText):
 TPU_CORE = CMOSNPUConfig()
 
 
-def _layer_cycles(layer: ConvLayer, config: CMOSNPUConfig, batch: int) -> "tuple[int, int]":
-    """(fill/drain cycles, streaming cycles) over all folds of a layer."""
-    height = config.pe_array_height
-    width = config.pe_array_width
-    vectors = layer.output_pixels * batch
-
-    row_sizes = [height] * (layer.reduction_size // height)
-    if layer.reduction_size % height:
-        row_sizes.append(layer.reduction_size % height)
-    col_sizes = [width] * (layer.filters_per_group // width)
-    if layer.filters_per_group % width:
-        col_sizes.append(layer.filters_per_group % width)
-
-    fill_drain = 0
-    streaming = 0
-    for rows in row_sizes:
-        for cols in col_sizes:
-            fill_drain += layer.groups * (2 * rows + cols - 2)
-            streaming += layer.groups * vectors
-    return fill_drain, streaming
-
-
 def simulate_cmos(
     config: CMOSNPUConfig,
     network: Network,
@@ -100,47 +90,34 @@ def simulate_cmos(
     """
     if batch < 1:
         raise ValueError("batch must be positive")
+    table = network.layer_table
     memory = memory_model_for(config, config.frequency_ghz)
-    columns = {name: [] for name in LAYER_FIELDS}
-    resident = False
-    for index, layer in enumerate(network.layers):
-        fill_drain, streaming = _layer_cycles(layer, config, batch)
-        traffic = layer.weight_bytes
-        if not resident:
-            traffic += layer.ifmap_bytes * batch
-        is_last = index == len(network.layers) - 1
-        resident = (
-            not is_last
-            and layer.ofmap_bytes * batch <= config.onchip_buffer_bytes
-        )
-        if not resident:
-            traffic += layer.ofmap_bytes * batch
-        on_chip = fill_drain + streaming
-        dram_cycles = memory.transfer_cycles(traffic)
-        row = dict(
-            name=layer.name,
-            mappings=max(1, math.ceil(layer.reduction_size / config.pe_array_height))
-            * max(1, math.ceil(layer.filters_per_group / config.pe_array_width))
-            * layer.groups,
-            weight_load_cycles=fill_drain,
-            ifmap_prep_cycles=0, psum_move_cycles=0, activation_transfer_cycles=0,
-            compute_cycles=streaming,
-            dram_traffic_bytes=traffic, dram_cycles=dram_cycles,
-            total_cycles=max(on_chip, dram_cycles),
-            macs=layer.macs_per_image * batch,
-        )
-        for name, value in row.items():
-            columns[name].append(value)
+    # Every int64 term below is at most this bound (fill and drain are at
+    # most three times the weights, streaming at most the MACs), so below
+    # 2**63 none wraps; past it the run is refused before charging.
+    traffic = table.weight_bound + batch * table.traffic_bound
+    bound = max(3 * table.weight_bound + batch * table.on_chip_bound, traffic,
+                traffic / memory.bytes_per_cycle + 1)
+    if bound >= 2 ** 63:
+        raise charge_overflow(batch, bound)
+
+    row_folds = -(-table.reduction // config.pe_array_height)
+    col_folds = -(-table.filters // config.pe_array_width)
+    folds = table.groups * row_folds * col_folds
+    fill_drain = table.groups * (2 * col_folds * table.reduction
+                                 + row_folds * table.filters - 2 * row_folds * col_folds)
+    zeros = np.zeros_like(folds)
+    (block,) = layer_columns(
+        (folds, fill_drain, zeros, zeros, zeros, folds * (table.pixels * batch)),
+        table.weights, table.ifmap * batch, table.ofmap * batch,
+        # Capped as the SFQ passes cap buffer sizes: every byte count is below it.
+        min(config.onchip_buffer_bytes, EXACT_LIMIT), memory.bytes_per_cycle,
+        table.macs * batch)
     # The bound the SFQ passes keep: past it an int64 sum of the layers
     # could wrap, and the cache could not hold the run exactly.
-    largest = max(max(columns[name]) for name in LAYER_FIELDS[1:])
+    largest = int(np.maximum.reduce(block, axis=None))
     if largest >= EXACT_LIMIT:
         raise charge_overflow(batch, largest)
-    return SimulationResult(
-        design=config.name,
-        network=network.name,
-        batch=batch,
-        frequency_ghz=config.frequency_ghz,
-        columns=columns,
-        activity=ActivityTrace(),
-    )
+    return SimulationResult.from_charges(
+        config.name, network.name, batch, config.frequency_ghz, table.names, block,
+        column_totals(block), ActivityTrace())

@@ -9,8 +9,9 @@ rows of the claims table (:mod:`repro.core.golden`).
 from __future__ import annotations
 
 import json
+from contextvars import ContextVar
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 from repro.device import cells
 from repro.device.cells import CellLibrary, Technology, library_for
@@ -170,9 +171,31 @@ def _fig22(library: CellLibrary, workloads: List[Network]) -> object:
     }
 
 
-def _fig23(library: CellLibrary, workloads: List[Network]) -> object:
-    from repro.core.evaluate import evaluate_suite
+#: The :func:`reproduce_all` call under way: the experiments it runs, and
+#: the Table III execution once one of them made it.
+_CALL: ContextVar[Optional[Dict[str, Any]]] = ContextVar("repro_reproduce_call", default=None)
 
+
+def _table3_resultset(library: CellLibrary, workloads: List[Network]):
+    """The executed ``table3_power`` plan, executed once per call."""
+    from repro.core.evaluate import table3_plan
+    from repro.core.plan import execute
+
+    call = _CALL.get()
+    if call is None:
+        return execute(table3_plan(workloads, library))
+    if "table3" not in call:
+        call["table3"] = execute(table3_plan(workloads, library))
+    return call["table3"]
+
+
+def _fig23(library: CellLibrary, workloads: List[Network]) -> object:
+    from repro.core.evaluate import evaluate_suite, suite_from
+
+    call = _CALL.get()
+    if call is not None and "table3_power" in call["selected"]:
+        # Table III's plan holds Fig. 23's grids: one execution serves both.
+        return suite_from(_table3_resultset(library, workloads)).speedups()
     return evaluate_suite(workloads=workloads, library=library).speedups()
 
 
@@ -218,10 +241,9 @@ def _table2(library: CellLibrary, workloads: List[Network]) -> object:
 
 
 def _table3(library: CellLibrary, workloads: List[Network]) -> object:
-    from repro.core.evaluate import table3_plan, table3_rows
-    from repro.core.plan import execute
+    from repro.core.evaluate import table3_rows
 
-    rows = table3_rows(execute(table3_plan(workloads, library)))
+    rows = table3_rows(_table3_resultset(library, workloads))
     reference = rows[0]
     return {
         row.label: {
@@ -283,20 +305,24 @@ def reproduce_all(
                           hint="pass a directory to hold one JSON file per experiment")
 
     results: Dict[str, object] = {}
-    for name in selected:
-        try:
-            results[name] = registry[name](library, workloads)
-        except ReproError:
-            raise  # already structured; the experiment name is in the trace
-        except Exception as error:
-            raise SimulationError(
-                f"experiment {name!r} failed: {error}",
-                code="sim.experiment_failed",
-                hint="re-run with --only to isolate; completed experiments "
-                     "stay cached",
-                experiment=name,
-                completed=sorted(results),
-            ) from error
+    token = _CALL.set({"selected": set(selected)})
+    try:
+        for name in selected:
+            try:
+                results[name] = registry[name](library, workloads)
+            except ReproError:
+                raise  # already structured; the experiment name is in the trace
+            except Exception as error:
+                raise SimulationError(
+                    f"experiment {name!r} failed: {error}",
+                    code="sim.experiment_failed",
+                    hint="re-run with --only to isolate; completed experiments "
+                         "stay cached",
+                    experiment=name,
+                    completed=sorted(results),
+                ) from error
+    finally:
+        _CALL.reset(token)
 
     if directory is not None:
         directory.mkdir(parents=True, exist_ok=True)

@@ -29,20 +29,23 @@ module turns that fan-out into an explicit job layer:
 The payload codec runs only at a boundary.  A cache hit is decoded once
 from its record's bytes; a pool worker ships the same bytes, decoded once
 in the parent and written as they are; a serial miss keeps the simulator's
-own result and is encoded only to be written to the cache.  The codec
-round-trips every field exactly and activity materializes in sorted-unit
-order on every path, so serial, parallel, warm-cache, and failure-recovered
-runs are bitwise-identical (proven by ``tests/test_resilience.py`` under
-injected crashes, hangs, SIGKILLs, and corrupted cache entries).
+own result, or its slice of a charge pass, and is encoded only to be
+written to the cache.  The codec round-trips every field exactly and
+activity materializes in sorted-unit order on every path, so serial,
+parallel, warm-cache, and failure-recovered runs are bitwise-identical
+(proven by ``tests/test_resilience.py`` under injected crashes, hangs,
+SIGKILLs, and corrupted cache entries).
 
-In-process runs charge the pending SFQ tasks that share a network
-together, one (designs x layers) array pass per group
-(:func:`repro.simulator.engine.charge_designs`) with each design's estimate
-resolved once, when the group's first task comes up; a group of one is
-charged by its task's own ``simulate`` call.  Each task keeps its slice of
+In-process runs charge their pending SFQ tasks in as few (points x
+layers) array passes as they can
+(:func:`repro.simulator.engine.charge_designs`): the tasks are grouped by
+network, and whole groups are packed into passes of at most
+:data:`GROUP_LIMIT` points (:func:`_packed_passes`), each design's estimate
+resolved once, when the pass's first task comes up; a pass of one task is
+charged by that task's own ``simulate`` call.  Each task keeps its slice of
 the pass, and its result is built only when read: by the caller, or at once
-for a cache, a tracer or metrics.  Chaos, retries, events and cache writes
-stay per task, in task order.
+for a tracer or metrics; a cache encodes the slice as it is.  Chaos,
+retries, events and cache writes stay per task, in task order.
 
 Keys are computed once per object, and only when read: configs, networks
 and cell libraries keep their canonical JSON text (:mod:`repro.canonical`),
@@ -80,13 +83,14 @@ import time
 import weakref
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, BrokenExecutor, Future, ProcessPoolExecutor, wait
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from contextvars import ContextVar
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import accumulate
 from pathlib import Path
-from typing import Any, Callable, Deque, Dict, Iterator, List, Optional, Sequence, Set, Tuple, Union
+from typing import (Any, Callable, Deque, Dict, Iterable, Iterator, List, Optional, Sequence,
+                    Set, Tuple, Union)
 
 import numpy as np
 
@@ -311,17 +315,25 @@ def _record(schema: int, kind: str, created_unix: float, design: str, network: s
         texts[4], block))
 
 
-def result_to_dict(run: SimulationResult, kind: str = "simulate") -> bytes:
-    """``run`` as the body of a ``kind`` cache record created now."""
-    state = vars(run)
-    if "_charges" in state:  # a charge-pass or decoded run: its block as it is
-        names, charges = state["_names"], state["_charges"]
-    else:  # a run built from lists, or one whose lists were read
-        columns = run.columns
-        names = columns["name"]
-        charges = np.array([columns[name] for name in BLOCK_FIELDS], dtype=np.int64)
-    return _record(CACHE_FORMAT_VERSION, kind, time.time(), run.design, run.network,
-                   run.batch, run.frequency_ghz, run.activity.effective_cycles, names,
+def result_to_dict(run: Union[SimulationResult, "_Charged"], kind: str = "simulate") -> bytes:
+    """``run``, a result or a task's slice of a charge pass, as the body of
+    a ``kind`` cache record created now."""
+    if type(run) is _Charged:  # the slice as it is, as its result would encode
+        task = run.task
+        design, network, batch = task.config.name, task.network.name, task.batch
+        activity, names = run.charges.activity, task.network.layer_table.names
+        charges = run.charges.charges
+    else:
+        design, network, batch = run.design, run.network, run.batch
+        activity, state = run.activity.effective_cycles, vars(run)
+        if "_charges" in state:  # a charge-pass or decoded run: its block as it is
+            names, charges = state["_names"], state["_charges"]
+        else:  # a run built from lists, or one whose lists were read
+            columns = run.columns
+            names = columns["name"]
+            charges = np.array([columns[name] for name in BLOCK_FIELDS], dtype=np.int64)
+    return _record(CACHE_FORMAT_VERSION, kind, time.time(), design, network, batch,
+                   run.frequency_ghz, activity, names,
                    charges.astype("<i8", copy=False).tobytes())
 
 
@@ -520,7 +532,8 @@ class ResultCache:
     other's the entry document as sorted-key JSON.  No
     index is stored: opening a cache scans the segments' headers into an
     in-memory index, and a miss rescans the segments of live writers for
-    records written since.
+    records written since; inside :meth:`one_rescan`, only a thread's first
+    miss does.
 
     A record whose sha256, JSON or section lengths (the header's lengths
     and counts, the block ``8 x fields x layers`` bytes) do not check out
@@ -550,6 +563,7 @@ class ResultCache:
         self._writer_pid = 0
         self._end = 0
         self._swept = 0
+        self._local = threading.local()  # .rescanned: see one_rescan
         weakref.finalize(self, _close_fds, self._fds)
         with self._lock:
             self._refresh()
@@ -559,6 +573,19 @@ class ResultCache:
         rescans the segments."""
         with self._lock:
             self._forget()
+
+    @contextmanager
+    def one_rescan(self) -> Iterator[None]:
+        """Within the block, this thread's first miss rescans the segments
+        and later misses do not: a run looks all its keys up at once, and a
+        record another writer appends during that is a miss either way.
+        This handle's own writes are indexed as they are made."""
+        outer = getattr(self._local, "rescanned", None)
+        self._local.rescanned = False
+        try:
+            yield
+        finally:
+            self._local.rescanned = outer
 
     # -- segments (every helper here runs with the lock held) ----------
     def _forget(self) -> None:
@@ -663,7 +690,12 @@ class ResultCache:
         with self._lock:
             entry = self._index.get(key)
             if entry is None:
+                rescanned = getattr(self._local, "rescanned", None)
+                if rescanned:
+                    return None, ""
                 self._refresh()
+                if rescanned is False:
+                    self._local.rescanned = True
                 entry = self._index.get(key)
                 if entry is None:
                     return None, ""
@@ -857,7 +889,9 @@ class ResultCache:
 #: the tasks a process runs.  The estimator already estimates each
 #: distinct unit once, but even an all-hit estimate_npu rebuilds the
 #: design's units and its clock (tens of microseconds); a design's tasks
-#: (one per network) take this dict lookup instead.  Keyed by
+#: (one per network) take this dict lookup instead, and so does a design
+#: the runner estimated first (:meth:`JobRunner.lookup_estimate` records
+#: its estimates here).  Tasks read only an estimate's frequency.  Keyed by
 #: :func:`estimate_content`, without hashing it.  It holds at most
 #: ``UNIT_MEMO_SIZE`` designs, the oldest evicted first, so a long-lived
 #: process does not keep every design it has seen.
@@ -916,30 +950,54 @@ class _Charged(RunRates):
 #: Most design points charged in one array pass.  Time per point levels
 #: off from about 16 points and grows again past 64, while the pass's
 #: temporaries keep growing (docs/PERFORMANCE.md section 7).  A serial run
-#: charges a group when its first task comes up, so this also bounds the
+#: charges a pass when its first task comes up, so this also bounds the
 #: work a killed run loses.
 GROUP_LIMIT = 64
 
 
-def _charge_group(tasks: Sequence[SimTask], group: Sequence[int],
-                  ) -> Dict[int, Optional[_Charged]]:
-    """Each task of one network's group, by index, with its slice of one
+def _packed_passes(groups: Iterable[List[int]]) -> List[List[List[int]]]:
+    """The charge passes over ``groups``, each one network's task indexes
+    in task order, as lists of pieces: a group is cut into pieces of
+    :data:`GROUP_LIMIT` tasks (the last piece holds the rest), and each
+    piece joins the first pass it fits whole, in group order, or opens a
+    new one.  So a pass holds at most :data:`GROUP_LIMIT` tasks, and a
+    full group is a pass of its own."""
+    passes: List[List[List[int]]] = []
+    for group in groups:
+        for start in range(0, len(group), GROUP_LIMIT):
+            piece = group[start:start + GROUP_LIMIT]
+            home = next((each for each in passes
+                         if sum(map(len, each)) + len(piece) <= GROUP_LIMIT), None)
+            if home is None:
+                passes.append([piece])
+            else:
+                home.append(piece)
+    return passes
+
+
+def _charge_pass(tasks: Sequence[SimTask], pieces: Sequence[Sequence[int]],
+                 ) -> Dict[int, Optional[_Charged]]:
+    """Each task of one charge pass, by index, with its slice of one
     :func:`charge_designs` pass and its design's estimate, resolved once.
-    A group of one is charged by its task's own ``simulate`` call, and a
-    pass that raised anything leaves each task to run alone under the
+    A pass of one task is charged by its task's own ``simulate`` call, and
+    a pass that raised anything leaves each task to run alone under the
     retry policy and raise its own error: their tasks map to None."""
-    if len(group) > 1:
-        members = [tasks[index] for index in group]
+    members = [index for piece in pieces for index in piece]
+    if len(members) > 1:
+        points = [tasks[index] for index in members]
+        # A piece's tasks share a network: the pass takes its first task's.
+        networks = (points[0].network if len(pieces) == 1 else
+                    [tasks[piece[0]].network for piece in pieces for _ in piece])
         try:
             estimates = [_estimate_for(task.config, task.resolved_library())
-                         for task in members]
-            charges = charge_designs([task.config for task in members], members[0].network,
-                                     [task.batch for task in members], estimates)
+                         for task in points]
+            charges = charge_designs([task.config for task in points], networks,
+                                     [task.batch for task in points], estimates)
             return {index: _Charged(*part) for index, part in
-                    zip(group, zip(members, estimates, charges))}
+                    zip(members, zip(points, estimates, charges))}
         except Exception:
             obs.counter("jobs.sim.group_fallbacks").inc()
-    return dict.fromkeys(group)
+    return dict.fromkeys(members)
 
 
 @dataclass(frozen=True)
@@ -1149,16 +1207,17 @@ class JobRunner:
         cached = [False] * len(tasks)
         pending: List[int] = []
         try:
-            for index, task in enumerate(tasks):
-                result = (None if self.cache is None
-                          else self._cached(_task_key(task), result_from_dict))
-                if result is None:
-                    pending.append(index)
-                    self._emit("queued", task)
-                    continue
-                results[index] = result
-                cached[index] = True
-                self._emit("cached", task)
+            with nullcontext() if self.cache is None else self.cache.one_rescan():
+                for index, task in enumerate(tasks):
+                    result = (None if self.cache is None
+                              else self._cached(_task_key(task), result_from_dict))
+                    if result is None:
+                        pending.append(index)
+                        self._emit("queued", task)
+                        continue
+                    results[index] = result
+                    cached[index] = True
+                    self._emit("cached", task)
             hits = len(tasks) - len(pending)
 
             task_seconds = 0.0
@@ -1214,28 +1273,29 @@ class JobRunner:
                     pending: Sequence[Tuple[int, int]]) -> float:
         """Run ``(index, failures so far)`` tasks in-process, in order.
 
-        The pending SFQ tasks that share a network are charged together,
-        at most :data:`GROUP_LIMIT` to a pass, when the group's first task
-        comes up (:func:`_charge_group`).  Each task then fires its own
-        chaos under the retry policy, emits its own events and is cached on
-        its own, as if run alone.  Its slice of the pass is built into its
-        result at once only for a reader that needs it now: a cache, or a
-        tracer or metrics (its spans and ``sim.*`` counts, in task order).
+        The pending SFQ tasks are grouped by network and the groups packed
+        into passes of at most :data:`GROUP_LIMIT` tasks
+        (:func:`_packed_passes`); a pass is charged when its first task
+        comes up (:func:`_charge_pass`).  Each task then fires its own chaos
+        under the retry policy, emits its own events and is cached on its
+        own, as if run alone.  Its slice of the pass is built into its
+        result at once only for a reader that needs it now: a tracer or
+        metrics (its spans and ``sim.*`` counts, in task order).
         """
-        waiting: Dict[str, Deque[int]] = {}
+        groups: Dict[str, List[int]] = {}
         for index, _ in pending:
             if not tasks[index].is_cmos:
-                waiting.setdefault(workload_text(tasks[index].network), deque()).append(index)
+                groups.setdefault(workload_text(tasks[index].network), []).append(index)
+        passes = {index: pieces for pieces in _packed_passes(groups.values())
+                  for piece in pieces for index in piece}
         charged: Dict[int, Optional[_Charged]] = {}
-        build = self.cache is not None or obs.metrics().enabled or obs.tracer().enabled
+        build = obs.metrics().enabled or obs.tracer().enabled
         total = 0.0
         for index, failures in pending:
             task = tasks[index]
             self._emit("started", task, attempt=failures)
-            if index not in charged and not task.is_cmos:
-                group = waiting[workload_text(task.network)]
-                charged.update(_charge_group(
-                    tasks, [group.popleft() for _ in range(min(len(group), GROUP_LIMIT))]))
+            if index in passes and index not in charged:
+                charged.update(_charge_pass(tasks, passes[index]))
             result, seconds = self._execute_with_retry(task, failures, charged.pop(index, None))
             if build and type(result) is _Charged:
                 result = result.build()
@@ -1450,6 +1510,9 @@ class JobRunner:
             if key is not None:
                 self.cache.put(key, estimate_to_dict(estimate), kind="estimate")
         _remember(self._estimates, content, estimate)
+        if content not in _WORKER_ESTIMATES:
+            # The charge passes read only its (bitwise equal) frequency.
+            _remember(_WORKER_ESTIMATES, content, estimate)
         return estimate, served
 
     # -- accounting ---------------------------------------------------

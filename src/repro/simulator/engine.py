@@ -25,10 +25,10 @@ The same engine simulates every design point; only the
 :func:`simulate` charges a whole network in one array pass
 (:func:`repro.simulator.kernel.charge_network`, whose OS twin serves
 :mod:`repro.simulator.dataflow_ablation`); :func:`charge_designs` charges
-several design points of one network in one pass, and :func:`simulate`
-then builds each point's result from its part.  A result keeps its slice
-of the pass's int64 block and the pass's totals; its per-layer lists are
-built only when something reads them.
+several design points, of one network or of several, in one pass, and
+:func:`simulate` then builds each point's result from its part.  A result
+keeps its slice of the pass's int64 block and the pass's totals; its
+per-layer lists are built only when something reads them.
 :func:`simulate_layer` charges one layer by walking its mapping tiles; it is
 the scalar golden reference the array pass is tested against, bit for bit.
 """
@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import math
 import time
-from typing import Dict, List, NamedTuple, Optional, Sequence
+from typing import Dict, List, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -46,7 +46,7 @@ from repro.obs.timeline import CycleTimeline
 from repro.device.cells import CellLibrary
 from repro.estimator.arch_level import NPUEstimate, estimate_npu
 from repro.simulator.datapath import build_datapath
-from repro.simulator.kernel import charge_network
+from repro.simulator.kernel import StackedTable, charge_network
 from repro.simulator.mapping import LayerMapping, map_layer
 from repro.simulator.memory import MemoryModel, memory_model_for
 from repro.simulator.results import ActivityTrace, LayerResult, SimulationResult
@@ -266,15 +266,20 @@ def simulate(
 
 def charge_designs(
     configs: Sequence[NPUConfig],
-    network: Network,
+    networks: Union[Network, Sequence[Network]],
     batches: Sequence[int],
     estimates: Sequence[NPUEstimate],
 ) -> List[DesignCharges]:
-    """Charge several design points of one network in one array pass.
+    """Charge several design points in one array pass.
 
     ``configs``, ``batches`` and ``estimates`` are parallel, one entry per
-    design point; the result list follows them.  Hand each entry to
-    :func:`simulate` as ``charges`` to build that point's result.
+    design point, and ``networks`` is either the one network every point
+    runs or one network per point: points of several networks share one
+    pass over their stacked layer tables
+    (:class:`~repro.simulator.kernel.StackedTable`), each keeping its own
+    network's ``(10, L)`` part.  The result list follows the points.  Hand
+    each entry to :func:`simulate` as ``charges`` to build that point's
+    result.
 
     Raises:
         SimulationError: ``simulation.charge_overflow`` when any point's
@@ -286,10 +291,21 @@ def charge_designs(
     if not configs:
         return []
     began = time.perf_counter()
-    with obs.trace_span("simulate/group", network=network.name, designs=len(configs)):
-        block, totals, activities = charge_network(network.layer_table, [
+    if isinstance(networks, Network):
+        table, names = networks.layer_table, networks.name
+    else:
+        table = StackedTable.of([network.layer_table for network in networks])
+        names = ",".join(dict.fromkeys(network.name for network in networks))
+    with obs.trace_span("simulate/group", network=names, designs=len(configs)):
+        block, totals, activities = charge_network(table, [
             (config, batch, memory_model_for(config, estimate.frequency_ghz),
              build_datapath(config))
             for config, batch, estimate in zip(configs, batches, estimates)])
+        if isinstance(table, StackedTable):
+            # Each point's own layers, copied out so that no result keeps
+            # the padding alive, and read-only, as a pass's block is.
+            block = [part[:, :len(own.names)].copy() for part, own in zip(block, table.parts)]
+            for part in block:
+                part.setflags(write=False)
     seconds = (time.perf_counter() - began) / len(configs)
     return [DesignCharges(*part, seconds) for part in zip(block, totals, activities)]

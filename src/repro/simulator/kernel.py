@@ -6,7 +6,7 @@ One kernel charges both dataflows over a network's :class:`LayerTable`:
 :mod:`repro.simulator.dataflow_ablation`.  Each charge is an elementwise
 int64 expression over ``(D, 1)`` config columns and the table's ``(L,)``
 layer columns; residency, the DRAM ceiling and the ``max(on_chip, dram)``
-tail are shared (:func:`_layer_columns`).
+tail are shared (:func:`layer_columns`).
 
 Every WS charge of :func:`~repro.simulator.engine.simulate_layer` — the
 scalar golden reference, which walks the tiles of
@@ -20,6 +20,12 @@ column class and no :class:`~repro.simulator.mapping.MappingTile` is
 built.  Residency is not a real scan either: whether a layer's output
 stays on chip depends on that layer alone, so the next layer's
 ``input_resident`` is the same array shifted down by one.
+
+One WS pass may also charge points of several networks
+(:class:`StackedTable`): each point's layers are padded with zero-shape
+layers to the deepest network's count, every charge of a padded layer is
+0, and the last-layer rules act at each point's own last layer, so each
+point's part is bitwise its own network's pass.
 
 Integer charges are exact int64 arithmetic, so they equal Python ints as
 long as nothing reaches :data:`EXACT_LIMIT`, which each pass checks per
@@ -36,7 +42,8 @@ each WS activity unit is a left fold over layers in layer order, and each
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from itertools import repeat
+from typing import Dict, List, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -102,6 +109,13 @@ class LayerTable:
     weight_bound: int
     #: max over layers of ``ofmap``: the per-image outputs.
     output_bound: int
+    #: The nine columns above as one ``(9, L)`` array, whose rows they are.
+    shapes: np.ndarray
+
+    #: Where each point's last layer sits: the table's last, for every point.
+    last = (Ellipsis, -1)
+    #: 1 on every real layer (a :class:`StackedTable` has 0 on its padding).
+    live = 1
 
     @classmethod
     def of(cls, layers: Sequence[ConvLayer]) -> "LayerTable":
@@ -122,7 +136,52 @@ class LayerTable:
         columns.setflags(write=False)
         return cls(tuple(layer.name for layer in layers), *columns,
                    on_chip_bound=on_chip, traffic_bound=traffic,
-                   weight_bound=weights, output_bound=outputs)
+                   weight_bound=weights, output_bound=outputs, shapes=columns)
+
+
+@dataclass(frozen=True, eq=False)
+class StackedTable:
+    """Several points' layer tables as ``(points, depth)`` columns, one row
+    per point, ``depth`` the deepest table's layer count.
+
+    A point's layers past its own last one are padding, with every shape
+    term 0: each charge, total and activity term of a padded layer is 0
+    (:func:`charge_network` starts its ifmap rewinds at :attr:`live`, 1 on a
+    real layer and 0 on padding), and the last-layer rules act at
+    :attr:`last`, each point's own last layer.
+    """
+
+    parts: Tuple[LayerTable, ...]  # each point's own table
+    reduction: np.ndarray
+    filters: np.ndarray
+    groups: np.ndarray
+    pixels: np.ndarray
+    ifmap: np.ndarray
+    ofmap: np.ndarray
+    weights: np.ndarray
+    channels: np.ndarray
+    macs: np.ndarray
+    last: Tuple[np.ndarray, np.ndarray]
+    live: np.ndarray
+
+    @classmethod
+    def of(cls, tables: Sequence[LayerTable]) -> Union[LayerTable, "StackedTable"]:
+        """``tables``, one per point, stacked; the one table itself when
+        every point has it."""
+        first = tables[0]
+        if tables.count(first) == len(tables):  # tables compare by identity
+            return first
+        distinct = list({id(table): table for table in tables}.values())
+        row = {id(table): index for index, table in enumerate(distinct)}
+        owner = [row[id(table)] for table in tables]
+        depths = np.array([len(table.names) for table in distinct])
+        padded = np.zeros((len(distinct), len(first.shapes), depths.max()), dtype=np.int64)
+        for index, table in enumerate(distinct):
+            padded[index, :, :depths[index]] = table.shapes
+        depths = depths[owner]
+        return cls(tuple(tables), *padded[owner].transpose(1, 0, 2),
+                   last=(np.arange(len(tables)), depths - 1),
+                   live=np.arange(padded.shape[-1]) < depths[:, np.newaxis])
 
 
 #: One design point of a charge pass: its config, batch, memory model and
@@ -164,7 +223,8 @@ def _os_bounds(table: LayerTable, batch: int, config: NPUConfig,
             2 * streamed + batch * table.traffic_bound)
 
 
-def _design_columns(table: LayerTable, designs: Sequence[Design], bounds):
+def _design_columns(table: Union[LayerTable, StackedTable], designs: Sequence[Design],
+                    bounds):
     """The config terms of ``designs`` as ``(D, 1)`` columns (scalars for
     one design).
 
@@ -179,8 +239,9 @@ def _design_columns(table: LayerTable, designs: Sequence[Design], bounds):
     rows = []
     per_cycle = []
     has_psum = []
-    for config, batch, memory, datapath in designs:
-        on_chip, traffic_bytes = bounds(table, batch, config, datapath)
+    parts = table.parts if isinstance(table, StackedTable) else repeat(table)
+    for part, (config, batch, memory, datapath) in zip(parts, designs):
+        on_chip, traffic_bytes = bounds(part, batch, config, datapath)
         bound = max(on_chip, traffic_bytes, traffic_bytes / memory.bytes_per_cycle + 1,
                     config.pe_array_width * config.registers_per_pe,
                     config.pe_array_height * config.ifmap_division)
@@ -206,8 +267,8 @@ def _design_columns(table: LayerTable, designs: Sequence[Design], bounds):
     return columns.T[:, :, np.newaxis], per_cycle[:, np.newaxis], has_psum
 
 
-def _layer_columns(phases, traffic, ifmap_bytes, ofmap_bytes, output_buffer,
-                   bytes_per_cycle, macs) -> np.ndarray:
+def layer_columns(phases, traffic, ifmap_bytes, ofmap_bytes, output_buffer,
+                  bytes_per_cycle, macs, last=LayerTable.last) -> np.ndarray:
     """The ``(D, 10, L)`` int64 block: per design, one row per
     :class:`~repro.simulator.results.LayerResult` field after ``name``, in
     field order, with one entry per layer.
@@ -216,9 +277,10 @@ def _layer_columns(phases, traffic, ifmap_bytes, ofmap_bytes, output_buffer,
     psum move, activation transfer, compute) and ``traffic`` the DRAM
     bytes besides the activations, which move only when not resident.  A
     layer takes ``max(on_chip, dram)`` cycles (double-buffered DMA).
+    ``last`` indexes each design's last layer (:attr:`LayerTable.last`).
     """
     output_resident = ofmap_bytes <= output_buffer
-    output_resident[..., -1] = False  # the last layer's output goes to DRAM
+    output_resident[last] = False  # the last layer's output goes to DRAM
     input_resident = np.zeros_like(output_resident)
     input_resident[..., 1:] = output_resident[..., :-1]
     traffic = (traffic + np.where(input_resident, 0, ifmap_bytes)
@@ -239,7 +301,7 @@ def _layer_columns(phases, traffic, ifmap_bytes, ofmap_bytes, output_buffer,
 def column_totals(block: np.ndarray) -> list:
     """The sums along the last (layer) axis of an int64 block of charges,
     as exact Python ints: per design, the ten column sums of a
-    :func:`_layer_columns` block, or one run's ten of its ``(10, L)`` slice.
+    :func:`layer_columns` block, or one run's ten of its ``(10, L)`` slice.
 
     Every entry is below :data:`EXACT_LIMIT`, so one int64 reduction is
     exact while ``L * EXACT_LIMIT < 2**63`` (fewer than 1,024 layers); a
@@ -251,18 +313,20 @@ def column_totals(block: np.ndarray) -> list:
 
 
 def charge_network(
-    table: LayerTable, designs: Sequence[Design],
+    table: Union[LayerTable, StackedTable], designs: Sequence[Design],
 ) -> Tuple[np.ndarray, List[List[int]], List[Dict[str, float]]]:
     """Every layer's weight-stationary charges, and each run's activity,
-    for several designs of one network in one array pass.
+    for several designs of one network, or of several (a
+    :class:`StackedTable`, one row per design), in one array pass.
 
     The config terms are ``(D, 1)`` columns against the table's ``(L,)``
-    layer columns, so every charge is a ``(D, L)`` array.  The arithmetic
-    is rank-polymorphic (it indexes layers with ``[..., -1]`` and folds
-    along ``axis=-1``): a single design passes its terms as scalars and
-    runs the same code on ``(L,)`` arrays.
+    layer columns (``(D, L)`` when stacked), so every charge is a ``(D,
+    L)`` array.  The arithmetic is rank-polymorphic (it indexes last layers
+    with :attr:`LayerTable.last` and folds along ``axis=-1``): a single
+    design passes its terms as scalars and runs the same code on ``(L,)``
+    arrays.
 
-    Returns the :func:`_layer_columns` block (per design: mappings, weight
+    Returns the :func:`layer_columns` block (per design: mappings, weight
     load, ifmap prep, psum move, activation transfer, compute, DRAM
     traffic, DRAM cycles, total, MACs), each design's ten column totals
     (:func:`column_totals`), and each design's effective activity cycles
@@ -302,22 +366,22 @@ def charge_network(
     compute = full_count * full_fill + rem_count * rem_fill
 
     mappings = table.groups * col_tiles * row_tiles
-    ifmap_prep = (mappings - 1) * rewind
+    ifmap_prep = (mappings - table.live) * rewind
     psum_move = table.groups * col_tiles * (row_tiles - 1) * per_move
 
     ofmap_bytes = table.ofmap * batch
     activation = np.ceil(ofmap_bytes / height).astype(np.int64)
-    activation[..., -1] = 0  # the last layer's output goes to DRAM
+    activation[table.last] = 0  # the last layer's output goes to DRAM
 
     ifmap_bytes = table.ifmap * batch
     ifmap_fits = ((ifmap_bytes <= ifmap_buffer)
                   & (table.channels * batch <= height * ifmap_division))
     refetch = np.where(ifmap_fits, 1, col_tiles)
     macs = table.macs * batch
-    block = _layer_columns(
+    block = layer_columns(
         (mappings, weight_load, ifmap_prep, psum_move, activation, compute),
         table.weights + ifmap_bytes * (refetch - 1), ifmap_bytes, ofmap_bytes,
-        output_buffer, bytes_per_cycle, macs)
+        output_buffer, bytes_per_cycle, macs, table.last)
 
     array_activity = macs / (height * width)
     dau = _dau_cycles(full_count * vectors * registers,
@@ -344,7 +408,7 @@ def charge_network_os(
     table: LayerTable, designs: Sequence[Design],
 ) -> List[List[List[int]]]:
     """Every layer's output-stationary charges, per design the rows of
-    :func:`_layer_columns` as lists of Python ints, for several designs of
+    :func:`layer_columns` as lists of Python ints, for several designs of
     one network in one pass.
 
     A tile of ``height x width`` outputs stays in the PEs while the whole
@@ -367,9 +431,9 @@ def charge_network_os(
     weight_tile = np.minimum(table.reduction, height) * np.minimum(table.filters, width)
     phases = (tiles, tiles * -(-weight_tile // width), (tiles - 1) * rewind,
               np.zeros_like(tiles), tiles * height, tiles * (table.reduction + pe_stages))
-    return _layer_columns(phases, tiles * weight_tile, table.ifmap * batch,
-                          table.ofmap * batch, output_buffer, bytes_per_cycle,
-                          table.macs * batch).tolist()
+    return layer_columns(phases, tiles * weight_tile, table.ifmap * batch,
+                         table.ofmap * batch, output_buffer, bytes_per_cycle,
+                         table.macs * batch).tolist()
 
 
 def _dau_cycles(full_tile: np.ndarray, rem_tile: np.ndarray, full_rows: np.ndarray,

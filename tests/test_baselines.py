@@ -5,7 +5,12 @@ import math
 import pytest
 
 from repro.baselines.scalesim import CMOSNPUConfig, TPU_CORE, simulate_cmos
-from repro.workloads.models import alexnet, mobilenet, resnet50, vgg16
+from repro.errors import SimulationError
+from repro.simulator.kernel import EXACT_LIMIT
+from repro.simulator.memory import memory_model_for
+from repro.simulator.results import LAYER_FIELDS, ActivityTrace, SimulationResult
+from repro.workloads.layers import ConvLayer
+from repro.workloads.models import Network, alexnet, all_workloads, mobilenet, resnet50, vgg16
 
 
 def test_tpu_core_matches_table1():
@@ -69,3 +74,74 @@ def test_invalid_configs():
         CMOSNPUConfig(average_power_w=0)
     with pytest.raises(ValueError):
         simulate_cmos(TPU_CORE, alexnet(), batch=0)
+
+
+# -- the closed form against the fold loop it replaced ---------------------
+
+def fold_loop_cmos(config, network, batch):
+    """The reference: every fold of every layer walked in Python ints, as
+    ``simulate_cmos`` did before it charged the layers in closed form."""
+    memory = memory_model_for(config, config.frequency_ghz)
+    height, width = config.pe_array_height, config.pe_array_width
+    columns = {name: [] for name in LAYER_FIELDS}
+    resident = False
+    for index, layer in enumerate(network.layers):
+        vectors = layer.output_pixels * batch
+        row_sizes = [height] * (layer.reduction_size // height)
+        if layer.reduction_size % height:
+            row_sizes.append(layer.reduction_size % height)
+        col_sizes = [width] * (layer.filters_per_group // width)
+        if layer.filters_per_group % width:
+            col_sizes.append(layer.filters_per_group % width)
+        fill_drain = streaming = 0
+        for rows in row_sizes:
+            for cols in col_sizes:
+                fill_drain += layer.groups * (2 * rows + cols - 2)
+                streaming += layer.groups * vectors
+        traffic = layer.weight_bytes
+        if not resident:
+            traffic += layer.ifmap_bytes * batch
+        resident = (index < len(network.layers) - 1
+                    and layer.ofmap_bytes * batch <= config.onchip_buffer_bytes)
+        if not resident:
+            traffic += layer.ofmap_bytes * batch
+        dram = memory.transfer_cycles(traffic)
+        row = (layer.name, len(row_sizes) * len(col_sizes) * layer.groups, fill_drain,
+               0, 0, 0, streaming, traffic, dram, max(fill_drain + streaming, dram),
+               layer.macs_per_image * batch)
+        for name, value in zip(LAYER_FIELDS, row):
+            columns[name].append(value)
+    return SimulationResult(config.name, network.name, batch, config.frequency_ghz,
+                            columns, ActivityTrace())
+
+
+@pytest.mark.parametrize("config", [
+    TPU_CORE, CMOSNPUConfig(name="odd", pe_array_height=100, pe_array_width=37)],
+    ids=["tpu", "100x37"])
+@pytest.mark.parametrize("network", all_workloads(), ids=lambda network: network.name)
+@pytest.mark.parametrize("batch", [1, 3, 8, 30])
+def test_closed_form_equals_the_fold_loop(config, network, batch):
+    run = simulate_cmos(config, network, batch)
+    reference = fold_loop_cmos(config, network, batch)
+    assert run == reference
+    assert run.layers == reference.layers
+    assert all(type(value) is int
+               for layer in run.layers for value in vars(layer).values()
+               if not isinstance(value, str))
+    assert (run.total_cycles, run.total_macs, run.compute_cycles, run.preparation_cycles) == (
+        reference.total_cycles, reference.total_macs, reference.compute_cycles,
+        reference.preparation_cycles)
+
+
+def test_a_charge_past_the_exact_limit_raises():
+    layer = ConvLayer("c", 16, 8, 8, 32, 1, 1)
+    network = Network("one", (layer,))
+    # The MACs column reaches the limit first: 2**53 // 8,192 MACs per image.
+    batch = EXACT_LIMIT // layer.macs_per_image
+    assert simulate_cmos(TPU_CORE, network, batch - 1).total_macs < EXACT_LIMIT
+    with pytest.raises(SimulationError) as info:
+        simulate_cmos(TPU_CORE, network, batch)
+    assert info.value.code == "simulation.charge_overflow"
+    assert info.value.context["bound"] == batch * layer.macs_per_image
+    with pytest.raises(SimulationError):  # past int64: refused before charging
+        simulate_cmos(TPU_CORE, network, 2 ** 62)

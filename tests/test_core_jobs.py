@@ -288,9 +288,12 @@ def test_serial_runner_groups_sfq_tasks_by_network(monkeypatch, supernpu_config,
     groups, built, solos = [], [], []
     charge, simulate = jobs.charge_designs, jobs.simulate
 
-    def grouped(configs, network, batches, estimates):
-        groups.append((network.name, list(batches)))
-        return charge(configs, network, batches, estimates)
+    def grouped(configs, networks, batches, estimates):
+        # A pass of one network gets that network, else one per point.
+        names = ([networks.name] * len(configs) if isinstance(networks, Network)
+                 else [network.name for network in networks])
+        groups.append(list(zip(names, batches)))
+        return charge(configs, networks, batches, estimates)
 
     def one(config, network, **kwargs):
         (solos if kwargs.get("charges") is None else built).append(network.name)
@@ -299,24 +302,33 @@ def test_serial_runner_groups_sfq_tasks_by_network(monkeypatch, supernpu_config,
     monkeypatch.setattr(jobs, "charge_designs", grouped)
     monkeypatch.setattr(jobs, "simulate", one)
     ran = JobRunner().run(tasks)
-    # One pass charges the four tiny_network SFQ tasks; the lone task on
-    # another network is a group of one, charged by its own simulate()
-    # call, and the CMOS baseline never reaches the SFQ simulator.  A
-    # grouped task's result is built from its slice when first read.
-    assert groups == [(tiny_network.name, [1, 2, 3, 4])]
-    assert solos == ["other"] and built == []
+    # The four tiny_network SFQ tasks form one group and the lone task on
+    # another network a second; both fit one pass, which lists them group
+    # by group.  The CMOS baseline never reaches the SFQ simulator.  A
+    # charged task's result is built from its slice when first read.
+    assert groups == [[(tiny_network.name, b) for b in (1, 2, 3, 4)] + [("other", 3)]]
+    assert solos == [] and built == []
     assert [ran.value(index, "total_cycles") for index in range(len(tasks))] == [
         run.total_cycles for run in expected]
     assert built == []
     assert ran == expected
-    assert built == [tiny_network.name] * 4
+    assert built == [tiny_network.name] * 2 + ["other"] + [tiny_network.name] * 2
 
+    # Three to a pass: the tiny_network group is cut into [1, 2, 3] and
+    # [4], and the "other" group joins the first pass it fits whole.
     groups.clear()
-    solos.clear()
     monkeypatch.setattr(jobs, "GROUP_LIMIT", 3)
     assert JobRunner().run(tasks) == expected
-    assert groups == [(tiny_network.name, [1, 2, 3])]
-    assert solos == ["other", tiny_network.name]
+    assert groups == [[(tiny_network.name, b) for b in (1, 2, 3)],
+                      [(tiny_network.name, 4), ("other", 3)]]
+    assert solos == []
+
+    # One to a pass: each task is charged by its own simulate() call.
+    groups.clear()
+    monkeypatch.setattr(jobs, "GROUP_LIMIT", 1)
+    assert JobRunner().run(tasks) == expected
+    assert groups == []
+    assert solos == [tiny_network.name] * 2 + ["other"] + [tiny_network.name] * 2
 
 
 def test_a_group_that_raises_runs_its_tasks_one_by_one(monkeypatch, supernpu_config,

@@ -49,6 +49,7 @@ from repro.errors import (
     WorkloadError,
 )
 from repro.simulator.kernel import EXACT_LIMIT
+from repro.workloads.models import Network
 from tests.payloads import (
     LENGTH_FIELDS,
     RECORD_HEAD,
@@ -382,19 +383,23 @@ def test_run_killed_while_charging_a_group_keeps_earlier_tasks(tmp_path, group_t
     passes = []
     charge_designs = jobs.charge_designs
 
-    def killed_on_second_pass(configs, network, *args):
-        passes.append(network.name)
+    def killed_on_second_pass(configs, networks, *args):
+        passes.append(sorted({network.name for network in (
+            [networks] if isinstance(networks, Network) else networks)}))
         if len(passes) == 2:
             raise KeyboardInterrupt  # the process dies inside the joint pass
-        return charge_designs(configs, network, *args)
+        return charge_designs(configs, networks, *args)
 
     monkeypatch.setattr(jobs, "charge_designs", killed_on_second_pass)
+    # Three to a pass: the three mobilenet tasks fill one, so the alexnet
+    # group is a second pass.
+    monkeypatch.setattr(jobs, "GROUP_LIMIT", 3)
     cache = ResultCache(tmp_path / "cache")
     with pytest.raises(KeyboardInterrupt):
         JobRunner(cache=cache).run(tasks)
-    # A group is charged when its first task comes up, so the mobilenet
-    # tasks that came before the alexnet group finished and were cached.
-    assert passes == [group_tasks[0].network.name, other.name]
+    # A pass is charged when its first task comes up, so the mobilenet
+    # tasks that came before the alexnet pass finished and were cached.
+    assert passes == [[group_tasks[0].network.name], [other.name]]
     assert set(cache.keys()) == {task.key() for task in tasks[:2]}
 
     monkeypatch.setattr(jobs, "charge_designs", charge_designs)

@@ -2,8 +2,8 @@
 
 ``engine.simulate`` charges a whole network in one array pass
 (``repro.simulator.kernel``), and ``engine.charge_designs`` charges
-several design points of one network in one (designs x layers) pass,
-from which ``engine.simulate`` builds each point's result.
+several design points, of one network or of several, in one (designs x
+layers) pass, from which ``engine.simulate`` builds each point's result.
 ``engine.simulate_layer`` walks one layer's mapping tiles and stays in the
 package as the golden reference.  Every case here runs them side by side
 and demands equal ``LayerResult`` lists, activity floats equal to the last
@@ -313,6 +313,117 @@ def test_dau_fallback_folds_single_cells_of_a_2d_pass():
         for term in [f] * n + [f * (m / h)] + [r] * n + [r * (m / h)]:
             expected += term
         assert dau[index].hex() == expected.hex()
+
+
+# -- packed passes: points of several networks in one pass --------------
+
+def charged_bits(parts):
+    """Each point's part of a pass, bit for bit: its block's shape and
+    bytes, its totals, and its activity units with their float bits."""
+    return [(part.charges.shape, part.charges.tobytes(), part.totals,
+             [(unit, value.hex()) for unit, value in part.activity.items()])
+            for part in parts]
+
+
+def assert_packed_equivalent(configs, networks, batches, frequencies):
+    """One pass over every point, whatever its network, against each
+    network's own pass and each point's solo pass."""
+    estimates = [SimpleNamespace(frequency_ghz=frequency) for frequency in frequencies]
+    packed = charged_bits(engine.charge_designs(configs, networks, batches, estimates))
+    for network in {id(network): network for network in networks}.values():
+        own = [index for index, each in enumerate(networks) if each is network]
+        alone = charged_bits(engine.charge_designs(
+            [configs[i] for i in own], network, [batches[i] for i in own],
+            [estimates[i] for i in own]))
+        assert [packed[i] for i in own] == alone
+        assert [shape for shape, *_ in alone] == [(10, len(network.layers))] * len(own)
+    for index, (config, network, batch, estimate) in enumerate(
+            zip(configs, networks, batches, estimates)):
+        assert packed[index] == charged_bits(
+            engine.charge_designs([config], network, [batch], [estimate]))[0]
+        run = engine.simulate(config, network, batch, estimate=estimate)
+        block = np.array([run.columns[name] for name in run.columns if name != "name"])
+        assert packed[index][1] == block.astype(np.int64).tobytes()
+        assert packed[index][2] == [sum(row) for row in block.tolist()]
+    return packed
+
+
+def test_a_packed_pass_equals_per_network_and_solo_passes():
+    # Depthwise MobileNet (28 layers) shares a pass with AlexNet (8): the
+    # shallower network's points are padded with 20 zero-shape layers.
+    mobilenet, alexnet = api.workload("mobilenet"), api.workload("alexnet")
+    designs = [supernpu(), baseline(), buffer_opt(), resource_opt()]
+    configs = designs + designs[::-1] + [designs[0]]
+    networks = [mobilenet] * 4 + [alexnet] * 4 + [mobilenet]
+    batches = [1, 7, 64, 3, 22, 1, 5, 9, 30]
+    assert_packed_equivalent(configs, networks, batches, [52.6] * 5 + [31.8] * 4)
+
+
+def test_a_packed_pass_that_folds_the_dau_tile_by_tile(monkeypatch):
+    # Batch 1000 of this layer rounds the DAU closed form (see
+    # test_rounding_layers_match_end_to_end): its cells of the padded pass
+    # fold tile by tile, and the padding never does.
+    layer = ConvLayer("r", in_channels=7, in_height=40, in_width=25,
+                      out_channels=3, kernel_height=1, kernel_width=1)
+    rounding = Network("r", (layer, layer))
+    folded = []
+    dau_cycles = kernel._dau_cycles
+
+    def spy(full_tile, rem_tile, full_rows, rem_rows, height):
+        # The cells _dau_cycles folds: where its TwoSum error is not 0.
+        first = (full_rows * full_tile).astype(np.float64) + full_tile * (rem_rows / height)
+        second = (full_rows * rem_tile).astype(np.float64)
+        middle = first + second
+        shift = middle - first
+        error = (first - (middle - shift)) + (second - shift)
+        folded.append(sorted(tuple(map(int, cell)) for cell in zip(*np.nonzero(error))))
+        return dau_cycles(full_tile, rem_tile, full_rows, rem_rows, height)
+
+    monkeypatch.setattr(kernel, "_dau_cycles", spy)
+    config = NPUConfig("r", pe_array_height=3, pe_array_width=2)
+    mobilenet = api.workload("mobilenet")
+    assert_packed_equivalent([config, supernpu(), config, baseline()],
+                             [rounding, mobilenet, rounding, mobilenet],
+                             [1000, 4, 3, 2], [52.6, 52.6, 31.8, 52.6])
+    # The packed pass folds point 0's two layers and nothing else.
+    assert folded[0] == [(0, 0), (0, 1)]
+
+
+def test_padded_layers_charge_nothing(supernpu_config):
+    alexnet, tiny = api.workload("alexnet"), Network("tiny", api.workload("alexnet").layers[:1])
+    table = kernel.StackedTable.of([alexnet.layer_table, tiny.layer_table])
+    assert table.reduction.shape == (2, 8)
+    assert table.live.tolist() == [[True] * 8, [True] + [False] * 7]
+    datapath = build_datapath(supernpu_config)
+    memory = memory_model_for(supernpu_config, 52.6)
+    block, totals, _ = kernel.charge_network(
+        table, [(supernpu_config, 4, memory, datapath)] * 2)
+    assert not block[1, :, 1:].any()  # every field of every padded layer is 0
+    assert totals[1] == block[1, :, :1].sum(axis=-1).tolist()
+    assert kernel.StackedTable.of([tiny.layer_table] * 3) is tiny.layer_table
+
+
+@given(st.lists(st.tuples(configs(), st.integers(0, 2), st.integers(1, 4096)),
+                min_size=2, max_size=6),
+       st.lists(networks(), min_size=3, max_size=3),
+       st.lists(st.sampled_from([52.6, 31.8, 0.7, 100.0]), min_size=6, max_size=6))
+@settings(max_examples=100, deadline=None)
+def test_packed_passes_over_random_networks(points, pool, frequencies):
+    configs, owners, batches = zip(*points)
+    networks = [pool[owner] for owner in owners]
+    frequencies = frequencies[:len(points)]
+    try:
+        engine.charge_designs(list(configs), networks, list(batches),
+                              [SimpleNamespace(frequency_ghz=f) for f in frequencies])
+    except SimulationError:
+        # A pass refuses whole when any point is past the guard, as alone.
+        with pytest.raises(SimulationError):
+            for config, network, batch, frequency in zip(configs, networks, batches,
+                                                         frequencies):
+                engine.charge_designs([config], network, [batch],
+                                      [SimpleNamespace(frequency_ghz=frequency)])
+        return
+    assert_packed_equivalent(list(configs), networks, list(batches), frequencies)
 
 
 # -- the paper's grid: named designs x networks x Table II batches -------

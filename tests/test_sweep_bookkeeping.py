@@ -11,6 +11,7 @@ from __future__ import annotations
 import copy
 import dataclasses
 import gc
+import hashlib
 import importlib
 import io
 import json
@@ -35,6 +36,7 @@ from repro.device.cells import (
     rsfq_library,
 )
 from repro.device.process import AIST_10UM
+from repro import obs
 from repro.errors import WorkerError
 from repro.estimator.arch_level import estimate_npu
 from repro.simulator.datapath import build_datapath
@@ -487,3 +489,106 @@ def test_a_warm_paper_rerun_parses_no_json(monkeypatch, tmp_path):
     assert calls == {"get": tasks, "result_from_dict": tasks}
     assert [[result.run for result in each] for each in warm] == [
         [result.run for result in each] for each in cold]
+
+
+# -- a cold paper sweep: packed passes, no result built to be encoded -------
+
+#: The paper's figure and table plans, as the benchmark's paper sweeps run them.
+PAPER_PLANS = ("fig20_buffers", "fig21_resources", "fig22_registers", "fig23_evaluate",
+               "table3_power")
+
+#: sha256 over the cold records of PAPER_PLANS, key by key in key order,
+#: each ``key\n`` then its body with ``created_unix`` (header bytes 24-32)
+#: zeroed: any drift of a record's bytes fails here.
+PAPER_RECORDS_SHA256 = "46d634512f2d08ce27ea71e3bcf54a4bdd0af87e91941bfcd51e6ba633c8aab7"
+
+
+def _paper_records_digest(cache):
+    digest = hashlib.sha256()
+    keys = cache.keys()
+    for key in keys:
+        path, offset, length = cache.locate(key)
+        with open(path, "rb") as handle:
+            handle.seek(offset)
+            body = bytearray(handle.read(length))
+        assert body[:4] == b"\x93NPU"
+        body[24:32] = bytes(8)
+        digest.update(key.encode("ascii") + b"\n" + bytes(body))
+    return len(keys), digest.hexdigest()
+
+
+def test_a_cold_paper_sweep_charges_in_few_packed_passes(monkeypatch, tmp_path):
+    passes = []
+    charge_designs = jobs.charge_designs
+
+    def counted(configs, networks, batches, estimates):
+        passes.append(len(configs))
+        return charge_designs(configs, networks, batches, estimates)
+
+    calls: Counter = Counter()
+    monkeypatch.setattr(jobs, "charge_designs", counted)
+    _count_calls(monkeypatch, jobs._Charged, ("build",), calls)
+    _count_calls(monkeypatch, jobs.ResultCache, ("get", "put", "_refresh"), calls)
+    _count_calls(monkeypatch, jobs, ("result_to_dict", "simulate", "simulate_cmos"), calls)
+    with jobs.session(cache_dir=tmp_path) as runner:
+        resultsets = [plan.execute(plan.plan_by_name(name)) for name in PAPER_PLANS]
+    assert (runner.stats.tasks, runner.stats.executed) == (285, 225)
+    # 219 SFQ misses over five runs: at most 64 to a pass, none failed.
+    assert sum(passes) == 219 and max(passes) <= jobs.GROUP_LIMIT
+    assert len(passes) <= 8
+    # Each miss is encoded straight from its slice of the pass; no result
+    # is built to be written, and each run rescans the cache at most once.
+    assert calls["build"] == calls["simulate"] == 0
+    assert (calls["get"], calls["put"], calls["result_to_dict"]) == (285, 225, 225)
+    assert calls["simulate_cmos"] == 6
+    assert calls["_refresh"] <= len(PAPER_PLANS) + 1  # the handle's opening scan too
+    assert _paper_records_digest(jobs.ResultCache(tmp_path)) == (225, PAPER_RECORDS_SHA256)
+
+    # Read back, every run equals a warm hit's.
+    with jobs.session(cache_dir=tmp_path):
+        warm = [plan.execute(plan.plan_by_name(name)) for name in PAPER_PLANS]
+    assert [[result.run for result in each] for each in resultsets] == [
+        [result.run for result in each] for each in warm]
+
+
+def test_a_cold_paper_sweep_has_no_group_fallback(tmp_path):
+    obs.enable(metrics=True, tracing=False)
+    try:
+        with jobs.session(cache_dir=tmp_path):
+            for name in PAPER_PLANS:
+                plan.execute(plan.plan_by_name(name))
+        counters = obs.metrics().snapshot()["counters"]
+    finally:
+        obs.disable()
+        obs.reset()
+    assert counters["jobs.sim.executed"] == 225
+    assert counters.get("jobs.sim.group_fallbacks", 0) == 0
+
+
+def test_a_fresh_process_first_search_estimates_each_design_once(monkeypatch):
+    # An empty process memo is a fresh process's: the runner's estimates
+    # serve the charge passes too.
+    monkeypatch.setattr(jobs, "_WORKER_ESTIMATES", {})
+    calls: Counter = Counter()
+    _count_calls(monkeypatch, jobs, ("estimate_npu",), calls)
+    with jobs.session():
+        first = search.search()
+    assert calls == {"estimate_npu": 64}
+    with jobs.session():
+        again = search.search()
+    assert calls == {"estimate_npu": 128}  # each session's runner estimates anew
+    assert [(c.config.name, repr(c.mean_mac_per_s)) for c in first] == [
+        (c.config.name, repr(c.mean_mac_per_s)) for c in again]
+
+
+def test_reproduce_runs_fig23_and_table3_from_one_execution(monkeypatch):
+    experiments = importlib.import_module("repro.core.experiments")
+    with jobs.session() as runner:
+        both = experiments.reproduce_all(only=["fig23_performance", "table3_power"])
+    assert runner.stats.tasks == 36
+    with jobs.session() as runner:
+        alone = experiments.reproduce_all(only=["fig23_performance"])
+    assert runner.stats.tasks == 30
+    with jobs.session():
+        table3 = experiments.reproduce_all(only=["table3_power"])
+    assert json.dumps(both, sort_keys=True) == json.dumps({**alone, **table3}, sort_keys=True)
